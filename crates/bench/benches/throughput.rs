@@ -17,7 +17,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fila_avoidance::{Algorithm, Planner};
 use fila_graph::Graph;
 use fila_runtime::{
-    Batching, JobVerdict, PooledExecutor, Scheduler, SharedPool, Simulator, ThreadedExecutor,
+    Batching, JobVerdict, PoolOptions, PooledExecutor, Scheduler, SharedPool, Simulator, ThreadedExecutor,
     Topology,
 };
 use fila_service::{JobService, JobSpec, ServiceConfig};
@@ -348,12 +348,16 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         assert!(report.completed, "{report:?}");
         report.total_messages()
     };
-    let off = SharedPool::with_telemetry(2, 64, None, false);
+    let off = SharedPool::new(2);
     assert!(
         off.telemetry_handle().is_none(),
         "disabled pool must carry no recorder (zero cost by construction)"
     );
-    let on = SharedPool::with_telemetry(2, 64, None, true);
+    let on = SharedPool::with(PoolOptions {
+        workers: 2,
+        telemetry: true,
+        ..PoolOptions::default()
+    });
     let recorder = on.telemetry_handle().expect("enabled pool records");
     group.bench_with_input(BenchmarkId::new("telemetry/off/nodes", n), &n, |b, _| {
         b.iter(|| black_box(run(&off)))

@@ -2,7 +2,7 @@
 //! self-healing service is tested against.
 //!
 //! A [`FaultPlan`] is handed to [`SharedPool`](crate::SharedPool) at
-//! construction ([`crate::SharedPool::with_faults`]).  Every submitted or
+//! construction ([`crate::PoolOptions::faults`]).  Every submitted or
 //! resumed job draws a monotonically increasing serial; the plan maps that
 //! serial — via the same splitmix64 finaliser the workload generators use —
 //! to an optional [`FaultArm`]: the complete, pre-decided fault schedule of

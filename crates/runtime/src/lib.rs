@@ -16,14 +16,15 @@
 //! * [`Simulator`] — a deterministic, single-threaded discrete-event
 //!   executor with *exact* deadlock detection (it knows precisely when no
 //!   node can make progress), used by the tests and benchmarks;
-//! * [`PooledExecutor`] — the scalable concurrent engine: a fixed
-//!   work-stealing worker pool drives every node as a cooperatively
-//!   scheduled task over lock-free SPSC rings ([`spsc`]), with the same
-//!   exact parked-pool deadlock verdict as the simulator;
-//! * [`SharedPool`] — the multi-tenant engine behind the service layer: a
-//!   *long-lived* work-stealing pool on which the node-tasks of many
-//!   independent jobs coexist, with exact per-job completion/deadlock
-//!   verdicts decided by per-job quiescence (no global idleness needed);
+//! * [`SharedPool`] — the scalable concurrent engine: a *long-lived*
+//!   locality-first work-stealing pool drives every node as a cooperatively
+//!   scheduled task over lock-free SPSC rings ([`spsc`]); the node-tasks of
+//!   many independent jobs coexist on it, with exact per-job
+//!   completion/deadlock verdicts decided by per-job quiescence (no global
+//!   idleness needed);
+//! * [`PooledExecutor`] — the same engine for one run: a builder-style
+//!   facade that spawns a pool, runs one topology to its report and tears
+//!   the pool down;
 //! * [`ThreadedExecutor`] — one OS thread per node over the same rings,
 //!   parked/unparked per channel, with a progress watchdog for deadlock
 //!   detection; kept as the simplest possible concurrent engine.
@@ -45,6 +46,7 @@ pub mod message;
 pub mod node;
 pub mod pooled;
 pub mod report;
+mod sched;
 pub mod shared_pool;
 pub mod simulator;
 pub mod spsc;
@@ -65,9 +67,13 @@ pub use message::{Message, Payload};
 pub use node::{FireDecision, FireInput, NodeBehavior};
 pub use pooled::PooledExecutor;
 pub use report::{BlockedInfo, BlockedReason, ExecutionReport};
-pub use shared_pool::{FilterObservation, JobHandle, JobVerdict, SettleHook, SharedPool};
+pub use shared_pool::{
+    FilterObservation, JobHandle, JobVerdict, PoolOptions, SettleHook, SharedPool,
+};
 pub use simulator::{Scheduler, Simulator};
-pub use telemetry::{chrome_trace, EventKind, JobTimeline, TelemetryHandle, TraceEvent};
+pub use telemetry::{
+    chrome_trace, EventKind, JobTimeline, SchedCounter, TelemetryHandle, TraceEvent,
+};
 pub use threaded::ThreadedExecutor;
 pub use topology::{BehaviorFactory, Topology};
 pub use wrapper::{AvoidanceMode, DummyWrapper, PropagationTrigger, RunDummies};

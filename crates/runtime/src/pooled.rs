@@ -1,53 +1,39 @@
-//! A pooled work-stealing execution engine: a fixed pool of workers drives
-//! every compute node as a cooperatively-scheduled task.
+//! The pooled engine for **one** run: a facade over [`crate::SharedPool`].
 //!
 //! [`crate::ThreadedExecutor`] devotes one OS thread to every node, which
 //! caps it at a few thousand nodes (and leaves most of those threads blocked
-//! in the kernel at any instant).  `PooledExecutor` decouples *workers* from
+//! in the kernel at any instant).  The pool decouples *workers* from
 //! *operators* the way shared-memory streaming engines do: `N` workers
-//! (default [`std::thread::available_parallelism`]) each own a run queue of
-//! node tasks, steal from each other when their own queue runs dry, and park
-//! on a condvar when the whole pool is idle.
-//!
-//! ## Scheduling rule
-//!
-//! Tasks are woken by exactly the channel-event rule of the simulator's
-//! worklist scheduler: a channel becoming **non-empty** wakes its consumer
-//! task, a channel becoming **non-full** wakes its producer task.  Channels
-//! are the lock-free SPSC rings of [`crate::spsc`], whose waiting-flag
-//! protocol (register, then re-check) makes the wakeups race-free without a
-//! single lock on the message path.  A woken task drains up to a
-//! configurable batch of firings before yielding its worker.  The per-task
-//! stepping logic itself lives in the private `task` module, shared with
-//! the multi-job [`crate::SharedPool`] engine.
+//! (default [`std::thread::available_parallelism`]) drive every node as a
+//! cooperatively scheduled task.  `PooledExecutor` is the builder-style,
+//! run-to-a-report front of that engine: [`PooledExecutor::run`] spawns a
+//! [`SharedPool`], submits the topology as its only job, waits for the
+//! verdict and tears the pool down.  Scheduling, wakeups and the run loops
+//! are the pool's (see its module docs); nothing is duplicated here.
 //!
 //! ## Exact deadlock detection
 //!
-//! Because every task that *can* progress is queued, running, or has a
-//! waiting-flag registered on the channel that will next enable it, the pool
-//! going fully idle is meaningful: when the last worker is about to park
-//! while no task is queued and unfinished nodes remain, the run **is**
-//! deadlocked — the same "ready set empty" argument as the simulator, so the
-//! verdict is exact and immediate.  No quiet-period watchdog is involved
-//! (contrast with the threaded engine, where deadlock can only be inferred
-//! from prolonged silence).
+//! The verdict is the pool's per-job quiescence rule: every task that *can*
+//! progress is queued, running, or has a waiting flag registered on the
+//! channel that will next enable it, so the job's active-task count
+//! reaching zero with unfinished nodes **is** a deadlock — the same "ready
+//! set empty" argument as the simulator, exact and immediate.  No
+//! quiet-period watchdog is involved (contrast with the threaded engine,
+//! where deadlock can only be inferred from prolonged silence).
 //!
 //! The per-node semantics (acceptance rule, dummy wrappers, per-channel
 //! independent delivery) are identical to [`crate::Simulator`]'s, and a
 //! property test (`tests/engine_equivalence.rs`) pins the two engines to the
 //! same completion/deadlock verdicts and per-edge message counts.
 
-use std::collections::VecDeque;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::sync::Arc;
 
 use fila_avoidance::AvoidancePlan;
 
-use crate::container::{Batch, Batching, Single};
+use crate::container::Batching;
 use crate::report::ExecutionReport;
-use crate::task::{self, Outcome, StepPolicy, Task};
+use crate::shared_pool::{JobVerdict, PoolOptions, SharedPool};
 use crate::topology::Topology;
 use crate::wrapper::{AvoidanceMode, PropagationTrigger};
 
@@ -130,28 +116,16 @@ impl<'t> PooledExecutor<'t> {
 
     /// Runs the application, offering `inputs` sequence numbers at every
     /// source node, and returns the execution report.  The deadlock verdict
-    /// is exact (all workers parked with unfinished nodes), never inferred
-    /// from a timeout.
+    /// is exact (the job went quiescent with unfinished nodes), never
+    /// inferred from a timeout.
+    ///
+    /// # Panics
+    ///
+    /// If a node behaviour panics, like [`crate::Simulator::run`] does (the
+    /// pool contains the panic to the job; this re-raises it for the one
+    /// caller there is).
     pub fn run(&self, inputs: u64) -> ExecutionReport {
-        match self.batching {
-            Batching::Scalar => self.run_typed::<Single>(inputs),
-            _ => self.run_typed::<Batch>(inputs),
-        }
-    }
-
-    fn run_typed<C: StepPolicy>(&self, inputs: u64) -> ExecutionReport {
-        let started = Instant::now();
-        let g = self.topology.graph();
-        let node_count = g.node_count();
-        let edge_count = g.edge_count();
-        if node_count == 0 {
-            return ExecutionReport {
-                completed: true,
-                inputs_offered: inputs,
-                wall: started.elapsed(),
-                ..Default::default()
-            };
-        }
+        let node_count = self.topology.graph().node_count();
         let workers = self
             .workers
             .map(NonZeroUsize::get)
@@ -160,484 +134,21 @@ impl<'t> PooledExecutor<'t> {
                     .map(NonZeroUsize::get)
                     .unwrap_or(1)
             })
-            .clamp(1, node_count);
-
-        let tasks: Vec<Mutex<Task<C>>> =
-            task::build_tasks(self.topology, &self.mode, self.trigger, self.batching)
-                .into_iter()
-                .map(Mutex::new)
-                .collect();
-
-        let pool = Pool {
-            states: (0..node_count).map(|_| AtomicU8::new(QUEUED)).collect(),
-            tasks,
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            queued: AtomicUsize::new(node_count),
-            unfinished: AtomicUsize::new(node_count),
-            parked_count: AtomicUsize::new(0),
-            coordinator: Mutex::new(()),
-            cv: Condvar::new(),
-            verdict: AtomicU8::new(RUNNING_VERDICT),
+            .clamp(1, node_count.max(1));
+        let pool = SharedPool::with(PoolOptions {
             workers,
             batch: self.batch,
-            inputs,
-        };
-        // Seed every task once, round-robin over the workers: each either
-        // progresses or registers its waiting flags, after which scheduling
-        // is purely event-driven.
-        for (idx, q) in (0..node_count).zip((0..workers).cycle()) {
-            pool.queues[q]
-                .lock()
-                .expect("queue lock")
-                .push_back(idx as u32);
-        }
-
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let pool = &pool;
-                scope.spawn(move || pool.worker_loop(w));
-            }
+            batching: self.batching,
+            ..PoolOptions::default()
         });
-
-        let deadlocked = pool.verdict.load(Ordering::SeqCst) == DEADLOCKED;
-        let mut report = task::assemble_report(&pool.tasks, edge_count, inputs, deadlocked);
-        report.wall = started.elapsed();
+        let job = pool.submit_full(self.topology, self.mode.clone(), self.trigger, inputs, None);
+        let report = job.wait();
+        if job.verdict() == Some(JobVerdict::Failed) {
+            match job.failed_node() {
+                Some(node) => panic!("the behaviour of node {node} panicked"),
+                None => panic!("a node behaviour panicked"),
+            }
+        }
         report
-    }
-}
-
-/// Task scheduling states (one `AtomicU8` per node).
-const IDLE: u8 = 0;
-/// In some worker's run queue.
-const QUEUED: u8 = 1;
-/// Currently executing on a worker.
-const RUNNING: u8 = 2;
-/// Executing, and a wake arrived meanwhile: re-queue after the run.
-const NOTIFIED: u8 = 3;
-
-/// Pool verdicts.
-const RUNNING_VERDICT: u8 = 0;
-const COMPLETED: u8 = 1;
-const DEADLOCKED: u8 = 2;
-/// A worker panicked (a node behaviour threw); peers must not wait for it.
-const PANICKED: u8 = 3;
-
-struct Pool<C: StepPolicy> {
-    states: Vec<AtomicU8>,
-    tasks: Vec<Mutex<Task<C>>>,
-    queues: Vec<Mutex<VecDeque<u32>>>,
-    /// Tasks currently sitting in some run queue (transiently an
-    /// over-estimate: it is incremented before the push).
-    queued: AtomicUsize,
-    unfinished: AtomicUsize,
-    /// Workers currently parked; mutated only under `coordinator`.
-    parked_count: AtomicUsize,
-    coordinator: Mutex<()>,
-    cv: Condvar,
-    verdict: AtomicU8,
-    workers: usize,
-    batch: u32,
-    inputs: u64,
-}
-
-/// Aborts the pool if its worker unwinds (a node behaviour panicked):
-/// without this, the panicked worker would never park, the remaining
-/// workers would wait on the condvar forever, and `std::thread::scope`
-/// would hang joining them.  With it, peers exit, the scope joins
-/// everyone, and the scope itself re-raises the panic — so
-/// [`PooledExecutor::run`] propagates behaviour panics exactly like
-/// [`crate::Simulator::run`] does.
-struct PanicAbort<'p, C: StepPolicy>(&'p Pool<C>);
-
-impl<C: StepPolicy> Drop for PanicAbort<'_, C> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            let _guard = self.0.lock_coordinator();
-            self.0.verdict.store(PANICKED, Ordering::SeqCst);
-            self.0.cv.notify_all();
-        }
-    }
-}
-
-impl<C: StepPolicy> Pool<C> {
-    fn worker_loop(&self, worker: usize) {
-        let _abort_on_panic = PanicAbort(self);
-        while self.verdict.load(Ordering::Acquire) == RUNNING_VERDICT {
-            match self.pop_any(worker) {
-                Some(node) => self.execute(worker, node),
-                None => {
-                    if !self.park() {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Pops from the worker's own queue, then round-robins the other
-    /// workers' queues (work stealing).
-    fn pop_any(&self, worker: usize) -> Option<u32> {
-        for i in 0..self.queues.len() {
-            let q = (worker + i) % self.queues.len();
-            let popped = self.queues[q].lock().expect("queue lock").pop_front();
-            if let Some(node) = popped {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                return Some(node);
-            }
-        }
-        None
-    }
-
-    /// Pushes a task onto `worker`'s queue and unparks a sleeper if any.
-    fn push(&self, worker: usize, node: u32) {
-        // Increment before the push so `queued` only ever over-estimates;
-        // parking decisions must never see it low.
-        self.queued.fetch_add(1, Ordering::SeqCst);
-        self.queues[worker]
-            .lock()
-            .expect("queue lock")
-            .push_back(node);
-        if self.parked_count.load(Ordering::SeqCst) > 0 {
-            let _guard = self.lock_coordinator();
-            self.cv.notify_one();
-        }
-    }
-
-    /// The coordinator mutex guards no data (all counters are atomics), so
-    /// poisoning — possible only when a peer worker panicked — carries no
-    /// information; every acquisition tolerates it so surviving workers can
-    /// still park, be woken, and observe the `PANICKED` verdict.
-    fn lock_coordinator(&self) -> std::sync::MutexGuard<'_, ()> {
-        self.coordinator
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Schedules `node` (the channel-event wakeup): idle tasks are queued on
-    /// the waking worker, running tasks are flagged for re-queueing.
-    fn wake(&self, worker: usize, node: u32) {
-        let state = &self.states[node as usize];
-        let mut current = state.load(Ordering::Acquire);
-        loop {
-            let (target, enqueue) = match current {
-                IDLE => (QUEUED, true),
-                RUNNING => (NOTIFIED, false),
-                // Already queued or already flagged: nothing to do.
-                _ => return,
-            };
-            match state.compare_exchange(
-                current,
-                target,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    if enqueue {
-                        self.push(worker, node);
-                    }
-                    return;
-                }
-                Err(observed) => current = observed,
-            }
-        }
-    }
-
-    fn execute(&self, worker: usize, node: u32) {
-        self.states[node as usize].store(RUNNING, Ordering::Release);
-        let (outcome, newly_done) = {
-            let mut task = self.tasks[node as usize].lock().expect("task lock");
-            let was_done = task.done;
-            let outcome = task::run_task(
-                &mut task,
-                self.inputs,
-                self.batch,
-                &mut |n| self.wake(worker, n),
-                None,
-            );
-            (outcome, task.done && !was_done)
-        };
-        if newly_done {
-            self.unfinished.fetch_sub(1, Ordering::SeqCst);
-        }
-        match outcome {
-            Outcome::Done => {
-                // Stale flag wakeups may still re-queue this task; it will
-                // no-op (see `run_task`'s `done` check).
-                self.states[node as usize].store(IDLE, Ordering::Release);
-            }
-            Outcome::Yielded => {
-                self.states[node as usize].store(QUEUED, Ordering::Release);
-                self.push(worker, node);
-            }
-            Outcome::Blocked => {
-                if self.states[node as usize]
-                    .compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire)
-                    .is_err()
-                {
-                    // A wake arrived while we ran (state is NOTIFIED): the
-                    // event may have landed before our final re-check, so the
-                    // task must run again.
-                    self.states[node as usize].store(QUEUED, Ordering::Release);
-                    self.push(worker, node);
-                }
-            }
-        }
-    }
-
-    /// Parks the worker until new work or a verdict.  Returns false when the
-    /// run is over.  The **last** worker to park with an empty pool decides
-    /// the verdict: every runnable task would be queued (the waiting-flag
-    /// protocol loses no wakeups), so a fully parked pool with unfinished
-    /// nodes is exactly a deadlock.
-    fn park(&self) -> bool {
-        let mut guard = self.lock_coordinator();
-        if self.queued.load(Ordering::SeqCst) > 0 {
-            return true;
-        }
-        if self.verdict.load(Ordering::SeqCst) != RUNNING_VERDICT {
-            return false;
-        }
-        let parked = self.parked_count.fetch_add(1, Ordering::SeqCst) + 1;
-        // Dekker re-check against a concurrent `push`: the pusher increments
-        // `queued` *before* reading `parked_count` (both SeqCst), so either
-        // it sees this worker as parked and notifies under the lock, or the
-        // re-read here sees its task — a notify can never fall between the
-        // entry check and the first wait.
-        if self.queued.load(Ordering::SeqCst) > 0 {
-            self.parked_count.fetch_sub(1, Ordering::SeqCst);
-            return true;
-        }
-        if parked == self.workers {
-            let verdict = if self.unfinished.load(Ordering::SeqCst) == 0 {
-                COMPLETED
-            } else {
-                DEADLOCKED
-            };
-            self.verdict.store(verdict, Ordering::SeqCst);
-            self.parked_count.fetch_sub(1, Ordering::SeqCst);
-            self.cv.notify_all();
-            return false;
-        }
-        loop {
-            guard = self
-                .cv
-                .wait(guard)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if self.verdict.load(Ordering::SeqCst) != RUNNING_VERDICT
-                || self.queued.load(Ordering::SeqCst) > 0
-            {
-                break;
-            }
-        }
-        self.parked_count.fetch_sub(1, Ordering::SeqCst);
-        self.verdict.load(Ordering::SeqCst) == RUNNING_VERDICT
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::filters::{Broadcast, ModuloFilter, Predicate};
-    use crate::Simulator;
-    use fila_avoidance::{Algorithm, Planner};
-    use fila_graph::{Graph, GraphBuilder};
-
-    fn fig2(buffer: u64) -> Graph {
-        let mut b = GraphBuilder::new();
-        b.edge_with_capacity("A", "B", buffer).unwrap();
-        b.edge_with_capacity("B", "C", buffer).unwrap();
-        b.edge_with_capacity("A", "C", buffer).unwrap();
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn pipeline_completes_pooled() {
-        let mut b = GraphBuilder::new();
-        b.chain(&["src", "mid", "dst"]).unwrap();
-        let g = b.build().unwrap();
-        let topo = Topology::from_graph(&g);
-        for workers in [1, 2, 4] {
-            let report = PooledExecutor::new(&topo).workers(workers).run(200);
-            assert!(report.completed, "workers={workers}: {report:?}");
-            assert_eq!(report.data_messages, 400);
-            assert_eq!(report.sink_firings, 200);
-        }
-    }
-
-    #[test]
-    fn fig2_deadlock_verdict_is_exact() {
-        // No quiet period, no timeout: the pool parks and reports deadlock
-        // with the blocked nodes, exactly like the simulator.
-        let g = fig2(2);
-        let a = g.node_by_name("A").unwrap();
-        let topo = Topology::from_graph(&g)
-            .with(a, || Predicate::new(2, |_seq, out| out == 0));
-        for workers in [1, 3] {
-            let report = PooledExecutor::new(&topo).workers(workers).run(500);
-            assert!(report.deadlocked, "workers={workers}: {report:?}");
-            assert!(!report.completed);
-            assert!(!report.blocked.is_empty());
-        }
-    }
-
-    #[test]
-    fn fig2_completes_pooled_with_plan() {
-        let g = fig2(2);
-        let a = g.node_by_name("A").unwrap();
-        for algorithm in [Algorithm::Propagation, Algorithm::NonPropagation] {
-            let plan = Planner::new(&g).algorithm(algorithm).plan().unwrap();
-            let topo = Topology::from_graph(&g)
-                .with(a, || Predicate::new(2, |_seq, out| out == 0));
-            let report = PooledExecutor::new(&topo)
-                .with_plan(&plan)
-                .workers(2)
-                .run(500);
-            assert!(report.completed, "{algorithm}: {report:?}");
-            assert!(report.dummy_messages > 0);
-        }
-    }
-
-    #[test]
-    fn pooled_matches_simulator_exactly() {
-        let g = fig2(4);
-        let a = g.node_by_name("A").unwrap();
-        let plan = Planner::new(&g).algorithm(Algorithm::Propagation).plan().unwrap();
-        let topo = Topology::from_graph(&g)
-            .with(a, || Predicate::new(2, |seq, out| out == 0 || seq % 4 == 0));
-        let sim = Simulator::new(&topo).with_plan(&plan).run(400);
-        let pooled = PooledExecutor::new(&topo).with_plan(&plan).workers(2).run(400);
-        assert!(sim.completed && pooled.completed);
-        assert_eq!(sim.per_edge_data, pooled.per_edge_data);
-        assert_eq!(sim.per_edge_dummies, pooled.per_edge_dummies);
-        assert_eq!(sim.sink_firings, pooled.sink_firings);
-    }
-
-    #[test]
-    fn capacity_one_channels_work() {
-        let mut b = GraphBuilder::new();
-        b.edge_with_capacity("s", "m", 1).unwrap();
-        b.edge_with_capacity("m", "t", 1).unwrap();
-        let g = b.build().unwrap();
-        let m = g.node_by_name("m").unwrap();
-        let topo = Topology::from_graph(&g).with(m, || ModuloFilter::new(1, 2, 0));
-        let report = PooledExecutor::new(&topo).workers(2).run(100);
-        assert!(report.completed, "{report:?}");
-        assert_eq!(report.sink_firings, 50);
-    }
-
-    #[test]
-    fn split_join_deadlocks_and_plan_rescues_it() {
-        let mut b = GraphBuilder::new();
-        b.edge_with_capacity("split", "left", 4).unwrap();
-        b.edge_with_capacity("split", "right", 4).unwrap();
-        b.edge_with_capacity("left", "join", 4).unwrap();
-        b.edge_with_capacity("right", "join", 4).unwrap();
-        let g = b.build().unwrap();
-        let split = g.node_by_name("split").unwrap();
-        let left = g.node_by_name("left").unwrap();
-        let right = g.node_by_name("right").unwrap();
-        let topo = Topology::from_graph(&g)
-            .with(split, || Broadcast::new(2))
-            .with(left, || ModuloFilter::new(1, 5, 0))
-            .with(right, || ModuloFilter::new(1, 50, 3));
-        let without = PooledExecutor::new(&topo).workers(2).run(2000);
-        assert!(without.deadlocked, "{without:?}");
-        let plan = Planner::new(&g)
-            .algorithm(Algorithm::NonPropagation)
-            .plan()
-            .unwrap();
-        let with_plan = PooledExecutor::new(&topo).with_plan(&plan).workers(2).run(2000);
-        assert!(with_plan.completed, "{with_plan:?}");
-    }
-
-    #[test]
-    fn deep_pipeline_scales_past_thread_per_node_sizes() {
-        // 4096 nodes on a handful of workers: far beyond what one OS thread
-        // per node is meant for, trivially handled by the pool.
-        let names: Vec<String> = (0..4096).map(|i| format!("n{i}")).collect();
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let mut b = GraphBuilder::new().default_capacity(4);
-        b.chain(&refs).unwrap();
-        let g = b.build().unwrap();
-        let topo = Topology::from_graph(&g);
-        let report = PooledExecutor::new(&topo).workers(4).run(8);
-        assert!(report.completed, "{report:?}");
-        assert_eq!(report.sink_firings, 8);
-        assert_eq!(report.data_messages, 8 * 4095);
-    }
-
-    #[test]
-    fn tiny_batch_still_completes() {
-        let g = fig2(2);
-        let a = g.node_by_name("A").unwrap();
-        let plan = Planner::new(&g).algorithm(Algorithm::Propagation).plan().unwrap();
-        let topo = Topology::from_graph(&g)
-            .with(a, || Predicate::new(2, |_seq, out| out == 0));
-        let report = PooledExecutor::new(&topo)
-            .with_plan(&plan)
-            .workers(3)
-            .batch(1)
-            .run(300);
-        assert!(report.completed, "{report:?}");
-    }
-
-    #[test]
-    fn zero_inputs_complete_immediately() {
-        let g = fig2(2);
-        let topo = Topology::from_graph(&g);
-        let report = PooledExecutor::new(&topo).run(0);
-        assert!(report.completed);
-        assert_eq!(report.data_messages, 0);
-    }
-
-    #[test]
-    fn pooled_and_threaded_agree_on_data_counts() {
-        // The pool and the thread-per-node engine share the ring layer but
-        // schedule completely differently; deterministic filtering must
-        // still deliver identical data counts (see also
-        // `tests/engine_equivalence.rs` for the full Simulator pinning).
-        let g = fig2(4);
-        let a = g.node_by_name("A").unwrap();
-        let plan = Planner::new(&g).algorithm(Algorithm::Propagation).plan().unwrap();
-        let topo = Topology::from_graph(&g)
-            .with(a, || Predicate::new(2, |seq, out| out == 0 || seq % 4 == 0));
-        let pooled = PooledExecutor::new(&topo).with_plan(&plan).workers(2).run(400);
-        let threaded = crate::ThreadedExecutor::new(&topo).with_plan(&plan).run(400);
-        assert!(pooled.completed && threaded.completed);
-        assert_eq!(pooled.data_messages, threaded.data_messages);
-        assert_eq!(pooled.sink_firings, threaded.sink_firings);
-        assert_eq!(pooled.per_edge_data, threaded.per_edge_data);
-    }
-
-    #[test]
-    fn behaviour_panic_propagates_instead_of_hanging() {
-        // A panicking behaviour must fail the run like the simulator does —
-        // not leave the surviving workers parked forever.
-        let mut b = GraphBuilder::new();
-        b.chain(&["s", "m", "t"]).unwrap();
-        let g = b.build().unwrap();
-        let m = g.node_by_name("m").unwrap();
-        let topo = Topology::from_graph(&g).with(m, || {
-            Predicate::new(1, |seq, _out| {
-                assert!(seq < 5, "behaviour blew up at seq {seq}");
-                true
-            })
-        });
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            PooledExecutor::new(&topo).workers(2).run(100)
-        }));
-        assert!(result.is_err(), "the panic must propagate out of run()");
-    }
-
-    #[test]
-    fn wall_time_is_recorded() {
-        let mut b = GraphBuilder::new();
-        b.chain(&["s", "t"]).unwrap();
-        let g = b.build().unwrap();
-        let topo = Topology::from_graph(&g);
-        let report = PooledExecutor::new(&topo).workers(1).run(64);
-        assert!(report.completed);
-        assert!(report.wall_time() > std::time::Duration::ZERO);
-        assert!(report.messages_per_sec().expect("wall time recorded") > 0.0);
     }
 }

@@ -1,21 +1,32 @@
 //! A long-lived, multi-tenant work-stealing pool: many independent
 //! dataflow jobs execute concurrently on one fixed set of workers.
 //!
-//! [`crate::PooledExecutor`] spins up a scoped pool, runs **one** topology
-//! to its verdict and tears the pool down.  A service multiplexing
-//! thousands of small dataflows cannot afford that: `SharedPool` keeps the
-//! workers alive across jobs and lets the node-tasks of any number of
-//! *independent* topologies coexist in the same per-worker run queues.
-//! Each queue entry carries its job, so a worker interleaves firings of
-//! different jobs at task granularity — exactly the shared-memory
-//! multicore streaming model, scaled from "operators share workers" to
-//! "jobs share workers".
+//! This is the workspace's one pooled engine ([`crate::PooledExecutor`] is a
+//! one-job facade over it).  A service multiplexing thousands of small
+//! dataflows cannot afford a pool per run: `SharedPool` keeps the workers
+//! alive across jobs and lets the node-tasks of any number of *independent*
+//! topologies coexist in the same run queues.  Each queue entry carries its
+//! job, so a worker interleaves firings of different jobs at task
+//! granularity — exactly the shared-memory multicore streaming model,
+//! scaled from "operators share workers" to "jobs share workers".
+//!
+//! ## Scheduling
+//!
+//! Tasks are woken by exactly the channel-event rule of the simulator's
+//! worklist scheduler: a channel becoming **non-empty** wakes its consumer
+//! task, a channel becoming **non-full** wakes its producer task.  Channels
+//! are the lock-free SPSC rings of [`crate::spsc`], whose waiting-flag
+//! protocol (register, then re-check) makes the wakeups race-free without a
+//! single lock on the message path.  *Where* a woken task waits for a
+//! worker — run-next slot, deque or injector — and when an idle worker is
+//! unparked is the business of the private `sched` module (DESIGN.md,
+//! "Scheduling (E23)"); nothing below depends on it, as long as every
+//! queued task is eventually run.
 //!
 //! ## Per-job verdicts without global quiescence
 //!
-//! The single-run pool declares deadlock when the whole pool parks with
-//! unfinished nodes.  That test is useless here: one healthy job can keep
-//! the pool busy forever while another is wedged.  `SharedPool` instead
+//! "The whole pool is idle" says nothing about one job: a healthy job can
+//! keep the pool busy forever while another is wedged.  `SharedPool`
 //! tracks, per job, the number of **active** tasks — tasks that are
 //! queued, running, or flagged for re-run.  Jobs are independent (no
 //! channel crosses a job boundary), so every wakeup a task of job `J` can
@@ -59,7 +70,6 @@
 //! reports **cumulative** counts, after re-validating the exact topology,
 //! plan and trigger it was captured under.
 
-use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -77,6 +87,7 @@ use crate::container::{Batch, Batching, Container};
 use crate::faults::{FaultArm, FaultPlan};
 use crate::message::Message;
 use crate::report::{BlockedReason, ExecutionReport};
+use crate::sched::{lock, Local, Scheduler};
 use crate::task::{self, Outcome};
 use crate::telemetry::{EventKind, TelemetryHandle, CONTROL_LANE};
 use crate::topology::Topology;
@@ -87,11 +98,13 @@ use crate::wrapper::{AvoidanceMode, PropagationTrigger};
 /// tests pin to the scalar engines' behaviour.
 type Task = task::Task<Batch>;
 
-/// Task scheduling states (one `AtomicU8` per node per job); identical
-/// protocol to [`crate::PooledExecutor`]'s.
+/// Task scheduling states (one `AtomicU8` per node per job).
 const IDLE: u8 = 0;
+/// In the scheduler (slot, deque or injector).
 const QUEUED: u8 = 1;
+/// Currently executing on a worker.
 const RUNNING: u8 = 2;
+/// Executing, and a wake arrived meanwhile: re-queue after the run.
 const NOTIFIED: u8 = 3;
 
 /// Job verdict encoding (`JobState::verdict`).
@@ -122,7 +135,7 @@ pub enum JobVerdict {
 /// discarded.
 pub type SettleHook = Box<dyn FnOnce(&ExecutionReport, JobVerdict) + Send>;
 
-/// One entry of a worker run queue: a node-task of some job.
+/// One scheduler entry: a node-task of some job.
 struct TaskRef {
     job: Arc<JobState>,
     node: u32,
@@ -213,7 +226,79 @@ struct SnapState {
     result: Option<Result<Box<JobSnapshot>, SnapshotError>>,
 }
 
+/// What [`SharedPool::submit_full`] and [`SharedPool::resume_full`] hand to
+/// [`JobState::new`].
+struct NewJob<'a> {
+    topology: &'a Topology,
+    mode: &'a AvoidanceMode,
+    trigger: PropagationTrigger,
+    /// One task per node, fresh or restored.
+    tasks: Vec<Task>,
+    inputs: u64,
+    started: Instant,
+    /// Progress marker of the snapshot the tasks were restored from.
+    resumed_from: Option<u64>,
+    on_settle: Option<SettleHook>,
+}
+
 impl JobState {
+    /// The one place a job's state is put together.  A job with nothing
+    /// left to run — an empty topology, or a snapshot that caught every
+    /// node done — settles right here as `Completed` (hook included) and
+    /// never draws a serial or touches the scheduler; any other starts
+    /// with every task `QUEUED` and active, for the caller to inject.
+    fn new(core: &PoolCore, new: NewJob<'_>) -> JobState {
+        let g = new.topology.graph();
+        let node_count = new.tasks.len();
+        let unfinished = new.tasks.iter().filter(|task| !task.done).count();
+        let tasks: Vec<Mutex<Task>> = new.tasks.into_iter().map(Mutex::new).collect();
+        let runs = unfinished > 0;
+        let mut on_settle = new.on_settle;
+        let report = (!runs).then(|| {
+            let mut report = task::assemble_report(&tasks, g.edge_count(), new.inputs, false);
+            report.resumed_from = new.resumed_from;
+            report.wall = new.started.elapsed();
+            if let Some(hook) = on_settle.take() {
+                hook(&report, JobVerdict::Completed);
+            }
+            report
+        });
+        let (serial, fault) = if runs {
+            core.arm_next()
+        } else {
+            (u64::MAX, None)
+        };
+        JobState {
+            tasks,
+            states: (0..node_count)
+                .map(|_| AtomicU8::new(if runs { QUEUED } else { IDLE }))
+                .collect(),
+            active: AtomicUsize::new(if runs { node_count } else { 0 }),
+            unfinished: AtomicUsize::new(unfinished),
+            verdict: AtomicU8::new(if runs { JOB_RUNNING } else { JOB_COMPLETED }),
+            delivered: AtomicBool::new(!runs),
+            inputs: new.inputs,
+            edge_count: g.edge_count(),
+            started: new.started,
+            slot: Mutex::new(DoneSlot { report, on_settle }),
+            done_cv: Condvar::new(),
+            sources: source_indices(g),
+            meta: SnapMeta::new(g, new.mode, new.trigger),
+            resumed_from: new.resumed_from,
+            snap_pending: AtomicU64::new(0),
+            snap_barrier: AtomicU64::new(0),
+            snap: Mutex::new(SnapState::default()),
+            snap_cv: Condvar::new(),
+            fault,
+            serial,
+            t_submit_ns: match (&core.telemetry, runs) {
+                (Some(tele), true) => tele.now_ns(),
+                _ => 0,
+            },
+            failed_node: AtomicU32::new(u32::MAX),
+        }
+    }
+
     /// Records one task's aligned state into the pending snapshot.  The
     /// caller holds the task mutex (lock order: task before snap); the
     /// final contribution assembles the [`JobSnapshot`] and wakes the
@@ -626,19 +711,9 @@ impl std::fmt::Debug for JobHandle {
     }
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 struct PoolCore {
-    queues: Vec<Mutex<VecDeque<TaskRef>>>,
-    /// Entries across all run queues (incremented before the push so it
-    /// only ever over-estimates; parking decisions must never see it low).
-    queued: AtomicUsize,
-    parked: AtomicUsize,
-    coordinator: Mutex<()>,
-    cv: Condvar,
-    shutdown: AtomicBool,
+    /// Where queued tasks wait and idle workers park (see `sched.rs`).
+    sched: Scheduler<TaskRef>,
     /// Jobs submitted and not yet delivered; drained on shutdown so every
     /// waiter is released with a `Cancelled` report.
     live: Mutex<Vec<Arc<JobState>>>,
@@ -647,8 +722,6 @@ struct PoolCore {
     /// (default [`Batching::default`]; `Scalar` = one message per
     /// container).
     batching: Batching,
-    /// Rotates the seeding origin so small jobs spread over all workers.
-    next_seed: AtomicUsize,
     /// The pool-wide fault-injection schedule (`None` in production).
     faults: Option<Arc<FaultPlan>>,
     /// Monotonic job serial, the key [`FaultPlan::arm`] maps to a fault
@@ -657,6 +730,45 @@ struct PoolCore {
     /// The flight recorder (`None` in production — every hook below is a
     /// never-taken branch then, leaving the hot path unchanged).
     telemetry: Option<TelemetryHandle>,
+}
+
+/// How a [`SharedPool`] is configured ([`SharedPool::with`]); the default
+/// is [`SharedPool::new`]`(0)`.
+#[derive(Debug, Clone)]
+pub struct PoolOptions {
+    /// Worker threads (`0` = one per available hardware thread).
+    pub workers: usize,
+    /// Firings a woken task may drain before it yields its worker (clamped
+    /// to ≥ 1).
+    pub batch: u32,
+    /// A deterministic fault-injection schedule (see [`crate::faults`]).
+    /// `None` is the production configuration: jobs carry no arm and the
+    /// hot path pays one predictable branch per task execution.
+    pub faults: Option<Arc<FaultPlan>>,
+    /// Create the flight recorder: one [`crate::telemetry`] lane per worker
+    /// recording firing spans, steals, parks, blocked stalls, barrier
+    /// alignments, faults, job spans and the scheduler's counters (retrieve
+    /// it with [`SharedPool::telemetry_handle`]).  When false no recorder
+    /// exists and every hook is a never-taken `None` branch.
+    pub telemetry: bool,
+    /// Container [`Batching`] mode applied to every job submitted to the
+    /// pool.  Batching only changes how messages are packed into ring slots
+    /// — verdicts, per-edge counts and snapshot wire state are identical
+    /// across modes (the Kahn-network confluence argument; pinned by the
+    /// engine-equivalence property tests).
+    pub batching: Batching,
+}
+
+impl Default for PoolOptions {
+    fn default() -> Self {
+        PoolOptions {
+            workers: 0,
+            batch: 64,
+            faults: None,
+            telemetry: false,
+            batching: Batching::default(),
+        }
+    }
 }
 
 /// The long-lived multi-job work-stealing pool (see the module docs).
@@ -676,75 +788,30 @@ impl std::fmt::Debug for SharedPool {
 
 impl SharedPool {
     /// Spawns a pool with `workers` worker threads (`0` = one per available
-    /// hardware thread) and the default firing batch of 64.
+    /// hardware thread) and every other option at its default.
     pub fn new(workers: usize) -> Self {
-        Self::with_config(workers, 64)
+        Self::with(PoolOptions {
+            workers,
+            ..PoolOptions::default()
+        })
     }
 
-    /// Spawns a pool with an explicit worker count (`0` = default) and
-    /// per-wake firing batch (clamped to ≥ 1).
-    pub fn with_config(workers: usize, batch: u32) -> Self {
-        Self::with_faults(workers, batch, None)
-    }
-
-    /// [`SharedPool::with_config`] plus a deterministic fault-injection
-    /// schedule (see [`crate::faults`]).  `None` is the production
-    /// configuration: jobs carry no arm and the hot path pays one
-    /// predictable branch per task execution.
-    pub fn with_faults(workers: usize, batch: u32, faults: Option<Arc<FaultPlan>>) -> Self {
-        Self::with_telemetry(workers, batch, faults, false)
-    }
-
-    /// [`SharedPool::with_faults`] plus the flight recorder: when
-    /// `telemetry` is true the pool creates one
-    /// [`crate::telemetry::TelemetryHandle`] lane per worker and records
-    /// firing spans, steals, parks, blocked stalls, barrier alignments,
-    /// faults and job spans into it (retrieve it with
-    /// [`SharedPool::telemetry_handle`]).  When false this is exactly
-    /// [`SharedPool::with_faults`]: no recorder exists and every hook is a
-    /// never-taken `None` branch.
-    pub fn with_telemetry(
-        workers: usize,
-        batch: u32,
-        faults: Option<Arc<FaultPlan>>,
-        telemetry: bool,
-    ) -> Self {
-        Self::with_options(workers, batch, faults, telemetry, Batching::default())
-    }
-
-    /// The full configuration form: [`SharedPool::with_telemetry`] plus the
-    /// container [`Batching`] mode applied to every job submitted to this
-    /// pool.  Batching only changes how messages are packed into ring slots
-    /// — verdicts, per-edge counts and snapshot wire state are identical
-    /// across modes (the Kahn-network confluence argument; pinned by the
-    /// engine-equivalence property tests).
-    pub fn with_options(
-        workers: usize,
-        batch: u32,
-        faults: Option<Arc<FaultPlan>>,
-        telemetry: bool,
-        batching: Batching,
-    ) -> Self {
-        let workers = NonZeroUsize::new(workers)
+    /// Spawns a pool configured by `options`.
+    pub fn with(options: PoolOptions) -> Self {
+        let workers = NonZeroUsize::new(options.workers)
             .map(NonZeroUsize::get)
             .unwrap_or_else(|| {
                 std::thread::available_parallelism()
                     .map(NonZeroUsize::get)
                     .unwrap_or(1)
             });
-        let telemetry = telemetry.then(|| TelemetryHandle::new(workers));
+        let telemetry = options.telemetry.then(|| TelemetryHandle::new(workers));
         let core = Arc::new(PoolCore {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            queued: AtomicUsize::new(0),
-            parked: AtomicUsize::new(0),
-            coordinator: Mutex::new(()),
-            cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            sched: Scheduler::new(workers, telemetry.clone()),
             live: Mutex::new(Vec::new()),
-            batch: batch.max(1),
-            batching,
-            next_seed: AtomicUsize::new(0),
-            faults,
+            batch: options.batch.max(1),
+            batching: options.batching,
+            faults: options.faults,
             next_serial: AtomicU64::new(0),
             telemetry,
         });
@@ -768,8 +835,8 @@ impl SharedPool {
         self.workers.len()
     }
 
-    /// The pool's flight recorder, if it was created with telemetry on
-    /// ([`SharedPool::with_telemetry`]); `None` on production pools.
+    /// The pool's flight recorder, if it was created with
+    /// [`PoolOptions::telemetry`]; `None` on production pools.
     pub fn telemetry_handle(&self) -> Option<TelemetryHandle> {
         self.core.telemetry.clone()
     }
@@ -801,96 +868,17 @@ impl SharedPool {
         on_settle: Option<SettleHook>,
     ) -> JobHandle {
         let started = Instant::now();
-        let g = topology.graph();
-        let node_count = g.node_count();
-        if node_count == 0 {
-            // Degenerate job: settle synchronously.
-            let report = ExecutionReport {
-                completed: true,
-                inputs_offered: inputs,
-                wall: started.elapsed(),
-                ..Default::default()
-            };
-            if let Some(hook) = on_settle {
-                hook(&report, JobVerdict::Completed);
-            }
-            let job = Arc::new(JobState {
-                tasks: Vec::new(),
-                states: Vec::new(),
-                active: AtomicUsize::new(0),
-                unfinished: AtomicUsize::new(0),
-                verdict: AtomicU8::new(JOB_COMPLETED),
-                delivered: AtomicBool::new(true),
-                inputs,
-                edge_count: 0,
-                started,
-                slot: Mutex::new(DoneSlot {
-                    report: Some(report),
-                    on_settle: None,
-                }),
-                done_cv: Condvar::new(),
-                sources: Vec::new(),
-                meta: SnapMeta::new(g, &mode, trigger),
-                resumed_from: None,
-                snap_pending: AtomicU64::new(0),
-                snap_barrier: AtomicU64::new(0),
-                snap: Mutex::new(SnapState::default()),
-                snap_cv: Condvar::new(),
-                fault: None,
-                serial: u64::MAX,
-                t_submit_ns: 0,
-                failed_node: AtomicU32::new(u32::MAX),
-            });
-            return JobHandle { job, core: Arc::downgrade(&self.core) };
-        }
-
-        let tasks: Vec<Mutex<Task>> =
-            task::build_tasks(topology, &mode, trigger, self.core.batching)
-                .into_iter()
-                .map(Mutex::new)
-                .collect();
-        let (serial, fault) = self.core.arm_next();
-        let job = Arc::new(JobState {
-            states: (0..node_count).map(|_| AtomicU8::new(QUEUED)).collect(),
+        let tasks = task::build_tasks(topology, &mode, trigger, self.core.batching);
+        self.core.launch(NewJob {
+            topology,
+            mode: &mode,
+            trigger,
             tasks,
-            active: AtomicUsize::new(node_count),
-            unfinished: AtomicUsize::new(node_count),
-            verdict: AtomicU8::new(JOB_RUNNING),
-            delivered: AtomicBool::new(false),
             inputs,
-            edge_count: g.edge_count(),
             started,
-            slot: Mutex::new(DoneSlot {
-                report: None,
-                on_settle,
-            }),
-            done_cv: Condvar::new(),
-            sources: source_indices(g),
-            meta: SnapMeta::new(g, &mode, trigger),
             resumed_from: None,
-            snap_pending: AtomicU64::new(0),
-            snap_barrier: AtomicU64::new(0),
-            snap: Mutex::new(SnapState::default()),
-            snap_cv: Condvar::new(),
-            fault,
-            serial,
-            t_submit_ns: self.core.telemetry.as_ref().map_or(0, TelemetryHandle::now_ns),
-            failed_node: AtomicU32::new(u32::MAX),
-        });
-        lock(&self.core.live).push(Arc::clone(&job));
-        // Seed every task once, round-robin from a rotating origin; from
-        // then on the job is scheduled purely by channel events.
-        let base = self.core.next_seed.fetch_add(1, Ordering::Relaxed);
-        for node in 0..node_count {
-            self.core.push(
-                (base + node) % self.core.queues.len(),
-                TaskRef {
-                    job: Arc::clone(&job),
-                    node: node as u32,
-                },
-            );
-        }
-        JobHandle { job, core: Arc::downgrade(&self.core) }
+            on_settle,
+        })
     }
 
     /// Restores a [`JobSnapshot`] as a new job on this pool: the job picks
@@ -914,8 +902,6 @@ impl SharedPool {
     ) -> Result<JobHandle, RestoreError> {
         snapshot.validate_for(topology, &mode, trigger)?;
         let started = Instant::now();
-        let g = topology.graph();
-        let node_count = g.node_count();
         let mut tasks = task::build_tasks(topology, &mode, trigger, self.core.batching);
         for (idx, task) in tasks.iter_mut().enumerate() {
             let node = &snapshot.nodes[idx];
@@ -982,89 +968,18 @@ impl SharedPool {
                 task.staged += 1;
             }
         }
-        let unfinished = tasks.iter().filter(|task| !task.done).count();
-        let tasks: Vec<Mutex<Task>> = tasks.into_iter().map(Mutex::new).collect();
-        if unfinished == 0 {
-            // The snapshot caught the job fully drained (every node done):
-            // settle synchronously, exactly like the empty-topology path.
-            let mut report =
-                task::assemble_report(&tasks, g.edge_count(), snapshot.inputs, false);
-            report.completed = true;
-            report.resumed_from = Some(snapshot.steps);
-            report.wall = started.elapsed();
-            if let Some(hook) = on_settle {
-                hook(&report, JobVerdict::Completed);
-            }
-            let job = Arc::new(JobState {
-                tasks,
-                states: (0..node_count).map(|_| AtomicU8::new(IDLE)).collect(),
-                active: AtomicUsize::new(0),
-                unfinished: AtomicUsize::new(0),
-                verdict: AtomicU8::new(JOB_COMPLETED),
-                delivered: AtomicBool::new(true),
-                inputs: snapshot.inputs,
-                edge_count: g.edge_count(),
-                started,
-                slot: Mutex::new(DoneSlot {
-                    report: Some(report),
-                    on_settle: None,
-                }),
-                done_cv: Condvar::new(),
-                sources: source_indices(g),
-                meta: SnapMeta::new(g, &mode, trigger),
-                resumed_from: Some(snapshot.steps),
-                snap_pending: AtomicU64::new(0),
-                snap_barrier: AtomicU64::new(0),
-                snap: Mutex::new(SnapState::default()),
-                snap_cv: Condvar::new(),
-                fault: None,
-                serial: u64::MAX,
-                t_submit_ns: 0,
-                failed_node: AtomicU32::new(u32::MAX),
-            });
-            return Ok(JobHandle { job, core: Arc::downgrade(&self.core) });
-        }
-        let (serial, fault) = self.core.arm_next();
-        let job = Arc::new(JobState {
-            states: (0..node_count).map(|_| AtomicU8::new(QUEUED)).collect(),
+        // Done tasks retire themselves on their first run; a snapshot that
+        // caught every node done settles synchronously.
+        Ok(self.core.launch(NewJob {
+            topology,
+            mode: &mode,
+            trigger,
             tasks,
-            active: AtomicUsize::new(node_count),
-            unfinished: AtomicUsize::new(unfinished),
-            verdict: AtomicU8::new(JOB_RUNNING),
-            delivered: AtomicBool::new(false),
             inputs: snapshot.inputs,
-            edge_count: g.edge_count(),
             started,
-            slot: Mutex::new(DoneSlot {
-                report: None,
-                on_settle,
-            }),
-            done_cv: Condvar::new(),
-            sources: source_indices(g),
-            meta: SnapMeta::new(g, &mode, trigger),
             resumed_from: Some(snapshot.steps),
-            snap_pending: AtomicU64::new(0),
-            snap_barrier: AtomicU64::new(0),
-            snap: Mutex::new(SnapState::default()),
-            snap_cv: Condvar::new(),
-            fault,
-            serial,
-            t_submit_ns: self.core.telemetry.as_ref().map_or(0, TelemetryHandle::now_ns),
-            failed_node: AtomicU32::new(u32::MAX),
-        });
-        lock(&self.core.live).push(Arc::clone(&job));
-        // Seed every task (done tasks retire themselves on first run).
-        let base = self.core.next_seed.fetch_add(1, Ordering::Relaxed);
-        for node in 0..node_count {
-            self.core.push(
-                (base + node) % self.core.queues.len(),
-                TaskRef {
-                    job: Arc::clone(&job),
-                    node: node as u32,
-                },
-            );
-        }
-        Ok(JobHandle { job, core: Arc::downgrade(&self.core) })
+            on_settle,
+        }))
     }
 
     /// Restores a snapshot under a **different** avoidance plan than the
@@ -1101,11 +1016,7 @@ impl Drop for SharedPool {
     /// [`JobVerdict::Cancelled`], so no [`JobHandle::wait`] hangs.  Workers
     /// finish at most their current task batch.
     fn drop(&mut self) {
-        self.core.shutdown.store(true, Ordering::SeqCst);
-        {
-            let _guard = self.core.lock_coordinator();
-            self.core.cv.notify_all();
-        }
+        self.core.sched.shutdown();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -1134,113 +1045,56 @@ impl PoolCore {
         (serial, arm)
     }
 
+    /// Builds the job and, unless it settled on the spot, registers it and
+    /// seeds every task once — one injector batch, at most one unpark; from
+    /// then on the job is scheduled purely by channel events.
+    fn launch(self: &Arc<Self>, new: NewJob<'_>) -> JobHandle {
+        let job = Arc::new(JobState::new(self, new));
+        if job.verdict.load(Ordering::SeqCst) == JOB_RUNNING {
+            lock(&self.live).push(Arc::clone(&job));
+            self.sched
+                .inject((0..job.tasks.len() as u32).map(|node| TaskRef {
+                    job: Arc::clone(&job),
+                    node,
+                }));
+        }
+        JobHandle {
+            job,
+            core: Arc::downgrade(self),
+        }
+    }
+
     fn worker_loop(&self, worker: usize) {
-        loop {
-            if self.shutdown.load(Ordering::Acquire) {
-                return;
+        let mut local = self.sched.local(worker);
+        while let Some((tref, stolen_from)) = self.sched.next(&mut local) {
+            if let (Some(tele), Some(victim)) = (&self.telemetry, stolen_from) {
+                tele.instant(
+                    worker,
+                    EventKind::Steal,
+                    tref.job.serial,
+                    tref.node,
+                    victim as u64,
+                );
             }
-            match self.pop_any(worker) {
-                Some((tref, src)) => {
-                    if src != worker {
-                        if let Some(tele) = &self.telemetry {
-                            tele.instant(
-                                worker,
-                                EventKind::Steal,
-                                tref.job.serial,
-                                tref.node,
-                                src as u64,
-                            );
-                        }
-                    }
-                    self.execute(worker, tref);
-                }
-                None => {
-                    let t_park = self.telemetry.as_ref().map(TelemetryHandle::now_ns);
-                    let alive = self.park();
-                    if let (Some(tele), Some(t0)) = (&self.telemetry, t_park) {
-                        tele.span(worker, EventKind::Park, u64::MAX, u32::MAX, t0, 0);
-                    }
-                    if !alive {
-                        return;
-                    }
-                }
-            }
+            self.execute(&mut local, tref);
         }
     }
 
-    /// Pops the next task, own queue first; returns the task and the queue
-    /// index it came from (`!= worker` means a steal).
-    fn pop_any(&self, worker: usize) -> Option<(TaskRef, usize)> {
-        for i in 0..self.queues.len() {
-            let q = (worker + i) % self.queues.len();
-            let popped = lock(&self.queues[q]).pop_front();
-            if let Some(tref) = popped {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                return Some((tref, q));
-            }
-        }
-        None
-    }
-
-    fn push(&self, worker: usize, tref: TaskRef) {
-        self.queued.fetch_add(1, Ordering::SeqCst);
-        lock(&self.queues[worker]).push_back(tref);
-        if self.parked.load(Ordering::SeqCst) > 0 {
-            let _guard = self.lock_coordinator();
-            self.cv.notify_one();
-        }
-    }
-
-    fn lock_coordinator(&self) -> std::sync::MutexGuard<'_, ()> {
-        self.coordinator
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Parks until new work or shutdown; returns false on shutdown.  Same
-    /// Dekker re-check against concurrent `push` as the single-run pool —
-    /// but no verdict logic: verdicts are per-job, decided by active
-    /// counts, never by pool idleness.
-    fn park(&self) -> bool {
-        let mut guard = self.lock_coordinator();
-        if self.queued.load(Ordering::SeqCst) > 0 {
-            return true;
-        }
-        if self.shutdown.load(Ordering::SeqCst) {
-            return false;
-        }
-        self.parked.fetch_add(1, Ordering::SeqCst);
-        if self.queued.load(Ordering::SeqCst) > 0 {
-            self.parked.fetch_sub(1, Ordering::SeqCst);
-            return true;
-        }
-        loop {
-            guard = self
-                .cv
-                .wait(guard)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if self.shutdown.load(Ordering::SeqCst)
-                || self.queued.load(Ordering::SeqCst) > 0
-            {
-                break;
-            }
-        }
-        self.parked.fetch_sub(1, Ordering::SeqCst);
-        !self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// The channel-event wakeup for `job`'s node: identical CAS protocol to
-    /// the single-run pool, except that an `IDLE → QUEUED` transition also
-    /// raises the job's active count (the wake always happens *before* the
-    /// waking task itself deactivates, so a job's active count can never
-    /// touch zero while a wakeup is still in flight).
-    fn wake(&self, worker: usize, job: &Arc<JobState>, node: u32) {
+    /// The channel-event wakeup for `job`'s node, issued by the task
+    /// `local`'s worker is running: an idle task is queued (into that
+    /// worker's run-next slot), a running one is flagged for re-queueing.
+    /// An `IDLE → QUEUED` transition also raises the job's active count —
+    /// the wake always happens *before* the waking task itself deactivates,
+    /// so a job's active count can never touch zero while a wakeup is still
+    /// in flight.
+    fn wake(&self, local: &mut Local<TaskRef>, job: &Arc<JobState>, node: u32) {
         let state = &job.states[node as usize];
         let mut current = state.load(Ordering::Acquire);
         loop {
             let (target, enqueue) = match current {
                 IDLE => (QUEUED, true),
                 RUNNING => (NOTIFIED, false),
+                // Already queued or already flagged: nothing to do.
                 _ => return,
             };
             match state.compare_exchange(current, target, Ordering::AcqRel, Ordering::Acquire) {
@@ -1251,8 +1105,8 @@ impl PoolCore {
                             arm.delay_wake();
                         }
                         job.active.fetch_add(1, Ordering::SeqCst);
-                        self.push(
-                            worker,
+                        self.sched.schedule(
+                            local,
                             TaskRef {
                                 job: Arc::clone(job),
                                 node,
@@ -1266,7 +1120,8 @@ impl PoolCore {
         }
     }
 
-    fn execute(&self, worker: usize, tref: TaskRef) {
+    fn execute(&self, local: &mut Local<TaskRef>, tref: TaskRef) {
+        let worker = local.index();
         let job = &tref.job;
         let node = tref.node as usize;
         if job.verdict.load(Ordering::SeqCst) != JOB_RUNNING {
@@ -1309,7 +1164,7 @@ impl PoolCore {
                     &mut task,
                     job.inputs,
                     self.batch,
-                    &mut |n| self.wake(worker, job, n),
+                    &mut |n| self.wake(local, job, n),
                     Some(&sink),
                 )
             }));
@@ -1394,7 +1249,7 @@ impl PoolCore {
                     }
                     Outcome::Yielded => {
                         job.states[node].store(QUEUED, Ordering::Release);
-                        self.push(worker, tref);
+                        self.sched.defer(local, tref);
                     }
                     Outcome::Blocked => {
                         if job.states[node]
@@ -1406,10 +1261,12 @@ impl PoolCore {
                             )
                             .is_err()
                         {
-                            // A wake arrived while we ran: re-queue (the
-                            // task stays active).
+                            // A wake arrived while we ran (state is
+                            // NOTIFIED): the event may have landed before
+                            // our final re-check, so the task must run
+                            // again (it stays active).
                             job.states[node].store(QUEUED, Ordering::Release);
-                            self.push(worker, tref);
+                            self.sched.schedule(local, tref);
                         } else {
                             self.deactivate(job);
                         }
@@ -1525,72 +1382,12 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn fig2_filtered(buffer: u64) -> crate::Topology {
-        let g = fig2(buffer);
-        let a = g.node_by_name("A").unwrap();
-        crate::Topology::from_graph(&g).with(a, || Predicate::new(2, |_seq, out| out == 0))
-    }
-
     fn pipeline(n: usize) -> Graph {
         let names: Vec<String> = (0..n).map(|i| format!("n{i}")).collect();
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
         let mut b = GraphBuilder::new().default_capacity(4);
         b.chain(&refs).unwrap();
         b.build().unwrap()
-    }
-
-    #[test]
-    fn concurrent_jobs_complete_independently() {
-        let pool = SharedPool::with_config(2, 16);
-        let g1 = pipeline(8);
-        let g2 = pipeline(3);
-        let t1 = crate::Topology::from_graph(&g1);
-        let t2 = crate::Topology::from_graph(&g2);
-        let h1 = pool.submit(&t1, 100);
-        let h2 = pool.submit(&t2, 50);
-        let r1 = h1.wait();
-        let r2 = h2.wait();
-        assert!(r1.completed && r2.completed);
-        assert_eq!(r1.data_messages, 100 * 7);
-        assert_eq!(r2.data_messages, 50 * 2);
-        assert_eq!(h1.verdict(), Some(JobVerdict::Completed));
-        assert!(h1.is_settled());
-    }
-
-    #[test]
-    fn per_job_deadlock_verdict_is_exact_while_pool_stays_busy() {
-        let pool = SharedPool::new(2);
-        // Job 1 deadlocks (unprotected Fig. 2 with a filtering fork);
-        // job 2 is a healthy pipeline that keeps the pool busy.
-        let wedged = fig2_filtered(2);
-        let g2 = pipeline(64);
-        let healthy = crate::Topology::from_graph(&g2);
-        let h_wedged = pool.submit(&wedged, 500);
-        let h_healthy = pool.submit(&healthy, 2000);
-        let r = h_wedged.wait();
-        assert!(r.deadlocked, "{r:?}");
-        assert!(!r.blocked.is_empty());
-        assert_eq!(h_wedged.verdict(), Some(JobVerdict::Deadlocked));
-        let r2 = h_healthy.wait();
-        assert!(r2.completed, "{r2:?}");
-        // The pool is still healthy for new submissions.
-        let h3 = pool.submit(&healthy, 10);
-        assert!(h3.wait().completed);
-    }
-
-    #[test]
-    fn planned_job_completes_with_dummies() {
-        let pool = SharedPool::new(2);
-        let g = fig2(2);
-        let plan = Planner::new(&g)
-            .algorithm(Algorithm::NonPropagation)
-            .plan()
-            .unwrap();
-        let topo = fig2_filtered(2);
-        let h = pool.submit_with(&topo, AvoidanceMode::plan(plan), 500);
-        let r = h.wait();
-        assert!(r.completed, "{r:?}");
-        assert!(r.dummy_messages > 0);
     }
 
     #[test]
@@ -1642,23 +1439,6 @@ mod tests {
         // Workers survived the panic: the pool accepts and finishes new work.
         let h3 = pool.submit(&good, 10);
         assert!(h3.wait().completed);
-    }
-
-    #[test]
-    fn many_small_jobs_share_one_pool() {
-        let pool = SharedPool::with_config(4, 8);
-        let graphs: Vec<Graph> = (2..34).map(pipeline).collect();
-        let topos: Vec<crate::Topology> = graphs.iter().map(crate::Topology::from_graph).collect();
-        let handles: Vec<JobHandle> = topos
-            .iter()
-            .map(|t| pool.submit(t, 40))
-            .collect();
-        for (i, h) in handles.iter().enumerate() {
-            let r = h.wait();
-            assert!(r.completed, "job {i}: {r:?}");
-            assert_eq!(r.data_messages, 40 * (graphs[i].node_count() as u64 - 1));
-            assert!(r.wall_time() > std::time::Duration::ZERO);
-        }
     }
 
     #[test]
@@ -1726,7 +1506,11 @@ mod tests {
             })
         });
         let handle = {
-            let pool = SharedPool::with_config(1, 1);
+            let pool = SharedPool::with(PoolOptions {
+                workers: 1,
+                batch: 1,
+                ..PoolOptions::default()
+            });
             let h = pool.submit(&topo, 10_000);
             // `pool` dropped here: shutdown, join, cancel.
             h

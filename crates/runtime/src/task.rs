@@ -8,43 +8,33 @@
 //! same per-channel independent delivery), so every engine built on them is
 //! confluent to the same terminal state as the simulator.
 //!
-//! Two engines share this core:
+//! [`crate::SharedPool`] is the one engine built on this core
+//! ([`crate::PooledExecutor`] is a one-job facade over it): the pool decides
+//! *scheduling* (how tasks are queued, woken and how verdicts are detected);
+//! everything a task does while it holds a worker lives here.
 //!
-//! * [`crate::PooledExecutor`] — one run, one topology, a scoped worker pool
-//!   that exits when the run reaches a verdict;
-//! * [`crate::SharedPool`] — a long-lived pool executing the tasks of many
-//!   independent jobs side by side in the same run queues.
+//! ## Containers and runs
 //!
-//! The engines differ only in *scheduling policy* (how tasks are queued,
-//! woken and how verdicts are detected); everything a task does while it
-//! holds a worker lives here.
-//!
-//! ## Containers and the two step policies
-//!
-//! Since the [`crate::container`] refactor a task is generic over the
-//! [`Container`] its rings carry, and the run loop is chosen by
-//! [`StepPolicy`]:
-//!
-//! * [`Single`] steps **one message at a time** — the scalar path, operation
-//!   for operation the engine as it existed before containers;
-//! * [`Batch`] drains **whole runs** between scheduler interactions: one
-//!   acceptance scan per run, bulk consumption of RLE dummy runs with the
-//!   wrapper's run arithmetic, one producer-wake check per input per run,
-//!   and one ring push per staged container.
+//! A task's rings carry [`Batch`] containers and [`run_task`] drains **whole
+//! runs** between scheduler interactions: one acceptance scan per run, bulk
+//! consumption of RLE dummy runs with the wrapper's run arithmetic, one
+//! producer-wake check per input per run, and one ring push per staged
+//! container.  "Scalar" execution is a container limit of one message
+//! ([`Batching::Scalar`]), not a second code path.
 //!
 //! Batching never changes semantics: capacity is accounted in *messages*
 //! (see [`crate::spsc::MsgCap`]), staging is allowed only while everything
-//! already staged is deliverable — preserving the scalar engine's exactly
+//! already staged is deliverable — preserving the scalar model's exactly
 //! one-firing overshoot on a full channel — and the Kahn-network confluence
 //! of the model does the rest: verdicts, per-edge counts and checkpoint
-//! barriers are identical across policies.
+//! barriers are identical at every limit (`tests/engine_equivalence.rs`).
 
 use std::sync::Mutex;
 
 use fila_graph::NodeId;
 
 use crate::checkpoint::NodeSnapshot;
-use crate::container::{Batch, Batching, Container, ConsumeMsgs, DeliverMsgs, Run, Single};
+use crate::container::{Batch, Batching, ConsumeMsgs, Container, DeliverMsgs, Run};
 use crate::message::{Message, Payload};
 use crate::node::{FireInput, NodeBehavior};
 use crate::report::{BlockedInfo, BlockedReason, ExecutionReport};
@@ -55,10 +45,9 @@ use crate::wrapper::{AvoidanceMode, DummyWrapper, PropagationTrigger, RunDummies
 /// The two-slot output staging area of one port, generalised to containers.
 ///
 /// `first` is the older container; `second` exists only when a message could
-/// not extend `first` (container at its limit, or — for [`Single`], which
-/// never extends — the dummy accompanying a data message of the same
-/// firing).  For `Single` this is exactly the historical data-then-dummy
-/// staging pair.
+/// not extend `first` (container at its limit, or — for
+/// [`crate::container::Single`], which never extends — the dummy
+/// accompanying a data message of the same firing).
 pub(crate) struct Stage<C> {
     pub(crate) first: Option<C>,
     pub(crate) second: Option<C>,
@@ -356,101 +345,18 @@ pub(crate) fn build_tasks<C: Container>(
         .collect()
 }
 
-/// How a task's run loop consumes its containers.
-///
-/// The scalar policy ([`Single`]) performs one message per iteration —
-/// operation for operation the engine as it existed before containers; the
-/// batched policy ([`Batch`]) drains whole runs between scheduler
-/// interactions.  Confluence of the model makes the two produce identical
-/// verdicts and per-edge counts.
-pub(crate) trait StepPolicy: Container {
-    fn run_slice(
-        task: &mut Task<Self>,
-        inputs: u64,
-        batch: u32,
-        wake: &mut dyn FnMut(u32),
-        snap: Option<&dyn SnapSink<Self>>,
-    ) -> Outcome
-    where
-        Self: Sized;
-}
-
-impl StepPolicy for Single {
-    fn run_slice(
-        task: &mut Task<Self>,
-        inputs: u64,
-        batch: u32,
-        wake: &mut dyn FnMut(u32),
-        snap: Option<&dyn SnapSink<Self>>,
-    ) -> Outcome {
-        run_scalar(task, inputs, batch, wake, snap)
-    }
-}
-
-impl StepPolicy for Batch {
-    fn run_slice(
-        task: &mut Task<Self>,
-        inputs: u64,
-        batch: u32,
-        wake: &mut dyn FnMut(u32),
-        snap: Option<&dyn SnapSink<Self>>,
-    ) -> Outcome {
-        run_batched(task, inputs, batch, wake, snap)
-    }
-}
-
 /// Runs one task for up to `batch` accepted sequence numbers.  `wake`
 /// receives the node index of every peer task a channel event of this run
 /// made runnable.  `snap`, when present, is checked before every firing
 /// (and at acceptance time inside [`step`]) so a task never crosses a
 /// pending snapshot barrier without contributing its aligned state first.
-pub(crate) fn run_task<C: StepPolicy>(
-    task: &mut Task<C>,
-    inputs: u64,
-    batch: u32,
-    wake: &mut dyn FnMut(u32),
-    snap: Option<&dyn SnapSink<C>>,
-) -> Outcome {
-    C::run_slice(task, inputs, batch, wake, snap)
-}
-
-/// The scalar run loop: one [`step`] per iteration, exactly the historical
-/// engine.
-fn run_scalar<C: Container>(
-    task: &mut Task<C>,
-    inputs: u64,
-    batch: u32,
-    wake: &mut dyn FnMut(u32),
-    snap: Option<&dyn SnapSink<C>>,
-) -> Outcome {
-    let mut fired = 0;
-    while fired < batch {
-        if let Some(snap) = snap {
-            contribute_if_aligned(task, snap);
-        }
-        if task.done {
-            return Outcome::Done;
-        }
-        if !step(task, inputs, wake, snap) {
-            return Outcome::Blocked;
-        }
-        fired += 1;
-    }
-    if let Some(snap) = snap {
-        contribute_if_aligned(task, snap);
-    }
-    if task.done {
-        Outcome::Done
-    } else {
-        Outcome::Yielded
-    }
-}
-
-/// The batched run loop: flush, then drain runs while staging stays within
-/// both the container limit and the deliverable space of every output (plus
-/// the scalar engine's one-acceptance overshoot), so blocking behaviour —
-/// and with it every deadlock verdict — matches the scalar policy exactly.
-fn run_batched(
+///
+/// The loop flushes, then drains runs while staging stays within both the
+/// container limit and the deliverable space of every output (plus the
+/// scalar model's one-acceptance overshoot), so blocking behaviour — and
+/// with it every deadlock verdict — matches the one-message-at-a-time model
+/// ([`crate::Simulator`]) exactly.
+pub(crate) fn run_task(
     task: &mut Task<Batch>,
     inputs: u64,
     batch: u32,
@@ -463,10 +369,7 @@ fn run_batched(
         // source only contributes with empty staging queues, and checking
         // first would let the per-message fallback below fire it past the
         // barrier right after this flush drained them — freezing its
-        // counters at a cursor the restore never re-plays.  (The scalar
-        // loop is safe by construction: `step` returns directly after a
-        // delivering flush, so its loop-top check always runs between the
-        // drain and the next firing.)
+        // counters at a cursor the restore never re-plays.
         flush(task, wake);
         mark_done_if_drained(task);
         if let Some(snap) = snap {
@@ -557,7 +460,7 @@ fn interior_run(
         }
         // Acceptance-time barrier alignment, exactly like [`step`]'s: a
         // snapshot epoch can be published *mid-run* (the slice-top check in
-        // `run_batched` precedes it), and a head with seq ≥ barrier proves
+        // `run_task` precedes it), and a head with seq ≥ barrier proves
         // the publication happened-before its arrival — so it must not be
         // consumed until this task's pre-barrier state is contributed.
         let mut barrier = u64::MAX;
@@ -865,9 +768,6 @@ fn step<C: Container>(
     if accept_seq == u64::MAX {
         // End of stream on every input.
         for port in &mut task.outs {
-            if C::UNIT {
-                debug_assert!(port.queue.is_empty());
-            }
             port.queue.stage(port.limit, Message::Eos);
             task.staged += 1;
         }
@@ -938,9 +838,6 @@ fn step_source<C: Container>(task: &mut Task<C>, inputs: u64, wake: &mut dyn FnM
     if !task.eos_queued {
         task.eos_queued = true;
         for port in &mut task.outs {
-            if C::UNIT {
-                debug_assert!(port.queue.is_empty());
-            }
             port.queue.stage(port.limit, Message::Eos);
             task.staged += 1;
         }
@@ -1031,9 +928,6 @@ fn stage_decision<C: Container>(
 ) {
     let dummies = wrapper.on_accept(consumed_dummy, |i| fired && emit[i].is_some());
     for (idx, port) in outs.iter_mut().enumerate() {
-        if C::UNIT {
-            debug_assert!(port.queue.is_empty());
-        }
         if fired {
             if let Some(payload) = emit[idx] {
                 port.queue.stage(port.limit, Message::Data { seq, payload });

@@ -59,8 +59,9 @@ pub enum EventKind {
     /// total channel traffic regardless of container batching).
     #[default]
     Firing = 0,
-    /// A worker popped work from another worker's queue (instant; `arg` =
-    /// victim queue index).
+    /// A worker took work from a queue that is not its own — a peer's
+    /// deque or the injector (instant; `arg` = victim worker index, or the
+    /// worker count for the injector).
     Steal = 1,
     /// A worker parked waiting for work (span).
     Park = 2,
@@ -101,6 +102,65 @@ impl EventKind {
         }
     }
 }
+
+/// What the pool's scheduler counts per worker (see `sched.rs`; E23).  The
+/// counters live inside the recorder, so a pool without one has none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(usize)]
+pub enum SchedCounter {
+    /// Tasks run from the worker's own run-next slot.
+    SlotHit = 0,
+    /// Tasks pushed onto the worker's own (stealable) deque.
+    DequePush = 1,
+    /// Tasks pushed onto the pool-wide injector.
+    InjectorPush = 2,
+    /// Grabs from a peer's deque.
+    Steal = 3,
+    /// Parked workers unparked because work landed in a stealable queue.
+    UnparkIssued = 4,
+    /// Stealable pushes that unparked nobody although a worker was
+    /// parked: another was already searching and will find the work.
+    UnparkSuppressed = 5,
+    /// Times a worker parked.
+    Park = 6,
+    /// Searches that found work only after the first scan came up empty.
+    SpinFound = 7,
+}
+
+impl SchedCounter {
+    /// Every counter, in discriminant order.
+    pub const ALL: [SchedCounter; 8] = [
+        SchedCounter::SlotHit,
+        SchedCounter::DequePush,
+        SchedCounter::InjectorPush,
+        SchedCounter::Steal,
+        SchedCounter::UnparkIssued,
+        SchedCounter::UnparkSuppressed,
+        SchedCounter::Park,
+        SchedCounter::SpinFound,
+    ];
+
+    /// Stable lowercase name: the `fila_sched_<name>_total` Prometheus
+    /// series and the `sched_<name>` Chrome-trace counter.
+    pub fn name(self) -> &'static str {
+        match self {
+            SchedCounter::SlotHit => "slot_hits",
+            SchedCounter::DequePush => "deque_pushes",
+            SchedCounter::InjectorPush => "injector_pushes",
+            SchedCounter::Steal => "steals",
+            SchedCounter::UnparkIssued => "unparks_issued",
+            SchedCounter::UnparkSuppressed => "unparks_suppressed",
+            SchedCounter::Park => "parks",
+            SchedCounter::SpinFound => "spins_found_work",
+        }
+    }
+}
+
+/// One lane's scheduler counters, on cache lines of their own so two
+/// workers counting never share one.
+#[derive(Default)]
+#[repr(align(128))]
+struct SchedCounters([AtomicU64; SchedCounter::ALL.len()]);
 
 /// One fixed-size binary flight-recorder record.
 ///
@@ -214,6 +274,8 @@ impl EventRing {
 pub struct Telemetry {
     epoch: Instant,
     rings: Vec<EventRing>,
+    /// One per worker lane plus a last one for every other thread.
+    sched: Vec<SchedCounters>,
     control: Mutex<Vec<TraceEvent>>,
     control_dropped: AtomicU64,
     /// Everything drained so far, in drain order; guarded drains make the
@@ -250,6 +312,7 @@ impl TelemetryHandle {
         TelemetryHandle(Arc::new(Telemetry {
             epoch: Instant::now(),
             rings: (0..workers).map(|_| EventRing::new(capacity)).collect(),
+            sched: (0..=workers).map(|_| SchedCounters::default()).collect(),
             control: Mutex::new(Vec::new()),
             control_dropped: AtomicU64::new(0),
             collected: Mutex::new(Vec::new()),
@@ -347,6 +410,44 @@ impl TelemetryHandle {
                 arg,
             },
         );
+    }
+
+    /// Adds `n` to one of `lane`'s scheduler counters (relaxed: a
+    /// statistic, it publishes nothing).  Out-of-range lanes share the
+    /// control lane's counters.
+    pub fn count(&self, lane: usize, counter: SchedCounter, n: u64) {
+        let lane = lane.min(self.0.rings.len());
+        self.0.sched[lane].0[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The scheduler counters so far, one row per worker lane and a last
+    /// row for the control lane, each in [`SchedCounter::ALL`] order.
+    pub fn sched_counters(&self) -> Vec<[u64; SchedCounter::ALL.len()]> {
+        self.0
+            .sched
+            .iter()
+            .map(|lane| std::array::from_fn(|i| lane.0[i].load(Ordering::Relaxed)))
+            .collect()
+    }
+
+    /// Everything recorded so far as Chrome `trace_event` JSON: the events
+    /// of [`chrome_trace`] followed by one `ph:"C"` counter sample per
+    /// non-zero scheduler counter and lane.
+    pub fn chrome_trace(&self) -> String {
+        let mut lines: Vec<String> = self.all_events().iter().map(event_line).collect();
+        let ts = self.now_ns() as f64 / 1_000.0;
+        for (lane, row) in self.sched_counters().iter().enumerate() {
+            let tid = u64::from(lane_worker(lane, self.workers()));
+            for (counter, &value) in SchedCounter::ALL.iter().zip(row) {
+                if value > 0 {
+                    lines.push(format!(
+                        "{{\"name\":\"sched_{}\",\"cat\":\"fila\",\"ph\":\"C\",\"ts\":{ts:.3},\"pid\":0,\"tid\":{tid},\"args\":{{\"value\":{value}}}}}",
+                        counter.name(),
+                    ));
+                }
+            }
+        }
+        trace_document(&lines)
     }
 
     /// Drains every ring and the control lane into the collected buffer and
@@ -479,34 +580,34 @@ impl JobTimeline {
 /// the recorder epoch.  Exactly one event per line, so line-oriented
 /// consumers (the `fila trace` summarizer) need no JSON parser.
 pub fn chrome_trace(events: &[TraceEvent]) -> String {
-    let mut out = String::with_capacity(events.len() * 96 + 64);
-    out.push_str("{\"traceEvents\":[\n");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        let ts = e.t_start_ns as f64 / 1_000.0;
-        let pid = if e.job == u64::MAX { 0 } else { e.job };
-        let tid = u64::from(e.worker);
-        if e.t_end_ns > e.t_start_ns {
-            let dur = e.duration_ns() as f64 / 1_000.0;
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"fila\",\"ph\":\"X\",\"ts\":{ts:.3},\"dur\":{dur:.3},\"pid\":{pid},\"tid\":{tid},\"args\":{{\"node\":{},\"arg\":{}}}}}",
-                e.kind.name(),
-                e.node,
-                e.arg,
-            ));
-        } else {
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"fila\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts:.3},\"pid\":{pid},\"tid\":{tid},\"args\":{{\"node\":{},\"arg\":{}}}}}",
-                e.kind.name(),
-                e.node,
-                e.arg,
-            ));
-        }
+    trace_document(&events.iter().map(event_line).collect::<Vec<_>>())
+}
+
+/// Wraps one-event-per-line records into the `traceEvents` document.
+fn trace_document(lines: &[String]) -> String {
+    format!("{{\"traceEvents\":[\n{}\n]}}\n", lines.join(",\n"))
+}
+
+fn event_line(e: &TraceEvent) -> String {
+    let ts = e.t_start_ns as f64 / 1_000.0;
+    let pid = if e.job == u64::MAX { 0 } else { e.job };
+    let tid = u64::from(e.worker);
+    if e.t_end_ns > e.t_start_ns {
+        let dur = e.duration_ns() as f64 / 1_000.0;
+        format!(
+            "{{\"name\":\"{}\",\"cat\":\"fila\",\"ph\":\"X\",\"ts\":{ts:.3},\"dur\":{dur:.3},\"pid\":{pid},\"tid\":{tid},\"args\":{{\"node\":{},\"arg\":{}}}}}",
+            e.kind.name(),
+            e.node,
+            e.arg,
+        )
+    } else {
+        format!(
+            "{{\"name\":\"{}\",\"cat\":\"fila\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts:.3},\"pid\":{pid},\"tid\":{tid},\"args\":{{\"node\":{},\"arg\":{}}}}}",
+            e.kind.name(),
+            e.node,
+            e.arg,
+        )
     }
-    out.push_str("\n]}\n");
-    out
 }
 
 #[cfg(test)]

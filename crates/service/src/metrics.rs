@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use fila_runtime::telemetry::{EventKind, TraceEvent};
+use fila_runtime::telemetry::{EventKind, SchedCounter, TelemetryHandle, TraceEvent};
 use fila_runtime::ExecutionReport;
 
 /// Number of histogram buckets: one per possible bit length of a `u64`
@@ -482,6 +482,28 @@ impl ServiceMetrics {
     }
 }
 
+/// Renders the pool scheduler's counters (E23) as the `fila_sched_*`
+/// Prometheus family: one counter per [`SchedCounter`], one series per
+/// worker lane plus `worker="control"` for threads that are not workers
+/// (job submission).
+pub fn sched_prometheus(telemetry: &TelemetryHandle) -> String {
+    let rows = telemetry.sched_counters();
+    let mut out = String::new();
+    for (at, counter) in SchedCounter::ALL.iter().enumerate() {
+        let name = format!("fila_sched_{}_total", counter.name());
+        out.push_str(&format!("# TYPE {name} counter\n"));
+        for (lane, row) in rows.iter().enumerate() {
+            let worker = if lane < telemetry.workers() {
+                lane.to_string()
+            } else {
+                "control".to_string()
+            };
+            out.push_str(&format!("{name}{{worker=\"{worker}\"}} {}\n", row[at]));
+        }
+    }
+    out
+}
+
 /// Minimal escaping for JSON strings / Prometheus label values.
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -639,6 +661,19 @@ mod tests {
         assert_eq!(tenants.len(), 2);
         assert_eq!(tenants[0].jobs, 2);
         assert_eq!(a.settle_summary().count, 3);
+    }
+
+    #[test]
+    fn sched_counters_render_per_lane() {
+        let telemetry = TelemetryHandle::with_capacity(2, 8);
+        telemetry.count(1, SchedCounter::SlotHit, 5);
+        telemetry.count(fila_runtime::telemetry::CONTROL_LANE, SchedCounter::InjectorPush, 3);
+        let text = sched_prometheus(&telemetry);
+        assert!(text.contains("# TYPE fila_sched_slot_hits_total counter"));
+        assert!(text.contains("fila_sched_slot_hits_total{worker=\"1\"} 5"));
+        assert!(text.contains("fila_sched_slot_hits_total{worker=\"0\"} 0"));
+        assert!(text.contains("fila_sched_injector_pushes_total{worker=\"control\"} 3"));
+        assert!(text.contains("fila_sched_unparks_suppressed_total"));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use fila_graph::Fingerprint;
 use fila_runtime::telemetry::{EventKind, TelemetryHandle, CONTROL_LANE};
 use fila_runtime::{
     checkpoint, AvoidanceMode, ExecutionReport, FaultPlan, JobHandle, JobSnapshot, JobVerdict,
-    PropagationTrigger, SettleHook, SharedPool, SnapshotError, SwapToken,
+    PoolOptions, PropagationTrigger, SettleHook, SharedPool, SnapshotError, SwapToken,
 };
 
 use crate::drift::{DriftDetector, DriftOffender, DriftPolicy};
@@ -380,12 +380,13 @@ impl JobService {
     /// Starts the service: spawns the shared worker pool and an empty plan
     /// cache.
     pub fn new(config: ServiceConfig) -> Self {
-        let pool = SharedPool::with_telemetry(
-            config.workers,
-            config.batch,
-            config.faults.clone(),
-            config.telemetry,
-        );
+        let pool = SharedPool::with(PoolOptions {
+            workers: config.workers,
+            batch: config.batch,
+            faults: config.faults.clone(),
+            telemetry: config.telemetry,
+            ..PoolOptions::default()
+        });
         let telemetry = pool.telemetry_handle();
         let metrics = telemetry.is_some().then(|| Arc::new(ServiceMetrics::new()));
         JobService {

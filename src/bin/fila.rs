@@ -44,6 +44,7 @@ use std::time::{Duration, Instant};
 use fila::prelude::*;
 use fila::runtime::FaultPlan;
 use fila::workloads::jobs::{job_mix_with_drift, JobKind, JobShape};
+use fila_service::metrics::sched_prometheus;
 use fila_service::{CheckpointPolicy, JobTicket, RecoveryMode, RecoveryOutcome, RecoveryPolicy};
 
 fn main() -> ExitCode {
@@ -404,8 +405,10 @@ fn cmd_trace(args: &[String]) -> ExitCode {
         Ok(t) => t,
         Err(e) => return fail(&format!("cannot read {file}: {e}")),
     };
-    // One (count, total span µs) accumulator per event name.
+    // One (count, total span µs) accumulator per event name, and one total
+    // per scheduler counter (`ph:"C"` samples, one per worker lane).
     let mut kinds: Vec<(String, u64, f64)> = Vec::new();
+    let mut counters: Vec<(String, u64)> = Vec::new();
     let mut jobs = std::collections::BTreeSet::new();
     let mut workers = std::collections::BTreeSet::new();
     let mut first_ts = f64::MAX;
@@ -421,6 +424,16 @@ fn cmd_trace(args: &[String]) -> ExitCode {
         let Some(name) = field(line, "\"name\":\"") else {
             continue; // array brackets / blank lines
         };
+        if line.contains("\"ph\":\"C\"") {
+            let value: u64 = field(line, "\"value\":")
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(0);
+            match counters.iter_mut().find(|(n, _)| *n == name) {
+                Some((_, total)) => *total += value,
+                None => counters.push((name, value)),
+            }
+            continue;
+        }
         events += 1;
         let ts: f64 = field(line, "\"ts\":").and_then(|v| v.parse().ok()).unwrap_or(0.0);
         let dur: f64 = field(line, "\"dur\":").and_then(|v| v.parse().ok()).unwrap_or(0.0);
@@ -453,6 +466,12 @@ fn cmd_trace(args: &[String]) -> ExitCode {
     println!("{:<16} {:>10} {:>14}", "event", "count", "total ms");
     for (name, count, total_us) in &kinds {
         println!("{name:<16} {count:>10} {:>14.3}", total_us / 1_000.0);
+    }
+    if !counters.is_empty() {
+        println!("{:<24} {:>10}", "scheduler counter", "total");
+        for (name, total) in &counters {
+            println!("{name:<24} {total:>10}");
+        }
     }
     ExitCode::SUCCESS
 }
@@ -789,7 +808,7 @@ fn cmd_storm(args: &[String]) -> ExitCode {
 fn export_telemetry(svc: &JobService, trace_path: Option<&str>, metrics: bool) -> Option<ExitCode> {
     if let Some(path) = trace_path {
         let telemetry = svc.telemetry().expect("--trace switches the recorder on");
-        let trace = fila::runtime::telemetry::chrome_trace(&telemetry.all_events());
+        let trace = telemetry.chrome_trace();
         if let Err(e) = std::fs::write(path, trace) {
             return Some(fail(&format!("cannot write {path}: {e}")));
         }
@@ -800,10 +819,9 @@ fn export_telemetry(svc: &JobService, trace_path: Option<&str>, metrics: bool) -
     }
     if metrics {
         let m = svc.metrics().expect("--metrics switches the recorder on");
-        if let Some(telemetry) = svc.telemetry() {
-            m.ingest(&telemetry.drain_new());
-        }
-        eprint!("{}", m.prometheus());
+        let telemetry = svc.telemetry().expect("--metrics switches the recorder on");
+        m.ingest(&telemetry.drain_new());
+        eprint!("{}{}", m.prometheus(), sched_prometheus(telemetry));
     }
     None
 }

@@ -47,8 +47,8 @@ pub mod prelude {
     };
     pub use fila_graph::{EdgeId, Fingerprint, Graph, GraphBuilder, NodeId};
     pub use fila_runtime::{
-        Batching, CheckpointOutcome, ExecutionReport, JobSnapshot, JobVerdict, PooledExecutor,
-        RestoreError, Scheduler, SharedPool, Simulator, SnapshotError, SwapToken,
+        Batching, CheckpointOutcome, ExecutionReport, JobSnapshot, JobVerdict, PoolOptions,
+        PooledExecutor, RestoreError, Scheduler, SharedPool, Simulator, SnapshotError, SwapToken,
         ThreadedExecutor, Topology,
     };
     pub use fila_service::{

@@ -1,0 +1,207 @@
+//! `PooledExecutor` — the one-job facade over `SharedPool` — driven through
+//! its public builder: the unit tests the single-run pool had, unchanged,
+//! now exercising the facade (verdicts, plans, panics, wall time, agreement
+//! with the simulator and the threaded engine).
+
+use fila::prelude::*;
+use fila::runtime::filters::{Broadcast, ModuloFilter, Predicate};
+
+fn fig2(buffer: u64) -> Graph {
+    let mut b = GraphBuilder::new();
+    b.edge_with_capacity("A", "B", buffer).unwrap();
+    b.edge_with_capacity("B", "C", buffer).unwrap();
+    b.edge_with_capacity("A", "C", buffer).unwrap();
+    b.build().unwrap()
+}
+
+#[test]
+fn pipeline_completes_pooled() {
+    let mut b = GraphBuilder::new();
+    b.chain(&["src", "mid", "dst"]).unwrap();
+    let g = b.build().unwrap();
+    let topo = Topology::from_graph(&g);
+    for workers in [1, 2, 4] {
+        let report = PooledExecutor::new(&topo).workers(workers).run(200);
+        assert!(report.completed, "workers={workers}: {report:?}");
+        assert_eq!(report.data_messages, 400);
+        assert_eq!(report.sink_firings, 200);
+    }
+}
+
+#[test]
+fn fig2_deadlock_verdict_is_exact() {
+    // No quiet period, no timeout: the pool parks and reports deadlock
+    // with the blocked nodes, exactly like the simulator.
+    let g = fig2(2);
+    let a = g.node_by_name("A").unwrap();
+    let topo = Topology::from_graph(&g)
+        .with(a, || Predicate::new(2, |_seq, out| out == 0));
+    for workers in [1, 3] {
+        let report = PooledExecutor::new(&topo).workers(workers).run(500);
+        assert!(report.deadlocked, "workers={workers}: {report:?}");
+        assert!(!report.completed);
+        assert!(!report.blocked.is_empty());
+    }
+}
+
+#[test]
+fn fig2_completes_pooled_with_plan() {
+    let g = fig2(2);
+    let a = g.node_by_name("A").unwrap();
+    for algorithm in [Algorithm::Propagation, Algorithm::NonPropagation] {
+        let plan = Planner::new(&g).algorithm(algorithm).plan().unwrap();
+        let topo = Topology::from_graph(&g)
+            .with(a, || Predicate::new(2, |_seq, out| out == 0));
+        let report = PooledExecutor::new(&topo)
+            .with_plan(&plan)
+            .workers(2)
+            .run(500);
+        assert!(report.completed, "{algorithm}: {report:?}");
+        assert!(report.dummy_messages > 0);
+    }
+}
+
+#[test]
+fn pooled_matches_simulator_exactly() {
+    let g = fig2(4);
+    let a = g.node_by_name("A").unwrap();
+    let plan = Planner::new(&g).algorithm(Algorithm::Propagation).plan().unwrap();
+    let topo = Topology::from_graph(&g)
+        .with(a, || Predicate::new(2, |seq, out| out == 0 || seq % 4 == 0));
+    let sim = Simulator::new(&topo).with_plan(&plan).run(400);
+    let pooled = PooledExecutor::new(&topo).with_plan(&plan).workers(2).run(400);
+    assert!(sim.completed && pooled.completed);
+    assert_eq!(sim.per_edge_data, pooled.per_edge_data);
+    assert_eq!(sim.per_edge_dummies, pooled.per_edge_dummies);
+    assert_eq!(sim.sink_firings, pooled.sink_firings);
+}
+
+#[test]
+fn capacity_one_channels_work() {
+    let mut b = GraphBuilder::new();
+    b.edge_with_capacity("s", "m", 1).unwrap();
+    b.edge_with_capacity("m", "t", 1).unwrap();
+    let g = b.build().unwrap();
+    let m = g.node_by_name("m").unwrap();
+    let topo = Topology::from_graph(&g).with(m, || ModuloFilter::new(1, 2, 0));
+    let report = PooledExecutor::new(&topo).workers(2).run(100);
+    assert!(report.completed, "{report:?}");
+    assert_eq!(report.sink_firings, 50);
+}
+
+#[test]
+fn split_join_deadlocks_and_plan_rescues_it() {
+    let mut b = GraphBuilder::new();
+    b.edge_with_capacity("split", "left", 4).unwrap();
+    b.edge_with_capacity("split", "right", 4).unwrap();
+    b.edge_with_capacity("left", "join", 4).unwrap();
+    b.edge_with_capacity("right", "join", 4).unwrap();
+    let g = b.build().unwrap();
+    let split = g.node_by_name("split").unwrap();
+    let left = g.node_by_name("left").unwrap();
+    let right = g.node_by_name("right").unwrap();
+    let topo = Topology::from_graph(&g)
+        .with(split, || Broadcast::new(2))
+        .with(left, || ModuloFilter::new(1, 5, 0))
+        .with(right, || ModuloFilter::new(1, 50, 3));
+    let without = PooledExecutor::new(&topo).workers(2).run(2000);
+    assert!(without.deadlocked, "{without:?}");
+    let plan = Planner::new(&g)
+        .algorithm(Algorithm::NonPropagation)
+        .plan()
+        .unwrap();
+    let with_plan = PooledExecutor::new(&topo).with_plan(&plan).workers(2).run(2000);
+    assert!(with_plan.completed, "{with_plan:?}");
+}
+
+#[test]
+fn deep_pipeline_scales_past_thread_per_node_sizes() {
+    // 4096 nodes on a handful of workers: far beyond what one OS thread
+    // per node is meant for, trivially handled by the pool.
+    let names: Vec<String> = (0..4096).map(|i| format!("n{i}")).collect();
+    let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+    let mut b = GraphBuilder::new().default_capacity(4);
+    b.chain(&refs).unwrap();
+    let g = b.build().unwrap();
+    let topo = Topology::from_graph(&g);
+    let report = PooledExecutor::new(&topo).workers(4).run(8);
+    assert!(report.completed, "{report:?}");
+    assert_eq!(report.sink_firings, 8);
+    assert_eq!(report.data_messages, 8 * 4095);
+}
+
+#[test]
+fn tiny_batch_still_completes() {
+    let g = fig2(2);
+    let a = g.node_by_name("A").unwrap();
+    let plan = Planner::new(&g).algorithm(Algorithm::Propagation).plan().unwrap();
+    let topo = Topology::from_graph(&g)
+        .with(a, || Predicate::new(2, |_seq, out| out == 0));
+    let report = PooledExecutor::new(&topo)
+        .with_plan(&plan)
+        .workers(3)
+        .batch(1)
+        .run(300);
+    assert!(report.completed, "{report:?}");
+}
+
+#[test]
+fn zero_inputs_and_zero_nodes_complete_immediately() {
+    for g in [fig2(2), Graph::new()] {
+        let topo = Topology::from_graph(&g);
+        let report = PooledExecutor::new(&topo).run(0);
+        assert!(report.completed);
+        assert_eq!(report.data_messages, 0);
+    }
+}
+
+#[test]
+fn pooled_and_threaded_agree_on_data_counts() {
+    // The pool and the thread-per-node engine share the ring layer but
+    // schedule completely differently; deterministic filtering must
+    // still deliver identical data counts (see also
+    // `tests/engine_equivalence.rs` for the full Simulator pinning).
+    let g = fig2(4);
+    let a = g.node_by_name("A").unwrap();
+    let plan = Planner::new(&g).algorithm(Algorithm::Propagation).plan().unwrap();
+    let topo = Topology::from_graph(&g)
+        .with(a, || Predicate::new(2, |seq, out| out == 0 || seq % 4 == 0));
+    let pooled = PooledExecutor::new(&topo).with_plan(&plan).workers(2).run(400);
+    let threaded = ThreadedExecutor::new(&topo).with_plan(&plan).run(400);
+    assert!(pooled.completed && threaded.completed);
+    assert_eq!(pooled.data_messages, threaded.data_messages);
+    assert_eq!(pooled.sink_firings, threaded.sink_firings);
+    assert_eq!(pooled.per_edge_data, threaded.per_edge_data);
+}
+
+#[test]
+fn behaviour_panic_propagates_instead_of_hanging() {
+    // A panicking behaviour must fail the run like the simulator does —
+    // not leave the surviving workers parked forever.
+    let mut b = GraphBuilder::new();
+    b.chain(&["s", "m", "t"]).unwrap();
+    let g = b.build().unwrap();
+    let m = g.node_by_name("m").unwrap();
+    let topo = Topology::from_graph(&g).with(m, || {
+        Predicate::new(1, |seq, _out| {
+            assert!(seq < 5, "behaviour blew up at seq {seq}");
+            true
+        })
+    });
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        PooledExecutor::new(&topo).workers(2).run(100)
+    }));
+    assert!(result.is_err(), "the panic must propagate out of run()");
+}
+
+#[test]
+fn wall_time_is_recorded() {
+    let mut b = GraphBuilder::new();
+    b.chain(&["s", "t"]).unwrap();
+    let g = b.build().unwrap();
+    let topo = Topology::from_graph(&g);
+    let report = PooledExecutor::new(&topo).workers(1).run(64);
+    assert!(report.completed);
+    assert!(report.wall_time() > std::time::Duration::ZERO);
+    assert!(report.messages_per_sec().expect("wall time recorded") > 0.0);
+}

@@ -1,0 +1,242 @@
+//! Stress tests of the pool's scheduler (E23): the slot / deque / injector
+//! queues, wake throttling and per-worker park/unpark of
+//! `fila_runtime::sched`, driven through [`SharedPool`].
+//!
+//! Per-job quiescence decides every verdict wherever a queued task sits, so
+//! the scheduler can only break things in two ways: strand a queued task (a
+//! lost wakeup — the job never settles) or starve one (unfairness).  Each
+//! test runs under a watchdog, because the failure mode of a lost wakeup is
+//! a hang, not a wrong answer.
+
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
+
+use fila::prelude::*;
+use fila::runtime::filters::Predicate;
+use fila::runtime::{AvoidanceMode, JobHandle};
+use fila::workloads::figures::fig2_triangle;
+
+/// Runs `body` on its own thread and fails the test if it has not finished
+/// within `limit`.
+fn with_watchdog(limit: Duration, body: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        body();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(limit) {
+        Ok(()) => runner.join().expect("the test body panicked"),
+        // The body panicked before it could report: surface that panic.
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            runner.join().expect("the test body panicked");
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("no verdict within {limit:?}: a queued task was stranded (lost wakeup)")
+        }
+    }
+}
+
+fn pipeline(nodes: usize, capacity: u64) -> Graph {
+    let names: Vec<String> = (0..nodes).map(|i| format!("n{i}")).collect();
+    let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+    let mut b = GraphBuilder::new().default_capacity(capacity);
+    b.chain(&refs).unwrap();
+    b.build().unwrap()
+}
+
+/// Fig. 2 with a fork that filters one branch: deadlocks unprotected.
+fn fig2_deadlocker(buffer: u64) -> (Graph, Topology) {
+    let g = fig2_triangle(buffer);
+    let a = g.single_source().unwrap();
+    let topology = Topology::from_graph(&g).with(a, || Predicate::new(2, |_seq, out| out == 0));
+    (g, topology)
+}
+
+#[test]
+fn five_thousand_tiny_jobs_never_lose_a_wakeup() {
+    // A two-node capacity-1 job is nothing but wakeups: every message is a
+    // non-empty wake, a block, a non-full wake.  One job at a time makes
+    // the workers park and be unparked between every two jobs; a window of
+    // jobs makes submissions race workers that are searching or parking.
+    const JOBS: usize = 5_000;
+    const INPUTS: u64 = 8;
+    with_watchdog(Duration::from_secs(120), || {
+        let g = pipeline(2, 1);
+        let topology = Topology::from_graph(&g);
+        let check = |what: &str, handle: &JobHandle| {
+            let report = handle.wait();
+            assert_eq!(handle.verdict(), Some(JobVerdict::Completed), "{what}");
+            assert!(report.completed, "{what}: {report:?}");
+            assert_eq!(report.per_edge_data, [INPUTS], "{what}");
+            assert_eq!(report.per_edge_dummies, [0], "{what}");
+            assert_eq!(report.sink_firings, INPUTS, "{what}");
+        };
+        for workers in [2, 4] {
+            let pool = SharedPool::new(workers);
+            for window in [1, 7] {
+                let mut in_flight = std::collections::VecDeque::new();
+                for job in 0..JOBS / 2 {
+                    if in_flight.len() == window {
+                        let handle = in_flight.pop_front().expect("window is non-empty");
+                        check(&format!("workers {workers} window {window}"), &handle);
+                    }
+                    in_flight.push_back(pool.submit(&topology, INPUTS));
+                    if job % 64 == 0 {
+                        // Let every worker run dry and park now and then.
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                }
+                for handle in &in_flight {
+                    check(&format!("workers {workers} window {window}"), handle);
+                }
+            }
+        }
+    });
+}
+
+#[test]
+fn verdicts_stay_exact_with_deadlockers_among_healthy_jobs() {
+    with_watchdog(Duration::from_secs(120), || {
+        let (_, wedged) = fig2_deadlocker(2);
+        let wedged_reference = Simulator::new(&wedged).run(300);
+        assert!(wedged_reference.deadlocked);
+
+        let healthy_graph = fig2_triangle(2);
+        let plan = Arc::new(
+            Planner::new(&healthy_graph)
+                .algorithm(Algorithm::NonPropagation)
+                .plan()
+                .unwrap(),
+        );
+        let (_, healthy) = fig2_deadlocker(2);
+        let healthy_reference = Simulator::new(&healthy)
+            .with_shared_plan(Arc::clone(&plan))
+            .run(300);
+        assert!(healthy_reference.completed && healthy_reference.dummy_messages > 0);
+
+        // A job in the mix whose behaviour takes its time: while one worker
+        // sits in its slices the other must take what is queued behind it,
+        // so the steal path runs too.
+        let slow_graph = pipeline(6, 4);
+        let first = slow_graph.single_source().unwrap();
+        let slow = Topology::from_graph(&slow_graph).with(first, || {
+            Predicate::new(1, |_seq, _out| {
+                std::thread::sleep(Duration::from_micros(50));
+                true
+            })
+        });
+
+        for workers in [1, 2, 4] {
+            let pool = SharedPool::new(workers);
+            let mut jobs = Vec::new();
+            for round in 0..40 {
+                jobs.push((true, pool.submit(&wedged, 300)));
+                let mode = AvoidanceMode::Plan(Arc::clone(&plan));
+                jobs.push((false, pool.submit_with(&healthy, mode, 300)));
+                if round % 8 == 0 {
+                    let handle = pool.submit(&slow, 40);
+                    assert!(handle.wait().completed, "workers {workers}: slow job");
+                }
+            }
+            for (deadlocker, handle) in &jobs {
+                let report = handle.wait();
+                let reference = if *deadlocker {
+                    assert_eq!(handle.verdict(), Some(JobVerdict::Deadlocked));
+                    assert!(report.deadlocked && !report.blocked.is_empty());
+                    &wedged_reference
+                } else {
+                    assert_eq!(handle.verdict(), Some(JobVerdict::Completed));
+                    &healthy_reference
+                };
+                assert_eq!(
+                    report.per_edge_data, reference.per_edge_data,
+                    "workers {workers}"
+                );
+                assert_eq!(
+                    report.per_edge_dummies, reference.per_edge_dummies,
+                    "workers {workers}"
+                );
+                assert_eq!(
+                    report.sink_firings, reference.sink_firings,
+                    "workers {workers}"
+                );
+                let blocked = |r: &ExecutionReport| {
+                    let mut nodes: Vec<_> = r.blocked.iter().map(|b| b.node).collect();
+                    nodes.sort();
+                    nodes
+                };
+                assert_eq!(blocked(&report), blocked(reference), "workers {workers}");
+            }
+        }
+    });
+}
+
+#[test]
+fn a_long_slice_does_not_hold_up_an_independent_job() {
+    // Work conservation: while one worker sits in a 100 ms slice, whatever
+    // is queued — the rest of that job on its deque, a new job in the
+    // injector — is the other worker's to take.  A scheduler that hides a
+    // busy worker's deque, or lets the peer sleep through pushes onto it,
+    // settles the small job only after the slow one.
+    with_watchdog(Duration::from_secs(60), || {
+        let slow_graph = pipeline(3, 2);
+        let source = slow_graph.single_source().unwrap();
+        let slow_topology = Topology::from_graph(&slow_graph).with(source, || {
+            Predicate::new(1, |_seq, _out| {
+                std::thread::sleep(Duration::from_millis(100));
+                true
+            })
+        });
+        let small_graph = pipeline(3, 2);
+        let small_topology = Topology::from_graph(&small_graph);
+        for round in 0..3 {
+            let pool = SharedPool::new(2);
+            let slow = pool.submit(&slow_topology, 4);
+            if round > 0 {
+                // Also with the slow job already inside its first slice.
+                std::thread::sleep(Duration::from_millis(5 * round));
+            }
+            let small = pool.submit(&small_topology, 10);
+            let report = small.wait();
+            assert!(report.completed, "{report:?}");
+            assert_eq!(
+                slow.verdict(),
+                None,
+                "round {round}: the small job waited for the slow one"
+            );
+            assert!(slow.wait().completed);
+        }
+    });
+}
+
+#[test]
+fn a_ping_pong_pair_cannot_starve_small_jobs_on_one_worker() {
+    // A capacity-1 two-node pipeline is a producer and a consumer waking
+    // each other through the run-next slot for as long as it runs.  Without
+    // the fairness turn it would own the only worker until it finished; with
+    // it, 200 small jobs submitted meanwhile all settle first.
+    with_watchdog(Duration::from_secs(120), || {
+        let pool = SharedPool::new(1);
+        let long_graph = pipeline(2, 1);
+        let long_topology = Topology::from_graph(&long_graph);
+        let small_graph = pipeline(3, 2);
+        let small_topology = Topology::from_graph(&small_graph);
+
+        let long = pool.submit(&long_topology, 3_000_000);
+        while long.observe().per_node_firings[0] == 0 {
+            std::thread::yield_now();
+        }
+        let small: Vec<JobHandle> = (0..200).map(|_| pool.submit(&small_topology, 10)).collect();
+        for (i, handle) in small.iter().enumerate() {
+            let report = handle.wait();
+            assert!(report.completed, "small job {i}: {report:?}");
+            assert_eq!(report.sink_firings, 10);
+        }
+        assert_eq!(
+            long.verdict(),
+            None,
+            "the long pipeline finished before the small jobs got their turn"
+        );
+        long.cancel();
+    });
+}

@@ -185,7 +185,11 @@ fn snapshots_cross_container_batching_modes() {
         (Batching::Unbounded, Batching::Scalar),
         (Batching::Scalar, Batching::Unbounded),
     ] {
-        let capture_pool = SharedPool::with_options(2, 64, None, false, capture_mode);
+        let capture_pool = SharedPool::with(PoolOptions {
+            workers: 2,
+            batching: capture_mode,
+            ..PoolOptions::default()
+        });
         let handle =
             capture_pool.submit_with(&topo, AvoidanceMode::Plan(Arc::clone(&plan)), inputs);
         let snapshot = handle.checkpoint();
@@ -200,7 +204,11 @@ fn snapshots_cross_container_batching_modes() {
         // Round-trip through the wire format: what the batched capture
         // wrote must be plain per-message `FILASNAP` state.
         let snapshot = JobSnapshot::from_bytes(&snapshot.to_bytes()).expect("wire round-trip");
-        let restore_pool = SharedPool::with_options(2, 64, None, false, restore_mode);
+        let restore_pool = SharedPool::with(PoolOptions {
+            workers: 2,
+            batching: restore_mode,
+            ..PoolOptions::default()
+        });
         let resumed = restore_pool
             .resume_full(
                 &topo,

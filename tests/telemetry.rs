@@ -206,7 +206,13 @@ fn firing_spans_sum_to_delivered_messages() {
     for batching in [Batching::Scalar, Batching::Messages(16), Batching::Unbounded] {
         let topo = Topology::from_graph(&g)
             .with(a, || Predicate::new(2, |seq, out| out == 0 || seq % 64 == 0));
-        let pool = fila::runtime::SharedPool::with_options(2, 8, None, true, batching);
+        let pool = fila::runtime::SharedPool::with(fila::runtime::PoolOptions {
+            workers: 2,
+            batch: 8,
+            telemetry: true,
+            batching,
+            ..Default::default()
+        });
         let report = pool
             .submit_with(&topo, AvoidanceMode::Plan(Arc::clone(&plan)), 500)
             .wait();
