@@ -22,6 +22,10 @@
 //!   validated against;
 //! * [`planner`] — a front door that classifies the topology and dispatches
 //!   to the cheapest applicable algorithm;
+//! * [`model`] — the paper's execution model stated once: messages, the
+//!   dummy-message wrapper and the scalar step with its two deterministic
+//!   schedulers; certification runs plans on it and `fila-runtime`'s
+//!   `Simulator` is a driver of it;
 //! * [`cache`] — a structural plan cache keyed by canonical topology
 //!   fingerprints, sharing `Arc`-wrapped plans across repeat submissions
 //!   of the same shape (the service layer's planning amortisation), plus a
@@ -45,6 +49,7 @@ pub mod interval;
 pub mod ladder;
 pub mod ladder_nonprop;
 pub mod ladder_prop;
+pub mod model;
 pub mod nonprop_sp;
 pub mod plan;
 pub mod planner;

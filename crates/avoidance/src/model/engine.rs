@@ -1,0 +1,411 @@
+//! The scalar step of the model and its two deterministic schedulers.
+//!
+//! [`Engine`] holds one run's state — a `VecDeque` per channel, and per node
+//! a [`DummyWrapper`], the pending (produced, undelivered) outputs and the
+//! progress flags — and defines the one thing every engine in the workspace
+//! must agree with: what happens when a node is given a turn (`step`).  The
+//! firing decision itself is not part of the model; callers pass it in as a
+//! closure (static dispatch, filling a scratch slice), which is the whole
+//! difference between `fila_runtime::Simulator` (real node behaviours) and
+//! certification's model check (a periodic or adversarial emission rule).
+//!
+//! Two schedulers drive the step:
+//!
+//! * [`Engine::run_scan`] round-robins over *every* node and declares
+//!   deadlock after a full pass without progress.  `O(V)` per step, no
+//!   bookkeeping to get wrong: it is the executable specification.
+//! * [`Engine::run_worklist`] keeps a ready queue fed by channel events (a
+//!   step records the channels it made non-empty or non-full; their
+//!   consumers and producers are the only nodes it can have unblocked), so a
+//!   step costs `O(degree)` and deadlock is exactly "queue empty, some node
+//!   unfinished".
+//!
+//! Deterministic firing makes the network confluent, so both reach the same
+//! terminal state; only `steps` depends on the schedule.
+
+use std::collections::VecDeque;
+
+use fila_graph::{EdgeId, Graph, NodeId};
+
+use super::message::{Message, Payload};
+use super::wrapper::{AvoidanceMode, DummyWrapper, PropagationTrigger};
+
+/// The model state of one node.
+#[derive(Debug, Clone)]
+pub struct NodeState {
+    /// The node's dummy-interval gap counters.
+    pub wrapper: DummyWrapper,
+    /// Outputs produced but not yet delivered, in production order.
+    pub pending: VecDeque<(EdgeId, Message)>,
+    /// Next sequence number this node emits if it is a source.
+    pub next_source_seq: u64,
+    /// The node has produced its end-of-stream markers.
+    pub eos_queued: bool,
+    /// End-of-stream produced *and* delivered: the node never steps again.
+    pub done: bool,
+    /// Firings so far (source emissions + data-bearing acceptances).
+    pub firings: u64,
+    /// Data-bearing acceptances so far, if the node is a sink.
+    pub sink_firings: u64,
+}
+
+/// How a scheduler run ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Halt {
+    /// Every node reached end-of-stream.
+    Completed,
+    /// No node can progress and some are unfinished (exact).
+    Deadlocked,
+    /// The step bound was reached first; the state is a consistent cut
+    /// (runs stop *between* steps) and can be driven further.
+    StepBound,
+}
+
+/// One run of the scalar model over `graph` (see the module docs).
+///
+/// The state is public so a driver can capture it between steps and
+/// transplant a captured state back in (checkpoint/restore); every vector is
+/// indexed by node or edge id and must keep the graph's length.
+#[derive(Debug, Clone)]
+pub struct Engine<'g> {
+    graph: &'g Graph,
+    capacities: Vec<usize>,
+    /// Sequence numbers offered at every source.
+    pub inputs: u64,
+    /// In-flight messages per channel.
+    pub channels: Vec<VecDeque<Message>>,
+    /// Per-node state.
+    pub nodes: Vec<NodeState>,
+    /// Data messages delivered per channel.
+    pub per_edge_data: Vec<u64>,
+    /// Dummy messages delivered per channel.
+    pub per_edge_dummies: Vec<u64>,
+    /// Data-bearing acceptances at sinks, summed over nodes.
+    pub sink_firings: u64,
+    /// Productive steps taken so far.
+    pub steps: u64,
+    /// Per-firing scratch (sized to the largest in-degree): consumed
+    /// payload per input channel.
+    data_in: Vec<Option<Payload>>,
+    /// Per-firing scratch (sized to the largest out-degree): the firing
+    /// decision per output channel, meaningful only for a step that fired.
+    emit: Vec<Option<Payload>>,
+    /// Per-firing scratch: the wrapper's dummy decision per output channel.
+    dummies: Vec<bool>,
+    /// Channels the current turn found full: a message for one of them
+    /// must queue behind the older one already pending.
+    blocked: Vec<EdgeId>,
+    /// Channels the current step made non-empty (consumers may be unblocked).
+    filled: Vec<EdgeId>,
+    /// Channels the current step made non-full (producers may be unblocked).
+    drained: Vec<EdgeId>,
+}
+
+impl<'g> Engine<'g> {
+    /// A fresh run offering `inputs` sequence numbers at every source.
+    pub fn new(
+        graph: &'g Graph,
+        mode: &AvoidanceMode,
+        trigger: PropagationTrigger,
+        inputs: u64,
+    ) -> Self {
+        let widest = |degree: fn(&Graph, NodeId) -> usize| {
+            graph
+                .node_ids()
+                .map(|n| degree(graph, n))
+                .max()
+                .unwrap_or(0)
+        };
+        Engine {
+            graph,
+            inputs,
+            capacities: graph
+                .edge_ids()
+                .map(|e| graph.capacity(e) as usize)
+                .collect(),
+            channels: vec![VecDeque::new(); graph.edge_count()],
+            nodes: graph
+                .node_ids()
+                .map(|n| NodeState {
+                    wrapper: DummyWrapper::with_trigger(graph, n, mode, trigger),
+                    pending: VecDeque::new(),
+                    next_source_seq: 0,
+                    eos_queued: false,
+                    done: false,
+                    firings: 0,
+                    sink_firings: 0,
+                })
+                .collect(),
+            per_edge_data: vec![0; graph.edge_count()],
+            per_edge_dummies: vec![0; graph.edge_count()],
+            sink_firings: 0,
+            steps: 0,
+            data_in: vec![None; widest(Graph::in_degree)],
+            emit: vec![None; widest(Graph::out_degree)],
+            dummies: Vec::new(),
+            blocked: Vec::new(),
+            filled: Vec::new(),
+            drained: Vec::new(),
+        }
+    }
+
+    /// The graph this run executes on.
+    pub fn graph(&self) -> &'g Graph {
+        self.graph
+    }
+
+    /// Event-driven scheduler.  Invariant: any node that may be able to
+    /// progress is in the queue, so an empty queue with unfinished nodes is
+    /// exactly a deadlock.  A fresh run seeds the sources (all channels are
+    /// empty, nothing else can move); `seed_all` seeds every unfinished node
+    /// instead, for a transplanted state that may hold consumable messages
+    /// anywhere.  Stops before the step that would exceed `step_bound`.
+    pub fn run_worklist<F>(&mut self, fire: &mut F, step_bound: u64, seed_all: bool) -> Halt
+    where
+        F: FnMut(NodeId, u64, &[Option<Payload>], &mut [Option<Payload>]),
+    {
+        let g = self.graph;
+        let mut queue: VecDeque<NodeId> = VecDeque::with_capacity(g.node_count());
+        let mut in_queue = vec![false; g.node_count()];
+        for n in g.node_ids() {
+            if (seed_all || g.in_degree(n) == 0) && !self.nodes[n.index()].done {
+                queue.push_back(n);
+                in_queue[n.index()] = true;
+            }
+        }
+        while let Some(node) = queue.pop_front() {
+            in_queue[node.index()] = false;
+            if self.steps >= step_bound {
+                return Halt::StepBound;
+            }
+            if !self.step(node, fire) {
+                // No progress, no channel events: only one can wake it again.
+                debug_assert!(self.filled.is_empty() && self.drained.is_empty());
+                continue;
+            }
+            self.steps += 1;
+            let mut wake = |n: NodeId, nodes: &[NodeState]| {
+                if !in_queue[n.index()] && !nodes[n.index()].done {
+                    in_queue[n.index()] = true;
+                    queue.push_back(n);
+                }
+            };
+            // The stepped node may be able to go again; so may the consumers
+            // of channels it filled and the producers of channels it drained.
+            wake(node, &self.nodes);
+            while let Some(e) = self.filled.pop() {
+                wake(g.head(e), &self.nodes);
+            }
+            while let Some(e) = self.drained.pop() {
+                wake(g.tail(e), &self.nodes);
+            }
+        }
+        self.verdict()
+    }
+
+    /// Reference scheduler: polls every node in id order, pass after pass.
+    pub fn run_scan<F>(&mut self, fire: &mut F, step_bound: u64) -> Halt
+    where
+        F: FnMut(NodeId, u64, &[Option<Payload>], &mut [Option<Payload>]),
+    {
+        loop {
+            let mut progressed = false;
+            for n in self.graph.node_ids() {
+                if self.steps >= step_bound {
+                    return Halt::StepBound;
+                }
+                if self.step(n, fire) {
+                    progressed = true;
+                    self.steps += 1;
+                }
+                // Polling needs no wake lists.
+                self.filled.clear();
+                self.drained.clear();
+            }
+            if !progressed || self.nodes.iter().all(|s| s.done) {
+                return self.verdict();
+            }
+        }
+    }
+
+    fn verdict(&self) -> Halt {
+        if self.nodes.iter().all(|s| s.done) {
+            Halt::Completed
+        } else {
+            Halt::Deadlocked
+        }
+    }
+
+    /// Gives `node` one turn; returns whether it progressed.
+    ///
+    /// A turn is: deliver pending outputs if any can go (a node with
+    /// undelivered output does nothing else — a blocking send); otherwise a
+    /// source emits its next sequence number (then end-of-stream), and any
+    /// other node accepts the minimum sequence number at its input heads —
+    /// consuming every head that carries it, firing if any carried data —
+    /// and the dummy wrapper adds what the plan's intervals demand.
+    fn step<F>(&mut self, node: NodeId, fire: &mut F) -> bool
+    where
+        F: FnMut(NodeId, u64, &[Option<Payload>], &mut [Option<Payload>]),
+    {
+        self.blocked.clear();
+        let state = &mut self.nodes[node.index()];
+        if !state.pending.is_empty() {
+            return self.flush_pending(node);
+        }
+        if state.done {
+            return false;
+        }
+        let g = self.graph;
+        let in_edges = g.in_edges(node);
+        let outs = g.out_degree(node);
+
+        if in_edges.is_empty() {
+            if state.next_source_seq < self.inputs {
+                let seq = state.next_source_seq;
+                state.next_source_seq += 1;
+                state.firings += 1;
+                fire(node, seq, &[], &mut self.emit[..outs]);
+                self.send_outputs(node, seq, true, false);
+                return true;
+            }
+            if state.eos_queued {
+                self.mark_done_if_drained(node);
+                return false;
+            }
+            return self.send_eos(node);
+        }
+
+        let mut accept_seq = u64::MAX;
+        for &e in in_edges {
+            match self.channels[e.index()].front() {
+                Some(head) => accept_seq = accept_seq.min(head.seq()),
+                None => return false,
+            }
+        }
+        if accept_seq == u64::MAX {
+            // End of stream on every input.
+            return self.send_eos(node);
+        }
+
+        let data_in = &mut self.data_in[..in_edges.len()];
+        data_in.fill(None);
+        let (mut fired, mut consumed_dummy) = (false, false);
+        for (idx, &e) in in_edges.iter().enumerate() {
+            let channel = &mut self.channels[e.index()];
+            if channel[0].seq() != accept_seq {
+                continue;
+            }
+            if channel.len() >= self.capacities[e.index()] {
+                self.drained.push(e);
+            }
+            match channel.pop_front().expect("non-empty") {
+                Message::Data { payload, .. } => {
+                    data_in[idx] = Some(payload);
+                    fired = true;
+                }
+                Message::Dummy { .. } => consumed_dummy = true,
+                Message::Eos => unreachable!("EOS has the maximal sequence number"),
+            }
+        }
+        // Sequence numbers consumed purely from dummies never reach the
+        // firing decision: no data in, no data out.
+        if fired {
+            if outs == 0 {
+                self.sink_firings += 1;
+                state.sink_firings += 1;
+            }
+            state.firings += 1;
+            fire(node, accept_seq, data_in, &mut self.emit[..outs]);
+        }
+        self.send_outputs(node, accept_seq, fired, consumed_dummy);
+        true
+    }
+
+    /// Sends the data (if `fired`, from the `emit` scratch) and dummy
+    /// messages one accepted sequence number produces.
+    fn send_outputs(&mut self, node: NodeId, seq: u64, fired: bool, consumed_dummy: bool) {
+        let out_edges = self.graph.out_edges(node);
+        let emit = &self.emit[..out_edges.len()];
+        let wrapper = &mut self.nodes[node.index()].wrapper;
+        // The answer borrows the wrapper; copy it out so `send` can borrow
+        // the node (out-degrees are tiny, and the buffer is reused).
+        self.dummies.clear();
+        self.dummies
+            .extend_from_slice(wrapper.on_accept(consumed_dummy, |i| fired && emit[i].is_some()));
+        for (idx, &e) in out_edges.iter().enumerate() {
+            if let (true, Some(payload)) = (fired, self.emit[idx]) {
+                self.send(node, e, Message::Data { seq, payload });
+            }
+            if self.dummies[idx] {
+                // Under the heartbeat trigger a dummy may accompany a data
+                // message with the same sequence number; consumers tolerate
+                // this (the dummy simply carries no new information).
+                self.send(node, e, Message::Dummy { seq });
+            }
+        }
+    }
+
+    fn send_eos(&mut self, node: NodeId) -> bool {
+        self.nodes[node.index()].eos_queued = true;
+        for &e in self.graph.out_edges(node) {
+            self.send(node, e, Message::Eos);
+        }
+        self.mark_done_if_drained(node);
+        true
+    }
+
+    /// Delivers `message` on `edge`, or leaves it pending at `node` when the
+    /// channel is full or an older message for it is already waiting
+    /// (`blocked`, reset at the start of every turn).  Returns whether it
+    /// was delivered.
+    ///
+    /// Delivery is FIFO *per channel* but channels do not block one another:
+    /// a full channel must not delay a dummy message destined for a
+    /// different, empty channel (the deadlock-avoidance guarantee relies on
+    /// the dummy getting out), so each output channel behaves like an
+    /// independent blocking port.
+    fn send(&mut self, node: NodeId, edge: EdgeId, message: Message) -> bool {
+        let channel = &mut self.channels[edge.index()];
+        let waiting = self.blocked.contains(&edge);
+        if waiting || channel.len() >= self.capacities[edge.index()] {
+            if !waiting {
+                self.blocked.push(edge);
+            }
+            self.nodes[node.index()].pending.push_back((edge, message));
+            return false;
+        }
+        if channel.is_empty() {
+            self.filled.push(edge);
+        }
+        channel.push_back(message);
+        match message {
+            Message::Data { .. } => self.per_edge_data[edge.index()] += 1,
+            Message::Dummy { .. } => self.per_edge_dummies[edge.index()] += 1,
+            Message::Eos => {}
+        }
+        true
+    }
+
+    /// Re-sends every pending output of `node`, oldest first; returns
+    /// whether any was delivered.
+    fn flush_pending(&mut self, node: NodeId) -> bool {
+        let mut delivered = false;
+        for _ in 0..self.nodes[node.index()].pending.len() {
+            let (edge, message) = self.nodes[node.index()]
+                .pending
+                .pop_front()
+                .expect("counted above");
+            delivered |= self.send(node, edge, message);
+        }
+        self.mark_done_if_drained(node);
+        delivered
+    }
+
+    fn mark_done_if_drained(&mut self, node: NodeId) {
+        let state = &mut self.nodes[node.index()];
+        if state.eos_queued && state.pending.is_empty() {
+            state.done = true;
+        }
+    }
+}

@@ -37,20 +37,22 @@
 //!   were available for data, so with very tight buffers it can itself
 //!   deadlock; treat it as an experimental variant.
 //!
-//! The intervals come from an [`AvoidancePlan`] computed by
-//! `fila-avoidance`; [`AvoidanceMode::Disabled`] turns the wrapper off,
-//! which is how the deadlock of Fig. 2 is reproduced experimentally.
+//! The intervals come from an [`AvoidancePlan`] computed by this crate's
+//! planner; [`AvoidanceMode::Disabled`] turns the wrapper off, which is how
+//! the deadlock of Fig. 2 is reproduced experimentally.
 
 use std::sync::Arc;
 
-use fila_avoidance::{Algorithm, AvoidancePlan, DummyInterval};
 use fila_graph::{Graph, NodeId};
+
+use crate::interval::DummyInterval;
+use crate::plan::{Algorithm, AvoidancePlan};
 
 /// How the runtime should avoid deadlock.
 ///
 /// The plan is held behind an [`Arc`] so that every node wrapper (and every
-/// worker thread of the threaded engine) shares one copy instead of cloning
-/// the whole interval table per node per run.
+/// pool worker) shares one copy instead of cloning the whole interval table
+/// per node per run.
 #[derive(Debug, Clone, Default)]
 pub enum AvoidanceMode {
     /// No dummy messages are ever sent; filtering applications may deadlock.
@@ -296,8 +298,8 @@ impl DummyWrapper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fila_avoidance::interval::IntervalMap;
-    use fila_avoidance::{Planner, Rounding};
+    use crate::interval::{IntervalMap, Rounding};
+    use crate::planner::Planner;
     use fila_graph::GraphBuilder;
 
     fn fig2() -> Graph {

@@ -18,12 +18,13 @@
 //! cross-validation because the exhaustive baseline shared its re-emission
 //! assumption.  Certification closes that class of bug with a *semantic*
 //! check: a bounded, deterministic model check of the plan against a
-//! declared per-node filter profile, executed on a built-in replica of the
-//! runtime's reference semantics (`fila_runtime::Simulator`'s worklist
-//! loop and `DummyWrapper` gap accounting, restricted to the declarative
-//! periodic-filter convention shared by the service layer and the
-//! workloads; a property test in `tests/certification.rs` pins the replica
-//! to the real engine).  The checked runs are:
+//! declared per-node filter profile, executed on the scalar model itself
+//! ([`crate::model::Engine`] — the same step and worklist scheduler
+//! `fila_runtime::Simulator` drives, with the declarative periodic-filter
+//! convention shared by the service layer and the workloads in place of
+//! node behaviours; a property test in `tests/certification.rs` checks the
+//! declared verdict against the independent pooled engine).  The checked
+//! runs are:
 //!
 //! 1. **declared** — the filter profile exactly as submitted (periodic
 //!    filters are deterministic, so this is the job the service will run);
@@ -47,13 +48,12 @@
 //! fallback chain, and the service layer caches verdicts per
 //! `(fingerprint, filter signature)` — see `fila_avoidance::cache`.
 
-use std::collections::VecDeque;
-
 use fila_graph::{EdgeId, Graph, NodeId, Result};
 
 use crate::exhaustive::exhaustive_intervals_bounded;
 use crate::interval::DummyInterval;
-use crate::plan::{Algorithm, AvoidancePlan};
+use crate::model::{AvoidanceMode, Engine, Halt, Payload, PropagationTrigger};
+use crate::plan::AvoidancePlan;
 
 /// The outcome of verifying a plan against the exhaustive baseline.
 #[derive(Debug, Clone)]
@@ -360,10 +360,13 @@ fn certify_with_requirement(
         )));
     }
     let truncated = inputs < required;
+    // The wrappers share the plan behind an `Arc`: one copy per
+    // certification, not one per run.
+    let mode = AvoidanceMode::plan(plan.clone());
     let periodic = |n: NodeId, seq: u64, j: usize, _outs: usize| -> bool {
         (seq + j as u64) % periods[n.index()].max(1) == 0
     };
-    let declared = model_check(g, plan, &periodic, inputs, max_steps);
+    let declared = model_check(g, &mode, periodic, inputs, max_steps);
     let mut worst_case = declared;
     let mut failing_adversary = None;
     // A profile with no filtering node has an empty escalation: every
@@ -377,7 +380,7 @@ fn certify_with_requirement(
                     periodic(n, seq, j, outs)
                 }
             };
-            worst_case = model_check(g, plan, &emit, inputs, max_steps);
+            worst_case = model_check(g, &mode, emit, inputs, max_steps);
             if !worst_case.completed {
                 failing_adversary = Some(name);
                 break;
@@ -408,316 +411,31 @@ fn default_step_budget(g: &Graph, inputs: u64) -> u64 {
         .min(500_000_000)
 }
 
-/// End-of-stream marker: ordinary sequence numbers are `< u64::MAX`.
-const EOS: u64 = u64::MAX;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MsgKind {
-    Data,
-    Dummy,
-    Eos,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Msg {
-    seq: u64,
-    kind: MsgKind,
-}
-
-struct ModelNode {
-    /// Dummy thresholds per output channel (`u64::MAX` = infinite).
-    threshold: Vec<u64>,
-    /// Gap counters per output channel (accepted inputs since last send).
-    gap: Vec<u64>,
-    pending: VecDeque<(EdgeId, Msg)>,
-    is_source: bool,
-    next_seq: u64,
-    eos_queued: bool,
-    done: bool,
-}
-
-/// The emission oracle of one model-check run: `(node, seq, output slot,
-/// out-degree) → emits data?`.
-type EmitFn<'a> = &'a dyn Fn(NodeId, u64, usize, usize) -> bool;
-
-/// A deterministic replica of the reference engine
-/// (`fila_runtime::Simulator`, worklist scheduler) over a declarative
-/// emission oracle (the periodic convention `(s + j) % p == 0`, or one of
-/// the adversarial patterns).  The dummy-gap accounting is the runtime
-/// `DummyWrapper`'s (per accepted input, with the default `OnFilterOnly`
-/// Propagation trigger).  `tests/certification.rs` property-tests this
-/// replica against the real engine.
+/// One bounded run of the scalar model ([`crate::model::Engine`], worklist
+/// scheduler, default `OnFilterOnly` Propagation trigger — exactly what
+/// `fila_runtime::Simulator` drives) with a declarative firing rule in
+/// place of node behaviours: `emits(node, seq, output slot, out-degree)`
+/// says whether a data-bearing acceptance sends data on that slot.
 fn model_check(
     g: &Graph,
-    plan: &AvoidancePlan,
-    emit: EmitFn<'_>,
+    mode: &AvoidanceMode,
+    emits: impl Fn(NodeId, u64, usize, usize) -> bool,
     inputs: u64,
     max_steps: u64,
 ) -> ModelOutcome {
-    let algorithm = plan.algorithm();
-    let mut nodes: Vec<ModelNode> = g
-        .node_ids()
-        .map(|n| {
-            let out = g.out_edges(n);
-            ModelNode {
-                threshold: out
-                    .iter()
-                    .map(|&e| plan.interval(e).finite().unwrap_or(u64::MAX))
-                    .collect(),
-                gap: vec![0; out.len()],
-                pending: VecDeque::new(),
-                is_source: g.in_degree(n) == 0,
-                next_seq: 0,
-                eos_queued: false,
-                done: false,
-            }
-        })
-        .collect();
-    let mut channels: Vec<VecDeque<Msg>> = vec![VecDeque::new(); g.edge_count()];
-    let capacities: Vec<usize> = g.edge_ids().map(|e| g.capacity(e) as usize).collect();
-
-    let mut queue: VecDeque<NodeId> = VecDeque::new();
-    let mut in_queue = vec![false; g.node_count()];
-    for (idx, n) in nodes.iter().enumerate() {
-        if n.is_source {
-            queue.push_back(NodeId::from_raw(idx as u32));
-            in_queue[idx] = true;
+    let mut engine = Engine::new(g, mode, PropagationTrigger::default(), inputs);
+    let mut fire = |node: NodeId, seq: u64, _: &[Option<Payload>], emit: &mut [Option<Payload>]| {
+        let outs = emit.len();
+        for (j, slot) in emit.iter_mut().enumerate() {
+            // The model only tracks *whether* data flows; payloads are inert.
+            *slot = emits(node, seq, j, outs).then_some(0);
         }
-    }
-    let mut filled: Vec<EdgeId> = Vec::new();
-    let mut drained: Vec<EdgeId> = Vec::new();
-    let mut steps = 0u64;
-
-    while let Some(node) = queue.pop_front() {
-        in_queue[node.index()] = false;
-        if steps >= max_steps {
-            return ModelOutcome { completed: false, deadlocked: false, steps };
-        }
-        if !step_node(
-            g, algorithm, emit, inputs, node, &mut nodes, &mut channels, &capacities,
-            &mut filled, &mut drained,
-        ) {
-            continue;
-        }
-        steps += 1;
-        if !nodes[node.index()].done && !in_queue[node.index()] {
-            in_queue[node.index()] = true;
-            queue.push_back(node);
-        }
-        while let Some(e) = filled.pop() {
-            let consumer = g.head(e);
-            if !in_queue[consumer.index()] && !nodes[consumer.index()].done {
-                in_queue[consumer.index()] = true;
-                queue.push_back(consumer);
-            }
-        }
-        while let Some(e) = drained.pop() {
-            let producer = g.tail(e);
-            if !in_queue[producer.index()] && !nodes[producer.index()].done {
-                in_queue[producer.index()] = true;
-                queue.push_back(producer);
-            }
-        }
-    }
-    let completed = nodes.iter().all(|n| n.done);
+    };
+    let halt = engine.run_worklist(&mut fire, max_steps, false);
     ModelOutcome {
-        completed,
-        deadlocked: !completed,
-        steps,
-    }
-}
-
-/// The `DummyWrapper::on_accept` gap rule for one accepted sequence number,
-/// queueing data and dummy messages on the node's pending ports.
-#[allow(clippy::too_many_arguments)]
-fn accept(
-    g: &Graph,
-    algorithm: Algorithm,
-    emit: EmitFn<'_>,
-    node_id: NodeId,
-    node: &mut ModelNode,
-    seq: u64,
-    fired_with_data: bool,
-    consumed_dummy: bool,
-) {
-    let outs = g.out_degree(node_id);
-    for (j, &e) in g.out_edges(node_id).iter().enumerate() {
-        let sent = fired_with_data && emit(node_id, seq, j, outs);
-        if sent {
-            node.pending.push_back((e, Msg { seq, kind: MsgKind::Data }));
-        }
-        let dummy = match algorithm {
-            Algorithm::Propagation => {
-                if consumed_dummy && !sent {
-                    node.gap[j] = 0;
-                    true
-                } else if sent {
-                    node.gap[j] = 0;
-                    false
-                } else {
-                    node.gap[j] += 1;
-                    if node.gap[j] >= node.threshold[j] {
-                        node.gap[j] = 0;
-                        true
-                    } else {
-                        false
-                    }
-                }
-            }
-            Algorithm::NonPropagation => {
-                if sent {
-                    node.gap[j] = 0;
-                    false
-                } else {
-                    node.gap[j] += 1;
-                    if node.gap[j] >= node.threshold[j] {
-                        node.gap[j] = 0;
-                        true
-                    } else {
-                        false
-                    }
-                }
-            }
-        };
-        if dummy {
-            node.pending.push_back((e, Msg { seq, kind: MsgKind::Dummy }));
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn step_node(
-    g: &Graph,
-    algorithm: Algorithm,
-    emit: EmitFn<'_>,
-    inputs: u64,
-    node_id: NodeId,
-    nodes: &mut [ModelNode],
-    channels: &mut [VecDeque<Msg>],
-    capacities: &[usize],
-    filled: &mut Vec<EdgeId>,
-    drained: &mut Vec<EdgeId>,
-) -> bool {
-    let idx = node_id.index();
-    if flush_pending(node_id, nodes, channels, capacities, filled) {
-        return true;
-    }
-    if !nodes[idx].pending.is_empty() || nodes[idx].done {
-        return false;
-    }
-    if nodes[idx].is_source {
-        if nodes[idx].next_seq < inputs {
-            let seq = nodes[idx].next_seq;
-            nodes[idx].next_seq += 1;
-            accept(g, algorithm, emit, node_id, &mut nodes[idx], seq, true, false);
-            flush_pending(node_id, nodes, channels, capacities, filled);
-            return true;
-        }
-        if !nodes[idx].eos_queued {
-            nodes[idx].eos_queued = true;
-            for &e in g.out_edges(node_id) {
-                nodes[idx].pending.push_back((e, Msg { seq: EOS, kind: MsgKind::Eos }));
-            }
-            flush_pending(node_id, nodes, channels, capacities, filled);
-            mark_done_if_drained(&mut nodes[idx]);
-            return true;
-        }
-        mark_done_if_drained(&mut nodes[idx]);
-        return false;
-    }
-
-    let in_edges = g.in_edges(node_id);
-    if in_edges.iter().any(|&e| channels[e.index()].is_empty()) {
-        return false;
-    }
-    let accept_seq = in_edges
-        .iter()
-        .map(|&e| channels[e.index()].front().expect("non-empty").seq)
-        .min()
-        .expect("interior nodes have inputs");
-    if accept_seq == EOS {
-        for &e in g.out_edges(node_id) {
-            nodes[idx].pending.push_back((e, Msg { seq: EOS, kind: MsgKind::Eos }));
-        }
-        nodes[idx].eos_queued = true;
-        flush_pending(node_id, nodes, channels, capacities, filled);
-        mark_done_if_drained(&mut nodes[idx]);
-        return true;
-    }
-    let mut consumed_data = false;
-    let mut consumed_dummy = false;
-    for &e in in_edges {
-        let channel = &mut channels[e.index()];
-        if channel.front().expect("non-empty").seq != accept_seq {
-            continue;
-        }
-        let was_full = channel.len() >= capacities[e.index()];
-        match channel.pop_front().expect("non-empty").kind {
-            MsgKind::Data => consumed_data = true,
-            MsgKind::Dummy => consumed_dummy = true,
-            MsgKind::Eos => unreachable!("EOS has the maximal sequence number"),
-        }
-        if was_full {
-            drained.push(e);
-        }
-    }
-    accept(
-        g,
-        algorithm,
-        emit,
-        node_id,
-        &mut nodes[idx],
-        accept_seq,
-        consumed_data,
-        consumed_dummy,
-    );
-    flush_pending(node_id, nodes, channels, capacities, filled);
-    mark_done_if_drained(&mut nodes[idx]);
-    true
-}
-
-/// Delivers pending outputs FIFO per channel; independent ports (a full
-/// channel never delays a message for a different channel), exactly like
-/// the reference engine.
-fn flush_pending(
-    node_id: NodeId,
-    nodes: &mut [ModelNode],
-    channels: &mut [VecDeque<Msg>],
-    capacities: &[usize],
-    filled: &mut Vec<EdgeId>,
-) -> bool {
-    let node = &mut nodes[node_id.index()];
-    let mut delivered = false;
-    let mut blocked: Vec<EdgeId> = Vec::new();
-    let mut i = 0;
-    while i < node.pending.len() {
-        let (edge, msg) = node.pending[i];
-        if blocked.contains(&edge) {
-            i += 1;
-            continue;
-        }
-        let channel = &mut channels[edge.index()];
-        if channel.len() >= capacities[edge.index()] {
-            blocked.push(edge);
-            i += 1;
-            continue;
-        }
-        if channel.is_empty() {
-            filled.push(edge);
-        }
-        channel.push_back(msg);
-        node.pending.remove(i);
-        delivered = true;
-    }
-    if delivered {
-        mark_done_if_drained(node);
-    }
-    delivered
-}
-
-fn mark_done_if_drained(node: &mut ModelNode) {
-    if node.eos_queued && node.pending.is_empty() {
-        node.done = true;
+        completed: halt == Halt::Completed,
+        deadlocked: halt == Halt::Deadlocked,
+        steps: engine.steps,
     }
 }
 

@@ -5,9 +5,7 @@
 //! Every simulator workload is measured under both schedulers so the
 //! speedup of the event-driven worklist over the `O(V)`-per-step reference
 //! scan is read directly off one run.  The pooled work-stealing engine is
-//! swept over worker counts × node counts × filter rates (E15), with the
-//! thread-per-node engine measured on the same workload where it can still
-//! run at all (one OS thread per node bounds how far it scales).
+//! swept over worker counts × node counts × filter rates (E15).
 //!
 //! Set `FILA_BENCH_FAST=1` to run a tiny smoke configuration (used by CI to
 //! catch bench rot), and `FILA_BENCH_JSON=<path>` to emit the
@@ -17,8 +15,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fila_avoidance::{Algorithm, Planner};
 use fila_graph::Graph;
 use fila_runtime::{
-    Batching, JobVerdict, PoolOptions, PooledExecutor, Scheduler, SharedPool, Simulator, ThreadedExecutor,
-    Topology,
+    Batching, JobVerdict, PoolOptions, PooledExecutor, Scheduler, SharedPool, Simulator, Topology,
 };
 use fila_service::{JobService, JobSpec, ServiceConfig};
 use fila_workloads::generators::{
@@ -185,47 +182,9 @@ fn bench_ladder(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_threaded(c: &mut Criterion) {
-    let mut group = c.benchmark_group("throughput_threaded");
-    group.sample_size(if fast() { 2 } else { 10 });
-    let rungs = 16;
-    let inputs = if fast() { 200 } else { 2000 };
-    let g = random_ladder(&LadderConfig {
-        rungs,
-        capacity_range: (2, 8),
-        reverse_probability: 0.3,
-        seed: 0x1ADD,
-    });
-    let plan = Arc::new(
-        Planner::new(&g)
-            .algorithm(Algorithm::NonPropagation)
-            .plan()
-            .unwrap(),
-    );
-    for &rate in &[1u64, 16] {
-        let topo = fork_filtered_topology(&g, rate);
-        group.bench_with_input(
-            BenchmarkId::new(format!("rungs{rungs}"), format!("rate{rate}")),
-            &rate,
-            |b, _| {
-                b.iter(|| {
-                    let report = ThreadedExecutor::new(&topo)
-                        .with_shared_plan(Arc::clone(&plan))
-                        .run(inputs);
-                    assert!(report.completed, "{report:?}");
-                    black_box(report.data_messages + report.dummy_messages)
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 /// The E15 scaling sweep: the pooled work-stealing engine over worker
 /// counts × pipeline sizes × filter rates, with the exact-verdict simulator
-/// as the single-threaded baseline and the thread-per-node engine measured
-/// on the sizes it can still reach (spawning thousands of OS threads per
-/// run stops being meaningful long before 16 k nodes).
+/// as the single-threaded baseline.
 ///
 /// The pipeline is declared anti-topologically (ids against the flow), the
 /// adversarial order for id-driven scheduling; the concurrent engines are
@@ -236,8 +195,6 @@ fn bench_pooled_scaling(c: &mut Criterion) {
     let sizes: &[usize] = if fast() { &[64] } else { &[1024, 4096, 16384] };
     let worker_counts: &[usize] = if fast() { &[2] } else { &[1, 2, 4, 8] };
     let rates: &[u64] = if fast() { &[4] } else { &[1, 4] };
-    // Node counts where the thread-per-node engine is still worth spawning.
-    let threaded_sizes: &[usize] = if fast() { &[64] } else { &[1024] };
     let inputs = 32;
     for &n in sizes {
         let g = pipeline(n, true);
@@ -262,19 +219,6 @@ fn bench_pooled_scaling(c: &mut Criterion) {
                         b.iter(|| {
                             let report =
                                 PooledExecutor::new(&topo).workers(workers).run(inputs);
-                            assert!(report.completed, "{report:?}");
-                            black_box(report.total_messages())
-                        })
-                    },
-                );
-            }
-            if threaded_sizes.contains(&n) {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("threaded/rate{rate}/nodes"), n),
-                    &n,
-                    |b, _| {
-                        b.iter(|| {
-                            let report = ThreadedExecutor::new(&topo).run(inputs);
                             assert!(report.completed, "{report:?}");
                             black_box(report.total_messages())
                         })
@@ -439,7 +383,7 @@ fn process_cpu_ns() -> Option<u64> {
 /// the scan scheduler needs a full unproductive sweep over all nodes, the
 /// worklist simply runs its ready queue dry, and the pooled engine parks
 /// its pool — all three verdicts are exact (no quiet-period timeout is
-/// involved, in contrast to the threaded engine's watchdog).
+/// involved).
 fn bench_deadlock_detection(c: &mut Criterion) {
     let mut group = c.benchmark_group("throughput_deadlock");
     group.sample_size(if fast() { 3 } else { 10 });
@@ -960,7 +904,6 @@ criterion_group!(
     bench_pipeline,
     bench_wide_sp,
     bench_ladder,
-    bench_threaded,
     bench_pooled_scaling,
     bench_telemetry_overhead,
     bench_deadlock_detection,

@@ -13,27 +13,24 @@
 //! algorithms — as wrappers around the user's node behaviours, plus two
 //! execution engines:
 //!
-//! * [`Simulator`] — a deterministic, single-threaded discrete-event
-//!   executor with *exact* deadlock detection (it knows precisely when no
-//!   node can make progress), used by the tests and benchmarks;
+//! * [`Simulator`] — a deterministic, single-threaded driver of the scalar
+//!   model ([`fila_avoidance::model`], where the firing rule, the messages
+//!   and the dummy wrapper are defined once and re-exported here as
+//!   [`message`] and [`wrapper`]) with *exact* deadlock detection, used as
+//!   the reference by the tests and benchmarks;
 //! * [`SharedPool`] — the scalable concurrent engine: a *long-lived*
 //!   locality-first work-stealing pool drives every node as a cooperatively
 //!   scheduled task over lock-free SPSC rings ([`spsc`]); the node-tasks of
 //!   many independent jobs coexist on it, with exact per-job
 //!   completion/deadlock verdicts decided by per-job quiescence (no global
-//!   idleness needed);
-//! * [`PooledExecutor`] — the same engine for one run: a builder-style
-//!   facade that spawns a pool, runs one topology to its report and tears
-//!   the pool down;
-//! * [`ThreadedExecutor`] — one OS thread per node over the same rings,
-//!   parked/unparked per channel, with a progress watchdog for deadlock
-//!   detection; kept as the simplest possible concurrent engine.
+//!   idleness needed).  [`PooledExecutor`] is the same engine for one run:
+//!   a builder-style facade that spawns a pool, runs one topology to its
+//!   report and tears the pool down.
 //!
 //! The deliberate pairing lets every experiment be run both exactly and
-//! under real concurrency: the simulator is the reference both concurrent
-//! engines are checked against (a property test pins the pool to the
-//! simulator's verdicts and per-edge counts; unit tests cross-check the
-//! two concurrent engines' data counts against each other).
+//! under real concurrency: the pool's batched run loops are the one other
+//! implementation of the firing rule, and a property test pins them to the
+//! simulator's verdicts and per-edge counts.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -42,7 +39,6 @@ pub mod checkpoint;
 pub mod container;
 pub mod faults;
 pub mod filters;
-pub mod message;
 pub mod node;
 pub mod pooled;
 pub mod report;
@@ -52,9 +48,9 @@ pub mod simulator;
 pub mod spsc;
 mod task;
 pub mod telemetry;
-pub mod threaded;
 pub mod topology;
-pub mod wrapper;
+
+pub use fila_avoidance::model::{message, wrapper};
 
 pub use checkpoint::{
     CheckpointOutcome, JobSnapshot, NodeSnapshot, RestoreError, SnapshotError, SpliceDivergence,
@@ -74,6 +70,5 @@ pub use simulator::{Scheduler, Simulator};
 pub use telemetry::{
     chrome_trace, EventKind, JobTimeline, SchedCounter, TelemetryHandle, TraceEvent,
 };
-pub use threaded::ThreadedExecutor;
 pub use topology::{BehaviorFactory, Topology};
 pub use wrapper::{AvoidanceMode, DummyWrapper, PropagationTrigger, RunDummies};

@@ -1,11 +1,11 @@
 //! The pooled engine for **one** run: a facade over [`crate::SharedPool`].
 //!
-//! [`crate::ThreadedExecutor`] devotes one OS thread to every node, which
-//! caps it at a few thousand nodes (and leaves most of those threads blocked
-//! in the kernel at any instant).  The pool decouples *workers* from
-//! *operators* the way shared-memory streaming engines do: `N` workers
-//! (default [`std::thread::available_parallelism`]) drive every node as a
-//! cooperatively scheduled task.  `PooledExecutor` is the builder-style,
+//! One OS thread per node caps an engine at a few thousand nodes (and leaves
+//! most of those threads blocked in the kernel at any instant).  The pool
+//! decouples *workers* from *operators* the way shared-memory streaming
+//! engines do: `N` workers (default [`std::thread::available_parallelism`])
+//! drive every node as a cooperatively scheduled task.  `PooledExecutor` is
+//! the builder-style,
 //! run-to-a-report front of that engine: [`PooledExecutor::run`] spawns a
 //! [`SharedPool`], submits the topology as its only job, waits for the
 //! verdict and tears the pool down.  Scheduling, wakeups and the run loops
@@ -17,9 +17,8 @@
 //! progress is queued, running, or has a waiting flag registered on the
 //! channel that will next enable it, so the job's active-task count
 //! reaching zero with unfinished nodes **is** a deadlock — the same "ready
-//! set empty" argument as the simulator, exact and immediate.  No
-//! quiet-period watchdog is involved (contrast with the threaded engine,
-//! where deadlock can only be inferred from prolonged silence).
+//! set empty" argument as the simulator, exact and immediate; no
+//! quiet-period watchdog is involved.
 //!
 //! The per-node semantics (acceptance rule, dummy wrappers, per-channel
 //! independent delivery) are identical to [`crate::Simulator`]'s, and a

@@ -22,7 +22,7 @@ pub struct BlockedInfo {
     pub reason: BlockedReason,
 }
 
-/// Summary of one execution (simulated or threaded).
+/// Summary of one execution (simulated or pooled).
 #[derive(Debug, Clone, Default)]
 pub struct ExecutionReport {
     /// True if every node reached end-of-stream.
@@ -49,7 +49,7 @@ pub struct ExecutionReport {
     /// `FilterSpec`.  Maintained by every engine from counters the tasks
     /// already kept, so the cost is one `Vec` per report, not per firing.
     pub per_node_firings: Vec<u64>,
-    /// Scheduler steps (simulator) or total firings (threaded engine).
+    /// Scheduler steps (simulator) or total firings (pooled engine).
     pub steps: u64,
     /// Nodes that were blocked when the run stopped (empty on completion).
     pub blocked: Vec<BlockedInfo>,

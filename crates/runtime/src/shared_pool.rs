@@ -88,15 +88,10 @@ use crate::faults::{FaultArm, FaultPlan};
 use crate::message::Message;
 use crate::report::{BlockedReason, ExecutionReport};
 use crate::sched::{lock, Local, Scheduler};
-use crate::task::{self, Outcome};
+use crate::task::{self, Outcome, Task};
 use crate::telemetry::{EventKind, TelemetryHandle, CONTROL_LANE};
 use crate::topology::Topology;
 use crate::wrapper::{AvoidanceMode, PropagationTrigger};
-
-/// The pool always drives container-typed tasks; `Batching::Scalar` maps to
-/// a per-container limit of one message, which the equivalence property
-/// tests pin to the scalar engines' behaviour.
-type Task = task::Task<Batch>;
 
 /// Task scheduling states (one `AtomicU8` per node per job).
 const IDLE: u8 = 0;
@@ -378,7 +373,7 @@ struct JobSnapSink<'a> {
     worker: usize,
 }
 
-impl task::SnapSink<Batch> for JobSnapSink<'_> {
+impl task::SnapSink for JobSnapSink<'_> {
     fn pending(&self) -> u64 {
         self.job.snap_pending.load(Ordering::Acquire)
     }

@@ -1,48 +1,45 @@
 //! A deterministic, single-threaded executor with exact deadlock detection.
 //!
-//! The simulator advances one node at a time.  Two schedulers are available:
+//! The simulator is a driver of the scalar model
+//! ([`fila_avoidance::model::Engine`]): the model owns the firing rule — the
+//! per-node step, pending-output delivery and both schedulers — and this
+//! module adds what a *run of an application* needs around it: the node
+//! behaviours (the model's firing decision is [`NodeBehavior::fire_into`]),
+//! the [`ExecutionReport`] with its blocked-node diagnosis, and checkpoint
+//! capture/resume.
 //!
-//! * [`Scheduler::Worklist`] (the default) — an event-driven ready queue
-//!   seeded with the source nodes.  Firing a node re-enqueues only the nodes
-//!   its action could have unblocked: the consumers of channels it made
-//!   non-empty and the producers of channels it made non-full.  Per-step
-//!   cost is therefore proportional to the fired node's degree, and deadlock
-//!   is detected exactly as "ready queue empty but not every node finished"
-//!   — no sweep over the whole graph is ever needed.
-//! * [`Scheduler::Scan`] — the original reference scheduler, which
-//!   repeatedly round-robins over *every* node looking for one that can make
-//!   progress and declares deadlock after a full unproductive pass.  It is
-//!   `O(V)` per step and kept as the executable specification the worklist
-//!   scheduler is property-tested against.
+//! * [`Scheduler::Worklist`] (the default) — the model's event-driven ready
+//!   queue: per-step cost proportional to the fired node's degree, deadlock
+//!   detected exactly as "ready queue empty but not every node finished".
+//! * [`Scheduler::Scan`] — the model's round-robin scan: `O(V)` per step,
+//!   deadlock after a full unproductive pass.  It is the executable
+//!   specification; the worklist is property-tested against it, and every
+//!   other engine against the worklist.
 //!
-//! Both schedulers run the same per-node `step` function, so they execute
-//! the same Kahn-style deterministic semantics and produce identical message
-//! counts, completion, and deadlock verdicts (the equivalence is enforced by
-//! a property test over generated topologies).  When no node can progress
-//! and not every node has reached end-of-stream, the run is *deadlocked* —
-//! exactly the condition the paper's avoidance machinery is designed to
-//! prevent — and the report records which node is blocked on which channel.
+//! Both run the same step, so they produce identical message counts,
+//! completion and deadlock verdicts.  When no node can progress and not
+//! every node has reached end-of-stream, the run is *deadlocked* — exactly
+//! the condition the paper's avoidance machinery is designed to prevent —
+//! and the report records which node is blocked on which channel.
 //!
 //! Determinism makes the simulator the reference engine for the tests and
-//! benchmarks; the multi-threaded engine ([`crate::ThreadedExecutor`])
-//! exercises the same wrapper logic under real concurrency.
+//! benchmarks; the pooled engine ([`crate::SharedPool`]) runs the same rule
+//! under real concurrency.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
+use fila_avoidance::model::{Engine, Halt};
 use fila_avoidance::AvoidancePlan;
 use fila_graph::fingerprint::labeled_fingerprint;
-use fila_graph::{EdgeId, Graph, NodeId};
+use fila_graph::{EdgeId, NodeId};
 
 use crate::checkpoint::{
     self, CheckpointOutcome, JobSnapshot, NodeSnapshot, RestoreError, SNAPSHOT_VERSION,
 };
-use crate::container::Batching;
-use crate::message::{Message, Payload};
-use crate::node::{FireDecision, FireInput};
+use crate::node::{FireInput, NodeBehavior};
 use crate::report::{BlockedInfo, BlockedReason, ExecutionReport};
 use crate::topology::Topology;
-use crate::wrapper::{AvoidanceMode, DummyWrapper, PropagationTrigger};
+use crate::wrapper::{AvoidanceMode, PropagationTrigger};
 
 /// Which scheduling strategy [`Simulator`] uses to pick the next node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -62,7 +59,6 @@ pub struct Simulator<'t> {
     trigger: PropagationTrigger,
     scheduler: Scheduler,
     max_steps: u64,
-    batching: Batching,
 }
 
 impl<'t> Simulator<'t> {
@@ -74,7 +70,6 @@ impl<'t> Simulator<'t> {
             trigger: PropagationTrigger::default(),
             scheduler: Scheduler::default(),
             max_steps: u64::MAX,
-            batching: Batching::Scalar,
         }
     }
 
@@ -118,30 +113,13 @@ impl<'t> Simulator<'t> {
         self
     }
 
-    /// Selects the batching mode: under [`Batching::Messages`] /
-    /// [`Batching::Unbounded`] the worklist scheduler drains up to that many
-    /// consecutive steps from a popped node before moving on, consuming
-    /// message runs in place of single messages.  The default is
-    /// [`Batching::Scalar`] — the simulator is the reference engine the
-    /// batched pools are pinned against, and by the model's confluence every
-    /// mode yields identical verdicts and counts (see
-    /// `tests/engine_equivalence.rs`).
-    pub fn batching(mut self, batching: Batching) -> Self {
-        self.batching = batching;
-        self
-    }
-
     /// Runs the application, offering `inputs` sequence numbers at every
     /// source node, and returns the execution report.
     pub fn run(&self, inputs: u64) -> ExecutionReport {
         let started = std::time::Instant::now();
-        let run = Run::new(self.topology, &self.mode, self.trigger, inputs, self.batching);
-        let mut report = match self.scheduler {
-            Scheduler::Worklist => run.execute_worklist(self.max_steps),
-            Scheduler::Scan => run.execute_scan(self.max_steps),
-        };
-        report.wall = started.elapsed();
-        report
+        let mut run = Run::new(self, inputs);
+        let halt = run.drive(self.scheduler, self.max_steps, false);
+        run.report(halt, started)
     }
 
     /// Runs like [`Simulator::run`], but kills the run as soon as `kill_at`
@@ -153,18 +131,16 @@ impl<'t> Simulator<'t> {
     /// scheduler (the kill step indexes its step sequence).
     pub fn run_with_checkpoint(&self, inputs: u64, kill_at: u64) -> CheckpointOutcome {
         let started = std::time::Instant::now();
-        let run = Run::new(self.topology, &self.mode, self.trigger, inputs, self.batching);
-        match run.worklist_until(self.max_steps, false, kill_at) {
-            WorklistEnd::Report(mut report) => {
-                report.wall = started.elapsed();
-                CheckpointOutcome::Finished(report)
-            }
-            WorklistEnd::Killed(run) => CheckpointOutcome::Killed(Box::new(run.capture(
+        let mut run = Run::new(self, inputs);
+        let halt = run.drive(Scheduler::Worklist, kill_at.min(self.max_steps), false);
+        if halt == Halt::StepBound && run.engine.steps >= kill_at {
+            return CheckpointOutcome::Killed(Box::new(run.capture(
                 labeled_fingerprint(self.topology.graph()),
                 checkpoint::plan_digest(&self.mode),
                 checkpoint::trigger_code(self.trigger),
-            ))),
+            )));
         }
+        CheckpointOutcome::Finished(run.report(halt, started))
     }
 
     /// Resumes a killed run from its snapshot and drives it to a verdict.
@@ -180,18 +156,17 @@ impl<'t> Simulator<'t> {
     pub fn resume(&self, snapshot: &JobSnapshot) -> Result<ExecutionReport, RestoreError> {
         let started = std::time::Instant::now();
         snapshot.validate_for(self.topology, &self.mode, self.trigger)?;
-        let mut run = Run::new(self.topology, &self.mode, self.trigger, snapshot.inputs, self.batching);
-        for (channel, contents) in run.channels.iter_mut().zip(&snapshot.channels) {
+        let mut run = Run::new(self, snapshot.inputs);
+        run.resumed_from = Some(snapshot.steps);
+        let engine = &mut run.engine;
+        for (channel, contents) in engine.channels.iter_mut().zip(&snapshot.channels) {
             *channel = contents.iter().copied().collect();
         }
-        run.report.steps = snapshot.steps;
-        run.report.sink_firings = snapshot.sink_firings;
-        run.report.per_edge_data = snapshot.per_edge_data.clone();
-        run.report.per_edge_dummies = snapshot.per_edge_dummies.clone();
-        run.report.data_messages = snapshot.per_edge_data.iter().sum();
-        run.report.dummy_messages = snapshot.per_edge_dummies.iter().sum();
-        run.report.resumed_from = Some(snapshot.steps);
-        for (state, ns) in run.nodes.iter_mut().zip(&snapshot.nodes) {
+        engine.steps = snapshot.steps;
+        engine.sink_firings = snapshot.sink_firings;
+        engine.per_edge_data.clone_from(&snapshot.per_edge_data);
+        engine.per_edge_dummies.clone_from(&snapshot.per_edge_dummies);
+        for (state, ns) in engine.nodes.iter_mut().zip(&snapshot.nodes) {
             state.next_source_seq = ns.next_source_seq;
             state.eos_queued = ns.eos_queued;
             state.done = ns.done;
@@ -206,200 +181,36 @@ impl<'t> Simulator<'t> {
         }
         // Seed every unfinished node: unlike a fresh run, restored interior
         // nodes may already hold consumable channel contents.
-        let mut report = match run.worklist_until(self.max_steps, true, u64::MAX) {
-            WorklistEnd::Report(report) => report,
-            WorklistEnd::Killed(_) => unreachable!("kill step is never set for resumed runs"),
-        };
-        report.wall = started.elapsed();
-        Ok(report)
+        let halt = run.drive(Scheduler::Worklist, self.max_steps, true);
+        Ok(run.report(halt, started))
     }
 }
 
-struct NodeState {
-    behavior: Box<dyn crate::node::NodeBehavior>,
-    wrapper: DummyWrapper,
-    pending: VecDeque<(EdgeId, Message)>,
-    is_source: bool,
-    next_source_seq: u64,
-    eos_queued: bool,
-    done: bool,
-    /// Behaviour firings (source emissions + data acceptances), mirroring
-    /// the pooled engines' per-task counter so snapshots carry the same
-    /// per-node progress regardless of which engine captured them.
-    firings: u64,
-    sink_firings: u64,
-}
-
-/// How a worklist execution ended: with a verdict, or killed mid-run with
-/// the whole [`Run`] handed back for checkpointing.
-enum WorklistEnd<'t> {
-    Report(ExecutionReport),
-    Killed(Box<Run<'t>>),
-}
-
+/// One run: the model state plus what the application adds to it.
 struct Run<'t> {
-    topology: &'t Topology,
-    inputs: u64,
-    channels: Vec<VecDeque<Message>>,
-    capacities: Vec<usize>,
-    nodes: Vec<NodeState>,
-    report: ExecutionReport,
-    /// Consecutive steps the worklist scheduler drains from a popped node
-    /// (1 = scalar; see [`Simulator::batching`]).
-    batch_limit: u64,
-    /// Reusable per-firing scratch: consumed payloads per input channel.
-    data_in: Vec<Option<Payload>>,
-    /// Reusable scratch for [`Run::flush_pending`]'s full-channel set.
-    blocked_scratch: Vec<EdgeId>,
-    /// Channels that became non-empty during the current step (their
-    /// consumers may have been unblocked).
-    filled: Vec<EdgeId>,
-    /// Channels that went from full to non-full during the current step
-    /// (their producers may have been unblocked).
-    drained: Vec<EdgeId>,
+    engine: Engine<'t>,
+    behaviors: Vec<Box<dyn NodeBehavior>>,
+    resumed_from: Option<u64>,
 }
 
 impl<'t> Run<'t> {
-    fn new(
-        topology: &'t Topology,
-        mode: &AvoidanceMode,
-        trigger: PropagationTrigger,
-        inputs: u64,
-        batching: Batching,
-    ) -> Self {
-        let g = topology.graph();
-        let channels = vec![VecDeque::new(); g.edge_count()];
-        let capacities = g
-            .edge_ids()
-            .map(|e| g.capacity(e) as usize)
-            .collect::<Vec<_>>();
-        let nodes = g
-            .node_ids()
-            .zip(topology.build_behaviors())
-            .map(|(n, behavior)| NodeState {
-                behavior,
-                wrapper: DummyWrapper::with_trigger(g, n, mode, trigger),
-                pending: VecDeque::new(),
-                is_source: g.in_degree(n) == 0,
-                next_source_seq: 0,
-                eos_queued: false,
-                done: false,
-                firings: 0,
-                sink_firings: 0,
-            })
-            .collect();
-        let report = ExecutionReport {
-            inputs_offered: inputs,
-            per_edge_data: vec![0; g.edge_count()],
-            per_edge_dummies: vec![0; g.edge_count()],
-            ..Default::default()
-        };
+    fn new(sim: &Simulator<'t>, inputs: u64) -> Self {
         Run {
-            topology,
-            inputs,
-            batch_limit: (batching.limit() as u64).max(1),
-            channels,
-            capacities,
-            nodes,
-            report,
-            data_in: Vec::new(),
-            blocked_scratch: Vec::new(),
-            filled: Vec::new(),
-            drained: Vec::new(),
+            engine: Engine::new(sim.topology.graph(), &sim.mode, sim.trigger, inputs),
+            behaviors: sim.topology.build_behaviors(),
+            resumed_from: None,
         }
     }
 
-    /// The application graph, free of the borrow on `self` (the topology
-    /// reference outlives the run, so graph-shape queries can be interleaved
-    /// with mutable access to channels and node states without copying edge
-    /// lists).
-    fn graph(&self) -> &'t Graph {
-        self.topology.graph()
-    }
-
-    /// Event-driven scheduler: a ready queue (plus an in-queue bitset)
-    /// seeded with the sources.  Invariant: any node that may be able to
-    /// make progress is in the queue, so an empty queue with unfinished
-    /// nodes is exactly a deadlock.
-    fn execute_worklist(self, max_steps: u64) -> ExecutionReport {
-        match self.worklist_until(max_steps, false, u64::MAX) {
-            WorklistEnd::Report(report) => report,
-            WorklistEnd::Killed(_) => unreachable!("kill step is never set for plain runs"),
-        }
-    }
-
-    /// The worklist scheduler body, parameterised for checkpoint/restore:
-    /// `seed_all` seeds every unfinished node instead of only the sources
-    /// (restored runs may hold consumable channel contents anywhere), and
-    /// the run is killed — handing back the whole `Run` for state capture —
-    /// once `kill_at` steps have executed (`u64::MAX` = never).
-    fn worklist_until(mut self, max_steps: u64, seed_all: bool, kill_at: u64) -> WorklistEnd<'t> {
-        let g = self.graph();
-        let node_count = g.node_count();
-        let mut queue: VecDeque<NodeId> = VecDeque::with_capacity(node_count);
-        let mut in_queue = vec![false; node_count];
-        // A fresh run's channels all start empty, so only the sources can
-        // make the first move; everything else is woken by channel events.
-        for (idx, state) in self.nodes.iter().enumerate() {
-            if (state.is_source || seed_all) && !state.done {
-                queue.push_back(NodeId::from_raw(idx as u32));
-                in_queue[idx] = true;
-            }
-        }
-        while let Some(node) = queue.pop_front() {
-            in_queue[node.index()] = false;
-            // Batching drains up to `batch_limit` consecutive steps from
-            // the popped node before the ready queue moves on (run-at-a-time
-            // consumption; scalar mode is a limit of one).
-            let mut stepped = 0;
-            while stepped < self.batch_limit {
-                if self.report.steps >= kill_at {
-                    return WorklistEnd::Killed(Box::new(self));
-                }
-                if self.report.steps >= max_steps {
-                    return WorklistEnd::Report(self.finish(false, false));
-                }
-                if !self.step(node) {
-                    break;
-                }
-                self.report.steps += 1;
-                stepped += 1;
-                if self.nodes[node.index()].done {
-                    break;
-                }
-            }
-            if stepped == 0 {
-                // A node that could not progress recorded no channel events
-                // and is woken again only by one.
-                debug_assert!(self.filled.is_empty() && self.drained.is_empty());
-                continue;
-            }
-            // The fired node may be able to progress again immediately …
-            if !self.nodes[node.index()].done && !in_queue[node.index()] {
-                in_queue[node.index()] = true;
-                queue.push_back(node);
-            }
-            // … and so may the consumers of channels it filled and the
-            // producers of channels it drained.
-            while let Some(e) = self.filled.pop() {
-                let consumer = g.head(e);
-                if !in_queue[consumer.index()] && !self.nodes[consumer.index()].done {
-                    in_queue[consumer.index()] = true;
-                    queue.push_back(consumer);
-                }
-            }
-            while let Some(e) = self.drained.pop() {
-                let producer = g.tail(e);
-                if !in_queue[producer.index()] && !self.nodes[producer.index()].done {
-                    in_queue[producer.index()] = true;
-                    queue.push_back(producer);
-                }
-            }
-        }
-        if self.nodes.iter().all(|s| s.done) {
-            WorklistEnd::Report(self.finish(true, false))
-        } else {
-            WorklistEnd::Report(self.finish(false, true))
+    /// Drives the model with the node behaviours as its firing decision.
+    fn drive(&mut self, scheduler: Scheduler, step_bound: u64, seed_all: bool) -> Halt {
+        let behaviors = &mut self.behaviors;
+        let fire = &mut |node: NodeId, seq, data_in: &[_], emit: &mut [_]| {
+            behaviors[node.index()].fire_into(&FireInput { seq, data_in }, emit)
+        };
+        match scheduler {
+            Scheduler::Worklist => self.engine.run_worklist(fire, step_bound, seed_all),
+            Scheduler::Scan => self.engine.run_scan(fire, step_bound),
         }
     }
 
@@ -407,6 +218,7 @@ impl<'t> Run<'t> {
     /// verbatim: the simulator stops between steps, where any cut is
     /// consistent).
     fn capture(&self, labeled_topology: u64, plan_digest: Option<u64>, trigger: u8) -> JobSnapshot {
+        let engine = &self.engine;
         JobSnapshot {
             version: SNAPSHOT_VERSION,
             labeled_topology,
@@ -414,17 +226,17 @@ impl<'t> Run<'t> {
             filter_signature: None,
             plan_digest,
             trigger,
-            inputs: self.inputs,
-            steps: self.report.steps,
-            sink_firings: self.report.sink_firings,
-            per_edge_data: self.report.per_edge_data.clone(),
-            per_edge_dummies: self.report.per_edge_dummies.clone(),
-            channels: self
+            inputs: engine.inputs,
+            steps: engine.steps,
+            sink_firings: engine.sink_firings,
+            per_edge_data: engine.per_edge_data.clone(),
+            per_edge_dummies: engine.per_edge_dummies.clone(),
+            channels: engine
                 .channels
                 .iter()
                 .map(|c| c.iter().copied().collect())
                 .collect(),
-            nodes: self
+            nodes: engine
                 .nodes
                 .iter()
                 .map(|state| NodeSnapshot {
@@ -444,276 +256,46 @@ impl<'t> Run<'t> {
         }
     }
 
-    /// Reference scheduler: round-robin over every node, declaring deadlock
-    /// after a full pass without progress.  `O(V)` per step; kept as the
-    /// executable specification for [`Run::execute_worklist`].
-    fn execute_scan(mut self, max_steps: u64) -> ExecutionReport {
-        let node_ids: Vec<NodeId> = self.graph().node_ids().collect();
-        loop {
-            let mut progressed = false;
-            for &n in &node_ids {
-                if self.report.steps >= max_steps {
-                    return self.finish(false, false);
-                }
-                if self.step(n) {
-                    progressed = true;
-                    self.report.steps += 1;
-                }
-                // The scan scheduler polls rather than reacting to events.
-                self.filled.clear();
-                self.drained.clear();
-            }
-            if self.nodes.iter().all(|s| s.done) {
-                return self.finish(true, false);
-            }
-            if !progressed {
-                return self.finish(false, true);
-            }
-        }
-    }
-
-    fn finish(mut self, completed: bool, stalled: bool) -> ExecutionReport {
-        self.report.completed = completed;
-        self.report.per_node_firings = self.nodes.iter().map(|s| s.firings).collect();
-        if !completed && stalled {
-            let g = self.graph();
-            let mut blocked = Vec::new();
-            for (idx, state) in self.nodes.iter().enumerate() {
+    /// Assembles the report; a deadlock names, per unfinished node, the full
+    /// channel it cannot send on or else the empty one it waits for.  (A
+    /// run stopped by the step bound is inconclusive and names nothing.)
+    fn report(self, halt: Halt, started: std::time::Instant) -> ExecutionReport {
+        let Run { engine, resumed_from, .. } = self;
+        let mut blocked = Vec::new();
+        if halt == Halt::Deadlocked {
+            for (node, state) in engine.graph().node_ids().zip(&engine.nodes) {
                 if state.done {
                     continue;
                 }
-                let node = NodeId::from_raw(idx as u32);
-                if let Some(&(edge, _)) = state.pending.front() {
-                    blocked.push(BlockedInfo {
-                        node,
-                        reason: BlockedReason::WaitingForSpace(edge),
-                    });
-                } else if let Some(&edge) = g
+                let reason = if let Some(&(edge, _)) = state.pending.front() {
+                    BlockedReason::WaitingForSpace(edge)
+                } else if let Some(&edge) = engine
+                    .graph()
                     .in_edges(node)
                     .iter()
-                    .find(|&&e| self.channels[e.index()].is_empty())
+                    .find(|&&e| engine.channels[e.index()].is_empty())
                 {
-                    blocked.push(BlockedInfo {
-                        node,
-                        reason: BlockedReason::WaitingForInput(edge),
-                    });
-                }
-            }
-            // A stalled run is a deadlock; hitting the step bound instead
-            // leaves the report inconclusive.
-            self.report.deadlocked = true;
-            self.report.blocked = blocked;
-        }
-        self.report
-    }
-
-    /// Attempts to make progress on one node; returns whether it did.
-    ///
-    /// Channels made non-empty or non-full along the way are recorded in
-    /// `self.filled` / `self.drained` for the worklist scheduler.
-    fn step(&mut self, node: NodeId) -> bool {
-        // Phase 1: flush pending outputs (a node blocked on a full channel
-        // cannot do anything else, mirroring a blocking send).
-        if self.flush_pending(node) {
-            return true;
-        }
-        if !self.nodes[node.index()].pending.is_empty() {
-            return false;
-        }
-        if self.nodes[node.index()].done {
-            return false;
-        }
-        let g = self.graph();
-        if self.nodes[node.index()].is_source {
-            return self.step_source(node);
-        }
-
-        // Interior / sink node: can it accept the next sequence number?
-        let in_edges = g.in_edges(node);
-        if in_edges
-            .iter()
-            .any(|&e| self.channels[e.index()].is_empty())
-        {
-            return false;
-        }
-        let accept_seq = in_edges
-            .iter()
-            .map(|&e| self.channels[e.index()].front().expect("non-empty").seq())
-            .min()
-            .expect("nodes reaching here have inputs");
-
-        if accept_seq == u64::MAX {
-            // End of stream on every input.
-            for &e in g.out_edges(node) {
-                self.nodes[node.index()].pending.push_back((e, Message::Eos));
-            }
-            self.nodes[node.index()].eos_queued = true;
-            self.flush_pending(node);
-            self.mark_done_if_drained(node);
-            return true;
-        }
-
-        // Consume every head carrying this sequence number into the
-        // reusable `data_in` scratch buffer.
-        self.data_in.clear();
-        self.data_in.resize(in_edges.len(), None);
-        let mut consumed_dummy = false;
-        for (idx, &e) in in_edges.iter().enumerate() {
-            let channel = &mut self.channels[e.index()];
-            if channel.front().expect("non-empty").seq() != accept_seq {
-                continue;
-            }
-            let was_full = channel.len() >= self.capacities[e.index()];
-            match channel.pop_front().expect("non-empty") {
-                Message::Data { payload, .. } => self.data_in[idx] = Some(payload),
-                Message::Dummy { .. } => consumed_dummy = true,
-                Message::Eos => unreachable!("EOS has maximal sequence number"),
-            }
-            if was_full {
-                self.drained.push(e);
+                    BlockedReason::WaitingForInput(edge)
+                } else {
+                    continue;
+                };
+                blocked.push(BlockedInfo { node, reason });
             }
         }
-
-        if self.data_in.iter().any(Option::is_some) {
-            if g.out_degree(node) == 0 {
-                self.report.sink_firings += 1;
-                self.nodes[node.index()].sink_firings += 1;
-            }
-            self.nodes[node.index()].firings += 1;
-            let decision = self.nodes[node.index()].behavior.fire(&FireInput {
-                seq: accept_seq,
-                data_in: &self.data_in,
-            });
-            self.queue_outputs(node, accept_seq, &decision, consumed_dummy);
-        } else {
-            // Only dummies were consumed: the behaviour is not invoked and
-            // no data is emitted, so skip building a FireDecision entirely.
-            self.queue_dummies_only(node, accept_seq, consumed_dummy);
-        }
-        self.flush_pending(node);
-        self.mark_done_if_drained(node);
-        true
-    }
-
-    fn step_source(&mut self, node: NodeId) -> bool {
-        let g = self.graph();
-        if self.nodes[node.index()].next_source_seq < self.inputs {
-            let state = &mut self.nodes[node.index()];
-            let seq = state.next_source_seq;
-            state.next_source_seq += 1;
-            state.firings += 1;
-            let decision = state.behavior.fire(&FireInput { seq, data_in: &[] });
-            self.queue_outputs(node, seq, &decision, false);
-            self.flush_pending(node);
-            return true;
-        }
-        if !self.nodes[node.index()].eos_queued {
-            self.nodes[node.index()].eos_queued = true;
-            for &e in g.out_edges(node) {
-                self.nodes[node.index()].pending.push_back((e, Message::Eos));
-            }
-            self.flush_pending(node);
-            self.mark_done_if_drained(node);
-            return true;
-        }
-        self.mark_done_if_drained(node);
-        false
-    }
-
-    /// Queues the data and dummy messages produced for one sequence number.
-    fn queue_outputs(
-        &mut self,
-        node: NodeId,
-        seq: u64,
-        decision: &FireDecision,
-        consumed_dummy: bool,
-    ) {
-        let out_edges = self.graph().out_edges(node);
-        debug_assert_eq!(decision.emit.len(), out_edges.len());
-        let state = &mut self.nodes[node.index()];
-        let dummies = state
-            .wrapper
-            .on_accept(consumed_dummy, |i| decision.emit[i].is_some());
-        for (idx, &e) in out_edges.iter().enumerate() {
-            if let Some(payload) = decision.emit[idx] {
-                state.pending.push_back((e, Message::Data { seq, payload }));
-            }
-            if dummies[idx] {
-                // Under the heartbeat trigger a dummy may accompany a data
-                // message with the same sequence number; consumers tolerate
-                // this (the dummy simply carries no new information).
-                state.pending.push_back((e, Message::Dummy { seq }));
-            }
-        }
-    }
-
-    /// Queues the dummies for a sequence number consumed without any data
-    /// (the all-`None` analogue of [`Run::queue_outputs`] that does not
-    /// build a [`FireDecision`]).
-    fn queue_dummies_only(&mut self, node: NodeId, seq: u64, consumed_dummy: bool) {
-        let out_edges = self.graph().out_edges(node);
-        let state = &mut self.nodes[node.index()];
-        let dummies = state.wrapper.on_accept(consumed_dummy, |_| false);
-        for (idx, &e) in out_edges.iter().enumerate() {
-            if dummies[idx] {
-                state.pending.push_back((e, Message::Dummy { seq }));
-            }
-        }
-    }
-
-    /// Delivers as many pending outputs as channel capacities allow.
-    ///
-    /// Delivery is FIFO *per channel* but channels do not block one another:
-    /// a full channel must not delay a dummy message destined for a
-    /// different, empty channel (the deadlock-avoidance guarantee relies on
-    /// the dummy getting out), so each output channel behaves like an
-    /// independent blocking port.
-    fn flush_pending(&mut self, node: NodeId) -> bool {
-        let mut delivered = false;
-        let mut blocked_edges = std::mem::take(&mut self.blocked_scratch);
-        blocked_edges.clear();
-        let mut i = 0;
-        while i < self.nodes[node.index()].pending.len() {
-            let (edge, message) = self.nodes[node.index()].pending[i];
-            if blocked_edges.contains(&edge) {
-                i += 1;
-                continue;
-            }
-            let channel = &mut self.channels[edge.index()];
-            if channel.len() >= self.capacities[edge.index()] {
-                blocked_edges.push(edge);
-                i += 1;
-                continue;
-            }
-            if channel.is_empty() {
-                self.filled.push(edge);
-            }
-            channel.push_back(message);
-            self.nodes[node.index()].pending.remove(i);
-            delivered = true;
-            match message {
-                Message::Data { .. } => {
-                    self.report.data_messages += 1;
-                    self.report.per_edge_data[edge.index()] += 1;
-                }
-                Message::Dummy { .. } => {
-                    self.report.dummy_messages += 1;
-                    self.report.per_edge_dummies[edge.index()] += 1;
-                }
-                Message::Eos => {}
-            }
-        }
-        self.blocked_scratch = blocked_edges;
-        if delivered {
-            self.mark_done_if_drained(node);
-        }
-        delivered
-    }
-
-    fn mark_done_if_drained(&mut self, node: NodeId) {
-        let state = &mut self.nodes[node.index()];
-        if state.eos_queued && state.pending.is_empty() {
-            state.done = true;
+        ExecutionReport {
+            completed: halt == Halt::Completed,
+            deadlocked: halt == Halt::Deadlocked,
+            inputs_offered: engine.inputs,
+            data_messages: engine.per_edge_data.iter().sum(),
+            dummy_messages: engine.per_edge_dummies.iter().sum(),
+            sink_firings: engine.sink_firings,
+            per_node_firings: engine.nodes.iter().map(|s| s.firings).collect(),
+            steps: engine.steps,
+            per_edge_data: engine.per_edge_data,
+            per_edge_dummies: engine.per_edge_dummies,
+            blocked,
+            wall: started.elapsed(),
+            resumed_from,
         }
     }
 }

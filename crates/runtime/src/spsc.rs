@@ -69,13 +69,6 @@ pub trait Weigh {
     }
 }
 
-impl Weigh for crate::message::Message {
-    const UNIT: bool = true;
-    fn weight(&self) -> usize {
-        1
-    }
-}
-
 /// A channel capacity in **messages** — the unit of the paper's buffer
 /// model.  The newtype exists so no ring construction site can silently
 /// reinterpret "slots of containers" as "slots of messages": a ring of
@@ -280,35 +273,11 @@ impl<T: Weigh> Producer<T> {
         ring.cap - used.min(ring.cap)
     }
 
-    /// Pushes, or — when the ring is full — registers this endpoint as
-    /// blocked-on-full and retries once (the Dekker re-check that makes
-    /// lost wakeups impossible), withdrawing the registration if the retry
-    /// lands.  On `Err` the value is handed back **and the registration
-    /// stays active**: the caller may park, and the consumer's next pop
-    /// will report it via [`Consumer::take_producer_waiting`].
-    ///
-    /// This is the only correct way to give up on a full ring; a plain
-    /// failed [`Producer::push`] must never be followed by parking.
-    pub fn push_or_register(&mut self, value: T) -> Result<(), T> {
-        match self.push(value) {
-            Ok(()) => Ok(()),
-            Err(back) => {
-                self.begin_wait();
-                match self.push(back) {
-                    Ok(()) => {
-                        self.cancel_wait();
-                        Ok(())
-                    }
-                    Err(back) => Err(back),
-                }
-            }
-        }
-    }
-
     /// Registers this endpoint as blocked-on-full.  The caller **must retry
     /// the push** after this call and may only park if the retry fails too
-    /// (the Dekker re-check that makes lost wakeups impossible).  Prefer
-    /// [`Producer::push_or_register`], which performs the whole ritual.
+    /// (the Dekker re-check that makes lost wakeups impossible);
+    /// [`crate::container::DeliverMsgs::deliver_or_register`] performs the
+    /// whole ritual.
     pub fn begin_wait(&self) {
         self.ring.producer_waiting.store(true, Ordering::SeqCst);
         fence(Ordering::SeqCst);
@@ -400,8 +369,8 @@ impl<T: Weigh> Consumer<T> {
 
     /// Registers this endpoint as blocked-on-empty.  The caller **must
     /// re-peek** after this call and may only park if the ring is still
-    /// empty.  Prefer [`Consumer::front_or_register`], which performs the
-    /// whole ritual.
+    /// empty; [`crate::container::ConsumeMsgs::front_msg_or_register`]
+    /// performs the whole ritual.
     pub fn begin_wait(&self) {
         self.ring.consumer_waiting.store(true, Ordering::SeqCst);
         fence(Ordering::SeqCst);
@@ -450,30 +419,6 @@ impl<T: Copy + Weigh> Consumer<T> {
             return None;
         }
         Some(unsafe { (*ring.slot(head)).assume_init_read() })
-    }
-
-    /// Peeks the front message, or — when the ring is empty — registers
-    /// this endpoint as blocked-on-empty and re-peeks once (the Dekker
-    /// re-check that makes lost wakeups impossible), withdrawing the
-    /// registration if the re-peek finds a message.  On `None` **the
-    /// registration stays active**: the caller may park, and the
-    /// producer's next push will report it via
-    /// [`Producer::take_consumer_waiting`].
-    ///
-    /// This is the only correct way to give up on an empty ring; a plain
-    /// `None` from [`Consumer::front`] must never be followed by parking.
-    pub fn front_or_register(&self) -> Option<T> {
-        if let Some(head) = self.front() {
-            return Some(head);
-        }
-        self.begin_wait();
-        match self.front() {
-            Some(head) => {
-                self.cancel_wait();
-                Some(head)
-            }
-            None => None,
-        }
     }
 }
 
@@ -542,29 +487,6 @@ mod tests {
         rx.cancel_wait();
         tx.push(3).unwrap();
         assert!(!tx.take_consumer_waiting());
-    }
-
-    #[test]
-    fn ritual_helpers_register_only_on_failure() {
-        let (mut tx, mut rx) = ring::<u64>(1);
-        // Successful push leaves no registration behind.
-        tx.push_or_register(1).unwrap();
-        assert_eq!(rx.pop(), Some(1));
-        assert!(!rx.take_producer_waiting());
-        // Failed push leaves the producer registered.
-        tx.push_or_register(2).unwrap();
-        assert_eq!(tx.push_or_register(3), Err(3));
-        assert_eq!(rx.pop(), Some(2));
-        assert!(rx.take_producer_waiting());
-        // Successful peek leaves no registration behind.
-        tx.push(4).unwrap();
-        assert_eq!(rx.front_or_register(), Some(4));
-        assert!(!tx.take_consumer_waiting());
-        // Failed peek leaves the consumer registered.
-        assert_eq!(rx.pop(), Some(4));
-        assert_eq!(rx.front_or_register(), None);
-        tx.push(5).unwrap();
-        assert!(tx.take_consumer_waiting());
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! A [`Task`] is everything one compute node needs to run cooperatively on a
 //! worker pool: its behaviour, its dummy wrapper, the owned endpoints of its
 //! input and output rings, the two-slot output staging queues, and the
-//! per-node progress counters.  The stepping functions in this module mirror
-//! [`crate::Simulator`]'s per-node semantics exactly (same acceptance rule,
-//! same per-channel independent delivery), so every engine built on them is
-//! confluent to the same terminal state as the simulator.
+//! per-node progress counters.  The run loops in this module are the one
+//! optimised implementation of the scalar model's step
+//! ([`fila_avoidance::model::engine`]): same acceptance rule, same
+//! per-channel independent delivery, so the pool is confluent to the same
+//! terminal state as [`crate::Simulator`] — pinned by
+//! `tests/engine_equivalence.rs`, not by a second per-message copy here.
 //!
 //! [`crate::SharedPool`] is the one engine built on this core
 //! ([`crate::PooledExecutor`] is a one-job facade over it): the pool decides
@@ -42,30 +44,21 @@ use crate::spsc::{self, MsgCap};
 use crate::topology::Topology;
 use crate::wrapper::{AvoidanceMode, DummyWrapper, PropagationTrigger, RunDummies};
 
-/// The two-slot output staging area of one port, generalised to containers.
+/// The two-slot output staging area of one port.
 ///
 /// `first` is the older container; `second` exists only when a message could
-/// not extend `first` (container at its limit, or — for
-/// [`crate::container::Single`], which never extends — the dummy
-/// accompanying a data message of the same firing).
-pub(crate) struct Stage<C> {
-    pub(crate) first: Option<C>,
-    pub(crate) second: Option<C>,
+/// not extend `first` (container at its limit, or out of sequence order —
+/// the dummy accompanying a data message of the same firing).
+#[derive(Default)]
+pub(crate) struct Stage {
+    pub(crate) first: Option<Batch>,
+    pub(crate) second: Option<Batch>,
 }
 
-impl<C> Default for Stage<C> {
-    fn default() -> Self {
-        Stage {
-            first: None,
-            second: None,
-        }
-    }
-}
-
-impl<C: Container> Stage<C> {
+impl Stage {
     /// Staged messages (not containers).
     pub(crate) fn len(&self) -> usize {
-        self.first.as_ref().map_or(0, C::len) + self.second.as_ref().map_or(0, C::len)
+        self.first.as_ref().map_or(0, Batch::len) + self.second.as_ref().map_or(0, Batch::len)
     }
 
     pub(crate) fn is_empty(&self) -> bool {
@@ -88,10 +81,10 @@ impl<C: Container> Stage<C> {
                 Err(m) => m,
             }
         } else {
-            self.first = Some(C::from_message(m));
+            self.first = Some(Batch::from_message(m));
             return;
         };
-        self.second = Some(C::from_message(m));
+        self.second = Some(Batch::from_message(m));
     }
 
     /// Visits every staged message front to back (checkpoint flattening).
@@ -106,8 +99,8 @@ impl<C: Container> Stage<C> {
 }
 
 /// One input channel of a task.
-pub(crate) struct InPort<C: Container> {
-    pub(crate) rx: spsc::Consumer<C>,
+pub(crate) struct InPort {
+    pub(crate) rx: spsc::Consumer<Batch>,
     pub(crate) edge: u32,
     /// Node index of the channel's producer (the task to wake when a pop
     /// makes the channel non-full).
@@ -121,13 +114,13 @@ pub(crate) struct InPort<C: Container> {
 /// One output channel of a task, with its staging queue and the
 /// producer-side delivery counters (each edge has exactly one producer, so
 /// the counters need no atomics).
-pub(crate) struct OutPort<C: Container> {
-    pub(crate) tx: spsc::Producer<C>,
+pub(crate) struct OutPort {
+    pub(crate) tx: spsc::Producer<Batch>,
     pub(crate) edge: u32,
     /// Node index of the channel's consumer (the task to wake when a push
     /// makes the channel non-empty).
     pub(crate) consumer: u32,
-    pub(crate) queue: Stage<C>,
+    pub(crate) queue: Stage,
     /// Messages a staged container may hold: the batching limit clamped to
     /// the edge capacity, so a full container always fits its ring.
     pub(crate) limit: usize,
@@ -135,9 +128,9 @@ pub(crate) struct OutPort<C: Container> {
     pub(crate) dummies: u64,
 }
 
-/// The per-node task state: everything [`crate::Simulator`] keeps per node,
+/// The per-node task state: everything the scalar model keeps per node,
 /// plus the owned channel endpoints.
-pub(crate) struct Task<C: Container> {
+pub(crate) struct Task {
     pub(crate) is_source: bool,
     pub(crate) done: bool,
     pub(crate) eos_queued: bool,
@@ -146,8 +139,8 @@ pub(crate) struct Task<C: Container> {
     pub(crate) staged: usize,
     pub(crate) behavior: Box<dyn NodeBehavior>,
     pub(crate) wrapper: DummyWrapper,
-    pub(crate) ins: Vec<InPort<C>>,
-    pub(crate) outs: Vec<OutPort<C>>,
+    pub(crate) ins: Vec<InPort>,
+    pub(crate) outs: Vec<OutPort>,
     /// Reusable per-firing scratch, aligned with `ins`.
     pub(crate) data_in: Vec<Option<Payload>>,
     /// Reusable per-firing decision scratch, aligned with `outs` (filled by
@@ -160,7 +153,7 @@ pub(crate) struct Task<C: Container> {
     pub(crate) snap_epoch: u64,
 }
 
-impl<C: Container> Task<C> {
+impl Task {
     /// Diagnoses what this (blocked, not-done) task is waiting on: a full
     /// output channel wins over an empty input (undelivered staged messages
     /// block everything else), mirroring the deadlock report's per-node
@@ -190,10 +183,10 @@ impl<C: Container> Task<C> {
 /// load per firing), `barrier()` the barrier sequence number `k`, and
 /// `contribute` captures the task's state into the collection buffer.  The
 /// caller always holds the task mutex when invoking `contribute`.
-pub(crate) trait SnapSink<C: Container> {
+pub(crate) trait SnapSink {
     fn pending(&self) -> u64;
     fn barrier(&self) -> u64;
-    fn contribute(&self, task: &mut Task<C>);
+    fn contribute(&self, task: &mut Task);
 }
 
 /// Contributes `task` to a pending snapshot if it is *already aligned*
@@ -204,12 +197,11 @@ pub(crate) trait SnapSink<C: Container> {
 /// delivered (and counted at the consumer's own alignment) before the
 /// source's counters are frozen, or the restore would re-deliver them to a
 /// consumer that already processed them.  Tasks aligned mid-stream are
-/// caught by the acceptance-time check in [`step`] instead.
-fn contribute_if_aligned<C: Container>(task: &mut Task<C>, snap: &dyn SnapSink<C>) {
-    let epoch = snap.pending();
-    if epoch == 0 || task.snap_epoch == epoch {
+/// caught by the acceptance-time check in [`interior_run`] instead.
+fn contribute_if_aligned(task: &mut Task, snap: Option<&dyn SnapSink>) {
+    let Some((snap, epoch)) = uncontributed(task, snap) else {
         return;
-    }
+    };
     if task.done
         || task.eos_queued
         || (task.is_source && task.staged == 0 && task.next_source_seq >= snap.barrier())
@@ -217,6 +209,17 @@ fn contribute_if_aligned<C: Container>(task: &mut Task<C>, snap: &dyn SnapSink<C
         task.snap_epoch = epoch;
         snap.contribute(task);
     }
+}
+
+/// The pending snapshot (and its epoch) this task has not contributed to
+/// yet, if any: the run loops must stop at its barrier.
+fn uncontributed<'a>(
+    task: &Task,
+    snap: Option<&'a dyn SnapSink>,
+) -> Option<(&'a dyn SnapSink, u64)> {
+    let snap = snap?;
+    let epoch = snap.pending();
+    (epoch != 0 && task.snap_epoch != epoch).then_some((snap, epoch))
 }
 
 /// Destructively captures a task's **verbatim** final state for a wreck
@@ -232,8 +235,8 @@ fn contribute_if_aligned<C: Container>(task: &mut Task<C>, snap: &dyn SnapSink<C
 /// tasks at unrelated sequence numbers.  It is exactly the raw material a
 /// partial restart splices against a consistent base snapshot
 /// ([`crate::checkpoint::JobSnapshot::splice_downstream`]).
-pub(crate) fn capture_wreck<C: Container>(
-    task: &mut Task<C>,
+pub(crate) fn capture_wreck(
+    task: &mut Task,
     per_edge_data: &mut [u64],
     per_edge_dummies: &mut [u64],
     channels: &mut [Vec<Message>],
@@ -279,17 +282,17 @@ pub(crate) enum Outcome {
 /// behaviour instance per node, and the per-node dummy-wrapper state for
 /// `mode`/`trigger`.  `batching` sets the per-container message limit
 /// (clamped per edge to the channel capacity).
-pub(crate) fn build_tasks<C: Container>(
+pub(crate) fn build_tasks(
     topology: &Topology,
     mode: &AvoidanceMode,
     trigger: PropagationTrigger,
     batching: Batching,
-) -> Vec<Task<C>> {
+) -> Vec<Task> {
     let g = topology.graph();
     let edge_count = g.edge_count();
     let limit = batching.limit();
-    let mut producers: Vec<Option<spsc::Producer<C>>> = Vec::with_capacity(edge_count);
-    let mut consumers: Vec<Option<spsc::Consumer<C>>> = Vec::with_capacity(edge_count);
+    let mut producers: Vec<Option<spsc::Producer<Batch>>> = Vec::with_capacity(edge_count);
+    let mut consumers: Vec<Option<spsc::Consumer<Batch>>> = Vec::with_capacity(edge_count);
     for e in g.edge_ids() {
         // Channel capacity is modelled in messages; `MsgCap` keeps the unit
         // explicit at every ring construction site.
@@ -347,9 +350,10 @@ pub(crate) fn build_tasks<C: Container>(
 
 /// Runs one task for up to `batch` accepted sequence numbers.  `wake`
 /// receives the node index of every peer task a channel event of this run
-/// made runnable.  `snap`, when present, is checked before every firing
-/// (and at acceptance time inside [`step`]) so a task never crosses a
-/// pending snapshot barrier without contributing its aligned state first.
+/// made runnable.  `snap`, when present, is consulted at the slice top and
+/// at every acceptance ([`interior_run`]) or emission ([`source_run`]) so a
+/// task never crosses a pending snapshot barrier without contributing its
+/// aligned state first.
 ///
 /// The loop flushes, then drains runs while staging stays within both the
 /// container limit and the deliverable space of every output (plus the
@@ -357,24 +361,22 @@ pub(crate) fn build_tasks<C: Container>(
 /// with it every deadlock verdict — matches the one-message-at-a-time model
 /// ([`crate::Simulator`]) exactly.
 pub(crate) fn run_task(
-    task: &mut Task<Batch>,
+    task: &mut Task,
     inputs: u64,
     batch: u32,
     wake: &mut dyn FnMut(u32),
-    snap: Option<&dyn SnapSink<Batch>>,
+    snap: Option<&dyn SnapSink>,
 ) -> Outcome {
     let mut accepted: u32 = 0;
     loop {
         // Deliver leftover staged output *before* the alignment check: a
-        // source only contributes with empty staging queues, and checking
-        // first would let the per-message fallback below fire it past the
-        // barrier right after this flush drained them — freezing its
-        // counters at a cursor the restore never re-plays.
+        // contribution freezes the delivery counters and the restore
+        // re-delivers whatever is still staged, so what a task produced
+        // below the barrier must be on the ring — counted, and consumed by
+        // its consumer before *that* aligns — when it contributes.
         flush(task, wake);
         mark_done_if_drained(task);
-        if let Some(snap) = snap {
-            contribute_if_aligned(task, snap);
-        }
+        contribute_if_aligned(task, snap);
         if task.done {
             return Outcome::Done;
         }
@@ -385,20 +387,8 @@ pub(crate) fn run_task(
         if accepted >= batch {
             return Outcome::Yielded;
         }
-        if let Some(snap) = snap {
-            let epoch = snap.pending();
-            if epoch != 0 && task.snap_epoch != epoch {
-                // A snapshot is being collected: drop to the per-message
-                // step for its exact acceptance-time barrier alignment.
-                if !step(task, inputs, wake, Some(snap)) {
-                    return Outcome::Blocked;
-                }
-                accepted += 1;
-                continue;
-            }
-        }
         let progressed = if task.is_source {
-            source_run(task, inputs, &mut accepted, batch)
+            source_run(task, inputs, &mut accepted, batch, snap)
         } else {
             let progressed = interior_run(task, &mut accepted, batch, snap);
             // One producer-wake check per consumed input for the whole run
@@ -427,7 +417,7 @@ pub(crate) fn run_task(
 /// deliverable right now.  The *first* acceptance after a flush always
 /// passes (the queue is empty), so a full channel still receives exactly
 /// one overshooting acceptance — the scalar engine's blocking shape.
-fn outputs_have_room(task: &Task<Batch>) -> bool {
+fn outputs_have_room(task: &Task) -> bool {
     task.outs.iter().all(|port| {
         let len = port.queue.len();
         len < port.limit && len <= port.tx.space_msgs()
@@ -438,10 +428,10 @@ fn outputs_have_room(task: &Task<Batch>) -> bool {
 /// room or an input runs out.  Returns false (with a waiting flag
 /// registered) only when no acceptance happened at all.
 fn interior_run(
-    task: &mut Task<Batch>,
+    task: &mut Task,
     accepted: &mut u32,
     batch: u32,
-    snap: Option<&dyn SnapSink<Batch>>,
+    snap: Option<&dyn SnapSink>,
 ) -> bool {
     let mut progressed = false;
     'run: while *accepted < batch && outputs_have_room(task) {
@@ -458,21 +448,24 @@ fn interior_run(
             };
             accept_seq = accept_seq.min(head.seq());
         }
-        // Acceptance-time barrier alignment, exactly like [`step`]'s: a
-        // snapshot epoch can be published *mid-run* (the slice-top check in
-        // `run_task` precedes it), and a head with seq ≥ barrier proves
-        // the publication happened-before its arrival — so it must not be
-        // consumed until this task's pre-barrier state is contributed.
+        // Acceptance-time barrier alignment: a snapshot epoch can be
+        // published *mid-run* (the slice-top check in `run_task` precedes
+        // it), and a head with seq ≥ barrier (EOS included — its sequence
+        // number is maximal) proves the publication happened-before its
+        // arrival — so it must not be consumed until this task's state,
+        // having consumed exactly the pre-barrier prefix of every input,
+        // is contributed.  Output staged earlier in this run goes out
+        // first (the slice top flushes, then the scan lands here again).
         let mut barrier = u64::MAX;
-        if let Some(snap) = snap {
-            let epoch = snap.pending();
-            if epoch != 0 && task.snap_epoch != epoch {
-                barrier = snap.barrier();
-                if accept_seq >= barrier {
-                    task.snap_epoch = epoch;
-                    snap.contribute(task);
-                    barrier = u64::MAX;
+        if let Some((snap, epoch)) = uncontributed(task, snap) {
+            barrier = snap.barrier();
+            if accept_seq >= barrier {
+                if task.staged > 0 {
+                    break 'run;
                 }
+                task.snap_epoch = epoch;
+                snap.contribute(task);
+                barrier = u64::MAX;
             }
         }
         if accept_seq == u64::MAX {
@@ -618,7 +611,7 @@ fn interior_run(
 /// conservative — the burst just ends early and the outer loop re-checks),
 /// the barrier against each message's own sequence number.
 fn data_burst(
-    task: &mut Task<Batch>,
+    task: &mut Task,
     accepted: &mut u32,
     batch: u32,
     barrier: u64,
@@ -680,7 +673,7 @@ fn data_burst(
 
 /// Stages a run of `n` forwarded dummies at `first..first + n` on one port
 /// as a single RLE segment (the caller bounded `n` by the queue room).
-fn stage_dummy_run(out: &mut OutPort<Batch>, first: u64, n: u64) {
+fn stage_dummy_run(out: &mut OutPort, first: u64, n: u64) {
     let slot = if out.queue.second.is_some() {
         &mut out.queue.second
     } else {
@@ -691,12 +684,26 @@ fn stage_dummy_run(out: &mut OutPort<Batch>, first: u64, n: u64) {
     debug_assert_eq!(took, n, "bulk dummy staging was bounded by queue room");
 }
 
-/// Drains source firings until the budget or the staging room runs out;
-/// stages the EOS markers (once, with empty staging queues, like the scalar
-/// engine) when the input supply is exhausted.
-fn source_run(task: &mut Task<Batch>, inputs: u64, accepted: &mut u32, batch: u32) -> bool {
+/// Drains source firings until the budget, the staging room or a pending
+/// snapshot barrier runs out; stages the EOS markers (once, with empty
+/// staging queues, like the scalar model) when the input supply is
+/// exhausted.  The checkpointer publishes an epoch holding every source's
+/// task lock, so the barrier read here is stable for the whole slice: the
+/// source stops *at* it, and the slice top contributes once the staging
+/// queues have drained.
+fn source_run(
+    task: &mut Task,
+    inputs: u64,
+    accepted: &mut u32,
+    batch: u32,
+    snap: Option<&dyn SnapSink>,
+) -> bool {
+    let barrier = uncontributed(task, snap).map_or(u64::MAX, |(snap, _)| snap.barrier());
     let mut progressed = false;
-    while *accepted < batch && task.next_source_seq < inputs && outputs_have_room(task) {
+    while *accepted < batch
+        && task.next_source_seq < inputs.min(barrier)
+        && outputs_have_room(task)
+    {
         let seq = task.next_source_seq;
         task.next_source_seq += 1;
         task.firings += 1;
@@ -706,7 +713,11 @@ fn source_run(task: &mut Task<Batch>, inputs: u64, accepted: &mut u32, batch: u3
         *accepted += 1;
         progressed = true;
     }
-    if task.next_source_seq >= inputs && !task.eos_queued && task.staged == 0 && *accepted < batch
+    if task.next_source_seq >= inputs
+        && task.next_source_seq < barrier
+        && !task.eos_queued
+        && task.staged == 0
+        && *accepted < batch
     {
         task.eos_queued = true;
         for port in &mut task.outs {
@@ -718,144 +729,13 @@ fn source_run(task: &mut Task<Batch>, inputs: u64, accepted: &mut u32, batch: u3
     progressed
 }
 
-/// Attempts one unit of progress on a task; mirrors `Simulator`'s per-node
-/// step exactly (same acceptance rule, same per-channel independent
-/// delivery), so all engines are confluent to the same terminal state.
-fn step<C: Container>(
-    task: &mut Task<C>,
-    inputs: u64,
-    wake: &mut dyn FnMut(u32),
-    snap: Option<&dyn SnapSink<C>>,
-) -> bool {
-    // Phase 1: flush staged outputs; a node with undelivered messages does
-    // nothing else (mirrors a blocking send).
-    if flush(task, wake) {
-        return true;
-    }
-    if task.staged > 0 {
-        // Still blocked on some full channel; `flush` registered the
-        // producer waiting flags.
-        return false;
-    }
-    if task.done {
-        return false;
-    }
-    if task.is_source {
-        return step_source(task, inputs, wake);
-    }
-
-    // Interior / sink: find the acceptance sequence number, registering a
-    // waiting flag on the first empty input (if that channel never fills,
-    // the node cannot progress no matter what the others do).
-    let mut accept_seq = u64::MAX;
-    for port in &mut task.ins {
-        match port.rx.front_msg_or_register() {
-            Some(head) => accept_seq = accept_seq.min(head.seq()),
-            None => return false,
-        }
-    }
-    // Alignment check for interior nodes: the next acceptance would cross
-    // the snapshot barrier (EOS included — its sequence number is maximal),
-    // so this task's state — having consumed exactly the pre-barrier prefix
-    // of every input — belongs to the snapshot *now*, before consuming.
-    if let Some(snap) = snap {
-        let epoch = snap.pending();
-        if epoch != 0 && task.snap_epoch != epoch && accept_seq >= snap.barrier() {
-            task.snap_epoch = epoch;
-            snap.contribute(task);
-        }
-    }
-    if accept_seq == u64::MAX {
-        // End of stream on every input.
-        for port in &mut task.outs {
-            port.queue.stage(port.limit, Message::Eos);
-            task.staged += 1;
-        }
-        task.eos_queued = true;
-        flush(task, wake);
-        mark_done_if_drained(task);
-        return true;
-    }
-
-    // Consume every head carrying the accepted sequence number.
-    task.data_in.fill(None);
-    let mut consumed_dummy = false;
-    for (idx, port) in task.ins.iter_mut().enumerate() {
-        let head = port.rx.front_msg().expect("all heads checked non-empty");
-        if head.seq() != accept_seq {
-            continue;
-        }
-        port.rx.pop_msg();
-        if port.rx.take_producer_waiting() {
-            wake(port.producer);
-        }
-        match head {
-            Message::Data { payload, .. } => task.data_in[idx] = Some(payload),
-            Message::Dummy { .. } => consumed_dummy = true,
-            Message::Eos => unreachable!("EOS has maximal sequence number"),
-        }
-    }
-
-    if task.data_in.iter().any(Option::is_some) {
-        if task.outs.is_empty() {
-            task.sink_firings += 1;
-        }
-        task.firings += 1;
-        let Task {
-            behavior,
-            data_in,
-            emit,
-            ..
-        } = task;
-        behavior.fire_into(
-            &FireInput {
-                seq: accept_seq,
-                data_in,
-            },
-            emit,
-        );
-        queue_outputs(task, accept_seq, true, consumed_dummy);
-    } else {
-        // Only dummies were consumed: no behaviour call, no data out.
-        queue_outputs(task, accept_seq, false, consumed_dummy);
-    }
-    flush(task, wake);
-    mark_done_if_drained(task);
-    true
-}
-
-fn step_source<C: Container>(task: &mut Task<C>, inputs: u64, wake: &mut dyn FnMut(u32)) -> bool {
-    if task.next_source_seq < inputs {
-        let seq = task.next_source_seq;
-        task.next_source_seq += 1;
-        task.firings += 1;
-        task.behavior
-            .fire_into(&FireInput { seq, data_in: &[] }, &mut task.emit);
-        queue_outputs(task, seq, true, false);
-        flush(task, wake);
-        return true;
-    }
-    if !task.eos_queued {
-        task.eos_queued = true;
-        for port in &mut task.outs {
-            port.queue.stage(port.limit, Message::Eos);
-            task.staged += 1;
-        }
-        flush(task, wake);
-        mark_done_if_drained(task);
-        return true;
-    }
-    mark_done_if_drained(task);
-    false
-}
-
 /// Delivers as many staged containers as ring capacities allow; FIFO per
 /// channel, channels independent.  Registers the producer waiting flag
 /// (with the mandatory retry) on every channel that stays full, and wakes
 /// the consumer of every channel this delivery made non-empty.  The
 /// delivery counters advance by the *messages* that shipped (a container
 /// can deliver partially, split at the remaining message capacity).
-fn flush<C: Container>(task: &mut Task<C>, wake: &mut dyn FnMut(u32)) -> bool {
+fn flush(task: &mut Task, wake: &mut dyn FnMut(u32)) -> bool {
     if task.staged == 0 {
         return false;
     }
@@ -895,7 +775,7 @@ fn flush<C: Container>(task: &mut Task<C>, wake: &mut dyn FnMut(u32)) -> bool {
     delivered
 }
 
-fn mark_done_if_drained<C: Container>(task: &mut Task<C>) {
+fn mark_done_if_drained(task: &mut Task) {
     if task.eos_queued && task.staged == 0 {
         task.done = true;
     }
@@ -904,7 +784,7 @@ fn mark_done_if_drained<C: Container>(task: &mut Task<C>) {
 /// Stages the data and dummy messages produced for one accepted sequence
 /// number (`fired` is false when the node consumed only dummies and emits
 /// no data; when true the decision sits in the task's `emit` scratch).
-fn queue_outputs<C: Container>(task: &mut Task<C>, seq: u64, fired: bool, consumed_dummy: bool) {
+fn queue_outputs(task: &mut Task, seq: u64, fired: bool, consumed_dummy: bool) {
     let Task {
         wrapper,
         outs,
@@ -917,9 +797,9 @@ fn queue_outputs<C: Container>(task: &mut Task<C>, seq: u64, fired: bool, consum
 
 /// [`queue_outputs`] on split borrows, for callers already holding other
 /// task fields (the batched data-burst loop).
-fn stage_decision<C: Container>(
+fn stage_decision(
     wrapper: &mut DummyWrapper,
-    outs: &mut [OutPort<C>],
+    outs: &mut [OutPort],
     staged: &mut usize,
     emit: &[Option<Payload>],
     seq: u64,
@@ -947,8 +827,8 @@ fn stage_decision<C: Container>(
 /// per-edge delivery counters, firing totals and — for deadlocks — the
 /// blocked-node diagnoses, exactly as [`crate::PooledExecutor`] has always
 /// reported them.
-pub(crate) fn assemble_report<C: Container>(
-    tasks: &[Mutex<Task<C>>],
+pub(crate) fn assemble_report(
+    tasks: &[Mutex<Task>],
     edge_count: usize,
     inputs: u64,
     deadlocked: bool,

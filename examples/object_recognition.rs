@@ -25,12 +25,12 @@ fn main() {
             unprotected.deadlocked
         );
     }
-    // The threaded engine on the most aggressive configuration.
+    // The pooled engine on the most aggressive configuration.
     let (g, topo) = object_recognition(8, 0.02, 0.01, 42);
     let plan = Planner::new(&g).algorithm(Algorithm::NonPropagation).plan().unwrap();
-    let threaded = ThreadedExecutor::new(&topo).with_plan(&plan).run(frames);
+    let pooled = PooledExecutor::new(&topo).with_plan(&plan).run(frames);
     println!(
-        "threaded run: completed = {}, data messages = {}, dummies = {}",
-        threaded.completed, threaded.data_messages, threaded.dummy_messages
+        "pooled run: completed = {}, data messages = {}, dummies = {}",
+        pooled.completed, pooled.data_messages, pooled.dummy_messages
     );
 }

@@ -7,10 +7,7 @@
 //!
 //! * `NODES` (default 16384) — pipeline length,
 //! * `INPUTS` (default 64) — sequence numbers offered at the source,
-//! * `WORKERS` (default: available parallelism) — pool size,
-//! * `THREADED=1` — additionally run the thread-per-node engine on the same
-//!   workload for comparison (spawns `NODES` OS threads; expect it to be
-//!   painfully slower or to abort if the system cannot host that many).
+//! * `WORKERS` (default: available parallelism) — pool size.
 
 use std::time::Instant;
 
@@ -44,22 +41,9 @@ fn main() {
     let elapsed = start.elapsed();
     assert!(report.completed, "{report:?}");
     println!(
-        "pooled   : {nodes} nodes, {inputs} inputs -> {} messages in {elapsed:.2?} \
+        "pooled: {nodes} nodes, {inputs} inputs -> {} messages in {elapsed:.2?} \
          ({:.2} M msg/s)",
         report.total_messages(),
         report.total_messages() as f64 / elapsed.as_secs_f64() / 1e6,
     );
-
-    if env_u64("THREADED", 0) != 0 {
-        let start = Instant::now();
-        let report = ThreadedExecutor::new(&topo).run(inputs);
-        let elapsed = start.elapsed();
-        assert!(report.completed, "{report:?}");
-        println!(
-            "threaded : {nodes} nodes, {inputs} inputs -> {} messages in {elapsed:.2?} \
-             ({:.2} M msg/s)",
-            report.total_messages(),
-            report.total_messages() as f64 / elapsed.as_secs_f64() / 1e6,
-        );
-    }
 }

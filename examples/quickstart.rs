@@ -31,11 +31,10 @@ fn main() {
         100.0 * safe.dummy_overhead()
     );
 
-    // The multi-threaded engine exercises the same plan under real
-    // concurrency.
-    let threaded = ThreadedExecutor::new(&topo).with_plan(&plan).run(10_000);
+    // The pooled engine exercises the same plan under real concurrency.
+    let pooled = PooledExecutor::new(&topo).with_plan(&plan).run(10_000);
     println!(
-        "threaded engine: completed = {}, sink consumed {} flagged reads",
-        threaded.completed, threaded.sink_firings
+        "pooled engine: completed = {}, sink consumed {} flagged reads",
+        pooled.completed, pooled.sink_firings
     );
 }

@@ -49,7 +49,7 @@ pub mod prelude {
     pub use fila_runtime::{
         Batching, CheckpointOutcome, ExecutionReport, JobSnapshot, JobVerdict, PoolOptions,
         PooledExecutor, RestoreError, Scheduler, SharedPool, Simulator, SnapshotError, SwapToken,
-        ThreadedExecutor, Topology,
+        Topology,
     };
     pub use fila_service::{
         AdaptiveOutcome, AvoidanceChoice, DriftPolicy, FilterSpec, JobService, JobSpec,

@@ -1,10 +1,10 @@
 //! Property-based coverage for the filtering-aware certification subsystem
-//! (E17): the certification verdict is trustworthy because (a) its built-in
-//! model checker is observationally the reference engine, (b) plans it
-//! accepts really survive worst-case interior filtering **in the real
-//! Simulator**, and (c) its fallback plans are exactly what fresh planning
-//! with the fallback protocol would produce — no private planner behaviour
-//! hides behind `certify()`.
+//! (E17): the certification verdict is trustworthy because (a) the scalar
+//! model it runs reaches the verdict the independent pooled engine reaches,
+//! (b) plans it accepts really survive worst-case interior filtering under
+//! real node behaviours **in the Simulator**, and (c) its fallback plans are
+//! exactly what fresh planning with the fallback protocol would produce — no
+//! private planner behaviour hides behind `certify()`.
 
 use fila::avoidance::{certify_plan_bounded, Algorithm, AvoidancePlan, IntervalMap, Rounding};
 use fila::prelude::*;
@@ -110,12 +110,15 @@ proptest! {
         }
     }
 
-    /// (a) The certifier's model checker is observationally the reference
-    /// engine on declared periodic profiles — on both sides of the verdict.
-    /// Protected runs complete in both; unprotected runs reach the same
-    /// completion/deadlock verdict in both.
+    /// (a) The certifier's model check and the pooled engine — the one
+    /// other implementation of the firing rule (certification and the
+    /// Simulator share the scalar model, so comparing those two would
+    /// compare a function with itself) — agree on declared periodic
+    /// profiles, on both sides of the verdict.  Protected runs complete in
+    /// both; unprotected runs reach the same completion/deadlock verdict in
+    /// both.
     #[test]
-    fn model_checker_agrees_with_the_simulator(draw in 0u64..1_000_000) {
+    fn model_checker_agrees_with_the_pooled_engine(draw in 0u64..1_000_000) {
         let case = (draw % 2) as u8;
         let seed = draw / 2 % 1_000;
         let period = 1 + draw / 7 % 23;
@@ -132,7 +135,7 @@ proptest! {
             AvoidancePlan::new(&g, Algorithm::NonPropagation, Rounding::Ceil, IntervalMap::for_graph(&g)),
         ] {
             let cert = certify_plan_bounded(&g, &plan, &periods, INPUTS, STEP_BUDGET).unwrap();
-            let report = Simulator::new(&topo).with_plan(&plan).run(INPUTS);
+            let report = PooledExecutor::new(&topo).with_plan(&plan).workers(2).run(INPUTS);
             prop_assert!(
                 cert.declared.completed == report.completed
                     && cert.declared.deadlocked == report.deadlocked,

@@ -2,8 +2,6 @@
 //! never deadlocks on filtering workloads whose filtering happens at cycle
 //! fork nodes; with avoidance disabled the same workloads deadlock.
 
-use std::time::Duration;
-
 use fila::prelude::*;
 use fila::runtime::filters::Predicate;
 use fila::runtime::Bernoulli;
@@ -44,14 +42,11 @@ fn simulator_never_deadlocks_with_plans_across_buffer_sweep() {
 }
 
 #[test]
-fn threaded_engine_completes_with_plans() {
+fn pooled_engine_completes_with_plans() {
     let (g, topo) = fork_filtering_topology(3, 64);
     for algorithm in [Algorithm::Propagation, Algorithm::NonPropagation] {
         let plan = Planner::new(&g).algorithm(algorithm).plan().unwrap();
-        let report = ThreadedExecutor::new(&topo)
-            .with_plan(&plan)
-            .quiet_period(Duration::from_millis(800))
-            .run(2_000);
+        let report = PooledExecutor::new(&topo).with_plan(&plan).workers(2).run(2_000);
         assert!(report.completed, "{algorithm}: {report:?}");
     }
 }

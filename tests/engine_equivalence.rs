@@ -110,22 +110,6 @@ fn assert_equivalent(scenario: Scenario) -> Result<(), TestCaseError> {
         };
         s.run(inputs)
     };
-    // The batched simulator must agree with its own scalar reference too
-    // (same worklist, runs drained in longer slices).
-    for batching in [Batching::Messages(4), Batching::Unbounded] {
-        let s = Simulator::new(&topo).batching(batching);
-        let s = match &plan {
-            Some(p) => s.with_plan(p),
-            None => s,
-        };
-        let batched = s.run(inputs);
-        prop_assert_eq!(sim.completed, batched.completed);
-        prop_assert_eq!(sim.deadlocked, batched.deadlocked);
-        prop_assert_eq!(&sim.per_edge_data, &batched.per_edge_data);
-        prop_assert_eq!(&sim.per_edge_dummies, &batched.per_edge_dummies);
-        prop_assert_eq!(&sim.per_node_firings, &batched.per_node_firings);
-    }
-
     // Exercise single-worker, multi-worker, and a tiny batch (maximal
     // interleaving), swept across every container-batching mode — the
     // verdict and counts must be identical in all.

@@ -9,6 +9,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use fila::avoidance::{AvoidancePlan, IntervalMap};
 use fila::prelude::*;
 use fila::runtime::filters::Predicate;
 use fila::runtime::{AvoidanceMode, PropagationTrigger};
@@ -224,6 +225,96 @@ fn snapshots_cross_container_batching_modes() {
         assert_eq!(resumed.per_edge_data, reference.per_edge_data);
         assert_eq!(resumed.per_edge_dummies, reference.per_edge_dummies);
         assert_eq!(resumed.sink_firings, reference.sink_firings);
+    }
+}
+
+#[test]
+fn slower_source_stops_at_the_barrier_at_every_batch_limit() {
+    // Two sources at unequal rates feeding a fork-join: the fast one runs
+    // ahead by the buffered capacity, so a checkpoint picks its cursor as
+    // the barrier while the slow one is still below it.  The slow source
+    // must fire up to the barrier and stop *at* it — inside the batched
+    // source run loop, whatever the batch limit — or its counters freeze
+    // past a cut its consumers never saw.
+    let inputs = 600;
+    let mut b = GraphBuilder::new().default_capacity(8);
+    b.edge("fast", "left").unwrap();
+    b.edge("fast", "right").unwrap();
+    b.edge("left", "join").unwrap();
+    b.edge("right", "join").unwrap();
+    b.edge("slow", "join").unwrap();
+    b.edge("join", "sink").unwrap();
+    let g = b.build().unwrap();
+    let fast = g.node_by_name("fast").unwrap();
+    let slow = g.node_by_name("slow").unwrap();
+    let topo = Topology::from_graph(&g)
+        .with(fast, || Predicate::new(2, |seq, out| out == 0 || seq % 4 == 0))
+        .with(slow, || {
+            Predicate::new(1, |seq, _| {
+                std::thread::sleep(Duration::from_micros(100));
+                seq % 3 != 0
+            })
+        });
+    // The planner wants one source; a uniform tight Non-Propagation
+    // interval is safe on any DAG (smaller intervals only add dummies).
+    let mut intervals = IntervalMap::for_graph(&g);
+    for e in g.edge_ids() {
+        intervals.set(e, DummyInterval::Finite(2));
+    }
+    let plan = Arc::new(AvoidancePlan::new(
+        &g,
+        Algorithm::NonPropagation,
+        Rounding::Ceil,
+        intervals,
+    ));
+    let reference = Simulator::new(&topo)
+        .with_shared_plan(Arc::clone(&plan))
+        .run(inputs);
+    assert!(reference.completed, "{reference:?}");
+    assert!(reference.dummy_messages > 0);
+
+    for limit in [1u32, 4, 64] {
+        let pool = SharedPool::with(PoolOptions {
+            workers: 2,
+            batch: limit,
+            batching: Batching::Messages(limit),
+            ..PoolOptions::default()
+        });
+        let handle = pool.submit_with(&topo, AvoidanceMode::Plan(Arc::clone(&plan)), inputs);
+        // Let the fast source build its lead before cutting.
+        while !handle.is_settled() {
+            let seen = handle.observe().per_node_firings;
+            if seen[fast.index()] > seen[slow.index()] + 4 {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        let snapshot = handle.checkpoint();
+        let original = handle.wait();
+        assert!(original.completed, "limit {limit}: {original:?}");
+        assert_eq!(original.per_edge_data, reference.per_edge_data, "limit {limit}");
+        assert_eq!(original.per_edge_dummies, reference.per_edge_dummies, "limit {limit}");
+        let snapshot = snapshot.expect("600 slowed inputs outlast the checkpoint");
+        // Both sources contributed exactly at the barrier.
+        assert_eq!(
+            snapshot.nodes[slow.index()].next_source_seq,
+            snapshot.nodes[fast.index()].next_source_seq,
+            "limit {limit}"
+        );
+        let resumed = pool
+            .resume_full(
+                &topo,
+                AvoidanceMode::Plan(Arc::clone(&plan)),
+                PropagationTrigger::default(),
+                &snapshot,
+                None,
+            )
+            .expect("same topology and plan restores")
+            .wait();
+        assert!(resumed.completed, "limit {limit}: {resumed:?}");
+        assert_eq!(resumed.per_edge_data, reference.per_edge_data, "limit {limit}");
+        assert_eq!(resumed.per_edge_dummies, reference.per_edge_dummies, "limit {limit}");
+        assert_eq!(resumed.sink_firings, reference.sink_firings, "limit {limit}");
     }
 }
 
