@@ -213,6 +213,19 @@ impl PlanCache {
         rounding: Rounding,
         cycle_bound: usize,
     ) -> Result<CachedPlan> {
+        self.plan_classified(g, algorithm, rounding, cycle_bound, None)
+    }
+
+    /// [`PlanCache::plan`] for a caller that may already hold `g`'s class
+    /// (the certification walk): a miss then plans without re-classifying.
+    fn plan_classified(
+        &self,
+        g: &Graph,
+        algorithm: Algorithm,
+        rounding: Rounding,
+        cycle_bound: usize,
+        class: Option<GraphClass>,
+    ) -> Result<CachedPlan> {
         let key = Key {
             fingerprint: fingerprint(g),
             algorithm,
@@ -230,11 +243,14 @@ impl PlanCache {
             });
         }
         let planning = Instant::now();
-        let plan = Planner::new(g)
+        let planner = Planner::new(g)
             .algorithm(algorithm)
             .rounding(rounding)
-            .cycle_bound(cycle_bound)
-            .plan()?;
+            .cycle_bound(cycle_bound);
+        let plan = match class {
+            Some(class) => planner.plan_as(class)?,
+            None => planner.plan()?,
+        };
         let plan_time = planning.elapsed();
         self.misses.fetch_add(1, Ordering::Relaxed);
         let plan = Arc::new(plan);
@@ -307,10 +323,7 @@ impl PlanCache {
         }
         self.cert_misses.fetch_add(1, Ordering::Relaxed);
 
-        let general = match classify(g) {
-            Ok(class) => class == GraphClass::General,
-            Err(e) => return Err(CertifyError::Unplannable(e)),
-        };
+        let class = classify(g).map_err(CertifyError::Unplannable)?;
         // The chain itself lives in `walk_certification_chain` (shared with
         // `Planner::certify`, so the two can never select differently); the
         // cache only decides where candidate plans come from.  Structural
@@ -321,7 +334,7 @@ impl PlanCache {
         let walked = walk_certification_chain(
             g,
             algorithm,
-            general,
+            class == GraphClass::General,
             &canonical,
             |candidate, exhaustive| {
                 if exhaustive {
@@ -334,7 +347,8 @@ impl PlanCache {
                         .plan()?;
                     Ok((Arc::new(plan), planning.elapsed()))
                 } else {
-                    let cached = self.plan(g, candidate, rounding, cycle_bound)?;
+                    let cached =
+                        self.plan_classified(g, candidate, rounding, cycle_bound, Some(class))?;
                     Ok((cached.plan, cached.plan_time))
                 }
             },

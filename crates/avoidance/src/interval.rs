@@ -104,8 +104,8 @@ fn integer_root(len: u64, hops: u64) -> u64 {
     if hops == 1 || len <= 1 {
         return len;
     }
-    if hops >= 64 {
-        // 2^64 overflows u64, so for any len < 2^64 the root is 1.
+    if hops >= u64::from(64 - len.leading_zeros()) {
+        // 2^hops > len, so the root is 1 (the common case on long runs).
         return 1;
     }
     let below = |t: u64| -> bool {

@@ -1,6 +1,7 @@
 //! Non-Propagation-algorithm intervals on SP-ladders (§VI.B of the paper),
 //! `O(|G|³)`, with the **filtering-robust** escape bound of the E17
-//! postmortem.
+//! postmortem.  (Still cubic after E25: the `fork × sink × constituent`
+//! loops remain; only the per-visit subtree walk and root search went.)
 //!
 //! As with the Propagation case, cycles internal to each contracted
 //! constituent are handled by the SP algorithm on that constituent's
@@ -36,7 +37,7 @@
 //! does not lie on the hop-longest path, exactly as the paper's division
 //! was.
 
-use fila_graph::{Graph, NodeId};
+use fila_graph::{EdgeId, Graph, NodeId};
 use fila_spdag::{CompId, SpForest, SpMetrics};
 
 use crate::interval::{DummyInterval, IntervalMap, Rounding};
@@ -151,6 +152,14 @@ pub fn apply_ladder_nonpropagation(
         })
         .collect();
 
+    // Per constituent `H`: `h(H)` and every edge's `h(H, e)`, walked once —
+    // the loops below visit each constituent `O(forks × sinks)` times.
+    let hops: Vec<(u64, Vec<(EdgeId, u64)>)> = skeleton
+        .edges
+        .iter()
+        .map(|edge| (metrics.h(edge.comp), metrics.h_per_edge(forest, edge.comp)))
+        .collect();
+
     for &w in index.forks() {
         let outgoing = index.outgoing_constituents(ladder, w);
         if outgoing.len() < 2 {
@@ -181,15 +190,14 @@ pub fn apply_ladder_nonpropagation(
                     // Every constituent H on some w -> t path that starts
                     // through c_e: H itself, plus any constituent reachable
                     // from c_e's head that can still reach t.
-                    for edge in &skeleton.edges {
+                    for (edge, (h_comp, per_edge)) in skeleton.edges.iter().zip(&hops) {
                         let on_path = edge.comp == *comp_e
                             || (dp_e.reaches(edge.from_l) && reach_t[edge.to_l]);
                         if !on_path {
                             continue;
                         }
-                        let h_comp = metrics.h(edge.comp);
-                        for (e, h_e_edge) in metrics.h_per_edge(forest, edge.comp) {
-                            let denom = h_e.saturating_sub(h_comp).saturating_add(h_e_edge).max(1);
+                        for &(e, h_e_edge) in per_edge {
+                            let denom = h_e.saturating_sub(*h_comp).saturating_add(h_e_edge).max(1);
                             intervals.tighten(e, DummyInterval::from_run_budget(l_o, denom));
                         }
                     }

@@ -18,7 +18,8 @@
 //!   step records the channels it made non-empty or non-full; their
 //!   consumers and producers are the only nodes it can have unblocked), so a
 //!   step costs `O(degree)` and deadlock is exactly "queue empty, some node
-//!   unfinished".
+//!   unfinished".  [`Engine::run_worklist_observed`] is the same loop with a
+//!   hook between turns.
 //!
 //! Deterministic firing makes the network confluent, so both reach the same
 //! terminal state; only `steps` depends on the schedule.
@@ -99,6 +100,11 @@ pub struct Engine<'g> {
     filled: Vec<EdgeId>,
     /// Channels the current step made non-full (producers may be unblocked).
     drained: Vec<EdgeId>,
+    /// The worklist scheduler's ready queue, in turn order.  Part of the
+    /// state: with everything else equal, it decides the schedule from here.
+    pub(super) ready: VecDeque<NodeId>,
+    /// Membership flags of `ready` (a function of it).
+    in_ready: Vec<bool>,
 }
 
 impl<'g> Engine<'g> {
@@ -146,6 +152,8 @@ impl<'g> Engine<'g> {
             blocked: Vec::new(),
             filled: Vec::new(),
             drained: Vec::new(),
+            ready: VecDeque::with_capacity(graph.node_count()),
+            in_ready: vec![false; graph.node_count()],
         }
     }
 
@@ -164,17 +172,35 @@ impl<'g> Engine<'g> {
     where
         F: FnMut(NodeId, u64, &[Option<Payload>], &mut [Option<Payload>]),
     {
+        self.run_worklist_observed(fire, step_bound, seed_all, |_, _| {})
+    }
+
+    /// [`Engine::run_worklist`] with a hook: `observe` is called for each
+    /// node taken off the ready queue, before its turn.  Between turns the
+    /// public state plus the ready queue is the complete state of the run,
+    /// which is what [`super::SteadyState`] compares and rewrites there.
+    pub fn run_worklist_observed<F, O>(
+        &mut self,
+        fire: &mut F,
+        step_bound: u64,
+        seed_all: bool,
+        mut observe: O,
+    ) -> Halt
+    where
+        F: FnMut(NodeId, u64, &[Option<Payload>], &mut [Option<Payload>]),
+        O: FnMut(&mut Self, NodeId),
+    {
         let g = self.graph;
-        let mut queue: VecDeque<NodeId> = VecDeque::with_capacity(g.node_count());
-        let mut in_queue = vec![false; g.node_count()];
+        self.ready.clear();
+        self.in_ready.fill(false);
         for n in g.node_ids() {
-            if (seed_all || g.in_degree(n) == 0) && !self.nodes[n.index()].done {
-                queue.push_back(n);
-                in_queue[n.index()] = true;
+            if seed_all || g.in_degree(n) == 0 {
+                self.wake(n);
             }
         }
-        while let Some(node) = queue.pop_front() {
-            in_queue[node.index()] = false;
+        while let Some(node) = self.ready.pop_front() {
+            self.in_ready[node.index()] = false;
+            observe(self, node);
             if self.steps >= step_bound {
                 return Halt::StepBound;
             }
@@ -184,23 +210,24 @@ impl<'g> Engine<'g> {
                 continue;
             }
             self.steps += 1;
-            let mut wake = |n: NodeId, nodes: &[NodeState]| {
-                if !in_queue[n.index()] && !nodes[n.index()].done {
-                    in_queue[n.index()] = true;
-                    queue.push_back(n);
-                }
-            };
             // The stepped node may be able to go again; so may the consumers
             // of channels it filled and the producers of channels it drained.
-            wake(node, &self.nodes);
+            self.wake(node);
             while let Some(e) = self.filled.pop() {
-                wake(g.head(e), &self.nodes);
+                self.wake(g.head(e));
             }
             while let Some(e) = self.drained.pop() {
-                wake(g.tail(e), &self.nodes);
+                self.wake(g.tail(e));
             }
         }
         self.verdict()
+    }
+
+    fn wake(&mut self, n: NodeId) {
+        if !self.in_ready[n.index()] && !self.nodes[n.index()].done {
+            self.in_ready[n.index()] = true;
+            self.ready.push_back(n);
+        }
     }
 
     /// Reference scheduler: polls every node in id order, pass after pass.

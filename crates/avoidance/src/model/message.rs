@@ -38,6 +38,15 @@ impl Message {
         }
     }
 
+    /// The same message `by` sequence numbers later (end-of-stream has none).
+    pub fn shifted(self, by: u64) -> Message {
+        match self {
+            Message::Data { seq, payload } => Message::Data { seq: seq + by, payload },
+            Message::Dummy { seq } => Message::Dummy { seq: seq + by },
+            Message::Eos => Message::Eos,
+        }
+    }
+
     /// True for data messages.
     pub fn is_data(&self) -> bool {
         matches!(self, Message::Data { .. })

@@ -10,7 +10,9 @@
 //! * [`message`] — what travels on a channel;
 //! * [`wrapper`] — the Propagation / Non-Propagation gap counters;
 //! * [`engine`] — the scalar step over `VecDeque` channels, with the
-//!   round-robin scan (the specification) and the worklist scheduler.
+//!   round-robin scan (the specification) and the worklist scheduler;
+//! * [`steady`] — an observer of the worklist run that skips a recurring
+//!   steady state exactly (certification's; the Simulator runs unobserved).
 //!
 //! It lives in `fila-avoidance` because certification
 //! ([`crate::verify::certify_plan`]) has to *run* a plan, and the runtime
@@ -21,8 +23,10 @@
 
 pub mod engine;
 pub mod message;
+pub mod steady;
 pub mod wrapper;
 
 pub use engine::{Engine, Halt, NodeState};
 pub use message::{Message, Payload};
+pub use steady::{Skip, SteadyState};
 pub use wrapper::{AvoidanceMode, DummyWrapper, PropagationTrigger, RunDummies};

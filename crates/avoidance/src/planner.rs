@@ -98,12 +98,24 @@ impl<'g> Planner<'g> {
     /// Computes the plan and reports which topology class (and therefore
     /// which algorithm family) was used.
     pub fn plan_with_class(&self) -> Result<(GraphClass, AvoidancePlan)> {
-        let g = self.graph;
-        let class = if self.force_exhaustive {
-            GraphClass::General
+        let class = self.class()?;
+        Ok((class, self.plan_as(class)?))
+    }
+
+    /// The class the plan is computed under.
+    fn class(&self) -> Result<GraphClass> {
+        if self.force_exhaustive {
+            Ok(GraphClass::General)
         } else {
-            classify(g)?
-        };
+            classify(self.graph)
+        }
+    }
+
+    /// Computes the plan under `class`: the graph's own (a certification
+    /// walk classifies once for all its candidates), or `General` to force
+    /// the exhaustive planner.
+    pub(crate) fn plan_as(&self, class: GraphClass) -> Result<AvoidancePlan> {
+        let g = self.graph;
         let intervals = match class {
             GraphClass::SeriesParallel => {
                 let decomposition = match recognize(g)? {
@@ -183,10 +195,7 @@ impl<'g> Planner<'g> {
                 exhaustive_intervals_bounded(g, self.algorithm, self.rounding, self.cycle_bound)?
             }
         };
-        Ok((
-            class,
-            AvoidancePlan::new(g, self.algorithm, self.rounding, intervals),
-        ))
+        Ok(AvoidancePlan::new(g, self.algorithm, self.rounding, intervals))
     }
 
     /// Plans **and certifies** against the declared per-node filter
@@ -205,11 +214,7 @@ impl<'g> Planner<'g> {
     /// On a `General`-class topology the structural steps *are* the
     /// exhaustive ones, so the chain collapses to two candidates.
     pub fn certify(&self, periods: &[u64]) -> std::result::Result<CertifiedPlan, CertifyError> {
-        let class = if self.force_exhaustive {
-            GraphClass::General
-        } else {
-            classify(self.graph).map_err(CertifyError::Unplannable)?
-        };
+        let class = self.class().map_err(CertifyError::Unplannable)?;
         let accepted = walk_certification_chain(
             self.graph,
             self.algorithm,
@@ -217,11 +222,8 @@ impl<'g> Planner<'g> {
             periods,
             |algorithm, exhaustive| {
                 let planning = Instant::now();
-                let plan = self
-                    .clone()
-                    .algorithm(algorithm)
-                    .force_exhaustive(exhaustive)
-                    .plan()?;
+                let class = if exhaustive { GraphClass::General } else { class };
+                let plan = self.clone().algorithm(algorithm).plan_as(class)?;
                 Ok((Arc::new(plan), planning.elapsed()))
             },
         )?;

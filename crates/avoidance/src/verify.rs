@@ -52,7 +52,7 @@ use fila_graph::{EdgeId, Graph, NodeId, Result};
 
 use crate::exhaustive::exhaustive_intervals_bounded;
 use crate::interval::DummyInterval;
-use crate::model::{AvoidanceMode, Engine, Halt, Payload, PropagationTrigger};
+use crate::model::{AvoidanceMode, Engine, Halt, Payload, PropagationTrigger, SteadyState};
 use crate::plan::AvoidancePlan;
 
 /// The outcome of verifying a plan against the exhaustive baseline.
@@ -336,7 +336,10 @@ pub fn certify_plan_bounded(
 
 /// Shared body of [`certify_plan`] / [`certify_plan_bounded`]: `required`
 /// is the unclamped [`certification_inputs`] value, threaded through so
-/// the topological pass runs once per certification, not twice.
+/// the topological pass runs once per certification, not twice.  Each of
+/// the up to six runs skips its steady state exactly ([`SteadyState`]): the
+/// declared run's rule has the profile's periods, an adversarial run's rule
+/// does not read `seq` at all.
 fn certify_with_requirement(
     g: &Graph,
     plan: &AvoidancePlan,
@@ -366,7 +369,7 @@ fn certify_with_requirement(
     let periodic = |n: NodeId, seq: u64, j: usize, _outs: usize| -> bool {
         (seq + j as u64) % periods[n.index()].max(1) == 0
     };
-    let declared = model_check(g, &mode, periodic, inputs, max_steps);
+    let declared = model_check(g, &mode, periodic, periods, inputs, max_steps);
     let mut worst_case = declared;
     let mut failing_adversary = None;
     // A profile with no filtering node has an empty escalation: every
@@ -380,7 +383,7 @@ fn certify_with_requirement(
                     periodic(n, seq, j, outs)
                 }
             };
-            worst_case = model_check(g, &mode, emit, inputs, max_steps);
+            worst_case = model_check(g, &mode, emit, &[], inputs, max_steps);
             if !worst_case.completed {
                 failing_adversary = Some(name);
                 break;
@@ -415,11 +418,16 @@ fn default_step_budget(g: &Graph, inputs: u64) -> u64 {
 /// scheduler, default `OnFilterOnly` Propagation trigger — exactly what
 /// `fila_runtime::Simulator` drives) with a declarative firing rule in
 /// place of node behaviours: `emits(node, seq, output slot, out-degree)`
-/// says whether a data-bearing acceptance sends data on that slot.
+/// says whether a data-bearing acceptance sends data on that slot, and
+/// every one of `emit_periods` is a period of it in `seq`.  The run is
+/// observed by a [`SteadyState`], so a recurring stretch is stepped once and
+/// repeated by arithmetic; `steps` and the verdict are those of the full
+/// replay (`tests/certification.rs::fast_forward_is_invisible`).
 fn model_check(
     g: &Graph,
     mode: &AvoidanceMode,
     emits: impl Fn(NodeId, u64, usize, usize) -> bool,
+    emit_periods: &[u64],
     inputs: u64,
     max_steps: u64,
 ) -> ModelOutcome {
@@ -431,7 +439,10 @@ fn model_check(
             *slot = emits(node, seq, j, outs).then_some(0);
         }
     };
-    let halt = engine.run_worklist(&mut fire, max_steps, false);
+    let mut steady = SteadyState::new(g, emit_periods, inputs);
+    let halt = engine.run_worklist_observed(&mut fire, max_steps, false, |engine, node| {
+        steady.observe(engine, node, max_steps)
+    });
     ModelOutcome {
         completed: halt == Halt::Completed,
         deadlocked: halt == Halt::Deadlocked,

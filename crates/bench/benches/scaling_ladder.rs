@@ -21,20 +21,22 @@ fn bench(c: &mut Criterion) {
                 )
             })
         });
-        // The cubic Non-Propagation computation is only run on the smaller
-        // sweep points to keep bench times reasonable.
-        if rungs <= 128 {
-            group.bench_with_input(BenchmarkId::new("ladder_nonprop", rungs), &rungs, |b, _| {
-                b.iter(|| {
-                    black_box(
-                        Planner::new(&g)
-                            .algorithm(Algorithm::NonPropagation)
-                            .plan()
-                            .unwrap(),
-                    )
-                })
-            });
-        }
+    }
+    // The cubic Non-Propagation computation is only run on the smaller
+    // sweep points, plus the 341-rung (1 025-edge) ladder a cold admission
+    // of that size has to afford.
+    for rungs in [8usize, 32, 128, 341] {
+        let g = ladder_of_size(rungs);
+        group.bench_with_input(BenchmarkId::new("ladder_nonprop", rungs), &rungs, |b, _| {
+            b.iter(|| {
+                black_box(
+                    Planner::new(&g)
+                        .algorithm(Algorithm::NonPropagation)
+                        .plan()
+                        .unwrap(),
+                )
+            })
+        });
     }
     group.finish();
 }

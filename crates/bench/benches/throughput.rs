@@ -626,6 +626,41 @@ fn bench_certification(c: &mut Criterion) {
             })
         },
     );
+    // The ledger's `admit_cold` shapes and profiles (period 3 at every SP
+    // fork / at the ladder source), so its two dominant spans have rows here.
+    let cold_ladders = [192usize, 256].map(|edges| {
+        let g = random_ladder(&LadderConfig {
+            rungs: edges / 3, // 3·rungs + 2 edges
+            capacity_range: (2, 8),
+            reverse_probability: 0.3,
+            seed: 0xC01D + edges as u64,
+        });
+        let periods: Vec<u64> =
+            g.node_ids().map(|n| if g.in_degree(n) == 0 { 3 } else { 1 }).collect();
+        ("cold_ladder/edges", edges, g, periods)
+    });
+    let cold_sp = [256usize, 512].map(|edges| {
+        let (g, _) = random_sp_dag(&GeneratorConfig {
+            target_edges: edges,
+            max_fanout: 4,
+            capacity_range: (2, 8),
+            seed: 0xC01D + edges as u64,
+        });
+        let periods: Vec<u64> =
+            g.node_ids().map(|n| if g.out_degree(n) > 1 { 3 } else { 1 }).collect();
+        ("cold_sp/edges", edges, g, periods)
+    });
+    for (kind, edges, g, periods) in cold_ladders.iter().chain(&cold_sp) {
+        let planner = Planner::new(g).algorithm(Algorithm::NonPropagation);
+        group.bench_with_input(BenchmarkId::new(format!("plan/{kind}"), edges), edges, |b, _| {
+            b.iter(|| black_box(planner.plan().unwrap()))
+        });
+        group.bench_with_input(
+            BenchmarkId::new(format!("certify/{kind}"), edges),
+            edges,
+            |b, _| b.iter(|| black_box(planner.certify(periods).unwrap().certification.inputs)),
+        );
+    }
     group.finish();
 }
 

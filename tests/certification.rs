@@ -6,7 +6,14 @@
 //! exactly what fresh planning with the fallback protocol would produce — no
 //! private planner behaviour hides behind `certify()`.
 
-use fila::avoidance::{certify_plan_bounded, Algorithm, AvoidancePlan, IntervalMap, Rounding};
+use fila::avoidance::model::{
+    AvoidanceMode, Engine, Halt, Payload, PropagationTrigger, Skip, SteadyState,
+};
+use fila::avoidance::verify::{certification_inputs, AdversaryPattern, ADVERSARIES};
+use fila::avoidance::{
+    certify_plan, certify_plan_bounded, Algorithm, AvoidancePlan, Certification, IntervalMap,
+    ModelOutcome, Rounding,
+};
 use fila::prelude::*;
 use fila::runtime::filters::Predicate;
 use fila::workloads::generators::{
@@ -25,7 +32,7 @@ const STEP_BUDGET: u64 = 50_000_000;
 fn adversarial_topology(
     g: &Graph,
     periods: &[u64],
-    pattern: fila::avoidance::verify::AdversaryPattern,
+    pattern: AdversaryPattern,
 ) -> Topology {
     let mut topo = Topology::from_graph(g);
     for n in g.node_ids() {
@@ -51,7 +58,7 @@ fn adversarial_topology(
 /// The certifier's own adversary table: iterating the exported constant —
 /// not a copy — means a pattern added to `fila_avoidance::verify` is
 /// automatically re-run against the real engine here.
-use fila::avoidance::verify::ADVERSARIES as PATTERNS;
+use ADVERSARIES as PATTERNS;
 
 fn graph_for(case: u8, seed: u64) -> Graph {
     if case % 2 == 0 {
@@ -192,8 +199,7 @@ proptest! {
 /// rather than silently under-check.
 #[test]
 fn certification_budget_envelope() {
-    use fila::avoidance::certify_plan;
-    use fila::avoidance::verify::{certification_inputs, MAX_CERTIFICATION_INPUTS};
+    use fila::avoidance::verify::MAX_CERTIFICATION_INPUTS;
     let small = {
         let mut b = GraphBuilder::new();
         b.chain(&["a", "b", "c"]).unwrap();
@@ -223,4 +229,335 @@ fn certification_budget_envelope() {
         .unwrap();
     let cert = certify_plan(&huge, &plan, &[4, 4, 4, 1]).unwrap();
     assert!(cert.truncated && !cert.certified, "{}", cert.summary());
+}
+
+// ---------------------------------------------------------------------------
+// E25: the steady-state fast-forward is invisible.  The oracle is the full
+// replay — `Engine::new` + the unobserved `run_worklist` — under the same
+// emission rule; the subject is the same run observed by `SteadyState`, which
+// is exactly what `verify::model_check` drives.
+// ---------------------------------------------------------------------------
+
+/// Everything one model run leaves behind.
+#[derive(Debug, PartialEq, Eq)]
+struct Run {
+    halt: Halt,
+    steps: u64,
+    per_edge_data: Vec<u64>,
+    per_edge_dummies: Vec<u64>,
+    sink_firings: u64,
+    per_node_firings: Vec<u64>,
+}
+
+impl Run {
+    fn outcome(&self) -> ModelOutcome {
+        ModelOutcome {
+            completed: self.halt == Halt::Completed,
+            deadlocked: self.halt == Halt::Deadlocked,
+            steps: self.steps,
+        }
+    }
+}
+
+/// One certification run — declared (`adversary: None`) or adversarial —
+/// replayed in full (`observed: false`) or under the fast-forward.
+fn drive(
+    g: &Graph,
+    plan: &AvoidancePlan,
+    periods: &[u64],
+    adversary: Option<AdversaryPattern>,
+    (inputs, max_steps): (u64, u64),
+    observed: bool,
+) -> (Run, Option<Skip>) {
+    let mode = AvoidanceMode::plan(plan.clone());
+    let mut engine = Engine::new(g, &mode, PropagationTrigger::default(), inputs);
+    let mut fire = |n: NodeId, seq: u64, _: &[Option<Payload>], emit: &mut [Option<Payload>]| {
+        let outs = emit.len();
+        for (j, slot) in emit.iter_mut().enumerate() {
+            let emits = match adversary {
+                Some(pattern) if periods[n.index()] > 1 => pattern(n.index(), j, outs),
+                _ => (seq + j as u64) % periods[n.index()].max(1) == 0,
+            };
+            *slot = emits.then_some(0);
+        }
+    };
+    // The rule's periods: the declared ones, or none (an adversary
+    // ignores `seq`; the nodes it leaves alone have period 1).
+    let rule: &[u64] = if adversary.is_some() { &[] } else { periods };
+    let mut steady = SteadyState::new(g, rule, inputs);
+    let halt = if observed {
+        engine.run_worklist_observed(&mut fire, max_steps, false, |engine, node| {
+            steady.observe(engine, node, max_steps)
+        })
+    } else {
+        engine.run_worklist(&mut fire, max_steps, false)
+    };
+    let run = Run {
+        halt,
+        steps: engine.steps,
+        sink_firings: engine.sink_firings,
+        per_node_firings: engine.nodes.iter().map(|n| n.firings).collect(),
+        per_edge_data: engine.per_edge_data,
+        per_edge_dummies: engine.per_edge_dummies,
+    };
+    (run, steady.skip())
+}
+
+/// The `Certification` the full replay supports, assembled the way
+/// `verify::certify_with_requirement` assembles it.
+fn replayed_certification(
+    g: &Graph,
+    plan: &AvoidancePlan,
+    periods: &[u64],
+    budget: (u64, u64),
+) -> Certification {
+    let replay = |adversary| drive(g, plan, periods, adversary, budget, false).0.outcome();
+    let declared = replay(None);
+    let (mut worst_case, mut failing_adversary) = (declared, None);
+    if periods.iter().any(|&p| p > 1) {
+        for (name, pattern) in ADVERSARIES {
+            worst_case = replay(Some(pattern));
+            if !worst_case.completed {
+                failing_adversary = Some(name);
+                break;
+            }
+        }
+    }
+    let truncated = budget.0 < certification_inputs(g);
+    Certification {
+        certified: declared.completed && failing_adversary.is_none() && !truncated,
+        declared,
+        worst_case,
+        failing_adversary,
+        inputs: budget.0,
+        truncated,
+    }
+}
+
+/// All six runs agree between replay and fast-forward; returns the
+/// skips, declared run first.
+fn six_runs_agree(
+    g: &Graph,
+    plan: &AvoidancePlan,
+    periods: &[u64],
+    budget: (u64, u64),
+    context: &str,
+) -> Vec<Option<Skip>> {
+    std::iter::once(None)
+        .chain(ADVERSARIES.iter().map(|&(_, pattern)| Some(pattern)))
+        .enumerate()
+        .map(|(run, adversary)| {
+            let (replayed, _) = drive(g, plan, periods, adversary, budget, false);
+            let (skipped, skip) = drive(g, plan, periods, adversary, budget, true);
+            assert_eq!(replayed, skipped, "{context}, run {run}, budget {budget:?}, {skip:?}");
+            skip
+        })
+        .collect()
+}
+
+/// A layered DAG with one source per first-layer node and a shared sink
+/// (`layered_dag` has a shared source; sources with unequal cursors are
+/// the point here).
+fn multi_source_layers(seed: u64) -> Graph {
+    let (layers, width) = (2 + seed % 2, 2 + seed / 2 % 2);
+    let pick = |salt: u64, modulus: u64| {
+        (seed.wrapping_mul(0x9E37_79B9) >> 7).wrapping_add(salt * 2_654_435_761) % modulus
+    };
+    let mut b = GraphBuilder::new();
+    for l in 0..layers {
+        for w in 0..width {
+            let from = format!("n{l}_{w}");
+            if l + 1 == layers {
+                b.edge_with_capacity(&from, "T", 1 + pick(l * 7 + w, 5)).unwrap();
+                continue;
+            }
+            for k in 0..1 + pick(l * 11 + w, 2) {
+                let to = format!("n{}_{}", l + 1, (w + k + pick(l + w, width)) % width);
+                b.edge_with_capacity(&from, &to, 1 + pick(l * 13 + w * 3 + k, 5)).unwrap();
+            }
+        }
+    }
+    b.build().expect("every node reaches the shared sink")
+}
+
+fn graph_of(family: u64, seed: u64) -> Graph {
+    match family {
+        0 | 1 => graph_for(family as u8, seed),
+        _ => multi_source_layers(seed),
+    }
+}
+
+/// All-infinite intervals: the wrapper never sends a dummy.
+fn no_avoidance(g: &Graph) -> AvoidancePlan {
+    AvoidancePlan::new(g, Algorithm::NonPropagation, Rounding::Ceil, IntervalMap::for_graph(g))
+}
+
+/// NonProp plan, Prop plan (where the planner has one for the shape), and
+/// the all-infinite "no avoidance" plan.
+fn plans_of(g: &Graph) -> Vec<AvoidancePlan> {
+    [Algorithm::NonPropagation, Algorithm::Propagation]
+        .into_iter()
+        .filter_map(|algorithm| Planner::new(g).algorithm(algorithm).cycle_bound(4096).plan().ok())
+        .chain([no_avoidance(g)])
+        .collect()
+}
+
+/// Fork-only, source-only and random-interior profiles, periods 2..=6.
+fn profile_of(g: &Graph, kind: u64, draw: u64) -> Vec<u64> {
+    let period = 2 + draw % 5;
+    g.node_ids()
+        .map(|n| match kind {
+            0 if g.out_degree(n) > 1 => period,
+            1 if g.in_degree(n) == 0 => period,
+            2 => 1 + (draw / 5 + 7 * n.index() as u64) % 6,
+            _ => 1,
+        })
+        .collect()
+}
+
+proptest! {
+    // Tier-1 runs this unoptimised; CI's release step runs the full 256.
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 16 } else { 256 }))]
+
+    #[test]
+    fn fast_forward_is_invisible(draw in 0u64..1_000_000_000) {
+        let (family, kind, seed) = (draw % 3, draw / 3 % 3, draw / 9 % 1_000);
+        let g = graph_of(family, seed);
+        let periods = profile_of(&g, kind, draw / 9_000);
+        let inputs = certification_inputs(&g);
+        for plan in plans_of(&g) {
+            let context = format!(
+                "family {family} seed {seed} {} periods {periods:?}", plan.algorithm()
+            );
+            // Ample budget, then one that runs out mid-run.
+            let tight = 500 + draw / 17 % (40 * inputs);
+            for budget in [(inputs, STEP_BUDGET), (inputs, tight)] {
+                six_runs_agree(&g, &plan, &periods, budget, &context);
+                let cert = certify_plan_bounded(&g, &plan, &periods, budget.0, budget.1);
+                let replayed = replayed_certification(&g, &plan, &periods, budget);
+                prop_assert!(
+                    cert.as_ref().ok() == Some(&replayed),
+                    "{context} budget {budget:?}: {cert:?} vs replayed {replayed:?}"
+                );
+            }
+            // The default budgets: wherever they did not bind, the
+            // replay under an ample one must say the same.
+            let cert = certify_plan(&g, &plan, &periods).unwrap();
+            if !cert.declared.inconclusive() && !cert.worst_case.inconclusive() {
+                let replayed =
+                    replayed_certification(&g, &plan, &periods, (inputs, STEP_BUDGET));
+                prop_assert!(cert == replayed, "{context}: {cert:?} vs {replayed:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_run_that_deadlocks_before_any_recurrence_is_stepped_in_full() {
+    // Fig. 2 unprotected: first-output-only fills A→B→C while A→C
+    // starves, and the run is dead within a dozen steps.
+    let g = fila::workloads::figures::fig2_triangle(2);
+    let skips = six_runs_agree(&g, &no_avoidance(&g), &[8, 1, 1], (256, STEP_BUDGET), "fig2");
+    let first_output_only = Some(ADVERSARIES[1].1);
+    let (run, skip) =
+        drive(&g, &no_avoidance(&g), &[8, 1, 1], first_output_only, (256, STEP_BUDGET), true);
+    assert_eq!(run.halt, Halt::Deadlocked);
+    assert_eq!((skip, skips[2]), (None, None));
+}
+
+#[test]
+fn a_three_node_pipeline_recurs_where_expected() {
+    // a → b → c, two slots per channel, nothing filters: from the
+    // fourth input on every source turn sees the same picture, one
+    // sequence number later.  Brent's saved checkpoint is then the 4th
+    // (cursor 3), so the 5th (cursor 4) matches it with shift 1 and
+    // all 64 − 4 remaining inputs are skipped.
+    let mut b = GraphBuilder::new().default_capacity(2);
+    b.chain(&["a", "b", "c"]).unwrap();
+    let g = b.build().unwrap();
+    let budget = (64, STEP_BUDGET);
+    let (run, skip) = drive(&g, &no_avoidance(&g), &[1, 1, 1], None, budget, true);
+    assert_eq!(skip, Some(Skip { at: 4, shift: 1, skipped: 60 }));
+    assert_eq!(run.halt, Halt::Completed);
+    assert_eq!(run.per_edge_data, vec![64, 64]);
+    assert_eq!(run, drive(&g, &no_avoidance(&g), &[1, 1, 1], None, budget, false).0);
+}
+
+#[test]
+fn a_step_budget_inside_the_skipped_region_is_met_by_stepping() {
+    let g = random_ladder(&LadderConfig {
+        rungs: 6,
+        capacity_range: (2, 4),
+        reverse_probability: 0.3,
+        seed: 5,
+    });
+    let periods: Vec<u64> =
+        g.node_ids().map(|n| if g.in_degree(n) == 0 { 3 } else { 1 }).collect();
+    let plan = Planner::new(&g).algorithm(Algorithm::NonPropagation).plan().unwrap();
+    let inputs = certification_inputs(&g);
+    let (full, skip) = drive(&g, &plan, &periods, None, (inputs, STEP_BUDGET), true);
+    let skip = skip.expect("the declared ladder run recurs");
+    assert!(skip.skipped * skip.shift > inputs / 2, "{skip:?} of {inputs}");
+    // Half the run's steps: far past the recurrence, far from the end.
+    let budget = (inputs, full.steps / 2);
+    six_runs_agree(&g, &plan, &periods, budget, "ladder, budget mid-skip");
+    let cert = certify_plan_bounded(&g, &plan, &periods, budget.0, budget.1).unwrap();
+    assert!(cert.declared.inconclusive());
+    assert_eq!(cert.declared.steps, budget.1);
+    assert_eq!(cert, replayed_certification(&g, &plan, &periods, budget));
+}
+
+#[test]
+fn a_declared_period_beyond_the_inputs_disables_only_the_declared_run() {
+    // lcm(7, 11, 13) = 1001 > 256 inputs: no two checkpoints of the
+    // declared run can be a period apart; the adversaries ignore `seq`.
+    let g = fila::workloads::figures::fig2_triangle(4);
+    let plan = Planner::new(&g).algorithm(Algorithm::NonPropagation).plan().unwrap();
+    let periods = [7, 11, 13];
+    let skips = six_runs_agree(&g, &plan, &periods, (256, STEP_BUDGET), "lcm > inputs");
+    assert_eq!(skips[0], None);
+    assert!(skips[1..].iter().all(Option::is_some), "{skips:?}");
+    assert_eq!(
+        certify_plan_bounded(&g, &plan, &periods, 256, STEP_BUDGET).unwrap(),
+        replayed_certification(&g, &plan, &periods, (256, STEP_BUDGET)),
+    );
+}
+
+#[test]
+fn two_sources_recur_with_unequal_cursors() {
+    // `ahead` feeds the join through a two-hop detour of deep buffers,
+    // `behind` directly: in the steady state `ahead` leads by what the
+    // detour buffers, and both cursors advance by the same shift.
+    let mut b = GraphBuilder::new();
+    b.edge_with_capacity("ahead", "relay", 5).unwrap();
+    b.edge_with_capacity("relay", "join", 4).unwrap();
+    b.edge_with_capacity("behind", "join", 1).unwrap();
+    b.edge_with_capacity("join", "sink", 2).unwrap();
+    let g = b.build().unwrap();
+    let (ahead, behind) = (g.node_by_name("ahead").unwrap(), g.node_by_name("behind").unwrap());
+    let mode = AvoidanceMode::plan(no_avoidance(&g));
+    let mut engine = Engine::new(&g, &mode, PropagationTrigger::default(), 100);
+    let mut fire = |_: NodeId, _: u64, _: &[Option<Payload>], emit: &mut [Option<Payload>]| {
+        emit.fill(Some(0))
+    };
+    let mut steady = SteadyState::new(&g, &[], 100);
+    let mut cursors_at_skip = None;
+    let halt = engine.run_worklist_observed(&mut fire, STEP_BUDGET, false, |engine, node| {
+        let cursors = (
+            engine.nodes[ahead.index()].next_source_seq,
+            engine.nodes[behind.index()].next_source_seq,
+        );
+        let before = steady.skip();
+        steady.observe(engine, node, STEP_BUDGET);
+        if before.is_none() && steady.skip().is_some() {
+            cursors_at_skip = Some(cursors);
+        }
+    });
+    assert_eq!(halt, Halt::Completed);
+    let (skip, (a, b)) = (steady.skip().unwrap(), cursors_at_skip.unwrap());
+    assert!(a > b, "ahead {a}, behind {b}");
+    // `ahead` is the anchor and the further along: it bounds the skip.
+    assert_eq!((skip.at, skip.skipped), (a, (100 - a) / skip.shift));
+    assert_eq!(engine.per_edge_data, vec![100; 4]);
+    six_runs_agree(&g, &no_avoidance(&g), &[1; 5], (100, STEP_BUDGET), "two sources");
 }

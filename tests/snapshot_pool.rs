@@ -5,7 +5,7 @@
 //! behaviour panics *after* a checkpoint is recovered from its last
 //! snapshot and finishes with the exact uninterrupted counts.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -247,11 +247,37 @@ fn slower_source_stops_at_the_barrier_at_every_batch_limit() {
     let g = b.build().unwrap();
     let fast = g.node_by_name("fast").unwrap();
     let slow = g.node_by_name("slow").unwrap();
+    // The slow source is paced by the test.  HELD: it stops at `HOLD`, so
+    // the job cannot settle before the cut is requested, however long this
+    // thread is descheduled (sleeping 100 µs per input instead lost that
+    // race 1 run in 25).  CRAWL, while `checkpoint()` collects: 1 ms per
+    // input, ≈ 0.6 s of margin for a cut that needs ≈ 20 of them.  FREE
+    // after.  It holds *inside* a firing, with its task mutex, so the wait
+    // for the fast source's lead reads an atomic rather than `observe()`.
+    const HOLD: u64 = 8;
+    const HELD: u8 = 0;
+    const CRAWL: u8 = 1;
+    const FREE: u8 = 2;
+    let pace = Arc::new(AtomicU8::new(FREE)); // the reference run
+    let fast_at = Arc::new(AtomicU64::new(0));
+    let (slow_pace, fast_progress) = (Arc::clone(&pace), Arc::clone(&fast_at));
     let topo = Topology::from_graph(&g)
-        .with(fast, || Predicate::new(2, |seq, out| out == 0 || seq % 4 == 0))
-        .with(slow, || {
-            Predicate::new(1, |seq, _| {
-                std::thread::sleep(Duration::from_micros(100));
+        .with(fast, move || {
+            let at = Arc::clone(&fast_progress);
+            Predicate::new(2, move |seq, out| {
+                at.fetch_max(seq, Ordering::SeqCst);
+                out == 0 || seq % 4 == 0
+            })
+        })
+        .with(slow, move || {
+            let pace = Arc::clone(&slow_pace);
+            Predicate::new(1, move |seq, _| {
+                while seq >= HOLD && pace.load(Ordering::SeqCst) == HELD {
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+                if pace.load(Ordering::SeqCst) == CRAWL {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
                 seq % 3 != 0
             })
         });
@@ -280,21 +306,21 @@ fn slower_source_stops_at_the_barrier_at_every_batch_limit() {
             batching: Batching::Messages(limit),
             ..PoolOptions::default()
         });
+        pace.store(HELD, Ordering::SeqCst);
+        fast_at.store(0, Ordering::SeqCst);
         let handle = pool.submit_with(&topo, AvoidanceMode::Plan(Arc::clone(&plan)), inputs);
-        // Let the fast source build its lead before cutting.
-        while !handle.is_settled() {
-            let seen = handle.observe().per_node_firings;
-            if seen[fast.index()] > seen[slow.index()] + 4 {
-                break;
-            }
+        // Let the fast source build its lead over the held slow one, then cut.
+        while fast_at.load(Ordering::SeqCst) < HOLD + 4 {
             std::thread::yield_now();
         }
+        pace.store(CRAWL, Ordering::SeqCst);
         let snapshot = handle.checkpoint();
+        pace.store(FREE, Ordering::SeqCst);
         let original = handle.wait();
         assert!(original.completed, "limit {limit}: {original:?}");
         assert_eq!(original.per_edge_data, reference.per_edge_data, "limit {limit}");
         assert_eq!(original.per_edge_dummies, reference.per_edge_dummies, "limit {limit}");
-        let snapshot = snapshot.expect("600 slowed inputs outlast the checkpoint");
+        let snapshot = snapshot.expect("the slow source crawls until the cut is taken");
         // Both sources contributed exactly at the barrier.
         assert_eq!(
             snapshot.nodes[slow.index()].next_source_seq,
