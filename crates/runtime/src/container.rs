@@ -222,21 +222,25 @@ fn pooled_segs() -> Vec<Seg> {
         .unwrap_or_else(|| Vec::with_capacity(8))
 }
 
+/// Hands a segment vector back to the thread's pool (or the allocator).
+fn recycle_segs(mut segs: Vec<Seg>) {
+    if segs.capacity() == 0 {
+        return;
+    }
+    segs.clear();
+    // `try_with` so drops during thread teardown (after the TLS value
+    // is destroyed) silently fall through to the allocator.
+    let _ = SEG_POOL.try_with(|p| {
+        let mut pool = p.borrow_mut();
+        if pool.len() < SEG_POOL_CAP {
+            pool.push(segs);
+        }
+    });
+}
+
 impl Drop for Batch {
     fn drop(&mut self) {
-        if self.segs.capacity() == 0 {
-            return;
-        }
-        let mut segs = std::mem::take(&mut self.segs);
-        segs.clear();
-        // `try_with` so drops during thread teardown (after the TLS value
-        // is destroyed) silently fall through to the allocator.
-        let _ = SEG_POOL.try_with(|p| {
-            let mut pool = p.borrow_mut();
-            if pool.len() < SEG_POOL_CAP {
-                pool.push(segs);
-            }
-        });
+        recycle_segs(std::mem::take(&mut self.segs));
     }
 }
 
@@ -253,6 +257,16 @@ impl Batch {
             data: 0,
             dummies: 0,
         }
+    }
+
+    /// Moves the remaining segments into a vector of exactly their size and
+    /// recycles the old one.  For a batch that will never drain: a consumer
+    /// peeks its input's EOS marker and leaves it on the ring for the rest
+    /// of the job, and would pin a whole pooled vector under it.
+    pub(crate) fn release_storage(&mut self) {
+        let rest = self.segs[self.head..].to_vec();
+        recycle_segs(std::mem::replace(&mut self.segs, rest));
+        self.head = 0;
     }
 
     /// Consumes the front message, which the caller has just observed via
@@ -516,11 +530,7 @@ impl<C: Container> ConsumeMsgs<C> for spsc::Consumer<C> {
         let c = self.front_mut()?;
         let m = c.pop_front();
         debug_assert!(m.is_some(), "empty container on a ring");
-        let exhausted = c.is_empty();
         self.release_msgs(1);
-        if exhausted {
-            self.advance_exhausted();
-        }
         m
     }
 }

@@ -909,17 +909,31 @@ impl SharedPool {
             for port in &mut task.outs {
                 port.data = snapshot.per_edge_data[port.edge as usize];
                 port.dummies = snapshot.per_edge_dummies[port.edge as usize];
+                // Re-pack the wire-form channel into containers as the run
+                // loops would have staged it (grouping is unobservable: a
+                // capture flattens containers back to messages).
+                // `validate_for` bounds channel lengths by ring capacity,
+                // but a hostile/corrupted blob must degrade to a typed
+                // error, never a panic on the restore path.
+                let mut ship = |container: Batch| {
+                    port.tx.push(container).map_err(|_| {
+                        RestoreError::Corrupted("restored channel overflows ring capacity".into())
+                    })
+                };
+                let mut open: Option<Batch> = None;
                 for &message in &snapshot.channels[port.edge as usize] {
-                    // `validate_for` bounds channel lengths by ring capacity,
-                    // but a hostile/corrupted blob must degrade to a typed
-                    // error, never a panic on the restore path.  One unit
-                    // container per wire message always fits: the ring has
-                    // one slot per modelled message of capacity.
-                    if port.tx.push(Batch::from_message(message)).is_err() {
-                        return Err(RestoreError::Corrupted(
-                            "restored channel overflows ring capacity".into(),
-                        ));
+                    let refused = match &mut open {
+                        Some(batch) => batch.try_push(port.limit, message).err(),
+                        None => Some(message),
+                    };
+                    if let Some(message) = refused {
+                        if let Some(full) = open.replace(Batch::from_message(message)) {
+                            ship(full)?;
+                        }
                     }
+                }
+                if let Some(last) = open {
+                    ship(last)?;
                 }
             }
             for &(edge, message) in &node.staged {

@@ -1,12 +1,26 @@
 //! A lock-free single-producer/single-consumer ring buffer with blocked-peer
-//! notification flags — the channel substrate of [`crate::PooledExecutor`].
+//! notification flags — the channel substrate of [`crate::SharedPool`].
 //!
 //! Every edge of the application graph has exactly one producing node and one
 //! consuming node, so its channel never needs multi-producer or multi-consumer
 //! machinery: a classic Lamport ring (one atomic head owned by the consumer,
 //! one atomic tail owned by the producer, both caching the opposite index)
-//! gives wait-free `push`/`pop`/`front` with no locks and no allocation after
-//! construction.
+//! gives wait-free `push`/`pop`/`front` with no locks.
+//!
+//! ## Memory follows occupancy
+//!
+//! Capacity bounds buffered **messages** and may be declared as large as the
+//! job likes; what the ring allocates follows what it *holds*.  The slots
+//! live in a chain of `BLOCK`-slot blocks from the consumer's block to the
+//! producer's: one block at construction, at most `⌈k / BLOCK⌉ + 2` for `k`
+//! buffered values (a slot per message in the worst case of `cap`
+//! one-message containers — what a flat array costs always), at most two
+//! once drained whatever the capacity and history, and no allocation in
+//! steady state.  `Producer::next_block` and `Ring::advance` are the
+//! hand-off: a link published by the `tail` store the ring always had, and
+//! one spare block returned through a mailbox (DESIGN.md "Rings sized by
+//! occupancy (E26)" has the argument).  A ring of `cap ≤ BLOCK` is the flat
+//! Lamport ring: one block of `cap` slots linked to itself, same code path.
 //!
 //! ## The waiting-flag protocol
 //!
@@ -31,17 +45,19 @@
 //!
 //! ## Index-width assumption
 //!
-//! Head and tail are *monotonically increasing* `usize` counters (slot =
-//! `index % cap`), which is only sound while they cannot wrap: on a 64-bit
-//! target a single channel would need ~5.8 centuries at 10^9 msg/s to
-//! overflow, but on a 32-bit target 2^32 messages wrap the counters and
-//! corrupt any ring whose capacity does not divide 2^32.  The engines only
-//! target 64-bit hosts; port the indices to `u64` (or one-lap stamps à la
-//! crossbeam's `ArrayQueue`) before using this module on 32-bit.
+//! Head, tail and the message counters are *monotonically increasing*
+//! `usize` counters compared by subtraction (the slot itself is a block
+//! pointer and an offset kept beside each index, not `index % cap`), which
+//! is only sound while they cannot wrap: on a 64-bit target a single channel
+//! would need ~5.8 centuries at 10^9 msg/s to overflow, but on a 32-bit
+//! target 2^32 messages wrap them.  The engines only target 64-bit hosts;
+//! port the counters to `u64` before using this module on 32-bit.
 
-use std::cell::{Cell, UnsafeCell};
+use std::alloc::{self, Layout};
+use std::cell::Cell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::ptr;
+use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The message weight of a ring value.
@@ -72,9 +88,9 @@ pub trait Weigh {
 /// A channel capacity in **messages** — the unit of the paper's buffer
 /// model.  The newtype exists so no ring construction site can silently
 /// reinterpret "slots of containers" as "slots of messages": a ring of
-/// `MsgCap(c)` allocates `c` slots (the worst case of one message per
-/// container) and admits at most `c` messages regardless of how they are
-/// grouped into containers.
+/// `MsgCap(c)` admits at most `c` messages regardless of how they are
+/// grouped into containers, and allocates for the containers it holds, not
+/// for `c` (see the module docs) — any `c` is safe to declare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MsgCap(usize);
 
@@ -96,20 +112,95 @@ impl MsgCap {
 #[repr(align(64))]
 struct CachePadded<T>(T);
 
+/// Slots per block of a ring deeper than this many messages (a shallower
+/// ring is one block of `cap` slots, see [`Ring`]).  Not a knob: 8 slots of
+/// 64-byte containers are half a kilobyte and, at the default 64 messages a
+/// container, room for 512 messages — more than most channels ever hold.
+const BLOCK: usize = 8;
+
+/// Header of one block; its slots follow it in the same allocation (the
+/// zero-length array gives their offset and alignment).
+#[repr(C)]
+struct Block<T> {
+    /// The block holding the next slots (null while this is the tail
+    /// block).  Written by the producer before its Release store of `tail`
+    /// publishes this block's last slot; read by the consumer when it has
+    /// consumed that slot, so after it acquired such a `tail`.
+    next: AtomicPtr<Block<T>>,
+    slots: [MaybeUninit<T>; 0],
+}
+
+impl<T> Block<T> {
+    fn layout(slots: usize) -> Layout {
+        let slots = Layout::array::<T>(slots).expect("a block is at most BLOCK slots");
+        let (layout, offset) = Layout::new::<Self>().extend(slots).expect("as above");
+        debug_assert_eq!(offset, std::mem::size_of::<Self>(), "`slots` is where `slot` looks");
+        layout
+    }
+
+    /// An unlinked block of `slots` uninitialised slots.
+    fn alloc(slots: usize) -> *mut Self {
+        let layout = Self::layout(slots);
+        // SAFETY: the layout is never zero-sized (it starts with `next`).
+        let block = unsafe { alloc::alloc(layout) }.cast::<Self>();
+        if block.is_null() {
+            alloc::handle_alloc_error(layout);
+        }
+        // SAFETY: freshly allocated for this layout, which starts with `next`.
+        unsafe { ptr::addr_of_mut!((*block).next).write(AtomicPtr::new(ptr::null_mut())) };
+        block
+    }
+
+    /// # Safety
+    /// `block` came from [`Block::alloc`] with the same `slots`, holds no
+    /// initialised value and is not reachable by either endpoint any more.
+    unsafe fn free(block: *mut Self, slots: usize) {
+        alloc::dealloc(block.cast(), Self::layout(slots));
+    }
+
+    /// # Safety
+    /// `block` is live and `pos` is below the slot count it was allocated
+    /// with.
+    #[inline]
+    unsafe fn slot(block: *mut Self, pos: usize) -> *mut MaybeUninit<T> {
+        ptr::addr_of_mut!((*block).slots).cast::<MaybeUninit<T>>().add(pos)
+    }
+}
+
+/// One endpoint's position: how many values it has pushed (popped) and the
+/// slot the next one goes to (comes from).
+struct Cursor<T> {
+    /// Monotonic count; written by the owning endpoint, read by its peer.
+    index: AtomicUsize,
+    /// The block and the slot in it that `index` denotes.  Touched by the
+    /// owning endpoint only, like the slots themselves.
+    block: Cell<*mut Block<T>>,
+    pos: Cell<usize>,
+}
+
+/// The shared state of a ring: a chain of blocks from the consumer's
+/// (`head.block`) to the producer's (`tail.block`), linked through
+/// [`Block::next`], so memory follows the number of buffered values and not
+/// `cap`.  A ring of `cap ≤ BLOCK` is the degenerate chain: one block of
+/// `cap` slots whose `next` is itself, which neither endpoint ever leaves.
 struct Ring<T> {
-    /// One slot per message of channel capacity (worst case: every
-    /// container holds a single message).
-    buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    /// Channel capacity in **messages** (and slot count).
+    /// Channel capacity in **messages**.
     cap: usize,
-    /// Next slot to pop; written only by the consumer.
-    head: CachePadded<AtomicUsize>,
-    /// Next slot to push; written only by the producer.
-    tail: CachePadded<AtomicUsize>,
+    /// Slots per block: `min(BLOCK, cap)`.
+    slots: usize,
+    /// Where the consumer pops.
+    head: CachePadded<Cursor<T>>,
+    /// Where the producer pushes.
+    tail: CachePadded<Cursor<T>>,
     /// Total messages fully consumed (monotonic); written only by the
-    /// consumer, and only used when `T` is weighted (`!T::UNIT`).  Kept on
-    /// its own cache line for the same false-sharing reason as `head`.
+    /// consumer, and only used when `T` is weighted (`!T::UNIT`: unit
+    /// values release their one message by advancing `head`).  Kept on its
+    /// own cache line for the same false-sharing reason as `head`.
     msg_head: CachePadded<AtomicUsize>,
+    /// One-place mailbox for the block the consumer last left: only the
+    /// consumer fills it (when empty), only the producer empties it, so
+    /// plain loads and stores suffice.
+    spare: AtomicPtr<Block<T>>,
     /// Set by the producer when it observed the ring full and intends to
     /// park; consumed by the consumer after a pop.
     producer_waiting: AtomicBool,
@@ -118,27 +209,81 @@ struct Ring<T> {
     consumer_waiting: AtomicBool,
 }
 
-// The raw slots are only ever touched by the unique producer (writes at
-// `tail`) and the unique consumer (reads at `head`), with the atomic indices
-// ordering the hand-off; the endpoints below enforce that uniqueness by
-// construction (they are not Clone).
+// SAFETY: the slots, `tail.block`/`tail.pos` and a block's `next` link are
+// only ever written by the unique producer, `head.block`/`head.pos` only
+// touched by the unique consumer, and a slot (or a whole block, through
+// `spare`) changes hands only through a Release store the other side
+// Acquire-loads (`tail.index`, `head.index`/`msg_head`, `spare`); every
+// other field is an atomic or immutable.  The endpoints below enforce that
+// uniqueness by construction (they are not Clone).  `T: Send` because values
+// are pushed on one thread and popped or dropped on another.
 unsafe impl<T: Send> Sync for Ring<T> {}
 unsafe impl<T: Send> Send for Ring<T> {}
 
+impl<T: Weigh> Ring<T> {
+    /// The count of messages the consumer has released, which bounds what
+    /// the producer may push: `head` itself for unit payloads.
+    fn released(&self) -> &AtomicUsize {
+        if T::UNIT {
+            &self.head.0.index
+        } else {
+            &self.msg_head.0
+        }
+    }
+}
+
 impl<T> Ring<T> {
+    /// Gives up the front slot, whose value the consumer moved out or
+    /// dropped.  Leaving a block, the consumer follows its link and offers
+    /// the block as the producer's spare (or frees it when the mailbox is
+    /// taken), so a drained ring holds at most two blocks.
     #[inline]
-    fn slot(&self, index: usize) -> *mut MaybeUninit<T> {
-        self.buf[index % self.cap].get()
+    fn advance(&self) {
+        let head = &self.head.0;
+        let (block, pos) = (head.block.get(), head.pos.get());
+        if pos + 1 < self.slots {
+            head.pos.set(pos + 1);
+        } else {
+            head.pos.set(0);
+            // SAFETY: `block` is the live head block.  The producer linked
+            // it before its Release store of the `tail` that published this
+            // block's last slot, which the consumer Acquire-loaded to get
+            // here.
+            let next = unsafe { (*block).next.load(Ordering::Relaxed) };
+            if next != block {
+                head.block.set(next);
+                if self.spare.load(Ordering::Relaxed).is_null() {
+                    // Release: our accesses to the block's slots
+                    // happen-before the producer's, see `next_block`.
+                    self.spare.store(block, Ordering::Release);
+                } else {
+                    // SAFETY: the producer left `block` before publishing
+                    // its last slot and the consumer just did; it is empty.
+                    unsafe { Block::free(block, self.slots) };
+                }
+            }
+        }
+        let index = head.index.load(Ordering::Relaxed);
+        head.index.store(index + 1, Ordering::Release);
     }
 }
 
 impl<T> Drop for Ring<T> {
     fn drop(&mut self) {
-        // Endpoints are gone; drain whatever was left in the ring.
-        let head = self.head.0.load(Ordering::Relaxed);
-        let tail = self.tail.0.load(Ordering::Relaxed);
-        for i in head..tail {
-            unsafe { (*self.slot(i)).assume_init_drop() };
+        // Endpoints are gone: consume what is left, which retires every
+        // block but the one both cursors end in, then free that one and the
+        // spare.
+        let head = &self.head.0;
+        for _ in head.index.load(Ordering::Relaxed)..self.tail.0.index.load(Ordering::Relaxed) {
+            // SAFETY: slots in `head..tail` are initialised.
+            unsafe { (*Block::slot(head.block.get(), head.pos.get())).assume_init_drop() };
+            self.advance();
+        }
+        for block in [head.block.get(), self.spare.load(Ordering::Relaxed)] {
+            if !block.is_null() {
+                // SAFETY: live, empty, and out of both endpoints' reach.
+                unsafe { Block::free(block, self.slots) };
+            }
         }
     }
 }
@@ -147,15 +292,12 @@ impl<T> Drop for Ring<T> {
 /// may push.
 pub struct Producer<T> {
     ring: Arc<Ring<T>>,
-    /// Consumer index as of our last refresh; only ever behind the truth,
-    /// so a push based on it is conservative (may refresh, never corrupts).
-    cached_head: Cell<usize>,
-    /// Total message weight pushed (monotonic); producer-local, only used
-    /// for weighted payloads.
-    msg_tail: Cell<usize>,
-    /// Consumed-message cursor as of our last refresh; behind the truth,
-    /// so the capacity check based on it is conservative.
-    cached_msg_head: Cell<usize>,
+    /// Total message weight pushed (monotonic); producer-local.
+    pushed: Cell<usize>,
+    /// The consumer's released-message count (`Ring::released`) as of our
+    /// last refresh; only ever behind the truth, so a push based on it is
+    /// conservative (may refresh, never corrupts).
+    cached_released: Cell<usize>,
 }
 
 /// The consuming endpoint of a [`ring`].  Not cloneable: exactly one task
@@ -180,26 +322,42 @@ impl<T> std::fmt::Debug for Consumer<T> {
 
 /// Creates a bounded SPSC ring of capacity `cap` **messages** (≥ 1).
 pub fn ring<T: Weigh>(cap: MsgCap) -> (Producer<T>, Consumer<T>) {
+    ring_of_blocks(cap, BLOCK)
+}
+
+/// [`ring`] with an explicit block size, so the unit tests can make every
+/// push (1) or every other push (2) cross a block boundary.
+fn ring_of_blocks<T: Weigh>(cap: MsgCap, block_slots: usize) -> (Producer<T>, Consumer<T>) {
     let cap = cap.messages();
-    let buf = (0..cap)
-        .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-        .collect::<Vec<_>>()
-        .into_boxed_slice();
+    let slots = block_slots.min(cap);
+    let first = Block::alloc(slots);
+    if cap <= block_slots {
+        // SAFETY: just allocated.  The whole ring fits one block, which is
+        // therefore its own successor (the flat Lamport ring).
+        unsafe { (*first).next.store(first, Ordering::Relaxed) };
+    }
+    let cursor = || {
+        CachePadded(Cursor {
+            index: AtomicUsize::new(0),
+            block: Cell::new(first),
+            pos: Cell::new(0),
+        })
+    };
     let ring = Arc::new(Ring {
-        buf,
         cap,
-        head: CachePadded(AtomicUsize::new(0)),
-        tail: CachePadded(AtomicUsize::new(0)),
+        slots,
+        head: cursor(),
+        tail: cursor(),
         msg_head: CachePadded(AtomicUsize::new(0)),
+        spare: AtomicPtr::new(ptr::null_mut()),
         producer_waiting: AtomicBool::new(false),
         consumer_waiting: AtomicBool::new(false),
     });
     (
         Producer {
             ring: Arc::clone(&ring),
-            cached_head: Cell::new(0),
-            msg_tail: Cell::new(0),
-            cached_msg_head: Cell::new(0),
+            pushed: Cell::new(0),
+            cached_released: Cell::new(0),
         },
         Consumer {
             ring,
@@ -210,65 +368,90 @@ pub fn ring<T: Weigh>(cap: MsgCap) -> (Producer<T>, Consumer<T>) {
 
 impl<T: Weigh> Producer<T> {
     /// Attempts to push; hands the value back if it does not fit the
-    /// remaining **message** capacity (or, for weighted payloads, when no
-    /// slot is free — a transient state while the consumer finishes a
-    /// partially consumed front container).
+    /// remaining **message** capacity.
     pub fn push(&mut self, value: T) -> Result<(), T> {
         let ring = &*self.ring;
-        let tail = ring.tail.0.load(Ordering::Relaxed);
-        // `cached_head` is only ever ≤ the true head (a reset sets it to 0),
-        // so `tail - cached_head` over-approximates the occupancy: `< cap`
-        // proves there is space, `>= cap` forces a refresh.
-        if tail - self.cached_head.get() >= ring.cap {
-            self.cached_head
-                .set(ring.head.0.load(Ordering::Acquire));
-            if tail - self.cached_head.get() >= ring.cap {
+        let w = value.weight();
+        debug_assert!(
+            (1..=ring.cap).contains(&w),
+            "container weight {w} exceeds channel capacity {}",
+            ring.cap
+        );
+        // `cached_released` is only ever ≤ the truth (a reset sets it to 0),
+        // so this over-approximates the occupancy: fitting proves there is
+        // space, not fitting forces a refresh.  Space for a message is also
+        // a free slot in a one-block ring: every buffered value still weighs
+        // ≥ 1 unreleased message (`Consumer::release_msgs`).
+        let pushed = self.pushed.get() + w;
+        if pushed > self.cached_released.get() + ring.cap {
+            self.cached_released
+                .set(ring.released().load(Ordering::Acquire));
+            if pushed > self.cached_released.get() + ring.cap {
                 return Err(value);
             }
         }
-        if !T::UNIT {
-            // Weighted payloads additionally account occupancy in messages:
-            // a free slot alone does not prove `weight` messages of space.
-            let w = value.weight();
-            debug_assert!(
-                (1..=ring.cap).contains(&w),
-                "container weight {w} exceeds channel capacity {}",
-                ring.cap
-            );
-            if self.msg_tail.get() + w > self.cached_msg_head.get() + ring.cap {
-                self.cached_msg_head
-                    .set(ring.msg_head.0.load(Ordering::Acquire));
-                if self.msg_tail.get() + w > self.cached_msg_head.get() + ring.cap {
-                    return Err(value);
-                }
-            }
-            self.msg_tail.set(self.msg_tail.get() + w);
+        self.pushed.set(pushed);
+        let tail = ring.tail.0.index.load(Ordering::Relaxed);
+        debug_assert!(
+            pushed - ring.released().load(Ordering::Relaxed) <= ring.cap
+                && tail + 1 - ring.head.0.index.load(Ordering::Acquire) <= ring.cap,
+            "more messages or values buffered than the channel capacity"
+        );
+        let (block, pos) = (ring.tail.0.block.get(), ring.tail.0.pos.get());
+        // SAFETY: the slot at the tail cursor is free — never used, or
+        // handed back through the `head`/`msg_head`/`spare` value acquired
+        // above or in `next_block`.
+        unsafe { (*Block::slot(block, pos)).write(value) };
+        if pos + 1 < ring.slots {
+            ring.tail.0.pos.set(pos + 1);
+        } else {
+            ring.tail.0.block.set(self.next_block(block));
+            ring.tail.0.pos.set(0);
         }
-        unsafe { (*ring.slot(tail)).write(value) };
-        ring.tail.0.store(tail + 1, Ordering::Release);
+        ring.tail.0.index.store(tail + 1, Ordering::Release);
         Ok(())
     }
 
+    /// The block after the tail block, which the caller just filled: the
+    /// consumer's spare if there is one, else a new one.  Linked here, so
+    /// before the caller's Release store of `tail` publishes the filled
+    /// block's last slot — the slot after which the consumer follows the
+    /// link.
+    fn next_block(&self, block: *mut Block<T>) -> *mut Block<T> {
+        let ring = &*self.ring;
+        // SAFETY: `block` is the live tail block; only the producer writes
+        // a block's link.
+        let linked = unsafe { (*block).next.load(Ordering::Relaxed) };
+        if !linked.is_null() {
+            return linked; // a one-block ring: the block itself
+        }
+        // Acquire pairs with the Release store in `Ring::advance`: the
+        // consumer's last accesses to the spare happen-before our writes.
+        let mut next = ring.spare.load(Ordering::Acquire);
+        if next.is_null() {
+            next = Block::alloc(ring.slots);
+        } else {
+            // Emptying the mailbox publishes nothing, and the consumer only
+            // stores to it after reading null.
+            ring.spare.store(ptr::null_mut(), Ordering::Relaxed);
+            // SAFETY: the spare is ours since the Acquire load.
+            unsafe { (*next).next.store(ptr::null_mut(), Ordering::Relaxed) };
+        }
+        // SAFETY: as above.
+        unsafe { (*block).next.store(next, Ordering::Relaxed) };
+        next
+    }
+
     /// Messages that can be pushed right now: the remaining message
-    /// capacity, or 0 when no slot is free.  Conservative (caches refresh
-    /// only when the cached view says "no space"), never an over-estimate.
+    /// capacity.  Conservative (the cache refreshes only when the cached
+    /// view says "no space"), never an over-estimate.
     pub(crate) fn space_msgs(&self) -> usize {
         let ring = &*self.ring;
-        let tail = ring.tail.0.load(Ordering::Relaxed);
-        if tail - self.cached_head.get() >= ring.cap {
-            self.cached_head.set(ring.head.0.load(Ordering::Acquire));
-            if tail - self.cached_head.get() >= ring.cap {
-                return 0;
-            }
-        }
-        if T::UNIT {
-            return ring.cap - (tail - self.cached_head.get());
-        }
-        let mut used = self.msg_tail.get() - self.cached_msg_head.get();
+        let mut used = self.pushed.get() - self.cached_released.get();
         if used >= ring.cap {
-            self.cached_msg_head
-                .set(ring.msg_head.0.load(Ordering::Acquire));
-            used = self.msg_tail.get() - self.cached_msg_head.get();
+            self.cached_released
+                .set(ring.released().load(Ordering::Acquire));
+            used = self.pushed.get() - self.cached_released.get();
         }
         ring.cap - used.min(ring.cap)
     }
@@ -281,9 +464,8 @@ impl<T: Weigh> Producer<T> {
     pub fn begin_wait(&self) {
         self.ring.producer_waiting.store(true, Ordering::SeqCst);
         fence(Ordering::SeqCst);
-        // Force the retry to re-read the consumer's true indices.
-        self.cached_head.set(0);
-        self.cached_msg_head.set(0);
+        // Force the retry to re-read the consumer's true count.
+        self.cached_released.set(0);
     }
 
     /// Withdraws a [`Producer::begin_wait`] registration after the retry
@@ -309,8 +491,8 @@ impl<T: Weigh> Consumer<T> {
     /// Number of values currently buffered (may be stale by concurrent
     /// pushes, never by pops — the consumer owns `head`).
     pub fn len(&self) -> usize {
-        let head = self.ring.head.0.load(Ordering::Relaxed);
-        let tail = self.ring.tail.0.load(Ordering::Acquire);
+        let head = self.ring.head.0.index.load(Ordering::Relaxed);
+        let tail = self.ring.tail.0.index.load(Ordering::Acquire);
         tail - head
     }
 
@@ -322,16 +504,14 @@ impl<T: Weigh> Consumer<T> {
     /// Attempts to pop the front value, releasing its full remaining
     /// message weight.
     pub fn pop(&mut self) -> Option<T> {
-        let ring = &*self.ring;
-        let head = ring.head.0.load(Ordering::Relaxed);
-        if !self.refresh_nonempty(head) {
-            return None;
-        }
-        let value = unsafe { (*ring.slot(head)).assume_init_read() };
+        let slot = self.front_slot()?;
+        // SAFETY: `front_slot` returns an initialised slot the consumer
+        // owns; `advance` gives it up right after the value moved out.
+        let value = unsafe { (*slot).assume_init_read() };
+        self.ring.advance();
         if !T::UNIT {
             self.release_msgs(value.weight());
         }
-        ring.head.0.store(head + 1, Ordering::Release);
         Some(value)
     }
 
@@ -339,30 +519,32 @@ impl<T: Weigh> Consumer<T> {
     /// because the consumer owns every slot in `head..tail` until it
     /// advances `head`.
     pub(crate) fn front_mut(&mut self) -> Option<&mut T> {
-        let ring = &*self.ring;
-        let head = ring.head.0.load(Ordering::Relaxed);
-        if !self.refresh_nonempty(head) {
-            return None;
-        }
-        Some(unsafe { (*ring.slot(head)).assume_init_mut() })
+        // SAFETY: see above; `&mut self` keeps the borrow exclusive.
+        self.front_slot().map(|slot| unsafe { (*slot).assume_init_mut() })
     }
 
-    /// Drops the fully consumed front value and frees its slot.  The caller
-    /// must have drained it (weight 0) and released its messages via
-    /// [`Consumer::release_msgs`].
-    pub(crate) fn advance_exhausted(&mut self) {
-        let ring = &*self.ring;
-        let head = ring.head.0.load(Ordering::Relaxed);
-        debug_assert!(self.cached_tail.get() > head, "no front value");
-        unsafe { (*ring.slot(head)).assume_init_drop() };
-        ring.head.0.store(head + 1, Ordering::Release);
-    }
-
-    /// Releases `n` consumed messages to the producer's capacity account.
-    /// Weighted payloads only: capacity is released per consumed message so
-    /// ring occupancy equals modelled channel occupancy at every instant.
-    pub(crate) fn release_msgs(&self, n: usize) {
+    /// Releases `n` messages consumed off the front value to the producer's
+    /// capacity account — per consumed message, so ring occupancy equals
+    /// modelled channel occupancy at every instant — after dropping that
+    /// value and freeing its slot if they were its last.  In that order:
+    /// released capacity is the producer's proof of a free slot.  Weighted
+    /// payloads only.
+    pub(crate) fn release_msgs(&mut self, n: usize) {
         debug_assert!(!T::UNIT);
+        // Without refreshing `cached_tail`: the caller reached the value it
+        // consumed from through `front_mut`, which left the cache past it,
+        // and re-reading the producer's line whenever the ring drains is
+        // what this check must not cost.
+        if let Some(slot) = self.known_front_slot() {
+            // SAFETY: a front slot is initialised and the consumer's, and
+            // `&mut self` ends any borrow `front_mut` handed out.
+            unsafe {
+                if (*slot).assume_init_ref().weight() == 0 {
+                    (*slot).assume_init_drop();
+                    self.ring.advance();
+                }
+            }
+        }
         let cur = self.ring.msg_head.0.load(Ordering::Relaxed);
         self.ring.msg_head.0.store(cur + n, Ordering::Release);
     }
@@ -396,15 +578,23 @@ impl<T: Weigh> Consumer<T> {
         }
     }
 
-    /// Refreshes the cached tail if needed; true when a message is buffered
-    /// at `head`.
+    /// The slot of the front value; `None` when nothing is buffered.
     #[inline]
-    fn refresh_nonempty(&self, head: usize) -> bool {
-        if self.cached_tail.get() <= head {
+    fn front_slot(&self) -> Option<*mut MaybeUninit<T>> {
+        self.known_front_slot().or_else(|| {
             self.cached_tail
-                .set(self.ring.tail.0.load(Ordering::Acquire));
-        }
-        self.cached_tail.get() > head
+                .set(self.ring.tail.0.index.load(Ordering::Acquire));
+            self.known_front_slot()
+        })
+    }
+
+    /// [`Consumer::front_slot`] as far as the cached tail knows.
+    #[inline]
+    fn known_front_slot(&self) -> Option<*mut MaybeUninit<T>> {
+        let head = &self.ring.head.0;
+        // SAFETY: the head cursor always denotes a slot of a live block.
+        (self.cached_tail.get() > head.index.load(Ordering::Relaxed))
+            .then(|| unsafe { Block::slot(head.block.get(), head.pos.get()) })
     }
 }
 
@@ -413,18 +603,16 @@ impl<T: Copy + Weigh> Consumer<T> {
     /// §II.A needs to compare the heads of several channels before deciding
     /// which to pop).
     pub fn front(&self) -> Option<T> {
-        let ring = &*self.ring;
-        let head = ring.head.0.load(Ordering::Relaxed);
-        if !self.refresh_nonempty(head) {
-            return None;
-        }
-        Some(unsafe { (*ring.slot(head)).assume_init_read() })
+        // SAFETY: `front_slot` returns an initialised slot; `T: Copy`.
+        self.front_slot().map(|slot| unsafe { (*slot).assume_init_read() })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
+    use std::sync::Mutex;
     use std::thread;
 
     impl Weigh for u64 {
@@ -519,35 +707,224 @@ mod tests {
         assert_eq!(DROPS.load(Ordering::SeqCst), 3);
     }
 
-    #[test]
-    fn cross_thread_stream_is_loss_free() {
-        const N: u64 = 100_000;
-        let (mut tx, mut rx) = ring::<u64>(8);
-        let producer = thread::spawn(move || {
-            for i in 0..N {
-                let mut v = i;
-                loop {
-                    match tx.push(v) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            v = back;
-                            thread::yield_now();
+    /// A weighted payload that counts its drops per id: `drops[id]` must
+    /// end at exactly 1 for every value ever made.
+    #[derive(Debug)]
+    struct Load {
+        id: usize,
+        weight: usize,
+        drops: Arc<Mutex<Vec<u8>>>,
+    }
+    impl Drop for Load {
+        fn drop(&mut self) {
+            self.drops.lock().unwrap()[self.id] += 1;
+        }
+    }
+    impl Weigh for Load {
+        const UNIT: bool = false;
+        fn weight(&self) -> usize {
+            self.weight
+        }
+    }
+    /// The same payload at weight 1 on the unit (index-only) accounting.
+    #[derive(Debug)]
+    struct Unit(Load);
+    impl Weigh for Unit {
+        const UNIT: bool = true;
+        fn weight(&self) -> usize {
+            1
+        }
+    }
+
+    /// xorshift64*: the tests need a reproducible stream, not a good one.
+    struct Rng(u64);
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % n
+        }
+    }
+
+    /// Blocks currently owned by the ring (chain + spare).
+    fn live_blocks<T>(rx: &Consumer<T>) -> usize {
+        let ring = &*rx.ring;
+        let first = ring.head.0.block.get();
+        let (mut block, mut n) = (first, 0);
+        while !block.is_null() {
+            n += 1;
+            let next = unsafe { (*block).next.load(Ordering::Relaxed) };
+            block = if next == first { ptr::null_mut() } else { next };
+        }
+        n + usize::from(!ring.spare.load(Ordering::Relaxed).is_null())
+    }
+
+    /// Drives one ring with `steps` random operations against a `VecDeque`
+    /// of `(id, remaining weight)`; `wrap`/`load` convert between the ring's
+    /// payload and the drop-counting `Load` inside it.
+    fn model_run<T: Weigh>(
+        cap: usize,
+        block_slots: usize,
+        steps: usize,
+        seed: u64,
+        wrap: fn(Load) -> T,
+        load: fn(&mut T) -> &mut Load,
+    ) {
+        let drops = Arc::new(Mutex::new(Vec::new()));
+        let (mut tx, mut rx) = ring_of_blocks::<T>(MsgCap::new(cap), block_slots);
+        let mut model: VecDeque<(usize, usize)> = VecDeque::new();
+        let mut rng = Rng(seed | 1);
+        let used = |model: &VecDeque<(usize, usize)>| model.iter().map(|&(_, w)| w).sum::<usize>();
+        for _ in 0..steps {
+            match rng.below(8) {
+                0..=2 => {
+                    let weight = if T::UNIT { 1 } else { 1 + rng.below(cap.min(5)) };
+                    let id = {
+                        let mut drops = drops.lock().unwrap();
+                        drops.push(0);
+                        drops.len() - 1
+                    };
+                    let value = wrap(Load { id, weight, drops: Arc::clone(&drops) });
+                    let fits = used(&model) + weight <= cap;
+                    assert_eq!(tx.push(value).is_ok(), fits, "push fails exactly when full");
+                    if fits {
+                        model.push_back((id, weight));
+                    }
+                }
+                3 | 4 => {
+                    let popped = rx.pop().map(|mut v| (load(&mut v).id, load(&mut v).weight));
+                    assert_eq!(popped, model.pop_front());
+                }
+                5 | 6 => {
+                    let front = rx.front_mut().map(load);
+                    let seen = front.as_ref().map(|l| (l.id, l.weight));
+                    assert_eq!(seen, model.front().copied());
+                    if let (Some(front), false) = (front, T::UNIT) {
+                        // Partial consumption, as the run loops do it.
+                        let weight = front.weight;
+                        let n = 1 + rng.below(weight);
+                        front.weight -= n;
+                        rx.release_msgs(n);
+                        if n == weight {
+                            model.pop_front();
+                        } else {
+                            model[0].1 -= n;
                         }
                     }
                 }
-            }
-        });
-        let mut expected = 0u64;
-        while expected < N {
-            match rx.pop() {
-                Some(v) => {
-                    assert_eq!(v, expected);
-                    expected += 1;
+                _ => {
+                    tx.begin_wait();
+                    tx.cancel_wait();
+                    rx.begin_wait();
+                    rx.cancel_wait();
                 }
-                None => thread::yield_now(),
+            }
+            assert_eq!(rx.len(), model.len());
+            let space = tx.space_msgs();
+            let free = cap - used(&model);
+            assert!(space <= free && (space > 0 || free == 0), "{space} of {free}");
+            if cap > block_slots {
+                assert!(live_blocks(&rx) <= model.len().div_ceil(block_slots) + 2);
+            } else {
+                assert_eq!(live_blocks(&rx), 1);
             }
         }
-        producer.join().unwrap();
+        drop((tx, rx));
+        let drops = drops.lock().unwrap();
+        assert!(drops.iter().all(|&n| n == 1), "every value dropped exactly once");
+    }
+
+    #[test]
+    fn random_operations_match_a_queue_model() {
+        // Block sizes 1 and 2 put a boundary at every (other) push; the
+        // capacities cover one-block rings (cap ≤ block) and chains.
+        for (i, &block_slots) in [1, 2, BLOCK].iter().enumerate() {
+            for (j, &cap) in [1, 2, 3, 7, 8, 9, 40].iter().enumerate() {
+                let seed = (i * 16 + j) as u64 * 0x9e37_79b9;
+                model_run::<Load>(cap, block_slots, 6_000, seed, |l| l, |l| l);
+                model_run::<Unit>(cap, block_slots, 6_000, seed, Unit, |u| &mut u.0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_drained_ring_keeps_at_most_two_blocks() {
+        let cap = 1000;
+        let (mut tx, mut rx) = ring::<u64>(cap);
+        assert_eq!(live_blocks(&rx), 1);
+        for round in 0..3 {
+            for i in 0..cap as u64 {
+                tx.push(i).unwrap();
+            }
+            assert_eq!(tx.push(0), Err(0));
+            assert_eq!(live_blocks(&rx), cap / BLOCK + 1, "round {round}");
+            for i in 0..cap as u64 {
+                assert_eq!(rx.pop(), Some(i));
+            }
+            assert_eq!(live_blocks(&rx), 2);
+        }
+    }
+
+    /// Streams `total` messages across two threads in weighted containers,
+    /// the consumer taking each container in two bites (the second a `pop`
+    /// or the run loops' drain-and-release, alternately).
+    fn cross_thread_stream(cap: usize, block_slots: usize, total: usize) {
+        let drops = Arc::new(Mutex::new(vec![0u8; total]));
+        let (mut tx, mut rx) = ring_of_blocks::<Load>(MsgCap::new(cap), block_slots);
+        let producer = {
+            let drops = Arc::clone(&drops);
+            thread::spawn(move || {
+                let mut rng = Rng(block_slots as u64 + 1);
+                // A container's id is the number of messages sent before it.
+                let (mut id, mut containers) = (0, 0);
+                while id < total {
+                    let weight = (1 + rng.below(cap.min(6))).min(total - id);
+                    let mut value = Load { id, weight, drops: Arc::clone(&drops) };
+                    while let Err(back) = tx.push(value) {
+                        value = back;
+                        thread::yield_now();
+                    }
+                    id += weight;
+                    containers += 1;
+                }
+                containers
+            })
+        };
+        let mut received = 0;
+        while received < total {
+            let Some(front) = rx.front_mut() else {
+                thread::yield_now();
+                continue;
+            };
+            assert_eq!(front.id, received, "containers arrive in order, none lost");
+            let weight = front.weight;
+            let bite = weight / 2;
+            if bite > 0 {
+                front.weight -= bite;
+                rx.release_msgs(bite);
+            }
+            if received % 2 == 0 {
+                drop(rx.pop()); // releases the rest
+            } else {
+                rx.front_mut().expect("still there").weight = 0;
+                rx.release_msgs(weight - bite);
+            }
+            received += weight;
+        }
+        let containers = producer.join().unwrap();
         assert!(rx.is_empty());
+        let drops = drops.lock().unwrap();
+        assert!(drops.iter().all(|&n| n <= 1));
+        assert_eq!(drops.iter().map(|&n| usize::from(n)).sum::<usize>(), containers);
+    }
+
+    #[test]
+    fn cross_thread_stream_is_loss_free() {
+        for block_slots in [1, 2, BLOCK] {
+            // A chain, and a one-block ring where slots are reused in place.
+            cross_thread_stream(64, block_slots, 1_000_000);
+            cross_thread_stream(block_slots.min(3), block_slots, 100_000);
+        }
     }
 }

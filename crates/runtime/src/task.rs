@@ -469,7 +469,13 @@ fn interior_run(
             }
         }
         if accept_seq == u64::MAX {
-            // End of stream on every input.
+            // End of stream on every input.  The markers stay on the rings
+            // (peeked, never popped), so shrink what holds them.
+            for port in &mut task.ins {
+                if let Some(container) = port.rx.front_mut() {
+                    container.release_storage();
+                }
+            }
             for port in &mut task.outs {
                 port.queue.stage(port.limit, Message::Eos);
                 task.staged += 1;
@@ -506,11 +512,7 @@ fn interior_run(
                 let port = &mut task.ins[0];
                 let container = port.rx.front_mut().expect("head checked non-empty");
                 container.consume_dummies(n);
-                let exhausted = container.is_empty();
                 port.rx.release_msgs(n as usize);
-                if exhausted {
-                    port.rx.advance_exhausted();
-                }
                 port.touched = true;
                 let Task {
                     wrapper,
@@ -631,41 +633,35 @@ fn data_burst(
     let port = &mut ins[0];
     let space = outs.first().map_or(usize::MAX, |o| o.tx.space_msgs());
     let mut took = 0usize;
-    let exhausted = {
-        let container = port.rx.front_mut().expect("head checked non-empty");
-        while *accepted < batch {
-            if let [out] = &outs[..] {
-                let len = out.queue.len();
-                if !(len < out.limit && len <= space) {
-                    break;
-                }
-            }
-            let Some(Run::Data { seq, payload }) = container.front_run() else {
-                break;
-            };
-            if seq >= barrier {
-                // An uncontributed pending barrier splits the burst; the
-                // next acceptance scan lands on `seq` and contributes.
+    let container = port.rx.front_mut().expect("head checked non-empty");
+    while *accepted < batch {
+        if let [out] = &outs[..] {
+            let len = out.queue.len();
+            if !(len < out.limit && len <= space) {
                 break;
             }
-            container.consume_data();
-            data_in[0] = Some(payload);
-            *firings += 1;
-            if outs.is_empty() {
-                *sink_firings += 1;
-            }
-            behavior.fire_into(&FireInput { seq, data_in }, emit);
-            stage_decision(wrapper, outs, staged, emit, seq, true, false);
-            *accepted += 1;
-            took += 1;
         }
-        container.is_empty()
-    };
+        let Some(Run::Data { seq, payload }) = container.front_run() else {
+            break;
+        };
+        if seq >= barrier {
+            // An uncontributed pending barrier splits the burst; the
+            // next acceptance scan lands on `seq` and contributes.
+            break;
+        }
+        container.consume_data();
+        data_in[0] = Some(payload);
+        *firings += 1;
+        if outs.is_empty() {
+            *sink_firings += 1;
+        }
+        behavior.fire_into(&FireInput { seq, data_in }, emit);
+        stage_decision(wrapper, outs, staged, emit, seq, true, false);
+        *accepted += 1;
+        took += 1;
+    }
     if took > 0 {
         port.rx.release_msgs(took);
-        if exhausted {
-            port.rx.advance_exhausted();
-        }
         port.touched = true;
     }
     took
