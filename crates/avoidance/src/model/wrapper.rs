@@ -251,6 +251,25 @@ impl DummyWrapper {
     }
 
     /// Processes a run of `n` consecutive accepted sequence numbers at which
+    /// the node consumed **no dummy and sent data on every output**, and
+    /// returns true; the result is exactly what `n` successive
+    /// [`DummyWrapper::on_accept`]`(false, |_| true)` calls would have
+    /// produced when none of them sends a dummy — every counter ends at
+    /// zero.  Under the [`PropagationTrigger::Heartbeat`] trigger data does
+    /// not reset the counters and a dummy can fall due beside it, so the
+    /// call touches nothing and returns false: the caller must step the run
+    /// through `on_accept`.
+    pub fn on_accept_data_run(&mut self, n: u64) -> bool {
+        debug_assert!(n > 0);
+        match (self.algorithm, self.trigger) {
+            (None, _) => {}
+            (Some(Algorithm::Propagation), PropagationTrigger::Heartbeat) => return false,
+            (Some(_), _) => self.gap.fill(0),
+        }
+        true
+    }
+
+    /// Processes a run of `n` consecutive accepted sequence numbers at which
     /// the node consumed **only dummies** (so no output carries data and
     /// every acceptance had `consumed_dummy = true`), updating the gap
     /// counters by run arithmetic instead of `n` scalar calls — the
@@ -489,6 +508,61 @@ mod tests {
                             scalar.gaps(),
                             "{algorithm}: threshold={threshold} warmup={warmup} n={n}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn data_run_arithmetic_matches_scalar_calls() {
+        // One run-level call must leave the counters exactly where n scalar
+        // on_accept(no dummy, data everywhere) calls would, having sent what
+        // they send (nothing) — or refuse, untouched, where they would send.
+        let g = fig2();
+        let a = g.node_by_name("A").unwrap();
+        let triggers = [PropagationTrigger::OnFilterOnly, PropagationTrigger::Heartbeat];
+        for algorithm in [None, Some(Algorithm::NonPropagation), Some(Algorithm::Propagation)] {
+            for trigger in triggers {
+                for threshold in [Some(1u64), Some(2), Some(3), Some(7), None] {
+                    let mode = match algorithm {
+                        None => AvoidanceMode::Disabled,
+                        Some(algorithm) => {
+                            let mut m = IntervalMap::for_graph(&g);
+                            if let Some(t) = threshold {
+                                for e in g.out_edges(a) {
+                                    m.set(*e, DummyInterval::Finite(t));
+                                }
+                            }
+                            AvoidanceMode::plan(AvoidancePlan::new(&g, algorithm, Rounding::Ceil, m))
+                        }
+                    };
+                    for warmup in 0..threshold.unwrap_or(9) {
+                        for n in [1u64, 2, 5, 64] {
+                            let case = format!(
+                                "{algorithm:?}/{trigger:?}: threshold={threshold:?} warmup={warmup} n={n}"
+                            );
+                            let mut scalar = DummyWrapper::with_trigger(&g, a, &mode, trigger);
+                            // Build a non-zero starting gap (warmup <
+                            // threshold, so nothing fires yet).
+                            for _ in 0..warmup {
+                                assert!(scalar.on_accept(false, |_| false).iter().all(|&d| !d));
+                            }
+                            let mut run = scalar.clone();
+                            let before = run.gaps().to_vec();
+                            let stepped = algorithm == Some(Algorithm::Propagation)
+                                && trigger == PropagationTrigger::Heartbeat;
+                            assert_eq!(run.on_accept_data_run(n), !stepped, "{case}");
+                            if stepped {
+                                assert_eq!(run.gaps(), before, "{case}: a refusal touches nothing");
+                                continue;
+                            }
+                            for _ in 0..n {
+                                let sent = scalar.on_accept(false, |_| true);
+                                assert!(sent.iter().all(|&d| !d), "{case}: no dummy beside data");
+                            }
+                            assert_eq!(run.gaps(), scalar.gaps(), "{case}");
+                        }
                     }
                 }
             }

@@ -8,8 +8,8 @@
 //! * [`Single`] — exactly one message per container.  This is the scalar
 //!   path: every ring operation, wake check and wrapper call happens once
 //!   per message, reproducing the pre-container engines byte for byte.
-//! * [`Batch`] — a columnar run of messages (individual data entries plus
-//!   RLE dummy segments).  One ring push ships a whole run, so the
+//! * [`Batch`] — a segmented run of messages (one segment per data message,
+//!   one per RLE dummy run).  One ring push ships a whole run, so the
 //!   per-message cost of the atomics, the Dekker wake fences and the
 //!   scheduler hand-offs is amortised across the run.
 //!
@@ -175,8 +175,8 @@ pub enum Run {
     Eos,
 }
 
-/// A columnar run of messages: data entries plus run-length-encoded dummy
-/// gaps, consumed front to back.
+/// A segmented run of messages: one entry per data message plus
+/// run-length-encoded dummy gaps, consumed front to back.
 ///
 /// Segments live in a plain `Vec` with a front cursor (`head`): popping
 /// advances the cursor instead of shifting memory, and the vector resets
@@ -198,6 +198,10 @@ pub struct Batch {
     /// Remaining dummy messages.
     dummies: u64,
 }
+
+// A `Batch` is the ring's slot: its size, times 8-slot blocks, times every
+// ring of a job, is resident memory (`peak_rss_mb`).
+const _: () = assert!(std::mem::size_of::<Batch>() <= 64);
 
 thread_local! {
     /// Per-thread recycling pool for [`Batch`] segment vectors.
@@ -276,7 +280,53 @@ impl Batch {
         debug_assert!(matches!(self.segs.get(self.head), Some(Seg::Data { .. })));
         self.len -= 1;
         self.data -= 1;
-        self.advance_seg();
+        self.advance_segs(1);
+    }
+
+    /// Length of the data prefix: how many of the first `max` remaining
+    /// messages are data messages below `barrier`, counted from the front
+    /// up to the first that is not.
+    pub(crate) fn data_prefix(&self, max: usize, barrier: u64) -> usize {
+        self.segs[self.head..]
+            .iter()
+            .take(max)
+            .take_while(|seg| matches!(seg, Seg::Data { seq, .. } if *seq < barrier))
+            .count()
+    }
+
+    /// Appends the first `n` remaining messages of `src` — which the caller
+    /// has established are data ([`Batch::data_prefix`]) — as far as the
+    /// `limit` allows, without consuming them; returns how many were taken
+    /// (0 if the batch's back is not below the prefix).  Ordering is checked
+    /// once, at the seam: the rest of the prefix was ordered when `src`
+    /// accepted it.
+    pub(crate) fn push_data_prefix(&mut self, limit: usize, src: &Batch, n: usize) -> usize {
+        let take = n.min(limit.saturating_sub(self.len));
+        let run = &src.segs[src.head..src.head + take];
+        debug_assert!(run.iter().all(|seg| matches!(seg, Seg::Data { .. })));
+        let Some(&Seg::Data { seq: first, .. }) = run.first() else {
+            return 0;
+        };
+        if self.back_seq().is_some_and(|(last, _)| first <= last) {
+            return 0;
+        }
+        self.segs.extend_from_slice(run);
+        self.len += take;
+        self.data += take as u64;
+        take
+    }
+
+    /// Consumes the first `n` remaining messages, which the caller has
+    /// established are data ([`Batch::data_prefix`]).
+    pub(crate) fn consume_data_prefix(&mut self, n: usize) {
+        assert!(n <= self.segs.len() - self.head, "data prefix under-run");
+        debug_assert_eq!(self.data_prefix(n, u64::MAX), n);
+        if n == 0 {
+            return;
+        }
+        self.len -= n;
+        self.data -= n as u64;
+        self.advance_segs(n);
     }
 
     /// The last sequence number in the batch and whether it belongs to a
@@ -289,11 +339,11 @@ impl Batch {
         })
     }
 
-    /// Drops the front segment (fully consumed), resetting the vector when
-    /// nothing remains so its allocation is reused by later pushes.
+    /// Drops the front `n` segments (fully consumed), resetting the vector
+    /// when nothing remains so its allocation is reused by later pushes.
     #[inline]
-    fn advance_seg(&mut self) {
-        self.head += 1;
+    fn advance_segs(&mut self, n: usize) {
+        self.head += n;
         self.skip = 0;
         if self.head == self.segs.len() {
             self.segs.clear();
@@ -329,7 +379,7 @@ impl Batch {
                 self.len -= n as usize;
                 self.dummies -= n;
                 if self.skip == len {
-                    self.advance_seg();
+                    self.advance_segs(1);
                 }
             }
             _ => panic!("front run is not a dummy run"),
@@ -345,8 +395,10 @@ impl Batch {
         if take == 0 {
             return 0;
         }
+        // `first == last`: under the heartbeat trigger a forwarded dummy
+        // shares the number of the data message (or dummy) it accompanied.
         debug_assert!(match self.back_seq() {
-            Some((last, _)) => first > last || last == u64::MAX - 1,
+            Some((last, _)) => first >= last || last == u64::MAX - 1,
             None => true,
         });
         match self.segs.last_mut() {
@@ -376,7 +428,7 @@ impl Weigh for Batch {
                     front.data += 1;
                     self.len -= 1;
                     self.data -= 1;
-                    self.advance_seg();
+                    self.advance_segs(1);
                     want -= 1;
                 }
                 Run::Dummies { first, len } => {
@@ -415,7 +467,7 @@ impl Container for Batch {
             Run::Data { seq, payload } => {
                 self.len -= 1;
                 self.data -= 1;
-                self.advance_seg();
+                self.advance_segs(1);
                 Message::Data { seq, payload }
             }
             Run::Dummies { first, .. } => {
@@ -424,7 +476,7 @@ impl Container for Batch {
             }
             Run::Eos => {
                 self.len -= 1;
-                self.advance_seg();
+                self.advance_segs(1);
                 Message::Eos
             }
         })
@@ -683,6 +735,103 @@ mod tests {
         let mut rejoined = drain(&front);
         rejoined.extend(drain(&b));
         assert_eq!(rejoined, all);
+    }
+
+    /// A random mixed container (data, dummy runs, sequence gaps, sometimes
+    /// a heartbeat pair or a final EOS) starting at or above `from`.
+    fn random_batch(rng: &mut rand::rngs::StdRng, from: u64) -> Batch {
+        use rand::Rng;
+        let mut b = Batch::new();
+        let mut seq = from;
+        // Long data runs in half the containers, well mixed in the rest.
+        let data_share = if rng.gen_bool(0.5) { 19 } else { 12 };
+        for _ in 0..rng.gen_range(1..40usize) {
+            seq += rng.gen_range(0..3u64);
+            let m = match rng.gen_range(0..20u32) {
+                kind if kind < data_share => Message::Data { seq, payload: seq * 3 + 1 },
+                kind if kind % 2 == 0 => Message::Dummy { seq },
+                _ => {
+                    b.try_push(usize::MAX, Message::Data { seq, payload: 5 }).unwrap();
+                    Message::Dummy { seq }
+                }
+            };
+            b.try_push(usize::MAX, m).unwrap();
+            seq += 1;
+        }
+        if rng.gen_bool(0.2) {
+            b.try_push(usize::MAX, Message::Eos).unwrap();
+        }
+        b
+    }
+
+    #[test]
+    fn data_prefix_move_matches_pop_front_and_try_push() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xE27);
+        let (mut splits, mut refusals, mut drained) = (0, 0, 0);
+        for case in 0..2_000 {
+            let mut src = random_batch(&mut rng, 100);
+            // Start anywhere: mid-container, mid-dummy-run.
+            for _ in 0..rng.gen_range(0..src.len()) {
+                src.pop_front();
+            }
+            let limit = rng.gen_range(1..48usize);
+            let max = rng.gen_range(0..50usize);
+            let barrier = if rng.gen_bool(0.5) { u64::MAX } else { rng.gen_range(100..160u64) };
+            // The destination: empty, below the source, or overlapping it.
+            let mut dst = Batch::new();
+            if rng.gen_bool(0.7) {
+                let from = if rng.gen_bool(0.8) { 0 } else { 95 };
+                random_batch(&mut rng, from).for_each(&mut |m| {
+                    let _ = dst.try_push(limit, m);
+                });
+            }
+
+            // The scalar reference: pop while the front is data below the
+            // barrier, push into the staged container and, once that
+            // refuses (limit or order), into a second one.
+            let (mut ref_src, mut ref_dst, mut ref_second) = (src.clone(), dst.clone(), Batch::new());
+            let mut n = 0;
+            while n < max {
+                let Some(Run::Data { seq, .. }) = ref_src.front_run() else { break };
+                if seq >= barrier {
+                    break;
+                }
+                n += 1;
+                let m = ref_src.pop_front().unwrap();
+                if !ref_second.is_empty() || ref_dst.try_push(limit, m).is_err() {
+                    ref_second.try_push(usize::MAX, m).unwrap();
+                }
+            }
+
+            assert_eq!(src.data_prefix(max, barrier), n, "case {case}");
+            let took = dst.push_data_prefix(limit, &src, n);
+            src.consume_data_prefix(took);
+            let mut second = Batch::new();
+            let rest = second.push_data_prefix(usize::MAX, &src, n - took);
+            src.consume_data_prefix(rest);
+            assert_eq!(took + rest, n, "case {case}: a fresh container refuses nothing");
+
+            // Same messages in the same places, same cursors, same
+            // accounting (`Batch` equality covers segments, `head`, `skip`,
+            // `len` and both counts).
+            for (got, want) in [(&src, &ref_src), (&dst, &ref_dst), (&second, &ref_second)] {
+                assert_eq!(got, want, "case {case}");
+            }
+            if src.is_empty() {
+                assert_eq!((src.head, src.skip, src.segs.len()), (0, 0, 0), "case {case}");
+                drained += 1;
+            }
+            if took < n && dst.len() < limit {
+                // Refused whole: the destination's back is not below the prefix.
+                assert_eq!(took, 0, "case {case}");
+                assert!(dst.back_seq().unwrap().0 >= drain(&second)[0].seq(), "case {case}");
+                refusals += 1;
+            } else if 0 < took && took < n {
+                splits += 1;
+            }
+        }
+        assert!(splits > 50 && refusals > 50 && drained > 50, "{splits} {refusals} {drained}");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::message::Payload;
-use crate::node::{FireDecision, FireInput, NodeBehavior};
+use crate::node::{DataRun, FireDecision, FireInput, NodeBehavior};
 
 /// Emits a data message on every output channel for every accepted input.
 /// The payload is the sum of the input payloads (or the sequence number for
@@ -34,6 +34,14 @@ impl NodeBehavior for Broadcast {
 
     fn fire_into(&mut self, input: &FireInput<'_>, emit: &mut [Option<Payload>]) {
         emit.fill(Some(combined_payload(input)));
+    }
+
+    /// On one input the decision is the same `(seq, payload)` on every
+    /// output: the run is relayed whole.
+    fn fire_run(&mut self, run: &mut DataRun<'_>) {
+        if !run.relay() {
+            run.step(|input, emit| self.fire_into(input, emit));
+        }
     }
 }
 
@@ -61,17 +69,18 @@ impl Bernoulli {
 
 impl NodeBehavior for Bernoulli {
     fn fire(&mut self, input: &FireInput<'_>) -> FireDecision {
-        let payload = combined_payload(input);
-        let emit = (0..self.outputs)
-            .map(|_| {
-                if self.rng.gen_bool(self.keep.clamp(0.0, 1.0)) {
-                    Some(payload)
-                } else {
-                    None
-                }
-            })
-            .collect();
+        let mut emit = vec![None; self.outputs];
+        self.fire_into(input, &mut emit);
         FireDecision { emit }
+    }
+
+    /// One draw per output, in output order.
+    fn fire_into(&mut self, input: &FireInput<'_>, emit: &mut [Option<Payload>]) {
+        let payload = combined_payload(input);
+        let keep = self.keep.clamp(0.0, 1.0);
+        for slot in emit.iter_mut() {
+            *slot = self.rng.gen_bool(keep).then_some(payload);
+        }
     }
 }
 
@@ -242,6 +251,50 @@ mod tests {
         assert_eq!(never.fire(&source_input(0)).emitted(), 0);
         let mut always = Bernoulli::new(1, 1.0, 1);
         assert_eq!(always.fire(&source_input(0)).emitted(), 1);
+    }
+
+    #[test]
+    fn bernoulli_entry_points_agree_draw_for_draw() {
+        let (mut by_value, mut in_place) = (Bernoulli::new(3, 0.4, 11), Bernoulli::new(3, 0.4, 11));
+        let mut emit = [None; 3];
+        for seq in 0..500 {
+            // Alternating entry points on one instance stay in step too.
+            if seq % 2 == 0 {
+                in_place.fire_into(&source_input(seq), &mut emit);
+            } else {
+                emit.copy_from_slice(&in_place.fire(&source_input(seq)).emit);
+            }
+            assert_eq!(by_value.fire(&source_input(seq)).emit, emit, "seq {seq}");
+        }
+    }
+
+    #[test]
+    fn a_stateful_behaviour_sees_the_scalar_call_sequence_on_deep_buffers() {
+        // Runs of up to 64 messages reach the middle node at once; the
+        // default `fire_run` must still hand them over one by one, every
+        // sequence number once, in increasing order.
+        use crate::{Batching, PooledExecutor, Topology};
+        use std::sync::{Arc, Mutex};
+        let mut b = fila_graph::GraphBuilder::new().default_capacity(128);
+        b.chain(&["a", "b", "c", "d"]).unwrap();
+        let g = b.build().unwrap();
+        for batching in [Batching::Scalar, Batching::Messages(64), Batching::Unbounded] {
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let log = Arc::clone(&seen);
+            let topo = Topology::from_graph(&g).with(g.node_by_name("c").unwrap(), move || {
+                let log = Arc::clone(&log);
+                let mut calls = 0u64;
+                move |input: &FireInput<'_>| {
+                    calls += 1;
+                    log.lock().unwrap().push((calls, input.seq, input.data_in.to_vec()));
+                    FireDecision::broadcast(1, input.seq)
+                }
+            });
+            let report = PooledExecutor::new(&topo).workers(2).batching(batching).run(1_000);
+            assert!(report.completed, "{batching:?}");
+            let want: Vec<_> = (0..1_000).map(|s| (s + 1, s, vec![Some(s)])).collect();
+            assert_eq!(*seen.lock().unwrap(), want, "{batching:?}");
+        }
     }
 
     #[test]

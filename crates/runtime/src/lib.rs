@@ -60,7 +60,7 @@ pub use container::{Batch, Batching, Container, Run, Single};
 pub use faults::{CrashSite, FaultArm, FaultPlan, SnapshotDamage};
 pub use filters::{Bernoulli, Broadcast, Collector, ModuloFilter, RouteRoundRobin};
 pub use message::{Message, Payload};
-pub use node::{FireDecision, FireInput, NodeBehavior};
+pub use node::{DataRun, FireDecision, FireInput, NodeBehavior};
 pub use pooled::PooledExecutor;
 pub use report::{BlockedInfo, BlockedReason, ExecutionReport};
 pub use shared_pool::{

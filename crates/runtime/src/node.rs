@@ -8,6 +8,7 @@
 //! [`NodeBehavior`] implementation returns.
 
 use crate::message::Payload;
+pub use crate::task::DataRun;
 
 /// What a node sees when it fires at a sequence number.
 #[derive(Debug, Clone)]
@@ -98,6 +99,23 @@ pub trait NodeBehavior: Send {
     fn fire_into(&mut self, input: &FireInput<'_>, emit: &mut [Option<Payload>]) {
         let d = self.fire(input);
         emit.copy_from_slice(&d.emit);
+    }
+
+    /// Fires a *run*: the data messages at the front of a single-input
+    /// node's head container, which the pooled engine has already bounded
+    /// to what it could accept one message at a time.  The scalar call is
+    /// the length-1 case.
+    ///
+    /// The default steps through the run — [`NodeBehavior::fire_into`] once
+    /// per sequence number, in increasing order — so closures and stateful
+    /// behaviours see exactly the call sequence of a per-message engine.
+    /// A stateless built-in overrides it where a run is arithmetic
+    /// ([`crate::Broadcast`] relays it whole).  An override must make the
+    /// decisions `fire_into` would make, in order, for every message it
+    /// consumes, and leave no state the default loop would have advanced
+    /// differently; whatever it cannot decide by arithmetic it steps.
+    fn fire_run(&mut self, run: &mut DataRun<'_>) {
+        run.step(|input, emit| self.fire_into(input, emit));
     }
 }
 

@@ -24,6 +24,21 @@
 //! container.  "Scalar" execution is a container limit of one message
 //! ([`Batching::Scalar`]), not a second code path.
 //!
+//! A single-input node — any out-degree — is accepted a run at a time
+//! ([`interior_run`]).  The run is the dummy run or the data prefix at the
+//! front of its head container, clamped by the four bounds the per-message
+//! rule applies one acceptance at a time: the slice budget, every output's
+//! container limit, every output's deliverable space plus the one
+//! overshooting acceptance ([`run_room`]), and a pending snapshot barrier.
+//! A data run is *fired* as a run too ([`NodeBehavior::fire_run`] on a
+//! [`DataRun`]): the default steps through it, one `fire_into` per message;
+//! [`crate::Broadcast`] relays it — the head container's segments are
+//! appended to each output's staging container, ordering checked once at
+//! the seam, the wrapper's counters moved by
+//! [`DummyWrapper::on_accept_data_run`] — unless the heartbeat trigger
+//! needs every sequence number, and then it steps as well.  Multi-input
+//! nodes align their heads one sequence number at a time.
+//!
 //! Batching never changes semantics: capacity is accounted in *messages*
 //! (see [`crate::spsc::MsgCap`]), staging is allowed only while everything
 //! already staged is deliverable — preserving the scalar model's exactly
@@ -85,6 +100,17 @@ impl Stage {
             return;
         };
         self.second = Some(Batch::from_message(m));
+    }
+
+    /// The newest staged container (opened if nothing is staged): where a
+    /// run — already bounded by the queue room — is appended whole.
+    fn newest(&mut self) -> &mut Batch {
+        let slot = if self.second.is_some() {
+            &mut self.second
+        } else {
+            &mut self.first
+        };
+        slot.get_or_insert_with(Batch::new)
     }
 
     /// Visits every staged message front to back (checkpoint flattening).
@@ -412,16 +438,30 @@ pub(crate) fn run_task(
     }
 }
 
-/// True while every output port can take another acceptance: its staged
-/// queue is under the container limit and everything already staged is
-/// deliverable right now.  The *first* acceptance after a flush always
-/// passes (the queue is empty), so a full channel still receives exactly
-/// one overshooting acceptance — the scalar engine's blocking shape.
-fn outputs_have_room(task: &Task) -> bool {
-    task.outs.iter().all(|port| {
-        let len = port.queue.len();
-        len < port.limit && len <= port.tx.space_msgs()
-    })
+/// How many acceptances the task may make before its room is read again;
+/// 0 when the slice budget is spent or some output has no room.
+///
+/// An output has room while its staged queue is under the container limit
+/// and everything already staged is deliverable right now.  The *first*
+/// acceptance after a flush always has it (the queue is empty), so a full
+/// channel still receives exactly one overshooting acceptance — the scalar
+/// engine's blocking shape.  A run of `n` acceptances stages at most `n`
+/// messages on a port ([`DataRun::step`] ends the run at an acceptance that
+/// stages two), so the rule holds before each of them in turn when `n` is
+/// within every port's `limit − staged` and `space − staged + 1`.
+fn run_room(task: &Task, accepted: u32, batch: u32) -> u64 {
+    let mut n = u64::from(batch - accepted);
+    for out in &task.outs {
+        let qlen = out.queue.len();
+        let space = out.tx.space_msgs();
+        if qlen > space {
+            return 0;
+        }
+        n = n
+            .min(out.limit.saturating_sub(qlen) as u64)
+            .min((space - qlen) as u64 + 1);
+    }
+    n
 }
 
 /// Drains acceptances for a non-source task until the budget, the staging
@@ -434,7 +474,11 @@ fn interior_run(
     snap: Option<&dyn SnapSink>,
 ) -> bool {
     let mut progressed = false;
-    'run: while *accepted < batch && outputs_have_room(task) {
+    'run: loop {
+        let room = run_room(task, *accepted, batch);
+        if room == 0 {
+            break;
+        }
         // Acceptance scan: one pass over the input heads.
         let mut accept_seq = u64::MAX;
         for port in &mut task.ins {
@@ -485,30 +529,23 @@ fn interior_run(
             break 'run;
         }
 
-        // Bulk path: a single input whose head starts a dummy run is
-        // accepted a run at a time — gap counters move by run arithmetic
-        // and forwarded dummies are staged as one RLE segment.
+        // Run paths: a single input is accepted a run at a time — the
+        // dummy run or the data prefix at the front of its head container,
+        // clamped to what the per-message rule would accept one by one.
         if task.ins.len() == 1 {
-            if let Some(Run::Dummies { first, len }) = task.ins[0]
+            let head = task.ins[0]
                 .rx
                 .front_mut()
                 .expect("head checked non-empty")
-                .front_run()
-            {
+                .front_run();
+            if let Some(Run::Dummies { first, len }) = head {
                 debug_assert_eq!(first, accept_seq);
-                // A pending, uncontributed barrier splits the run: consume
-                // only the pre-barrier prefix, so the next scan lands on
-                // the barrier sequence and contributes before crossing.
-                let mut n = len
-                    .min(u64::from(batch - *accepted))
-                    .min(barrier - first);
-                for out in &task.outs {
-                    let qlen = out.queue.len() as u64;
-                    n = n
-                        .min(out.limit as u64 - qlen)
-                        .min((out.tx.space_msgs() as u64).saturating_sub(qlen) + 1);
-                }
-                debug_assert!(n >= 1, "room was checked before the scan");
+                // Gap counters move by run arithmetic and forwarded dummies
+                // are staged as one RLE segment.  A pending, uncontributed
+                // barrier splits the run: consume only the pre-barrier
+                // prefix, so the next scan lands on the barrier sequence
+                // and contributes before crossing.
+                let n = len.min(room).min(barrier - first);
                 let port = &mut task.ins[0];
                 let container = port.rx.front_mut().expect("head checked non-empty");
                 container.consume_dummies(n);
@@ -525,7 +562,8 @@ fn interior_run(
                     match run {
                         RunDummies::None => {}
                         RunDummies::All => {
-                            stage_dummy_run(out, first, n);
+                            let took = out.queue.newest().push_dummy_run(out.limit, first, n);
+                            assert_eq!(took, n, "dummy-run staging was bounded by queue room");
                             *staged += n as usize;
                         }
                         RunDummies::Periodic { first: p0, period } => {
@@ -539,26 +577,14 @@ fn interior_run(
                     }
                 });
                 *accepted += n as u32;
-                progressed = true;
-                continue 'run;
+            } else {
+                data_run(task, accepted, room, barrier);
             }
+            progressed = true;
+            continue 'run;
         }
 
-        // Bulk path: a single-input node whose head starts a *data* run and
-        // which stages on at most one output — a pipeline stage or a sink —
-        // fires a tight burst: ring atomics (capacity release, the producer
-        // wake check) and the room refresh are paid once per burst, and the
-        // per-message work reduces to segment-cursor moves, the behaviour
-        // call and the staging push.
-        if task.ins.len() == 1 && task.outs.len() <= 1 {
-            let burst = data_burst(task, accepted, batch, barrier);
-            if burst > 0 {
-                progressed = true;
-                continue 'run;
-            }
-        }
-
-        // Per-sequence path (multi-input alignment or a data head).
+        // Per-sequence path (multi-input alignment).
         task.data_in.fill(None);
         let mut consumed_dummy = false;
         for (idx, port) in task.ins.iter_mut().enumerate() {
@@ -602,22 +628,15 @@ fn interior_run(
     progressed
 }
 
-/// Fires the data prefix of a single-input, at-most-one-output task's head
-/// container as one burst; returns the number of messages consumed (0 when
-/// the head is not data — the caller falls back to the general paths).
+/// Fires the data prefix of a single-input task's head container as one run
+/// of at most `room` acceptances ([`run_room`]) below `barrier`, through
+/// [`NodeBehavior::fire_run`]; ring atomics (capacity release, the producer
+/// wake check) and the counters are paid once per run.
 ///
-/// The caller has verified the acceptance preconditions for the *first*
-/// message (head non-empty, `outputs_have_room`, budget, pre-barrier);
-/// every later iteration re-checks them with burst-local state: the output
-/// room against a once-read `space_msgs` snapshot (stale is smaller is
-/// conservative — the burst just ends early and the outer loop re-checks),
-/// the barrier against each message's own sequence number.
-fn data_burst(
-    task: &mut Task,
-    accepted: &mut u32,
-    batch: u32,
-    barrier: u64,
-) -> usize {
+/// The caller has verified the acceptance preconditions for the first
+/// message (head data below the barrier, `room ≥ 1`), so a run is never
+/// empty.
+fn data_run(task: &mut Task, accepted: &mut u32, room: u64, barrier: u64) {
     let Task {
         ins,
         outs,
@@ -631,53 +650,105 @@ fn data_burst(
         ..
     } = task;
     let port = &mut ins[0];
-    let space = outs.first().map_or(usize::MAX, |o| o.tx.space_msgs());
-    let mut took = 0usize;
-    let container = port.rx.front_mut().expect("head checked non-empty");
-    while *accepted < batch {
-        if let [out] = &outs[..] {
-            let len = out.queue.len();
-            if !(len < out.limit && len <= space) {
+    let mut run = DataRun {
+        src: port.rx.front_mut().expect("head checked non-empty"),
+        max: room as usize,
+        barrier,
+        outs: &mut outs[..],
+        wrapper,
+        staged,
+        data_in,
+        emit,
+        took: 0,
+    };
+    behavior.fire_run(&mut run);
+    let took = run.took;
+    assert!(took > 0, "a behaviour must fire the run it is handed");
+    *firings += took as u64;
+    if outs.is_empty() {
+        *sink_firings += took as u64;
+    }
+    *accepted += took as u32;
+    port.rx.release_msgs(took);
+    port.touched = true;
+}
+
+/// The engine's side of [`NodeBehavior::fire_run`]: the data prefix at the
+/// front of a single-input node's head container, already bounded by the
+/// slice budget, the staging room of every output and a pending snapshot
+/// barrier.  A behaviour either [steps](DataRun::step) through it one
+/// message at a time or, when its decision is the same `(seq, payload)` on
+/// every output, [relays](DataRun::relay) it whole.
+pub struct DataRun<'a> {
+    src: &'a mut Batch,
+    /// Acceptances the run may make in total ([`run_room`]).
+    max: usize,
+    barrier: u64,
+    outs: &'a mut [OutPort],
+    wrapper: &'a mut DummyWrapper,
+    staged: &'a mut usize,
+    data_in: &'a mut [Option<Payload>],
+    emit: &'a mut [Option<Payload>],
+    /// Acceptances made so far.
+    took: usize,
+}
+
+impl DataRun<'_> {
+    /// Fires what is left of the run one message at a time, in increasing
+    /// sequence order: `fire` is [`NodeBehavior::fire_into`] — it sees the
+    /// message and writes the decision, which is staged before the next
+    /// call.
+    pub fn step(&mut self, mut fire: impl FnMut(&FireInput<'_>, &mut [Option<Payload>])) {
+        while self.took < self.max {
+            let Some(Run::Data { seq, payload }) = self.src.front_run() else {
+                break;
+            };
+            if seq >= self.barrier {
+                // An uncontributed pending barrier splits the run; the next
+                // acceptance scan lands on `seq` and contributes.
+                break;
+            }
+            self.src.consume_data();
+            self.data_in[0] = Some(payload);
+            fire(
+                &FireInput {
+                    seq,
+                    data_in: self.data_in,
+                },
+                self.emit,
+            );
+            self.took += 1;
+            if stage_decision(self.wrapper, self.outs, self.staged, self.emit, seq, true, false) {
+                // The run was bounded for one message per port per
+                // acceptance; the outer loop re-reads the room.
                 break;
             }
         }
-        let Some(Run::Data { seq, payload }) = container.front_run() else {
-            break;
-        };
-        if seq >= barrier {
-            // An uncontributed pending barrier splits the burst; the
-            // next acceptance scan lands on `seq` and contributes.
-            break;
-        }
-        container.consume_data();
-        data_in[0] = Some(payload);
-        *firings += 1;
-        if outs.is_empty() {
-            *sink_firings += 1;
-        }
-        behavior.fire_into(&FireInput { seq, data_in }, emit);
-        stage_decision(wrapper, outs, staged, emit, seq, true, false);
-        *accepted += 1;
-        took += 1;
     }
-    if took > 0 {
-        port.rx.release_msgs(took);
-        port.touched = true;
-    }
-    took
-}
 
-/// Stages a run of `n` forwarded dummies at `first..first + n` on one port
-/// as a single RLE segment (the caller bounded `n` by the queue room).
-fn stage_dummy_run(out: &mut OutPort, first: u64, n: u64) {
-    let slot = if out.queue.second.is_some() {
-        &mut out.queue.second
-    } else {
-        &mut out.queue.first
-    };
-    let container = slot.get_or_insert_with(Batch::new);
-    let took = container.push_dummy_run(out.limit, first, n);
-    debug_assert_eq!(took, n, "bulk dummy staging was bounded by queue room");
+    /// Forwards what is left of the run unchanged on every output — the
+    /// input container's segments are appended to each staging container,
+    /// one copy per output, none for a sink — and returns true.  Returns
+    /// false, having consumed nothing, when the dummy wrapper must see each
+    /// sequence number ([`DummyWrapper::on_accept_data_run`]): the caller
+    /// then [steps](DataRun::step).
+    pub fn relay(&mut self) -> bool {
+        let n = self.src.data_prefix(self.max - self.took, self.barrier);
+        if n == 0 {
+            return true;
+        }
+        if !self.wrapper.on_accept_data_run(n as u64) {
+            return false;
+        }
+        for out in self.outs.iter_mut() {
+            let took = out.queue.newest().push_data_prefix(out.limit, self.src, n);
+            assert_eq!(took, n, "data-run staging was bounded by queue room");
+        }
+        *self.staged += n * self.outs.len();
+        self.src.consume_data_prefix(n);
+        self.took += n;
+        true
+    }
 }
 
 /// Drains source firings until the budget, the staging room or a pending
@@ -696,10 +767,7 @@ fn source_run(
 ) -> bool {
     let barrier = uncontributed(task, snap).map_or(u64::MAX, |(snap, _)| snap.barrier());
     let mut progressed = false;
-    while *accepted < batch
-        && task.next_source_seq < inputs.min(barrier)
-        && outputs_have_room(task)
-    {
+    while task.next_source_seq < inputs.min(barrier) && run_room(task, *accepted, batch) > 0 {
         let seq = task.next_source_seq;
         task.next_source_seq += 1;
         task.firings += 1;
@@ -792,7 +860,8 @@ fn queue_outputs(task: &mut Task, seq: u64, fired: bool, consumed_dummy: bool) {
 }
 
 /// [`queue_outputs`] on split borrows, for callers already holding other
-/// task fields (the batched data-burst loop).
+/// task fields ([`DataRun::step`]).  Returns whether some port took two
+/// messages — a dummy beside its data message.
 fn stage_decision(
     wrapper: &mut DummyWrapper,
     outs: &mut [OutPort],
@@ -801,22 +870,24 @@ fn stage_decision(
     seq: u64,
     fired: bool,
     consumed_dummy: bool,
-) {
+) -> bool {
     let dummies = wrapper.on_accept(consumed_dummy, |i| fired && emit[i].is_some());
+    let mut doubled = false;
     for (idx, port) in outs.iter_mut().enumerate() {
-        if fired {
-            if let Some(payload) = emit[idx] {
-                port.queue.stage(port.limit, Message::Data { seq, payload });
-                *staged += 1;
-            }
+        let data = emit[idx].filter(|_| fired);
+        if let Some(payload) = data {
+            port.queue.stage(port.limit, Message::Data { seq, payload });
+            *staged += 1;
         }
         if dummies[idx] {
             // Under the heartbeat trigger a dummy may accompany a data
             // message carrying the same sequence number.
             port.queue.stage(port.limit, Message::Dummy { seq });
             *staged += 1;
+            doubled |= data.is_some();
         }
     }
+    doubled
 }
 
 /// Assembles the [`ExecutionReport`] of a finished (or deadlocked) task set:
@@ -867,4 +938,250 @@ pub(crate) fn assemble_report(
 
 fn edge_id(raw: u32) -> fila_graph::EdgeId {
     fila_graph::EdgeId::from_raw(raw)
+}
+
+#[cfg(test)]
+mod tests {
+    //! The run loops driven deterministically, one thread, round-robin —
+    //! so a snapshot barrier can be published at an exact point and land at
+    //! an exact position *inside* a data run, which a live pool cannot be
+    //! made to do on purpose.
+
+    use std::cell::{Cell, RefCell};
+
+    use fila_avoidance::{Algorithm, AvoidancePlan, DummyInterval, IntervalMap, Rounding};
+    use fila_graph::{Graph, GraphBuilder};
+
+    use super::*;
+    use crate::filters::{Broadcast, Predicate};
+    use crate::node::{FireDecision, FireInput};
+
+    /// `Broadcast` without its run override: the default, per-message
+    /// `fire_run`.
+    struct Stepped(Broadcast);
+
+    impl NodeBehavior for Stepped {
+        fn fire(&mut self, input: &FireInput<'_>) -> FireDecision {
+            self.0.fire(input)
+        }
+        fn fire_into(&mut self, input: &FireInput<'_>, emit: &mut [Option<Payload>]) {
+            self.0.fire_into(input, emit);
+        }
+    }
+
+    /// What one task contributed: (input edge, snapshot, delivered data and
+    /// dummies per output).
+    type Contribution = (Option<u32>, NodeSnapshot, Vec<(u64, u64)>);
+
+    /// A snapshot request published by the test at a point of its choosing.
+    struct Cut {
+        epoch: Cell<u64>,
+        barrier: u64,
+        contributions: RefCell<Vec<Contribution>>,
+    }
+
+    impl SnapSink for Cut {
+        fn pending(&self) -> u64 {
+            self.epoch.get()
+        }
+        fn barrier(&self) -> u64 {
+            self.barrier
+        }
+        fn contribute(&self, task: &mut Task) {
+            let mut staged = Vec::new();
+            for port in &task.outs {
+                port.queue.for_each(&mut |m| staged.push((port.edge, m)));
+            }
+            self.contributions.borrow_mut().push((
+                task.ins.first().map(|p| p.edge),
+                NodeSnapshot {
+                    gaps: task.wrapper.gaps().to_vec(),
+                    next_source_seq: task.next_source_seq,
+                    eos_queued: task.eos_queued,
+                    done: task.done,
+                    firings: task.firings,
+                    sink_firings: task.sink_firings,
+                    staged,
+                },
+                task.outs.iter().map(|p| (p.data, p.dummies)).collect(),
+            ));
+        }
+    }
+
+    /// `src → hub → sinks…` (`fan` sinks; a 4-node pipeline when `fan` is
+    /// 0): two 64-message containers fit the first edge, one the others.
+    fn shape(fan: usize) -> Graph {
+        let mut b = GraphBuilder::new().default_capacity(64);
+        b.edge_with_capacity("src", "hub", 128).unwrap();
+        if fan == 0 {
+            b.chain(&["hub", "mid", "sink"]).unwrap();
+        }
+        for i in 0..fan {
+            b.edge("hub", &format!("sink{i}")).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// Interval 3 on every edge: dummies wherever the source filters.
+    fn planned(g: &Graph, algorithm: Algorithm) -> AvoidanceMode {
+        let mut m = IntervalMap::for_graph(g);
+        for e in g.edge_ids() {
+            m.set(e, DummyInterval::Finite(3));
+        }
+        AvoidanceMode::plan(AvoidancePlan::new(g, algorithm, Rounding::Ceil, m))
+    }
+
+    struct Case {
+        fan: usize,
+        /// The hub relays runs (`Broadcast`) or steps them (`Stepped`).
+        relay: bool,
+        /// The source filters two inputs in seven, irregularly.
+        filtered: bool,
+        mode: Option<Algorithm>,
+        trigger: PropagationTrigger,
+        batching: Batching,
+        batch: u32,
+        /// Publish a cut with this barrier once the source has run ahead.
+        barrier: Option<u64>,
+    }
+
+    /// Per-task `(firings, sink_firings, delivered per output)` at the end.
+    type Totals = Vec<(u64, u64, Vec<(u64, u64)>)>;
+
+    const INPUTS: u64 = 300;
+
+    /// Runs the case to completion on this thread; returns what every task
+    /// contributed to the cut (ordered by input edge) and the final totals.
+    fn run(case: &Case) -> (Vec<Contribution>, Totals) {
+        let g = shape(case.fan);
+        let (src, hub) = (g.node_by_name("src").unwrap(), g.node_by_name("hub").unwrap());
+        let hub_outs = g.out_degree(hub);
+        let mut topo = Topology::from_graph(&g);
+        if case.filtered {
+            topo = topo.with(src, || Predicate::new(1, |seq, _| seq.wrapping_mul(0x9e37) % 7 > 1));
+        }
+        if !case.relay {
+            topo = topo.with(hub, move || Stepped(Broadcast::new(hub_outs)));
+        }
+        let mode = case.mode.map_or(AvoidanceMode::Disabled, |a| planned(&g, a));
+        let mut tasks = build_tasks(&topo, &mode, case.trigger, case.batching);
+        let cut = Cut {
+            epoch: Cell::new(0),
+            barrier: case.barrier.unwrap_or(0),
+            contributions: RefCell::default(),
+        };
+        let slice = |task: &mut Task| run_task(task, INPUTS, case.batch, &mut |_| {}, Some(&cut));
+        // The source runs ahead until its channel is full (128 messages
+        // delivered, one acceptance staged), and only then is the cut
+        // published: its barrier lies inside what the hub is about to
+        // consume.
+        while !matches!(slice(&mut tasks[src.index()]), Outcome::Blocked) {}
+        if case.barrier.is_some() {
+            cut.epoch.set(1);
+        }
+        for pass in 0.. {
+            assert!(pass < 10_000, "no progress");
+            let mut done = true;
+            for task in &mut tasks {
+                done &= matches!(slice(task), Outcome::Done);
+            }
+            if done {
+                break;
+            }
+        }
+        let mut contributions = cut.contributions.into_inner();
+        contributions.sort_by_key(|c| c.0);
+        let totals = tasks
+            .iter()
+            .map(|t| {
+                let delivered = t.outs.iter().map(|p| (p.data, p.dummies)).collect();
+                (t.firings, t.sink_firings, delivered)
+            })
+            .collect();
+        (contributions, totals)
+    }
+
+    const MODES: [Batching; 5] = [
+        Batching::Scalar,
+        Batching::Messages(1),
+        Batching::Messages(4),
+        Batching::Messages(64),
+        Batching::Unbounded,
+    ];
+
+    #[test]
+    fn a_barrier_at_every_position_of_a_run_splits_it_there() {
+        // Containers [0, 64) and [64, 128) wait at the hub when the barrier
+        // is published: every position inside either run, `first` (0, 64)
+        // and `first + n` (64, 128), and one past what the source made.
+        let protocols = [
+            (None, PropagationTrigger::OnFilterOnly),
+            (Some(Algorithm::NonPropagation), PropagationTrigger::OnFilterOnly),
+            (Some(Algorithm::Propagation), PropagationTrigger::OnFilterOnly),
+            (Some(Algorithm::Propagation), PropagationTrigger::Heartbeat),
+        ];
+        for fan in [0, 3] {
+            for (mode, trigger) in protocols {
+                let case = |batching, batch, barrier| Case {
+                    fan,
+                    relay: true,
+                    filtered: false,
+                    mode,
+                    trigger,
+                    batching,
+                    batch,
+                    barrier,
+                };
+                let (_, uninterrupted) = run(&case(Batching::default(), 64, None));
+                for barrier in 0..=130 {
+                    let what = format!("fan {fan} {mode:?}/{trigger:?} barrier {barrier}");
+                    let (reference, _) = run(&case(Batching::Scalar, 1, Some(barrier)));
+                    assert_eq!(reference.len(), if fan == 0 { 4 } else { 5 }, "{what}");
+                    for (input, node, delivered) in &reference[1..] {
+                        // Exactly the pre-barrier prefix, fired and delivered.
+                        assert_eq!(node.firings, barrier, "{what} edge {input:?}");
+                        assert!(node.staged.is_empty(), "{what} edge {input:?}");
+                        assert!(delivered.iter().all(|d| d.0 == barrier), "{what} edge {input:?}");
+                    }
+                    for (batching, batch) in MODES.into_iter().zip([64, 3, 64, 64, 17]) {
+                        let (cut, totals) = run(&case(batching, batch, Some(barrier)));
+                        assert_eq!(cut, reference, "{what} {batching:?}");
+                        assert_eq!(totals, uninterrupted, "{what} {batching:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn relaying_a_run_is_stepping_it() {
+        // `Broadcast::fire_run` against the default per-message loop around
+        // the same `fire_into`, on irregular runs (sequence gaps, dummies in
+        // between), with and without a cut through them.
+        for fan in [0, 1, 3] {
+            for mode in [None, Some(Algorithm::NonPropagation), Some(Algorithm::Propagation)] {
+                for trigger in [PropagationTrigger::OnFilterOnly, PropagationTrigger::Heartbeat] {
+                    for (batching, batch) in MODES.into_iter().zip([64, 3, 64, 64, 17]) {
+                        for barrier in [None, Some(0), Some(37), Some(64), Some(101)] {
+                            let case = |relay| Case {
+                                fan,
+                                relay,
+                                filtered: true,
+                                mode,
+                                trigger,
+                                batching,
+                                batch,
+                                barrier,
+                            };
+                            assert_eq!(
+                                run(&case(true)),
+                                run(&case(false)),
+                                "fan {fan} {mode:?}/{trigger:?} {batching:?} barrier {barrier:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

@@ -181,6 +181,59 @@ pub fn parallel_chains(k: usize, capacity: u64) -> Graph {
     b.build().expect("parallel chains are a valid two-terminal DAG")
 }
 
+/// Generates a complete `fanout`-ary broadcast tree: `levels` levels below
+/// one source, every leaf a sink.  No undirected cycles, so it cannot
+/// deadlock at any filter rate; every interior node is a single-input fork.
+pub fn fanout_tree(fanout: usize, levels: usize, capacity: u64) -> Graph {
+    let mut b = GraphBuilder::new().default_capacity(capacity);
+    let mut frontier = vec!["n".to_string()];
+    for _ in 0..levels.max(1) {
+        let mut next = Vec::new();
+        for parent in &frontier {
+            for child in 0..fanout.max(1) {
+                let name = format!("{parent}_{child}");
+                b.edge(parent, &name).unwrap();
+                next.push(name);
+            }
+        }
+        frontier = next;
+    }
+    b.build().expect("a tree is a valid DAG")
+}
+
+/// One graph of the deep-buffer family, by seed: a pipeline, a broadcast
+/// fan-out tree, a random SP DAG or a random ladder with capacities in
+/// 16..=256 — deep enough that containers fill to the batching limit and the
+/// pooled engine's runs are dozens of messages long, cut by the slice budget
+/// and delivered in parts.  The flag says whether the graph has undirected
+/// cycles, i.e. needs an avoidance plan once a node filters.
+pub fn deep_buffer_graph(seed: u64) -> (Graph, bool) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let capacity = rng.gen_range(16..=256u64);
+    match rng.gen_range(0..4u32) {
+        0 => (pipeline_graph(rng.gen_range(3..=10), capacity, rng.gen_bool(0.5)), false),
+        1 => (fanout_tree(rng.gen_range(2..=3), rng.gen_range(2..=3), capacity), false),
+        2 => {
+            let config = GeneratorConfig {
+                target_edges: rng.gen_range(12..36),
+                max_fanout: 3,
+                capacity_range: (16, 256),
+                seed,
+            };
+            (random_sp_dag(&config).0, true)
+        }
+        _ => {
+            let config = LadderConfig {
+                rungs: rng.gen_range(1..=6),
+                capacity_range: (16, 256),
+                reverse_probability: 0.3,
+                seed,
+            };
+            (random_ladder(&config), true)
+        }
+    }
+}
+
 /// Generates a layered random DAG that is in general neither SP nor CS4:
 /// `layers` layers of `width` nodes, each node wired to 1–3 random nodes of
 /// the next layer, with a shared source and sink.
@@ -222,13 +275,29 @@ pub fn layered_dag(layers: usize, width: usize, capacity: u64, seed: u64) -> Gra
 /// workload the equivalence proof covers is exactly the workload the bench
 /// measures.
 pub fn periodic_filtered_topology(g: &Graph, period_of: impl Fn(NodeId) -> u64) -> Topology {
+    install_periodic(g, period_of, false)
+}
+
+/// [`periodic_filtered_topology`] with every period-1 node left on the
+/// default [`fila_runtime::Broadcast`] — the same decisions, but through the
+/// built-in whose data runs the pooled engine relays whole (what
+/// `JobSpec::topology` builds for the service).
+pub fn relaying_periodic_topology(g: &Graph, period_of: impl Fn(NodeId) -> u64) -> Topology {
+    install_periodic(g, period_of, true)
+}
+
+fn install_periodic(
+    g: &Graph,
+    period_of: impl Fn(NodeId) -> u64,
+    keep_broadcast: bool,
+) -> Topology {
     let mut topo = Topology::from_graph(g);
     for n in g.node_ids() {
         let outs = g.out_degree(n);
-        if outs == 0 {
+        let period = period_of(n).max(1);
+        if outs == 0 || (keep_broadcast && period == 1) {
             continue;
         }
-        let period = period_of(n).max(1);
         topo = topo.with(n, move || {
             Predicate::new(outs, move |seq, out| (seq + out as u64) % period == 0)
         });

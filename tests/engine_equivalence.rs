@@ -14,8 +14,8 @@
 
 use fila::prelude::*;
 use fila::workloads::generators::{
-    layered_dag, periodic_filtered_topology, random_ladder, random_sp_dag, GeneratorConfig,
-    LadderConfig,
+    deep_buffer_graph, layered_dag, periodic_filtered_topology, random_ladder, random_sp_dag,
+    relaying_periodic_topology, GeneratorConfig, LadderConfig,
 };
 use proptest::prelude::*;
 
@@ -29,6 +29,13 @@ enum Scenario {
     /// Layered random DAG (generally not CS4), run without avoidance so the
     /// exact deadlock path of both engines is exercised too.
     Layered { seed: u64 },
+    /// The deep-buffer family: capacities 16..=256 and a few hundred
+    /// inputs, so containers fill to the batching limit, data runs are up
+    /// to 64 long, are cut by the slice budget and are delivered in parts —
+    /// none of which a capacity of 1..=6 ever produces.  Pipelines,
+    /// broadcast fan-out trees, and planned SP DAGs and ladders whose
+    /// period-1 nodes keep the default `Broadcast` (and so relay runs).
+    Deep { seed: u64 },
 }
 
 fn scenario() -> impl Strategy<Value = Scenario> {
@@ -53,11 +60,32 @@ fn with_filters(g: &Graph, seed: u64) -> Topology {
     periodic_filtered_topology(g, |n| 1 + mix(seed ^ (0x9e37 + n.index() as u64)) % 5)
 }
 
+/// The same periodic filter on two nodes in five; the other three keep the
+/// default `Broadcast`, whose runs the pooled engine relays whole.
+fn with_sparse_filters(g: &Graph, seed: u64) -> Topology {
+    relaying_periodic_topology(g, |n| {
+        [1, 1, 1, 2, 3][(mix(seed ^ (0x9e37 + n.index() as u64)) % 5) as usize]
+    })
+}
+
 /// Runs one scenario through the simulator and through the pooled engine at
 /// a seed-derived worker count and batch size, asserting the reports match
 /// on every schedule-independent field.
 fn assert_equivalent(scenario: Scenario) -> Result<(), TestCaseError> {
+    let planned = |g: &Graph, seed: u64| {
+        let algorithm = if mix(seed ^ 1) % 2 == 0 {
+            Algorithm::Propagation
+        } else {
+            Algorithm::NonPropagation
+        };
+        Planner::new(g).algorithm(algorithm).plan().unwrap()
+    };
     let (g, plan, inputs) = match scenario {
+        Scenario::Deep { seed } => {
+            let (g, cyclic) = deep_buffer_graph(seed);
+            let plan = cyclic.then(|| planned(&g, seed));
+            (g, plan, 300 + mix(seed ^ 2) % 900)
+        }
         Scenario::Sp { seed } => {
             let (g, _) = random_sp_dag(&GeneratorConfig {
                 target_edges: 12 + (mix(seed) % 24) as usize,
@@ -65,12 +93,7 @@ fn assert_equivalent(scenario: Scenario) -> Result<(), TestCaseError> {
                 capacity_range: (1, 6),
                 seed,
             });
-            let algorithm = if mix(seed ^ 1) % 2 == 0 {
-                Algorithm::Propagation
-            } else {
-                Algorithm::NonPropagation
-            };
-            let plan = Planner::new(&g).algorithm(algorithm).plan().unwrap();
+            let plan = planned(&g, seed);
             (g, Some(plan), 40 + mix(seed ^ 2) % 60)
         }
         Scenario::Ladder { seed } => {
@@ -80,12 +103,7 @@ fn assert_equivalent(scenario: Scenario) -> Result<(), TestCaseError> {
                 reverse_probability: 0.3,
                 seed,
             });
-            let algorithm = if mix(seed ^ 1) % 2 == 0 {
-                Algorithm::Propagation
-            } else {
-                Algorithm::NonPropagation
-            };
-            let plan = Planner::new(&g).algorithm(algorithm).plan().unwrap();
+            let plan = planned(&g, seed);
             (g, Some(plan), 40 + mix(seed ^ 2) % 60)
         }
         Scenario::Layered { seed } => {
@@ -98,9 +116,14 @@ fn assert_equivalent(scenario: Scenario) -> Result<(), TestCaseError> {
             (g, None, 40 + mix(seed ^ 3) % 60)
         }
     };
-    let (Scenario::Sp { seed } | Scenario::Ladder { seed } | Scenario::Layered { seed }) =
-        scenario;
-    let topo = with_filters(&g, seed);
+    let (Scenario::Sp { seed }
+    | Scenario::Ladder { seed }
+    | Scenario::Layered { seed }
+    | Scenario::Deep { seed }) = scenario;
+    let topo = match scenario {
+        Scenario::Deep { .. } => with_sparse_filters(&g, seed),
+        _ => with_filters(&g, seed),
+    };
 
     let sim = {
         let s = Simulator::new(&topo);
@@ -176,5 +199,14 @@ proptest! {
     #[test]
     fn pooled_engine_is_equivalent_to_simulator(s in scenario()) {
         assert_equivalent(s)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(60))]
+
+    #[test]
+    fn pooled_engine_is_equivalent_to_simulator_on_deep_buffers(seed in 0u64..1 << 48) {
+        assert_equivalent(Scenario::Deep { seed })?;
     }
 }

@@ -15,9 +15,10 @@
 //! generated states (staged messages, EOS markers, deadlocked residue).
 
 use fila::prelude::*;
+use fila::runtime::{AvoidanceMode, PropagationTrigger};
 use fila::workloads::generators::{
-    layered_dag, periodic_filtered_topology, random_ladder, random_sp_dag, GeneratorConfig,
-    LadderConfig,
+    deep_buffer_graph, layered_dag, periodic_filtered_topology, random_ladder, random_sp_dag,
+    relaying_periodic_topology, GeneratorConfig, LadderConfig,
 };
 use proptest::prelude::*;
 
@@ -31,6 +32,11 @@ enum Scenario {
     /// Layered random DAG run without avoidance, so snapshots of runs that
     /// end **deadlocked** are restored and must re-deadlock identically.
     Layered { seed: u64 },
+    /// The deep-buffer family (capacities 16..=256, hundreds of inputs, most
+    /// nodes on the default `Broadcast`): a kill finds dozens of messages
+    /// buffered on a channel, and the snapshot is also restored **into the
+    /// pool**, whose rings then open on long packed containers.
+    Deep { seed: u64 },
 }
 
 fn scenario() -> impl Strategy<Value = Scenario> {
@@ -56,6 +62,16 @@ fn with_filters(g: &Graph, seed: u64) -> Topology {
 
 fn build(scenario: Scenario) -> (Graph, Option<fila::avoidance::AvoidancePlan>, u64) {
     match scenario {
+        Scenario::Deep { seed } => {
+            let (g, cyclic) = deep_buffer_graph(seed);
+            let algorithm = if mix(seed ^ 1) % 2 == 0 {
+                Algorithm::Propagation
+            } else {
+                Algorithm::NonPropagation
+            };
+            let plan = cyclic.then(|| Planner::new(&g).algorithm(algorithm).plan().unwrap());
+            (g, plan, 300 + mix(seed ^ 2) % 900)
+        }
         Scenario::Sp { seed } => {
             let (g, _) = random_sp_dag(&GeneratorConfig {
                 target_edges: 12 + (mix(seed) % 24) as usize,
@@ -103,9 +119,18 @@ fn build(scenario: Scenario) -> (Graph, Option<fila::avoidance::AvoidancePlan>, 
 /// uninterrupted run's.
 fn assert_restore_equivalent(scenario: Scenario) -> Result<(), TestCaseError> {
     let (g, plan, inputs) = build(scenario);
-    let (Scenario::Sp { seed } | Scenario::Ladder { seed } | Scenario::Layered { seed }) =
-        scenario;
-    let topo = with_filters(&g, seed);
+    let (Scenario::Sp { seed }
+    | Scenario::Ladder { seed }
+    | Scenario::Layered { seed }
+    | Scenario::Deep { seed }) = scenario;
+    let deep = matches!(scenario, Scenario::Deep { .. });
+    let topo = if deep {
+        relaying_periodic_topology(&g, |n| {
+            [1, 1, 1, 2, 3][(mix(seed ^ (0x9e37 + n.index() as u64)) % 5) as usize]
+        })
+    } else {
+        with_filters(&g, seed)
+    };
     let sim = {
         let s = Simulator::new(&topo);
         match &plan {
@@ -115,8 +140,8 @@ fn assert_restore_equivalent(scenario: Scenario) -> Result<(), TestCaseError> {
     };
     // The reference: the same network never killed.
     let reference = sim.run(inputs);
-    let kill_at = mix(seed ^ 6) % 500;
-    let resumed = match sim.run_with_checkpoint(inputs, kill_at) {
+    let kill_at = mix(seed ^ 6) % if deep { 20_000 } else { 500 };
+    let (resumed, snapshot) = match sim.run_with_checkpoint(inputs, kill_at) {
         CheckpointOutcome::Finished(report) => {
             // The run outran the kill point; it must literally *be* the
             // reference run.
@@ -133,7 +158,7 @@ fn assert_restore_equivalent(scenario: Scenario) -> Result<(), TestCaseError> {
             prop_assert!(snapshot.steps <= kill_at.max(1));
             let resumed = sim.resume(&decoded);
             prop_assert!(resumed.is_ok(), "restore failed: {:?}", resumed.err());
-            resumed.unwrap()
+            (resumed.unwrap(), decoded)
         }
     };
     // The oracle: a killed-and-restored run is observationally equivalent
@@ -146,6 +171,32 @@ fn assert_restore_equivalent(scenario: Scenario) -> Result<(), TestCaseError> {
     prop_assert_eq!(&reference.per_edge_data, &resumed.per_edge_data);
     prop_assert_eq!(&reference.per_edge_dummies, &resumed.per_edge_dummies);
     prop_assert!(resumed.resumed_from.is_some());
+    if deep {
+        // The same cut resumed by the pooled engine, at a seed-derived
+        // worker count, slice budget and container limit.
+        let modes = [
+            Batching::Scalar,
+            Batching::Messages(1),
+            Batching::Messages(4),
+            Batching::Messages(64),
+            Batching::Unbounded,
+        ];
+        let pool = SharedPool::with(PoolOptions {
+            workers: 1 + (mix(seed ^ 4) % 4) as usize,
+            batch: 1 + (mix(seed ^ 5) % 64) as u32,
+            batching: modes[(mix(seed ^ 7) % 5) as usize],
+            ..PoolOptions::default()
+        });
+        let mode = plan.map_or(AvoidanceMode::Disabled, AvoidanceMode::plan);
+        let pooled = pool.resume_full(&topo, mode, PropagationTrigger::default(), &snapshot, None);
+        prop_assert!(pooled.is_ok(), "pool restore failed: {:?}", pooled.err());
+        let pooled = pooled.unwrap().wait();
+        prop_assert_eq!(reference.completed, pooled.completed);
+        prop_assert_eq!(reference.sink_firings, pooled.sink_firings);
+        prop_assert_eq!(&reference.per_edge_data, &pooled.per_edge_data);
+        prop_assert_eq!(&reference.per_edge_dummies, &pooled.per_edge_dummies);
+        prop_assert_eq!(&reference.per_node_firings, &pooled.per_node_firings);
+    }
     Ok(())
 }
 
@@ -155,6 +206,11 @@ proptest! {
     #[test]
     fn killed_and_restored_run_matches_uninterrupted_run(s in scenario()) {
         assert_restore_equivalent(s)?;
+    }
+
+    #[test]
+    fn killed_deep_buffer_run_restores_in_both_engines(seed in 0u64..1 << 48) {
+        assert_restore_equivalent(Scenario::Deep { seed })?;
     }
 }
 

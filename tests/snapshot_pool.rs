@@ -488,3 +488,95 @@ fn checkpoint_resume_checkpoint_chain_never_double_counts() {
     assert_eq!(third.per_edge_dummies, reference.per_edge_dummies);
     assert_eq!(third.sink_firings, reference.sink_firings);
 }
+
+#[test]
+fn deep_buffer_cuts_are_aligned_and_restore_at_any_batch_limit() {
+    // Capacity-64 channels under the default 64-message containers: when a
+    // cut is requested, whole runs are in flight on every hop and the relay
+    // nodes (default `Broadcast`) are moving them a run at a time.  Wherever
+    // the barrier `k` falls relative to those runs, every node must
+    // contribute having fired exactly `0..k` — so the snapshot is a function
+    // of `k` alone — and the cut must restore, at any other container
+    // limit, to the uninterrupted totals.
+    use fila::runtime::{FireDecision, FireInput};
+    let inputs = 2_000;
+    let pipeline = {
+        let mut b = GraphBuilder::new().default_capacity(64);
+        b.chain(&["src", "hub", "mid", "sink0"]).unwrap();
+        b.build().unwrap()
+    };
+    let fanout = {
+        let mut b = GraphBuilder::new().default_capacity(64);
+        b.edge("src", "hub").unwrap();
+        for sink in ["sink0", "sink1", "sink2"] {
+            b.edge("hub", sink).unwrap();
+        }
+        b.build().unwrap()
+    };
+    let mut mid_run = 0;
+    for g in [&pipeline, &fanout] {
+        // Sinks pause every 16th message, so the job outlives the request
+        // and its buffers stay full behind them.
+        let mut topo = Topology::from_graph(g);
+        for n in g.node_ids().filter(|&n| g.out_degree(n) == 0) {
+            topo = topo.with(n, || {
+                |input: &FireInput<'_>| {
+                    if input.seq % 16 == 0 {
+                        std::thread::sleep(Duration::from_micros(100));
+                    }
+                    FireDecision::silence(0)
+                }
+            });
+        }
+        let reference = Simulator::new(&topo).run(inputs);
+        assert!(reference.completed);
+        let limits = [Batching::Scalar, Batching::Messages(4), Batching::Messages(64), Batching::Unbounded];
+        for (i, &capture) in limits.iter().enumerate() {
+            for delay_ms in [1, 4, 8] {
+                let restore = limits[(i + 1 + delay_ms as usize % 3) % 4];
+                let what = format!("{} nodes, {capture:?} -> {restore:?}, {delay_ms} ms", g.node_count());
+                let pool = SharedPool::with(PoolOptions {
+                    workers: 2,
+                    batching: capture,
+                    ..PoolOptions::default()
+                });
+                let handle = pool.submit(&topo, inputs);
+                std::thread::sleep(Duration::from_millis(delay_ms));
+                let snapshot = handle.checkpoint();
+                let original = handle.wait();
+                assert_eq!(original.per_edge_data, reference.per_edge_data, "{what}");
+                assert_eq!(original.per_node_firings, reference.per_node_firings, "{what}");
+                let Ok(snapshot) = snapshot else {
+                    continue; // the job settled first
+                };
+                // Aligned: nothing in flight, every node exactly at `k`.
+                let k = snapshot.nodes[g.node_by_name("src").unwrap().index()].next_source_seq;
+                mid_run += usize::from(0 < k && k < inputs);
+                for (n, node) in snapshot.nodes.iter().enumerate() {
+                    assert_eq!(node.firings, k.min(inputs), "{what}: node {n} at barrier {k}");
+                    assert!(node.staged.is_empty(), "{what}: node {n}");
+                }
+                assert!(snapshot.per_edge_data.iter().all(|&d| d == k.min(inputs)), "{what}");
+                let bytes = snapshot.to_bytes();
+                let decoded = JobSnapshot::from_bytes(&bytes).expect("wire round-trip");
+                assert_eq!(decoded, snapshot, "{what}");
+                assert_eq!(decoded.to_bytes(), bytes, "{what}");
+
+                let restore_pool = SharedPool::with(PoolOptions {
+                    workers: 2,
+                    batching: restore,
+                    ..PoolOptions::default()
+                });
+                let resumed = restore_pool
+                    .resume_full(&topo, AvoidanceMode::Disabled, PropagationTrigger::default(), &decoded, None)
+                    .expect("same topology restores")
+                    .wait();
+                assert!(resumed.completed, "{what}: {resumed:?}");
+                assert_eq!(resumed.per_edge_data, reference.per_edge_data, "{what}");
+                assert_eq!(resumed.per_node_firings, reference.per_node_firings, "{what}");
+                assert_eq!(resumed.sink_firings, reference.sink_firings, "{what}");
+            }
+        }
+    }
+    assert!(mid_run > 0, "no cut landed mid-run: the pacing is too fast for this host");
+}
