@@ -55,20 +55,37 @@ struct Key {
 }
 
 struct Entry {
-    labeled: u64,
-    /// The exact edge arena `(src, dst, capacity)` the plan was computed
-    /// from: the final word on transplantability.  `labeled` is only the
-    /// cheap first-pass filter; this comparison is what makes "never a
-    /// wrong plan" a guarantee rather than a 64-bit-hash probability.
-    arena: Vec<(u32, u32, u64)>,
+    /// The graph the plan was computed from.
+    identity: GraphIdentity,
     plan: Arc<AvoidancePlan>,
 }
 
-/// The dense `(src, dst, capacity)` arena used for exact entry matching.
-fn arena_of(g: &Graph) -> Vec<(u32, u32, u64)> {
-    g.edges()
-        .map(|(_, e)| (e.src.index() as u32, e.dst.index() as u32, e.capacity))
-        .collect()
+/// What the cache identifies a graph by, computed once per admission and
+/// handed down to every lookup it makes; entries match by equality.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GraphIdentity {
+    /// Canonical structural fingerprint of the graph: the bucket.
+    pub fingerprint: Fingerprint,
+    /// Order-sensitive hash: the cheap first-pass filter.
+    labeled: u64,
+    /// The exact edge arena `(src, dst, capacity)`: the final word on
+    /// transplantability.  This comparison is what makes "never a wrong
+    /// plan" a guarantee rather than a 64-bit-hash probability.
+    arena: Vec<(u32, u32, u64)>,
+}
+
+impl GraphIdentity {
+    /// Hashes `g` (once) into its cache identity.
+    pub fn of(g: &Graph) -> Self {
+        GraphIdentity {
+            fingerprint: fingerprint(g),
+            labeled: labeled_fingerprint(g),
+            arena: g
+                .edges()
+                .map(|(_, e)| (e.src.index() as u32, e.dst.index() as u32, e.capacity))
+                .collect(),
+        }
+    }
 }
 
 /// Key of one cached certification verdict: the plan key plus the
@@ -104,8 +121,7 @@ enum CertVerdict {
 }
 
 struct CertEntry {
-    labeled: u64,
-    arena: Vec<(u32, u32, u64)>,
+    identity: GraphIdentity,
     /// The exact (clamped) periods: the signature is only the fast filter.
     periods: Vec<u64>,
     verdict: CertVerdict,
@@ -213,27 +229,40 @@ impl PlanCache {
         rounding: Rounding,
         cycle_bound: usize,
     ) -> Result<CachedPlan> {
-        self.plan_classified(g, algorithm, rounding, cycle_bound, None)
+        self.plan_identified(g, &GraphIdentity::of(g), algorithm, rounding, cycle_bound)
     }
 
-    /// [`PlanCache::plan`] for a caller that may already hold `g`'s class
-    /// (the certification walk): a miss then plans without re-classifying.
+    /// [`PlanCache::plan`] for a caller that already hashed `g` into
+    /// `identity` (which must be `GraphIdentity::of(g)`).
+    pub fn plan_identified(
+        &self,
+        g: &Graph,
+        identity: &GraphIdentity,
+        algorithm: Algorithm,
+        rounding: Rounding,
+        cycle_bound: usize,
+    ) -> Result<CachedPlan> {
+        self.plan_classified(g, identity, algorithm, rounding, cycle_bound, None)
+    }
+
+    /// [`PlanCache::plan_identified`] for a caller that may already hold
+    /// `g`'s class (the certification walk): a miss then plans without
+    /// re-classifying.
     fn plan_classified(
         &self,
         g: &Graph,
+        identity: &GraphIdentity,
         algorithm: Algorithm,
         rounding: Rounding,
         cycle_bound: usize,
         class: Option<GraphClass>,
     ) -> Result<CachedPlan> {
         let key = Key {
-            fingerprint: fingerprint(g),
+            fingerprint: identity.fingerprint,
             algorithm,
             rounding,
         };
-        let labeled = labeled_fingerprint(g);
-        let arena = arena_of(g);
-        if let Some(plan) = self.lookup(&key, labeled, &arena) {
+        if let Some(plan) = self.lookup(&key, identity) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(CachedPlan {
                 plan,
@@ -254,7 +283,7 @@ impl PlanCache {
         let plan_time = planning.elapsed();
         self.misses.fetch_add(1, Ordering::Relaxed);
         let plan = Arc::new(plan);
-        self.insert(key, labeled, arena, Arc::clone(&plan));
+        self.insert(key, identity, Arc::clone(&plan));
         Ok(CachedPlan {
             plan,
             fingerprint: key.fingerprint,
@@ -285,19 +314,31 @@ impl PlanCache {
         cycle_bound: usize,
         periods: &[u64],
     ) -> std::result::Result<CertifiedCached, CertifyError> {
+        self.certify_identified(g, &GraphIdentity::of(g), algorithm, rounding, cycle_bound, periods)
+    }
+
+    /// [`PlanCache::certify`] for a caller that already hashed `g` into
+    /// `identity` (which must be `GraphIdentity::of(g)`).
+    pub fn certify_identified(
+        &self,
+        g: &Graph,
+        identity: &GraphIdentity,
+        algorithm: Algorithm,
+        rounding: Rounding,
+        cycle_bound: usize,
+        periods: &[u64],
+    ) -> std::result::Result<CertifiedCached, CertifyError> {
         let key = CertKey {
             plan: Key {
-                fingerprint: fingerprint(g),
+                fingerprint: identity.fingerprint,
                 algorithm,
                 rounding,
             },
             filter: filter_signature(periods),
             cycle_bound,
         };
-        let labeled = labeled_fingerprint(g);
-        let arena = arena_of(g);
         let canonical: Vec<u64> = periods.iter().map(|&p| p.max(1)).collect();
-        if let Some(verdict) = self.cert_lookup(&key, labeled, &arena, &canonical) {
+        if let Some(verdict) = self.cert_lookup(&key, identity, &canonical) {
             self.cert_hits.fetch_add(1, Ordering::Relaxed);
             return match verdict {
                 CertVerdict::Certified {
@@ -347,8 +388,9 @@ impl PlanCache {
                         .plan()?;
                     Ok((Arc::new(plan), planning.elapsed()))
                 } else {
-                    let cached =
-                        self.plan_classified(g, candidate, rounding, cycle_bound, Some(class))?;
+                    let cached = self.plan_classified(
+                        g, identity, candidate, rounding, cycle_bound, Some(class),
+                    )?;
                     Ok((cached.plan, cached.plan_time))
                 }
             },
@@ -357,8 +399,7 @@ impl PlanCache {
             Ok(accepted) => {
                 self.cert_insert(
                     key,
-                    labeled,
-                    arena,
+                    identity,
                     canonical,
                     CertVerdict::Certified {
                         used: accepted.used,
@@ -382,8 +423,7 @@ impl PlanCache {
             Err(CertifyError::Uncertifiable { attempts, last }) => {
                 self.cert_insert(
                     key,
-                    labeled,
-                    arena,
+                    identity,
                     canonical,
                     CertVerdict::Uncertifiable {
                         attempts: attempts.clone(),
@@ -399,8 +439,7 @@ impl PlanCache {
     fn cert_lookup(
         &self,
         key: &CertKey,
-        labeled: u64,
-        arena: &[(u32, u32, u64)],
+        identity: &GraphIdentity,
         periods: &[u64],
     ) -> Option<CertVerdict> {
         let inner = self.lock();
@@ -408,29 +447,28 @@ impl PlanCache {
             .cert
             .get(key)?
             .iter()
-            .find(|e| e.labeled == labeled && e.arena == arena && e.periods == periods)
+            .find(|e| e.identity == *identity && e.periods == periods)
             .map(|e| e.verdict.clone())
     }
 
     fn cert_insert(
         &self,
         key: CertKey,
-        labeled: u64,
-        arena: Vec<(u32, u32, u64)>,
+        identity: &GraphIdentity,
         periods: Vec<u64>,
         verdict: CertVerdict,
     ) {
+        let labeled = identity.labeled;
         let mut inner = self.lock();
         let bucket = inner.cert.entry(key).or_default();
         if bucket
             .iter()
-            .any(|e| e.labeled == labeled && e.arena == arena && e.periods == periods)
+            .any(|e| e.identity == *identity && e.periods == periods)
         {
             return;
         }
         bucket.push(CertEntry {
-            labeled,
-            arena,
+            identity: identity.clone(),
             periods,
             verdict,
         });
@@ -440,7 +478,7 @@ impl PlanCache {
                 break;
             };
             if let Some(bucket) = inner.cert.get_mut(&old_key) {
-                bucket.retain(|e| e.labeled != old_labeled);
+                bucket.retain(|e| e.identity.labeled != old_labeled);
                 if bucket.is_empty() {
                     inner.cert.remove(&old_key);
                 }
@@ -448,43 +486,33 @@ impl PlanCache {
         }
     }
 
-    fn lookup(
-        &self,
-        key: &Key,
-        labeled: u64,
-        arena: &[(u32, u32, u64)],
-    ) -> Option<Arc<AvoidancePlan>> {
+    fn lookup(&self, key: &Key, identity: &GraphIdentity) -> Option<Arc<AvoidancePlan>> {
         let inner = self.lock();
         inner
             .map
             .get(key)?
             .iter()
-            .find(|e| e.labeled == labeled && e.arena == arena)
+            .find(|e| e.identity == *identity)
             .map(|e| Arc::clone(&e.plan))
     }
 
-    fn insert(
-        &self,
-        key: Key,
-        labeled: u64,
-        arena: Vec<(u32, u32, u64)>,
-        plan: Arc<AvoidancePlan>,
-    ) {
+    fn insert(&self, key: Key, identity: &GraphIdentity, plan: Arc<AvoidancePlan>) {
+        let labeled = identity.labeled;
         let mut inner = self.lock();
         // A racing submitter may have inserted the same entry meanwhile;
         // keep the first copy.
         let bucket = inner.map.entry(key).or_default();
-        if bucket.iter().any(|e| e.labeled == labeled && e.arena == arena) {
+        if bucket.iter().any(|e| e.identity == *identity) {
             return;
         }
-        bucket.push(Entry { labeled, arena, plan });
+        bucket.push(Entry { identity: identity.clone(), plan });
         inner.order.push_back((key, labeled));
         while inner.order.len() > self.capacity {
             let Some((old_key, old_labeled)) = inner.order.pop_front() else {
                 break;
             };
             if let Some(bucket) = inner.map.get_mut(&old_key) {
-                bucket.retain(|e| e.labeled != old_labeled);
+                bucket.retain(|e| e.identity.labeled != old_labeled);
                 if bucket.is_empty() {
                     inner.map.remove(&old_key);
                 }

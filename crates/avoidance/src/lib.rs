@@ -56,7 +56,7 @@ pub mod planner;
 pub mod prop_sp;
 pub mod verify;
 
-pub use cache::{CachedPlan, CertifiedCached, PlanCache};
+pub use cache::{CachedPlan, CertifiedCached, GraphIdentity, PlanCache};
 pub use cs4::{classify, Cs4Decomposition, Cs4Segment, GraphClass};
 pub use interval::{DummyInterval, IntervalMap, Rounding};
 pub use ladder::LadderDecomposition;

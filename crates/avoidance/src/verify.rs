@@ -48,6 +48,7 @@
 //! fallback chain, and the service layer caches verdicts per
 //! `(fingerprint, filter signature)` — see `fila_avoidance::cache`.
 
+use fila_graph::undirected::first_unreachable;
 use fila_graph::{EdgeId, Graph, NodeId, Result};
 
 use crate::exhaustive::exhaustive_intervals_bounded;
@@ -288,7 +289,9 @@ pub const MAX_CERTIFICATION_INPUTS: u64 = 65_536;
 /// fills while its opposite starves, and no branch can buffer more than
 /// the maximum path capacity — so the fill horizon is `O(max-path
 /// buffering)`, not of the (much larger, width-summing) total capacity.
-/// The floor keeps tiny graphs' checks meaningful; values above
+/// The floor keeps tiny graphs' checks meaningful — and is all a graph with
+/// **no undirected cycle** needs, however deep its buffers: with no opposite
+/// branch nothing can fill against anything.  Values above
 /// [`MAX_CERTIFICATION_INPUTS`] are truncated by [`certify_plan`] and
 /// reported as such.
 pub fn certification_inputs(g: &Graph) -> u64 {
@@ -298,6 +301,10 @@ pub fn certification_inputs(g: &Graph) -> u64 {
     let Ok(order) = fila_graph::topo::topological_order(g) else {
         return 64 + 4 * g.total_capacity().max(48);
     };
+    // A connected graph with one edge fewer than nodes is a tree.
+    if g.edge_count() + 1 == g.node_count() && first_unreachable(g).is_none() {
+        return 64 + 4 * 48;
+    }
     let mut best = vec![0u64; g.node_count()];
     let mut deepest = 0u64;
     for n in order {
@@ -687,8 +694,23 @@ mod tests {
         assert_eq!(certification_inputs(&wide), 64 + 4 * 128);
         let mut tall = GraphBuilder::new().default_capacity(64);
         tall.chain(&["a", "b", "c", "d", "e"]).unwrap();
+        tall.chain(&["a", "x", "y", "z", "e"]).unwrap();
         let tall = tall.build().unwrap();
         assert_eq!(certification_inputs(&tall), 64 + 4 * 256);
+        // No undirected cycle, nothing to fill against: the floor, at any
+        // depth (a planned capacity-256 pipeline of 128 nodes used to need
+        // more than the ceiling and was rejected as truncated).
+        let mut chain = GraphBuilder::new().default_capacity(64);
+        chain.chain(&["a", "b", "c", "d", "e"]).unwrap();
+        assert_eq!(certification_inputs(&chain.build().unwrap()), 64 + 4 * 48);
+        let names: Vec<String> = (0..128).map(|i| format!("n{i}")).collect();
+        let mut deep = GraphBuilder::new().default_capacity(256);
+        deep.chain(&names.iter().map(String::as_str).collect::<Vec<_>>()).unwrap();
+        let deep = deep.build().unwrap();
+        assert_eq!(certification_inputs(&deep), 64 + 4 * 48);
+        let plan = Planner::new(&deep).plan().unwrap();
+        let cert = certify_plan(&deep, &plan, &vec![1; 128]).unwrap();
+        assert!(cert.certified && !cert.truncated, "{}", cert.summary());
     }
 
     #[test]

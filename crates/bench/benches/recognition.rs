@@ -6,9 +6,14 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fila_avoidance::cs4::{decompose_cs4, is_cs4_by_cycle_enumeration};
 use fila_avoidance::classify;
 use fila_bench::{ladder_of_size, sp_dag_of_size, LADDER_RUNGS, SP_SIZES};
+use fila_graph::fingerprint::fingerprint;
 use fila_spdag::recognize;
 use fila_workloads::figures;
+use fila_workloads::generators::pipeline_graph;
 use std::hint::black_box;
+
+/// Node counts of the chain rows (the last is the `pipe_hop` graph).
+const CHAIN_NODES: &[usize] = &[256, 1024, 4096, 16384];
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("recognition");
@@ -17,6 +22,21 @@ fn bench(c: &mut Criterion) {
         let (g, _) = sp_dag_of_size(size);
         group.bench_with_input(BenchmarkId::new("sp_recognition", size), &size, |b, _| {
             b.iter(|| black_box(recognize(&g).unwrap().is_sp()))
+        });
+        group.bench_with_input(BenchmarkId::new("fingerprint/sp_dag", size), &size, |b, _| {
+            b.iter(|| black_box(fingerprint(&g)))
+        });
+    }
+    // ROADMAP item 5's acceptance row: the two structural passes of
+    // admission on the `pipe_hop` shape (a deep chain, ids against the
+    // flow) must cost the same per edge at every length.
+    for &nodes in CHAIN_NODES {
+        let g = pipeline_graph(nodes, 256, true);
+        group.bench_with_input(BenchmarkId::new("sp_recognition_chain", nodes), &nodes, |b, _| {
+            b.iter(|| black_box(recognize(&g).unwrap().is_sp()))
+        });
+        group.bench_with_input(BenchmarkId::new("fingerprint_chain", nodes), &nodes, |b, _| {
+            b.iter(|| black_box(fingerprint(&g)))
         });
     }
     for &rungs in LADDER_RUNGS {

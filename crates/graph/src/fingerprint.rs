@@ -4,30 +4,38 @@
 //! that two submitted graphs have the *same shape*: the same nodes, channels
 //! and buffer capacities, regardless of what the client named the nodes or
 //! in which order it happened to declare them.  This module provides that
-//! notion as a 64-bit [`Fingerprint`], computed by Weisfeiler–Lehman colour
-//! refinement over the directed multigraph:
+//! notion as a 64-bit [`Fingerprint`].  Every topology the system admits is a
+//! DAG, so colours are refined *along* it, in two peels, not in rounds:
 //!
 //! 1. every node starts from a colour derived from its in-degree, out-degree
 //!    and an optional caller-supplied attribute (e.g. a filter-spec
 //!    signature);
-//! 2. each round re-colours a node by hashing its current colour together
-//!    with the sorted multisets of `(capacity, neighbour colour)` pairs over
-//!    its incoming and outgoing channels;
-//! 3. refinement stops when the colour partition stops growing (or after
-//!    [`MAX_ROUNDS`] rounds, a bound that matters only for graphs whose
-//!    diameter exceeds it);
+//! 2. a Kahn peel in topological order gives each node the hash of its
+//!    **ancestor unfolding**: its initial colour and the sorted multiset of
+//!    `(capacity, hash(predecessor))` over its incoming channels;
+//! 3. the same peel against the channels gives it the hash of its
+//!    **descendant unfolding**; the node's colour is the fold of the two;
 //! 4. the fingerprint hashes the node/edge counts, the sorted final node
 //!    colours and the sorted edge signatures `(capacity, colour(src),
 //!    colour(dst))`.
 //!
-//! The result is **invariant under renaming and re-ordering**: any two
-//! graphs related by an isomorphism (including capacities and attributes)
-//! produce the same fingerprint.  The converse does not hold in general —
-//! like every polynomial-time graph hash, WL refinement can assign the same
-//! value to non-isomorphic graphs — so consumers that key *semantic*
-//! decisions on a fingerprint (such as a plan cache whose entries are
-//! indexed by [`EdgeId`](crate::EdgeId)) must pair it with the
-//! order-**sensitive**
+//! The result is **invariant under renaming and re-ordering**: a peel visits
+//! a node only once all its predecessors hold their final hashes, so the
+//! hash is a function of the unfolding alone — whichever topological order
+//! the peel happens to take, whatever the ids are — and multisets are sorted
+//! before they are folded.  A node no peel reaches lies on or behind a
+//! directed cycle (this function is total; callers hash before they
+//! validate); the set of such nodes is itself invariant, and they keep
+//! their initial colour for that direction.  Any two graphs related by an
+//! isomorphism (including capacities and attributes) therefore produce the
+//! same fingerprint.  The converse does not hold: a node is told apart by
+//! what lies upstream and what lies downstream of it, not by walks that mix
+//! the two directions, so two shapes whose nodes pair up with equal
+//! unfoldings share a value (Weisfeiler–Lehman refinement to stability
+//! separates more, at a round per hop of diameter).  The value is therefore
+//! only ever a *bucket key*: consumers that key semantic decisions on it
+//! (such as a plan cache whose entries are indexed by
+//! [`EdgeId`](crate::EdgeId)) must pair it with the order-**sensitive**
 //! [`labeled_fingerprint`], which two graphs share only if they were built
 //! with the identical node/edge insertion sequence and capacities, making a
 //! cached per-edge table directly applicable.
@@ -41,11 +49,6 @@ use std::fmt;
 
 use crate::ids::NodeId;
 use crate::multigraph::Graph;
-
-/// Colour refinement stops after this many rounds even if the partition is
-/// still growing; only graphs of diameter beyond this see any effect (their
-/// fingerprints remain isomorphism-invariant, merely less discriminating).
-pub const MAX_ROUNDS: usize = 256;
 
 /// A 64-bit canonical structural hash of a graph (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -91,7 +94,7 @@ pub fn fingerprint_with(g: &Graph, node_attr: impl Fn(NodeId) -> u64) -> Fingerp
     }
 
     // Initial colours: degrees + caller attribute.
-    let mut color: Vec<u64> = g
+    let init: Vec<u64> = g
         .node_ids()
         .map(|v| {
             let mut h = fold(0x0F11_A000, g.in_degree(v) as u64);
@@ -99,39 +102,9 @@ pub fn fingerprint_with(g: &Graph, node_attr: impl Fn(NodeId) -> u64) -> Fingerp
             fold(h, node_attr(v))
         })
         .collect();
-
-    let mut next: Vec<u64> = vec![0; n];
-    let mut scratch: Vec<u64> = Vec::new();
-    let mut distinct = count_distinct(&color);
-    for _ in 0..MAX_ROUNDS.min(n) {
-        for v in g.node_ids() {
-            let mut h = fold(0x5EED, color[v.index()]);
-            // Incoming multiset: sorted so insertion order is irrelevant.
-            scratch.clear();
-            for &e in g.in_edges(v) {
-                scratch.push(fold(g.capacity(e), color[g.tail(e).index()]));
-            }
-            scratch.sort_unstable();
-            for &s in &scratch {
-                h = fold(h, s);
-            }
-            h = fold(h, 0xD1F0); // separator between the two multisets
-            scratch.clear();
-            for &e in g.out_edges(v) {
-                scratch.push(fold(g.capacity(e), color[g.head(e).index()]));
-            }
-            scratch.sort_unstable();
-            for &s in &scratch {
-                h = fold(h, s);
-            }
-            next[v.index()] = h;
-        }
-        std::mem::swap(&mut color, &mut next);
-        let refined = count_distinct(&color);
-        if refined == distinct {
-            break;
-        }
-        distinct = refined;
+    let mut color = unfolding::<true>(g, &init);
+    for (c, down) in color.iter_mut().zip(unfolding::<false>(g, &init)) {
+        *c = fold(*c, down);
     }
 
     // Final combination: counts, sorted node colours, sorted edge signatures.
@@ -174,11 +147,36 @@ pub fn labeled_fingerprint(g: &Graph) -> u64 {
     h
 }
 
-fn count_distinct(colors: &[u64]) -> usize {
-    let mut sorted = colors.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    sorted.len()
+/// One Kahn peel of `g`, with the channels (`FORWARD`: ancestor unfoldings)
+/// or against them (descendant unfoldings).  A node is hashed when the last
+/// of its feeding neighbours has been, so every value it reads is final;
+/// nodes on or behind a directed cycle are never ready and keep `init`.
+fn unfolding<const FORWARD: bool>(g: &Graph, init: &[u64]) -> Vec<u64> {
+    let feeding = |v: NodeId| if FORWARD { g.in_edges(v) } else { g.out_edges(v) };
+    let fed = |v: NodeId| if FORWARD { g.out_edges(v) } else { g.in_edges(v) };
+    let mut hash = init.to_vec();
+    let mut waiting: Vec<usize> = g.node_ids().map(|v| feeding(v).len()).collect();
+    let mut ready: Vec<NodeId> = g.node_ids().filter(|&v| waiting[v.index()] == 0).collect();
+    let mut scratch: Vec<u64> = Vec::new();
+    while let Some(v) = ready.pop() {
+        // Sorted multiset, so insertion order is irrelevant.
+        scratch.clear();
+        scratch.extend(feeding(v).iter().map(|&e| {
+            let from = if FORWARD { g.tail(e) } else { g.head(e) };
+            fold(g.capacity(e), hash[from.index()])
+        }));
+        scratch.sort_unstable();
+        let seed = if FORWARD { 0x5EED } else { 0xD1F0 };
+        hash[v.index()] = scratch.iter().fold(fold(seed, init[v.index()]), |h, &s| fold(h, s));
+        for &e in fed(v) {
+            let to = if FORWARD { g.head(e) } else { g.tail(e) };
+            waiting[to.index()] -= 1;
+            if waiting[to.index()] == 0 {
+                ready.push(to);
+            }
+        }
+    }
+    hash
 }
 
 #[cfg(test)]
@@ -333,5 +331,16 @@ mod tests {
         };
         assert_ne!(fingerprint(&build(10)), fingerprint(&build(40)));
         assert_eq!(fingerprint(&build(10)), fingerprint(&build(10)));
+        // ... at any depth: a bump 600 hops from either end of a 2 000-chain
+        // (round-based refinement capped at 256 rounds could not place it).
+        let deep = |bump_at: usize| {
+            let mut g = Graph::new();
+            let ids: Vec<NodeId> = (0..2_000).map(|i| g.add_node(format!("n{i}"))).collect();
+            for (i, w) in ids.windows(2).enumerate() {
+                g.add_edge(w[0], w[1], if i == bump_at { 9 } else { 2 }).unwrap();
+            }
+            g
+        };
+        assert_ne!(fingerprint(&deep(600)), fingerprint(&deep(1_200)));
     }
 }

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fila_avoidance::{
-    filter_signature, observed_periods, Algorithm, AvoidancePlan, CertifyError, PlanCache,
-    Rounding,
+    filter_signature, observed_periods, Algorithm, AvoidancePlan, CertifyError, GraphIdentity,
+    PlanCache, Rounding,
 };
 use fila_graph::Fingerprint;
 use fila_runtime::telemetry::{EventKind, TelemetryHandle, CONTROL_LANE};
@@ -447,7 +447,7 @@ impl JobService {
         self.reserve_slot()?;
 
         // 4. Planning — and, by default, certification.
-        let planned = match self.plan_admission(&spec, &periods) {
+        let planned = match self.plan_admission(&spec, &periods, None) {
             Ok(planned) => planned,
             Err(reason) => {
                 self.in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -546,7 +546,8 @@ impl JobService {
         // planner CPU: the snapshot must carry the stamp of
         // [`JobService::checkpoint_job`] and it must match this spec.
         let signature = filter_signature(&periods);
-        let structural = fila_graph::fingerprint::fingerprint(&spec.graph);
+        let identity = GraphIdentity::of(&spec.graph);
+        let structural = identity.fingerprint;
         if snapshot.fingerprint != Some(structural.0)
             || snapshot.filter_signature != Some(signature)
         {
@@ -562,7 +563,7 @@ impl JobService {
         }
 
         self.reserve_slot()?;
-        let planned = match self.plan_admission(&spec, &periods) {
+        let planned = match self.plan_admission(&spec, &periods, Some(identity)) {
             Ok(planned) => planned,
             Err(reason) => {
                 self.in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -900,69 +901,70 @@ impl JobService {
         &self,
         spec: &JobSpec,
         periods: &[u64],
+        identity: Option<GraphIdentity>,
     ) -> Result<Option<PlannedAdmission>, RejectReason> {
-        let certifying =
-            self.config.certify && self.config.trigger == PropagationTrigger::default();
-        match spec.avoidance {
-            AvoidanceChoice::Disabled => Ok(None),
-            AvoidanceChoice::Planned(algorithm) if certifying => {
-                match self.cache.certify(
-                    &spec.graph,
-                    algorithm,
-                    self.config.rounding,
-                    self.config.cycle_bound,
-                    periods,
-                ) {
-                    Ok(certified) => {
-                        Counters::bump(&self.counters.certified);
-                        if certified.fell_back {
-                            Counters::bump(&self.counters.fell_back);
-                        }
-                        Ok(Some(PlannedAdmission {
-                            plan: certified.plan,
-                            fingerprint: certified.fingerprint,
-                            hit: certified.hit,
-                            algorithm: certified.used,
-                            fell_back: certified.fell_back,
-                            plan_time: certified.plan_time,
-                            certify_time: certified.certify_time,
-                        }))
+        let AvoidanceChoice::Planned(algorithm) = spec.avoidance else {
+            return Ok(None);
+        };
+        // One hash of the graph per admission: a resume already made it
+        // for its identity gate, and the cache hashes nothing below.
+        let identity = identity.unwrap_or_else(|| GraphIdentity::of(&spec.graph));
+        let (rounding, cycle_bound) = (self.config.rounding, self.config.cycle_bound);
+        if self.config.certify && self.config.trigger == PropagationTrigger::default() {
+            match self.cache.certify_identified(
+                &spec.graph,
+                &identity,
+                algorithm,
+                rounding,
+                cycle_bound,
+                periods,
+            ) {
+                Ok(certified) => {
+                    Counters::bump(&self.counters.certified);
+                    if certified.fell_back {
+                        Counters::bump(&self.counters.fell_back);
                     }
-                    Err(CertifyError::Unplannable(e)) => {
-                        Counters::bump(&self.counters.rejected_unplannable);
-                        Err(RejectReason::Unplannable(e.to_string()))
-                    }
-                    Err(e @ CertifyError::Uncertifiable { .. }) => {
-                        Counters::bump(&self.counters.rejected_uncertifiable);
-                        Err(RejectReason::Uncertifiable(e.to_string()))
-                    }
+                    Ok(Some(PlannedAdmission {
+                        plan: certified.plan,
+                        fingerprint: certified.fingerprint,
+                        hit: certified.hit,
+                        algorithm: certified.used,
+                        fell_back: certified.fell_back,
+                        plan_time: certified.plan_time,
+                        certify_time: certified.certify_time,
+                    }))
+                }
+                Err(CertifyError::Unplannable(e)) => {
+                    Counters::bump(&self.counters.rejected_unplannable);
+                    Err(RejectReason::Unplannable(e.to_string()))
+                }
+                Err(e @ CertifyError::Uncertifiable { .. }) => {
+                    Counters::bump(&self.counters.rejected_uncertifiable);
+                    Err(RejectReason::Uncertifiable(e.to_string()))
                 }
             }
-            AvoidanceChoice::Planned(algorithm) => {
-                match self.cache.plan(
-                    &spec.graph,
-                    algorithm,
-                    self.config.rounding,
-                    self.config.cycle_bound,
-                ) {
-                    Ok(cached) => {
-                        if algorithm == Algorithm::NonPropagation {
-                            Counters::bump(&self.counters.uncertified_nonprop);
-                        }
-                        Ok(Some(PlannedAdmission {
-                            plan: cached.plan,
-                            fingerprint: cached.fingerprint,
-                            hit: cached.hit,
-                            algorithm,
-                            fell_back: false,
-                            plan_time: cached.plan_time,
-                            certify_time: Duration::ZERO,
-                        }))
+        } else {
+            match self
+                .cache
+                .plan_identified(&spec.graph, &identity, algorithm, rounding, cycle_bound)
+            {
+                Ok(cached) => {
+                    if algorithm == Algorithm::NonPropagation {
+                        Counters::bump(&self.counters.uncertified_nonprop);
                     }
-                    Err(e) => {
-                        Counters::bump(&self.counters.rejected_unplannable);
-                        Err(RejectReason::Unplannable(e.to_string()))
-                    }
+                    Ok(Some(PlannedAdmission {
+                        plan: cached.plan,
+                        fingerprint: cached.fingerprint,
+                        hit: cached.hit,
+                        algorithm,
+                        fell_back: false,
+                        plan_time: cached.plan_time,
+                        certify_time: Duration::ZERO,
+                    }))
+                }
+                Err(e) => {
+                    Counters::bump(&self.counters.rejected_unplannable);
+                    Err(RejectReason::Unplannable(e.to_string()))
                 }
             }
         }

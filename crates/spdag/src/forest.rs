@@ -125,6 +125,22 @@ impl SpForest {
         })
     }
 
+    /// Adds a series composition whose children the tracked reduction is
+    /// still collecting, to be supplied through [`SpForest::kind_mut`].
+    pub(crate) fn add_open_series(&mut self, source: NodeId, sink: NodeId) -> CompId {
+        self.push(SpComponent {
+            kind: SpKind::Series(Vec::new()),
+            source,
+            sink,
+        })
+    }
+
+    /// The tracked reduction's access to a child list: it moves one out of
+    /// a component it absorbs and hands an open series its own.
+    pub(crate) fn kind_mut(&mut self, id: CompId) -> &mut SpKind {
+        &mut self.comps[id.index()].kind
+    }
+
     fn push(&mut self, c: SpComponent) -> CompId {
         let id = CompId(self.comps.len() as u32);
         self.comps.push(c);

@@ -32,7 +32,9 @@ impl SpMetrics {
     /// Computes `L(H)` and `h(H)` for every component in the arena.
     ///
     /// Components are created children-first by both the reduction and the
-    /// composer, so a single pass in id order suffices.
+    /// composer, so a single pass in id order suffices.  (A composition the
+    /// reduction absorbed is in the arena without children; its values are
+    /// zero and nothing reads them.)
     pub fn compute(g: &Graph, forest: &SpForest) -> Self {
         let n = forest.len();
         let mut shortest = vec![0u64; n];
@@ -53,12 +55,12 @@ impl SpMetrics {
                         .iter()
                         .map(|c| shortest[c.index()])
                         .min()
-                        .expect("parallel has children");
+                        .unwrap_or(0);
                     hops[idx] = children
                         .iter()
                         .map(|c| hops[c.index()])
                         .max()
-                        .expect("parallel has children");
+                        .unwrap_or(0);
                 }
             }
         }

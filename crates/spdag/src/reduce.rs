@@ -16,6 +16,16 @@
 //! decomposition tree `T` that the paper's interval algorithms traverse, and
 //! an unsuccessful one yields the reduced **skeleton** (virtual edges plus
 //! their component trees) that the SP-ladder analysis of §VI starts from.
+//!
+//! A reduction *moves* the child list of a component it absorbs and
+//! flattens into the component it creates (the absorbed one is dead: no
+//! surviving virtual edge, and so no tree, can reach it); a series
+//! reduction grows the shorter list onto the longer, at either end.  The
+//! returned arena therefore holds one component per original edge plus one
+//! per reduction — `forest.len() < 2 × edges` — and fewer children than
+//! that in all; a dead composition stays in the arena with an empty list.
+
+use std::collections::{HashMap, VecDeque};
 
 use fila_graph::{Graph, GraphError, NodeId, Result};
 
@@ -71,26 +81,21 @@ struct Work {
     forest: SpForest,
     /// `edges[i]` is `None` once the virtual edge has been merged away.
     edges: Vec<Option<VirtualEdge>>,
-    /// Per node, indices into `edges` (may contain dead entries).
+    /// Per node, indices into `edges`; entries merged away since the last
+    /// [`Work::live`] scan of the list are still in it.
     out: Vec<Vec<usize>>,
     inn: Vec<Vec<usize>>,
+    /// Child lists of the series components no series reduction has
+    /// absorbed, handed to the forest when the reduction ends.
+    chains: HashMap<CompId, VecDeque<CompId>>,
 }
 
 impl Work {
-    fn live_out(&self, v: NodeId) -> Vec<usize> {
-        self.out[v.index()]
-            .iter()
-            .copied()
-            .filter(|&i| self.edges[i].is_some())
-            .collect()
-    }
-
-    fn live_in(&self, v: NodeId) -> Vec<usize> {
-        self.inn[v.index()]
-            .iter()
-            .copied()
-            .filter(|&i| self.edges[i].is_some())
-            .collect()
+    /// Drops the dead entries of one per-node list where it stands, so
+    /// each is scanned once however often its node is revisited.
+    fn live<'a>(list: &'a mut Vec<usize>, edges: &[Option<VirtualEdge>]) -> &'a [usize] {
+        list.retain(|&i| edges[i].is_some());
+        list
     }
 
     fn add_virtual(&mut self, ve: VirtualEdge) -> usize {
@@ -101,28 +106,36 @@ impl Work {
         idx
     }
 
-    /// Creates a parallel composition, flattening nested parallel children.
+    /// Creates a parallel composition, flattening nested parallel children
+    /// (a parallel operand gives up its list).
     fn make_parallel(&mut self, children: Vec<CompId>) -> CompId {
-        let mut flat = Vec::with_capacity(children.len());
+        let mut flat = Vec::new();
         for c in children {
-            match &self.forest.component(c).kind {
-                SpKind::Parallel(grand) => flat.extend(grand.iter().copied()),
+            match self.forest.kind_mut(c) {
+                SpKind::Parallel(grand) if flat.is_empty() => flat = std::mem::take(grand),
+                SpKind::Parallel(grand) => flat.append(grand),
                 _ => flat.push(c),
             }
         }
         self.forest.add_parallel(flat)
     }
 
-    /// Creates a series composition, flattening nested series children.
+    /// Creates a series composition, flattening nested series children:
+    /// a series operand gives up its list, and the shorter list joins the
+    /// longer.
     fn make_series(&mut self, first: CompId, second: CompId) -> CompId {
-        let mut flat = Vec::new();
-        for c in [first, second] {
-            match &self.forest.component(c).kind {
-                SpKind::Series(grand) => flat.extend(grand.iter().copied()),
-                _ => flat.push(c),
-            }
+        let mut chain_of = |c| self.chains.remove(&c).unwrap_or_else(|| VecDeque::from([c]));
+        let (mut head, mut tail) = (chain_of(first), chain_of(second));
+        if head.len() >= tail.len() {
+            head.extend(tail);
+        } else {
+            head.into_iter().rev().for_each(|c| tail.push_front(c));
+            head = tail;
         }
-        self.forest.add_series(flat)
+        let (source, sink) = (self.forest.source(first), self.forest.sink(second));
+        let comp = self.forest.add_open_series(source, sink);
+        self.chains.insert(comp, head);
+        comp
     }
 }
 
@@ -146,6 +159,7 @@ pub fn reduce(g: &Graph) -> Result<Reduction> {
         edges: Vec::with_capacity(g.edge_count()),
         out: vec![Vec::new(); n],
         inn: vec![Vec::new(); n],
+        chains: HashMap::new(),
     };
     for e in g.edge_ids() {
         let (src, dst) = g.endpoints(e);
@@ -163,7 +177,7 @@ pub fn reduce(g: &Graph) -> Result<Reduction> {
         let mut changed = true;
         while changed {
             changed = false;
-            let live = work.live_out(v);
+            let live = Work::live(&mut work.out[v.index()], &work.edges);
             'outer: for (i, &a) in live.iter().enumerate() {
                 let dst = work.edges[a].expect("live").dst;
                 let mut bundle = vec![a];
@@ -194,11 +208,9 @@ pub fn reduce(g: &Graph) -> Result<Reduction> {
 
         // Series reduction at v (only for internal vertices).
         if v != source && v != sink {
-            let live_in = work.live_in(v);
-            let live_out = work.live_out(v);
-            if live_in.len() == 1 && live_out.len() == 1 {
-                let a = live_in[0];
-                let b = live_out[0];
+            let live_in = Work::live(&mut work.inn[v.index()], &work.edges);
+            let live_out = Work::live(&mut work.out[v.index()], &work.edges);
+            if let (&[a], &[b]) = (live_in, live_out) {
                 let ea = work.edges[a].expect("live");
                 let eb = work.edges[b].expect("live");
                 debug_assert_eq!(ea.dst, v);
@@ -221,6 +233,9 @@ pub fn reduce(g: &Graph) -> Result<Reduction> {
         }
     }
 
+    for (comp, chain) in work.chains {
+        *work.forest.kind_mut(comp) = SpKind::Series(chain.into());
+    }
     let skeleton: Vec<VirtualEdge> = work.edges.iter().flatten().copied().collect();
     Ok(Reduction {
         forest: work.forest,
@@ -233,6 +248,8 @@ pub fn reduce(g: &Graph) -> Result<Reduction> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compose::{build_sp, SpSpec};
+    use crate::validate::validate_decomposition;
     use fila_graph::GraphBuilder;
 
     fn names(g: &Graph, v: NodeId) -> String {
@@ -392,5 +409,72 @@ mod tests {
         edges.sort();
         edges.dedup();
         assert_eq!(edges.len(), g.edge_count());
+    }
+
+    /// A small deterministic corpus of nested specifications.
+    fn spec(state: &mut u64, depth: u32) -> SpSpec {
+        *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let (pick, arity) = ((*state >> 33) % 4, 2 + (*state >> 40) as usize % 3);
+        match pick {
+            _ if depth == 0 => SpSpec::Edge(1 + (*state >> 50) % 5),
+            0 => SpSpec::MultiEdge(vec![1; arity]),
+            1 => SpSpec::Parallel((0..arity).map(|_| spec(state, depth - 1)).collect()),
+            _ => SpSpec::Series((0..arity + 2).map(|_| spec(state, depth - 1)).collect()),
+        }
+    }
+
+    /// The reduction's whole arena — dead components included — is linear
+    /// in the graph: a count, so a return of the per-reduction copy fails
+    /// here without a stopwatch.
+    fn assert_linear_arena(g: &Graph, what: &str) -> Reduction {
+        let r = reduce(g).unwrap();
+        let stored: usize = (0..r.forest.len())
+            .map(|i| r.forest.children(CompId(i as u32)).len())
+            .sum();
+        assert!(r.forest.len() <= 2 * g.edge_count(), "{what}: {} components", r.forest.len());
+        assert!(stored <= 2 * g.edge_count(), "{what}: {stored} children stored");
+        r
+    }
+
+    #[test]
+    fn the_arena_is_linear_in_the_edges() {
+        for n in [2usize, 3, 4, 5, 9, 64, 1_000, 4_096] {
+            for against_the_flow in [false, true] {
+                let mut g = Graph::new();
+                let mut ids: Vec<NodeId> = (0..n).map(|i| g.add_node(format!("n{i}"))).collect();
+                if against_the_flow {
+                    ids.reverse();
+                }
+                for w in ids.windows(2) {
+                    g.add_edge(w[0], w[1], 2).unwrap();
+                }
+                let what = format!("pipeline {n} (reversed: {against_the_flow})");
+                let d = assert_linear_arena(&g, &what).into_decomposition().expect(&what);
+                validate_decomposition(&g, &d).expect(&what);
+                // One flat series over the edges, in pipeline order.
+                let order: Vec<NodeId> = d.edges().iter().map(|&e| g.tail(e)).collect();
+                assert_eq!(order, ids[..n - 1], "{what}");
+                assert!(n == 2 || d.forest.children(d.root).len() == n - 1, "{what}");
+            }
+        }
+        // Parallel two-hop chains with the terminals declared last, so
+        // each chain's series reduction is followed by a parallel one.
+        let mut g = Graph::new();
+        let mids: Vec<NodeId> = (0..300).map(|i| g.add_node(format!("m{i}"))).collect();
+        let (s, t) = (g.add_node("s"), g.add_node("t"));
+        for m in mids {
+            g.add_edge(s, m, 1).unwrap();
+            g.add_edge(m, t, 1).unwrap();
+        }
+        let d = assert_linear_arena(&g, "parallel chains").into_decomposition().unwrap();
+        validate_decomposition(&g, &d).unwrap();
+        assert_eq!(d.forest.children(d.root).len(), 300);
+        let mut state = 0xF11A;
+        for case in 0..200 {
+            let (g, _) = build_sp(&spec(&mut state, 1 + case % 4));
+            let what = format!("spec {case}");
+            let d = assert_linear_arena(&g, &what).into_decomposition().expect(&what);
+            validate_decomposition(&g, &d).expect(&what);
+        }
     }
 }

@@ -116,3 +116,50 @@ fn service_resubmission_hits_and_matches() {
         );
     }
 }
+
+/// Two clients build the same shape with different node declaration and
+/// edge insertion orders: the canonical fingerprint puts them in one cache
+/// bucket, but an `EdgeId`-indexed plan is not transplantable between their
+/// arenas, so each ordering plans once — the arena comparison, not the
+/// hash, decides — and then hits.
+#[test]
+fn isomorphic_submissions_share_a_bucket_and_plan_once_per_ordering() {
+    let edges = [
+        ("a", "b", 2u64),
+        ("b", "e", 5),
+        ("e", "f", 1),
+        ("a", "c", 3),
+        ("c", "d", 1),
+        ("d", "f", 2),
+    ];
+    let build = |nodes: &[&str], order: &[usize]| {
+        let mut b = GraphBuilder::new();
+        for name in nodes {
+            b.node(name);
+        }
+        for &i in order {
+            let (s, t, cap) = edges[i];
+            b.edge_with_capacity(s, t, cap).unwrap();
+        }
+        b.build().unwrap()
+    };
+    let first = build(&["a", "b", "c", "d", "e", "f"], &[0, 1, 2, 3, 4, 5]);
+    let second = build(&["f", "d", "b", "a", "c", "e"], &[5, 3, 0, 4, 2, 1]);
+    let service = JobService::new(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let submit = |g: &fila::graph::Graph| {
+        let ticket = service
+            .submit(JobSpec::new(g.clone(), FilterSpec::Fork(3), 64))
+            .unwrap();
+        assert_eq!(ticket.wait().verdict, JobVerdict::Completed);
+        ticket
+    };
+    let (cold_first, cold_second) = (submit(&first), submit(&second));
+    assert_eq!(cold_first.fingerprint, cold_second.fingerprint);
+    assert_eq!(cold_first.cache_hit, Some(false));
+    assert_eq!(cold_second.cache_hit, Some(false), "a reordered arena must plan afresh");
+    assert_eq!(submit(&first).cache_hit, Some(true));
+    assert_eq!(submit(&second).cache_hit, Some(true));
+}
