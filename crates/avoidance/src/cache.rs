@@ -29,8 +29,8 @@
 //! different shapes degrades to a miss — never to a wrong plan, by
 //! comparison, not by 64-bit probability.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 use fila_graph::fingerprint::{fingerprint, labeled_fingerprint};
 use fila_graph::{Fingerprint, Graph, Result};
 
-use crate::cs4::{classify, GraphClass};
+use crate::cs4::Structure;
 use crate::interval::Rounding;
 use crate::plan::{Algorithm, AvoidancePlan};
 use crate::planner::{walk_certification_chain, CertifyAttempt, CertifyError, Planner};
@@ -52,12 +52,6 @@ struct Key {
     fingerprint: Fingerprint,
     algorithm: Algorithm,
     rounding: Rounding,
-}
-
-struct Entry {
-    /// The graph the plan was computed from.
-    identity: GraphIdentity,
-    plan: Arc<AvoidancePlan>,
 }
 
 /// What the cache identifies a graph by, computed once per admission and
@@ -120,21 +114,76 @@ enum CertVerdict {
     },
 }
 
-struct CertEntry {
+/// One entry of a [`Table`] bucket.
+struct Slot<D, V> {
+    /// The graph the value was computed from.
     identity: GraphIdentity,
-    /// The exact (clamped) periods: the signature is only the fast filter.
-    periods: Vec<u64>,
-    verdict: CertVerdict,
+    /// What else must compare equal for a hit (the hashed key is only the
+    /// fast filter).
+    detail: D,
+    value: V,
 }
 
-#[derive(Default)]
-struct Inner {
-    map: HashMap<Key, Vec<Entry>>,
+/// A bounded table: entries are bucketed by a hashed key, told apart inside
+/// a bucket by exact comparison, and evicted oldest first.
+struct Table<K, D, V> {
+    buckets: HashMap<K, Vec<Slot<D, V>>>,
     /// Insertion order for FIFO eviction; `(key, labeled)` identifies one
     /// entry.
-    order: VecDeque<(Key, u64)>,
-    cert: HashMap<CertKey, Vec<CertEntry>>,
-    cert_order: VecDeque<(CertKey, u64)>,
+    order: VecDeque<(K, u64)>,
+}
+
+impl<K: Copy + Eq + Hash, D: PartialEq, V: Clone> Table<K, D, V> {
+    fn new() -> Self {
+        Table {
+            buckets: HashMap::new(),
+            order: VecDeque::new(),
+        }
+    }
+
+    fn get(&self, key: &K, identity: &GraphIdentity, detail: &D) -> Option<V> {
+        self.buckets
+            .get(key)?
+            .iter()
+            .find(|e| e.identity == *identity && e.detail == *detail)
+            .map(|e| e.value.clone())
+    }
+
+    /// Inserts unless a racing submitter already did (the first copy is
+    /// kept), then evicts down to `capacity` entries.
+    fn insert(&mut self, capacity: usize, key: K, identity: &GraphIdentity, detail: D, value: V) {
+        let bucket = self.buckets.entry(key).or_default();
+        if bucket
+            .iter()
+            .any(|e| e.identity == *identity && e.detail == detail)
+        {
+            return;
+        }
+        bucket.push(Slot {
+            identity: identity.clone(),
+            detail,
+            value,
+        });
+        self.order.push_back((key, identity.labeled));
+        while self.order.len() > capacity {
+            let Some((old_key, old_labeled)) = self.order.pop_front() else {
+                break;
+            };
+            if let Some(bucket) = self.buckets.get_mut(&old_key) {
+                bucket.retain(|e| e.identity.labeled != old_labeled);
+                if bucket.is_empty() {
+                    self.buckets.remove(&old_key);
+                }
+            }
+        }
+    }
+}
+
+struct Inner {
+    plans: Table<Key, (), Arc<AvoidancePlan>>,
+    /// Verdicts, told apart by the exact (clamped) periods: the signature
+    /// in the key is only the fast filter.
+    verdicts: Table<CertKey, Vec<u64>, CertVerdict>,
 }
 
 /// The outcome of one cache lookup-or-plan.
@@ -209,7 +258,10 @@ impl PlanCache {
     /// the oldest entry is evicted first.
     pub fn new(capacity: usize) -> Self {
         PlanCache {
-            inner: Mutex::new(Inner::default()),
+            inner: Mutex::new(Inner {
+                plans: Table::new(),
+                verdicts: Table::new(),
+            }),
             capacity: capacity.max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -229,11 +281,13 @@ impl PlanCache {
         rounding: Rounding,
         cycle_bound: usize,
     ) -> Result<CachedPlan> {
-        self.plan_identified(g, &GraphIdentity::of(g), algorithm, rounding, cycle_bound)
+        self.plan_identified(g, &GraphIdentity::of(g), algorithm, rounding, cycle_bound, None)
     }
 
     /// [`PlanCache::plan`] for a caller that already hashed `g` into
-    /// `identity` (which must be `GraphIdentity::of(g)`).
+    /// `identity` (which must be `GraphIdentity::of(g)`) and may already
+    /// hold `g`'s `structure` (the certification walk): a miss then plans
+    /// without decomposing again.
     pub fn plan_identified(
         &self,
         g: &Graph,
@@ -241,28 +295,15 @@ impl PlanCache {
         algorithm: Algorithm,
         rounding: Rounding,
         cycle_bound: usize,
-    ) -> Result<CachedPlan> {
-        self.plan_classified(g, identity, algorithm, rounding, cycle_bound, None)
-    }
-
-    /// [`PlanCache::plan_identified`] for a caller that may already hold
-    /// `g`'s class (the certification walk): a miss then plans without
-    /// re-classifying.
-    fn plan_classified(
-        &self,
-        g: &Graph,
-        identity: &GraphIdentity,
-        algorithm: Algorithm,
-        rounding: Rounding,
-        cycle_bound: usize,
-        class: Option<GraphClass>,
+        structure: Option<&Structure>,
     ) -> Result<CachedPlan> {
         let key = Key {
             fingerprint: identity.fingerprint,
             algorithm,
             rounding,
         };
-        if let Some(plan) = self.lookup(&key, identity) {
+        let cached = self.lock().plans.get(&key, identity, &());
+        if let Some(plan) = cached {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(CachedPlan {
                 plan,
@@ -276,14 +317,16 @@ impl PlanCache {
             .algorithm(algorithm)
             .rounding(rounding)
             .cycle_bound(cycle_bound);
-        let plan = match class {
-            Some(class) => planner.plan_as(class)?,
+        let plan = match structure {
+            Some(structure) => planner.plan_as(structure)?,
             None => planner.plan()?,
         };
         let plan_time = planning.elapsed();
         self.misses.fetch_add(1, Ordering::Relaxed);
         let plan = Arc::new(plan);
-        self.insert(key, identity, Arc::clone(&plan));
+        self.lock()
+            .plans
+            .insert(self.capacity, key, identity, (), Arc::clone(&plan));
         Ok(CachedPlan {
             plan,
             fingerprint: key.fingerprint,
@@ -338,7 +381,8 @@ impl PlanCache {
             cycle_bound,
         };
         let canonical: Vec<u64> = periods.iter().map(|&p| p.max(1)).collect();
-        if let Some(verdict) = self.cert_lookup(&key, identity, &canonical) {
+        let cached = self.lock().verdicts.get(&key, identity, &canonical);
+        if let Some(verdict) = cached {
             self.cert_hits.fetch_add(1, Ordering::Relaxed);
             return match verdict {
                 CertVerdict::Certified {
@@ -364,32 +408,33 @@ impl PlanCache {
         }
         self.cert_misses.fetch_add(1, Ordering::Relaxed);
 
-        let class = classify(g).map_err(CertifyError::Unplannable)?;
         // The chain itself lives in `walk_certification_chain` (shared with
         // `Planner::certify`, so the two can never select differently); the
         // cache only decides where candidate plans come from.  Structural
-        // candidates flow through the plan cache (repeat shapes plan once);
-        // forced-exhaustive candidates are computed fresh and live only
-        // inside the certification verdict, so a later plain `plan()` of
-        // the same shape still gets the structural plan.
+        // candidates flow through the plan cache (repeat shapes plan once)
+        // and plan from this one decomposition; forced-exhaustive
+        // candidates are computed fresh and live only inside the
+        // certification verdict, so a later plain `plan()` of the same
+        // shape still gets the structural plan.
+        let structure = Structure::of(g).map_err(CertifyError::Unplannable)?;
         let walked = walk_certification_chain(
             g,
             algorithm,
-            class == GraphClass::General,
+            &structure,
             &canonical,
-            |candidate, exhaustive| {
-                if exhaustive {
+            |candidate, from| match from {
+                Structure::General => {
                     let planning = Instant::now();
                     let plan = Planner::new(g)
                         .algorithm(candidate)
                         .rounding(rounding)
                         .cycle_bound(cycle_bound)
-                        .force_exhaustive(true)
-                        .plan()?;
+                        .plan_as(from)?;
                     Ok((Arc::new(plan), planning.elapsed()))
-                } else {
-                    let cached = self.plan_classified(
-                        g, identity, candidate, rounding, cycle_bound, Some(class),
+                }
+                Structure::Decomposed(_) => {
+                    let cached = self.plan_identified(
+                        g, identity, candidate, rounding, cycle_bound, Some(from),
                     )?;
                     Ok((cached.plan, cached.plan_time))
                 }
@@ -397,7 +442,8 @@ impl PlanCache {
         );
         match walked {
             Ok(accepted) => {
-                self.cert_insert(
+                self.lock().verdicts.insert(
+                    self.capacity,
                     key,
                     identity,
                     canonical,
@@ -421,7 +467,8 @@ impl PlanCache {
                 })
             }
             Err(CertifyError::Uncertifiable { attempts, last }) => {
-                self.cert_insert(
+                self.lock().verdicts.insert(
+                    self.capacity,
                     key,
                     identity,
                     canonical,
@@ -436,90 +483,6 @@ impl PlanCache {
         }
     }
 
-    fn cert_lookup(
-        &self,
-        key: &CertKey,
-        identity: &GraphIdentity,
-        periods: &[u64],
-    ) -> Option<CertVerdict> {
-        let inner = self.lock();
-        inner
-            .cert
-            .get(key)?
-            .iter()
-            .find(|e| e.identity == *identity && e.periods == periods)
-            .map(|e| e.verdict.clone())
-    }
-
-    fn cert_insert(
-        &self,
-        key: CertKey,
-        identity: &GraphIdentity,
-        periods: Vec<u64>,
-        verdict: CertVerdict,
-    ) {
-        let labeled = identity.labeled;
-        let mut inner = self.lock();
-        let bucket = inner.cert.entry(key).or_default();
-        if bucket
-            .iter()
-            .any(|e| e.identity == *identity && e.periods == periods)
-        {
-            return;
-        }
-        bucket.push(CertEntry {
-            identity: identity.clone(),
-            periods,
-            verdict,
-        });
-        inner.cert_order.push_back((key, labeled));
-        while inner.cert_order.len() > self.capacity {
-            let Some((old_key, old_labeled)) = inner.cert_order.pop_front() else {
-                break;
-            };
-            if let Some(bucket) = inner.cert.get_mut(&old_key) {
-                bucket.retain(|e| e.identity.labeled != old_labeled);
-                if bucket.is_empty() {
-                    inner.cert.remove(&old_key);
-                }
-            }
-        }
-    }
-
-    fn lookup(&self, key: &Key, identity: &GraphIdentity) -> Option<Arc<AvoidancePlan>> {
-        let inner = self.lock();
-        inner
-            .map
-            .get(key)?
-            .iter()
-            .find(|e| e.identity == *identity)
-            .map(|e| Arc::clone(&e.plan))
-    }
-
-    fn insert(&self, key: Key, identity: &GraphIdentity, plan: Arc<AvoidancePlan>) {
-        let labeled = identity.labeled;
-        let mut inner = self.lock();
-        // A racing submitter may have inserted the same entry meanwhile;
-        // keep the first copy.
-        let bucket = inner.map.entry(key).or_default();
-        if bucket.iter().any(|e| e.identity == *identity) {
-            return;
-        }
-        bucket.push(Entry { identity: identity.clone(), plan });
-        inner.order.push_back((key, labeled));
-        while inner.order.len() > self.capacity {
-            let Some((old_key, old_labeled)) = inner.order.pop_front() else {
-                break;
-            };
-            if let Some(bucket) = inner.map.get_mut(&old_key) {
-                bucket.retain(|e| e.identity.labeled != old_labeled);
-                if bucket.is_empty() {
-                    inner.map.remove(&old_key);
-                }
-            }
-        }
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner
             .lock()
@@ -528,7 +491,7 @@ impl PlanCache {
 
     /// Number of cached plans.
     pub fn len(&self) -> usize {
-        self.lock().order.len()
+        self.lock().plans.order.len()
     }
 
     /// True if nothing is cached.
@@ -558,18 +521,7 @@ impl PlanCache {
 
     /// Certification verdicts currently cached.
     pub fn cert_len(&self) -> usize {
-        self.lock().cert_order.len()
-    }
-
-    /// Fraction of lookups served from the cache (0.0 before any lookup).
-    pub fn hit_rate(&self) -> f64 {
-        let hits = self.hits() as f64;
-        let total = hits + self.misses() as f64;
-        if total == 0.0 {
-            0.0
-        } else {
-            hits / total
-        }
+        self.lock().verdicts.order.len()
     }
 }
 
@@ -605,7 +557,6 @@ mod tests {
         assert_eq!(second.plan_time, Duration::ZERO);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
-        assert!((cache.hit_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]

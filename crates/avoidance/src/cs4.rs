@@ -11,15 +11,18 @@
 //! 3. a bridge component is a contracted SP segment; a larger component must
 //!    decompose as an SP-ladder ([`crate::ladder`]).
 //!
-//! Graphs that fail step 3 are classified as [`GraphClass::General`]; for
-//! them only the exponential baseline of [`crate::exhaustive`] applies.  The
-//! brute-force cycle-level definition is also provided
-//! ([`is_cs4_by_cycle_enumeration`]) so tests can cross-check the structural
-//! recogniser.
+//! Graphs that fail step 3 are [`Structure::General`]; for them only the
+//! exponential baseline of [`crate::exhaustive`] applies.  The decomposition
+//! *is* the classification: an SP-DAG is the serial composition with no
+//! ladder (one skeleton edge from source to sink), so [`Structure::of`] is
+//! the only pass an admission makes over the graph's shape and
+//! [`GraphClass`] is a view of its result.  The brute-force cycle-level
+//! definition is also provided ([`is_cs4_by_cycle_enumeration`]) so tests
+//! can cross-check the structural recogniser.
 
 use fila_graph::undirected::UndirectedView;
 use fila_graph::{cycles, Graph, GraphError, NodeId, Result};
-use fila_spdag::{reduce, CompId, SpForest, VirtualEdge};
+use fila_spdag::{reduce, CompId, SpForest, SpMetrics, VirtualEdge};
 
 use crate::ladder::{decompose_ladder, LadderDecomposition};
 
@@ -57,6 +60,8 @@ pub enum Cs4Segment {
 pub struct Cs4Decomposition {
     /// The component forest shared by all contracted segments.
     pub forest: SpForest,
+    /// `L(H)` and `h(H)` of every component of `forest`.
+    pub metrics: SpMetrics,
     /// The skeleton (surviving virtual edges) of the reduction.
     pub skeleton: Vec<VirtualEdge>,
     /// The serial segments, ordered by the topological position of their
@@ -77,9 +82,45 @@ impl Cs4Decomposition {
             .count()
     }
 
-    /// True if the graph was plain series-parallel (no ladder blocks).
-    pub fn is_series_parallel(&self) -> bool {
-        self.ladder_count() == 0
+}
+
+/// What the planner knows about a topology's shape: everything the
+/// structural interval algorithms start from, or the fact that none applies.
+#[derive(Debug, Clone)]
+pub enum Structure {
+    /// A CS4 graph (Theorem V.7), plain SP-DAGs included.
+    Decomposed(Cs4Decomposition),
+    /// Anything else; only the exponential general-DAG algorithms apply.
+    General,
+}
+
+impl Structure {
+    /// Decomposes `g` — the one pass over its shape a plan, a certification
+    /// walk or a classification needs.
+    ///
+    /// Invalid graphs (empty, cyclic, disconnected) produce an error; graphs
+    /// that are valid but have multiple sources or sinks, or whose structure
+    /// exceeds what the CS4 decomposition supports, are
+    /// [`Structure::General`].
+    pub fn of(g: &Graph) -> Result<Structure> {
+        g.validate()?;
+        if g.validate_two_terminal().is_err() {
+            return Ok(Structure::General);
+        }
+        match decompose_cs4(g) {
+            Ok(d) => Ok(Structure::Decomposed(d)),
+            Err(GraphError::Structure(_)) => Ok(Structure::General),
+            Err(other) => Err(other),
+        }
+    }
+
+    /// The topology family this structure belongs to.
+    pub fn class(&self) -> GraphClass {
+        match self {
+            Structure::Decomposed(d) if d.ladder_count() == 0 => GraphClass::SeriesParallel,
+            Structure::Decomposed(_) => GraphClass::Cs4,
+            Structure::General => GraphClass::General,
+        }
     }
 }
 
@@ -138,6 +179,7 @@ pub fn decompose_cs4(g: &Graph) -> Result<Cs4Decomposition> {
     });
 
     Ok(Cs4Decomposition {
+        metrics: SpMetrics::compute(g, &forest),
         forest,
         skeleton,
         segments,
@@ -146,23 +188,10 @@ pub fn decompose_cs4(g: &Graph) -> Result<Cs4Decomposition> {
     })
 }
 
-/// Classifies a streaming-application graph by topology family.
-///
-/// Invalid graphs (empty, cyclic, disconnected) produce an error; graphs
-/// that are valid but have multiple sources or sinks, or whose structure
-/// exceeds what the CS4 decomposition supports, are classified as
-/// [`GraphClass::General`].
+/// Classifies a streaming-application graph by topology family: the
+/// [`GraphClass`] view of [`Structure::of`].
 pub fn classify(g: &Graph) -> Result<GraphClass> {
-    g.validate()?;
-    if g.validate_two_terminal().is_err() {
-        return Ok(GraphClass::General);
-    }
-    match decompose_cs4(g) {
-        Ok(d) if d.is_series_parallel() => Ok(GraphClass::SeriesParallel),
-        Ok(_) => Ok(GraphClass::Cs4),
-        Err(GraphError::Structure(_)) => Ok(GraphClass::General),
-        Err(other) => Err(other),
-    }
+    Ok(Structure::of(g)?.class())
 }
 
 /// The brute-force CS4 definition: single source, single sink, and every

@@ -50,32 +50,15 @@ impl DummyInterval {
         DummyInterval::Finite(len.max(1))
     }
 
-    /// Builds the ratio interval `len / hops` of the paper's §IV.B
-    /// Non-Propagation recurrence, applying the requested [`Rounding`] and
-    /// clamping to ≥ 1.
-    ///
-    /// **This is no longer what the planner uses.**  The ratio's soundness
-    /// argument assumes every interior node of a run *re-emits* the data it
-    /// receives, so a dummy's lag accumulates additively (`h · L/h ≤ L`).
-    /// Under interior filtering a node may receive data and forward nothing,
-    /// so its own gap counter — which ticks once per **accepted input**, not
-    /// per elapsed sequence number — is driven only by the messages reaching
-    /// it: the inter-message gap along a fully filtering run multiplies per
-    /// hop instead of adding, and `L/h` deadlocks (the E14/E17 bug).  The
-    /// formula is kept for the postmortem comparison and ablation tooling;
-    /// plans use [`DummyInterval::from_run_budget`].
-    pub fn from_ratio(len: u64, hops: u64, rounding: Rounding) -> DummyInterval {
-        debug_assert!(hops > 0, "hop count of a path is positive");
-        let v = match rounding {
-            Rounding::Ceil => len.div_ceil(hops),
-            Rounding::Floor => len / hops,
-        };
-        DummyInterval::Finite(v.max(1))
-    }
-
     /// Builds the **filtering-robust** Non-Propagation interval for an edge
     /// on a run of `hops` hops whose opposite branch has buffer length
     /// `len`: the largest `T ≥ 1` with `T^hops ≤ len`.
+    ///
+    /// The paper's §IV.B recurrence uses the ratio `len / hops`, whose
+    /// soundness argument assumes every interior node of a run *re-emits*
+    /// the data it receives, so a dummy's lag accumulates additively
+    /// (`h · L/h ≤ L`); under interior filtering that deadlocks (the E14/E17
+    /// bug).
     ///
     /// Rationale (the E17 postmortem, DESIGN.md): a Non-Propagation node
     /// emits at least one message (data or dummy) on a channel per `[e]`
@@ -86,8 +69,8 @@ impl DummyInterval {
     /// root of the opposite slack keeps that product within the slack for
     /// every sub-run as well (shorter paths through the same edges only
     /// shrink the product).  For `hops = 1` this degenerates to the paper's
-    /// `[e] = L`, and the result never exceeds `from_ratio` — the robust
-    /// bound is a tightening, so every previously safe plan stays safe.
+    /// `[e] = L`, and the result never exceeds the paper's ratio — the
+    /// robust bound is a tightening, so every previously safe plan stays safe.
     ///
     /// The root is computed exactly on integers (no floating point), which
     /// also makes the historical Ceil/Floor rounding distinction moot: see
@@ -167,9 +150,7 @@ impl fmt::Display for DummyInterval {
 /// Non-Propagation intervals with the exact integer-root bound of
 /// [`DummyInterval::from_run_budget`], which does not round at all — under
 /// either mode the plan is identical, and the choice survives only as plan
-/// metadata (and in cache keys) for API stability.  The ratio formula the
-/// modes used to distinguish remains available as
-/// [`DummyInterval::from_ratio`] for diagnostics.
+/// metadata (and in cache keys) for API stability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Rounding {
     /// Round the ratio up (paper's Fig. 3 behaviour).
@@ -277,23 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn ratio_rounding_matches_fig3() {
-        // Fig. 3: 6/3 = 2 exactly; 8/3 rounds up to 3.
-        assert_eq!(
-            DummyInterval::from_ratio(6, 3, Rounding::Ceil),
-            DummyInterval::Finite(2)
-        );
-        assert_eq!(
-            DummyInterval::from_ratio(8, 3, Rounding::Ceil),
-            DummyInterval::Finite(3)
-        );
-        assert_eq!(
-            DummyInterval::from_ratio(8, 3, Rounding::Floor),
-            DummyInterval::Finite(2)
-        );
-    }
-
-    #[test]
     fn run_budget_is_the_exact_integer_root() {
         // Largest T with T^h ≤ len.
         assert_eq!(DummyInterval::from_run_budget(8, 1), DummyInterval::Finite(8));
@@ -342,22 +306,14 @@ mod tests {
         for len in 1u64..200 {
             for hops in 1u64..8 {
                 let robust = DummyInterval::from_run_budget(len, hops);
-                for rounding in [Rounding::Ceil, Rounding::Floor] {
-                    assert!(
-                        robust <= DummyInterval::from_ratio(len, hops, rounding),
-                        "len {len} hops {hops} {rounding:?}"
-                    );
-                }
+                let floor_ratio = DummyInterval::Finite((len / hops).max(1));
+                assert!(robust <= floor_ratio, "len {len} hops {hops}");
             }
         }
     }
 
     #[test]
-    fn ratio_clamps_to_one() {
-        assert_eq!(
-            DummyInterval::from_ratio(1, 5, Rounding::Floor),
-            DummyInterval::Finite(1)
-        );
+    fn length_clamps_to_one() {
         assert_eq!(DummyInterval::from_length(0), DummyInterval::Finite(1));
     }
 

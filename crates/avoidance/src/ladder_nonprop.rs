@@ -277,25 +277,20 @@ impl Dp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cs4::{decompose_cs4, Cs4Segment};
+    use crate::cs4::GraphClass;
     use crate::exhaustive::exhaustive_intervals;
-    use crate::nonprop_sp::nonprop_into;
     use crate::plan::Algorithm;
+    use crate::planner::Planner;
     use fila_graph::GraphBuilder;
 
+    /// The planner's Non-Propagation intervals for a CS4 graph.
     fn cs4_nonprop(g: &Graph, rounding: Rounding) -> IntervalMap {
-        let d = decompose_cs4(g).unwrap();
-        let metrics = SpMetrics::compute(g, &d.forest);
-        let mut intervals = IntervalMap::for_graph(g);
-        for ve in &d.skeleton {
-            nonprop_into(&d.forest, &metrics, ve.comp, rounding, &mut intervals);
-        }
-        for seg in &d.segments {
-            if let Cs4Segment::Ladder(ladder) = seg {
-                apply_ladder_nonpropagation(g, &d.forest, &metrics, ladder, rounding, &mut intervals);
-            }
-        }
-        intervals
+        let planner = Planner::new(g)
+            .algorithm(Algorithm::NonPropagation)
+            .rounding(rounding);
+        let (class, plan) = planner.plan_with_class().unwrap();
+        assert_eq!(class, GraphClass::Cs4);
+        plan.intervals().clone()
     }
 
     #[test]

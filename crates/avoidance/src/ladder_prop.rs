@@ -313,35 +313,20 @@ fn side_key(side: Side) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cs4::{decompose_cs4, Cs4Segment};
+    use crate::cs4::GraphClass;
     use crate::exhaustive::exhaustive_intervals;
     use crate::interval::Rounding;
     use crate::plan::Algorithm;
-    use crate::prop_sp::setivals_into;
+    use crate::planner::Planner;
     use fila_graph::GraphBuilder;
 
-    /// Computes full Propagation intervals for a CS4 graph the way the
-    /// planner does: SETIVALS inside every contracted constituent, then the
-    /// ladder updates for every ladder block.
+    /// The planner's Propagation intervals for a CS4 graph: SETIVALS inside
+    /// every contracted constituent, then the ladder updates of this module
+    /// for every ladder block.
     fn cs4_propagation(g: &Graph) -> IntervalMap {
-        let d = decompose_cs4(g).unwrap();
-        let metrics = SpMetrics::compute(g, &d.forest);
-        let mut intervals = IntervalMap::for_graph(g);
-        for ve in &d.skeleton {
-            setivals_into(
-                &d.forest,
-                &metrics,
-                ve.comp,
-                DummyInterval::Infinite,
-                &mut intervals,
-            );
-        }
-        for seg in &d.segments {
-            if let Cs4Segment::Ladder(ladder) = seg {
-                apply_ladder_propagation(g, &d.forest, &metrics, ladder, &mut intervals);
-            }
-        }
-        intervals
+        let (class, plan) = Planner::new(g).plan_with_class().unwrap();
+        assert_eq!(class, GraphClass::Cs4);
+        plan.intervals().clone()
     }
 
     #[test]

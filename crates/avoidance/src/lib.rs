@@ -57,7 +57,7 @@ pub mod prop_sp;
 pub mod verify;
 
 pub use cache::{CachedPlan, CertifiedCached, GraphIdentity, PlanCache};
-pub use cs4::{classify, Cs4Decomposition, Cs4Segment, GraphClass};
+pub use cs4::{classify, Cs4Decomposition, Cs4Segment, GraphClass, Structure};
 pub use interval::{DummyInterval, IntervalMap, Rounding};
 pub use ladder::LadderDecomposition;
 pub use plan::{Algorithm, AvoidancePlan};

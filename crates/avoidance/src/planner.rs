@@ -25,9 +25,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fila_graph::{Graph, GraphError, Result};
-use fila_spdag::{recognize, Recognition, SpMetrics};
 
-use crate::cs4::{classify, decompose_cs4, Cs4Segment, GraphClass};
+use crate::cs4::{Cs4Segment, GraphClass, Structure};
 use crate::exhaustive::{exhaustive_intervals_bounded, DEFAULT_CYCLE_BOUND};
 use crate::interval::{DummyInterval, IntervalMap, Rounding};
 use crate::ladder_nonprop::apply_ladder_nonpropagation;
@@ -85,82 +84,50 @@ impl<'g> Planner<'g> {
         self
     }
 
-    /// Classifies the topology without computing a plan.
-    pub fn classify(&self) -> Result<GraphClass> {
-        classify(self.graph)
-    }
-
     /// Computes the plan.
     pub fn plan(&self) -> Result<AvoidancePlan> {
-        Ok(self.plan_with_class()?.1)
+        self.plan_as(&self.structure()?)
     }
 
     /// Computes the plan and reports which topology class (and therefore
     /// which algorithm family) was used.
     pub fn plan_with_class(&self) -> Result<(GraphClass, AvoidancePlan)> {
-        let class = self.class()?;
-        Ok((class, self.plan_as(class)?))
+        let structure = self.structure()?;
+        Ok((structure.class(), self.plan_as(&structure)?))
     }
 
-    /// The class the plan is computed under.
-    fn class(&self) -> Result<GraphClass> {
+    /// The structure the plan is computed from.
+    fn structure(&self) -> Result<Structure> {
         if self.force_exhaustive {
-            Ok(GraphClass::General)
+            Ok(Structure::General)
         } else {
-            classify(self.graph)
+            Structure::of(self.graph)
         }
     }
 
-    /// Computes the plan under `class`: the graph's own (a certification
-    /// walk classifies once for all its candidates), or `General` to force
-    /// the exhaustive planner.
-    pub(crate) fn plan_as(&self, class: GraphClass) -> Result<AvoidancePlan> {
+    /// Computes the plan from `structure`: the graph's own (a certification
+    /// walk decomposes once for all its candidates), or `General` to force
+    /// the exhaustive planner.  An SP-DAG is the decomposed case with one
+    /// skeleton edge and no ladder segment (Theorem V.7), so there is no
+    /// arm of its own for it.
+    pub(crate) fn plan_as(&self, structure: &Structure) -> Result<AvoidancePlan> {
         let g = self.graph;
-        let intervals = match class {
-            GraphClass::SeriesParallel => {
-                let decomposition = match recognize(g)? {
-                    Recognition::SeriesParallel(d) => d,
-                    Recognition::NotSeriesParallel(_) => {
-                        unreachable!("classified SP but recognition disagrees")
-                    }
-                };
-                let metrics = SpMetrics::compute(g, &decomposition.forest);
-                let mut intervals = IntervalMap::for_graph(g);
-                match self.algorithm {
-                    Algorithm::Propagation => setivals_into(
-                        &decomposition.forest,
-                        &metrics,
-                        decomposition.root,
-                        DummyInterval::Infinite,
-                        &mut intervals,
-                    ),
-                    Algorithm::NonPropagation => nonprop_into(
-                        &decomposition.forest,
-                        &metrics,
-                        decomposition.root,
-                        self.rounding,
-                        &mut intervals,
-                    ),
-                }
-                intervals
-            }
-            GraphClass::Cs4 => {
-                let d = decompose_cs4(g)?;
-                let metrics = SpMetrics::compute(g, &d.forest);
+        let intervals = match structure {
+            Structure::Decomposed(d) => {
                 let mut intervals = IntervalMap::for_graph(g);
                 // Cycles internal to each contracted constituent.
                 for ve in &d.skeleton {
                     match self.algorithm {
                         Algorithm::Propagation => setivals_into(
                             &d.forest,
-                            &metrics,
+                            &d.metrics,
                             ve.comp,
                             DummyInterval::Infinite,
                             &mut intervals,
                         ),
                         Algorithm::NonPropagation => nonprop_into(
                             &d.forest,
-                            &metrics,
+                            &d.metrics,
                             ve.comp,
                             self.rounding,
                             &mut intervals,
@@ -174,14 +141,14 @@ impl<'g> Planner<'g> {
                             Algorithm::Propagation => apply_ladder_propagation(
                                 g,
                                 &d.forest,
-                                &metrics,
+                                &d.metrics,
                                 ladder,
                                 &mut intervals,
                             ),
                             Algorithm::NonPropagation => apply_ladder_nonpropagation(
                                 g,
                                 &d.forest,
-                                &metrics,
+                                &d.metrics,
                                 ladder,
                                 self.rounding,
                                 &mut intervals,
@@ -191,7 +158,7 @@ impl<'g> Planner<'g> {
                 }
                 intervals
             }
-            GraphClass::General => {
+            Structure::General => {
                 exhaustive_intervals_bounded(g, self.algorithm, self.rounding, self.cycle_bound)?
             }
         };
@@ -214,16 +181,15 @@ impl<'g> Planner<'g> {
     /// On a `General`-class topology the structural steps *are* the
     /// exhaustive ones, so the chain collapses to two candidates.
     pub fn certify(&self, periods: &[u64]) -> std::result::Result<CertifiedPlan, CertifyError> {
-        let class = self.class().map_err(CertifyError::Unplannable)?;
+        let structure = self.structure().map_err(CertifyError::Unplannable)?;
         let accepted = walk_certification_chain(
             self.graph,
             self.algorithm,
-            class == GraphClass::General,
+            &structure,
             periods,
-            |algorithm, exhaustive| {
+            |algorithm, structure| {
                 let planning = Instant::now();
-                let class = if exhaustive { GraphClass::General } else { class };
-                let plan = self.clone().algorithm(algorithm).plan_as(class)?;
+                let plan = self.clone().algorithm(algorithm).plan_as(structure)?;
                 Ok((Arc::new(plan), planning.elapsed()))
             },
         )?;
@@ -256,28 +222,31 @@ pub(crate) struct ChainAccepted {
 /// the candidate order, attempt bookkeeping and error classification,
 /// shared by [`Planner::certify`] and the verdict-caching
 /// [`PlanCache::certify`](crate::cache::PlanCache::certify) so the two can
-/// never select differently.  `provide` produces the candidate plan for
-/// `(algorithm, force_exhaustive)` plus the planning time spent doing so
-/// (zero when served from a cache).
+/// never select differently.  `structure` is the graph's one decomposition:
+/// `provide` produces the candidate plan of an algorithm from it — or from
+/// [`Structure::General`] for a forced-exhaustive candidate — plus the
+/// planning time spent doing so (zero when served from a cache).
 pub(crate) fn walk_certification_chain<F>(
     g: &Graph,
     requested: Algorithm,
-    general: bool,
+    structure: &Structure,
     periods: &[u64],
     mut provide: F,
 ) -> std::result::Result<ChainAccepted, CertifyError>
 where
-    F: FnMut(Algorithm, bool) -> Result<(Arc<AvoidancePlan>, Duration)>,
+    F: FnMut(Algorithm, &Structure) -> Result<(Arc<AvoidancePlan>, Duration)>,
 {
     let mut attempts = Vec::new();
     let mut last_certification = None;
     let mut first_plan_error = None;
     let mut plan_time = Duration::ZERO;
     let mut certify_time = Duration::ZERO;
+    let general = matches!(structure, Structure::General);
     for (index, (algorithm, exhaustive)) in
         certification_candidates(requested, general).into_iter().enumerate()
     {
-        let plan = match provide(algorithm, exhaustive) {
+        let from = if exhaustive { &Structure::General } else { structure };
+        let plan = match provide(algorithm, from) {
             Ok((plan, spent)) => {
                 plan_time += spent;
                 plan
@@ -632,14 +601,5 @@ mod tests {
         let text = err.to_string();
         assert!(text.contains("1 candidates tried"), "{text}");
         assert!(text.contains("deadlocked"), "{text}");
-    }
-
-    #[test]
-    fn classify_is_exposed() {
-        let g = fig3();
-        assert_eq!(
-            Planner::new(&g).classify().unwrap(),
-            GraphClass::SeriesParallel
-        );
     }
 }

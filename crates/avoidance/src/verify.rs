@@ -318,7 +318,7 @@ pub fn certification_inputs(g: &Graph) -> u64 {
             }
         }
     }
-    64 + 4 * deepest.max(48)
+    deepest.max(48).saturating_mul(4).saturating_add(64)
 }
 
 /// Certifies `plan` against the per-node filter `periods` (node-id-aligned;

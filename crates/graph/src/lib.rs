@@ -11,18 +11,14 @@
 //! * per-edge buffer capacities (the edge "length" used by the paper),
 //! * topological ordering, reachability, and transitive predecessor /
 //!   successor queries ([`topo`]),
-//! * dominator and post-dominator trees ([`dominators`]) — used by the
-//!   structural lemmas of §III,
 //! * DAG shortest paths by buffer weight and longest paths by hop count
 //!   ([`paths`]),
 //! * an undirected view with articulation points and biconnected
 //!   components ([`undirected`]) — used by the CS4 decomposition of §V,
 //! * undirected simple-cycle enumeration with source/sink classification
 //!   ([`cycles`]) — the exponential baseline of §II.B,
-//! * K4-subdivision detection ([`k4`]) — Lemma V.1,
 //! * canonical structural fingerprints for shape-level caching
-//!   ([`fingerprint`]) — the key of the service layer's plan cache,
-//! * Graphviz DOT export ([`dot`]).
+//!   ([`fingerprint`]) — the key of the service layer's plan cache.
 //!
 //! The crate is deliberately free of any deadlock-avoidance logic; it is the
 //! substrate that `fila-spdag`, `fila-avoidance` and `fila-runtime` share.
@@ -32,12 +28,9 @@
 
 pub mod builder;
 pub mod cycles;
-pub mod dominators;
-pub mod dot;
 pub mod error;
 pub mod fingerprint;
 pub mod ids;
-pub mod k4;
 pub mod multigraph;
 pub mod paths;
 pub mod topo;

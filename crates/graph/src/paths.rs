@@ -9,8 +9,7 @@
 //!
 //! Both are computed by a single dynamic-programming sweep over a
 //! topological order, optionally restricted to a caller-supplied set of
-//! admissible edges (used by the SP-ladder algorithms of §VI to force paths
-//! to start "through `S_i`" or "through `K_i`").
+//! admissible edges.
 
 use crate::error::Result;
 use crate::ids::{EdgeId, NodeId};
@@ -88,68 +87,6 @@ pub fn longest_hop_path(g: &Graph, from: NodeId, to: NodeId) -> Result<Option<u6
     Ok(longest_hop_dists(g, from, |_| true)?[to.index()])
 }
 
-/// Shortest buffer-length from `from` to `to` where the first edge of the
-/// path must be `first_edge` (the path `from -> ... -> to` is forced to
-/// start through that specific channel).  Returns `None` if no such path
-/// exists.
-pub fn shortest_buffer_path_via_first_edge(
-    g: &Graph,
-    first_edge: EdgeId,
-    to: NodeId,
-) -> Result<Option<u64>> {
-    let (u, v) = g.endpoints(first_edge);
-    debug_assert!(u != to || v == to, "degenerate query");
-    let rest = shortest_buffer_dists(g, v, |_| true)?[to.index()];
-    Ok(rest.map(|r| r.saturating_add(g.capacity(first_edge))))
-}
-
-/// Longest hop count from `from` to `to` where the first edge of the path
-/// must be `first_edge`.
-pub fn longest_hop_path_via_first_edge(
-    g: &Graph,
-    first_edge: EdgeId,
-    to: NodeId,
-) -> Result<Option<u64>> {
-    let (_, v) = g.endpoints(first_edge);
-    let rest = longest_hop_dists(g, v, |_| true)?[to.index()];
-    Ok(rest.map(|r| r + 1))
-}
-
-/// Longest hop count of a path from `from` to `to` that passes through edge
-/// `via` (i.e. `from -> ... -> via.src -> via.dst -> ... -> to`), or `None`
-/// if no such path exists.
-pub fn longest_hop_path_through_edge(
-    g: &Graph,
-    from: NodeId,
-    via: EdgeId,
-    to: NodeId,
-) -> Result<Option<u64>> {
-    let (u, v) = g.endpoints(via);
-    let front = longest_hop_dists(g, from, |_| true)?[u.index()];
-    let back = longest_hop_dists(g, v, |_| true)?[to.index()];
-    Ok(match (front, back) {
-        (Some(a), Some(b)) => Some(a + 1 + b),
-        _ => None,
-    })
-}
-
-/// Shortest buffer length of a path from `from` to `to` that passes through
-/// edge `via`, or `None` if no such path exists.
-pub fn shortest_buffer_path_through_edge(
-    g: &Graph,
-    from: NodeId,
-    via: EdgeId,
-    to: NodeId,
-) -> Result<Option<u64>> {
-    let (u, v) = g.endpoints(via);
-    let front = shortest_buffer_dists(g, from, |_| true)?[u.index()];
-    let back = shortest_buffer_dists(g, v, |_| true)?[to.index()];
-    Ok(match (front, back) {
-        (Some(a), Some(b)) => Some(a + g.capacity(via) + b),
-        _ => None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,42 +135,6 @@ mod tests {
         assert_eq!(dist[f.index()], Some(8));
         let c = g.node_by_name("c").unwrap();
         assert_eq!(dist[c.index()], None);
-    }
-
-    #[test]
-    fn via_first_edge_paths() {
-        let g = fig3();
-        let f = g.node_by_name("f").unwrap();
-        let ab = g.edge_by_names("a", "b").unwrap();
-        let ac = g.edge_by_names("a", "c").unwrap();
-        assert_eq!(
-            shortest_buffer_path_via_first_edge(&g, ab, f).unwrap(),
-            Some(8)
-        );
-        assert_eq!(
-            shortest_buffer_path_via_first_edge(&g, ac, f).unwrap(),
-            Some(6)
-        );
-        assert_eq!(longest_hop_path_via_first_edge(&g, ab, f).unwrap(), Some(3));
-    }
-
-    #[test]
-    fn through_edge_paths() {
-        let g = fig3();
-        let a = g.node_by_name("a").unwrap();
-        let f = g.node_by_name("f").unwrap();
-        let be = g.edge_by_names("b", "e").unwrap();
-        assert_eq!(
-            longest_hop_path_through_edge(&g, a, be, f).unwrap(),
-            Some(3)
-        );
-        assert_eq!(
-            shortest_buffer_path_through_edge(&g, a, be, f).unwrap(),
-            Some(8)
-        );
-        // No path from c through b->e.
-        let c = g.node_by_name("c").unwrap();
-        assert_eq!(longest_hop_path_through_edge(&g, c, be, f).unwrap(), None);
     }
 
     #[test]

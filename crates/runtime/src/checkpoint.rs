@@ -251,8 +251,9 @@ pub fn plan_digest(mode: &AvoidanceMode) -> Option<u64> {
     h = fold(h, plan.edge_count() as u64);
     for raw in 0..plan.edge_count() {
         let e = fila_graph::EdgeId::from_raw(raw as u32);
-        // Finite intervals map to v+1 so interval 0 and "infinite" differ.
-        h = fold(h, plan.interval(e).finite().map(|v| v + 1).unwrap_or(0));
+        // Finite intervals map to v+1 so interval 0 and "infinite" differ
+        // (wrapping: an interval of `u64::MAX` never fires either).
+        h = fold(h, plan.interval(e).finite().map_or(0, |v| v.wrapping_add(1)));
     }
     Some(h)
 }

@@ -273,7 +273,7 @@ mod tests {
         // Runs of up to 64 messages reach the middle node at once; the
         // default `fire_run` must still hand them over one by one, every
         // sequence number once, in increasing order.
-        use crate::{Batching, PooledExecutor, Topology};
+        use crate::{Batching, PoolOptions, SharedPool, Topology};
         use std::sync::{Arc, Mutex};
         let mut b = fila_graph::GraphBuilder::new().default_capacity(128);
         b.chain(&["a", "b", "c", "d"]).unwrap();
@@ -290,7 +290,12 @@ mod tests {
                     FireDecision::broadcast(1, input.seq)
                 }
             });
-            let report = PooledExecutor::new(&topo).workers(2).batching(batching).run(1_000);
+            let pool = SharedPool::with(PoolOptions {
+                workers: 2,
+                batching,
+                ..PoolOptions::default()
+            });
+            let report = pool.submit(&topo, 1_000).wait();
             assert!(report.completed, "{batching:?}");
             let want: Vec<_> = (0..1_000).map(|s| (s + 1, s, vec![Some(s)])).collect();
             assert_eq!(*seen.lock().unwrap(), want, "{batching:?}");

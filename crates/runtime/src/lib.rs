@@ -23,9 +23,7 @@
 //!   scheduled task over lock-free SPSC rings ([`spsc`]); the node-tasks of
 //!   many independent jobs coexist on it, with exact per-job
 //!   completion/deadlock verdicts decided by per-job quiescence (no global
-//!   idleness needed).  [`PooledExecutor`] is the same engine for one run:
-//!   a builder-style facade that spawns a pool, runs one topology to its
-//!   report and tears the pool down.
+//!   idleness needed).
 //!
 //! The deliberate pairing lets every experiment be run both exactly and
 //! under real concurrency: the pool's batched run loops are the one other
@@ -40,7 +38,6 @@ pub mod container;
 pub mod faults;
 pub mod filters;
 pub mod node;
-pub mod pooled;
 pub mod report;
 mod sched;
 pub mod shared_pool;
@@ -61,7 +58,6 @@ pub use faults::{CrashSite, FaultArm, FaultPlan, SnapshotDamage};
 pub use filters::{Bernoulli, Broadcast, Collector, ModuloFilter, RouteRoundRobin};
 pub use message::{Message, Payload};
 pub use node::{DataRun, FireDecision, FireInput, NodeBehavior};
-pub use pooled::PooledExecutor;
 pub use report::{BlockedInfo, BlockedReason, ExecutionReport};
 pub use shared_pool::{
     FilterObservation, JobHandle, JobVerdict, PoolOptions, SettleHook, SharedPool,

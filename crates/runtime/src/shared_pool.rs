@@ -1,11 +1,10 @@
 //! A long-lived, multi-tenant work-stealing pool: many independent
 //! dataflow jobs execute concurrently on one fixed set of workers.
 //!
-//! This is the workspace's one pooled engine ([`crate::PooledExecutor`] is a
-//! one-job facade over it).  A service multiplexing thousands of small
-//! dataflows cannot afford a pool per run: `SharedPool` keeps the workers
-//! alive across jobs and lets the node-tasks of any number of *independent*
-//! topologies coexist in the same run queues.  Each queue entry carries its
+//! This is the workspace's one pooled engine.  A service multiplexing
+//! thousands of small dataflows cannot afford a pool per run: `SharedPool`
+//! keeps the workers alive across jobs and lets the node-tasks of any number
+//! of *independent* topologies coexist in the same run queues.  Each queue entry carries its
 //! job, so a worker interleaves firings of different jobs at task
 //! granularity — exactly the shared-memory multicore streaming model,
 //! scaled from "operators share workers" to "jobs share workers".

@@ -10,10 +10,9 @@
 //! terminal state as [`crate::Simulator`] — pinned by
 //! `tests/engine_equivalence.rs`, not by a second per-message copy here.
 //!
-//! [`crate::SharedPool`] is the one engine built on this core
-//! ([`crate::PooledExecutor`] is a one-job facade over it): the pool decides
-//! *scheduling* (how tasks are queued, woken and how verdicts are detected);
-//! everything a task does while it holds a worker lives here.
+//! [`crate::SharedPool`] is the one engine built on this core: the pool
+//! decides *scheduling* (how tasks are queued, woken and how verdicts are
+//! detected); everything a task does while it holds a worker lives here.
 //!
 //! ## Containers and runs
 //!
@@ -459,7 +458,7 @@ fn run_room(task: &Task, accepted: u32, batch: u32) -> u64 {
         }
         n = n
             .min(out.limit.saturating_sub(qlen) as u64)
-            .min((space - qlen) as u64 + 1);
+            .min(((space - qlen) as u64).saturating_add(1));
     }
     n
 }
@@ -892,8 +891,7 @@ fn stage_decision(
 
 /// Assembles the [`ExecutionReport`] of a finished (or deadlocked) task set:
 /// per-edge delivery counters, firing totals and — for deadlocks — the
-/// blocked-node diagnoses, exactly as [`crate::PooledExecutor`] has always
-/// reported them.
+/// blocked-node diagnoses.
 pub(crate) fn assemble_report(
     tasks: &[Mutex<Task>],
     edge_count: usize,

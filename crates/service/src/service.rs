@@ -42,19 +42,17 @@ pub struct ServiceConfig {
     pub cycle_bound: usize,
     /// Rounding mode for Non-Propagation interval ratios.
     pub rounding: Rounding,
-    /// Propagation-protocol dummy trigger.
+    /// Propagation-protocol dummy trigger.  Under the default
+    /// (`OnFilterOnly`) every planned admission is certified against the
+    /// job's declared [`FilterSpec`](crate::FilterSpec) (bounded model
+    /// check + automatic fallback chain; verdicts cached per `(fingerprint,
+    /// filter signature)`) — the "admitted ⇒ deadlock-free" contract.
+    /// Certification models that trigger only: under the experimental
+    /// [`PropagationTrigger::Heartbeat`] the service plans without
+    /// certifying (a certificate must attest to the semantics the job
+    /// runs), and every such Non-Propagation admission is counted in
+    /// [`ServiceStats::uncertified_nonprop`].
     pub trigger: PropagationTrigger,
-    /// Certify every planned admission against the job's declared
-    /// [`FilterSpec`](crate::FilterSpec) (bounded model check + automatic
-    /// fallback chain; verdicts cached per `(fingerprint, filter
-    /// signature)`).  Defaults to `true` — the "admitted ⇒ deadlock-free"
-    /// contract.  With `false` the service plans without certifying, and
-    /// every such Non-Propagation admission is counted in
-    /// [`ServiceStats::uncertified_nonprop`].  Certification models the
-    /// default `OnFilterOnly` Propagation trigger; configuring the
-    /// experimental [`PropagationTrigger::Heartbeat`] disables it the same
-    /// way (a certificate must attest to the semantics the job runs).
-    pub certify: bool,
     /// Deterministic fault-injection plan wired into the shared pool and
     /// the checkpoint codec (`None` — the default — compiles the hooks
     /// down to a skipped `Option` load; the hot path is untouched).  Set
@@ -82,7 +80,6 @@ impl Default for ServiceConfig {
             cycle_bound: 512,
             rounding: Rounding::Ceil,
             trigger: PropagationTrigger::default(),
-            certify: true,
             faults: None,
             telemetry: false,
         }
@@ -910,7 +907,7 @@ impl JobService {
         // for its identity gate, and the cache hashes nothing below.
         let identity = identity.unwrap_or_else(|| GraphIdentity::of(&spec.graph));
         let (rounding, cycle_bound) = (self.config.rounding, self.config.cycle_bound);
-        if self.config.certify && self.config.trigger == PropagationTrigger::default() {
+        if self.config.trigger == PropagationTrigger::default() {
             match self.cache.certify_identified(
                 &spec.graph,
                 &identity,
@@ -946,7 +943,7 @@ impl JobService {
         } else {
             match self
                 .cache
-                .plan_identified(&spec.graph, &identity, algorithm, rounding, cycle_bound)
+                .plan_identified(&spec.graph, &identity, algorithm, rounding, cycle_bound, None)
             {
                 Ok(cached) => {
                     if algorithm == Algorithm::NonPropagation {
@@ -1338,30 +1335,6 @@ mod tests {
         let svc = JobService::new(ServiceConfig {
             workers: 2,
             trigger: PropagationTrigger::Heartbeat,
-            ..ServiceConfig::default()
-        });
-        let g = {
-            let mut b = GraphBuilder::new();
-            b.edge_with_capacity("a", "b", 2).unwrap();
-            b.edge_with_capacity("b", "c", 2).unwrap();
-            b.edge_with_capacity("a", "c", 2).unwrap();
-            b.build().unwrap()
-        };
-        let ticket = svc
-            .submit(JobSpec::new(g, FilterSpec::Fork(2), 100))
-            .unwrap();
-        assert_eq!(ticket.certify_time, Duration::ZERO);
-        assert_eq!(ticket.wait().verdict, JobVerdict::Completed);
-        let stats = svc.stats();
-        assert_eq!(stats.certified, 0);
-        assert_eq!(stats.uncertified_nonprop, 1);
-    }
-
-    #[test]
-    fn certification_off_counts_uncertified_nonprop_admissions() {
-        let svc = JobService::new(ServiceConfig {
-            workers: 2,
-            certify: false,
             ..ServiceConfig::default()
         });
         let g = {

@@ -76,7 +76,7 @@ pub struct ServiceStats {
     /// and/or exhaustive escalation) from the requested one.
     pub fell_back: u64,
     /// Non-Propagation-planned admissions executed *without*
-    /// certification (only possible with `ServiceConfig::certify` off);
+    /// certification (only possible under the `Heartbeat` trigger);
     /// zero whenever the "admitted ⇒ deadlock-free" contract is in force.
     pub uncertified_nonprop: u64,
     /// Settled jobs whose every node reached end-of-stream.

@@ -28,7 +28,9 @@ fn main() {
     // The pooled engine on the most aggressive configuration.
     let (g, topo) = object_recognition(8, 0.02, 0.01, 42);
     let plan = Planner::new(&g).algorithm(Algorithm::NonPropagation).plan().unwrap();
-    let pooled = PooledExecutor::new(&topo).with_plan(&plan).run(frames);
+    let pooled = SharedPool::new(0)
+        .submit_with(&topo, AvoidanceMode::plan(plan), frames)
+        .wait();
     println!(
         "pooled run: completed = {}, data messages = {}, dummies = {}",
         pooled.completed, pooled.data_messages, pooled.dummy_messages

@@ -32,12 +32,9 @@ fn main() {
     let g = pipeline_graph(nodes, 4, true);
     let topo = periodic_filtered_topology(&g, |_| 4);
 
-    let mut pooled = PooledExecutor::new(&topo);
-    if workers > 0 {
-        pooled = pooled.workers(workers);
-    }
+    let pool = SharedPool::new(workers);
     let start = Instant::now();
-    let report = pooled.run(inputs);
+    let report = pool.submit(&topo, inputs).wait();
     let elapsed = start.elapsed();
     assert!(report.completed, "{report:?}");
     println!(

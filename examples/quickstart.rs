@@ -32,7 +32,9 @@ fn main() {
     );
 
     // The pooled engine exercises the same plan under real concurrency.
-    let pooled = PooledExecutor::new(&topo).with_plan(&plan).run(10_000);
+    let pooled = SharedPool::new(0)
+        .submit_with(&topo, AvoidanceMode::plan(plan), 10_000)
+        .wait();
     println!(
         "pooled engine: completed = {}, sink consumed {} flagged reads",
         pooled.completed, pooled.sink_firings

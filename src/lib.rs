@@ -47,8 +47,8 @@ pub mod prelude {
     };
     pub use fila_graph::{EdgeId, Fingerprint, Graph, GraphBuilder, NodeId};
     pub use fila_runtime::{
-        Batching, CheckpointOutcome, ExecutionReport, JobSnapshot, JobVerdict, PoolOptions,
-        PooledExecutor, RestoreError, Scheduler, SharedPool, Simulator, SnapshotError, SwapToken,
+        AvoidanceMode, Batching, CheckpointOutcome, ExecutionReport, JobSnapshot, JobVerdict,
+        PoolOptions, RestoreError, Scheduler, SharedPool, Simulator, SnapshotError, SwapToken,
         Topology,
     };
     pub use fila_service::{

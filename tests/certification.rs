@@ -142,7 +142,9 @@ proptest! {
             AvoidancePlan::new(&g, Algorithm::NonPropagation, Rounding::Ceil, IntervalMap::for_graph(&g)),
         ] {
             let cert = certify_plan_bounded(&g, &plan, &periods, INPUTS, STEP_BUDGET).unwrap();
-            let report = PooledExecutor::new(&topo).with_plan(&plan).workers(2).run(INPUTS);
+            let report = SharedPool::new(2)
+                .submit_with(&topo, AvoidanceMode::plan(plan), INPUTS)
+                .wait();
             prop_assert!(
                 cert.declared.completed == report.completed
                     && cert.declared.deadlocked == report.deadlocked,

@@ -46,7 +46,9 @@ fn pooled_engine_completes_with_plans() {
     let (g, topo) = fork_filtering_topology(3, 64);
     for algorithm in [Algorithm::Propagation, Algorithm::NonPropagation] {
         let plan = Planner::new(&g).algorithm(algorithm).plan().unwrap();
-        let report = PooledExecutor::new(&topo).with_plan(&plan).workers(2).run(2_000);
+        let report = SharedPool::new(2)
+            .submit_with(&topo, AvoidanceMode::plan(plan), 2_000)
+            .wait();
         assert!(report.completed, "{algorithm}: {report:?}");
     }
 }

@@ -145,19 +145,16 @@ fn assert_equivalent(scenario: Scenario) -> Result<(), TestCaseError> {
         Batching::Messages(64),
         Batching::Unbounded,
     ];
+    let mode = plan.map_or(AvoidanceMode::Disabled, AvoidanceMode::plan);
     let mut scalar: Option<ExecutionReport> = None;
     for batching in modes {
-        let pooled = {
-            let p = PooledExecutor::new(&topo)
-                .workers(workers)
-                .batch(batch)
-                .batching(batching);
-            let p = match &plan {
-                Some(pl) => p.with_plan(pl),
-                None => p,
-            };
-            p.run(inputs)
-        };
+        let pool = SharedPool::with(PoolOptions {
+            workers,
+            batch,
+            batching,
+            ..PoolOptions::default()
+        });
+        let pooled = pool.submit_with(&topo, mode.clone(), inputs).wait();
 
         prop_assert_eq!(sim.completed, pooled.completed);
         prop_assert_eq!(sim.deadlocked, pooled.deadlocked);

@@ -8,7 +8,7 @@
 //! aggressive per-node *interior* filtering a node relays at most one
 //! message per `[e]` messages reaching it, the inter-message gap multiplies
 //! per hop, and 16+-rung random ladders deadlocked — engine-independently
-//! (Simulator and PooledExecutor agreed), so it was a property of the
+//! (Simulator and the pooled engine agreed), so it was a property of the
 //! computed intervals, not of any runtime.  This file used to pin the
 //! deficient behaviour with `deadlocked` assertions; the filtering-robust
 //! integer-root bound (`fila_avoidance::ladder_nonprop`) flipped them to
@@ -68,10 +68,9 @@ fn nonprop_interior_filtering_completes_on_large_ladders() {
         assert!(!report.deadlocked);
         assert!(report.dummy_messages > 0, "the rescue is dummy-driven");
 
-        let pooled = PooledExecutor::new(&topo)
-            .with_plan(&plan)
-            .workers(2)
-            .run(INPUTS);
+        let pooled = SharedPool::new(2)
+            .submit_with(&topo, AvoidanceMode::plan(plan), INPUTS)
+            .wait();
         assert!(pooled.completed, "rungs={rungs} seed={seed}: {pooled:?}");
     }
 }

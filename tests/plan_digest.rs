@@ -1,0 +1,314 @@
+//! The planning witness: one FNV-1a value over everything planning and
+//! certification decide for a fixed corpus.  A refactor of classification,
+//! planning dispatch or the plan cache must leave [`EXPECTED_DIGEST`]
+//! untouched; the constant was recorded at the parent of the PR that made
+//! the CS4 decomposition *be* the classification (E29), before any other
+//! edit.
+//!
+//! The corpus is generated (random SP DAGs, CS4 ladders, layered general
+//! DAGs) plus the paper's Figs. 2–4 and a 2 048-node pipeline, each under
+//! both protocols and a declared filter profile derived from its index.
+
+use std::collections::HashSet;
+
+use fila::avoidance::{
+    Algorithm, Certification, CertifyError, GraphClass, GraphIdentity, ModelOutcome, PlanCache,
+    Planner, Rounding,
+};
+use fila::graph::{Graph, GraphBuilder};
+use fila::workloads::figures::{
+    butterfly_rewritten, fig2_triangle, fig3_cycle, fig4_butterfly, fig4_crosslink, fig5_ladder,
+};
+use fila::workloads::generators::{
+    layered_dag, pipeline_graph, random_ladder, random_sp_dag, GeneratorConfig, LadderConfig,
+};
+
+/// Recorded at commit 8fa9418 (the parent of E29).
+const EXPECTED_DIGEST: u64 = 0x156e_6bb0_6736_ed78;
+
+/// Small enough that an exhaustive fallback on a 40-edge SP DAG gives up
+/// (and is folded as the error it is) instead of enumerating for seconds.
+const CYCLE_BOUND: usize = 2048;
+
+const ALGORITHMS: [Algorithm; 2] = [Algorithm::Propagation, Algorithm::NonPropagation];
+
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn u64(&mut self, v: u64) {
+        for byte in v.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        for byte in s.bytes() {
+            self.u64(u64::from(byte));
+        }
+    }
+
+    fn algorithm(&mut self, a: Algorithm) {
+        self.u64(match a {
+            Algorithm::Propagation => 1,
+            Algorithm::NonPropagation => 2,
+        });
+    }
+
+    fn outcome(&mut self, o: &ModelOutcome) {
+        self.u64(u64::from(o.completed));
+        self.u64(u64::from(o.deadlocked));
+        self.u64(o.steps);
+    }
+
+    fn certification(&mut self, c: &Certification) {
+        self.u64(u64::from(c.certified));
+        self.outcome(&c.declared);
+        self.outcome(&c.worst_case);
+        self.str(c.failing_adversary.unwrap_or("-"));
+        self.u64(c.inputs);
+        self.u64(u64::from(c.truncated));
+    }
+}
+
+/// Which nodes of a corpus graph declare a filter.
+#[derive(Clone, Copy)]
+enum Profile {
+    /// Every node: the profile that walks the fallback chain.
+    Everywhere,
+    /// The source only: the paper's protected scenario.
+    ForkOnly,
+    /// No node: certification is the declared run alone.
+    Broadcast,
+}
+
+const PROFILES: [Profile; 3] = [Profile::Everywhere, Profile::ForkOnly, Profile::Broadcast];
+
+/// The corpus with each graph's declared per-node filter periods.
+fn corpus() -> Vec<(Graph, Vec<u64>)> {
+    let mut graphs = Vec::new();
+    for seed in 0..110u64 {
+        let (g, _) = random_sp_dag(&GeneratorConfig {
+            target_edges: 1 + (seed as usize * 7) % 40,
+            max_fanout: 2 + (seed as usize) % 3,
+            capacity_range: (1, 2 + seed % 7),
+            seed,
+        });
+        graphs.push((g, PROFILES[seed as usize % 3]));
+    }
+    for seed in 0..80u64 {
+        let g = random_ladder(&LadderConfig {
+            rungs: 1 + (seed as usize) % 8,
+            capacity_range: (1 + seed % 2, 3 + seed % 6),
+            reverse_probability: 0.3,
+            seed,
+        });
+        graphs.push((g, PROFILES[seed as usize % 3]));
+    }
+    for seed in 0..60u64 {
+        let g = layered_dag(
+            2 + (seed as usize) % 3,
+            2 + (seed as usize / 3) % 2,
+            1 + seed % 4,
+            seed,
+        );
+        graphs.push((g, PROFILES[seed as usize % 3]));
+    }
+    // Two parallel edges too deep for the input ceiling: every candidate's
+    // check is truncated, so the walk ends `Uncertifiable` after all four.
+    let mut deep = GraphBuilder::new();
+    deep.edge_with_capacity("x", "y", 20_000).unwrap();
+    deep.edge_with_capacity("x", "y", 20_000).unwrap();
+    graphs.extend([
+        (fig2_triangle(2), Profile::Everywhere),
+        (fig3_cycle(), Profile::ForkOnly),
+        (fig4_crosslink(2), Profile::Everywhere),
+        (fig4_butterfly(2), Profile::ForkOnly),
+        (butterfly_rewritten(2), Profile::Everywhere),
+        (fig5_ladder(3), Profile::ForkOnly),
+        // Broadcast: one model-check run of the chain per certification
+        // instead of six.
+        (pipeline_graph(2048, 4, false), Profile::Broadcast),
+        (deep.build().unwrap(), Profile::Broadcast),
+    ]);
+    graphs
+        .into_iter()
+        .enumerate()
+        .map(|(i, (g, profile))| {
+            let period = 2 + (i as u64 / 3) % 4;
+            let source = g.single_source().ok();
+            let periods = g
+                .node_ids()
+                .map(|n| match profile {
+                    Profile::Everywhere => period,
+                    Profile::ForkOnly if Some(n) == source => period,
+                    _ => 1,
+                })
+                .collect();
+            (g, periods)
+        })
+        .collect()
+}
+
+#[test]
+fn planning_and_certification_digest_is_unchanged() {
+    // Distinct graphs (tiny random SP DAGs repeat), so the cache counts
+    // below are exact.
+    let mut identities: Vec<GraphIdentity> = Vec::new();
+    let mut corpus = corpus();
+    corpus.retain(|(g, _)| {
+        let identity = GraphIdentity::of(g);
+        let new = !identities.contains(&identity);
+        identities.push(identity);
+        new
+    });
+    assert!(corpus.len() >= 240, "{} distinct graphs", corpus.len());
+
+    let mut digest = Fnv::new();
+    let cache = PlanCache::new(4 * corpus.len());
+    // What the plan table holds, and what the counters must read.
+    let mut planned: HashSet<(usize, Algorithm)> = HashSet::new();
+    let (mut plan_hits, mut plan_misses) = (0u64, 0u64);
+    let (mut cert_hits, mut cert_misses) = (0u64, 0u64);
+    let mut lookup = |key: (usize, Algorithm)| {
+        if planned.insert(key) {
+            plan_misses += 1;
+            false
+        } else {
+            plan_hits += 1;
+            true
+        }
+    };
+
+    for (index, (g, periods)) in corpus.iter().enumerate() {
+        for algorithm in ALGORITHMS {
+            let planner = Planner::new(g)
+                .algorithm(algorithm)
+                .cycle_bound(CYCLE_BOUND);
+            digest.algorithm(algorithm);
+
+            // Class and every edge's interval.
+            let fresh = planner.plan_with_class();
+            match &fresh {
+                Ok((class, plan)) => {
+                    digest.u64(match class {
+                        GraphClass::SeriesParallel => 1,
+                        GraphClass::Cs4 => 2,
+                        GraphClass::General => 3,
+                    });
+                    for (_, interval) in plan.intervals().iter() {
+                        digest.u64(interval.finite().unwrap_or(u64::MAX));
+                    }
+                }
+                Err(e) => digest.str(&e.to_string()),
+            }
+
+            // The certification walk.
+            let direct = planner.certify(periods);
+            match &direct {
+                Ok(c) => {
+                    digest.algorithm(c.used);
+                    digest.u64(u64::from(c.exhaustive));
+                    digest.u64(u64::from(c.fell_back));
+                    for attempt in &c.attempts {
+                        digest.algorithm(attempt.algorithm);
+                        digest.u64(u64::from(attempt.exhaustive));
+                        digest.u64(u64::from(attempt.certified));
+                    }
+                    digest.certification(&c.certification);
+                    for (_, interval) in c.plan.intervals().iter() {
+                        digest.u64(interval.finite().unwrap_or(u64::MAX));
+                    }
+                }
+                Err(CertifyError::Uncertifiable { attempts, last }) => {
+                    digest.u64(attempts.len() as u64);
+                    digest.certification(last);
+                }
+                Err(CertifyError::Unplannable(e)) => digest.str(&e.to_string()),
+            }
+
+            // The same walk through the cache: cold, then warm.
+            let attempts = match &direct {
+                Ok(c) => c.attempts.as_slice(),
+                Err(CertifyError::Uncertifiable { attempts, .. }) => attempts.as_slice(),
+                Err(CertifyError::Unplannable(_)) => &[],
+            };
+            for attempt in attempts.iter().filter(|a| !a.exhaustive) {
+                lookup((index, attempt.algorithm));
+            }
+            let cached = |expect_hit: bool| {
+                let got = cache.certify(g, algorithm, Rounding::Ceil, CYCLE_BOUND, periods);
+                match (&direct, got) {
+                    (Ok(want), Ok(got)) => {
+                        assert_eq!(got.hit, expect_hit, "graph {index} {algorithm}");
+                        assert_eq!(*got.plan, *want.plan, "graph {index} {algorithm}");
+                        assert_eq!(
+                            (got.used, got.exhaustive, got.fell_back),
+                            (want.used, want.exhaustive, want.fell_back),
+                            "graph {index} {algorithm}"
+                        );
+                    }
+                    (
+                        Err(CertifyError::Uncertifiable {
+                            attempts: want,
+                            last: want_last,
+                        }),
+                        Err(CertifyError::Uncertifiable {
+                            attempts: got,
+                            last: got_last,
+                        }),
+                    ) => {
+                        assert_eq!(*want, got, "graph {index} {algorithm}");
+                        assert_eq!(*want_last, got_last, "graph {index} {algorithm}");
+                    }
+                    (Err(CertifyError::Unplannable(_)), Err(CertifyError::Unplannable(_))) => {}
+                    (want, got) => panic!(
+                        "graph {index} {algorithm}: cache and planner disagree: \
+                         {want:?} vs {got:?}"
+                    ),
+                }
+            };
+            cached(false);
+            cached(true);
+            cert_misses += 1;
+            // A planning failure is not a verdict: it is walked again.
+            if matches!(direct, Err(CertifyError::Unplannable(_))) {
+                cert_misses += 1;
+            } else {
+                cert_hits += 1;
+            }
+
+            // A plain plan lookup serves the plan the walk left behind.
+            let plain = cache.plan(g, algorithm, Rounding::Ceil, CYCLE_BOUND);
+            match (&fresh, plain) {
+                (Ok((_, want)), Ok(got)) => {
+                    assert_eq!(
+                        got.hit,
+                        lookup((index, algorithm)),
+                        "graph {index} {algorithm}"
+                    );
+                    assert_eq!(*got.plan, *want, "graph {index} {algorithm}");
+                }
+                (Err(_), Err(_)) => {}
+                (want, got) => panic!(
+                    "graph {index} {algorithm}: cache and planner disagree: {want:?} vs {got:?}"
+                ),
+            }
+        }
+    }
+
+    assert_eq!(
+        (
+            cache.hits(),
+            cache.misses(),
+            cache.cert_hits(),
+            cache.cert_misses()
+        ),
+        (plan_hits, plan_misses, cert_hits, cert_misses)
+    );
+    assert_eq!(digest.0, EXPECTED_DIGEST, "digest is {:#018x}", digest.0);
+}

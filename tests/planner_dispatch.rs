@@ -3,11 +3,13 @@
 //! SP-DAGs to the linear/quadratic SP algorithms, CS4 SP-ladders to the
 //! ladder algorithms, and everything else to the exponential baseline.
 
+use fila::avoidance::cs4::decompose_cs4;
+use fila::avoidance::Cs4Segment;
 use fila::prelude::*;
 use fila::workloads::figures::{
     butterfly_rewritten, fig2_triangle, fig3_cycle, fig4_butterfly, fig5_ladder,
 };
-use fila::workloads::generators::layered_dag;
+use fila::workloads::generators::{layered_dag, random_sp_dag, GeneratorConfig};
 
 #[test]
 fn sp_dag_dispatches_to_series_parallel_algorithms() {
@@ -74,5 +76,34 @@ fn forced_exhaustive_dispatch_agrees_with_the_structural_path() {
             .unwrap();
         assert_eq!(class, GraphClass::General);
         assert_eq!(fast.intervals(), slow.intervals());
+    }
+}
+
+#[test]
+fn an_sp_dag_decomposes_to_one_skeleton_edge_and_no_ladder() {
+    // What lets one planning arm serve SP-DAGs and CS4 graphs alike
+    // (Theorem V.7): an SP-DAG is the serial composition with no ladder, its
+    // whole component tree hanging off a single source→sink skeleton edge.
+    let generated = (0..24u64).map(|seed| {
+        random_sp_dag(&GeneratorConfig {
+            target_edges: 1 + seed as usize * 5,
+            seed,
+            ..GeneratorConfig::default()
+        })
+        .0
+    });
+    for g in [fig2_triangle(2), fig3_cycle()].into_iter().chain(generated) {
+        let d = decompose_cs4(&g).unwrap();
+        let [only] = d.skeleton.as_slice() else {
+            panic!("{} skeleton edges", d.skeleton.len());
+        };
+        assert_eq!((only.src, only.dst), (d.source, d.sink));
+        assert_eq!(
+            (d.source, d.sink),
+            (g.single_source().unwrap(), g.single_sink().unwrap())
+        );
+        assert_eq!(d.forest.edge_count_in(only.comp), g.edge_count());
+        assert_eq!(d.ladder_count(), 0);
+        assert!(matches!(d.segments.as_slice(), [Cs4Segment::Sp { comp, .. }] if *comp == only.comp));
     }
 }

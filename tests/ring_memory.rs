@@ -209,6 +209,54 @@ fn a_huge_declared_capacity_costs_nothing_and_aborts_nothing() {
 }
 
 #[test]
+fn a_declared_capacity_of_u64_max_runs() {
+    let _alone = alone();
+    for parallel_edges in [1, 2] {
+        let mut b = GraphBuilder::new();
+        for _ in 0..parallel_edges {
+            b.edge_with_capacity("x", "y", u64::MAX).unwrap();
+        }
+        let g = b.build().unwrap();
+        let topology = Topology::from_graph(&g);
+        let reference = Simulator::new(&topology).run(10);
+        assert!(reference.completed);
+        let same_as_reference = |report: &ExecutionReport| {
+            assert!(report.completed, "{report:?}");
+            assert_eq!(report.per_edge_data, reference.per_edge_data);
+            assert_eq!(report.per_edge_dummies, reference.per_edge_dummies);
+            assert_eq!(report.sink_firings, reference.sink_firings);
+        };
+
+        let pool = SharedPool::new(1);
+        let plan = Planner::new(&g)
+            .algorithm(Algorithm::NonPropagation)
+            .plan()
+            .unwrap();
+        for mode in [AvoidanceMode::Disabled, AvoidanceMode::plan(plan)] {
+            let job = pool.submit_with(&topology, mode, 10);
+            same_as_reference(&job.wait());
+            assert_eq!(job.verdict(), Some(JobVerdict::Completed));
+        }
+
+        let service = JobService::new(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let spec = JobSpec::new(g, FilterSpec::Broadcast, 10);
+        let outcome = service.submit(spec.clone().unplanned()).unwrap().wait();
+        assert_eq!(outcome.verdict, JobVerdict::Completed);
+        same_as_reference(&outcome.report);
+        // Planned: admitted and completed, or the typed rejection of a
+        // fill horizon beyond the certification input budget.
+        match service.submit(spec) {
+            Ok(ticket) => same_as_reference(&ticket.wait().report),
+            Err(RejectReason::Uncertifiable(_)) => assert_eq!(parallel_edges, 2),
+            Err(other) => panic!("{other:?}"),
+        }
+    }
+}
+
+#[test]
 fn a_huge_declared_capacity_in_a_job_file_runs() {
     let _alone = alone();
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("deep_capacity.job");

@@ -1,7 +1,7 @@
-//! `PooledExecutor` — the one-job facade over `SharedPool` — driven through
-//! its public builder: the unit tests the single-run pool had, unchanged,
-//! now exercising the facade (verdicts, plans, panics, wall time, agreement
-//! with the simulator).
+//! `SharedPool` running one job at a time through its public surface:
+//! verdicts, plans, degenerate sizes, wall time.  (Many jobs at once:
+//! `scheduler_stress.rs`; agreement with the simulator:
+//! `engine_equivalence.rs`.)
 
 use fila::prelude::*;
 use fila::runtime::filters::{Broadcast, ModuloFilter, Predicate};
@@ -21,7 +21,7 @@ fn pipeline_completes_pooled() {
     let g = b.build().unwrap();
     let topo = Topology::from_graph(&g);
     for workers in [1, 2, 4] {
-        let report = PooledExecutor::new(&topo).workers(workers).run(200);
+        let report = SharedPool::new(workers).submit(&topo, 200).wait();
         assert!(report.completed, "workers={workers}: {report:?}");
         assert_eq!(report.data_messages, 400);
         assert_eq!(report.sink_firings, 200);
@@ -37,7 +37,7 @@ fn fig2_deadlock_verdict_is_exact() {
     let topo = Topology::from_graph(&g)
         .with(a, || Predicate::new(2, |_seq, out| out == 0));
     for workers in [1, 3] {
-        let report = PooledExecutor::new(&topo).workers(workers).run(500);
+        let report = SharedPool::new(workers).submit(&topo, 500).wait();
         assert!(report.deadlocked, "workers={workers}: {report:?}");
         assert!(!report.completed);
         assert!(!report.blocked.is_empty());
@@ -52,28 +52,12 @@ fn fig2_completes_pooled_with_plan() {
         let plan = Planner::new(&g).algorithm(algorithm).plan().unwrap();
         let topo = Topology::from_graph(&g)
             .with(a, || Predicate::new(2, |_seq, out| out == 0));
-        let report = PooledExecutor::new(&topo)
-            .with_plan(&plan)
-            .workers(2)
-            .run(500);
+        let report = SharedPool::new(2)
+            .submit_with(&topo, AvoidanceMode::plan(plan), 500)
+            .wait();
         assert!(report.completed, "{algorithm}: {report:?}");
         assert!(report.dummy_messages > 0);
     }
-}
-
-#[test]
-fn pooled_matches_simulator_exactly() {
-    let g = fig2(4);
-    let a = g.node_by_name("A").unwrap();
-    let plan = Planner::new(&g).algorithm(Algorithm::Propagation).plan().unwrap();
-    let topo = Topology::from_graph(&g)
-        .with(a, || Predicate::new(2, |seq, out| out == 0 || seq % 4 == 0));
-    let sim = Simulator::new(&topo).with_plan(&plan).run(400);
-    let pooled = PooledExecutor::new(&topo).with_plan(&plan).workers(2).run(400);
-    assert!(sim.completed && pooled.completed);
-    assert_eq!(sim.per_edge_data, pooled.per_edge_data);
-    assert_eq!(sim.per_edge_dummies, pooled.per_edge_dummies);
-    assert_eq!(sim.sink_firings, pooled.sink_firings);
 }
 
 #[test]
@@ -84,7 +68,7 @@ fn capacity_one_channels_work() {
     let g = b.build().unwrap();
     let m = g.node_by_name("m").unwrap();
     let topo = Topology::from_graph(&g).with(m, || ModuloFilter::new(1, 2, 0));
-    let report = PooledExecutor::new(&topo).workers(2).run(100);
+    let report = SharedPool::new(2).submit(&topo, 100).wait();
     assert!(report.completed, "{report:?}");
     assert_eq!(report.sink_firings, 50);
 }
@@ -104,13 +88,16 @@ fn split_join_deadlocks_and_plan_rescues_it() {
         .with(split, || Broadcast::new(2))
         .with(left, || ModuloFilter::new(1, 5, 0))
         .with(right, || ModuloFilter::new(1, 50, 3));
-    let without = PooledExecutor::new(&topo).workers(2).run(2000);
+    let pool = SharedPool::new(2);
+    let without = pool.submit(&topo, 2000).wait();
     assert!(without.deadlocked, "{without:?}");
     let plan = Planner::new(&g)
         .algorithm(Algorithm::NonPropagation)
         .plan()
         .unwrap();
-    let with_plan = PooledExecutor::new(&topo).with_plan(&plan).workers(2).run(2000);
+    let with_plan = pool
+        .submit_with(&topo, AvoidanceMode::plan(plan), 2000)
+        .wait();
     assert!(with_plan.completed, "{with_plan:?}");
 }
 
@@ -124,7 +111,7 @@ fn deep_pipeline_scales_past_thread_per_node_sizes() {
     b.chain(&refs).unwrap();
     let g = b.build().unwrap();
     let topo = Topology::from_graph(&g);
-    let report = PooledExecutor::new(&topo).workers(4).run(8);
+    let report = SharedPool::new(4).submit(&topo, 8).wait();
     assert!(report.completed, "{report:?}");
     assert_eq!(report.sink_firings, 8);
     assert_eq!(report.data_messages, 8 * 4095);
@@ -137,11 +124,14 @@ fn tiny_batch_still_completes() {
     let plan = Planner::new(&g).algorithm(Algorithm::Propagation).plan().unwrap();
     let topo = Topology::from_graph(&g)
         .with(a, || Predicate::new(2, |_seq, out| out == 0));
-    let report = PooledExecutor::new(&topo)
-        .with_plan(&plan)
-        .workers(3)
-        .batch(1)
-        .run(300);
+    let pool = SharedPool::with(PoolOptions {
+        workers: 3,
+        batch: 1,
+        ..PoolOptions::default()
+    });
+    let report = pool
+        .submit_with(&topo, AvoidanceMode::plan(plan), 300)
+        .wait();
     assert!(report.completed, "{report:?}");
 }
 
@@ -149,30 +139,10 @@ fn tiny_batch_still_completes() {
 fn zero_inputs_and_zero_nodes_complete_immediately() {
     for g in [fig2(2), Graph::new()] {
         let topo = Topology::from_graph(&g);
-        let report = PooledExecutor::new(&topo).run(0);
+        let report = SharedPool::new(1).submit(&topo, 0).wait();
         assert!(report.completed);
         assert_eq!(report.data_messages, 0);
     }
-}
-
-#[test]
-fn behaviour_panic_propagates_instead_of_hanging() {
-    // A panicking behaviour must fail the run like the simulator does —
-    // not leave the surviving workers parked forever.
-    let mut b = GraphBuilder::new();
-    b.chain(&["s", "m", "t"]).unwrap();
-    let g = b.build().unwrap();
-    let m = g.node_by_name("m").unwrap();
-    let topo = Topology::from_graph(&g).with(m, || {
-        Predicate::new(1, |seq, _out| {
-            assert!(seq < 5, "behaviour blew up at seq {seq}");
-            true
-        })
-    });
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        PooledExecutor::new(&topo).workers(2).run(100)
-    }));
-    assert!(result.is_err(), "the panic must propagate out of run()");
 }
 
 #[test]
@@ -181,7 +151,7 @@ fn wall_time_is_recorded() {
     b.chain(&["s", "t"]).unwrap();
     let g = b.build().unwrap();
     let topo = Topology::from_graph(&g);
-    let report = PooledExecutor::new(&topo).workers(1).run(64);
+    let report = SharedPool::new(1).submit(&topo, 64).wait();
     assert!(report.completed);
     assert!(report.wall_time() > std::time::Duration::ZERO);
     assert!(report.messages_per_sec().expect("wall time recorded") > 0.0);
