@@ -31,6 +31,17 @@ use fila_graph::{EdgeId, Graph, NodeId};
 use super::message::{Message, Payload};
 use super::wrapper::{AvoidanceMode, DummyWrapper, PropagationTrigger};
 
+/// The periodic filtering convention: output `out` of a node with filter
+/// period `period` carries sequence number `seq` iff `(seq + out) % period
+/// == 0` (1 = broadcast; 0 is read as 1).  The firing decision is the
+/// caller's, but this one is the contract between what certification's
+/// declared run checks ([`crate::verify::certify_plan`]) and what a job
+/// declaring those periods executes, so both call it here.
+#[inline]
+pub fn periodic_emits(period: u64, seq: u64, out: usize) -> bool {
+    (seq + out as u64) % period.max(1) == 0
+}
+
 /// The model state of one node.
 #[derive(Debug, Clone)]
 pub struct NodeState {

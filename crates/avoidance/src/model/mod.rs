@@ -26,7 +26,7 @@ pub mod message;
 pub mod steady;
 pub mod wrapper;
 
-pub use engine::{Engine, Halt, NodeState};
+pub use engine::{periodic_emits, Engine, Halt, NodeState};
 pub use message::{Message, Payload};
 pub use steady::{Skip, SteadyState};
 pub use wrapper::{AvoidanceMode, DummyWrapper, PropagationTrigger, RunDummies};

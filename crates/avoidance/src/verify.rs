@@ -53,7 +53,9 @@ use fila_graph::{EdgeId, Graph, NodeId, Result};
 
 use crate::exhaustive::exhaustive_intervals_bounded;
 use crate::interval::DummyInterval;
-use crate::model::{AvoidanceMode, Engine, Halt, Payload, PropagationTrigger, SteadyState};
+use crate::model::{
+    periodic_emits, AvoidanceMode, Engine, Halt, Payload, PropagationTrigger, SteadyState,
+};
 use crate::plan::AvoidancePlan;
 
 /// The outcome of verifying a plan against the exhaustive baseline.
@@ -374,7 +376,7 @@ fn certify_with_requirement(
     // certification, not one per run.
     let mode = AvoidanceMode::plan(plan.clone());
     let periodic = |n: NodeId, seq: u64, j: usize, _outs: usize| -> bool {
-        (seq + j as u64) % periods[n.index()].max(1) == 0
+        periodic_emits(periods[n.index()], seq, j)
     };
     let declared = model_check(g, &mode, periodic, periods, inputs, max_steps);
     let mut worst_case = declared;

@@ -34,11 +34,9 @@ use crate::spsc::{self, Weigh};
 /// How an engine groups messages into containers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Batching {
-    /// One message per container: the scalar path, byte-for-byte identical
-    /// to the pre-container engines.
-    Scalar,
     /// Containers carry up to this many messages (clamped to ≥ 1 and to
-    /// each channel's capacity).
+    /// each channel's capacity).  `Messages(1)` is scalar execution: one
+    /// message per container.
     Messages(u32),
     /// Containers grow without bound — in practice limited by channel
     /// capacity, since a container must fit its ring in message units.
@@ -49,7 +47,6 @@ impl Batching {
     /// The per-container message limit this mode implies.
     pub fn limit(self) -> usize {
         match self {
-            Batching::Scalar => 1,
             Batching::Messages(n) => (n as usize).max(1),
             Batching::Unbounded => usize::MAX,
         }

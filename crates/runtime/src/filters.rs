@@ -278,7 +278,7 @@ mod tests {
         let mut b = fila_graph::GraphBuilder::new().default_capacity(128);
         b.chain(&["a", "b", "c", "d"]).unwrap();
         let g = b.build().unwrap();
-        for batching in [Batching::Scalar, Batching::Messages(64), Batching::Unbounded] {
+        for batching in [Batching::Messages(1), Batching::Messages(64), Batching::Unbounded] {
             let seen = Arc::new(Mutex::new(Vec::new()));
             let log = Arc::clone(&seen);
             let topo = Topology::from_graph(&g).with(g.node_by_name("c").unwrap(), move || {

@@ -77,12 +77,12 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use fila_graph::fingerprint::labeled_fingerprint;
-use fila_graph::Graph;
+use fila_graph::{Graph, NodeId};
 
 use crate::checkpoint::{
     self, JobSnapshot, NodeSnapshot, RestoreError, SnapshotError, SwapToken, SNAPSHOT_VERSION,
 };
-use crate::container::{Batch, Batching, Container};
+use crate::container::Batching;
 use crate::faults::{FaultArm, FaultPlan};
 use crate::message::Message;
 use crate::report::{BlockedReason, ExecutionReport};
@@ -151,9 +151,9 @@ struct JobState {
     started: Instant,
     slot: Mutex<DoneSlot>,
     done_cv: Condvar,
-    /// Node indices of the job's sources (in-degree 0), frozen briefly by
+    /// The job's sources (in-degree 0), frozen briefly by
     /// [`JobHandle::checkpoint`] to pick a barrier sequence number.
-    sources: Vec<usize>,
+    sources: Vec<NodeId>,
     /// Snapshot identity, computed once at submission.
     meta: SnapMeta,
     /// Progress marker of the snapshot this job resumed from, if any.
@@ -238,45 +238,37 @@ struct NewJob<'a> {
 impl JobState {
     /// The one place a job's state is put together.  A job with nothing
     /// left to run — an empty topology, or a snapshot that caught every
-    /// node done — settles right here as `Completed` (hook included) and
-    /// never draws a serial or touches the scheduler; any other starts
-    /// with every task `QUEUED` and active, for the caller to inject.
+    /// node done — is born `Completed` for [`PoolCore::launch`] to deliver
+    /// on the spot, and never draws a serial or touches the scheduler; any
+    /// other starts with every task `QUEUED` and active, for it to inject.
     fn new(core: &PoolCore, new: NewJob<'_>) -> JobState {
         let g = new.topology.graph();
         let node_count = new.tasks.len();
         let unfinished = new.tasks.iter().filter(|task| !task.done).count();
-        let tasks: Vec<Mutex<Task>> = new.tasks.into_iter().map(Mutex::new).collect();
         let runs = unfinished > 0;
-        let mut on_settle = new.on_settle;
-        let report = (!runs).then(|| {
-            let mut report = task::assemble_report(&tasks, g.edge_count(), new.inputs, false);
-            report.resumed_from = new.resumed_from;
-            report.wall = new.started.elapsed();
-            if let Some(hook) = on_settle.take() {
-                hook(&report, JobVerdict::Completed);
-            }
-            report
-        });
         let (serial, fault) = if runs {
             core.arm_next()
         } else {
             (u64::MAX, None)
         };
         JobState {
-            tasks,
+            tasks: new.tasks.into_iter().map(Mutex::new).collect(),
             states: (0..node_count)
                 .map(|_| AtomicU8::new(if runs { QUEUED } else { IDLE }))
                 .collect(),
             active: AtomicUsize::new(if runs { node_count } else { 0 }),
             unfinished: AtomicUsize::new(unfinished),
             verdict: AtomicU8::new(if runs { JOB_RUNNING } else { JOB_COMPLETED }),
-            delivered: AtomicBool::new(!runs),
+            delivered: AtomicBool::new(false),
             inputs: new.inputs,
             edge_count: g.edge_count(),
             started: new.started,
-            slot: Mutex::new(DoneSlot { report, on_settle }),
+            slot: Mutex::new(DoneSlot {
+                report: None,
+                on_settle: new.on_settle,
+            }),
             done_cv: Condvar::new(),
-            sources: source_indices(g),
+            sources: g.sources(),
             meta: SnapMeta::new(g, new.mode, new.trigger),
             resumed_from: new.resumed_from,
             snap_pending: AtomicU64::new(0),
@@ -304,9 +296,9 @@ impl JobState {
         if snap.result.is_some() || snap.nodes[node].is_some() {
             return;
         }
+        let snap = &mut *snap;
+        task.read_counts(&mut snap.per_edge_data, &mut snap.per_edge_dummies);
         for port in &task.outs {
-            snap.per_edge_data[port.edge as usize] = port.data;
-            snap.per_edge_dummies[port.edge as usize] = port.dummies;
             // An EOS-queued producer with an empty staging queue has
             // delivered its EOS marker; consumers never pop EOS, so it is
             // part of the channel state and must survive the restore.
@@ -314,49 +306,50 @@ impl JobState {
                 snap.channels[port.edge as usize].push(Message::Eos);
             }
         }
-        snap.nodes[node] = Some(NodeSnapshot {
-            gaps: task.wrapper.gaps().to_vec(),
-            next_source_seq: task.next_source_seq,
-            eos_queued: task.eos_queued,
-            done: task.done,
-            firings: task.firings,
-            sink_firings: task.sink_firings,
-            staged: {
-                // Flatten staged containers to the per-message `FILASNAP`
-                // wire form so batched snapshots restore anywhere.
-                let mut staged = Vec::new();
-                for port in &task.outs {
-                    port.queue.for_each(&mut |m| staged.push((port.edge, m)));
-                }
-                staged
-            },
-        });
+        snap.nodes[node] = Some(task.capture());
         snap.remaining -= 1;
         if snap.remaining == 0 {
-            let nodes: Vec<NodeSnapshot> = snap
+            let nodes = snap
                 .nodes
                 .iter_mut()
                 .map(|n| n.take().expect("every task contributed"))
                 .collect();
-            let steps = nodes.iter().map(|n| n.firings).sum();
-            let sink_firings = nodes.iter().map(|n| n.sink_firings).sum();
-            snap.result = Some(Ok(Box::new(JobSnapshot {
-                version: SNAPSHOT_VERSION,
-                labeled_topology: self.meta.labeled_topology,
-                fingerprint: None,
-                filter_signature: None,
-                plan_digest: self.meta.plan_digest,
-                trigger: self.meta.trigger,
-                inputs: self.inputs,
-                steps,
-                sink_firings,
-                per_edge_data: std::mem::take(&mut snap.per_edge_data),
-                per_edge_dummies: std::mem::take(&mut snap.per_edge_dummies),
-                channels: std::mem::take(&mut snap.channels),
+            snap.result = Some(Ok(Box::new(self.snapshot(
                 nodes,
-            })));
+                std::mem::take(&mut snap.per_edge_data),
+                std::mem::take(&mut snap.per_edge_dummies),
+                std::mem::take(&mut snap.channels),
+            ))));
             self.snap_pending.store(0, Ordering::Release);
             self.snap_cv.notify_all();
+        }
+    }
+
+    /// Stamps `nodes` and the job-level tables with this job's snapshot
+    /// identity: the one [`JobSnapshot`] header, for an aligned cut's last
+    /// contributor and for a wreck.  The service-level identity is left for
+    /// the service to stamp.
+    fn snapshot(
+        &self,
+        nodes: Vec<NodeSnapshot>,
+        per_edge_data: Vec<u64>,
+        per_edge_dummies: Vec<u64>,
+        channels: Vec<Vec<Message>>,
+    ) -> JobSnapshot {
+        JobSnapshot {
+            version: SNAPSHOT_VERSION,
+            labeled_topology: self.meta.labeled_topology,
+            fingerprint: None,
+            filter_signature: None,
+            plan_digest: self.meta.plan_digest,
+            trigger: self.meta.trigger,
+            inputs: self.inputs,
+            steps: nodes.iter().map(|n| n.firings).sum(),
+            sink_firings: nodes.iter().map(|n| n.sink_firings).sum(),
+            per_edge_data,
+            per_edge_dummies,
+            channels,
+            nodes,
         }
     }
 }
@@ -398,13 +391,6 @@ impl task::SnapSink for JobSnapSink<'_> {
         }
         self.job.contribute(self.node, task);
     }
-}
-
-fn source_indices(g: &Graph) -> Vec<usize> {
-    g.node_ids()
-        .filter(|&n| g.in_degree(n) == 0)
-        .map(|n| n.index())
-        .collect()
 }
 
 struct DoneSlot {
@@ -515,7 +501,7 @@ impl JobHandle {
             let guards: Vec<_> = job
                 .sources
                 .iter()
-                .map(|&s| lock(&job.tasks[s]))
+                .map(|s| lock(&job.tasks[s.index()]))
                 .collect();
             let barrier = guards
                 .iter()
@@ -545,12 +531,7 @@ impl JobHandle {
             }
             let mut task = lock(&job.tasks[node]);
             let task = &mut *task;
-            if task.snap_epoch != epoch
-                && (task.done
-                    || task.eos_queued
-                    || (task.is_source
-                        && task.staged == 0
-                        && task.next_source_seq >= job.snap_barrier.load(Ordering::SeqCst)))
+            if task.snap_epoch != epoch && task.aligned_at(job.snap_barrier.load(Ordering::SeqCst))
             {
                 task.snap_epoch = epoch;
                 job.contribute(node, task);
@@ -607,38 +588,19 @@ impl JobHandle {
         let mut per_edge_data = vec![0; job.edge_count];
         let mut per_edge_dummies = vec![0; job.edge_count];
         let mut channels = vec![Vec::new(); job.edge_count];
-        let nodes: Vec<NodeSnapshot> = job
+        let nodes = job
             .tasks
             .iter()
             .map(|task| {
                 // Tolerate poisoning: the panicked task's mutex is poisoned
                 // but its state (and its rings) are still meaningful.
                 let mut task = lock(task);
-                task::capture_wreck(
-                    &mut task,
-                    &mut per_edge_data,
-                    &mut per_edge_dummies,
-                    &mut channels,
-                )
+                task.read_counts(&mut per_edge_data, &mut per_edge_dummies);
+                task.drain_inputs(&mut channels);
+                task.capture()
             })
             .collect();
-        let steps = nodes.iter().map(|n| n.firings).sum();
-        let sink_firings = nodes.iter().map(|n| n.sink_firings).sum();
-        Ok(JobSnapshot {
-            version: SNAPSHOT_VERSION,
-            labeled_topology: job.meta.labeled_topology,
-            fingerprint: None,
-            filter_signature: None,
-            plan_digest: job.meta.plan_digest,
-            trigger: job.meta.trigger,
-            inputs: job.inputs,
-            steps,
-            sink_firings,
-            per_edge_data,
-            per_edge_dummies,
-            channels,
-            nodes,
-        })
+        Ok(job.snapshot(nodes, per_edge_data, per_edge_dummies, channels))
     }
 
     /// Samples the job's cumulative traffic counters while it keeps
@@ -656,10 +618,7 @@ impl JobHandle {
         for (idx, task) in job.tasks.iter().enumerate() {
             let task = lock(task);
             obs.per_node_firings[idx] = task.firings;
-            for port in &task.outs {
-                obs.per_edge_data[port.edge as usize] = port.data;
-                obs.per_edge_dummies[port.edge as usize] = port.dummies;
-            }
+            task.read_counts(&mut obs.per_edge_data, &mut obs.per_edge_dummies);
         }
         obs
     }
@@ -713,8 +672,7 @@ struct PoolCore {
     live: Mutex<Vec<Arc<JobState>>>,
     batch: u32,
     /// Container batching mode stamped on every submitted job's rings
-    /// (default [`Batching::default`]; `Scalar` = one message per
-    /// container).
+    /// (default [`Batching::default`]).
     batching: Batching,
     /// The pool-wide fault-injection schedule (`None` in production).
     faults: Option<Arc<FaultPlan>>,
@@ -897,84 +855,8 @@ impl SharedPool {
         snapshot.validate_for(topology, &mode, trigger)?;
         let started = Instant::now();
         let mut tasks = task::build_tasks(topology, &mode, trigger, self.core.batching);
-        for (idx, task) in tasks.iter_mut().enumerate() {
-            let node = &snapshot.nodes[idx];
-            task.next_source_seq = node.next_source_seq;
-            task.eos_queued = node.eos_queued;
-            task.done = node.done;
-            task.firings = node.firings;
-            task.sink_firings = node.sink_firings;
-            task.wrapper.restore_gaps(&node.gaps);
-            for port in &mut task.outs {
-                port.data = snapshot.per_edge_data[port.edge as usize];
-                port.dummies = snapshot.per_edge_dummies[port.edge as usize];
-                // Re-pack the wire-form channel into containers as the run
-                // loops would have staged it (grouping is unobservable: a
-                // capture flattens containers back to messages).
-                // `validate_for` bounds channel lengths by ring capacity,
-                // but a hostile/corrupted blob must degrade to a typed
-                // error, never a panic on the restore path.
-                let mut ship = |container: Batch| {
-                    port.tx.push(container).map_err(|_| {
-                        RestoreError::Corrupted("restored channel overflows ring capacity".into())
-                    })
-                };
-                let mut open: Option<Batch> = None;
-                for &message in &snapshot.channels[port.edge as usize] {
-                    let refused = match &mut open {
-                        Some(batch) => batch.try_push(port.limit, message).err(),
-                        None => Some(message),
-                    };
-                    if let Some(message) = refused {
-                        if let Some(full) = open.replace(Batch::from_message(message)) {
-                            ship(full)?;
-                        }
-                    }
-                }
-                if let Some(last) = open {
-                    ship(last)?;
-                }
-            }
-            for &(edge, message) in &node.staged {
-                let port = match task.outs.iter_mut().find(|p| p.edge == edge) {
-                    Some(port) => port,
-                    None => {
-                        return Err(RestoreError::Corrupted(
-                            "staged message on an edge the node does not produce".into(),
-                        ))
-                    }
-                };
-                // Re-pack the wire-form staged list (per-port, in order)
-                // into containers.  No limit here: a batched capture may
-                // have staged more messages than this engine's per-push
-                // limit, and delivery re-splits by ring space anyway.
-                let use_second = port.queue.second.is_some();
-                let slot = if use_second {
-                    &mut port.queue.second
-                } else {
-                    &mut port.queue.first
-                };
-                let rejected = match slot {
-                    Some(batch) => batch.try_push(usize::MAX, message).is_err(),
-                    None => {
-                        *slot = Some(Batch::from_message(message));
-                        false
-                    }
-                };
-                if rejected {
-                    // Out of sequence order within the open container: the
-                    // capture engines never produce this mid-port, so at
-                    // most one fresh container absorbs it (data-then-dummy
-                    // boundaries); anything further is a corrupted blob.
-                    if use_second {
-                        return Err(RestoreError::Corrupted(
-                            "staged messages out of sequence order".into(),
-                        ));
-                    }
-                    port.queue.second = Some(Batch::from_message(message));
-                }
-                task.staged += 1;
-            }
+        for (task, node) in tasks.iter_mut().zip(&snapshot.nodes) {
+            task.restore(node, snapshot)?;
         }
         // Done tasks retire themselves on their first run; a snapshot that
         // caught every node done settles synchronously.
@@ -1053,9 +935,10 @@ impl PoolCore {
         (serial, arm)
     }
 
-    /// Builds the job and, unless it settled on the spot, registers it and
-    /// seeds every task once — one injector batch, at most one unpark; from
-    /// then on the job is scheduled purely by channel events.
+    /// Builds the job and registers it and seeds every task once — one
+    /// injector batch, at most one unpark; from then on the job is
+    /// scheduled purely by channel events — unless it has nothing to run:
+    /// then it settles right here, synchronously, like any other job.
     fn launch(self: &Arc<Self>, new: NewJob<'_>) -> JobHandle {
         let job = Arc::new(JobState::new(self, new));
         if job.verdict.load(Ordering::SeqCst) == JOB_RUNNING {
@@ -1065,6 +948,8 @@ impl PoolCore {
                     job: Arc::clone(&job),
                     node,
                 }));
+        } else {
+            self.deliver(&job);
         }
         JobHandle {
             job,

@@ -21,7 +21,7 @@
 //! consumption of RLE dummy runs with the wrapper's run arithmetic, one
 //! producer-wake check per input per run, and one ring push per staged
 //! container.  "Scalar" execution is a container limit of one message
-//! ([`Batching::Scalar`]), not a second code path.
+//! (`Batching::Messages(1)`), not a second code path.
 //!
 //! A single-input node — any out-degree — is accepted a run at a time
 //! ([`interior_run`]).  The run is the dummy run or the data prefix at the
@@ -49,7 +49,7 @@ use std::sync::Mutex;
 
 use fila_graph::NodeId;
 
-use crate::checkpoint::NodeSnapshot;
+use crate::checkpoint::{JobSnapshot, NodeSnapshot, RestoreError};
 use crate::container::{Batch, Batching, ConsumeMsgs, Container, DeliverMsgs, Run};
 use crate::message::{Message, Payload};
 use crate::node::{FireInput, NodeBehavior};
@@ -84,21 +84,29 @@ impl Stage {
     /// staging by `limit` *before* accepting, so the overflow chain never
     /// exceeds two containers.
     pub(crate) fn stage(&mut self, limit: usize, m: Message) {
+        if self.try_stage(limit, m).is_err() {
+            unreachable!("staging past the bounded overflow container");
+        }
+    }
+
+    /// [`Stage::stage`] for a caller that cannot vouch for the bound
+    /// ([`Task::restore`], fed from a blob): hands the message back when the
+    /// second container refuses it too.
+    #[inline]
+    fn try_stage(&mut self, limit: usize, m: Message) -> Result<(), Message> {
         let m = if let Some(c) = &mut self.second {
-            match c.try_push(limit, m) {
-                Ok(()) => return,
-                Err(_) => unreachable!("staging past the bounded overflow container"),
-            }
+            return c.try_push(limit, m);
         } else if let Some(c) = &mut self.first {
             match c.try_push(limit, m) {
-                Ok(()) => return,
+                Ok(()) => return Ok(()),
                 Err(m) => m,
             }
         } else {
             self.first = Some(Batch::from_message(m));
-            return;
+            return Ok(());
         };
         self.second = Some(Batch::from_message(m));
+        Ok(())
     }
 
     /// The newest staged container (opened if nothing is staged): where a
@@ -198,6 +206,136 @@ impl Task {
     pub(crate) fn delivered(&self) -> u64 {
         self.outs.iter().map(|p| p.data + p.dummies).sum()
     }
+
+    /// True if the task is *already aligned* with a snapshot barrier at
+    /// sequence number `barrier` without consuming anything further: it is
+    /// done, has queued its EOS markers (both mean its remaining work
+    /// touches no pre-barrier sequence number), or is a source whose cursor
+    /// reached the barrier **with nothing left in its staging queues** —
+    /// staged pre-barrier messages must be delivered (and counted at the
+    /// consumer's own alignment) before the source's counters are frozen,
+    /// or the restore would re-deliver them to a consumer that already
+    /// processed them.
+    pub(crate) fn aligned_at(&self, barrier: u64) -> bool {
+        self.done
+            || self.eos_queued
+            || (self.is_source && self.staged == 0 && self.next_source_seq >= barrier)
+    }
+
+    /// Writes the delivery counters of this task's outputs into the dense
+    /// per-edge tables.  Every edge has exactly one producer, so one pass
+    /// over a job's tasks fills both tables.
+    pub(crate) fn read_counts(&self, per_edge_data: &mut [u64], per_edge_dummies: &mut [u64]) {
+        for port in &self.outs {
+            per_edge_data[port.edge as usize] = port.data;
+            per_edge_dummies[port.edge as usize] = port.dummies;
+        }
+    }
+
+    /// The node-local half of a snapshot: progress flags and counters, the
+    /// wrapper's gaps and whatever is staged.  The job-level half — the
+    /// per-edge counters ([`Task::read_counts`]) and the channel contents —
+    /// is the caller's: an aligned barrier cut infers it, a wreck drains it
+    /// ([`Task::drain_inputs`]).  [`Task::restore`] is the inverse.
+    pub(crate) fn capture(&self) -> NodeSnapshot {
+        // Flatten staged containers to the per-message `FILASNAP` wire form
+        // so batched snapshots restore anywhere.
+        let mut staged = Vec::new();
+        for port in &self.outs {
+            port.queue.for_each(&mut |m| staged.push((port.edge, m)));
+        }
+        NodeSnapshot {
+            gaps: self.wrapper.gaps().to_vec(),
+            next_source_seq: self.next_source_seq,
+            eos_queued: self.eos_queued,
+            done: self.done,
+            firings: self.firings,
+            sink_firings: self.sink_firings,
+            staged,
+        }
+    }
+
+    /// Puts a freshly built task back where `node` was captured
+    /// ([`Task::capture`]), with its outputs' share of `cut`'s job-level
+    /// state: delivery counters and the channels it produces into.  `cut`
+    /// has passed [`JobSnapshot::validate_for`].
+    pub(crate) fn restore(
+        &mut self,
+        node: &NodeSnapshot,
+        cut: &JobSnapshot,
+    ) -> Result<(), RestoreError> {
+        self.next_source_seq = node.next_source_seq;
+        self.eos_queued = node.eos_queued;
+        self.done = node.done;
+        self.firings = node.firings;
+        self.sink_firings = node.sink_firings;
+        self.wrapper.restore_gaps(&node.gaps);
+        for port in &mut self.outs {
+            port.data = cut.per_edge_data[port.edge as usize];
+            port.dummies = cut.per_edge_dummies[port.edge as usize];
+            // Re-pack the wire-form channel into containers as the run
+            // loops would have staged it (grouping is unobservable: a
+            // capture flattens containers back to messages).
+            // `validate_for` bounds channel lengths by ring capacity,
+            // but a hostile/corrupted blob must degrade to a typed
+            // error, never a panic on the restore path.
+            let mut ship = |container: Batch| {
+                port.tx.push(container).map_err(|_| {
+                    RestoreError::Corrupted("restored channel overflows ring capacity".into())
+                })
+            };
+            let mut open: Option<Batch> = None;
+            for &message in &cut.channels[port.edge as usize] {
+                let refused = match &mut open {
+                    Some(batch) => batch.try_push(port.limit, message).err(),
+                    None => Some(message),
+                };
+                if let Some(message) = refused {
+                    if let Some(full) = open.replace(Batch::from_message(message)) {
+                        ship(full)?;
+                    }
+                }
+            }
+            if let Some(last) = open {
+                ship(last)?;
+            }
+        }
+        for &(edge, message) in &node.staged {
+            let Some(port) = self.outs.iter_mut().find(|p| p.edge == edge) else {
+                return Err(RestoreError::Corrupted(
+                    "staged message on an edge the node does not produce".into(),
+                ));
+            };
+            // Re-pack the wire-form staged list (per-port, in order) into
+            // containers.  No limit here: a batched capture may have staged
+            // more messages than this engine's per-push limit, and delivery
+            // re-splits by ring space anyway.  A message out of sequence
+            // order within the open container: the capture engines never
+            // produce this mid-port, so at most one fresh container absorbs
+            // it (data-then-dummy boundaries); anything further is a
+            // corrupted blob.
+            port.queue.try_stage(usize::MAX, message).map_err(|_| {
+                RestoreError::Corrupted("staged messages out of sequence order".into())
+            })?;
+            self.staged += 1;
+        }
+        Ok(())
+    }
+
+    /// The wreck half of [`JobHandle::salvage`](crate::JobHandle::salvage):
+    /// drains this task's *input* rings (containers flattened back to
+    /// messages) into the per-edge channel buffers.  Unlike the aligned
+    /// barrier capture no EOS is inferred: a delivered EOS marker is still
+    /// sitting in the consumer's ring (consumers never pop EOS) and is
+    /// captured literally by the drain.
+    pub(crate) fn drain_inputs(&mut self, channels: &mut [Vec<Message>]) {
+        for port in &mut self.ins {
+            let buf = &mut channels[port.edge as usize];
+            while let Some(container) = port.rx.pop() {
+                container.for_each(&mut |m| buf.push(m));
+            }
+        }
+    }
 }
 
 /// A pending barrier snapshot, as seen from inside [`run_task`].
@@ -214,23 +352,14 @@ pub(crate) trait SnapSink {
     fn contribute(&self, task: &mut Task);
 }
 
-/// Contributes `task` to a pending snapshot if it is *already aligned*
-/// without consuming anything further: it is done, has queued its EOS
-/// markers (both mean its remaining work touches no pre-barrier sequence
-/// number), or is a source whose cursor reached the barrier **with nothing
-/// left in its staging queues** — staged pre-barrier messages must be
-/// delivered (and counted at the consumer's own alignment) before the
-/// source's counters are frozen, or the restore would re-deliver them to a
-/// consumer that already processed them.  Tasks aligned mid-stream are
-/// caught by the acceptance-time check in [`interior_run`] instead.
+/// Contributes `task` to a pending snapshot if it is already aligned
+/// ([`Task::aligned_at`]).  Tasks aligned mid-stream are caught by the
+/// acceptance-time check in [`interior_run`] instead.
 fn contribute_if_aligned(task: &mut Task, snap: Option<&dyn SnapSink>) {
     let Some((snap, epoch)) = uncontributed(task, snap) else {
         return;
     };
-    if task.done
-        || task.eos_queued
-        || (task.is_source && task.staged == 0 && task.next_source_seq >= snap.barrier())
-    {
+    if task.aligned_at(snap.barrier()) {
         task.snap_epoch = epoch;
         snap.contribute(task);
     }
@@ -245,50 +374,6 @@ fn uncontributed<'a>(
     let snap = snap?;
     let epoch = snap.pending();
     (epoch != 0 && task.snap_epoch != epoch).then_some((snap, epoch))
-}
-
-/// Destructively captures a task's **verbatim** final state for a wreck
-/// snapshot ([`crate::shared_pool::JobHandle::salvage`]): out-port delivery
-/// counters, staged messages, wrapper gaps, and — unlike the aligned
-/// barrier capture in [`SnapSink::contribute`] — the task's *input* rings,
-/// drained (containers flattened back to messages) into the per-edge
-/// channel buffers.  No EOS is inferred: a delivered EOS marker is still
-/// sitting in the consumer's ring (consumers never pop EOS) and is captured
-/// literally by the drain.
-///
-/// The result is not a consistent cut: a job that died mid-flight has
-/// tasks at unrelated sequence numbers.  It is exactly the raw material a
-/// partial restart splices against a consistent base snapshot
-/// ([`crate::checkpoint::JobSnapshot::splice_downstream`]).
-pub(crate) fn capture_wreck(
-    task: &mut Task,
-    per_edge_data: &mut [u64],
-    per_edge_dummies: &mut [u64],
-    channels: &mut [Vec<Message>],
-) -> NodeSnapshot {
-    for port in &task.outs {
-        per_edge_data[port.edge as usize] = port.data;
-        per_edge_dummies[port.edge as usize] = port.dummies;
-    }
-    for port in &mut task.ins {
-        let buf = &mut channels[port.edge as usize];
-        while let Some(container) = port.rx.pop() {
-            container.for_each(&mut |m| buf.push(m));
-        }
-    }
-    let mut staged = Vec::new();
-    for port in &task.outs {
-        port.queue.for_each(&mut |m| staged.push((port.edge, m)));
-    }
-    NodeSnapshot {
-        gaps: task.wrapper.gaps().to_vec(),
-        next_source_seq: task.next_source_seq,
-        eos_queued: task.eos_queued,
-        done: task.done,
-        firings: task.firings,
-        sink_firings: task.sink_firings,
-        staged,
-    }
 }
 
 /// What a task run ended with.
@@ -916,10 +1001,7 @@ pub(crate) fn assemble_report(
         report.steps += task.firings;
         report.per_node_firings[idx] = task.firings;
         report.sink_firings += task.sink_firings;
-        for port in &task.outs {
-            report.per_edge_data[port.edge as usize] = port.data;
-            report.per_edge_dummies[port.edge as usize] = port.dummies;
-        }
+        task.read_counts(&mut report.per_edge_data, &mut report.per_edge_dummies);
         if deadlocked && !task.done {
             if let Some(reason) = task.blocked_on() {
                 report.blocked.push(BlockedInfo {
@@ -1100,7 +1182,7 @@ mod tests {
     }
 
     const MODES: [Batching; 5] = [
-        Batching::Scalar,
+        Batching::Messages(1),
         Batching::Messages(1),
         Batching::Messages(4),
         Batching::Messages(64),
@@ -1133,7 +1215,7 @@ mod tests {
                 let (_, uninterrupted) = run(&case(Batching::default(), 64, None));
                 for barrier in 0..=130 {
                     let what = format!("fan {fan} {mode:?}/{trigger:?} barrier {barrier}");
-                    let (reference, _) = run(&case(Batching::Scalar, 1, Some(barrier)));
+                    let (reference, _) = run(&case(Batching::Messages(1), 1, Some(barrier)));
                     assert_eq!(reference.len(), if fan == 0 { 4 } else { 5 }, "{what}");
                     for (input, node, delivered) in &reference[1..] {
                         // Exactly the pre-barrier prefix, fired and delivered.

@@ -35,17 +35,15 @@
 //! provenance — never a silent hang or a fabricated verdict.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 use std::time::Duration;
 
-use fila_avoidance::{filter_signature, observed_periods};
+use fila_avoidance::observed_periods;
+use fila_graph::topo::reachable_from;
 use fila_graph::NodeId;
-use fila_runtime::telemetry::{EventKind, TelemetryHandle, CONTROL_LANE};
-use fila_runtime::{
-    checkpoint, AvoidanceMode, JobSnapshot, JobVerdict, SnapshotError, SwapToken,
-};
+use fila_runtime::telemetry::{EventKind, TelemetryHandle};
+use fila_runtime::{JobSnapshot, JobVerdict, SnapshotError};
 
-use crate::service::{JobOutcome, JobService, JobTicket, RejectReason};
+use crate::service::{JobOutcome, JobService, JobTicket, Origin, RejectReason};
 use crate::spec::{AvoidanceChoice, JobSpec};
 use crate::stats::Counters;
 
@@ -212,9 +210,7 @@ impl JobService {
     ) -> Result<RecoveryOutcome, RejectReason> {
         let every_n = checkpoints.every_n_inputs.max(1);
         let max_snapshots = checkpoints.max_snapshots.max(1);
-        let max_attempts = policy.max_attempts.max(1);
         let sources: Vec<usize> = spec.graph.sources().iter().map(|n| n.index()).collect();
-        let declared = spec.filters.periods(&spec.graph);
 
         let mut ticket = self.submit(spec.clone())?;
         let mut stored: VecDeque<Vec<u8>> = VecDeque::new();
@@ -279,7 +275,6 @@ impl JobService {
                     report.midbarrier_crash = true;
                 }
             }
-            let failed_node = ticket.handle.failed_node();
             let wreck = ticket.handle.salvage().ok();
             let restore_corrupted = ticket
                 .handle
@@ -293,9 +288,8 @@ impl JobService {
             };
             let mut last_error = String::from("job failed with no snapshot to restore");
             for rung in rungs {
-                // Flight-recorder span for this rung attempt, on the
-                // control lane (the supervisor is not a pool worker):
-                // arg 0 = full restore, 1 = partial restart, 2 = genesis.
+                // Flight-recorder span for this rung attempt; its arg is
+                // the rung's code.
                 let rung_t0 = self.telemetry.as_ref().map(TelemetryHandle::now_ns);
                 let attempt = match rung {
                     Rung::Full => self.rung_full_restore(
@@ -303,38 +297,19 @@ impl JobService {
                         &mut stored,
                         restore_corrupted,
                         policy,
-                        max_attempts,
                         &mut report,
                     ),
                     Rung::Partial => self.rung_partial_restart(
                         spec,
-                        &declared,
                         &stored,
-                        failed_node,
+                        &ticket,
                         wreck.as_ref(),
                         policy,
-                        max_attempts,
                         &mut report,
                     ),
-                    Rung::Genesis => {
-                        self.rung_genesis(spec, policy, max_attempts, &mut report)
-                    }
+                    Rung::Genesis => self.rung_genesis(spec, policy, &mut report),
                 };
-                if let (Some(telemetry), Some(t0)) = (self.telemetry.as_ref(), rung_t0) {
-                    let code = match rung {
-                        Rung::Full => 0,
-                        Rung::Partial => 1,
-                        Rung::Genesis => 2,
-                    };
-                    telemetry.span(
-                        CONTROL_LANE,
-                        EventKind::RecoveryRung,
-                        u64::MAX,
-                        u32::MAX,
-                        t0,
-                        code,
-                    );
-                }
+                self.control_span(EventKind::RecoveryRung, rung_t0, rung as u64);
                 match attempt {
                     Ok(Some(new_ticket)) => {
                         recovered = true;
@@ -372,13 +347,8 @@ impl JobService {
     /// One ladder attempt's bookkeeping: backoff (exponential in the
     /// global attempt number, capped), count it, and check the budget.
     /// Returns `false` if the budget is exhausted.
-    fn pay_for_attempt(
-        &self,
-        policy: &RecoveryPolicy,
-        max_attempts: u32,
-        report: &mut RecoveryReport,
-    ) -> bool {
-        if report.attempts >= max_attempts {
+    fn pay_for_attempt(&self, policy: &RecoveryPolicy, report: &mut RecoveryReport) -> bool {
+        if report.attempts >= policy.max_attempts.max(1) {
             return false;
         }
         let exp = report.attempts.min(16);
@@ -398,14 +368,12 @@ impl JobService {
     /// admission attempts (a resume can fail transiently — saturation —
     /// or permanently — plan drift).  `Ok(Some)` = job resumed; `Ok(None)`
     /// = rung exhausted its snapshots; `Err` = attempt budget exhausted.
-    #[allow(clippy::too_many_arguments)]
     fn rung_full_restore(
         &self,
         spec: &JobSpec,
         stored: &mut VecDeque<Vec<u8>>,
         mut doctor_prefill: bool,
         policy: &RecoveryPolicy,
-        max_attempts: u32,
         report: &mut RecoveryReport,
     ) -> Result<Option<JobTicket>, String> {
         // Newest first; decode failures drop the blob for good.
@@ -430,7 +398,7 @@ impl JobService {
                     (0..over).map(|s| fila_runtime::Message::Dummy { seq: s }).collect();
             }
             for _ in 0..2 {
-                if !self.pay_for_attempt(policy, max_attempts, report) {
+                if !self.pay_for_attempt(policy, report) {
                     return Err("attempt budget exhausted during full restore".into());
                 }
                 match self.resume_job(spec.clone(), &snapshot) {
@@ -447,19 +415,17 @@ impl JobService {
     /// (rolled back to the newest consistent cut) against the salvaged
     /// wreck, gate on the mode's divergence budget, re-certify the
     /// *observed* filter profile, and stage through the swap-token resume.
-    #[allow(clippy::too_many_arguments)]
+    /// `dead` is the crashed incarnation's ticket.
     fn rung_partial_restart(
         &self,
         spec: &JobSpec,
-        declared: &[u64],
         stored: &VecDeque<Vec<u8>>,
-        failed_node: Option<u32>,
+        dead: &JobTicket,
         wreck: Option<&JobSnapshot>,
         policy: &RecoveryPolicy,
-        max_attempts: u32,
         report: &mut RecoveryReport,
     ) -> Result<Option<JobTicket>, String> {
-        let (Some(failed), Some(wreck)) = (failed_node, wreck) else {
+        let (Some(failed), Some(wreck)) = (dead.handle.failed_node(), wreck) else {
             return Ok(None);
         };
         // Newest decodable cut is the rollback base.
@@ -474,24 +440,13 @@ impl JobService {
         // The cone: the failed node plus everything downstream of it
         // (downstream-closed by construction).
         let g = &spec.graph;
-        let mut cone = vec![false; g.node_count()];
-        let mut frontier = vec![NodeId::from_raw(failed)];
-        cone[failed as usize] = true;
-        while let Some(node) = frontier.pop() {
-            for &e in g.out_edges(node) {
-                let head = g.head(e);
-                if !cone[head.index()] {
-                    cone[head.index()] = true;
-                    frontier.push(head);
-                }
-            }
-        }
+        let cone = reachable_from(g, NodeId::from_raw(failed));
         let cone_edges: Vec<(bool, bool)> = g
             .edge_ids()
             .map(|e| (cone[g.tail(e).index()], cone[g.head(e).index()]))
             .collect();
 
-        let (mut spliced, divergence) =
+        let (spliced, divergence) =
             match JobSnapshot::splice_downstream(&base, wreck, &cone, &cone_edges) {
                 Ok(spliced) => spliced,
                 Err(_) => return Ok(None),
@@ -513,72 +468,32 @@ impl JobService {
         // wreck's counters — what the upstream actually filtered), not the
         // declaration: the restart must be provably gap-safe for the
         // traffic it resumes into.
+        let declared = spec.filters.periods(g);
         let per_node_firings: Vec<u64> = wreck.nodes.iter().map(|n| n.firings).collect();
-        let observed = observed_periods(g, declared, &per_node_firings, &wreck.per_edge_data);
-        let mode = match spec.avoidance {
-            AvoidanceChoice::Disabled => AvoidanceMode::Disabled,
+        let observed = observed_periods(g, &declared, &per_node_firings, &wreck.per_edge_data);
+        let certified = match spec.avoidance {
+            AvoidanceChoice::Disabled => None,
             AvoidanceChoice::Planned(requested) => {
-                let certified = match self.cache.certify(
-                    g,
-                    requested,
-                    self.config.rounding,
-                    self.config.cycle_bound,
-                    &observed,
-                ) {
-                    Ok(certified) => certified,
+                match self.recertify(spec, requested, self.config.cycle_bound, &observed) {
+                    Ok(certified) => Some(certified),
                     Err(_) => return Ok(None), // nothing certifies: refuse
-                };
-                AvoidanceMode::Plan(Arc::clone(&certified.plan))
+                }
             }
         };
 
-        if !self.pay_for_attempt(policy, max_attempts, report) {
+        if !self.pay_for_attempt(policy, report) {
             return Err("attempt budget exhausted during partial restart".into());
         }
-        if self.reserve_slot().is_err() {
+        let Ok(slot) = self.reserve_slot() else {
             return Ok(None);
-        }
-        let token = SwapToken {
-            from: spliced.plan_digest,
-            to: checkpoint::plan_digest(&mode),
         };
-        let structural = fila_graph::fingerprint::fingerprint(g);
-        let signature = filter_signature(declared);
-        spliced.fingerprint = Some(structural.0);
-        spliced.filter_signature = Some(signature);
-        let topology = spec.topology();
-        let handle = match self.pool.resume_swapped(
-            &topology,
-            mode,
-            self.config.trigger,
-            &spliced,
-            token,
-            Some(self.settle_hook()),
-        ) {
-            Ok(handle) => handle,
-            Err(_) => {
-                self.in_flight
-                    .fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
-                return Ok(None);
-            }
+        let identity = (Some(dead.fingerprint), dead.filter_signature);
+        let origin = Origin::Swap(&spliced);
+        let Ok(ticket) = self.start(spec, certified.as_ref(), identity, origin, slot) else {
+            return Ok(None);
         };
-        Counters::bump(&self.counters.admitted);
-        Counters::bump(&self.counters.restores);
         report.divergence = report.divergence.max(divergence.data);
-        Ok(Some(JobTicket {
-            handle,
-            fingerprint: structural,
-            cache_hit: None,
-            algorithm: match spec.avoidance {
-                AvoidanceChoice::Disabled => None,
-                AvoidanceChoice::Planned(algorithm) => Some(algorithm),
-            },
-            fell_back: false,
-            plan_time: Duration::ZERO,
-            certify_time: Duration::ZERO,
-            filter_signature: signature,
-            resumed_from: Some(spliced.steps),
-        }))
+        Ok(Some(ticket))
     }
 
     /// Rung: resubmit from scratch.  Always exact; always loses the dead
@@ -587,11 +502,10 @@ impl JobService {
         &self,
         spec: &JobSpec,
         policy: &RecoveryPolicy,
-        max_attempts: u32,
         report: &mut RecoveryReport,
     ) -> Result<Option<JobTicket>, String> {
         loop {
-            if !self.pay_for_attempt(policy, max_attempts, report) {
+            if !self.pay_for_attempt(policy, report) {
                 return Err("attempt budget exhausted during genesis resubmission".into());
             }
             match self.submit(spec.clone()) {
@@ -603,12 +517,13 @@ impl JobService {
     }
 }
 
-/// The three rungs of the ladder (order depends on [`RecoveryMode`]).
+/// The three rungs of the ladder (order depends on [`RecoveryMode`]), each
+/// with the code its flight-recorder span carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Rung {
-    Full,
-    Partial,
-    Genesis,
+    Full = 0,
+    Partial = 1,
+    Genesis = 2,
 }
 
 /// The job's slowest-source emission count — the auto-checkpoint clock.
@@ -626,8 +541,10 @@ mod tests {
     use super::*;
     use crate::spec::FilterSpec;
     use crate::ServiceConfig;
+    use fila_avoidance::Algorithm;
     use fila_graph::GraphBuilder;
     use fila_runtime::FaultPlan;
+    use std::sync::Arc;
 
     fn pipeline(n: usize, cap: u64) -> fila_graph::Graph {
         let names: Vec<String> = (0..n).map(|i| format!("n{i}")).collect();
@@ -705,5 +622,58 @@ mod tests {
                 panic!("ladder exhausted: {last_error} ({report:?})");
             }
         }
+    }
+    #[test]
+    fn a_partial_restart_reports_the_plan_it_runs_under() {
+        // Propagation requested, admitted under the Non-Propagation
+        // fallback (interior recognisers filter).  A partial restart
+        // re-certifies and runs that fallback again, and its ticket must
+        // say so — not echo the request.
+        let (g, periods) = fila_workloads::jobs::interior_filtered_fallback(7);
+        let spec = JobSpec::new(g, FilterSpec::PerNode(periods), 3_000)
+            .avoidance(AvoidanceChoice::Planned(Algorithm::Propagation));
+        let policy = RecoveryPolicy {
+            max_attempts: 32,
+            mode: RecoveryMode::Approximate {
+                max_divergence: 1_000_000,
+            },
+            ..RecoveryPolicy::default()
+        };
+        let checkpoints = CheckpointPolicy {
+            every_n_inputs: 50,
+            max_snapshots: 4,
+        };
+        // Which job serial a seed arms, and whether the crash lands after a
+        // first checkpoint, is the plan's business: take the first seed
+        // whose ladder recovered through the partial rung alone.
+        for seed in 0..200 {
+            let svc = JobService::new(ServiceConfig {
+                workers: 2,
+                faults: Some(Arc::new(FaultPlan::seeded(seed).kill_rate(0.5))),
+                ..ServiceConfig::default()
+            });
+            let Ok(RecoveryOutcome::Recovered { outcome, report }) =
+                svc.run_recoverable(&spec, &checkpoints, &policy)
+            else {
+                continue;
+            };
+            if !report.partial_restart || report.genesis_restart {
+                continue;
+            }
+            assert_eq!(
+                outcome.algorithm,
+                Some(Algorithm::NonPropagation),
+                "seed {seed}"
+            );
+            assert!(outcome.fell_back, "seed {seed}");
+            assert!(outcome.cache_hit.is_some(), "seed {seed}");
+            // The admission and every re-certification counted, each as
+            // the fallback it was.
+            let stats = svc.stats();
+            assert!(stats.certified >= 2, "seed {seed}: {stats:?}");
+            assert_eq!(stats.fell_back, stats.certified, "seed {seed}: {stats:?}");
+            return;
+        }
+        panic!("no chaos seed in 0..200 recovered through a partial restart");
     }
 }

@@ -7,14 +7,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fila_avoidance::{
-    filter_signature, observed_periods, Algorithm, AvoidancePlan, CertifyError, GraphIdentity,
+    filter_signature, observed_periods, Algorithm, CertifiedCached, CertifyError, GraphIdentity,
     PlanCache, Rounding,
 };
 use fila_graph::Fingerprint;
 use fila_runtime::telemetry::{EventKind, TelemetryHandle, CONTROL_LANE};
 use fila_runtime::{
     checkpoint, AvoidanceMode, ExecutionReport, FaultPlan, JobHandle, JobSnapshot, JobVerdict,
-    PoolOptions, PropagationTrigger, SettleHook, SharedPool, SnapshotError, SwapToken,
+    PoolOptions, PropagationTrigger, RestoreError, SettleHook, SharedPool, SnapshotError,
+    SwapToken,
 };
 
 use crate::drift::{DriftDetector, DriftOffender, DriftPolicy};
@@ -328,25 +329,37 @@ impl AdaptiveOutcome {
     }
 }
 
-/// What the planning/certification step hands to execution for a planned
-/// admission.
-struct PlannedAdmission {
-    plan: Arc<AvoidancePlan>,
-    fingerprint: Fingerprint,
-    hit: bool,
-    algorithm: Algorithm,
-    fell_back: bool,
-    plan_time: Duration,
-    certify_time: Duration,
+/// Where the tasks of an incarnation come from ([`JobService::start`]).
+pub(crate) enum Origin<'a> {
+    /// The spec alone.  Carries the door timestamp of the settle-latency
+    /// histogram (`None` with telemetry off).
+    Fresh(Option<Instant>),
+    /// A snapshot, under the plan it was captured under.
+    Restore(&'a JobSnapshot),
+    /// A snapshot rebased onto a different plan (hot-swap, partial restart).
+    Swap(&'a JobSnapshot),
+}
+
+/// One reserved in-flight slot.  Dropping it releases the slot, so no path
+/// between [`JobService::reserve_slot`] and a failed start can leak one; a
+/// started job's settle hook takes the release over (`start` forgets this).
+pub(crate) struct Slot<'a> {
+    in_flight: &'a AtomicU64,
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// The multi-tenant job service (see the crate docs for the life of a
 /// submission).
 pub struct JobService {
-    pub(crate) pool: SharedPool,
-    pub(crate) cache: PlanCache,
+    pool: SharedPool,
+    cache: PlanCache,
     pub(crate) counters: Arc<Counters>,
-    pub(crate) in_flight: Arc<AtomicU64>,
+    in_flight: Arc<AtomicU64>,
     pub(crate) config: ServiceConfig,
     /// The pool's flight recorder (`None` unless
     /// [`ServiceConfig::telemetry`]).
@@ -435,70 +448,130 @@ impl JobService {
 
         // 1–2. Validation + size cap.
         let periods = self.validate(&spec)?;
+        self.admit(&spec, &periods, None, Origin::Fresh(admitted_at))
+    }
 
+    /// Steps 3–5 of admission, the same for a fresh job and a resumed one.
+    /// `hashed` is the graph's identity if the caller already computed it.
+    fn admit(
+        &self,
+        spec: &JobSpec,
+        periods: &[u64],
+        hashed: Option<GraphIdentity>,
+        origin: Origin<'_>,
+    ) -> Result<JobTicket, RejectReason> {
         // 3. Admission: reserve an in-flight slot BEFORE planning, so a
         // saturated service sheds load without paying planner CPU for
         // submissions it would bounce anyway.  The slot is released by the
-        // pool's settle hook (or below, on a planning failure) — never by
-        // the client, so abandoned tickets cannot leak slots.
-        self.reserve_slot()?;
+        // pool's settle hook (or by the guard, on a planning failure) —
+        // never by the client, so abandoned tickets cannot leak slots.
+        let slot = self.reserve_slot()?;
 
         // 4. Planning — and, by default, certification.
-        let planned = match self.plan_admission(&spec, &periods, None) {
-            Ok(planned) => planned,
-            Err(reason) => {
-                self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                return Err(reason);
-            }
-        };
-        Counters::bump(&self.counters.admitted);
+        let structural = hashed.as_ref().map(|identity| identity.fingerprint);
+        let planned = self.plan_admission(spec, periods, hashed)?;
 
         // 5. Execute on the shared pool.
-        let mode = planned
-            .as_ref()
-            .map(|c| AvoidanceMode::Plan(Arc::clone(&c.plan)))
-            .unwrap_or(AvoidanceMode::Disabled);
-        // Dummy-traffic profiler key: each edge's certified interval (dense,
-        // aligned with edge ids; `INTERVAL_NONE` for never-dummied edges).
-        // Unplanned jobs have no intervals to attribute traffic to.
-        let edge_intervals = match (&self.metrics, &planned) {
-            (Some(_), Some(c)) => Some(
-                spec.graph
-                    .edge_ids()
-                    .map(|e| {
-                        c.plan
-                            .interval(e)
-                            .finite()
-                            .unwrap_or(crate::metrics::INTERVAL_NONE)
-                    })
-                    .collect::<Vec<u64>>(),
-            ),
-            _ => None,
+        let identity = (structural, filter_signature(periods));
+        // A failed start (a resume's, never a fresh job's): the plan this
+        // service certifies for the spec differs from the one the snapshot
+        // was captured under, or the blob is inconsistent.
+        self.start(spec, planned.as_ref(), identity, origin, slot)
+            .map_err(|e| self.restore_mismatch(e.to_string()))
+    }
+
+    /// Puts one incarnation of `spec` on the pool under `plan` (`None` =
+    /// bare): the only caller of the pool's entry points, and the only place
+    /// a reserved slot changes hands, `admitted`/`restores` move and a
+    /// [`JobTicket`] is built — so a ticket reports what the incarnation
+    /// runs under, whichever rung decided it.  `identity` is the job's
+    /// declared `(structural fingerprint, filter signature)`, constant
+    /// across a lineage (the profile `plan` was certified against is not);
+    /// the fingerprint is `None` if nobody computed it yet.  On `Err`
+    /// nothing was scheduled and the slot is released.
+    pub(crate) fn start(
+        &self,
+        spec: &JobSpec,
+        plan: Option<&CertifiedCached>,
+        (hashed, filter_signature): (Option<Fingerprint>, u64),
+        origin: Origin<'_>,
+        slot: Slot<'_>,
+    ) -> Result<JobTicket, RestoreError> {
+        let mode = plan.map_or(AvoidanceMode::Disabled, |c| {
+            AvoidanceMode::Plan(Arc::clone(&c.plan))
+        });
+        let (topology, trigger) = (spec.topology(), self.config.trigger);
+        let (started, resumed_from) = match origin {
+            Origin::Fresh(admitted_at) => {
+                // Dummy-traffic profiler key: each edge's certified interval
+                // (dense, aligned with edge ids; `INTERVAL_NONE` for
+                // never-dummied edges).  Unplanned jobs have no intervals to
+                // attribute traffic to.
+                let edge_intervals = match (&self.metrics, plan) {
+                    (Some(_), Some(c)) => Some(
+                        spec.graph
+                            .edge_ids()
+                            .map(|e| {
+                                c.plan
+                                    .interval(e)
+                                    .finite()
+                                    .unwrap_or(crate::metrics::INTERVAL_NONE)
+                            })
+                            .collect::<Vec<u64>>(),
+                    ),
+                    _ => None,
+                };
+                let hook = self.settle_hook(spec.tenant.clone(), admitted_at, edge_intervals);
+                let handle =
+                    self.pool
+                        .submit_full(&topology, mode, trigger, spec.inputs, Some(hook));
+                (Ok(handle), None)
+            }
+            Origin::Restore(snapshot) => {
+                let hook = self.settle_hook(None, None, None);
+                let resumed = self
+                    .pool
+                    .resume_full(&topology, mode, trigger, snapshot, Some(hook));
+                (resumed, Some(snapshot.steps))
+            }
+            Origin::Swap(snapshot) => {
+                let token = SwapToken {
+                    from: snapshot.plan_digest,
+                    to: checkpoint::plan_digest(&mode),
+                };
+                let hook = self.settle_hook(None, None, None);
+                let resumed =
+                    self.pool
+                        .resume_swapped(&topology, mode, trigger, snapshot, token, Some(hook));
+                (resumed, Some(snapshot.steps))
+            }
         };
-        let topology = spec.topology();
-        let handle = self.pool.submit_full(
-            &topology,
-            mode,
-            self.config.trigger,
-            spec.inputs,
-            Some(self.settle_hook_tagged(spec.tenant.clone(), admitted_at, edge_intervals)),
-        );
-        // Planned submissions reuse the structural fingerprint the cache
-        // already computed; only unplanned jobs hash here.
-        let fingerprint = planned
-            .as_ref()
+        // The error path: the pool dropped the hook unrun, so `?` dropping
+        // the guard is the slot's one release.
+        let handle = started?;
+        // From here the job's settle hook releases the slot.
+        std::mem::forget(slot);
+        Counters::bump(&self.counters.admitted);
+        if resumed_from.is_some() {
+            Counters::bump(&self.counters.restores);
+        }
+        // Planned jobs reuse the structural fingerprint the cache already
+        // computed; only unplanned jobs nobody hashed yet hash here — off
+        // the job's critical path: it is already running.
+        let fingerprint = plan
             .map(|c| c.fingerprint)
+            .or(hashed)
             .unwrap_or_else(|| fila_graph::fingerprint::fingerprint(&spec.graph));
         Ok(JobTicket {
             handle,
             fingerprint,
-            cache_hit: planned.as_ref().map(|c| c.hit),
-            algorithm: planned.as_ref().map(|c| c.algorithm),
-            fell_back: planned.as_ref().is_some_and(|c| c.fell_back),
-            plan_time: planned.as_ref().map(|c| c.plan_time).unwrap_or(Duration::ZERO),
-            certify_time: planned.map(|c| c.certify_time).unwrap_or(Duration::ZERO),
-            filter_signature: filter_signature(&periods),
-            resumed_from: None,
+            cache_hit: plan.map(|c| c.hit),
+            algorithm: plan.map(|c| c.used),
+            fell_back: plan.is_some_and(|c| c.fell_back),
+            plan_time: plan.map_or(Duration::ZERO, |c| c.plan_time),
+            certify_time: plan.map_or(Duration::ZERO, |c| c.certify_time),
+            filter_signature,
+            resumed_from,
         })
     }
 
@@ -548,8 +621,7 @@ impl JobService {
         if snapshot.fingerprint != Some(structural.0)
             || snapshot.filter_signature != Some(signature)
         {
-            Counters::bump(&self.counters.rejected_restore_mismatch);
-            return Err(RejectReason::RestoreMismatch(format!(
+            return Err(self.restore_mismatch(format!(
                 "snapshot identity {:016x}/{:016x} does not match the submitted spec \
                  {:016x}/{:016x}",
                 snapshot.fingerprint.unwrap_or(0),
@@ -559,50 +631,13 @@ impl JobService {
             )));
         }
 
-        self.reserve_slot()?;
-        let planned = match self.plan_admission(&spec, &periods, Some(identity)) {
-            Ok(planned) => planned,
-            Err(reason) => {
-                self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                return Err(reason);
-            }
-        };
-        let mode = planned
-            .as_ref()
-            .map(|c| AvoidanceMode::Plan(Arc::clone(&c.plan)))
-            .unwrap_or(AvoidanceMode::Disabled);
-        let topology = spec.topology();
-        let handle = match self.pool.resume_full(
-            &topology,
-            mode,
-            self.config.trigger,
-            snapshot,
-            Some(self.settle_hook()),
-        ) {
-            Ok(handle) => handle,
-            Err(e) => {
-                // The plan this service certifies for the spec differs
-                // from the one the snapshot was captured under (or the
-                // blob is inconsistent): reject, releasing the slot.
-                self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                Counters::bump(&self.counters.rejected_restore_mismatch);
-                return Err(RejectReason::RestoreMismatch(e.to_string()));
-            }
-        };
-        Counters::bump(&self.counters.admitted);
-        Counters::bump(&self.counters.restores);
-        let fingerprint = planned.as_ref().map(|c| c.fingerprint).unwrap_or(structural);
-        Ok(JobTicket {
-            handle,
-            fingerprint,
-            cache_hit: planned.as_ref().map(|c| c.hit),
-            algorithm: planned.as_ref().map(|c| c.algorithm),
-            fell_back: planned.as_ref().is_some_and(|c| c.fell_back),
-            plan_time: planned.as_ref().map(|c| c.plan_time).unwrap_or(Duration::ZERO),
-            certify_time: planned.map(|c| c.certify_time).unwrap_or(Duration::ZERO),
-            filter_signature: signature,
-            resumed_from: Some(snapshot.steps),
-        })
+        self.admit(&spec, &periods, Some(identity), Origin::Restore(snapshot))
+    }
+
+    /// Counts and wraps a [`RejectReason::RestoreMismatch`].
+    fn restore_mismatch(&self, why: String) -> RejectReason {
+        Counters::bump(&self.counters.rejected_restore_mismatch);
+        RejectReason::RestoreMismatch(why)
     }
 
     /// Supervises a running job for filter drift, blocking until it
@@ -675,13 +710,8 @@ impl JobService {
 
         // Rung 1: re-certify the observed profile while the job keeps
         // running (a cached verdict makes this the fast path).
-        let (certified, hot) = match self.cache.certify(
-            &spec.graph,
-            requested,
-            self.config.rounding,
-            self.config.cycle_bound,
-            &observed,
-        ) {
+        let cycle_bound = self.config.cycle_bound;
+        let (certified, hot) = match self.recertify(spec, requested, cycle_bound, &observed) {
             Ok(certified) => (certified, true),
             Err(first) => {
                 // Rung 2: quarantine + replan — one dedicated
@@ -691,13 +721,7 @@ impl JobService {
                 // early stop could achieve is turning a still-rescuable
                 // job into a dead one.
                 Counters::bump(&self.counters.quarantined);
-                match self.cache.certify(
-                    &spec.graph,
-                    requested,
-                    self.config.rounding,
-                    self.config.cycle_bound.saturating_mul(4),
-                    &observed,
-                ) {
+                match self.recertify(spec, requested, cycle_bound.saturating_mul(4), &observed) {
                     Ok(certified) => (certified, false),
                     // Rung 3: nothing certifies the observed profile.
                     Err(_) => {
@@ -725,63 +749,25 @@ impl JobService {
             // stands and no swap happened.
             return AdaptiveOutcome::Settled(ticket.wait());
         }
-        if self.reserve_slot().is_err() {
+        let Ok(slot) = self.reserve_slot() else {
             // Saturated inside the swap window: degrade to a cancel
             // rather than wedge the ladder waiting for capacity.
             let reason = "service saturated mid-swap".to_string();
             return self.drift_cancel(ticket, offenders, observed, reason);
-        }
-
-        Counters::bump(&self.counters.certified);
-        if certified.fell_back {
-            Counters::bump(&self.counters.fell_back);
-        }
-        let new_mode = AvoidanceMode::Plan(Arc::clone(&certified.plan));
-        let token = SwapToken {
-            from: snapshot.plan_digest,
-            to: checkpoint::plan_digest(&new_mode),
         };
-        let topology = spec.topology();
-        let handle = match self.pool.resume_swapped(
-            &topology,
-            new_mode,
-            self.config.trigger,
-            &snapshot,
-            token,
-            Some(self.settle_hook()),
-        ) {
-            Ok(handle) => handle,
-            Err(e) => {
-                self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                return self.drift_cancel(ticket, offenders, observed, e.to_string());
-            }
+        let identity = (Some(ticket.fingerprint), ticket.filter_signature);
+        let origin = Origin::Swap(&snapshot);
+        let swapped = match self.start(spec, Some(&certified), identity, origin, slot) {
+            Ok(swapped) => swapped,
+            Err(e) => return self.drift_cancel(ticket, offenders, observed, e.to_string()),
         };
         let latency = detected.elapsed();
-        Counters::bump(&self.counters.admitted);
-        Counters::bump(&self.counters.restores);
         if hot {
             Counters::bump(&self.counters.hot_swapped);
         }
-        if let (Some(telemetry), Some(t0)) = (self.telemetry.as_ref(), detected_ns) {
-            telemetry.span(
-                CONTROL_LANE,
-                EventKind::DriftSwap,
-                u64::MAX,
-                u32::MAX,
-                t0,
-                u64::from(!hot), // 0 = hot-swap, 1 = quarantine + replan
-            );
-        }
-        let report = handle.wait();
-        let verdict = handle.verdict().expect("settled job has a verdict");
-        let outcome = JobOutcome {
-            report,
-            verdict,
-            cache_hit: Some(certified.hit),
-            algorithm: Some(certified.used),
-            fell_back: certified.fell_back,
-            resumed_from: Some(snapshot.steps),
-        };
+        // 0 = hot-swap, 1 = quarantine + replan
+        self.control_span(EventKind::DriftSwap, detected_ns, u64::from(!hot));
+        let outcome = swapped.wait();
         let swap = SwapReport {
             offenders,
             observed_periods: observed,
@@ -795,6 +781,42 @@ impl JobService {
             AdaptiveOutcome::HotSwapped { outcome, swap }
         } else {
             AdaptiveOutcome::Replanned { outcome, swap }
+        }
+    }
+
+    /// Closes a supervisor-side span opened at `t0` (a
+    /// [`TelemetryHandle::now_ns`]; `None` with telemetry off) on the
+    /// control lane: the supervisor is not a pool worker, and its spans
+    /// belong to no one pool serial.
+    pub(crate) fn control_span(&self, kind: EventKind, t0: Option<u64>, arg: u64) {
+        if let (Some(telemetry), Some(t0)) = (self.telemetry.as_ref(), t0) {
+            telemetry.span(CONTROL_LANE, kind, u64::MAX, u32::MAX, t0, arg);
+        }
+    }
+
+    /// Certifies `requested` (with its fallback chain) for a job's
+    /// *observed* filter profile — the re-certification a hot-swap and a
+    /// partial restart both stage their next incarnation under — and counts
+    /// it in `certified`/`fell_back` like any admission's.
+    pub(crate) fn recertify(
+        &self,
+        spec: &JobSpec,
+        requested: Algorithm,
+        cycle_bound: usize,
+        observed: &[u64],
+    ) -> Result<CertifiedCached, CertifyError> {
+        let rounding = self.config.rounding;
+        let certified =
+            self.cache
+                .certify(&spec.graph, requested, rounding, cycle_bound, observed)?;
+        self.count_certified(&certified);
+        Ok(certified)
+    }
+
+    fn count_certified(&self, certified: &CertifiedCached) {
+        Counters::bump(&self.counters.certified);
+        if certified.fell_back {
+            Counters::bump(&self.counters.fell_back);
         }
     }
 
@@ -861,7 +883,7 @@ impl JobService {
     }
 
     /// Reserves one in-flight slot or rejects as saturated.
-    pub(crate) fn reserve_slot(&self) -> Result<(), RejectReason> {
+    pub(crate) fn reserve_slot(&self) -> Result<Slot<'_>, RejectReason> {
         let limit = self.config.max_in_flight.max(1) as u64;
         if self
             .in_flight
@@ -875,7 +897,9 @@ impl JobService {
                 limit: self.config.max_in_flight.max(1),
             });
         }
-        Ok(())
+        Ok(Slot {
+            in_flight: &self.in_flight,
+        })
     }
 
     /// Step 4 of admission: planning — and, by default, **certification**:
@@ -892,14 +916,13 @@ impl JobService {
     /// downgrades planned admissions to the uncertified path (visible in
     /// `uncertified_nonprop`) instead of issuing one.
     ///
-    /// Bumps the planning/certification counters itself; the **caller**
-    /// owns the in-flight slot and must release it on `Err`.
+    /// Bumps the planning/certification counters itself.
     fn plan_admission(
         &self,
         spec: &JobSpec,
         periods: &[u64],
         identity: Option<GraphIdentity>,
-    ) -> Result<Option<PlannedAdmission>, RejectReason> {
+    ) -> Result<Option<CertifiedCached>, RejectReason> {
         let AvoidanceChoice::Planned(algorithm) = spec.avoidance else {
             return Ok(None);
         };
@@ -917,19 +940,8 @@ impl JobService {
                 periods,
             ) {
                 Ok(certified) => {
-                    Counters::bump(&self.counters.certified);
-                    if certified.fell_back {
-                        Counters::bump(&self.counters.fell_back);
-                    }
-                    Ok(Some(PlannedAdmission {
-                        plan: certified.plan,
-                        fingerprint: certified.fingerprint,
-                        hit: certified.hit,
-                        algorithm: certified.used,
-                        fell_back: certified.fell_back,
-                        plan_time: certified.plan_time,
-                        certify_time: certified.certify_time,
-                    }))
+                    self.count_certified(&certified);
+                    Ok(Some(certified))
                 }
                 Err(CertifyError::Unplannable(e)) => {
                     Counters::bump(&self.counters.rejected_unplannable);
@@ -949,12 +961,16 @@ impl JobService {
                     if algorithm == Algorithm::NonPropagation {
                         Counters::bump(&self.counters.uncertified_nonprop);
                     }
-                    Ok(Some(PlannedAdmission {
+                    // Planned as requested, nothing checked: the verdict
+                    // fields say so, and `certified` was not counted.
+                    Ok(Some(CertifiedCached {
                         plan: cached.plan,
-                        fingerprint: cached.fingerprint,
-                        hit: cached.hit,
-                        algorithm,
+                        used: algorithm,
+                        exhaustive: false,
                         fell_back: false,
+                        fingerprint: cached.fingerprint,
+                        filter_signature: filter_signature(periods),
+                        hit: cached.hit,
                         plan_time: cached.plan_time,
                         certify_time: Duration::ZERO,
                     }))
@@ -967,20 +983,16 @@ impl JobService {
         }
     }
 
-    /// The settle hook every admitted (or resumed) job runs on a worker
-    /// when it reaches its verdict: releases the in-flight slot and feeds
-    /// the verdict/message counters.
-    pub(crate) fn settle_hook(&self) -> SettleHook {
-        self.settle_hook_tagged(None, None, None)
-    }
-
-    /// The full-fat settle hook [`JobService::submit`] installs: the base
-    /// bookkeeping of [`JobService::settle_hook`] plus, when telemetry is
-    /// on, metrics attribution — the tenant-keyed admission→settle latency
-    /// histogram, the per-interval dummy-traffic profiler, and a drain of
-    /// the flight recorder so firing/blocked-time histograms stay fresh
-    /// without anyone polling.
-    pub(crate) fn settle_hook_tagged(
+    /// The settle hook every incarnation runs on a worker when it reaches
+    /// its verdict: releases the in-flight slot and feeds the
+    /// verdict/message counters.  A fresh admission passes its tenant, door
+    /// timestamp and edge intervals, and then, when telemetry is on, the
+    /// hook also does metrics attribution — the tenant-keyed
+    /// admission→settle latency histogram and the per-interval
+    /// dummy-traffic profiler; with or without them it drains the flight
+    /// recorder so firing/blocked-time histograms stay fresh without
+    /// anyone polling.
+    fn settle_hook(
         &self,
         tenant: Option<String>,
         admitted: Option<Instant>,

@@ -1,8 +1,9 @@
 //! Job specifications: what a client submits to the service.
 
+use fila_avoidance::model::periodic_emits;
 use fila_avoidance::Algorithm;
 use fila_graph::fingerprint::fingerprint_with;
-use fila_graph::{Fingerprint, Graph, NodeId};
+use fila_graph::{Fingerprint, Graph};
 use fila_runtime::filters::Predicate;
 use fila_runtime::Topology;
 
@@ -49,24 +50,6 @@ impl FilterSpec {
                     ))
                 }
             }
-        }
-    }
-
-    /// The filter period of `node` (1 = broadcast).  Call only after
-    /// [`FilterSpec::check`] passed.  For whole-graph traversals prefer
-    /// [`FilterSpec::periods`], which resolves the `Fork` source once
-    /// instead of per node.
-    pub fn period_of(&self, graph: &Graph, node: NodeId) -> u64 {
-        match self {
-            FilterSpec::Broadcast => 1,
-            FilterSpec::Fork(period) => {
-                if graph.single_source() == Ok(node) {
-                    (*period).max(1)
-                } else {
-                    1
-                }
-            }
-            FilterSpec::PerNode(periods) => periods[node.index()].max(1),
         }
     }
 
@@ -203,7 +186,7 @@ impl JobSpec {
                 continue; // the default broadcast behaviour is identical
             }
             topo = topo.with(n, move || {
-                Predicate::new(outs, move |seq, out| (seq + out as u64) % period == 0)
+                Predicate::new(outs, move |seq, out| periodic_emits(period, seq, out))
             });
         }
         topo

@@ -4,6 +4,7 @@
 //! All generators are deterministic for a given seed so that benchmark
 //! sweeps and property tests are reproducible.
 
+use fila_avoidance::model::periodic_emits;
 use fila_graph::{Graph, GraphBuilder, NodeId};
 use fila_runtime::filters::Predicate;
 use fila_runtime::Topology;
@@ -299,7 +300,7 @@ fn install_periodic(
             continue;
         }
         topo = topo.with(n, move || {
-            Predicate::new(outs, move |seq, out| (seq + out as u64) % period == 0)
+            Predicate::new(outs, move |seq, out| periodic_emits(period, seq, out))
         });
     }
     topo

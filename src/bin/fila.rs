@@ -478,6 +478,19 @@ fn cmd_trace(args: &[String]) -> ExitCode {
 
 // -------------------------------------------------------------- storm ----
 
+/// The spec a storm submits — or resumes, or recovers — for a generated
+/// shape: every storm mode goes through this one mapping, so the traffic a
+/// snapshot is resumed against is the traffic it was admitted as.
+fn spec_of(shape: &JobShape) -> JobSpec {
+    JobSpec::from_periods(
+        shape.graph.clone(),
+        shape.periods.clone(),
+        shape.inputs,
+        shape.avoidance,
+    )
+    .with_tenant(shape.tenant)
+}
+
 fn cmd_storm(args: &[String]) -> ExitCode {
     let jobs = match parse_num(args, "--jobs", 256usize) {
         Ok(j) => j.max(1),
@@ -560,14 +573,7 @@ fn cmd_storm(args: &[String]) -> ExitCode {
                 .actual_periods
                 .clone()
                 .expect("drifting shapes carry an executed profile");
-            let spec = JobSpec::from_periods(
-                shape.graph.clone(),
-                shape.periods.clone(),
-                shape.inputs,
-                shape.avoidance,
-            )
-            .with_tenant(shape.tenant)
-            .with_actual_filters(FilterSpec::PerNode(actual));
+            let spec = spec_of(shape).with_actual_filters(FilterSpec::PerNode(actual));
             match svc.submit(spec.clone()) {
                 Ok(ticket) => {
                     let handle = scope.spawn(move || svc.supervise(&spec, ticket, policy));
@@ -580,14 +586,7 @@ fn cmd_storm(args: &[String]) -> ExitCode {
             }
             continue;
         }
-        let spec = JobSpec::from_periods(
-            shape.graph.clone(),
-            shape.periods.clone(),
-            shape.inputs,
-            shape.avoidance,
-        )
-        .with_tenant(shape.tenant);
-        match svc.submit(spec) {
+        match svc.submit(spec_of(shape)) {
             Ok(t) => {
                 let i = tickets.len();
                 if kill_rate > 0.0
@@ -651,14 +650,7 @@ fn cmd_storm(args: &[String]) -> ExitCode {
     for (i, snapshot) in &snapshots {
         let (shape, _) = &tickets[*i];
         let original = &outcomes[*i];
-        let spec = JobSpec::from_periods(
-            shape.graph.clone(),
-            shape.periods.clone(),
-            shape.inputs,
-            shape.avoidance,
-        )
-        .with_tenant(shape.tenant);
-        match svc.resume_job(spec, snapshot) {
+        match svc.resume_job(spec_of(shape), snapshot) {
             Ok(ticket) => {
                 let resumed = ticket.wait();
                 if resumed.verdict == original.verdict
@@ -890,13 +882,7 @@ fn cmd_storm_chaos(
         let svc = &svc;
         let mut handles = Vec::new();
         for (i, shape) in shapes.iter().enumerate() {
-            let spec = JobSpec::from_periods(
-                shape.graph.clone(),
-                shape.periods.clone(),
-                shape.inputs,
-                shape.avoidance,
-            )
-            .with_tenant(shape.tenant);
+            let spec = spec_of(shape);
             // Alternate what recovery is allowed to give up, so one storm
             // exercises both ladder orders: exact (full restore first,
             // partial only at zero divergence) and approximate (partial

@@ -7,7 +7,7 @@
 //! private planner behaviour hides behind `certify()`.
 
 use fila::avoidance::model::{
-    AvoidanceMode, Engine, Halt, Payload, PropagationTrigger, Skip, SteadyState,
+    periodic_emits, AvoidanceMode, Engine, Halt, Payload, PropagationTrigger, Skip, SteadyState,
 };
 use fila::avoidance::verify::{certification_inputs, AdversaryPattern, ADVERSARIES};
 use fila::avoidance::{
@@ -48,7 +48,7 @@ fn adversarial_topology(
             });
         } else {
             topo = topo.with(n, move || {
-                Predicate::new(outs, move |seq, out| (seq + out as u64) % period == 0)
+                Predicate::new(outs, move |seq, out| periodic_emits(period, seq, out))
             });
         }
     }
@@ -278,7 +278,7 @@ fn drive(
         for (j, slot) in emit.iter_mut().enumerate() {
             let emits = match adversary {
                 Some(pattern) if periods[n.index()] > 1 => pattern(n.index(), j, outs),
-                _ => (seq + j as u64) % periods[n.index()].max(1) == 0,
+                _ => periodic_emits(periods[n.index()], seq, j),
             };
             *slot = emits.then_some(0);
         }

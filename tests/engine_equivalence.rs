@@ -139,14 +139,12 @@ fn assert_equivalent(scenario: Scenario) -> Result<(), TestCaseError> {
     let workers = 1 + (mix(seed ^ 4) % 4) as usize;
     let batch = 1 + (mix(seed ^ 5) % 64) as u32;
     let modes = [
-        Batching::Scalar,
         Batching::Messages(1),
         Batching::Messages(4),
         Batching::Messages(64),
         Batching::Unbounded,
     ];
     let mode = plan.map_or(AvoidanceMode::Disabled, AvoidanceMode::plan);
-    let mut scalar: Option<ExecutionReport> = None;
     for batching in modes {
         let pool = SharedPool::with(PoolOptions {
             workers,
@@ -168,23 +166,6 @@ fn assert_equivalent(scenario: Scenario) -> Result<(), TestCaseError> {
         prop_assert!(!pooled.inconclusive());
         if pooled.deadlocked {
             prop_assert!(!pooled.blocked.is_empty());
-        }
-        // One-message containers must reproduce the scalar engine exactly —
-        // not just the same verdict, the same state on every
-        // schedule-independent channel of the report.
-        match batching {
-            Batching::Scalar => scalar = Some(pooled),
-            Batching::Messages(1) => {
-                let scalar = scalar.as_ref().expect("scalar mode ran first");
-                prop_assert_eq!(scalar.completed, pooled.completed);
-                prop_assert_eq!(scalar.deadlocked, pooled.deadlocked);
-                prop_assert_eq!(scalar.steps, pooled.steps);
-                prop_assert_eq!(scalar.sink_firings, pooled.sink_firings);
-                prop_assert_eq!(&scalar.per_node_firings, &pooled.per_node_firings);
-                prop_assert_eq!(&scalar.per_edge_data, &pooled.per_edge_data);
-                prop_assert_eq!(&scalar.per_edge_dummies, &pooled.per_edge_dummies);
-            }
-            _ => {}
         }
     }
     Ok(())

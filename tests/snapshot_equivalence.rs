@@ -175,7 +175,7 @@ fn assert_restore_equivalent(scenario: Scenario) -> Result<(), TestCaseError> {
         // The same cut resumed by the pooled engine, at a seed-derived
         // worker count, slice budget and container limit.
         let modes = [
-            Batching::Scalar,
+            Batching::Messages(1),
             Batching::Messages(1),
             Batching::Messages(4),
             Batching::Messages(64),

@@ -183,8 +183,8 @@ fn snapshots_cross_container_batching_modes() {
     assert!(reference.completed);
 
     for (capture_mode, restore_mode) in [
-        (Batching::Unbounded, Batching::Scalar),
-        (Batching::Scalar, Batching::Unbounded),
+        (Batching::Unbounded, Batching::Messages(1)),
+        (Batching::Messages(1), Batching::Unbounded),
     ] {
         let capture_pool = SharedPool::with(PoolOptions {
             workers: 2,
@@ -530,7 +530,7 @@ fn deep_buffer_cuts_are_aligned_and_restore_at_any_batch_limit() {
         }
         let reference = Simulator::new(&topo).run(inputs);
         assert!(reference.completed);
-        let limits = [Batching::Scalar, Batching::Messages(4), Batching::Messages(64), Batching::Unbounded];
+        let limits = [Batching::Messages(1), Batching::Messages(4), Batching::Messages(64), Batching::Unbounded];
         for (i, &capture) in limits.iter().enumerate() {
             for delay_ms in [1, 4, 8] {
                 let restore = limits[(i + 1 + delay_ms as usize % 3) % 4];

@@ -203,7 +203,7 @@ fn firing_spans_sum_to_delivered_messages() {
             .unwrap(),
     );
     let a = g.node_by_name("a").unwrap();
-    for batching in [Batching::Scalar, Batching::Messages(16), Batching::Unbounded] {
+    for batching in [Batching::Messages(1), Batching::Messages(16), Batching::Unbounded] {
         let topo = Topology::from_graph(&g)
             .with(a, || Predicate::new(2, |seq, out| out == 0 || seq % 64 == 0));
         let pool = fila::runtime::SharedPool::with(fila::runtime::PoolOptions {
