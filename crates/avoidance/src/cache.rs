@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use fila_graph::fingerprint::{fingerprint, labeled_fingerprint};
-use fila_graph::{Fingerprint, Graph, Result};
+use fila_graph::{Fingerprint, Graph, GraphError, Result};
 
 use crate::cs4::Structure;
 use crate::interval::Rounding;
@@ -87,8 +87,9 @@ impl GraphIdentity {
 /// budget the chain was walked under.  The budget must be part of the
 /// key because negative verdicts are cached too: a chain that ran out of
 /// candidates at `cycle_bound = 16` (exhaustive enumeration over budget)
-/// may well certify at a larger budget, and serving the stale
-/// `Uncertifiable` there would be a wrong rejection.
+/// may well certify — or become plannable at all — at a larger budget, and
+/// serving the stale `Uncertifiable` or `Unplannable` there would be a
+/// wrong rejection.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct CertKey {
     plan: Key,
@@ -97,9 +98,14 @@ struct CertKey {
 }
 
 /// A cached certification verdict — positive or negative.  Negative
-/// verdicts are cached too: re-walking the whole fallback chain for every
-/// repeat submission of an uncertifiable shape would hand a storm of them
-/// a planner-CPU amplification attack.
+/// verdicts are cached too, both kinds: re-walking the whole fallback chain
+/// (or re-enumerating a dense graph's cycles up to the budget) for every
+/// repeat submission of a shape that is rejected anyway would hand a storm
+/// of them a planner-CPU amplification attack.  A flood of *distinct*
+/// rejected shapes cannot grow memory — negative entries are evicted by the
+/// same FIFO bound as positive ones — but it can evict warm entries, exactly
+/// as a flood of distinct admitted shapes can; admission-weighted eviction
+/// is out of scope.
 #[derive(Clone)]
 enum CertVerdict {
     Certified {
@@ -112,6 +118,8 @@ enum CertVerdict {
         attempts: Vec<CertifyAttempt>,
         last: Certification,
     },
+    /// No candidate could be computed under the key's cycle budget.
+    Unplannable(GraphError),
 }
 
 /// One entry of a [`Table`] bucket.
@@ -170,7 +178,10 @@ impl<K: Copy + Eq + Hash, D: PartialEq, V: Clone> Table<K, D, V> {
                 break;
             };
             if let Some(bucket) = self.buckets.get_mut(&old_key) {
-                bucket.retain(|e| e.identity.labeled != old_labeled);
+                // One record, one slot: the bucket's oldest of that graph.
+                if let Some(at) = bucket.iter().position(|e| e.identity.labeled == old_labeled) {
+                    bucket.remove(at);
+                }
                 if bucket.is_empty() {
                     self.buckets.remove(&old_key);
                 }
@@ -180,7 +191,11 @@ impl<K: Copy + Eq + Hash, D: PartialEq, V: Clone> Table<K, D, V> {
 }
 
 struct Inner {
-    plans: Table<Key, (), Arc<AvoidancePlan>>,
+    /// Plans (detail `None`: a plan that exists is the same under every
+    /// budget that reaches it) and planning failures, told apart by the
+    /// cycle budget they failed under: a lookup under another budget
+    /// re-plans.
+    plans: Table<Key, Option<usize>, Result<Arc<AvoidancePlan>>>,
     /// Verdicts, told apart by the exact (clamped) periods: the signature
     /// in the key is only the fast filter.
     verdicts: Table<CertKey, Vec<u64>, CertVerdict>,
@@ -272,8 +287,9 @@ impl PlanCache {
 
     /// Returns the cached plan for `g` under `(algorithm, rounding)` or
     /// computes, caches and returns it.  `cycle_bound` caps the exhaustive
-    /// fallback for general (non-SP, non-CS4) graphs; planning failures are
-    /// returned verbatim and cached as nothing.
+    /// fallback for general (non-SP, non-CS4) graphs; a planning failure is
+    /// returned verbatim and remembered with the budget it failed under, so
+    /// a repeat under that budget is a hit that returns it again.
     pub fn plan(
         &self,
         g: &Graph,
@@ -302,37 +318,42 @@ impl PlanCache {
             algorithm,
             rounding,
         };
-        let cached = self.lock().plans.get(&key, identity, &());
-        if let Some(plan) = cached {
+        let cached = {
+            let inner = self.lock();
+            let failed = || inner.plans.get(&key, identity, &Some(cycle_bound));
+            inner.plans.get(&key, identity, &None).or_else(failed)
+        };
+        let found = |plan, hit, plan_time| CachedPlan {
+            plan,
+            fingerprint: key.fingerprint,
+            hit,
+            plan_time,
+        };
+        if let Some(planned) = cached {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(CachedPlan {
-                plan,
-                fingerprint: key.fingerprint,
-                hit: true,
-                plan_time: Duration::ZERO,
-            });
+            return planned.map(|plan| found(plan, true, Duration::ZERO));
         }
         let planning = Instant::now();
         let planner = Planner::new(g)
             .algorithm(algorithm)
             .rounding(rounding)
             .cycle_bound(cycle_bound);
-        let plan = match structure {
-            Some(structure) => planner.plan_as(structure)?,
-            None => planner.plan()?,
-        };
+        let planned = match structure {
+            Some(structure) => planner.plan_as(structure),
+            None => planner.plan(),
+        }
+        .map(Arc::new);
         let plan_time = planning.elapsed();
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(plan);
+        // A failure is remembered with the budget it failed under, and
+        // counted when it is served again — never as a miss.
+        let failed_under = planned.is_err().then_some(cycle_bound);
+        if planned.is_ok() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
         self.lock()
             .plans
-            .insert(self.capacity, key, identity, (), Arc::clone(&plan));
-        Ok(CachedPlan {
-            plan,
-            fingerprint: key.fingerprint,
-            hit: false,
-            plan_time,
-        })
+            .insert(self.capacity, key, identity, failed_under, planned.clone());
+        planned.map(|plan| found(plan, false, plan_time))
     }
 
     /// Returns the cached certification verdict for `g` under
@@ -382,104 +403,75 @@ impl PlanCache {
         };
         let canonical: Vec<u64> = periods.iter().map(|&p| p.max(1)).collect();
         let cached = self.lock().verdicts.get(&key, identity, &canonical);
-        if let Some(verdict) = cached {
-            self.cert_hits.fetch_add(1, Ordering::Relaxed);
-            return match verdict {
-                CertVerdict::Certified {
-                    used,
-                    exhaustive,
-                    fell_back,
-                    plan,
-                } => Ok(CertifiedCached {
-                    plan,
-                    used,
-                    exhaustive,
-                    fell_back,
-                    fingerprint: key.plan.fingerprint,
-                    filter_signature: key.filter,
-                    hit: true,
-                    plan_time: Duration::ZERO,
-                    certify_time: Duration::ZERO,
-                }),
-                CertVerdict::Uncertifiable { attempts, last } => {
-                    Err(CertifyError::Uncertifiable { attempts, last })
-                }
-            };
-        }
-        self.cert_misses.fetch_add(1, Ordering::Relaxed);
-
-        // The chain itself lives in `walk_certification_chain` (shared with
-        // `Planner::certify`, so the two can never select differently); the
-        // cache only decides where candidate plans come from.  Structural
-        // candidates flow through the plan cache (repeat shapes plan once)
-        // and plan from this one decomposition; forced-exhaustive
-        // candidates are computed fresh and live only inside the
-        // certification verdict, so a later plain `plan()` of the same
-        // shape still gets the structural plan.
-        let structure = Structure::of(g).map_err(CertifyError::Unplannable)?;
-        let walked = walk_certification_chain(
-            g,
-            algorithm,
-            &structure,
-            &canonical,
-            |candidate, from| match from {
-                Structure::General => {
-                    let planning = Instant::now();
-                    let plan = Planner::new(g)
-                        .algorithm(candidate)
-                        .rounding(rounding)
-                        .cycle_bound(cycle_bound)
-                        .plan_as(from)?;
-                    Ok((Arc::new(plan), planning.elapsed()))
-                }
-                Structure::Decomposed(_) => {
-                    let cached = self.plan_identified(
-                        g, identity, candidate, rounding, cycle_bound, Some(from),
-                    )?;
-                    Ok((cached.plan, cached.plan_time))
-                }
-            },
-        );
-        match walked {
-            Ok(accepted) => {
-                self.lock().verdicts.insert(
-                    self.capacity,
-                    key,
-                    identity,
-                    canonical,
+        let hit = cached.is_some();
+        let counter = if hit { &self.cert_hits } else { &self.cert_misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        let (mut plan_time, mut certify_time) = (Duration::ZERO, Duration::ZERO);
+        let verdict = cached.unwrap_or_else(|| {
+            // The chain itself lives in `walk_certification_chain` (shared
+            // with `Planner::certify`, so the two can never select
+            // differently); the cache only decides where structural
+            // candidates come from: through the plan table (repeat shapes
+            // plan once), from this one decomposition.  Forced-exhaustive
+            // candidates are the walk's own and live only inside the
+            // verdict, so a later plain `plan()` of the same shape still
+            // gets the structural plan.
+            let planner = Planner::new(g)
+                .algorithm(algorithm)
+                .rounding(rounding)
+                .cycle_bound(cycle_bound);
+            let walked = Structure::of(g)
+                .map_err(CertifyError::Unplannable)
+                .and_then(|structure| {
+                    walk_certification_chain(&planner, &structure, &canonical, |candidate| {
+                        let from = Some(&structure);
+                        let cached = self
+                            .plan_identified(g, identity, candidate, rounding, cycle_bound, from)?;
+                        Ok((cached.plan, cached.plan_time))
+                    })
+                });
+            // Whatever the walk found is the verdict, a rejection included.
+            let verdict = match walked {
+                Ok(accepted) => {
+                    (plan_time, certify_time) = (accepted.plan_time, accepted.certify_time);
                     CertVerdict::Certified {
                         used: accepted.used,
                         exhaustive: accepted.exhaustive,
                         fell_back: accepted.fell_back,
-                        plan: Arc::clone(&accepted.plan),
-                    },
-                );
-                Ok(CertifiedCached {
-                    plan: accepted.plan,
-                    used: accepted.used,
-                    exhaustive: accepted.exhaustive,
-                    fell_back: accepted.fell_back,
-                    fingerprint: key.plan.fingerprint,
-                    filter_signature: key.filter,
-                    hit: false,
-                    plan_time: accepted.plan_time,
-                    certify_time: accepted.certify_time,
-                })
-            }
-            Err(CertifyError::Uncertifiable { attempts, last }) => {
-                self.lock().verdicts.insert(
-                    self.capacity,
-                    key,
-                    identity,
-                    canonical,
-                    CertVerdict::Uncertifiable {
-                        attempts: attempts.clone(),
-                        last,
-                    },
-                );
+                        plan: accepted.plan,
+                    }
+                }
+                Err(CertifyError::Uncertifiable { attempts, last }) => {
+                    CertVerdict::Uncertifiable { attempts, last }
+                }
+                Err(CertifyError::Unplannable(e)) => CertVerdict::Unplannable(e),
+            };
+            self.lock()
+                .verdicts
+                .insert(self.capacity, key, identity, canonical, verdict.clone());
+            verdict
+        });
+        match verdict {
+            CertVerdict::Certified {
+                used,
+                exhaustive,
+                fell_back,
+                plan,
+            } => Ok(CertifiedCached {
+                plan,
+                used,
+                exhaustive,
+                fell_back,
+                fingerprint: key.plan.fingerprint,
+                filter_signature: key.filter,
+                hit,
+                plan_time,
+                certify_time,
+            }),
+            CertVerdict::Uncertifiable { attempts, last } => {
                 Err(CertifyError::Uncertifiable { attempts, last })
             }
-            Err(e) => Err(e),
+            CertVerdict::Unplannable(e) => Err(CertifyError::Unplannable(e)),
         }
     }
 
@@ -711,35 +703,127 @@ mod tests {
         assert!(Arc::ptr_eq(&first.plan, &second.plan));
     }
 
-    #[test]
-    fn unplannable_certification_is_not_a_cached_verdict() {
-        let g = {
-            // General-class dense bipartite core, beyond a 16-cycle budget.
-            let mut b = GraphBuilder::new().default_capacity(2);
-            for l in 0..3 {
-                b.edge("x", &format!("l{l}")).unwrap();
-                for r in 0..6 {
-                    b.edge(&format!("l{l}"), &format!("r{r}")).unwrap();
-                }
-            }
+    /// A general-class dense bipartite core (`lefts` × 6) between a source
+    /// and a sink: far more cycles than a 16-cycle budget.
+    fn dense(lefts: usize) -> Graph {
+        let mut b = GraphBuilder::new().default_capacity(2);
+        for l in 0..lefts {
+            b.edge("x", &format!("l{l}")).unwrap();
             for r in 0..6 {
-                b.edge(&format!("r{r}"), "y").unwrap();
+                b.edge(&format!("l{l}"), &format!("r{r}")).unwrap();
             }
-            b.build().unwrap()
-        };
+        }
+        for r in 0..6 {
+            b.edge(&format!("r{r}"), "y").unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// The butterfly: general, 7 cycles — unplannable at a budget of 3,
+    /// plannable at 1 000.
+    fn butterfly() -> Graph {
+        let mut b = GraphBuilder::new().default_capacity(2);
+        for (s, t) in [
+            ("x", "a"), ("x", "b"),
+            ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+            ("c", "y"), ("d", "y"),
+        ] {
+            b.edge(s, t).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn unplannable_certification_is_a_cached_verdict() {
+        let g = dense(3);
         let periods = vec![2u64; g.node_count()];
         let cache = PlanCache::new(8);
-        let err = cache
-            .certify(&g, Algorithm::NonPropagation, Rounding::Ceil, 16, &periods)
+        let certify =
+            |bound| cache.certify(&g, Algorithm::NonPropagation, Rounding::Ceil, bound, &periods);
+        let cold = certify(16).unwrap_err();
+        assert!(matches!(cold, CertifyError::Unplannable(_)), "{cold}");
+        let before = (cache.cert_misses(), cache.misses(), cache.cert_len());
+        assert_eq!(before, (1, 0, 1));
+        // The repeat is a probe: the planner is not entered, and the answer
+        // is the same in kind and text.
+        let warm = certify(16).unwrap_err();
+        assert!(matches!(warm, CertifyError::Unplannable(_)), "{warm}");
+        assert_eq!(warm.to_string(), cold.to_string());
+        assert_eq!(cache.cert_hits(), 1);
+        assert_eq!((cache.cert_misses(), cache.misses(), cache.cert_len()), before);
+        // The uncached walk says the same thing.
+        let direct = Planner::new(&g)
+            .algorithm(Algorithm::NonPropagation)
+            .cycle_bound(16)
+            .certify(&periods)
             .unwrap_err();
-        assert!(matches!(err, crate::planner::CertifyError::Unplannable(_)), "{err}");
-        assert_eq!(cache.cert_len(), 0);
-        // Both lookups walk the (failing) chain — planning failures are not
-        // verdicts about the filter profile.
-        let _ = cache
-            .certify(&g, Algorithm::NonPropagation, Rounding::Ceil, 3, &periods)
-            .unwrap_err();
-        assert_eq!(cache.cert_misses(), 2);
+        assert_eq!(direct.to_string(), cold.to_string());
+        // Another budget is another question.
+        let _ = certify(3).unwrap_err();
+        assert_eq!((cache.cert_hits(), cache.cert_misses()), (1, 2));
+    }
+
+    #[test]
+    fn a_negative_verdict_does_not_answer_a_larger_budget() {
+        let g = butterfly();
+        let periods = vec![1u64; g.node_count()];
+        let cache = PlanCache::new(8);
+        let certify =
+            |bound| cache.certify(&g, Algorithm::NonPropagation, Rounding::Ceil, bound, &periods);
+        assert!(matches!(certify(3), Err(CertifyError::Unplannable(_))));
+        assert!(matches!(certify(3), Err(CertifyError::Unplannable(_))));
+        assert_eq!((cache.cert_hits(), cache.cert_misses()), (1, 1));
+        let planned = certify(1000).unwrap();
+        assert!(!planned.hit && planned.exhaustive);
+        assert_eq!((cache.cert_hits(), cache.cert_misses()), (1, 2));
+    }
+
+    #[test]
+    fn a_flood_of_distinct_rejects_is_bounded_and_evicts_oldest_first() {
+        let cache = PlanCache::new(3);
+        let graphs: Vec<Graph> = (3..7).map(dense).collect();
+        let certify = |g: &Graph| {
+            let periods = vec![2u64; g.node_count()];
+            cache
+                .certify(g, Algorithm::NonPropagation, Rounding::Ceil, 16, &periods)
+                .unwrap_err()
+        };
+        for g in &graphs {
+            certify(g);
+        }
+        assert_eq!(cache.cert_len(), 3);
+        assert_eq!((cache.cert_hits(), cache.cert_misses()), (0, 4));
+        // The newest three are warm, the oldest was evicted.
+        certify(&graphs[3]);
+        assert_eq!((cache.cert_hits(), cache.cert_misses()), (1, 4));
+        certify(&graphs[0]);
+        assert_eq!((cache.cert_hits(), cache.cert_misses()), (1, 5));
+        assert_eq!(cache.cert_len(), 3);
+    }
+
+    #[test]
+    fn racing_submitters_of_one_unplannable_shape_leave_one_entry() {
+        let g = dense(3);
+        let periods = vec![2u64; g.node_count()];
+        let cache = PlanCache::new(8);
+        let start = std::sync::Barrier::new(2);
+        let texts: Vec<String> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        cache
+                            .certify(&g, Algorithm::NonPropagation, Rounding::Ceil, 16, &periods)
+                            .unwrap_err()
+                            .to_string()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(texts[0], texts[1]);
+        assert_eq!(cache.cert_len(), 1);
+        assert_eq!(cache.cert_hits() + cache.cert_misses(), 2);
     }
 
     #[test]
@@ -764,23 +848,19 @@ mod tests {
     }
 
     #[test]
-    fn unplannable_graphs_error_and_cache_nothing() {
-        // A general (neither SP nor CS4) graph with more undirected cycles
-        // than the given bound allows.
-        let mut b = GraphBuilder::new().default_capacity(2);
-        for (s, t) in [
-            ("x", "a"), ("x", "b"),
-            ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
-            ("c", "y"), ("d", "y"),
-        ] {
-            b.edge(s, t).unwrap();
-        }
-        let g = b.build().unwrap();
+    fn a_planning_failure_is_remembered_with_its_budget() {
+        let g = butterfly();
         let cache = PlanCache::new(8);
-        assert!(cache.plan(&g, Algorithm::Propagation, Rounding::Ceil, 3).is_err());
-        assert!(cache.is_empty());
-        // The failure still counts as neither hit nor miss bookkeeping-wise
-        // beyond the planner attempt itself.
-        assert_eq!(cache.hits(), 0);
+        let plan = |bound| cache.plan(&g, Algorithm::Propagation, Rounding::Ceil, bound);
+        let cold = plan(3).unwrap_err();
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 0, 1));
+        // The repeat is served, error and all; the planner is not entered.
+        assert_eq!(plan(3).unwrap_err(), cold);
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 0, 1));
+        // A larger budget re-plans — and what it finds answers every budget.
+        assert!(!plan(1000).unwrap().hit);
+        assert!(plan(1000).unwrap().hit);
+        assert!(plan(3).unwrap().hit);
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (3, 1, 2));
     }
 }

@@ -60,10 +60,33 @@ pub fn exhaustive_intervals_bounded(
     _rounding: Rounding,
     max_cycles: usize,
 ) -> Result<IntervalMap> {
+    intervals_from_cycles(g, algorithm, &enumerate(g, max_cycles)?)
+}
+
+/// Validates `g` and enumerates its cycles under the budget: the exponential,
+/// protocol-independent half of the baseline, which a certification walk
+/// makes once for all its exhaustive candidates.
+pub(crate) fn enumerate(g: &Graph, max_cycles: usize) -> Result<Vec<UndirectedCycle>> {
+    #[cfg(test)]
+    ENUMERATIONS.with(|n| n.set(n.get() + 1));
     g.validate()?;
-    let cycles = enumerate_cycles_bounded(g, max_cycles)?;
+    enumerate_cycles_bounded(g, max_cycles)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`enumerate`] on this thread ("once per admission").
+    pub(crate) static ENUMERATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The intervals `cycles` (every cycle of `g`) demand under `algorithm`.
+pub(crate) fn intervals_from_cycles(
+    g: &Graph,
+    algorithm: Algorithm,
+    cycles: &[UndirectedCycle],
+) -> Result<IntervalMap> {
     let mut intervals = IntervalMap::for_graph(g);
-    for cycle in &cycles {
+    for cycle in cycles {
         apply_cycle(g, cycle, algorithm, &mut intervals)?;
     }
     Ok(intervals)

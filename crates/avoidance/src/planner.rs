@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use fila_graph::{Graph, GraphError, Result};
 
 use crate::cs4::{Cs4Segment, GraphClass, Structure};
-use crate::exhaustive::{exhaustive_intervals_bounded, DEFAULT_CYCLE_BOUND};
+use crate::exhaustive::{self, exhaustive_intervals_bounded, DEFAULT_CYCLE_BOUND};
 use crate::interval::{DummyInterval, IntervalMap, Rounding};
 use crate::ladder_nonprop::apply_ladder_nonpropagation;
 use crate::ladder_prop::apply_ladder_propagation;
@@ -182,17 +182,11 @@ impl<'g> Planner<'g> {
     /// exhaustive ones, so the chain collapses to two candidates.
     pub fn certify(&self, periods: &[u64]) -> std::result::Result<CertifiedPlan, CertifyError> {
         let structure = self.structure().map_err(CertifyError::Unplannable)?;
-        let accepted = walk_certification_chain(
-            self.graph,
-            self.algorithm,
-            &structure,
-            periods,
-            |algorithm, structure| {
-                let planning = Instant::now();
-                let plan = self.clone().algorithm(algorithm).plan_as(structure)?;
-                Ok((Arc::new(plan), planning.elapsed()))
-            },
-        )?;
+        let accepted = walk_certification_chain(self, &structure, periods, |algorithm| {
+            let planning = Instant::now();
+            let plan = self.clone().algorithm(algorithm).plan_as(&structure)?;
+            Ok((Arc::new(plan), planning.elapsed()))
+        })?;
         Ok(CertifiedPlan {
             plan: accepted.plan,
             requested: self.algorithm,
@@ -222,31 +216,48 @@ pub(crate) struct ChainAccepted {
 /// the candidate order, attempt bookkeeping and error classification,
 /// shared by [`Planner::certify`] and the verdict-caching
 /// [`PlanCache::certify`](crate::cache::PlanCache::certify) so the two can
-/// never select differently.  `structure` is the graph's one decomposition:
-/// `provide` produces the candidate plan of an algorithm from it — or from
-/// [`Structure::General`] for a forced-exhaustive candidate — plus the
-/// planning time spent doing so (zero when served from a cache).
+/// never select differently.  `planner` carries the graph, the requested
+/// protocol and the cycle budget; `structural` produces an algorithm's
+/// candidate plan from `structure`, the graph's one decomposition, plus the
+/// planning time spent (zero when served from a cache).  Exhaustive
+/// candidates are the walk's own: the cycles are enumerated **once per
+/// walk** for all of them, and a budget overrun is as final.
 pub(crate) fn walk_certification_chain<F>(
-    g: &Graph,
-    requested: Algorithm,
+    planner: &Planner<'_>,
     structure: &Structure,
     periods: &[u64],
-    mut provide: F,
+    mut structural: F,
 ) -> std::result::Result<ChainAccepted, CertifyError>
 where
-    F: FnMut(Algorithm, &Structure) -> Result<(Arc<AvoidancePlan>, Duration)>,
+    F: FnMut(Algorithm) -> Result<(Arc<AvoidancePlan>, Duration)>,
 {
+    let g = planner.graph;
     let mut attempts = Vec::new();
     let mut last_certification = None;
     let mut first_plan_error = None;
     let mut plan_time = Duration::ZERO;
     let mut certify_time = Duration::ZERO;
+    let mut cycles = None;
     let general = matches!(structure, Structure::General);
-    for (index, (algorithm, exhaustive)) in
-        certification_candidates(requested, general).into_iter().enumerate()
+    for (index, (algorithm, exhaustive)) in certification_candidates(planner.algorithm, general)
+        .into_iter()
+        .enumerate()
     {
-        let from = if exhaustive { &Structure::General } else { structure };
-        let plan = match provide(algorithm, from) {
+        let provided = if exhaustive {
+            let planning = Instant::now();
+            cycles
+                .get_or_insert_with(|| exhaustive::enumerate(g, planner.cycle_bound))
+                .as_ref()
+                .map_err(GraphError::clone)
+                .and_then(|cycles| exhaustive::intervals_from_cycles(g, algorithm, cycles))
+                .map(|intervals| {
+                    let plan = AvoidancePlan::new(g, algorithm, planner.rounding, intervals);
+                    (Arc::new(plan), planning.elapsed())
+                })
+        } else {
+            structural(algorithm)
+        };
+        let plan = match provided {
             Ok((plan, spent)) => {
                 plan_time += spent;
                 plan
@@ -279,6 +290,11 @@ where
                 plan_time,
                 certify_time,
             });
+        }
+        // A horizon beyond the ceiling is a fact about the graph: no other
+        // candidate could be checked either.
+        if certification.truncated {
+            break;
         }
     }
     match last_certification {
@@ -401,6 +417,18 @@ mod tests {
         b.build().unwrap()
     }
 
+    fn butterfly() -> Graph {
+        let mut b = GraphBuilder::new();
+        for (s, t) in [
+            ("x", "a"), ("x", "b"),
+            ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+            ("c", "y"), ("d", "y"),
+        ] {
+            b.edge_with_capacity(s, t, 2).unwrap();
+        }
+        b.build().unwrap()
+    }
+
     #[test]
     fn plans_fig3_with_both_protocols() {
         let g = fig3();
@@ -444,15 +472,7 @@ mod tests {
 
     #[test]
     fn plans_general_graphs_via_exhaustive() {
-        let mut b = GraphBuilder::new();
-        for (s, t) in [
-            ("x", "a"), ("x", "b"),
-            ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
-            ("c", "y"), ("d", "y"),
-        ] {
-            b.edge_with_capacity(s, t, 2).unwrap();
-        }
-        let g = b.build().unwrap();
+        let g = butterfly();
         let (class, plan) = Planner::new(&g).plan_with_class().unwrap();
         assert_eq!(class, GraphClass::General);
         assert!(plan.channels_needing_dummies() >= 6);
@@ -547,6 +567,65 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, CertifyError::Unplannable(_)), "{err}");
         assert!(err.to_string().contains("unplannable"));
+    }
+
+    /// Calls of `exhaustive::enumerate` (this thread's) that `walk` makes.
+    fn enumerations(walk: impl FnOnce()) -> usize {
+        let before = crate::exhaustive::ENUMERATIONS.with(std::cell::Cell::get);
+        walk();
+        crate::exhaustive::ENUMERATIONS.with(std::cell::Cell::get) - before
+    }
+
+    #[test]
+    fn a_walk_enumerates_the_cycles_once_for_all_its_exhaustive_candidates() {
+        // The butterfly is general: both candidates are exhaustive.  Over
+        // budget, the overrun is found once and is final…
+        let g = butterfly();
+        let periods = vec![1u64; g.node_count()];
+        let rejected = enumerations(|| {
+            let err = Planner::new(&g).cycle_bound(3).certify(&periods).unwrap_err();
+            assert!(matches!(err, CertifyError::Unplannable(_)), "{err}");
+        });
+        assert_eq!(rejected, 1);
+        // …and within budget, a protocol fallback plans from the same cycles.
+        let mut filtering = vec![1u64; g.node_count()];
+        filtering[g.node_by_name("c").unwrap().index()] = 2;
+        let fell_back = enumerations(|| {
+            let certified = Planner::new(&g)
+                .algorithm(Algorithm::Propagation)
+                .certify(&filtering)
+                .unwrap();
+            assert!(certified.fell_back && certified.exhaustive);
+            assert_eq!(certified.attempts.len(), 2);
+        });
+        assert_eq!(fell_back, 1);
+    }
+
+    #[test]
+    fn a_truncated_horizon_ends_the_walk_before_the_first_step() {
+        // Fig. 2 with buffers too deep for the input ceiling, which the
+        // topological pass knows (`tests/admission_scaling.rs` has the
+        // 512-node shape of ROADMAP's measurement).
+        let mut b = GraphBuilder::new().default_capacity(100_000);
+        for (s, t) in [("A", "B"), ("B", "C"), ("A", "C")] {
+            b.edge(s, t).unwrap();
+        }
+        let g = b.build().unwrap();
+        let periods = [8, 1, 1];
+        let err = Planner::new(&g)
+            .algorithm(Algorithm::NonPropagation)
+            .certify(&periods)
+            .unwrap_err();
+        let CertifyError::Uncertifiable { attempts, last } = &err else {
+            panic!("expected Uncertifiable, got {err}");
+        };
+        assert_eq!(attempts.len(), 1);
+        assert!(last.truncated && !last.certified);
+        assert_eq!((last.declared.steps, last.worst_case.steps), (0, 0));
+        assert_eq!(last.inputs, crate::verify::certification_inputs(&g));
+        let text = err.to_string();
+        assert!(text.contains(&format!("requires {} inputs", last.inputs)), "{text}");
+        assert!(text.contains("MAX_CERTIFICATION_INPUTS is 65536"), "{text}");
     }
 
     #[test]

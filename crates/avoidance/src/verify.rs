@@ -194,8 +194,8 @@ pub fn observed_periods(
         .collect()
 }
 
-/// The outcome of one bounded model-check run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The outcome of one bounded model-check run (the default: of one not made).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ModelOutcome {
     /// Every node reached end-of-stream.
     pub completed: bool,
@@ -226,19 +226,27 @@ pub struct Certification {
     pub worst_case: ModelOutcome,
     /// Name of the adversarial pattern that failed, if any.
     pub failing_adversary: Option<&'static str>,
-    /// Input sequence numbers offered per source in each run.
+    /// Input sequence numbers offered per source in each run — or needed,
+    /// when no run was made (`truncated` at zero steps).
     pub inputs: u64,
-    /// True if `inputs` was clamped below what [`certification_inputs`]
-    /// requires for this graph (pathological buffer capacities).  A
-    /// truncated check cannot support the deadlock-free claim — the fill
-    /// horizon of some branch exceeds the simulated stream — so a
-    /// truncated certification is never `certified`, by construction.
+    /// True if the budget is below what [`certification_inputs`] requires
+    /// for this graph (pathological buffer capacities).  A truncated check
+    /// cannot support the deadlock-free claim — the fill horizon of some
+    /// branch exceeds the simulated stream — so a truncated certification
+    /// is never `certified`, by construction ([`certify_plan`] skips it).
     pub truncated: bool,
 }
 
 impl Certification {
     /// Human-readable one-line summary.
     pub fn summary(&self) -> String {
+        if self.truncated && self.inputs > MAX_CERTIFICATION_INPUTS {
+            return format!(
+                "certified: false (TRUNCATED before the first step: the fill horizon requires \
+                 {} inputs per source, MAX_CERTIFICATION_INPUTS is {MAX_CERTIFICATION_INPUTS})",
+                self.inputs
+            );
+        }
         let leg = |o: &ModelOutcome| {
             if o.completed {
                 "completed"
@@ -325,11 +333,44 @@ pub fn certification_inputs(g: &Graph) -> u64 {
 
 /// Certifies `plan` against the per-node filter `periods` (node-id-aligned;
 /// period 1 = broadcast) with the default budgets.  See the module docs.
+///
+/// Above [`MAX_CERTIFICATION_INPUTS`] the check could only be truncated,
+/// which never certifies whatever the runs do — so they are not made: every
+/// outcome is inconclusive at zero steps and `inputs` names the horizon.
 pub fn certify_plan(g: &Graph, plan: &AvoidancePlan, periods: &[u64]) -> Result<Certification> {
     let required = certification_inputs(g);
-    let inputs = required.min(MAX_CERTIFICATION_INPUTS);
-    let max_steps = default_step_budget(g, inputs);
-    certify_with_requirement(g, plan, periods, inputs, max_steps, required)
+    if required > MAX_CERTIFICATION_INPUTS {
+        check_shapes(g, plan, periods)?;
+        return Ok(Certification {
+            certified: false,
+            declared: ModelOutcome::default(),
+            worst_case: ModelOutcome::default(),
+            failing_adversary: None,
+            inputs: required,
+            truncated: true,
+        });
+    }
+    let max_steps = default_step_budget(g, required);
+    certify_with_requirement(g, plan, periods, required, max_steps, required)
+}
+
+/// The profile and the plan must be node- and edge-aligned with `g`.
+fn check_shapes(g: &Graph, plan: &AvoidancePlan, periods: &[u64]) -> Result<()> {
+    if periods.len() != g.node_count() {
+        return Err(fila_graph::GraphError::Structure(format!(
+            "filter profile has {} periods for {} nodes",
+            periods.len(),
+            g.node_count()
+        )));
+    }
+    if plan.edge_count() != g.edge_count() {
+        return Err(fila_graph::GraphError::Structure(format!(
+            "plan covers {} edges but the graph has {}",
+            plan.edge_count(),
+            g.edge_count()
+        )));
+    }
+    Ok(())
 }
 
 /// [`certify_plan`] with explicit input and step budgets.
@@ -357,20 +398,7 @@ fn certify_with_requirement(
     max_steps: u64,
     required: u64,
 ) -> Result<Certification> {
-    if periods.len() != g.node_count() {
-        return Err(fila_graph::GraphError::Structure(format!(
-            "filter profile has {} periods for {} nodes",
-            periods.len(),
-            g.node_count()
-        )));
-    }
-    if plan.edge_count() != g.edge_count() {
-        return Err(fila_graph::GraphError::Structure(format!(
-            "plan covers {} edges but the graph has {}",
-            plan.edge_count(),
-            g.edge_count()
-        )));
-    }
+    check_shapes(g, plan, periods)?;
     let truncated = inputs < required;
     // The wrappers share the plan behind an `Arc`: one copy per
     // certification, not one per run.
@@ -384,6 +412,10 @@ fn certify_with_requirement(
     // A profile with no filtering node has an empty escalation: every
     // adversarial run would degenerate to the declared one, so skip them.
     if periods.iter().any(|&p| p > 1) {
+        // A run is determined by what its pattern says on the filtering
+        // nodes' slots; patterns that say the same there (one filtering
+        // node: `starve-all` is one of the parities) are one run.
+        let mut ran: Vec<(Vec<bool>, ModelOutcome)> = Vec::new();
         for (name, pattern) in ADVERSARIES {
             let emit = |n: NodeId, seq: u64, j: usize, outs: usize| -> bool {
                 if periods[n.index()] > 1 {
@@ -392,7 +424,19 @@ fn certify_with_requirement(
                     periodic(n, seq, j, outs)
                 }
             };
-            worst_case = model_check(g, &mode, emit, &[], inputs, max_steps);
+            let filtering = g.node_ids().filter(|n| periods[n.index()] > 1);
+            let table: Vec<bool> = filtering
+                .flat_map(|n| {
+                    let outs = g.out_edges(n).len();
+                    (0..outs).map(move |j| pattern(n.index(), j, outs))
+                })
+                .collect();
+            let seen = ran.iter().find(|(t, _)| *t == table).map(|&(_, outcome)| outcome);
+            worst_case =
+                seen.unwrap_or_else(|| model_check(g, &mode, emit, &[], inputs, max_steps));
+            if seen.is_none() {
+                ran.push((table, worst_case));
+            }
             if !worst_case.completed {
                 failing_adversary = Some(name);
                 break;

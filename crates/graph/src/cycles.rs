@@ -179,111 +179,134 @@ pub fn enumerate_cycles(g: &Graph) -> Vec<UndirectedCycle> {
 /// Returns [`GraphError::Structure`] if the bound is exceeded.
 pub fn enumerate_cycles_bounded(g: &Graph, max_cycles: usize) -> Result<Vec<UndirectedCycle>> {
     let mut cycles = Vec::new();
-    let n = g.node_count();
-    // Canonical representation: every cycle is reported exactly once,
-    // anchored at its minimum edge id, traversed starting from that edge's
-    // source node (tail).  Only edges with a larger id may complete the
-    // cycle, and no node repeats.
-    let mut on_path = vec![false; n];
-    for (anchor, edge) in g.edges() {
-        let start = edge.src;
-        let first = edge.dst;
-        let mut path_nodes = vec![start, first];
-        let mut path_edges = vec![anchor];
-        on_path[start.index()] = true;
-        on_path[first.index()] = true;
-        dfs_cycles(
-            g,
-            anchor,
-            start,
-            first,
-            &mut path_nodes,
-            &mut path_edges,
-            &mut on_path,
-            &mut cycles,
-            max_cycles,
-        )?;
-        on_path[start.index()] = false;
-        on_path[first.index()] = false;
-        debug_assert_eq!(path_edges.len(), 1);
+    let within_bound = for_each_cycle(g, |nodes, edges| {
+        if cycles.len() >= max_cycles {
+            return false;
+        }
+        cycles.push(UndirectedCycle {
+            nodes: nodes.to_vec(),
+            edges: edges.to_vec(),
+        });
+        true
+    });
+    if within_bound {
+        Ok(cycles)
+    } else {
+        Err(GraphError::Structure(format!(
+            "cycle enumeration exceeded the bound of {max_cycles}"
+        )))
     }
-    Ok(cycles)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn dfs_cycles(
-    g: &Graph,
-    anchor: EdgeId,
-    start: NodeId,
-    current: NodeId,
-    path_nodes: &mut Vec<NodeId>,
-    path_edges: &mut Vec<EdgeId>,
-    on_path: &mut [bool],
-    cycles: &mut Vec<UndirectedCycle>,
-    max_cycles: usize,
-) -> Result<()> {
-    // Consider every incident edge of `current` with id greater than the
-    // anchor (canonicalisation) that we have not already used.
-    let candidates: Vec<EdgeId> = g
-        .out_edges(current)
-        .iter()
-        .chain(g.in_edges(current).iter())
-        .copied()
-        .filter(|&e| e > anchor && Some(&e) != path_edges.last())
-        .collect();
-    for e in candidates {
-        if path_edges.contains(&e) {
-            continue;
+/// The one traversal behind every function below: calls `visit(nodes,
+/// edges)` once per undirected simple cycle (`edges[i]` joins `nodes[i]` to
+/// `nodes[(i + 1) % len]`, as in [`UndirectedCycle`]) until it returns
+/// `false`; returns whether every cycle was visited.
+///
+/// Canonical representation: every cycle is reported exactly once, anchored
+/// at its minimum edge id, traversed starting from that edge's source node
+/// (tail).  Only edges with a larger id may complete the cycle, and no node
+/// repeats.
+fn for_each_cycle(g: &Graph, visit: impl FnMut(&[NodeId], &[EdgeId]) -> bool) -> bool {
+    let mut dfs = CycleDfs {
+        g,
+        path_nodes: Vec::new(),
+        path_edges: Vec::new(),
+        on_path: vec![false; g.node_count()],
+        visit,
+    };
+    for (anchor, edge) in g.edges() {
+        dfs.path_nodes.extend([edge.src, edge.dst]);
+        dfs.path_edges.push(anchor);
+        dfs.on_path[edge.src.index()] = true;
+        dfs.on_path[edge.dst.index()] = true;
+        if !dfs.extend_from(anchor, edge.src, edge.dst) {
+            return false;
         }
-        let (s, d) = g.endpoints(e);
-        let next = if s == current { d } else { s };
-        if next == start {
-            if !path_edges.is_empty() {
-                // Completed a cycle: nodes = path_nodes (start .. current),
-                // edges = path_edges + e.
-                let mut edges = path_edges.clone();
-                edges.push(e);
-                if cycles.len() >= max_cycles {
-                    return Err(GraphError::Structure(format!(
-                        "cycle enumeration exceeded the bound of {max_cycles}"
-                    )));
-                }
-                cycles.push(UndirectedCycle {
-                    nodes: path_nodes.clone(),
-                    edges,
-                });
-            }
-            continue;
-        }
-        if on_path[next.index()] {
-            continue;
-        }
-        on_path[next.index()] = true;
-        path_nodes.push(next);
-        path_edges.push(e);
-        dfs_cycles(
-            g, anchor, start, next, path_nodes, path_edges, on_path, cycles, max_cycles,
-        )?;
-        path_edges.pop();
-        path_nodes.pop();
-        on_path[next.index()] = false;
+        dfs.on_path[edge.src.index()] = false;
+        dfs.on_path[edge.dst.index()] = false;
+        dfs.path_nodes.clear();
+        dfs.path_edges.clear();
     }
-    Ok(())
+    true
+}
+
+/// The depth-first search of [`for_each_cycle`]: the path from the anchor
+/// edge's tail to the node being extended.
+struct CycleDfs<'g, V> {
+    g: &'g Graph,
+    path_nodes: Vec<NodeId>,
+    path_edges: Vec<EdgeId>,
+    on_path: Vec<bool>,
+    visit: V,
+}
+
+impl<V: FnMut(&[NodeId], &[EdgeId]) -> bool> CycleDfs<'_, V> {
+    /// Extends the path, which began at `start` along `anchor`, from its
+    /// last node `current`; `false` once the visitor has asked to stop.
+    fn extend_from(&mut self, anchor: EdgeId, start: NodeId, current: NodeId) -> bool {
+        let g = self.g;
+        // Every incident edge of `current` with id greater than the anchor
+        // (canonicalisation) that the path has not already used, iterated in
+        // place: this runs once per search step.
+        for &e in g.out_edges(current).iter().chain(g.in_edges(current)) {
+            if e <= anchor || self.path_edges.contains(&e) {
+                continue;
+            }
+            let (s, d) = g.endpoints(e);
+            let next = if s == current { d } else { s };
+            if next == start {
+                // Completed a cycle: nodes = the path (start .. current),
+                // edges = the path's + e.
+                self.path_edges.push(e);
+                let go_on = (self.visit)(&self.path_nodes, &self.path_edges);
+                self.path_edges.pop();
+                if !go_on {
+                    return false;
+                }
+                continue;
+            }
+            if self.on_path[next.index()] {
+                continue;
+            }
+            self.on_path[next.index()] = true;
+            self.path_nodes.push(next);
+            self.path_edges.push(e);
+            let go_on = self.extend_from(anchor, start, next);
+            self.path_edges.pop();
+            self.path_nodes.pop();
+            self.on_path[next.index()] = false;
+            if !go_on {
+                return false;
+            }
+        }
+        true
+    }
 }
 
 /// Counts the undirected simple cycles without materialising them (still
 /// exponential time, but constant memory beyond the DFS stack).
 pub fn count_cycles(g: &Graph) -> usize {
-    enumerate_cycles(g).len()
+    let mut count = 0;
+    for_each_cycle(g, |_, _| {
+        count += 1;
+        true
+    });
+    count
 }
 
 /// Returns `true` if every undirected simple cycle of `g` has exactly one
 /// source and one sink — the brute-force CS4 check used to validate the
-/// structural recogniser in `fila-avoidance`.
+/// structural recogniser in `fila-avoidance`.  Stops at the first cycle
+/// that has more.
 pub fn all_cycles_single_source_sink(g: &Graph) -> bool {
-    enumerate_cycles(g)
-        .iter()
-        .all(|c| c.has_single_source_and_sink(g))
+    for_each_cycle(g, |nodes, edges| {
+        let cycle = UndirectedCycle {
+            nodes: nodes.to_vec(),
+            edges: edges.to_vec(),
+        };
+        cycle.has_single_source_and_sink(g)
+    })
 }
 
 #[cfg(test)]
@@ -409,6 +432,30 @@ mod tests {
         let g = b.build().unwrap();
         assert!(enumerate_cycles_bounded(&g, 3).is_err());
         assert!(enumerate_cycles_bounded(&g, 100).is_ok());
+    }
+
+    #[test]
+    fn counting_and_the_cs4_check_visit_what_enumeration_collects() {
+        let mut b = GraphBuilder::new();
+        for (s, t) in [
+            ("x", "a"), ("x", "b"),
+            ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+            ("c", "y"), ("d", "y"),
+        ] {
+            b.edge(s, t).unwrap();
+        }
+        let butterfly = b.build().unwrap();
+        for g in [diamond(), butterfly] {
+            let cycles = enumerate_cycles(&g);
+            assert_eq!(count_cycles(&g), cycles.len());
+            assert_eq!(
+                all_cycles_single_source_sink(&g),
+                cycles.iter().all(|c| c.has_single_source_and_sink(&g))
+            );
+            // The bound is on what is produced: exactly that many fit.
+            assert_eq!(enumerate_cycles_bounded(&g, cycles.len()).unwrap(), cycles);
+            assert!(enumerate_cycles_bounded(&g, cycles.len() - 1).is_err());
+        }
     }
 
     #[test]

@@ -92,7 +92,7 @@ use crate::telemetry::{EventKind, TelemetryHandle, CONTROL_LANE};
 use crate::topology::Topology;
 use crate::wrapper::{AvoidanceMode, PropagationTrigger};
 
-/// Task scheduling states (one `AtomicU8` per node per job).
+/// Task scheduling states ([`TaskSlot::state`]).
 const IDLE: u8 = 0;
 /// In the scheduler (slot, deque or injector).
 const QUEUED: u8 = 1;
@@ -135,14 +135,34 @@ struct TaskRef {
     node: u32,
 }
 
-/// Everything the pool tracks for one submitted job.
-struct JobState {
-    tasks: Vec<Mutex<Task>>,
-    states: Vec<AtomicU8>,
+/// One node-task of a job beside the scheduling state that guards it: the
+/// wake CAS and the task lock of a slice touch one line, and — a `Task`
+/// being several lines long — no two tasks' states share one, so waking a
+/// task does not take the line another task's wake needs.
+struct TaskSlot {
+    state: AtomicU8,
+    task: Mutex<Task>,
+}
+
+const _: () = assert!(std::mem::size_of::<TaskSlot>() >= 128, "a slot spans its own lines");
+
+/// The counters every slice of every task of a job writes, on a line of
+/// their own: the rest of [`JobState`] is read-mostly and read by every
+/// slice, on whichever worker it runs.  The alignment also keeps the
+/// `Arc<JobState>` reference counts, which every wake moves, off those
+/// lines (they get the line before the job's first).
+#[repr(align(64))]
+struct Quiescence {
     /// Tasks currently queued, running or flagged (see the module docs);
     /// reaching zero decides the verdict.
     active: AtomicUsize,
     unfinished: AtomicUsize,
+}
+
+/// Everything the pool tracks for one submitted job.
+struct JobState {
+    tasks: Vec<TaskSlot>,
+    quiescence: Quiescence,
     verdict: AtomicU8,
     /// Guards one-shot report assembly.
     delivered: AtomicBool,
@@ -252,12 +272,18 @@ impl JobState {
             (u64::MAX, None)
         };
         JobState {
-            tasks: new.tasks.into_iter().map(Mutex::new).collect(),
-            states: (0..node_count)
-                .map(|_| AtomicU8::new(if runs { QUEUED } else { IDLE }))
+            tasks: new
+                .tasks
+                .into_iter()
+                .map(|task| TaskSlot {
+                    state: AtomicU8::new(if runs { QUEUED } else { IDLE }),
+                    task: Mutex::new(task),
+                })
                 .collect(),
-            active: AtomicUsize::new(if runs { node_count } else { 0 }),
-            unfinished: AtomicUsize::new(unfinished),
+            quiescence: Quiescence {
+                active: AtomicUsize::new(if runs { node_count } else { 0 }),
+                unfinished: AtomicUsize::new(unfinished),
+            },
             verdict: AtomicU8::new(if runs { JOB_RUNNING } else { JOB_COMPLETED }),
             delivered: AtomicBool::new(false),
             inputs: new.inputs,
@@ -501,7 +527,7 @@ impl JobHandle {
             let guards: Vec<_> = job
                 .sources
                 .iter()
-                .map(|s| lock(&job.tasks[s.index()]))
+                .map(|s| lock(&job.tasks[s.index()].task))
                 .collect();
             let barrier = guards
                 .iter()
@@ -529,7 +555,7 @@ impl JobHandle {
             if job.snap_pending.load(Ordering::SeqCst) != epoch {
                 break; // collection finished (or pre-empted by a settle)
             }
-            let mut task = lock(&job.tasks[node]);
+            let mut task = lock(&job.tasks[node].task);
             let task = &mut *task;
             if task.snap_epoch != epoch && task.aligned_at(job.snap_barrier.load(Ordering::SeqCst))
             {
@@ -591,10 +617,10 @@ impl JobHandle {
         let nodes = job
             .tasks
             .iter()
-            .map(|task| {
+            .map(|slot| {
                 // Tolerate poisoning: the panicked task's mutex is poisoned
                 // but its state (and its rings) are still meaningful.
-                let mut task = lock(task);
+                let mut task = lock(&slot.task);
                 task.read_counts(&mut per_edge_data, &mut per_edge_dummies);
                 task.drain_inputs(&mut channels);
                 task.capture()
@@ -615,8 +641,8 @@ impl JobHandle {
             per_edge_data: vec![0; job.edge_count],
             per_edge_dummies: vec![0; job.edge_count],
         };
-        for (idx, task) in job.tasks.iter().enumerate() {
-            let task = lock(task);
+        for (idx, slot) in job.tasks.iter().enumerate() {
+            let task = lock(&slot.task);
             obs.per_node_firings[idx] = task.firings;
             task.read_counts(&mut obs.per_edge_data, &mut obs.per_edge_dummies);
         }
@@ -981,7 +1007,7 @@ impl PoolCore {
     /// so a job's active count can never touch zero while a wakeup is still
     /// in flight.
     fn wake(&self, local: &mut Local<TaskRef>, job: &Arc<JobState>, node: u32) {
-        let state = &job.states[node as usize];
+        let state = &job.tasks[node as usize].state;
         let mut current = state.load(Ordering::Acquire);
         loop {
             let (target, enqueue) = match current {
@@ -997,7 +1023,7 @@ impl PoolCore {
                             // Chaos: a bounded budget of delayed wakeups.
                             arm.delay_wake();
                         }
-                        job.active.fetch_add(1, Ordering::SeqCst);
+                        job.quiescence.active.fetch_add(1, Ordering::SeqCst);
                         self.sched.schedule(
                             local,
                             TaskRef {
@@ -1020,17 +1046,17 @@ impl PoolCore {
         if job.verdict.load(Ordering::SeqCst) != JOB_RUNNING {
             // The job settled (failed or was cancelled) while this task sat
             // in a queue: drop it and retire its activity.
-            job.states[node].store(IDLE, Ordering::Release);
+            job.tasks[node].state.store(IDLE, Ordering::Release);
             self.deactivate(job);
             return;
         }
-        job.states[node].store(RUNNING, Ordering::Release);
+        job.tasks[node].state.store(RUNNING, Ordering::Release);
         enum Exec {
             Normal(Outcome, bool),
             Panicked,
         }
         let exec = {
-            let mut task = lock(&job.tasks[node]);
+            let mut task = lock(&job.tasks[node].task);
             let was_done = task.done;
             let sink = JobSnapSink {
                 job: job.as_ref(),
@@ -1126,26 +1152,26 @@ impl PoolCore {
                     Ordering::SeqCst,
                     Ordering::SeqCst,
                 );
-                job.states[node].store(IDLE, Ordering::Release);
+                job.tasks[node].state.store(IDLE, Ordering::Release);
                 self.deactivate(job);
             }
             Exec::Normal(outcome, newly_done) => {
                 if newly_done {
-                    job.unfinished.fetch_sub(1, Ordering::SeqCst);
+                    job.quiescence.unfinished.fetch_sub(1, Ordering::SeqCst);
                 }
                 match outcome {
                     Outcome::Done => {
                         // Stale flag wakeups may still re-queue this task;
                         // it will no-op.
-                        job.states[node].store(IDLE, Ordering::Release);
+                        job.tasks[node].state.store(IDLE, Ordering::Release);
                         self.deactivate(job);
                     }
                     Outcome::Yielded => {
-                        job.states[node].store(QUEUED, Ordering::Release);
+                        job.tasks[node].state.store(QUEUED, Ordering::Release);
                         self.sched.defer(local, tref);
                     }
                     Outcome::Blocked => {
-                        if job.states[node]
+                        if job.tasks[node].state
                             .compare_exchange(
                                 RUNNING,
                                 IDLE,
@@ -1158,7 +1184,7 @@ impl PoolCore {
                             // NOTIFIED): the event may have landed before
                             // our final re-check, so the task must run
                             // again (it stays active).
-                            job.states[node].store(QUEUED, Ordering::Release);
+                            job.tasks[node].state.store(QUEUED, Ordering::Release);
                             self.sched.schedule(local, tref);
                         } else {
                             self.deactivate(job);
@@ -1173,10 +1199,10 @@ impl PoolCore {
     /// zero decides the verdict (the job is quiescent forever — see the
     /// module docs) and delivers the report.
     fn deactivate(&self, job: &Arc<JobState>) {
-        if job.active.fetch_sub(1, Ordering::SeqCst) != 1 {
+        if job.quiescence.active.fetch_sub(1, Ordering::SeqCst) != 1 {
             return;
         }
-        let verdict = if job.unfinished.load(Ordering::SeqCst) == 0 {
+        let verdict = if job.quiescence.unfinished.load(Ordering::SeqCst) == 0 {
             JOB_COMPLETED
         } else {
             JOB_DEADLOCKED
@@ -1234,7 +1260,7 @@ impl PoolCore {
             }
         }
         let mut report = task::assemble_report(
-            &job.tasks,
+            job.tasks.iter().map(|slot| &slot.task),
             job.edge_count,
             job.inputs,
             verdict == JobVerdict::Deadlocked,

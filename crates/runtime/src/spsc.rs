@@ -107,11 +107,6 @@ impl MsgCap {
     }
 }
 
-/// Pads and aligns to a cache line so the producer- and consumer-owned
-/// indices do not false-share.
-#[repr(align(64))]
-struct CachePadded<T>(T);
-
 /// Slots per block of a ring deeper than this many messages (a shallower
 /// ring is one block of `cap` slots, see [`Ring`]).  Not a knob: 8 slots of
 /// 64-byte containers are half a kilobyte and, at the default 64 messages a
@@ -184,26 +179,41 @@ struct Cursor<T> {
 /// `cap`.  A ring of `cap ≤ BLOCK` is the degenerate chain: one block of
 /// `cap` slots whose `next` is itself, which neither endpoint ever leaves.
 struct Ring<T> {
+    tx: ProducerLine<T>,
+    rx: ConsumerLine<T>,
+}
+
+const _: () = assert!(std::mem::size_of::<Ring<()>>() == 128, "one line per endpoint");
+
+/// What the producer writes, with the constants both endpoints read, on one
+/// cache line: the two endpoints run on different workers, and every line
+/// both of them write is a transfer per operation.
+#[repr(align(64))]
+struct ProducerLine<T> {
     /// Channel capacity in **messages**.
     cap: usize,
     /// Slots per block: `min(BLOCK, cap)`.
     slots: usize,
-    /// Where the consumer pops.
-    head: CachePadded<Cursor<T>>,
     /// Where the producer pushes.
-    tail: CachePadded<Cursor<T>>,
-    /// Total messages fully consumed (monotonic); written only by the
-    /// consumer, and only used when `T` is weighted (`!T::UNIT`: unit
-    /// values release their one message by advancing `head`).  Kept on its
-    /// own cache line for the same false-sharing reason as `head`.
-    msg_head: CachePadded<AtomicUsize>,
+    tail: Cursor<T>,
+    /// Set by the producer when it observed the ring full and intends to
+    /// park; consumed by the consumer after a pop.
+    producer_waiting: AtomicBool,
+}
+
+/// What the consumer writes, on its line.
+#[repr(align(64))]
+struct ConsumerLine<T> {
+    /// Where the consumer pops.
+    head: Cursor<T>,
+    /// Total messages fully consumed (monotonic); only used when `T` is
+    /// weighted (`!T::UNIT`: unit values release their one message by
+    /// advancing `head`).
+    msg_head: AtomicUsize,
     /// One-place mailbox for the block the consumer last left: only the
     /// consumer fills it (when empty), only the producer empties it, so
     /// plain loads and stores suffice.
     spare: AtomicPtr<Block<T>>,
-    /// Set by the producer when it observed the ring full and intends to
-    /// park; consumed by the consumer after a pop.
-    producer_waiting: AtomicBool,
     /// Set by the consumer when it observed the ring empty and intends to
     /// park; consumed by the producer after a push.
     consumer_waiting: AtomicBool,
@@ -225,9 +235,9 @@ impl<T: Weigh> Ring<T> {
     /// the producer may push: `head` itself for unit payloads.
     fn released(&self) -> &AtomicUsize {
         if T::UNIT {
-            &self.head.0.index
+            &self.rx.head.index
         } else {
-            &self.msg_head.0
+            &self.rx.msg_head
         }
     }
 }
@@ -239,9 +249,9 @@ impl<T> Ring<T> {
     /// taken), so a drained ring holds at most two blocks.
     #[inline]
     fn advance(&self) {
-        let head = &self.head.0;
+        let head = &self.rx.head;
         let (block, pos) = (head.block.get(), head.pos.get());
-        if pos + 1 < self.slots {
+        if pos + 1 < self.tx.slots {
             head.pos.set(pos + 1);
         } else {
             head.pos.set(0);
@@ -252,14 +262,14 @@ impl<T> Ring<T> {
             let next = unsafe { (*block).next.load(Ordering::Relaxed) };
             if next != block {
                 head.block.set(next);
-                if self.spare.load(Ordering::Relaxed).is_null() {
+                if self.rx.spare.load(Ordering::Relaxed).is_null() {
                     // Release: our accesses to the block's slots
                     // happen-before the producer's, see `next_block`.
-                    self.spare.store(block, Ordering::Release);
+                    self.rx.spare.store(block, Ordering::Release);
                 } else {
                     // SAFETY: the producer left `block` before publishing
                     // its last slot and the consumer just did; it is empty.
-                    unsafe { Block::free(block, self.slots) };
+                    unsafe { Block::free(block, self.tx.slots) };
                 }
             }
         }
@@ -273,16 +283,16 @@ impl<T> Drop for Ring<T> {
         // Endpoints are gone: consume what is left, which retires every
         // block but the one both cursors end in, then free that one and the
         // spare.
-        let head = &self.head.0;
-        for _ in head.index.load(Ordering::Relaxed)..self.tail.0.index.load(Ordering::Relaxed) {
+        let head = &self.rx.head;
+        for _ in head.index.load(Ordering::Relaxed)..self.tx.tail.index.load(Ordering::Relaxed) {
             // SAFETY: slots in `head..tail` are initialised.
             unsafe { (*Block::slot(head.block.get(), head.pos.get())).assume_init_drop() };
             self.advance();
         }
-        for block in [head.block.get(), self.spare.load(Ordering::Relaxed)] {
+        for block in [head.block.get(), self.rx.spare.load(Ordering::Relaxed)] {
             if !block.is_null() {
                 // SAFETY: live, empty, and out of both endpoints' reach.
-                unsafe { Block::free(block, self.slots) };
+                unsafe { Block::free(block, self.tx.slots) };
             }
         }
     }
@@ -336,22 +346,24 @@ fn ring_of_blocks<T: Weigh>(cap: MsgCap, block_slots: usize) -> (Producer<T>, Co
         // therefore its own successor (the flat Lamport ring).
         unsafe { (*first).next.store(first, Ordering::Relaxed) };
     }
-    let cursor = || {
-        CachePadded(Cursor {
-            index: AtomicUsize::new(0),
-            block: Cell::new(first),
-            pos: Cell::new(0),
-        })
+    let cursor = || Cursor {
+        index: AtomicUsize::new(0),
+        block: Cell::new(first),
+        pos: Cell::new(0),
     };
     let ring = Arc::new(Ring {
-        cap,
-        slots,
-        head: cursor(),
-        tail: cursor(),
-        msg_head: CachePadded(AtomicUsize::new(0)),
-        spare: AtomicPtr::new(ptr::null_mut()),
-        producer_waiting: AtomicBool::new(false),
-        consumer_waiting: AtomicBool::new(false),
+        tx: ProducerLine {
+            cap,
+            slots,
+            tail: cursor(),
+            producer_waiting: AtomicBool::new(false),
+        },
+        rx: ConsumerLine {
+            head: cursor(),
+            msg_head: AtomicUsize::new(0),
+            spare: AtomicPtr::new(ptr::null_mut()),
+            consumer_waiting: AtomicBool::new(false),
+        },
     });
     (
         Producer {
@@ -373,9 +385,9 @@ impl<T: Weigh> Producer<T> {
         let ring = &*self.ring;
         let w = value.weight();
         debug_assert!(
-            (1..=ring.cap).contains(&w),
+            (1..=ring.tx.cap).contains(&w),
             "container weight {w} exceeds channel capacity {}",
-            ring.cap
+            ring.tx.cap
         );
         // `cached_released` is only ever ≤ the truth (a reset sets it to 0),
         // so this over-approximates the occupancy: fitting proves there is
@@ -383,32 +395,32 @@ impl<T: Weigh> Producer<T> {
         // a free slot in a one-block ring: every buffered value still weighs
         // ≥ 1 unreleased message (`Consumer::release_msgs`).
         let pushed = self.pushed.get() + w;
-        if pushed > self.cached_released.get() + ring.cap {
+        if pushed > self.cached_released.get() + ring.tx.cap {
             self.cached_released
                 .set(ring.released().load(Ordering::Acquire));
-            if pushed > self.cached_released.get() + ring.cap {
+            if pushed > self.cached_released.get() + ring.tx.cap {
                 return Err(value);
             }
         }
         self.pushed.set(pushed);
-        let tail = ring.tail.0.index.load(Ordering::Relaxed);
+        let tail = ring.tx.tail.index.load(Ordering::Relaxed);
         debug_assert!(
-            pushed - ring.released().load(Ordering::Relaxed) <= ring.cap
-                && tail + 1 - ring.head.0.index.load(Ordering::Acquire) <= ring.cap,
+            pushed - ring.released().load(Ordering::Relaxed) <= ring.tx.cap
+                && tail + 1 - ring.rx.head.index.load(Ordering::Acquire) <= ring.tx.cap,
             "more messages or values buffered than the channel capacity"
         );
-        let (block, pos) = (ring.tail.0.block.get(), ring.tail.0.pos.get());
+        let (block, pos) = (ring.tx.tail.block.get(), ring.tx.tail.pos.get());
         // SAFETY: the slot at the tail cursor is free — never used, or
         // handed back through the `head`/`msg_head`/`spare` value acquired
         // above or in `next_block`.
         unsafe { (*Block::slot(block, pos)).write(value) };
-        if pos + 1 < ring.slots {
-            ring.tail.0.pos.set(pos + 1);
+        if pos + 1 < ring.tx.slots {
+            ring.tx.tail.pos.set(pos + 1);
         } else {
-            ring.tail.0.block.set(self.next_block(block));
-            ring.tail.0.pos.set(0);
+            ring.tx.tail.block.set(self.next_block(block));
+            ring.tx.tail.pos.set(0);
         }
-        ring.tail.0.index.store(tail + 1, Ordering::Release);
+        ring.tx.tail.index.store(tail + 1, Ordering::Release);
         Ok(())
     }
 
@@ -427,13 +439,13 @@ impl<T: Weigh> Producer<T> {
         }
         // Acquire pairs with the Release store in `Ring::advance`: the
         // consumer's last accesses to the spare happen-before our writes.
-        let mut next = ring.spare.load(Ordering::Acquire);
+        let mut next = ring.rx.spare.load(Ordering::Acquire);
         if next.is_null() {
-            next = Block::alloc(ring.slots);
+            next = Block::alloc(ring.tx.slots);
         } else {
             // Emptying the mailbox publishes nothing, and the consumer only
             // stores to it after reading null.
-            ring.spare.store(ptr::null_mut(), Ordering::Relaxed);
+            ring.rx.spare.store(ptr::null_mut(), Ordering::Relaxed);
             // SAFETY: the spare is ours since the Acquire load.
             unsafe { (*next).next.store(ptr::null_mut(), Ordering::Relaxed) };
         }
@@ -448,12 +460,12 @@ impl<T: Weigh> Producer<T> {
     pub(crate) fn space_msgs(&self) -> usize {
         let ring = &*self.ring;
         let mut used = self.pushed.get() - self.cached_released.get();
-        if used >= ring.cap {
+        if used >= ring.tx.cap {
             self.cached_released
                 .set(ring.released().load(Ordering::Acquire));
             used = self.pushed.get() - self.cached_released.get();
         }
-        ring.cap - used.min(ring.cap)
+        ring.tx.cap - used.min(ring.tx.cap)
     }
 
     /// Registers this endpoint as blocked-on-full.  The caller **must retry
@@ -462,7 +474,7 @@ impl<T: Weigh> Producer<T> {
     /// [`crate::container::DeliverMsgs::deliver_or_register`] performs the
     /// whole ritual.
     pub fn begin_wait(&self) {
-        self.ring.producer_waiting.store(true, Ordering::SeqCst);
+        self.ring.tx.producer_waiting.store(true, Ordering::SeqCst);
         fence(Ordering::SeqCst);
         // Force the retry to re-read the consumer's true count.
         self.cached_released.set(0);
@@ -471,7 +483,7 @@ impl<T: Weigh> Producer<T> {
     /// Withdraws a [`Producer::begin_wait`] registration after the retry
     /// succeeded, so the consumer does not issue a stale wakeup.
     pub fn cancel_wait(&self) {
-        self.ring.producer_waiting.store(false, Ordering::SeqCst);
+        self.ring.tx.producer_waiting.store(false, Ordering::SeqCst);
     }
 
     /// After a successful push: returns whether the consumer had registered
@@ -479,8 +491,8 @@ impl<T: Weigh> Producer<T> {
     /// obliges the caller to wake the consuming task.
     pub fn take_consumer_waiting(&self) -> bool {
         fence(Ordering::SeqCst);
-        if self.ring.consumer_waiting.load(Ordering::SeqCst) {
-            self.ring.consumer_waiting.swap(false, Ordering::SeqCst)
+        if self.ring.rx.consumer_waiting.load(Ordering::SeqCst) {
+            self.ring.rx.consumer_waiting.swap(false, Ordering::SeqCst)
         } else {
             false
         }
@@ -491,8 +503,8 @@ impl<T: Weigh> Consumer<T> {
     /// Number of values currently buffered (may be stale by concurrent
     /// pushes, never by pops — the consumer owns `head`).
     pub fn len(&self) -> usize {
-        let head = self.ring.head.0.index.load(Ordering::Relaxed);
-        let tail = self.ring.tail.0.index.load(Ordering::Acquire);
+        let head = self.ring.rx.head.index.load(Ordering::Relaxed);
+        let tail = self.ring.tx.tail.index.load(Ordering::Acquire);
         tail - head
     }
 
@@ -545,8 +557,8 @@ impl<T: Weigh> Consumer<T> {
                 }
             }
         }
-        let cur = self.ring.msg_head.0.load(Ordering::Relaxed);
-        self.ring.msg_head.0.store(cur + n, Ordering::Release);
+        let cur = self.ring.rx.msg_head.load(Ordering::Relaxed);
+        self.ring.rx.msg_head.store(cur + n, Ordering::Release);
     }
 
     /// Registers this endpoint as blocked-on-empty.  The caller **must
@@ -554,7 +566,7 @@ impl<T: Weigh> Consumer<T> {
     /// empty; [`crate::container::ConsumeMsgs::front_msg_or_register`]
     /// performs the whole ritual.
     pub fn begin_wait(&self) {
-        self.ring.consumer_waiting.store(true, Ordering::SeqCst);
+        self.ring.rx.consumer_waiting.store(true, Ordering::SeqCst);
         fence(Ordering::SeqCst);
         // Force the re-peek to re-read the producer's true index.
         self.cached_tail.set(0);
@@ -563,7 +575,7 @@ impl<T: Weigh> Consumer<T> {
     /// Withdraws a [`Consumer::begin_wait`] registration after the re-peek
     /// found a message, so the producer does not issue a stale wakeup.
     pub fn cancel_wait(&self) {
-        self.ring.consumer_waiting.store(false, Ordering::SeqCst);
+        self.ring.rx.consumer_waiting.store(false, Ordering::SeqCst);
     }
 
     /// After a successful pop: returns whether the producer had registered
@@ -571,8 +583,8 @@ impl<T: Weigh> Consumer<T> {
     /// obliges the caller to wake the producing task.
     pub fn take_producer_waiting(&self) -> bool {
         fence(Ordering::SeqCst);
-        if self.ring.producer_waiting.load(Ordering::SeqCst) {
-            self.ring.producer_waiting.swap(false, Ordering::SeqCst)
+        if self.ring.tx.producer_waiting.load(Ordering::SeqCst) {
+            self.ring.tx.producer_waiting.swap(false, Ordering::SeqCst)
         } else {
             false
         }
@@ -583,7 +595,7 @@ impl<T: Weigh> Consumer<T> {
     fn front_slot(&self) -> Option<*mut MaybeUninit<T>> {
         self.known_front_slot().or_else(|| {
             self.cached_tail
-                .set(self.ring.tail.0.index.load(Ordering::Acquire));
+                .set(self.ring.tx.tail.index.load(Ordering::Acquire));
             self.known_front_slot()
         })
     }
@@ -591,7 +603,7 @@ impl<T: Weigh> Consumer<T> {
     /// [`Consumer::front_slot`] as far as the cached tail knows.
     #[inline]
     fn known_front_slot(&self) -> Option<*mut MaybeUninit<T>> {
-        let head = &self.ring.head.0;
+        let head = &self.ring.rx.head;
         // SAFETY: the head cursor always denotes a slot of a live block.
         (self.cached_tail.get() > head.index.load(Ordering::Relaxed))
             .then(|| unsafe { Block::slot(head.block.get(), head.pos.get()) })
@@ -750,14 +762,14 @@ mod tests {
     /// Blocks currently owned by the ring (chain + spare).
     fn live_blocks<T>(rx: &Consumer<T>) -> usize {
         let ring = &*rx.ring;
-        let first = ring.head.0.block.get();
+        let first = ring.rx.head.block.get();
         let (mut block, mut n) = (first, 0);
         while !block.is_null() {
             n += 1;
             let next = unsafe { (*block).next.load(Ordering::Relaxed) };
             block = if next == first { ptr::null_mut() } else { next };
         }
-        n + usize::from(!ring.spare.load(Ordering::Relaxed).is_null())
+        n + usize::from(!ring.rx.spare.load(Ordering::Relaxed).is_null())
     }
 
     /// Drives one ring with `steps` random operations against a `VecDeque`

@@ -977,8 +977,8 @@ fn stage_decision(
 /// Assembles the [`ExecutionReport`] of a finished (or deadlocked) task set:
 /// per-edge delivery counters, firing totals and — for deadlocks — the
 /// blocked-node diagnoses.
-pub(crate) fn assemble_report(
-    tasks: &[Mutex<Task>],
+pub(crate) fn assemble_report<'a>(
+    tasks: impl ExactSizeIterator<Item = &'a Mutex<Task>>,
     edge_count: usize,
     inputs: u64,
     deadlocked: bool,
@@ -992,7 +992,7 @@ pub(crate) fn assemble_report(
         per_node_firings: vec![0; tasks.len()],
         ..Default::default()
     };
-    for (idx, task) in tasks.iter().enumerate() {
+    for (idx, task) in tasks.enumerate() {
         // Tolerate poisoning: a panicked behaviour may have left its task
         // mutex poisoned, but the counters are still meaningful.
         let task = task

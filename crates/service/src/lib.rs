@@ -30,7 +30,9 @@
 //!    signature)`, making the fallback a once-per-shape decision.  Graphs
 //!    whose planning exceeds the service's cycle budget reject with
 //!    [`RejectReason::Unplannable`]; plannable graphs no candidate
-//!    certifies reject with [`RejectReason::Uncertifiable`].
+//!    certifies reject with [`RejectReason::Uncertifiable`].  Both are
+//!    verdicts like any other: a repeat of a rejected shape is a cache
+//!    probe, not a second walk.
 //! 4. **Execute** — admitted jobs run *concurrently* on one shared
 //!    [`SharedPool`](fila_runtime::SharedPool): the node-tasks of every
 //!    in-flight job coexist in the same work-stealing run queues, and each

@@ -906,8 +906,8 @@ impl JobService {
     /// the plan (with its automatic fallback chain) is model-checked
     /// against the job's declared filter spec before admission, so an
     /// admitted planned job is certified deadlock-free for what it
-    /// declared.  Both plans and certification verdicts are amortised
-    /// through the structural cache.
+    /// declared.  Plans and certification verdicts — rejections of either
+    /// kind included — are amortised through the structural cache.
     ///
     /// Certification models the default (`OnFilterOnly`) Propagation
     /// trigger — the only one the service's reference semantics define.

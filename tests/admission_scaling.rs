@@ -6,14 +6,21 @@
 //! the quadratic passes, not a measurement: before E28 the fingerprint of
 //! this graph took ≈ 90 ms, its recognition 0.4–2.8 s, and the planned
 //! submission was *rejected* as truncated after 524 s of model checking.
+//!
+//! A certain "no" is bounded the same way (E31): a repeated reject is a
+//! cache probe, and a certification truncated before its first step is not
+//! run.  Their assertions are counters in every profile; the wall bounds
+//! apply to optimised builds only and are tripwires as well.
 
 use std::time::{Duration, Instant};
 
-use fila::avoidance::classify;
+use fila::avoidance::verify::{certification_inputs, MAX_CERTIFICATION_INPUTS};
+use fila::avoidance::{classify, CertifyError};
 use fila::graph::fingerprint::fingerprint;
 use fila::prelude::*;
 use fila::runtime::JobVerdict;
 use fila::workloads::generators::pipeline_graph;
+use fila::workloads::jobs::dense_unplannable;
 
 #[test]
 fn a_sixteen_thousand_node_pipeline_is_admitted_planned_in_seconds() {
@@ -63,4 +70,85 @@ fn a_sixteen_thousand_node_pipeline_is_admitted_planned_in_seconds() {
         elapsed < Duration::from_secs(10),
         "admission took {elapsed:?}"
     );
+}
+
+#[test]
+fn two_thousand_repeats_of_an_unplannable_shape_are_one_enumeration() {
+    let service = JobService::new(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let g = dense_unplannable(10);
+    let mut periods = vec![1u64; g.node_count()];
+    periods[g.single_source().unwrap().index()] = 2;
+    let started = Instant::now();
+    let mut first = None;
+    for _ in 0..2_000 {
+        let spec = JobSpec::from_periods(g.clone(), periods.clone(), 64, Some(Algorithm::NonPropagation));
+        match service.submit(spec) {
+            Err(RejectReason::Unplannable(why)) => {
+                assert_eq!(first.get_or_insert_with(|| why.clone()), &why);
+            }
+            other => panic!("expected Unplannable, got {other:?}"),
+        }
+    }
+    let elapsed = started.elapsed();
+    let stats = service.stats();
+    assert_eq!(stats.rejected_unplannable, 2_000);
+    assert_eq!((stats.cert_cache_misses, stats.cert_cache_hits), (1, 1_999));
+    eprintln!("2 000 repeat rejects: {elapsed:?}");
+    if !cfg!(debug_assertions) {
+        assert!(elapsed < Duration::from_millis(500), "rejects took {elapsed:?}");
+    }
+}
+
+#[test]
+fn a_horizon_beyond_the_ceiling_is_rejected_before_the_first_step() {
+    // Two parallel lanes of capacity-256 hops, 512 nodes in all, the fork
+    // filtering at period 2.
+    let mut b = GraphBuilder::new().default_capacity(256);
+    for lane in ["u", "v"] {
+        let names: Vec<String> = (0..255).map(|i| format!("{lane}{i}")).collect();
+        let mut chain = vec!["fork"];
+        chain.extend(names.iter().map(String::as_str));
+        chain.push("join");
+        b.chain(&chain).unwrap();
+    }
+    let g = b.build().unwrap();
+    assert_eq!(g.node_count(), 512);
+    let required = certification_inputs(&g);
+    assert!(required > MAX_CERTIFICATION_INPUTS);
+    let mut periods = vec![1u64; g.node_count()];
+    periods[g.single_source().unwrap().index()] = 2;
+
+    let started = Instant::now();
+    let err = Planner::new(&g)
+        .algorithm(Algorithm::NonPropagation)
+        .certify(&periods)
+        .unwrap_err();
+    let cold = started.elapsed();
+    let CertifyError::Uncertifiable { attempts, last } = &err else {
+        panic!("expected Uncertifiable, got {err}");
+    };
+    assert_eq!(attempts.len(), 1);
+    assert!(last.truncated && !last.certified);
+    assert_eq!((last.declared.steps, last.worst_case.steps), (0, 0));
+
+    let service = JobService::new(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let spec = JobSpec::from_periods(g, periods, 64, Some(Algorithm::NonPropagation));
+    match service.submit(spec) {
+        Err(RejectReason::Uncertifiable(why)) => {
+            assert!(why.contains(&format!("requires {required} inputs")), "{why}");
+            assert!(why.contains(&format!("is {MAX_CERTIFICATION_INPUTS}")), "{why}");
+        }
+        other => panic!("expected Uncertifiable, got {other:?}"),
+    }
+    assert_eq!(service.stats().rejected_uncertifiable, 1);
+    eprintln!("truncated reject, cold: {cold:?}");
+    if !cfg!(debug_assertions) {
+        assert!(cold < Duration::from_millis(100), "the reject took {cold:?}");
+    }
 }
