@@ -31,18 +31,19 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use fila_graph::fingerprint::{fingerprint, labeled_fingerprint};
-use fila_graph::{Fingerprint, Graph, GraphError, Result};
+use fila_graph::{Fingerprint, Graph, Result};
 
 use crate::cs4::Structure;
 use crate::interval::Rounding;
 use crate::plan::{Algorithm, AvoidancePlan};
-use crate::planner::{walk_certification_chain, CertifyAttempt, CertifyError, Planner};
-use crate::verify::{filter_signature, Certification};
+use crate::planner::{walk_certification_chain, CertifyError, Planner};
+use crate::verify::filter_signature;
 
 /// Default maximum number of cached plans.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
@@ -105,22 +106,9 @@ struct CertKey {
 /// rejected shapes cannot grow memory — negative entries are evicted by the
 /// same FIFO bound as positive ones — but it can evict warm entries, exactly
 /// as a flood of distinct admitted shapes can; admission-weighted eviction
-/// is out of scope.
-#[derive(Clone)]
-enum CertVerdict {
-    Certified {
-        used: Algorithm,
-        exhaustive: bool,
-        fell_back: bool,
-        plan: Arc<AvoidancePlan>,
-    },
-    Uncertifiable {
-        attempts: Vec<CertifyAttempt>,
-        last: Certification,
-    },
-    /// No candidate could be computed under the key's cycle budget.
-    Unplannable(GraphError),
-}
+/// is out of scope.  A positive one is stored as the walker's own answer
+/// (`hit: false`, its times); a lookup that serves it says otherwise.
+type CertVerdict = std::result::Result<CertifiedCached, CertifyError>;
 
 /// One entry of a [`Table`] bucket.
 struct Slot<D, V> {
@@ -199,6 +187,9 @@ struct Inner {
     /// Verdicts, told apart by the exact (clamped) periods: the signature
     /// in the key is only the fast filter.
     verdicts: Table<CertKey, Vec<u64>, CertVerdict>,
+    /// The verdicts being walked for right now (single flight): a second
+    /// submitter of one waits on `PlanCache::walked` for the first's.
+    walking: Vec<(CertKey, GraphIdentity, Vec<u64>)>,
 }
 
 /// The outcome of one cache lookup-or-plan.
@@ -241,6 +232,8 @@ pub struct CertifiedCached {
 /// A bounded, thread-safe structural plan cache (see the module docs).
 pub struct PlanCache {
     inner: Mutex<Inner>,
+    /// Signalled whenever a certification walk ends, however it ends.
+    walked: Condvar,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -276,7 +269,9 @@ impl PlanCache {
             inner: Mutex::new(Inner {
                 plans: Table::new(),
                 verdicts: Table::new(),
+                walking: Vec::new(),
             }),
+            walked: Condvar::new(),
             capacity: capacity.max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -402,12 +397,25 @@ impl PlanCache {
             cycle_bound,
         };
         let canonical: Vec<u64> = periods.iter().map(|&p| p.max(1)).collect();
-        let cached = self.lock().verdicts.get(&key, identity, &canonical);
-        let hit = cached.is_some();
-        let counter = if hit { &self.cert_hits } else { &self.cert_misses };
+        // Single flight: the first submitter of an unseen shape walks, the
+        // others wait (the table lock is held neither while waiting nor
+        // while walking) and read what it stored.  A walk that panicked, or
+        // whose verdict was evicted at once, leaves neither: they walk.
+        type Flight = (CertKey, GraphIdentity, Vec<u64>);
+        let flying = |f: &Flight| f.0 == key && f.1 == *identity && f.2 == canonical;
+        let mut inner = self.lock();
+        let cached = loop {
+            let cached = inner.verdicts.get(&key, identity, &canonical);
+            if cached.is_some() || !inner.walking.iter().any(flying) {
+                break cached;
+            }
+            inner = self.walked.wait(inner).unwrap_or_else(std::sync::PoisonError::into_inner);
+        };
+        let counter = if cached.is_some() { &self.cert_hits } else { &self.cert_misses };
         counter.fetch_add(1, Ordering::Relaxed);
-        let (mut plan_time, mut certify_time) = (Duration::ZERO, Duration::ZERO);
-        let verdict = cached.unwrap_or_else(|| {
+        let Some(cached) = cached else {
+            inner.walking.push((key, identity.clone(), canonical.clone()));
+            drop(inner);
             // The chain itself lives in `walk_certification_chain` (shared
             // with `Planner::certify`, so the two can never select
             // differently); the cache only decides where structural
@@ -420,59 +428,47 @@ impl PlanCache {
                 .algorithm(algorithm)
                 .rounding(rounding)
                 .cycle_bound(cycle_bound);
-            let walked = Structure::of(g)
-                .map_err(CertifyError::Unplannable)
-                .and_then(|structure| {
-                    walk_certification_chain(&planner, &structure, &canonical, |candidate| {
-                        let from = Some(&structure);
-                        let cached = self
-                            .plan_identified(g, identity, candidate, rounding, cycle_bound, from)?;
-                        Ok((cached.plan, cached.plan_time))
-                    })
-                });
+            let walked = catch_unwind(AssertUnwindSafe(|| {
+                let structure = Structure::of(g).map_err(CertifyError::Unplannable)?;
+                walk_certification_chain(&planner, &structure, &canonical, |candidate| {
+                    let from = Some(&structure);
+                    let cached =
+                        self.plan_identified(g, identity, candidate, rounding, cycle_bound, from)?;
+                    Ok((cached.plan, cached.plan_time))
+                })
+            }));
             // Whatever the walk found is the verdict, a rejection included.
-            let verdict = match walked {
-                Ok(accepted) => {
-                    (plan_time, certify_time) = (accepted.plan_time, accepted.certify_time);
-                    CertVerdict::Certified {
-                        used: accepted.used,
-                        exhaustive: accepted.exhaustive,
-                        fell_back: accepted.fell_back,
-                        plan: accepted.plan,
-                    }
-                }
-                Err(CertifyError::Uncertifiable { attempts, last }) => {
-                    CertVerdict::Uncertifiable { attempts, last }
-                }
-                Err(CertifyError::Unplannable(e)) => CertVerdict::Unplannable(e),
-            };
-            self.lock()
-                .verdicts
-                .insert(self.capacity, key, identity, canonical, verdict.clone());
-            verdict
-        });
-        match verdict {
-            CertVerdict::Certified {
-                used,
-                exhaustive,
-                fell_back,
-                plan,
-            } => Ok(CertifiedCached {
-                plan,
-                used,
-                exhaustive,
-                fell_back,
-                fingerprint: key.plan.fingerprint,
-                filter_signature: key.filter,
-                hit,
-                plan_time,
-                certify_time,
-            }),
-            CertVerdict::Uncertifiable { attempts, last } => {
-                Err(CertifyError::Uncertifiable { attempts, last })
+            let verdict = walked.map(|walked| {
+                walked.map(|accepted| CertifiedCached {
+                    plan: accepted.plan,
+                    used: accepted.used,
+                    exhaustive: accepted.exhaustive,
+                    fell_back: accepted.fell_back,
+                    fingerprint: key.plan.fingerprint,
+                    filter_signature: key.filter,
+                    hit: false,
+                    plan_time: accepted.plan_time,
+                    certify_time: accepted.certify_time,
+                })
+            });
+            // However the walk ended its waiters go on: they find the
+            // verdict stored under this lock, or nothing.
+            let mut inner = self.lock();
+            inner.walking.retain(|f| !flying(f));
+            if let Ok(verdict) = &verdict {
+                inner.verdicts.insert(self.capacity, key, identity, canonical, verdict.clone());
             }
-            CertVerdict::Unplannable(e) => Err(CertifyError::Unplannable(e)),
-        }
+            drop(inner);
+            self.walked.notify_all();
+            return verdict.unwrap_or_else(|panic| resume_unwind(panic));
+        };
+        drop(inner);
+        cached.map(|cached| CertifiedCached {
+            hit: true,
+            plan_time: Duration::ZERO,
+            certify_time: Duration::ZERO,
+            ..cached
+        })
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -801,29 +797,74 @@ mod tests {
         assert_eq!(cache.cert_len(), 3);
     }
 
+    /// A 256-edge SP DAG — 32 four-lane stages — with every fork filtering.
+    fn sp256() -> (Graph, Vec<u64>) {
+        use fila_spdag::{build_sp, SpSpec};
+        let stage = || SpSpec::Parallel((1..=4).map(|c| SpSpec::pipeline(&[c, 9 - c])).collect());
+        let (g, _) = build_sp(&SpSpec::Series((0..32).map(|_| stage()).collect()));
+        assert_eq!(g.edge_count(), 256);
+        let periods = g.node_ids().map(|n| if g.out_degree(n) > 1 { 3 } else { 1 }).collect();
+        (g, periods)
+    }
+
     #[test]
     fn racing_submitters_of_one_unplannable_shape_leave_one_entry() {
-        let g = dense(3);
-        let periods = vec![2u64; g.node_count()];
+        // Single flight: of eight submitters released together one walks,
+        // seven wait for its verdict — a certain "no" and a certified
+        // 256-edge SP DAG (32 four-lane stages, every fork filtering) alike.
+        let (sp, forks) = sp256();
+        let unplannable = dense(3);
+        let twos = vec![2u64; unplannable.node_count()];
+        for (g, periods, bound) in [(&unplannable, twos, 16), (&sp, forks, 1000)] {
+            let cache = PlanCache::new(8);
+            let start = std::sync::Barrier::new(8);
+            // The answer, and for a certified one `(hit, certify_time > 0)`.
+            let answers: Vec<(String, Option<(bool, bool)>)> = std::thread::scope(|scope| {
+                let racer = || {
+                    start.wait();
+                    let requested = (Algorithm::NonPropagation, Rounding::Ceil);
+                    match cache.certify(g, requested.0, requested.1, bound, &periods) {
+                        Ok(c) => (format!("{:?}", c.plan), Some((c.hit, !c.certify_time.is_zero()))),
+                        Err(e) => (e.to_string(), None),
+                    }
+                };
+                let racers: Vec<_> = (0..8).map(|_| scope.spawn(racer)).collect();
+                racers.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            assert_eq!(cache.cert_len(), 1);
+            assert_eq!((cache.cert_misses(), cache.cert_hits()), (1, 7));
+            // One answer, told apart only by who walked for it.
+            assert!(answers.iter().all(|a| a.0 == answers[0].0));
+            if answers[0].1.is_some() {
+                let count = |who| answers.iter().filter(|a| a.1 == Some(who)).count();
+                assert_eq!((count((false, true)), count((true, false))), (1, 7));
+            }
+        }
+    }
+
+    #[test]
+    fn a_walker_that_panics_wakes_its_waiters_to_walk_themselves() {
+        let (g, periods) = sp256();
         let cache = PlanCache::new(8);
-        let start = std::sync::Barrier::new(2);
-        let texts: Vec<String> = std::thread::scope(|scope| {
-            let racers: Vec<_> = (0..2)
-                .map(|_| {
-                    scope.spawn(|| {
-                        start.wait();
-                        cache
-                            .certify(&g, Algorithm::NonPropagation, Rounding::Ceil, 16, &periods)
-                            .unwrap_err()
-                            .to_string()
-                    })
-                })
-                .collect();
-            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        let certify =
+            || cache.certify(&g, Algorithm::NonPropagation, Rounding::Ceil, 1000, &periods);
+        std::thread::scope(|scope| {
+            let walker = scope.spawn(|| {
+                crate::verify::PANICKING_ROW.with(|on| on.set(true));
+                certify()
+            });
+            // Enter behind the walker: its flight is up, or already over —
+            // then this is a plain miss, and as good an answer.
+            while cache.lock().walking.is_empty() && !walker.is_finished() {
+                std::thread::yield_now();
+            }
+            let waited = certify().expect("the waiter is woken and walks for itself");
+            assert!(!waited.hit && !waited.certify_time.is_zero());
+            assert!(walker.join().is_err(), "the walker's panic is its caller's");
         });
-        assert_eq!(texts[0], texts[1]);
-        assert_eq!(cache.cert_len(), 1);
-        assert_eq!(cache.cert_hits() + cache.cert_misses(), 2);
+        assert!(cache.lock().walking.is_empty());
+        assert_eq!((cache.cert_len(), cache.cert_misses(), cache.cert_hits()), (1, 2, 0));
+        assert!(certify().unwrap().hit);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::ladder_prop::apply_ladder_propagation;
 use crate::nonprop_sp::nonprop_into;
 use crate::plan::{Algorithm, AvoidancePlan};
 use crate::prop_sp::setivals_into;
-use crate::verify::{certify_plan, Certification};
+use crate::verify::{certify_shared, Certification};
 
 /// Builder-style planner for deadlock-avoidance plans.
 #[derive(Debug, Clone)]
@@ -176,8 +176,8 @@ impl<'g> Planner<'g> {
     ///    are tighter than the conservative ladder recurrences);
     /// 4. the other protocol, forced exhaustive.
     ///
-    /// The first candidate whose [`certify_plan`] passes is returned;
-    /// see `crates/avoidance/src/verify.rs` for what certification checks.
+    /// The first candidate whose [`certify_plan`](crate::verify::certify_plan)
+    /// passes is returned; see that module for what certification checks.
     /// On a `General`-class topology the structural steps *are* the
     /// exhaustive ones, so the chain collapses to two candidates.
     pub fn certify(&self, periods: &[u64]) -> std::result::Result<CertifiedPlan, CertifyError> {
@@ -268,7 +268,7 @@ where
             }
         };
         let checking = Instant::now();
-        let certification = match certify_plan(g, &plan, periods) {
+        let certification = match certify_shared(g, &plan, periods) {
             Ok(c) => c,
             Err(e) => return Err(CertifyError::Unplannable(e)),
         };
@@ -360,7 +360,7 @@ pub struct CertifiedPlan {
 }
 
 /// Why [`Planner::certify`] could not produce a certified plan.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum CertifyError {
     /// No candidate plan could even be computed (invalid graph, cycle
     /// budget exceeded, …) — the submission is unplannable regardless of

@@ -41,12 +41,18 @@
 //!    while staying a constant number of bounded runs.
 //!
 //! A plan is **certified** only if every run completes within the step
-//! budget.
+//! budget.  The runs share nothing but read-only inputs: they are the rows of
+//! one table, claimed in order by the certifying thread and by a process-wide
+//! crew of helper threads, and folded in order (DESIGN.md, E32).
 //! The check is bounded (default [`certification_inputs`]); a run that
 //! exhausts the budget without completing is conservatively *not*
 //! certified.  `Planner::certify` drives this pass with an automatic
 //! fallback chain, and the service layer caches verdicts per
 //! `(fingerprint, filter signature)` — see `fila_avoidance::cache`.
+
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
 
 use fila_graph::undirected::first_unreachable;
 use fila_graph::{EdgeId, Graph, NodeId, Result};
@@ -338,6 +344,15 @@ pub fn certification_inputs(g: &Graph) -> u64 {
 /// which never certifies whatever the runs do — so they are not made: every
 /// outcome is inconclusive at zero steps and `inputs` names the horizon.
 pub fn certify_plan(g: &Graph, plan: &AvoidancePlan, periods: &[u64]) -> Result<Certification> {
+    certify_shared(g, &Arc::new(plan.clone()), periods)
+}
+
+/// [`certify_plan`] on the caller's shared copy of the interval table.
+pub(crate) fn certify_shared(
+    g: &Graph,
+    plan: &Arc<AvoidancePlan>,
+    periods: &[u64],
+) -> Result<Certification> {
     let required = certification_inputs(g);
     if required > MAX_CERTIFICATION_INPUTS {
         check_shapes(g, plan, periods)?;
@@ -381,18 +396,16 @@ pub fn certify_plan_bounded(
     inputs: u64,
     max_steps: u64,
 ) -> Result<Certification> {
-    certify_with_requirement(g, plan, periods, inputs, max_steps, certification_inputs(g))
+    let plan = Arc::new(plan.clone());
+    certify_with_requirement(g, &plan, periods, inputs, max_steps, certification_inputs(g))
 }
 
 /// Shared body of [`certify_plan`] / [`certify_plan_bounded`]: `required`
 /// is the unclamped [`certification_inputs`] value, threaded through so
-/// the topological pass runs once per certification, not twice.  Each of
-/// the up to six runs skips its steady state exactly ([`SteadyState`]): the
-/// declared run's rule has the profile's periods, an adversarial run's rule
-/// does not read `seq` at all.
+/// the topological pass runs once per certification, not twice.
 fn certify_with_requirement(
     g: &Graph,
-    plan: &AvoidancePlan,
+    plan: &Arc<AvoidancePlan>,
     periods: &[u64],
     inputs: u64,
     max_steps: u64,
@@ -400,49 +413,8 @@ fn certify_with_requirement(
 ) -> Result<Certification> {
     check_shapes(g, plan, periods)?;
     let truncated = inputs < required;
-    // The wrappers share the plan behind an `Arc`: one copy per
-    // certification, not one per run.
-    let mode = AvoidanceMode::plan(plan.clone());
-    let periodic = |n: NodeId, seq: u64, j: usize, _outs: usize| -> bool {
-        periodic_emits(periods[n.index()], seq, j)
-    };
-    let declared = model_check(g, &mode, periodic, periods, inputs, max_steps);
-    let mut worst_case = declared;
-    let mut failing_adversary = None;
-    // A profile with no filtering node has an empty escalation: every
-    // adversarial run would degenerate to the declared one, so skip them.
-    if periods.iter().any(|&p| p > 1) {
-        // A run is determined by what its pattern says on the filtering
-        // nodes' slots; patterns that say the same there (one filtering
-        // node: `starve-all` is one of the parities) are one run.
-        let mut ran: Vec<(Vec<bool>, ModelOutcome)> = Vec::new();
-        for (name, pattern) in ADVERSARIES {
-            let emit = |n: NodeId, seq: u64, j: usize, outs: usize| -> bool {
-                if periods[n.index()] > 1 {
-                    pattern(n.index(), j, outs)
-                } else {
-                    periodic(n, seq, j, outs)
-                }
-            };
-            let filtering = g.node_ids().filter(|n| periods[n.index()] > 1);
-            let table: Vec<bool> = filtering
-                .flat_map(|n| {
-                    let outs = g.out_edges(n).len();
-                    (0..outs).map(move |j| pattern(n.index(), j, outs))
-                })
-                .collect();
-            let seen = ran.iter().find(|(t, _)| *t == table).map(|&(_, outcome)| outcome);
-            worst_case =
-                seen.unwrap_or_else(|| model_check(g, &mode, emit, &[], inputs, max_steps));
-            if seen.is_none() {
-                ran.push((table, worst_case));
-            }
-            if !worst_case.completed {
-                failing_adversary = Some(name);
-                break;
-            }
-        }
-    }
+    let (declared, worst_case, failing_adversary) =
+        Arc::new(RunTable::new(g, plan, periods, (inputs, max_steps))).verdict();
     Ok(Certification {
         certified: declared.completed && failing_adversary.is_none() && !truncated,
         declared,
@@ -451,6 +423,187 @@ fn certify_with_requirement(
         inputs,
         truncated,
     })
+}
+
+static RUNS_BY_CALLER: AtomicU64 = AtomicU64::new(0);
+static RUNS_BY_CREW: AtomicU64 = AtomicU64::new(0);
+
+/// The model-check runs made so far in this process: `(by the threads that
+/// asked for a certification, by the crew)` — `fila_certify_runs_total`.
+pub fn certify_runs() -> (u64, u64) {
+    (RUNS_BY_CALLER.load(Ordering::Relaxed), RUNS_BY_CREW.load(Ordering::Relaxed))
+}
+
+/// Every update under the locks below is one push, removal or slot store.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One certification as a table of independent runs under one `budget` of
+/// inputs and steps, claimed in order from `next` and folded in order: the
+/// result does not depend on who ran what.  It owns what a crew thread reads.
+struct RunTable {
+    graph: Graph,
+    mode: AvoidanceMode,
+    periods: Vec<u64>,
+    budget: (u64, u64),
+    /// Row 0 is the declared profile (`None`), then one row per distinct
+    /// adversarial emission table, in [`ADVERSARIES`] order.
+    rows: Vec<Option<AdversaryPattern>>,
+    /// The adversaries the profile escalates to, each with its row.
+    adversaries: Vec<(&'static str, usize)>,
+    next: AtomicUsize,
+    /// Rows from here on are not started: one past the first adversarial
+    /// row that did not complete (the sequential early exit).
+    stop: AtomicUsize,
+    outcomes: Mutex<Vec<Option<std::thread::Result<ModelOutcome>>>>,
+    finished: Condvar,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Ends this thread's tables in a row that panics.
+    pub(crate) static PANICKING_ROW: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// The tables whose certifying thread is claiming rows; the crew's wake-up.
+static POSTED: Mutex<Vec<Arc<RunTable>>> = Mutex::new(Vec::new());
+static WAKE: Condvar = Condvar::new();
+
+impl RunTable {
+    fn new(g: &Graph, plan: &Arc<AvoidancePlan>, periods: &[u64], budget: (u64, u64)) -> Self {
+        let mut rows = vec![None];
+        let mut adversaries = Vec::new();
+        // A profile with no filtering node has an empty escalation: every
+        // adversarial run would degenerate to the declared one.
+        if periods.iter().any(|&p| p > 1) {
+            // A run is determined by what its pattern says on the filtering
+            // nodes' slots; patterns that say the same there (one filtering
+            // node: `starve-all` is one of the parities) are one row.
+            let mut tables: Vec<Vec<bool>> = Vec::new();
+            for (name, pattern) in ADVERSARIES {
+                let slots = |n: NodeId| {
+                    let outs = g.out_edges(n).len();
+                    (0..outs).map(move |j| pattern(n.index(), j, outs))
+                };
+                let filtering = g.node_ids().filter(|n| periods[n.index()] > 1);
+                let table: Vec<bool> = filtering.flat_map(slots).collect();
+                let seen = tables.iter().position(|t| *t == table).unwrap_or_else(|| {
+                    tables.push(table);
+                    rows.push(Some(pattern));
+                    tables.len() - 1
+                });
+                adversaries.push((name, seen + 1));
+            }
+        }
+        #[cfg(test)]
+        if PANICKING_ROW.with(std::cell::Cell::get) {
+            adversaries.push(("panics", rows.len()));
+            rows.push(Some(|_, _, _| panic!("a row panics")));
+        }
+        RunTable {
+            graph: g.clone(),
+            mode: AvoidanceMode::Plan(plan.clone()),
+            periods: periods.to_vec(),
+            budget,
+            next: AtomicUsize::new(0),
+            stop: AtomicUsize::new(rows.len()),
+            outcomes: Mutex::new(rows.iter().map(|_| None).collect()),
+            finished: Condvar::new(),
+            rows,
+            adversaries,
+        }
+    }
+
+    /// One row's run.  Each skips its steady state exactly ([`SteadyState`]):
+    /// the declared run's rule has the profile's periods, an adversarial
+    /// run's rule does not read `seq` at all.
+    fn run(&self, row: usize) -> ModelOutcome {
+        let (periods, pattern) = (&self.periods[..], self.rows[row]);
+        let emits = |n: NodeId, seq: u64, j: usize, outs: usize| match pattern {
+            Some(pattern) if periods[n.index()] > 1 => pattern(n.index(), j, outs),
+            _ => periodic_emits(periods[n.index()], seq, j),
+        };
+        let rule = if pattern.is_some() { &[] } else { periods };
+        model_check(&self.graph, &self.mode, emits, rule, self.budget.0, self.budget.1)
+    }
+
+    /// Claims rows in order and runs them until none is left to start.  A
+    /// panic is caught and stored as the row's outcome: it is the certifying
+    /// thread's to re-raise, and a crew thread survives it.
+    fn work(&self, runs: &AtomicU64) {
+        loop {
+            let row = self.next.fetch_add(1, Ordering::SeqCst);
+            if row >= self.stop.load(Ordering::SeqCst) {
+                return;
+            }
+            let outcome = catch_unwind(AssertUnwindSafe(|| self.run(row)));
+            runs.fetch_add(1, Ordering::Relaxed);
+            if row > 0 && !matches!(outcome, Ok(run) if run.completed) {
+                self.stop.fetch_min(row + 1, Ordering::SeqCst);
+            }
+            lock(&self.outcomes)[row] = Some(outcome);
+            self.finished.notify_all();
+        }
+    }
+
+    /// Runs the table — this thread and whoever of the crew is free; a lone
+    /// row wakes nobody — and folds it in [`ADVERSARIES`] order as a sequential
+    /// loop would: `(declared, worst_case, failing_adversary)`.
+    fn verdict(self: Arc<Self>) -> (ModelOutcome, ModelOutcome, Option<&'static str>) {
+        lock(&POSTED).push(self.clone());
+        if self.rows.len() > 1 {
+            start_crew();
+            WAKE.notify_all();
+        }
+        self.work(&RUNS_BY_CALLER);
+        lock(&POSTED).retain(|posted| !Arc::ptr_eq(posted, &self));
+        // `stop` only falls and a row claimed below it is run: now that this
+        // thread found none to claim, every row below `stop` has its runner.
+        let mut done = lock(&self.outcomes);
+        while done[..self.stop.load(Ordering::SeqCst)].iter().any(Option::is_none) {
+            done = self.finished.wait(done).unwrap_or_else(PoisonError::into_inner);
+        }
+        let completed = |row: usize| matches!(done[row], Some(Ok(run)) if run.completed);
+        let failing = self.adversaries.iter().find(|&&(_, row)| !completed(row));
+        let worst = failing.or(self.adversaries.last()).map_or(0, |&(_, row)| row);
+        let mut read = |row: usize| done[row].take().expect("the fold reads rows that ran");
+        let (declared, worst_case) = (read(0), (worst > 0).then(|| read(worst)));
+        drop(done);
+        let raise = |run: std::thread::Result<_>| run.unwrap_or_else(|panic| resume_unwind(panic));
+        let declared = raise(declared);
+        (declared, worst_case.map_or(declared, raise), failing.map(|&(name, _)| name))
+    }
+}
+
+/// Starts the crew, once per process: `available_parallelism() − 1` helper
+/// threads, at most 5 (a table has at most six rows).  They **never exit**:
+/// CPU accounting over a process's live threads (the ledger's) loses an
+/// exited thread's share.  One that cannot be spawned is a smaller crew.
+fn start_crew() {
+    static STARTED: Once = Once::new();
+    STARTED.call_once(|| {
+        let spare = std::thread::available_parallelism().map_or(0, |n| n.get() - 1);
+        for helper in 0..spare.min(5) {
+            let name = format!("fila-certify-{helper}");
+            let _ = std::thread::Builder::new().name(name).spawn(help);
+        }
+    });
+}
+
+fn help() {
+    let open = |t: &&Arc<RunTable>| t.next.load(Ordering::SeqCst) < t.stop.load(Ordering::SeqCst);
+    let mut posted = lock(&POSTED);
+    loop {
+        posted = match posted.iter().find(open).cloned() {
+            Some(table) => {
+                drop(posted);
+                table.work(&RUNS_BY_CREW);
+                lock(&POSTED)
+            }
+            None => WAKE.wait(posted).unwrap_or_else(PoisonError::into_inner),
+        };
+    }
 }
 
 fn default_step_budget(g: &Graph, inputs: u64) -> u64 {
@@ -780,6 +933,87 @@ mod tests {
         let cert = certify_plan_bounded(&g, &plan, &[8, 1, 1], 256, 3).unwrap();
         assert!(!cert.certified);
         assert!(cert.declared.inconclusive());
+        // A declared run that fails does not end the escalation: the first
+        // adversary is still run, and named.
+        assert_eq!(cert.failing_adversary, Some("starve-all"));
+        assert_eq!((cert.declared.steps, cert.worst_case.steps), (3, 3));
+        assert!(cert.worst_case.inconclusive());
+    }
+
+    /// Fig. 3 with its interior nodes `b` and `c` filtering, and the
+    /// Propagation plan that profile defeats.
+    fn fig3_interior_filtered() -> (Graph, Arc<AvoidancePlan>, Vec<u64>) {
+        let mut b = GraphBuilder::new();
+        for (s, t, capacity) in [
+            ("a", "b", 2), ("b", "e", 5), ("e", "f", 1),
+            ("a", "c", 3), ("c", "d", 1), ("d", "f", 2),
+        ] {
+            b.edge_with_capacity(s, t, capacity).unwrap();
+        }
+        let g = b.build().unwrap();
+        let mut periods = vec![1u64; g.node_count()];
+        periods[g.node_by_name("b").unwrap().index()] = 3;
+        periods[g.node_by_name("c").unwrap().index()] = 3;
+        let plan = Planner::new(&g).algorithm(Algorithm::Propagation).plan().unwrap();
+        (g, Arc::new(plan), periods)
+    }
+
+    #[test]
+    fn a_failing_candidate_starts_no_row_it_cannot_need() {
+        let (g, plan, periods) = fig3_interior_filtered();
+        let inputs = certification_inputs(&g);
+        let budget = (inputs, default_step_budget(&g, inputs));
+        let table = RunTable::new(&g, &plan, &periods, budget);
+        // `b` and `c` have one output each, so first- and last-output-only
+        // say the same and share a row.
+        let rows: Vec<usize> = table.adversaries.iter().map(|&(_, row)| row).collect();
+        assert_eq!((table.rows.len(), rows), (5, vec![1, 2, 2, 3, 4]));
+        let table = Arc::new(table);
+        let verdict = table.clone().verdict();
+        // What the sequential loop found (recorded at E32's parent).
+        let declared = ModelOutcome { completed: true, deadlocked: false, steps: 1033 };
+        let worst_case = ModelOutcome { completed: false, deadlocked: true, steps: 27 };
+        assert_eq!(verdict, (declared, worst_case, Some("even-nodes-relay")));
+        // Row 3 failed: the caller ran 0..=3 unless a helper took some, and
+        // each helper can have had at most one later row in flight.
+        while Arc::strong_count(&table) > 1 {
+            std::thread::yield_now();
+        }
+        let crew = std::thread::available_parallelism().map_or(0, |n| n.get() - 1).min(5);
+        let left = lock(&table.outcomes).iter().flatten().count();
+        assert!(2 + left <= (1 + 3 + crew).min(5), "{left} outcomes left beside the two read");
+        assert_eq!(table.stop.load(Ordering::SeqCst), 4);
+    }
+
+    #[test]
+    fn a_panicking_row_is_the_callers_panic_and_the_crew_survives_it() {
+        let g = fig2();
+        let plan = Planner::new(&g).algorithm(Algorithm::NonPropagation).plan().unwrap();
+        let before = certify_plan(&g, &plan, &[8, 1, 1]).unwrap();
+        assert!(before.certified, "{}", before.summary());
+        PANICKING_ROW.with(|on| on.set(true));
+        let panicked = catch_unwind(|| certify_plan(&g, &plan, &[8, 1, 1]));
+        PANICKING_ROW.with(|on| on.set(false));
+        let payload = panicked.expect_err("the last row panics, on whichever thread ran it");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"a row panics"));
+        for _ in 0..8 {
+            assert_eq!(certify_plan(&g, &plan, &[8, 1, 1]).unwrap(), before);
+        }
+    }
+
+    #[test]
+    fn one_row_per_distinct_emission_table() {
+        // One filtering node of out-degree 2 at index 0: `starve-all` is the
+        // odd parity, the even parity relays everything.
+        let g = fig2();
+        let plan = Arc::new(Planner::new(&g).algorithm(Algorithm::NonPropagation).plan().unwrap());
+        let table = |periods: &[u64]| RunTable::new(&g, &plan, periods, (256, 10_000));
+        let rows = |t: &RunTable| t.adversaries.iter().map(|&(_, row)| row).collect::<Vec<_>>();
+        let source = table(&[8, 1, 1]);
+        assert_eq!((source.rows.len(), rows(&source)), (5, vec![1, 2, 3, 4, 1]));
+        // No filtering node: the declared run alone.
+        let broadcast = table(&[1, 1, 1]);
+        assert_eq!((broadcast.rows.len(), rows(&broadcast)), (1, vec![]));
     }
 
     #[test]

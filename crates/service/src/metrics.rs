@@ -504,6 +504,19 @@ pub fn sched_prometheus(telemetry: &TelemetryHandle) -> String {
     out
 }
 
+/// Renders who ran certification's model-check runs (E32) as
+/// `fila_certify_runs_total`: `by="caller"` the threads that asked for a
+/// certification, `by="crew"` the process-wide helper threads.  The counters
+/// are the process's, not one service's.
+pub fn certify_prometheus() -> String {
+    let (caller, crew) = fila_avoidance::verify::certify_runs();
+    format!(
+        "# TYPE fila_certify_runs_total counter\n\
+         fila_certify_runs_total{{by=\"caller\"}} {caller}\n\
+         fila_certify_runs_total{{by=\"crew\"}} {crew}\n"
+    )
+}
+
 /// Minimal escaping for JSON strings / Prometheus label values.
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -674,6 +687,14 @@ mod tests {
         assert!(text.contains("fila_sched_slot_hits_total{worker=\"0\"} 0"));
         assert!(text.contains("fila_sched_injector_pushes_total{worker=\"control\"} 3"));
         assert!(text.contains("fila_sched_unparks_suppressed_total"));
+    }
+
+    #[test]
+    fn certify_runs_render_by_who_ran_them() {
+        let text = certify_prometheus();
+        assert!(text.starts_with("# TYPE fila_certify_runs_total counter\n"));
+        assert!(text.contains("fila_certify_runs_total{by=\"caller\"} "));
+        assert!(text.contains("fila_certify_runs_total{by=\"crew\"} "));
     }
 
     #[test]

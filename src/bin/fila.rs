@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 use fila::prelude::*;
 use fila::runtime::FaultPlan;
 use fila::workloads::jobs::{job_mix_with_drift, JobKind, JobShape};
-use fila_service::metrics::sched_prometheus;
+use fila_service::metrics::{certify_prometheus, sched_prometheus};
 use fila_service::{CheckpointPolicy, JobTicket, RecoveryMode, RecoveryOutcome, RecoveryPolicy};
 
 fn main() -> ExitCode {
@@ -813,7 +813,7 @@ fn export_telemetry(svc: &JobService, trace_path: Option<&str>, metrics: bool) -
         let m = svc.metrics().expect("--metrics switches the recorder on");
         let telemetry = svc.telemetry().expect("--metrics switches the recorder on");
         m.ingest(&telemetry.drain_new());
-        eprint!("{}{}", m.prometheus(), sched_prometheus(telemetry));
+        eprint!("{}{}{}", m.prometheus(), sched_prometheus(telemetry), certify_prometheus());
     }
     None
 }

@@ -11,16 +11,27 @@
 //! cache probe, and a certification truncated before its first step is not
 //! run.  Their assertions are counters in every profile; the wall bounds
 //! apply to optimised builds only and are tripwires as well.
+//!
+//! And a cold certification scales with the cores (E32): its model-check
+//! runs are rows of one table, each run once, by the submitting thread or by
+//! the process-wide crew.  Counters again, no stopwatch.
 
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use fila::avoidance::verify::{certification_inputs, MAX_CERTIFICATION_INPUTS};
+use fila::avoidance::verify::{
+    certification_inputs, certify_runs, ADVERSARIES, MAX_CERTIFICATION_INPUTS,
+};
 use fila::avoidance::{classify, CertifyError};
 use fila::graph::fingerprint::fingerprint;
 use fila::prelude::*;
 use fila::runtime::JobVerdict;
-use fila::workloads::generators::pipeline_graph;
+use fila::workloads::generators::{pipeline_graph, random_sp_dag, GeneratorConfig};
 use fila::workloads::jobs::dense_unplannable;
+
+/// Held around a certification that makes model-check runs: `certify_runs`
+/// counts the process's, and the tests of this file share one.
+static COUNTED: Mutex<()> = Mutex::new(());
 
 #[test]
 fn a_sixteen_thousand_node_pipeline_is_admitted_planned_in_seconds() {
@@ -54,11 +65,13 @@ fn a_sixteen_thousand_node_pipeline_is_admitted_planned_in_seconds() {
         workers: 1,
         ..ServiceConfig::default()
     });
+    let counted = COUNTED.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let t = Instant::now();
     let ticket = service
         .submit(JobSpec::new(g, FilterSpec::Broadcast, 16))
         .expect("a cycle-free job is certifiable at any depth");
     lap("submit (cold, certified)", t);
+    drop(counted);
     assert_eq!(ticket.fingerprint, print);
     assert_eq!(ticket.cache_hit, Some(false));
     let outcome = ticket.wait();
@@ -150,5 +163,63 @@ fn a_horizon_beyond_the_ceiling_is_rejected_before_the_first_step() {
     eprintln!("truncated reject, cold: {cold:?}");
     if !cfg!(debug_assertions) {
         assert!(cold < Duration::from_millis(100), "the reject took {cold:?}");
+    }
+}
+
+#[test]
+fn a_cold_certification_runs_each_row_once_and_shares_them_with_the_crew() {
+    let (g, _) = random_sp_dag(&GeneratorConfig {
+        target_edges: 512,
+        max_fanout: 4,
+        capacity_range: (2, 8),
+        seed: 32,
+    });
+    assert!(g.edge_count() >= 512);
+    let periods: Vec<u64> = g
+        .node_ids()
+        .map(|n| if g.out_degree(n) > 1 { 3 } else { 1 })
+        .collect();
+    // The table: the declared profile, then one row per distinct thing an
+    // adversary says on the filtering nodes' output slots.  The forks sit on
+    // both node parities, so all five adversaries differ.
+    let mut said: Vec<Vec<bool>> = ADVERSARIES
+        .iter()
+        .map(|&(_, pattern)| {
+            let forks = g.node_ids().filter(|n| periods[n.index()] > 1);
+            forks
+                .flat_map(|n| {
+                    let outs = g.out_degree(n);
+                    (0..outs).map(move |j| pattern(n.index(), j, outs))
+                })
+                .collect()
+        })
+        .collect();
+    said.sort();
+    said.dedup();
+    let rows = 1 + said.len() as u64;
+    assert_eq!(rows, 6);
+
+    let service = JobService::new(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let spec = JobSpec::from_periods(g, periods, 16, Some(Algorithm::NonPropagation));
+    let counted = COUNTED.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let before = certify_runs();
+    let ticket = service.submit(spec).expect("fork filtering certifies under Non-Propagation");
+    let after = certify_runs();
+    drop(counted);
+    assert_eq!((ticket.cache_hit, ticket.fell_back), (Some(false), false));
+    assert_eq!(ticket.wait().verdict, JobVerdict::Completed);
+
+    let (caller, crew) = (after.0 - before.0, after.1 - before.1);
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    eprintln!("{rows} rows: {caller} by the caller, {crew} by the crew ({threads} hardware threads)");
+    assert_eq!(caller + crew, rows, "every row is run exactly once");
+    assert!(caller >= 1, "the caller always takes part");
+    if threads >= 2 {
+        assert!(crew >= 1, "a free helper takes rows");
+    } else {
+        assert_eq!(crew, 0, "one hardware thread: a crew of zero");
     }
 }

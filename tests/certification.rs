@@ -11,8 +11,8 @@ use fila::avoidance::model::{
 };
 use fila::avoidance::verify::{certification_inputs, AdversaryPattern, ADVERSARIES};
 use fila::avoidance::{
-    certify_plan, certify_plan_bounded, Algorithm, AvoidancePlan, Certification, IntervalMap,
-    ModelOutcome, Rounding,
+    certify_plan, certify_plan_bounded, Algorithm, AvoidancePlan, Certification, CertifyError,
+    IntervalMap, ModelOutcome, Rounding,
 };
 use fila::prelude::*;
 use fila::runtime::filters::Predicate;
@@ -452,6 +452,116 @@ proptest! {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// E32: the crew is invisible.  A certification's runs are rows of one table,
+// claimed by the calling thread and by the process-wide crew; with four
+// callers at once the helpers are busy, rows of different tables interleave,
+// and racing submitters of one shape share one walk — and every answer must
+// be the one a lone caller gets.
+// ---------------------------------------------------------------------------
+
+/// Everything the three ways into certification say about one corpus entry.
+#[derive(Debug)]
+struct Answers {
+    /// `certify_plan` on each of `plans_of`.
+    bare: Vec<Certification>,
+    /// `Planner::certify`, per requested protocol: the decision and its
+    /// evidence, or the rejection and its last certification if it made one.
+    walked: Vec<(String, Option<Certification>)>,
+    /// `PlanCache::certify`, per requested protocol (no `hit`, no times:
+    /// those do depend on who got there first).
+    cached: Vec<String>,
+}
+
+fn answers(g: &Graph, periods: &[u64], cache: &PlanCache) -> Answers {
+    let protocols = [Algorithm::NonPropagation, Algorithm::Propagation];
+    Answers {
+        bare: plans_of(g).iter().map(|plan| certify_plan(g, plan, periods).unwrap()).collect(),
+        walked: protocols
+            .iter()
+            .map(|&algorithm| {
+                match Planner::new(g).algorithm(algorithm).cycle_bound(4096).certify(periods) {
+                    Ok(c) => (
+                        format!("{} {} {} {:?} {:?}", c.used, c.exhaustive, c.fell_back, c.attempts, c.plan),
+                        Some(c.certification),
+                    ),
+                    Err(CertifyError::Uncertifiable { attempts, last }) => {
+                        (format!("uncertifiable {attempts:?}"), Some(last))
+                    }
+                    Err(unplannable) => (unplannable.to_string(), None),
+                }
+            })
+            .collect(),
+        cached: protocols
+            .iter()
+            .map(|&algorithm| match cache.certify(g, algorithm, Rounding::Ceil, 4096, periods) {
+                Ok(c) => format!("{} {} {} {:?}", c.used, c.exhaustive, c.fell_back, c.plan),
+                Err(rejected) => rejected.to_string(),
+            })
+            .collect(),
+    }
+}
+
+/// Field by field, so a difference names itself.
+fn assert_same_certification(got: &Certification, want: &Certification, context: &str) {
+    assert_eq!(got.certified, want.certified, "{context}: certified");
+    assert_eq!(got.declared, want.declared, "{context}: declared");
+    assert_eq!(got.worst_case, want.worst_case, "{context}: worst_case");
+    assert_eq!(got.failing_adversary, want.failing_adversary, "{context}: failing_adversary");
+    assert_eq!(got.inputs, want.inputs, "{context}: inputs");
+    assert_eq!(got.truncated, want.truncated, "{context}: truncated");
+}
+
+#[test]
+fn the_crew_is_invisible_under_contention() {
+    // The `fast_forward_is_invisible` corpus, at fixed draws.
+    let cases = if cfg!(debug_assertions) { 24 } else { 96 };
+    let corpus: Vec<(Graph, Vec<u64>)> = (0..cases)
+        .map(|i| {
+            let draw = 7_919 * i + 13 * (i / 9);
+            let g = graph_of(draw % 3, draw / 9 % 1_000);
+            let periods = profile_of(&g, draw / 3 % 3, draw / 9_000 + i);
+            (g, periods)
+        })
+        .collect();
+    let alone = PlanCache::new(4 * corpus.len());
+    let reference: Vec<Answers> = corpus.iter().map(|(g, p)| answers(g, p, &alone)).collect();
+
+    let shared = PlanCache::new(4 * corpus.len());
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for caller in 0..4 {
+            let (corpus, reference, shared, start) = (&corpus, &reference, &shared, &start);
+            scope.spawn(move || {
+                start.wait();
+                // Two callers walk the corpus in step (racing for every
+                // shape), two from elsewhere in it.
+                for at in 0..corpus.len() {
+                    let at = (at + caller / 2 * corpus.len() / 3) % corpus.len();
+                    let ((g, periods), want) = (&corpus[at], &reference[at]);
+                    let got = answers(g, periods, shared);
+                    let context = format!("caller {caller}, entry {at}, periods {periods:?}");
+                    assert_eq!(got.bare.len(), want.bare.len(), "{context}");
+                    for (got, want) in got.bare.iter().zip(&want.bare) {
+                        assert_same_certification(got, want, &context);
+                    }
+                    for (got, want) in got.walked.iter().zip(&want.walked) {
+                        assert_eq!(got.0, want.0, "{context}");
+                        assert_eq!(got.1.is_some(), want.1.is_some(), "{context}");
+                        if let (Some(got), Some(want)) = (&got.1, &want.1) {
+                            assert_same_certification(got, want, &context);
+                        }
+                    }
+                    assert_eq!(got.cached, want.cached, "{context}");
+                }
+            });
+        }
+    });
+    // One walk per (shape, protocol), however many callers raced for it.
+    assert_eq!(shared.cert_misses(), alone.cert_misses());
+    assert_eq!(shared.cert_hits() + shared.cert_misses(), 4 * 2 * corpus.len() as u64);
 }
 
 #[test]
