@@ -7,10 +7,10 @@
 //! running the same pipeline template differ only in their payloads), so
 //! recomputing SETIVALS / Non-Propagation intervals per submission is pure
 //! waste.  `PlanCache` keys computed [`AvoidancePlan`]s by the canonical
-//! structural [`Fingerprint`] of the graph
-//! (capacities included) together with the requested protocol and rounding,
-//! and hands out `Arc`-shared plans so a cache hit costs one hash of the
-//! graph and one reference-count bump — no interval table is ever copied.
+//! structural [`Fingerprint`] of the graph (capacities included) together
+//! with the requested protocol, and hands out `Arc`-shared plans so a cache
+//! hit costs one hash of the graph and one reference-count bump — no
+//! interval table is ever copied.
 //!
 //! ## Why the cache double-checks with an exact hash
 //!
@@ -52,7 +52,6 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 struct Key {
     fingerprint: Fingerprint,
     algorithm: Algorithm,
-    rounding: Rounding,
 }
 
 /// What the cache identifies a graph by, computed once per admission and
@@ -280,7 +279,7 @@ impl PlanCache {
         }
     }
 
-    /// Returns the cached plan for `g` under `(algorithm, rounding)` or
+    /// Returns the cached plan for `g` under `algorithm` or
     /// computes, caches and returns it.  `cycle_bound` caps the exhaustive
     /// fallback for general (non-SP, non-CS4) graphs; a planning failure is
     /// returned verbatim and remembered with the budget it failed under, so
@@ -289,10 +288,9 @@ impl PlanCache {
         &self,
         g: &Graph,
         algorithm: Algorithm,
-        rounding: Rounding,
         cycle_bound: usize,
     ) -> Result<CachedPlan> {
-        self.plan_identified(g, &GraphIdentity::of(g), algorithm, rounding, cycle_bound, None)
+        self.plan_identified(g, &GraphIdentity::of(g), algorithm, cycle_bound, None)
     }
 
     /// [`PlanCache::plan`] for a caller that already hashed `g` into
@@ -304,14 +302,12 @@ impl PlanCache {
         g: &Graph,
         identity: &GraphIdentity,
         algorithm: Algorithm,
-        rounding: Rounding,
         cycle_bound: usize,
         structure: Option<&Structure>,
     ) -> Result<CachedPlan> {
         let key = Key {
             fingerprint: identity.fingerprint,
             algorithm,
-            rounding,
         };
         let cached = {
             let inner = self.lock();
@@ -331,7 +327,6 @@ impl PlanCache {
         let planning = Instant::now();
         let planner = Planner::new(g)
             .algorithm(algorithm)
-            .rounding(rounding)
             .cycle_bound(cycle_bound);
         let planned = match structure {
             Some(structure) => planner.plan_as(structure),
@@ -351,29 +346,30 @@ impl PlanCache {
         planned.map(|plan| found(plan, false, plan_time))
     }
 
-    /// Returns the cached certification verdict for `g` under
-    /// `(algorithm, rounding)` and the declared per-node filter `periods`,
+    /// Returns the cached certification verdict for `g` under `algorithm`
+    /// and the declared per-node filter `periods`,
     /// or walks the certification fallback chain
     /// ([`Planner::certify`]'s candidates, with structural plans served
     /// through this cache), caches the verdict, and returns it.
     ///
     /// Verdicts — positive *and* negative — are keyed by
-    /// `(fingerprint, algorithm, rounding, filter signature, cycle_bound)`
+    /// `(fingerprint, algorithm, filter signature, cycle_bound)`
     /// with the same labeled-hash + exact-arena (+ exact-periods) double
     /// check as plans, so a fallback decision is made **once per topology
     /// shape** and a hash collision degrades to a miss, never a wrong
     /// verdict.  The cycle budget is part of the key so a negative verdict
     /// reached by exhausting a small budget is never served to a caller
-    /// asking under a larger one.
+    /// asking under a larger one.  The third argument is inert: `ledger/`
+    /// passing it is the only reason it exists.
     pub fn certify(
         &self,
         g: &Graph,
         algorithm: Algorithm,
-        rounding: Rounding,
+        _: Rounding,
         cycle_bound: usize,
         periods: &[u64],
     ) -> std::result::Result<CertifiedCached, CertifyError> {
-        self.certify_identified(g, &GraphIdentity::of(g), algorithm, rounding, cycle_bound, periods)
+        self.certify_identified(g, &GraphIdentity::of(g), algorithm, cycle_bound, periods)
     }
 
     /// [`PlanCache::certify`] for a caller that already hashed `g` into
@@ -383,7 +379,6 @@ impl PlanCache {
         g: &Graph,
         identity: &GraphIdentity,
         algorithm: Algorithm,
-        rounding: Rounding,
         cycle_bound: usize,
         periods: &[u64],
     ) -> std::result::Result<CertifiedCached, CertifyError> {
@@ -391,7 +386,6 @@ impl PlanCache {
             plan: Key {
                 fingerprint: identity.fingerprint,
                 algorithm,
-                rounding,
             },
             filter: filter_signature(periods),
             cycle_bound,
@@ -426,14 +420,12 @@ impl PlanCache {
             // gets the structural plan.
             let planner = Planner::new(g)
                 .algorithm(algorithm)
-                .rounding(rounding)
                 .cycle_bound(cycle_bound);
             let walked = catch_unwind(AssertUnwindSafe(|| {
                 let structure = Structure::of(g).map_err(CertifyError::Unplannable)?;
                 walk_certification_chain(&planner, &structure, &canonical, |candidate| {
                     let from = Some(&structure);
-                    let cached =
-                        self.plan_identified(g, identity, candidate, rounding, cycle_bound, from)?;
+                    let cached = self.plan_identified(g, identity, candidate, cycle_bound, from)?;
                     Ok((cached.plan, cached.plan_time))
                 })
             }));
@@ -533,13 +525,9 @@ mod tests {
     fn second_lookup_hits_and_shares_the_plan() {
         let cache = PlanCache::new(8);
         let g = fig3();
-        let first = cache
-            .plan(&g, Algorithm::Propagation, Rounding::Ceil, 1000)
-            .unwrap();
+        let first = cache.plan(&g, Algorithm::Propagation, 1000).unwrap();
         assert!(!first.hit);
-        let second = cache
-            .plan(&g, Algorithm::Propagation, Rounding::Ceil, 1000)
-            .unwrap();
+        let second = cache.plan(&g, Algorithm::Propagation, 1000).unwrap();
         assert!(second.hit);
         assert!(Arc::ptr_eq(&first.plan, &second.plan));
         assert_eq!(second.plan_time, Duration::ZERO);
@@ -562,8 +550,8 @@ mod tests {
         b.edge_with_capacity("n2", "n3", 1).unwrap();
         b.edge_with_capacity("n3", "n5", 2).unwrap();
         let g2 = b.build().unwrap();
-        assert!(!cache.plan(&g1, Algorithm::Propagation, Rounding::Ceil, 1000).unwrap().hit);
-        let hit = cache.plan(&g2, Algorithm::Propagation, Rounding::Ceil, 1000).unwrap();
+        assert!(!cache.plan(&g1, Algorithm::Propagation, 1000).unwrap().hit);
+        let hit = cache.plan(&g2, Algorithm::Propagation, 1000).unwrap();
         assert!(hit.hit);
     }
 
@@ -571,8 +559,8 @@ mod tests {
     fn different_algorithms_cache_separately() {
         let cache = PlanCache::new(8);
         let g = fig3();
-        let p = cache.plan(&g, Algorithm::Propagation, Rounding::Ceil, 1000).unwrap();
-        let np = cache.plan(&g, Algorithm::NonPropagation, Rounding::Ceil, 1000).unwrap();
+        let p = cache.plan(&g, Algorithm::Propagation, 1000).unwrap();
+        let np = cache.plan(&g, Algorithm::NonPropagation, 1000).unwrap();
         assert!(!np.hit);
         assert_ne!(p.plan.intervals(), np.plan.intervals());
         assert_eq!(cache.len(), 2);
@@ -585,8 +573,8 @@ mod tests {
         let mut g2 = g1.clone();
         let e = g2.edge_by_names("b", "e").unwrap();
         g2.set_capacity(e, 7).unwrap();
-        assert!(!cache.plan(&g1, Algorithm::Propagation, Rounding::Ceil, 1000).unwrap().hit);
-        assert!(!cache.plan(&g2, Algorithm::Propagation, Rounding::Ceil, 1000).unwrap().hit);
+        assert!(!cache.plan(&g1, Algorithm::Propagation, 1000).unwrap().hit);
+        assert!(!cache.plan(&g2, Algorithm::Propagation, 1000).unwrap().hit);
         assert_eq!(cache.misses(), 2);
     }
 
@@ -609,12 +597,12 @@ mod tests {
             fila_graph::fingerprint::fingerprint(&g1),
             fila_graph::fingerprint::fingerprint(&g2)
         );
-        assert!(!cache.plan(&g1, Algorithm::Propagation, Rounding::Ceil, 1000).unwrap().hit);
-        let second = cache.plan(&g2, Algorithm::Propagation, Rounding::Ceil, 1000).unwrap();
+        assert!(!cache.plan(&g1, Algorithm::Propagation, 1000).unwrap().hit);
+        let second = cache.plan(&g2, Algorithm::Propagation, 1000).unwrap();
         assert!(!second.hit, "reordered arena must not reuse EdgeId-indexed plan");
         // Both orderings are now cached under the same fingerprint bucket.
         assert_eq!(cache.len(), 2);
-        assert!(cache.plan(&g2, Algorithm::Propagation, Rounding::Ceil, 1000).unwrap().hit);
+        assert!(cache.plan(&g2, Algorithm::Propagation, 1000).unwrap().hit);
     }
 
     #[test]
@@ -822,8 +810,7 @@ mod tests {
             let answers: Vec<(String, Option<(bool, bool)>)> = std::thread::scope(|scope| {
                 let racer = || {
                     start.wait();
-                    let requested = (Algorithm::NonPropagation, Rounding::Ceil);
-                    match cache.certify(g, requested.0, requested.1, bound, &periods) {
+                    match cache.certify(g, Algorithm::NonPropagation, Rounding::Ceil, bound, &periods) {
                         Ok(c) => (format!("{:?}", c.plan), Some((c.hit, !c.certify_time.is_zero()))),
                         Err(e) => (e.to_string(), None),
                     }
@@ -878,21 +865,21 @@ mod tests {
             })
             .collect();
         for g in &graphs {
-            cache.plan(g, Algorithm::Propagation, Rounding::Ceil, 1000).unwrap();
+            cache.plan(g, Algorithm::Propagation, 1000).unwrap();
         }
         assert_eq!(cache.len(), 2);
         // Oldest two were evicted: looking them up again misses.
-        assert!(!cache.plan(&graphs[0], Algorithm::Propagation, Rounding::Ceil, 1000).unwrap().hit);
+        assert!(!cache.plan(&graphs[0], Algorithm::Propagation, 1000).unwrap().hit);
         // Newest survived … but the re-plan of graphs[0] just evicted
         // graphs[2], so only graphs[3] is still warm.
-        assert!(cache.plan(&graphs[3], Algorithm::Propagation, Rounding::Ceil, 1000).unwrap().hit);
+        assert!(cache.plan(&graphs[3], Algorithm::Propagation, 1000).unwrap().hit);
     }
 
     #[test]
     fn a_planning_failure_is_remembered_with_its_budget() {
         let g = butterfly();
         let cache = PlanCache::new(8);
-        let plan = |bound| cache.plan(&g, Algorithm::Propagation, Rounding::Ceil, bound);
+        let plan = |bound| cache.plan(&g, Algorithm::Propagation, bound);
         let cold = plan(3).unwrap_err();
         assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 0, 1));
         // The repeat is served, error and all; the planner is not entered.

@@ -30,7 +30,7 @@
 use fila_graph::cycles::{enumerate_cycles_bounded, UndirectedCycle};
 use fila_graph::{Graph, GraphError, Result};
 
-use crate::interval::{DummyInterval, IntervalMap, Rounding};
+use crate::interval::{DummyInterval, IntervalMap};
 use crate::plan::Algorithm;
 
 /// Default bound on the number of cycles the baseline will enumerate before
@@ -39,25 +39,16 @@ pub const DEFAULT_CYCLE_BOUND: usize = 5_000_000;
 
 /// Computes dummy intervals for either protocol by exhaustive cycle
 /// enumeration, with the default cycle bound.
-///
-/// `_rounding` is retained for API stability: since the filtering-robustness
-/// fix the Non-Propagation bound is the exact integer root, identical under
-/// both modes (see [`Rounding`]).
-pub fn exhaustive_intervals(
-    g: &Graph,
-    algorithm: Algorithm,
-    _rounding: Rounding,
-) -> Result<IntervalMap> {
-    exhaustive_intervals_bounded(g, algorithm, _rounding, DEFAULT_CYCLE_BOUND)
+pub fn exhaustive_intervals(g: &Graph, algorithm: Algorithm) -> Result<IntervalMap> {
+    exhaustive_intervals_bounded(g, algorithm, DEFAULT_CYCLE_BOUND)
 }
 
 /// Computes dummy intervals by exhaustive cycle enumeration, aborting with
 /// an error if the graph has more than `max_cycles` undirected simple
-/// cycles.  `_rounding` is inert (see [`exhaustive_intervals`]).
+/// cycles.
 pub fn exhaustive_intervals_bounded(
     g: &Graph,
     algorithm: Algorithm,
-    _rounding: Rounding,
     max_cycles: usize,
 ) -> Result<IntervalMap> {
     intervals_from_cycles(g, algorithm, &enumerate(g, max_cycles)?)
@@ -158,13 +149,13 @@ mod tests {
     fn fig3_exhaustive_matches_paper_for_both_algorithms() {
         let g = fig3();
         let e = |s: &str, t: &str| g.edge_by_names(s, t).unwrap();
-        let prop = exhaustive_intervals(&g, Algorithm::Propagation, Rounding::Ceil).unwrap();
+        let prop = exhaustive_intervals(&g, Algorithm::Propagation).unwrap();
         assert_eq!(prop.get(e("a", "b")), DummyInterval::Finite(6));
         assert_eq!(prop.get(e("a", "c")), DummyInterval::Finite(8));
         assert_eq!(prop.get(e("b", "e")), DummyInterval::Infinite);
         // Robust Non-Propagation: 3-hop runs take the cube root of the
         // opposite slack (paper's division gave 6/3 = 2 and ⌈8/3⌉ = 3).
-        let np = exhaustive_intervals(&g, Algorithm::NonPropagation, Rounding::Ceil).unwrap();
+        let np = exhaustive_intervals(&g, Algorithm::NonPropagation).unwrap();
         assert_eq!(np.get(e("a", "b")), DummyInterval::Finite(1));
         assert_eq!(np.get(e("d", "f")), DummyInterval::Finite(2));
     }
@@ -185,15 +176,11 @@ mod tests {
         for spec in specs {
             let (g, d) = build_sp(&spec);
             let prop_fast = crate::prop_sp::setivals(&g, &d);
-            let prop_exact =
-                exhaustive_intervals(&g, Algorithm::Propagation, Rounding::Ceil).unwrap();
+            let prop_exact = exhaustive_intervals(&g, Algorithm::Propagation).unwrap();
             assert_eq!(prop_fast, prop_exact, "propagation mismatch for {spec:?}");
-            for rounding in [Rounding::Ceil, Rounding::Floor] {
-                let np_fast = crate::nonprop_sp::nonprop_intervals(&g, &d, rounding);
-                let np_exact =
-                    exhaustive_intervals(&g, Algorithm::NonPropagation, rounding).unwrap();
-                assert_eq!(np_fast, np_exact, "non-propagation mismatch for {spec:?}");
-            }
+            let np_fast = crate::nonprop_sp::nonprop_intervals(&g, &d);
+            let np_exact = exhaustive_intervals(&g, Algorithm::NonPropagation).unwrap();
+            assert_eq!(np_fast, np_exact, "non-propagation mismatch for {spec:?}");
         }
     }
 
@@ -209,7 +196,7 @@ mod tests {
         b.edge_with_capacity("a", "b", 1).unwrap();
         let g = b.build().unwrap();
         let e = |s: &str, t: &str| g.edge_by_names(s, t).unwrap();
-        let prop = exhaustive_intervals(&g, Algorithm::Propagation, Rounding::Ceil).unwrap();
+        let prop = exhaustive_intervals(&g, Algorithm::Propagation).unwrap();
         // Cycle sources: x (outer cycle and the x-a-b cycle) and a (a-b-y cycle).
         // [xa]: other branches: outer x->b->y (3+5=8) and x->b against a->b (3).
         assert_eq!(prop.get(e("x", "a")), DummyInterval::Finite(3));
@@ -237,7 +224,7 @@ mod tests {
             b.edge_with_capacity(s, t, 2).unwrap();
         }
         let g = b.build().unwrap();
-        let prop = exhaustive_intervals(&g, Algorithm::Propagation, Rounding::Ceil).unwrap();
+        let prop = exhaustive_intervals(&g, Algorithm::Propagation).unwrap();
         // Every edge out of x, a, and b lies on some cycle as a source edge.
         for (s, t) in [("x", "a"), ("x", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")] {
             assert!(
@@ -261,10 +248,8 @@ mod tests {
             b.edge(&mid, "t").unwrap();
         }
         let g = b.build().unwrap();
-        assert!(exhaustive_intervals_bounded(&g, Algorithm::Propagation, Rounding::Ceil, 5)
-            .is_err());
-        assert!(exhaustive_intervals_bounded(&g, Algorithm::Propagation, Rounding::Ceil, 100)
-            .is_ok());
+        assert!(exhaustive_intervals_bounded(&g, Algorithm::Propagation, 5).is_err());
+        assert!(exhaustive_intervals_bounded(&g, Algorithm::Propagation, 100).is_ok());
     }
 
     #[test]
@@ -274,7 +259,7 @@ mod tests {
         b.edge("a", "c").unwrap();
         b.edge("b", "d").unwrap();
         let g = b.build().unwrap();
-        let prop = exhaustive_intervals(&g, Algorithm::Propagation, Rounding::Ceil).unwrap();
+        let prop = exhaustive_intervals(&g, Algorithm::Propagation).unwrap();
         assert_eq!(prop.finite_count(), 0);
     }
 }

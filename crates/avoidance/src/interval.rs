@@ -72,9 +72,7 @@ impl DummyInterval {
     /// `[e] = L`, and the result never exceeds the paper's ratio — the
     /// robust bound is a tightening, so every previously safe plan stays safe.
     ///
-    /// The root is computed exactly on integers (no floating point), which
-    /// also makes the historical Ceil/Floor rounding distinction moot: see
-    /// [`Rounding`].
+    /// The root is computed exactly on integers (no floating point).
     pub fn from_run_budget(len: u64, hops: u64) -> DummyInterval {
         debug_assert!(hops > 0, "hop count of a path is positive");
         DummyInterval::Finite(integer_root(len, hops).max(1))
@@ -140,24 +138,16 @@ impl fmt::Display for DummyInterval {
     }
 }
 
-/// Rounding mode for the paper's Non-Propagation ratio `L / h`.
-///
-/// Fig. 3 of the paper rounds **up** (`8/3 → 3`); [`Rounding::Ceil`] matches
-/// the figure and is the default, while [`Rounding::Floor`] was the strictly
-/// conservative reading exposed for the ablation study in `DESIGN.md`.
-///
-/// Since the filtering-robustness fix (E17 postmortem) the planner computes
-/// Non-Propagation intervals with the exact integer-root bound of
-/// [`DummyInterval::from_run_budget`], which does not round at all — under
-/// either mode the plan is identical, and the choice survives only as plan
-/// metadata (and in cache keys) for API stability.
+/// A shell: the paper rounded its Non-Propagation ratio `L / h` up (Fig. 3:
+/// `8/3 → 3`), but since E17 the planner uses the integer root of
+/// [`DummyInterval::from_run_budget`], which does not round.  No code reads
+/// this type; it exists only because `ledger/` names it (`Planner::rounding`,
+/// `ServiceConfig.rounding`, `PlanCache::certify`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Rounding {
-    /// Round the ratio up (paper's Fig. 3 behaviour).
+    /// Round up, as the paper's Fig. 3 does.
     #[default]
     Ceil,
-    /// Round the ratio down (conservative).
-    Floor,
 }
 
 /// A per-edge table of dummy intervals, indexed by [`EdgeId`].

@@ -40,7 +40,7 @@
 use fila_graph::{EdgeId, Graph, NodeId};
 use fila_spdag::{CompId, SpForest, SpMetrics};
 
-use crate::interval::{DummyInterval, IntervalMap, Rounding};
+use crate::interval::{DummyInterval, IntervalMap};
 use crate::ladder::LadderDecomposition;
 use crate::ladder_prop::LadderIndex;
 
@@ -122,14 +122,12 @@ impl Skeleton {
 }
 
 /// Applies the external-cycle Non-Propagation constraints of one SP-ladder
-/// block to `intervals`.  `_rounding` is retained for API stability: the
-/// robust integer-root bound is exact and rounding-free (see [`Rounding`]).
+/// block to `intervals`.
 pub fn apply_ladder_nonpropagation(
     _g: &Graph,
     forest: &SpForest,
     metrics: &SpMetrics,
     ladder: &LadderDecomposition,
-    _rounding: Rounding,
     intervals: &mut IntervalMap,
 ) {
     let index = LadderIndex::new(ladder);
@@ -284,10 +282,8 @@ mod tests {
     use fila_graph::GraphBuilder;
 
     /// The planner's Non-Propagation intervals for a CS4 graph.
-    fn cs4_nonprop(g: &Graph, rounding: Rounding) -> IntervalMap {
-        let planner = Planner::new(g)
-            .algorithm(Algorithm::NonPropagation)
-            .rounding(rounding);
+    fn cs4_nonprop(g: &Graph) -> IntervalMap {
+        let planner = Planner::new(g).algorithm(Algorithm::NonPropagation);
         let (class, plan) = planner.plan_with_class().unwrap();
         assert_eq!(class, GraphClass::Cs4);
         plan.intervals().clone()
@@ -302,20 +298,17 @@ mod tests {
         b.edge_with_capacity("b", "y", 5).unwrap();
         b.edge_with_capacity("a", "b", 1).unwrap();
         let g = b.build().unwrap();
-        for rounding in [Rounding::Ceil, Rounding::Floor] {
-            let fast = cs4_nonprop(&g, rounding);
-            let exact =
-                exhaustive_intervals(&g, Algorithm::NonPropagation, rounding).unwrap();
-            assert!(
-                exact.dominates(&fast),
-                "ladder non-propagation plan must be safe ({rounding:?})\nfast:\n{fast:?}\nexact:\n{exact:?}"
-            );
-            // Every edge that the exact analysis bounds must also be bounded
-            // by the efficient analysis.
-            for (e, iv) in exact.iter() {
-                if iv.is_finite() {
-                    assert!(fast.get(e).is_finite(), "edge {e} lost its bound");
-                }
+        let fast = cs4_nonprop(&g);
+        let exact = exhaustive_intervals(&g, Algorithm::NonPropagation).unwrap();
+        assert!(
+            exact.dominates(&fast),
+            "ladder non-propagation plan must be safe\nfast:\n{fast:?}\nexact:\n{exact:?}"
+        );
+        // Every edge that the exact analysis bounds must also be bounded by
+        // the efficient analysis.
+        for (e, iv) in exact.iter() {
+            if iv.is_finite() {
+                assert!(fast.get(e).is_finite(), "edge {e} lost its bound");
             }
         }
     }
@@ -332,9 +325,8 @@ mod tests {
         b.edge_with_capacity("u1", "v1", 6).unwrap();
         b.edge_with_capacity("u2", "v2", 1).unwrap();
         let g = b.build().unwrap();
-        let fast = cs4_nonprop(&g, Rounding::Floor);
-        let exact =
-            exhaustive_intervals(&g, Algorithm::NonPropagation, Rounding::Floor).unwrap();
+        let fast = cs4_nonprop(&g);
+        let exact = exhaustive_intervals(&g, Algorithm::NonPropagation).unwrap();
         assert!(exact.dominates(&fast));
     }
 
@@ -351,10 +343,8 @@ mod tests {
         b.edge_with_capacity("v1", "y", 5).unwrap();
         b.edge_with_capacity("u1", "v1", 3).unwrap();
         let g = b.build().unwrap();
-        for rounding in [Rounding::Ceil, Rounding::Floor] {
-            let fast = cs4_nonprop(&g, rounding);
-            let exact = exhaustive_intervals(&g, Algorithm::NonPropagation, rounding).unwrap();
-            assert!(exact.dominates(&fast), "{rounding:?}");
-        }
+        let fast = cs4_nonprop(&g);
+        let exact = exhaustive_intervals(&g, Algorithm::NonPropagation).unwrap();
+        assert!(exact.dominates(&fast));
     }
 }

@@ -315,7 +315,6 @@ mod tests {
     use super::*;
     use crate::cs4::GraphClass;
     use crate::exhaustive::exhaustive_intervals;
-    use crate::interval::Rounding;
     use crate::plan::Algorithm;
     use crate::planner::Planner;
     use fila_graph::GraphBuilder;
@@ -339,7 +338,7 @@ mod tests {
         b.edge_with_capacity("a", "b", 1).unwrap();
         let g = b.build().unwrap();
         let fast = cs4_propagation(&g);
-        let exact = exhaustive_intervals(&g, Algorithm::Propagation, Rounding::Ceil).unwrap();
+        let exact = exhaustive_intervals(&g, Algorithm::Propagation).unwrap();
         assert_eq!(fast, exact);
     }
 
@@ -356,7 +355,7 @@ mod tests {
         b.edge_with_capacity("u2", "v2", 1).unwrap();
         let g = b.build().unwrap();
         let fast = cs4_propagation(&g);
-        let exact = exhaustive_intervals(&g, Algorithm::Propagation, Rounding::Ceil).unwrap();
+        let exact = exhaustive_intervals(&g, Algorithm::Propagation).unwrap();
         // The efficient plan must never be laxer than the exact one
         // (safety); on this ladder it is in fact identical.
         assert!(exact.dominates(&fast));
@@ -376,7 +375,7 @@ mod tests {
         b.edge_with_capacity("v2", "u2", 1).unwrap();
         let g = b.build().unwrap();
         let fast = cs4_propagation(&g);
-        let exact = exhaustive_intervals(&g, Algorithm::Propagation, Rounding::Ceil).unwrap();
+        let exact = exhaustive_intervals(&g, Algorithm::Propagation).unwrap();
         assert!(exact.dominates(&fast), "ladder plan must be safe");
     }
 
@@ -400,7 +399,7 @@ mod tests {
         b.edge_with_capacity("u1", "v1", 7).unwrap();
         let g = b.build().unwrap();
         let fast = cs4_propagation(&g);
-        let exact = exhaustive_intervals(&g, Algorithm::Propagation, Rounding::Ceil).unwrap();
+        let exact = exhaustive_intervals(&g, Algorithm::Propagation).unwrap();
         assert!(exact.dominates(&fast), "must be at least as tight as exact");
         // Internal cycle of the diamond: [xp] and [xq] bounded by the
         // sibling branch, exactly as the exhaustive result says.
@@ -422,7 +421,7 @@ mod tests {
         b.edge_with_capacity("u1", "v2", 8).unwrap();
         let g = b.build().unwrap();
         let fast = cs4_propagation(&g);
-        let exact = exhaustive_intervals(&g, Algorithm::Propagation, Rounding::Ceil).unwrap();
+        let exact = exhaustive_intervals(&g, Algorithm::Propagation).unwrap();
         assert!(exact.dominates(&fast));
     }
 }

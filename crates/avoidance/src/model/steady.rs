@@ -170,7 +170,7 @@ mod tests {
     use super::*;
     use crate::model::{AvoidanceMode, Payload, PropagationTrigger};
     use crate::plan::{Algorithm, AvoidancePlan};
-    use crate::{DummyInterval, IntervalMap, Rounding};
+    use crate::{DummyInterval, IntervalMap};
     use fila_graph::{EdgeId, GraphBuilder};
 
     /// A diamond whose fork sends data on its first output only, under a
@@ -187,7 +187,7 @@ mod tests {
         for e in g.edge_ids() {
             intervals.set(e, DummyInterval::Finite(3));
         }
-        let plan = AvoidancePlan::new(&g, Algorithm::NonPropagation, Rounding::Ceil, intervals);
+        let plan = AvoidancePlan::new(&g, Algorithm::NonPropagation, intervals);
         (g, AvoidanceMode::plan(plan))
     }
 

@@ -317,7 +317,7 @@ impl DummyWrapper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interval::{IntervalMap, Rounding};
+    use crate::interval::IntervalMap;
     use crate::planner::Planner;
     use fila_graph::GraphBuilder;
 
@@ -420,7 +420,6 @@ mod tests {
         let b = g.node_by_name("B").unwrap();
         let plan = Planner::new(&g)
             .algorithm(Algorithm::NonPropagation)
-            .rounding(Rounding::Ceil)
             .plan()
             .unwrap();
         let mut w = DummyWrapper::new(&g, b, &AvoidanceMode::plan(plan.clone()));
@@ -441,7 +440,7 @@ mod tests {
         for e in g.out_edges(a) {
             m.set(*e, DummyInterval::Finite(3));
         }
-        let plan = AvoidancePlan::new(&g, Algorithm::NonPropagation, Rounding::Ceil, m);
+        let plan = AvoidancePlan::new(&g, Algorithm::NonPropagation, m);
         let mut w = DummyWrapper::new(&g, a, &AvoidanceMode::plan(plan));
         // Filter twice, send data, filter twice more: no dummy yet (counter
         // reset by the data message), then one more filtered input fires it.
@@ -465,7 +464,7 @@ mod tests {
                 for e in g.out_edges(a) {
                     m.set(*e, DummyInterval::Finite(threshold));
                 }
-                let plan = AvoidancePlan::new(&g, algorithm, Rounding::Ceil, m);
+                let plan = AvoidancePlan::new(&g, algorithm, m);
                 let mode = AvoidanceMode::plan(plan);
                 for warmup in 0..threshold {
                     for n in [1u64, 2, 5, 16] {
@@ -534,7 +533,7 @@ mod tests {
                                     m.set(*e, DummyInterval::Finite(t));
                                 }
                             }
-                            AvoidanceMode::plan(AvoidancePlan::new(&g, algorithm, Rounding::Ceil, m))
+                            AvoidanceMode::plan(AvoidancePlan::new(&g, algorithm, m))
                         }
                     };
                     for warmup in 0..threshold.unwrap_or(9) {

@@ -36,27 +36,23 @@
 use fila_graph::Graph;
 use fila_spdag::{SpDecomposition, SpForest, SpKind, SpMetrics};
 
-use crate::interval::{DummyInterval, IntervalMap, Rounding};
+use crate::interval::{DummyInterval, IntervalMap};
 
 /// Computes Non-Propagation dummy intervals for an SP-DAG in `O(|G|²)`.
-///
-/// `_rounding` is retained for API stability: the robust integer-root bound
-/// is exact and rounding-free (see [`Rounding`]).
-pub fn nonprop_intervals(g: &Graph, d: &SpDecomposition, _rounding: Rounding) -> IntervalMap {
+pub fn nonprop_intervals(g: &Graph, d: &SpDecomposition) -> IntervalMap {
     let metrics = SpMetrics::compute(g, &d.forest);
     let mut intervals = IntervalMap::for_graph(g);
-    nonprop_into(&d.forest, &metrics, d.root, _rounding, &mut intervals);
+    nonprop_into(&d.forest, &metrics, d.root, &mut intervals);
     intervals
 }
 
 /// The reusable core: processes the subtree rooted at `root`, tightening
 /// `intervals` in place.  Used by the CS4 planner once per contracted
-/// skeleton component.  `_rounding` is inert (see [`nonprop_intervals`]).
+/// skeleton component.
 pub fn nonprop_into(
     forest: &SpForest,
     metrics: &SpMetrics,
     root: fila_spdag::CompId,
-    _rounding: Rounding,
     intervals: &mut IntervalMap,
 ) {
     for comp in forest.post_order(root) {
@@ -101,7 +97,7 @@ mod tests {
     #[test]
     fn fig3_nonprop_intervals_are_the_robust_tightening_of_the_paper() {
         let (g, d) = fig3();
-        let ivals = nonprop_intervals(&g, &d, Rounding::Ceil);
+        let ivals = nonprop_intervals(&g, &d);
         let e = |s: &str, t: &str| g.edge_by_names(s, t).unwrap();
         // Paper (re-emission model): [ab] = [be] = [ef] = 6/3 = 2 and
         // [ac] = [cd] = [df] = ⌈8/3⌉ = 3.  Robust (accepted-input model):
@@ -120,21 +116,9 @@ mod tests {
     }
 
     #[test]
-    fn rounding_no_longer_changes_nonprop_plans() {
-        // The integer-root bound is exact; the historical Ceil/Floor
-        // ablation collapsed with the robustness fix (a mode may never
-        // loosen an interval again — that was part of the bug surface).
-        let (g, d) = fig3();
-        assert_eq!(
-            nonprop_intervals(&g, &d, Rounding::Ceil),
-            nonprop_intervals(&g, &d, Rounding::Floor)
-        );
-    }
-
-    #[test]
     fn pipeline_needs_no_dummies() {
         let (g, d) = build_sp(&SpSpec::pipeline(&[2, 2, 2]));
-        let ivals = nonprop_intervals(&g, &d, Rounding::Ceil);
+        let ivals = nonprop_intervals(&g, &d);
         assert_eq!(ivals.finite_count(), 0);
     }
 
@@ -143,7 +127,7 @@ mod tests {
         // For a bundle of parallel single edges h = 1, so the Non-Propagation
         // interval equals the Propagation one.
         let (g, d) = build_sp(&SpSpec::MultiEdge(vec![4, 7, 9]));
-        let np = nonprop_intervals(&g, &d, Rounding::Ceil);
+        let np = nonprop_intervals(&g, &d);
         let p = crate::prop_sp::setivals(&g, &d);
         assert_eq!(np, p);
     }
@@ -160,7 +144,7 @@ mod tests {
             SpSpec::Parallel(vec![SpSpec::Edge(8), SpSpec::pipeline(&[1, 1, 1, 1])]),
         ]);
         let (g, d) = build_sp(&spec);
-        let np = nonprop_intervals(&g, &d, Rounding::Floor);
+        let np = nonprop_intervals(&g, &d);
         let p = crate::prop_sp::setivals(&g, &d);
         for (e, np_iv) in np.iter() {
             assert!(np_iv <= p.get(e), "edge {e}: nonprop {np_iv} vs prop {}", p.get(e));
@@ -175,7 +159,7 @@ mod tests {
         // 1-hop edge gets the chain's total length ⌊4^(1/1)⌋ = 4.
         let spec = SpSpec::Parallel(vec![SpSpec::Edge(12), SpSpec::pipeline(&[1, 1, 1, 1])]);
         let (g, d) = build_sp(&spec);
-        let ivals = nonprop_intervals(&g, &d, Rounding::Ceil);
+        let ivals = nonprop_intervals(&g, &d);
         for e in g.edge_ids() {
             if g.capacity(e) == 12 {
                 assert_eq!(ivals.get(e), DummyInterval::Finite(4));
@@ -194,8 +178,8 @@ mod tests {
         let (g, d_truth) = build_sp(&spec);
         let d_rec = reduce(&g).unwrap().into_decomposition().unwrap();
         assert_eq!(
-            nonprop_intervals(&g, &d_truth, Rounding::Ceil),
-            nonprop_intervals(&g, &d_rec, Rounding::Ceil)
+            nonprop_intervals(&g, &d_truth),
+            nonprop_intervals(&g, &d_rec)
         );
     }
 }

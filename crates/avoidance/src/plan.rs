@@ -4,7 +4,7 @@ use std::fmt;
 
 use fila_graph::{EdgeId, Graph};
 
-use crate::interval::{DummyInterval, IntervalMap, Rounding};
+use crate::interval::{DummyInterval, IntervalMap};
 
 /// Which of the two runtime deadlock-avoidance protocols the plan targets.
 ///
@@ -37,7 +37,6 @@ impl fmt::Display for Algorithm {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AvoidancePlan {
     algorithm: Algorithm,
-    rounding: Rounding,
     intervals: IntervalMap,
     /// Number of edges of the graph the plan was computed for, used to catch
     /// accidental application to a different graph.
@@ -46,12 +45,7 @@ pub struct AvoidancePlan {
 
 impl AvoidancePlan {
     /// Wraps a computed interval map into a plan.
-    pub fn new(
-        g: &Graph,
-        algorithm: Algorithm,
-        rounding: Rounding,
-        intervals: IntervalMap,
-    ) -> Self {
+    pub fn new(g: &Graph, algorithm: Algorithm, intervals: IntervalMap) -> Self {
         assert_eq!(
             intervals.len(),
             g.edge_count(),
@@ -59,7 +53,6 @@ impl AvoidancePlan {
         );
         AvoidancePlan {
             algorithm,
-            rounding,
             intervals,
             edge_count: g.edge_count(),
         }
@@ -68,11 +61,6 @@ impl AvoidancePlan {
     /// The protocol this plan parameterises.
     pub fn algorithm(&self) -> Algorithm {
         self.algorithm
-    }
-
-    /// The rounding mode used for Non-Propagation ratios.
-    pub fn rounding(&self) -> Rounding {
-        self.rounding
     }
 
     /// The dummy interval for a channel.
@@ -138,7 +126,7 @@ mod tests {
         let g = tiny();
         let mut m = IntervalMap::for_graph(&g);
         m.set(EdgeId::from_raw(0), DummyInterval::Finite(3));
-        let plan = AvoidancePlan::new(&g, Algorithm::Propagation, Rounding::Ceil, m);
+        let plan = AvoidancePlan::new(&g, Algorithm::Propagation, m);
         assert_eq!(plan.interval(EdgeId::from_raw(0)), DummyInterval::Finite(3));
         assert_eq!(plan.interval(EdgeId::from_raw(1)), DummyInterval::Infinite);
         assert_eq!(plan.channels_needing_dummies(), 1);
@@ -151,7 +139,7 @@ mod tests {
         let g = tiny();
         let mut m = IntervalMap::for_graph(&g);
         m.set(EdgeId::from_raw(0), DummyInterval::Finite(3));
-        let plan = AvoidancePlan::new(&g, Algorithm::NonPropagation, Rounding::Ceil, m);
+        let plan = AvoidancePlan::new(&g, Algorithm::NonPropagation, m);
         let text = plan.render(&g);
         assert!(text.contains("Non-Propagation"));
         assert!(text.contains("a -> b"));
@@ -164,7 +152,7 @@ mod tests {
     fn plan_rejects_mismatched_map() {
         let g = tiny();
         let m = IntervalMap::all_infinite(5);
-        let _ = AvoidancePlan::new(&g, Algorithm::Propagation, Rounding::Ceil, m);
+        let _ = AvoidancePlan::new(&g, Algorithm::Propagation, m);
     }
 
     #[test]

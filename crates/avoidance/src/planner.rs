@@ -41,19 +41,17 @@ use crate::verify::{certify_shared, Certification};
 pub struct Planner<'g> {
     graph: &'g Graph,
     algorithm: Algorithm,
-    rounding: Rounding,
     force_exhaustive: bool,
     cycle_bound: usize,
 }
 
 impl<'g> Planner<'g> {
     /// Creates a planner for `graph` with the default configuration
-    /// (Propagation protocol, ceiling rounding, structural dispatch).
+    /// (Propagation protocol, structural dispatch).
     pub fn new(graph: &'g Graph) -> Self {
         Planner {
             graph,
             algorithm: Algorithm::Propagation,
-            rounding: Rounding::Ceil,
             force_exhaustive: false,
             cycle_bound: DEFAULT_CYCLE_BOUND,
         }
@@ -65,9 +63,8 @@ impl<'g> Planner<'g> {
         self
     }
 
-    /// Selects the rounding mode for Non-Propagation ratios.
-    pub fn rounding(mut self, rounding: Rounding) -> Self {
-        self.rounding = rounding;
+    /// A no-op: `ledger/` calls it, which is the only reason it exists.
+    pub fn rounding(self, _: Rounding) -> Self {
         self
     }
 
@@ -125,13 +122,9 @@ impl<'g> Planner<'g> {
                             DummyInterval::Infinite,
                             &mut intervals,
                         ),
-                        Algorithm::NonPropagation => nonprop_into(
-                            &d.forest,
-                            &d.metrics,
-                            ve.comp,
-                            self.rounding,
-                            &mut intervals,
-                        ),
+                        Algorithm::NonPropagation => {
+                            nonprop_into(&d.forest, &d.metrics, ve.comp, &mut intervals)
+                        }
                     }
                 }
                 // External cycles of each ladder block.
@@ -150,7 +143,6 @@ impl<'g> Planner<'g> {
                                 &d.forest,
                                 &d.metrics,
                                 ladder,
-                                self.rounding,
                                 &mut intervals,
                             ),
                         }
@@ -159,10 +151,10 @@ impl<'g> Planner<'g> {
                 intervals
             }
             Structure::General => {
-                exhaustive_intervals_bounded(g, self.algorithm, self.rounding, self.cycle_bound)?
+                exhaustive_intervals_bounded(g, self.algorithm, self.cycle_bound)?
             }
         };
-        Ok(AvoidancePlan::new(g, self.algorithm, self.rounding, intervals))
+        Ok(AvoidancePlan::new(g, self.algorithm, intervals))
     }
 
     /// Plans **and certifies** against the declared per-node filter
@@ -251,7 +243,7 @@ where
                 .map_err(GraphError::clone)
                 .and_then(|cycles| exhaustive::intervals_from_cycles(g, algorithm, cycles))
                 .map(|intervals| {
-                    let plan = AvoidancePlan::new(g, algorithm, planner.rounding, intervals);
+                    let plan = AvoidancePlan::new(g, algorithm, intervals);
                     (Arc::new(plan), planning.elapsed())
                 })
         } else {

@@ -93,7 +93,7 @@ impl Verification {
 }
 
 /// Verifies `plan` against the exhaustive cycle-level definition, using the
-/// plan's own protocol and rounding mode.
+/// plan's own protocol.
 ///
 /// This is exponential in the worst case (it enumerates every undirected
 /// simple cycle); use it on test- and example-sized graphs.
@@ -107,8 +107,7 @@ pub fn verify_plan_bounded(
     plan: &AvoidancePlan,
     max_cycles: usize,
 ) -> Result<Verification> {
-    let required =
-        exhaustive_intervals_bounded(g, plan.algorithm(), plan.rounding(), max_cycles)?;
+    let required = exhaustive_intervals_bounded(g, plan.algorithm(), max_cycles)?;
     let mut violations = Vec::new();
     let mut conservative = Vec::new();
     for (e, req) in required.iter() {
@@ -659,7 +658,7 @@ fn model_check(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interval::{IntervalMap, Rounding};
+    use crate::interval::IntervalMap;
     use crate::plan::Algorithm;
     use crate::planner::Planner;
     use fila_graph::GraphBuilder;
@@ -708,12 +707,7 @@ mod tests {
         b.edge_with_capacity("a", "b", 3).unwrap();
         let g = b.build().unwrap();
         // Claim both edges never need dummies, which is wrong.
-        let plan = AvoidancePlan::new(
-            &g,
-            Algorithm::Propagation,
-            Rounding::Ceil,
-            IntervalMap::for_graph(&g),
-        );
+        let plan = AvoidancePlan::new(&g, Algorithm::Propagation, IntervalMap::for_graph(&g));
         let v = verify_plan(&g, &plan).unwrap();
         assert!(!v.safe);
         assert_eq!(v.violations.len(), 2);
@@ -786,12 +780,7 @@ mod tests {
     fn an_unprotected_filtering_triangle_fails_certification() {
         let g = fig2();
         // All-infinite intervals = no avoidance at all.
-        let plan = AvoidancePlan::new(
-            &g,
-            Algorithm::NonPropagation,
-            Rounding::Ceil,
-            IntervalMap::for_graph(&g),
-        );
+        let plan = AvoidancePlan::new(&g, Algorithm::NonPropagation, IntervalMap::for_graph(&g));
         let cert = certify_plan(&g, &plan, &[8, 1, 1]).unwrap();
         assert!(!cert.certified, "{}", cert.summary());
         // The declared profile happens to survive bare (period 8 with slot
@@ -864,12 +853,7 @@ mod tests {
         for plan in [
             Planner::new(&g).algorithm(Algorithm::NonPropagation).plan().unwrap(),
             // The unsafe all-infinite plan of the original escape scenario.
-            AvoidancePlan::new(
-                &g,
-                Algorithm::NonPropagation,
-                Rounding::Ceil,
-                IntervalMap::for_graph(&g),
-            ),
+            AvoidancePlan::new(&g, Algorithm::NonPropagation, IntervalMap::for_graph(&g)),
         ] {
             let cert = certify_plan(&g, &plan, &[8, 1, 1]).unwrap();
             assert!(cert.truncated, "{}", cert.summary());

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fila_avoidance::exhaustive::exhaustive_intervals;
-use fila_avoidance::{nonprop_sp, prop_sp, Algorithm, Rounding};
+use fila_avoidance::{nonprop_sp, prop_sp, Algorithm};
 use fila_spdag::recognize;
 use fila_workloads::figures::fig3_cycle;
 use std::hint::black_box;
@@ -16,10 +16,10 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(prop_sp::setivals(&g, &d)))
     });
     group.bench_function("nonprop_quadratic", |b| {
-        b.iter(|| black_box(nonprop_sp::nonprop_intervals(&g, &d, Rounding::Ceil)))
+        b.iter(|| black_box(nonprop_sp::nonprop_intervals(&g, &d)))
     });
     group.bench_function("exhaustive_propagation", |b| {
-        b.iter(|| black_box(exhaustive_intervals(&g, Algorithm::Propagation, Rounding::Ceil)))
+        b.iter(|| black_box(exhaustive_intervals(&g, Algorithm::Propagation)))
     });
     group.finish();
 }

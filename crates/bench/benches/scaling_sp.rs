@@ -4,7 +4,7 @@
 //! sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fila_avoidance::{nonprop_sp, prop_sp, Rounding};
+use fila_avoidance::{nonprop_sp, prop_sp};
 use fila_bench::{sp_dag_of_size, SP_SIZES};
 use std::hint::black_box;
 
@@ -20,7 +20,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| black_box(prop_sp::propagation_intervals_naive(&g, &d)))
         });
         group.bench_with_input(BenchmarkId::new("nonprop", size), &size, |b, _| {
-            b.iter(|| black_box(nonprop_sp::nonprop_intervals(&g, &d, Rounding::Ceil)))
+            b.iter(|| black_box(nonprop_sp::nonprop_intervals(&g, &d)))
         });
     }
     group.finish();

@@ -232,10 +232,10 @@ pub struct SpliceDivergence {
     pub dummies: u64,
 }
 
-/// A digest of the avoidance plan a job runs under: protocol, rounding and
-/// the full per-edge dummy-interval table.  `None` when avoidance is
-/// disabled.  Two modes share the digest exactly when the runtime wrapper
-/// behaves identically under them — the unit restore validation compares.
+/// A digest of the avoidance plan a job runs under: protocol and the full
+/// per-edge dummy-interval table.  `None` when avoidance is disabled.  Two
+/// modes share the digest exactly when the runtime wrapper behaves
+/// identically under them — the unit restore validation compares.
 pub fn plan_digest(mode: &AvoidanceMode) -> Option<u64> {
     let AvoidanceMode::Plan(plan) = mode else {
         return None;
@@ -244,10 +244,9 @@ pub fn plan_digest(mode: &AvoidanceMode) -> Option<u64> {
         fila_avoidance::Algorithm::Propagation => 1,
         fila_avoidance::Algorithm::NonPropagation => 2,
     });
-    h = fold(h, match plan.rounding() {
-        fila_avoidance::Rounding::Floor => 1,
-        fila_avoidance::Rounding::Ceil => 2,
-    });
+    // The word plans used to carry beside the protocol, folded as it always
+    // was, so no digest and no snapshot byte changes.
+    h = fold(h, 2);
     h = fold(h, plan.edge_count() as u64);
     for raw in 0..plan.edge_count() {
         let e = fila_graph::EdgeId::from_raw(raw as u32);

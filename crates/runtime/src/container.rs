@@ -1,17 +1,15 @@
 //! Batched message transport: the [`Container`] abstraction.
 //!
 //! Every channel of the engines carries *containers* rather than raw
-//! [`Message`]s.  A container is an ordered run of messages — data messages
-//! interleaved with run-length-encoded dummy gaps — that travels through an
-//! SPSC ring as a single slot write.  Two implementations exist:
+//! [`Message`]s.  A container — a [`Batch`] — is an ordered run of messages
+//! (one segment per data message, one per run-length-encoded dummy run)
+//! that travels through an SPSC ring as a single slot write, so the
+//! per-message cost of the atomics, the Dekker wake fences and the
+//! scheduler hand-offs is amortised across the run.  `Batching::Messages(1)`
+//! is scalar execution: one message per container.
 //!
-//! * [`Single`] — exactly one message per container.  This is the scalar
-//!   path: every ring operation, wake check and wrapper call happens once
-//!   per message, reproducing the pre-container engines byte for byte.
-//! * [`Batch`] — a segmented run of messages (one segment per data message,
-//!   one per RLE dummy run).  One ring push ships a whole run, so the
-//!   per-message cost of the atomics, the Dekker wake fences and the
-//!   scheduler hand-offs is amortised across the run.
+//! [`Single`] is one message as a ring payload, and nothing more: no engine
+//! ships it (`ledger/` times a ring of them).
 //!
 //! ## The capacity-unit invariant
 //!
@@ -60,83 +58,34 @@ impl Default for Batching {
     }
 }
 
-/// An ordered run of messages travelling a channel as one ring slot.
+/// An ordered run of messages travelling a channel as one ring slot: the
+/// two operations `ledger/` drives a [`Batch`] through.
 ///
-/// Invariants every implementation upholds (and [`Batch::try_push`]
-/// enforces):
+/// Invariants a container upholds (and [`Batch::try_push`] enforces):
 ///
 /// * sequence numbers are non-decreasing front to back, strictly increasing
 ///   except that a dummy may immediately follow a data message with the
 ///   *same* sequence number (the heartbeat trigger emits both);
 /// * a container on a ring is never empty;
 /// * nothing follows an EOS marker.
-pub trait Container: Weigh + Send + 'static {
-    /// Wraps one message.
-    fn from_message(m: Message) -> Self;
-    /// Remaining messages.
-    fn len(&self) -> usize {
-        self.weight()
-    }
-    /// True when no message remains.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// The front message.  Panics if empty.
-    fn front(&self) -> Message;
+pub trait Container {
     /// Removes and returns the front message.
     fn pop_front(&mut self) -> Option<Message>;
-    /// Unwraps a container known to hold exactly one message.
-    fn into_message(self) -> Message;
     /// Appends `m` if the container holds fewer than `limit` messages and
     /// the ordering invariant allows it; hands `m` back otherwise.
     fn try_push(&mut self, limit: usize, m: Message) -> Result<(), Message>;
-    /// Remaining `(data, dummy)` message counts (EOS counts as neither).
-    fn counts(&self) -> (u64, u64);
-    /// Visits the remaining messages front to back (checkpoint flattening).
-    fn for_each(&self, f: &mut dyn FnMut(Message));
 }
 
 // ---------------------------------------------------------------- Single --
 
-/// The scalar container: exactly one message.
+/// One message as a ring payload, weight 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(transparent)]
 pub struct Single(pub Message);
 
 impl Weigh for Single {
-    const UNIT: bool = true;
     fn weight(&self) -> usize {
         1
-    }
-}
-
-impl Container for Single {
-    fn from_message(m: Message) -> Self {
-        Single(m)
-    }
-    fn front(&self) -> Message {
-        self.0
-    }
-    fn pop_front(&mut self) -> Option<Message> {
-        // A `Single` is popped by value via `into_message` on the scalar
-        // path; the by-ref form exists only for trait completeness.
-        Some(self.0)
-    }
-    fn into_message(self) -> Message {
-        self.0
-    }
-    fn try_push(&mut self, _limit: usize, m: Message) -> Result<(), Message> {
-        Err(m)
-    }
-    fn counts(&self) -> (u64, u64) {
-        match self.0 {
-            Message::Data { .. } => (1, 0),
-            Message::Dummy { .. } => (0, 1),
-            Message::Eos => (0, 0),
-        }
-    }
-    fn for_each(&self, f: &mut dyn FnMut(Message)) {
-        f(self.0);
     }
 }
 
@@ -178,8 +127,8 @@ pub enum Run {
 /// Segments live in a plain `Vec` with a front cursor (`head`): popping
 /// advances the cursor instead of shifting memory, and the vector resets
 /// (retaining its allocation) whenever the batch drains.  Data/dummy counts
-/// are maintained incrementally so [`Container::counts`] — called twice per
-/// delivered container by the flush loop — is O(1).
+/// are maintained incrementally so `counts` — called twice per delivered
+/// container by the flush loop — is O(1).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Batch {
     segs: Vec<Seg>,
@@ -409,10 +358,56 @@ impl Batch {
 }
 
 impl Weigh for Batch {
-    const UNIT: bool = false;
     fn weight(&self) -> usize {
         self.len
     }
+}
+
+impl Batch {
+    /// A batch of one message.
+    pub(crate) fn from_message(m: Message) -> Self {
+        let mut b = Batch::new();
+        b.try_push(usize::MAX, m).expect("push into empty batch");
+        b
+    }
+
+    /// Remaining messages.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The front message.  Panics if empty.
+    pub(crate) fn front(&self) -> Message {
+        match self.front_run().expect("front of empty batch") {
+            Run::Data { seq, payload } => Message::Data { seq, payload },
+            Run::Dummies { first, .. } => Message::Dummy { seq: first },
+            Run::Eos => Message::Eos,
+        }
+    }
+
+    /// Remaining `(data, dummy)` message counts (EOS counts as neither).
+    pub(crate) fn counts(&self) -> (u64, u64) {
+        (self.data, self.dummies)
+    }
+
+    /// Visits the remaining messages front to back (checkpoint flattening).
+    pub(crate) fn for_each(&self, f: &mut dyn FnMut(Message)) {
+        for (i, seg) in self.segs[self.head..].iter().enumerate() {
+            match *seg {
+                Seg::Data { seq, payload } => f(Message::Data { seq, payload }),
+                Seg::Dummies { first, len } => {
+                    let skip = if i == 0 { self.skip } else { 0 };
+                    for k in skip..len {
+                        f(Message::Dummy { seq: first + k });
+                    }
+                }
+                Seg::Eos => f(Message::Eos),
+            }
+        }
+    }
+
+    /// Splits off the first `n` messages (`0 < n < len`): partial delivery
+    /// into the remaining capacity of a ring.
     fn split_front(&mut self, n: usize) -> Self {
         debug_assert!(0 < n && n < self.len);
         let mut front = Batch::new();
@@ -444,20 +439,6 @@ impl Weigh for Batch {
 }
 
 impl Container for Batch {
-    fn from_message(m: Message) -> Self {
-        let mut b = Batch::new();
-        b.try_push(usize::MAX, m).expect("push into empty batch");
-        b
-    }
-
-    fn front(&self) -> Message {
-        match self.front_run().expect("front of empty batch") {
-            Run::Data { seq, payload } => Message::Data { seq, payload },
-            Run::Dummies { first, .. } => Message::Dummy { seq: first },
-            Run::Eos => Message::Eos,
-        }
-    }
-
     fn pop_front(&mut self) -> Option<Message> {
         let run = self.front_run()?;
         Some(match run {
@@ -477,11 +458,6 @@ impl Container for Batch {
                 Message::Eos
             }
         })
-    }
-
-    fn into_message(mut self) -> Message {
-        debug_assert_eq!(self.len, 1);
-        self.pop_front().expect("non-empty")
     }
 
     fn try_push(&mut self, limit: usize, m: Message) -> Result<(), Message> {
@@ -513,52 +489,25 @@ impl Container for Batch {
         self.len += 1;
         Ok(())
     }
-
-    fn counts(&self) -> (u64, u64) {
-        (self.data, self.dummies)
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(Message)) {
-        for (i, seg) in self.segs[self.head..].iter().enumerate() {
-            match *seg {
-                Seg::Data { seq, payload } => f(Message::Data { seq, payload }),
-                Seg::Dummies { first, len } => {
-                    let skip = if i == 0 { self.skip } else { 0 };
-                    for k in skip..len {
-                        f(Message::Dummy { seq: first + k });
-                    }
-                }
-                Seg::Eos => f(Message::Eos),
-            }
-        }
-    }
 }
 
-// ---------------------------------------------- ring endpoint extensions --
+// ------------------------------------------------------ ring endpoints --
 
-/// Container-granular consumption on an SPSC consumer endpoint.
+/// Message-granular consumption off a ring of containers.
 ///
 /// Message occupancy is released per *consumed message* (never per popped
 /// container), which keeps ring occupancy equal to the modelled channel
 /// occupancy at every instant — the invariant the deadlock verdicts rest
 /// on.
-pub trait ConsumeMsgs<C: Container> {
+impl spsc::Consumer<Batch> {
     /// Peeks the front message of the front container.
-    fn front_msg(&mut self) -> Option<Message>;
-    /// Peeks the front message, registering the blocked-on-empty waiting
-    /// flag (with the mandatory Dekker re-peek) when the ring is empty.
-    fn front_msg_or_register(&mut self) -> Option<Message>;
-    /// Consumes the front message, releasing one message of capacity and
-    /// freeing the slot if its container is exhausted.
-    fn pop_msg(&mut self) -> Option<Message>;
-}
-
-impl<C: Container> ConsumeMsgs<C> for spsc::Consumer<C> {
-    fn front_msg(&mut self) -> Option<Message> {
+    pub(crate) fn front_msg(&mut self) -> Option<Message> {
         self.front_mut().map(|c| c.front())
     }
 
-    fn front_msg_or_register(&mut self) -> Option<Message> {
+    /// Peeks the front message, registering the blocked-on-empty waiting
+    /// flag (with the mandatory Dekker re-peek) when the ring is empty.
+    pub(crate) fn front_msg_or_register(&mut self) -> Option<Message> {
         if let Some(m) = self.front_msg() {
             return Some(m);
         }
@@ -572,10 +521,9 @@ impl<C: Container> ConsumeMsgs<C> for spsc::Consumer<C> {
         }
     }
 
-    fn pop_msg(&mut self) -> Option<Message> {
-        if C::UNIT {
-            return self.pop().map(C::into_message);
-        }
+    /// Consumes the front message, releasing one message of capacity and
+    /// freeing the slot if its container is exhausted.
+    pub(crate) fn pop_msg(&mut self) -> Option<Message> {
         let c = self.front_mut()?;
         let m = c.pop_front();
         debug_assert!(m.is_some(), "empty container on a ring");
@@ -584,31 +532,15 @@ impl<C: Container> ConsumeMsgs<C> for spsc::Consumer<C> {
     }
 }
 
-/// Container delivery on an SPSC producer endpoint: ships a staged
-/// container whole when it fits the remaining message capacity, or splits
-/// off the largest deliverable prefix and leaves the remainder staged.
-pub trait DeliverMsgs<C: Container> {
+/// Container delivery onto a ring: ships a staged container whole when it
+/// fits the remaining message capacity, or splits off the largest
+/// deliverable prefix and leaves the remainder staged.
+impl spsc::Producer<Batch> {
     /// Attempts to deliver `staged`; returns the number of messages that
     /// made it onto the ring.  On partial (or zero) delivery the remainder
     /// stays in `staged`.
-    fn deliver(&mut self, staged: &mut Option<C>) -> usize;
-    /// [`DeliverMsgs::deliver`], registering the blocked-on-full waiting
-    /// flag (with the mandatory Dekker retry) when anything stays staged.
-    fn deliver_or_register(&mut self, staged: &mut Option<C>) -> usize;
-}
-
-impl<C: Container> DeliverMsgs<C> for spsc::Producer<C> {
-    fn deliver(&mut self, staged: &mut Option<C>) -> usize {
+    pub(crate) fn deliver(&mut self, staged: &mut Option<Batch>) -> usize {
         let Some(c) = staged.take() else { return 0 };
-        if C::UNIT {
-            return match self.push(c) {
-                Ok(()) => 1,
-                Err(back) => {
-                    *staged = Some(back);
-                    0
-                }
-            };
-        }
         let space = self.space_msgs();
         if space == 0 {
             *staged = Some(c);
@@ -635,7 +567,9 @@ impl<C: Container> DeliverMsgs<C> for spsc::Producer<C> {
         }
     }
 
-    fn deliver_or_register(&mut self, staged: &mut Option<C>) -> usize {
+    /// [`Self::deliver`], registering the blocked-on-full waiting flag
+    /// (with the mandatory Dekker retry) when anything stays staged.
+    pub(crate) fn deliver_or_register(&mut self, staged: &mut Option<Batch>) -> usize {
         let mut n = self.deliver(staged);
         if staged.is_none() {
             return n;
@@ -796,7 +730,7 @@ mod tests {
                 }
                 n += 1;
                 let m = ref_src.pop_front().unwrap();
-                if !ref_second.is_empty() || ref_dst.try_push(limit, m).is_err() {
+                if ref_second.len() > 0 || ref_dst.try_push(limit, m).is_err() {
                     ref_second.try_push(usize::MAX, m).unwrap();
                 }
             }
@@ -815,7 +749,7 @@ mod tests {
             for (got, want) in [(&src, &ref_src), (&dst, &ref_dst), (&second, &ref_second)] {
                 assert_eq!(got, want, "case {case}");
             }
-            if src.is_empty() {
+            if src.len() == 0 {
                 assert_eq!((src.head, src.skip, src.segs.len()), (0, 0, 0), "case {case}");
                 drained += 1;
             }
@@ -829,18 +763,6 @@ mod tests {
             }
         }
         assert!(splits > 50 && refusals > 50 && drained > 50, "{splits} {refusals} {drained}");
-    }
-
-    #[test]
-    fn single_matches_message_semantics() {
-        let s = Single::from_message(Message::Data { seq: 3, payload: 8 });
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.front(), Message::Data { seq: 3, payload: 8 });
-        assert_eq!(s.counts(), (1, 0));
-        assert_eq!(s.into_message(), Message::Data { seq: 3, payload: 8 });
-        let mut d = Single::from_message(Message::Dummy { seq: 0 });
-        assert!(d.try_push(64, Message::Dummy { seq: 1 }).is_err());
-        assert_eq!(d.counts(), (0, 1));
     }
 
     #[test]
@@ -878,13 +800,13 @@ mod tests {
         }
         let mut staged = Some(b);
         assert_eq!(tx.deliver_or_register(&mut staged), 4, "prefix shipped");
-        assert_eq!(staged.as_ref().map(Container::len), Some(2));
+        assert_eq!(staged.as_ref().map(Batch::len), Some(2));
         // The producer stays registered: the consumer's pops must report it.
         assert_eq!(rx.pop_msg(), Some(Message::Dummy { seq: 0 }));
         assert!(rx.take_producer_waiting());
         // One message of space opened, so exactly one more message ships.
         assert_eq!(tx.deliver_or_register(&mut staged), 1);
-        assert_eq!(staged.as_ref().map(Container::len), Some(1));
+        assert_eq!(staged.as_ref().map(Batch::len), Some(1));
         assert_eq!(rx.pop_msg(), Some(Message::Dummy { seq: 1 }));
         assert!(rx.take_producer_waiting());
         assert_eq!(tx.deliver_or_register(&mut staged), 1);

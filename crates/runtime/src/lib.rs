@@ -63,8 +63,6 @@ pub use shared_pool::{
     FilterObservation, JobHandle, JobVerdict, PoolOptions, SettleHook, SharedPool,
 };
 pub use simulator::{Scheduler, Simulator};
-pub use telemetry::{
-    chrome_trace, EventKind, JobTimeline, SchedCounter, TelemetryHandle, TraceEvent,
-};
+pub use telemetry::{chrome_trace, EventKind, SchedCounter, TelemetryHandle, TraceEvent};
 pub use topology::{BehaviorFactory, Topology};
 pub use wrapper::{AvoidanceMode, DummyWrapper, PropagationTrigger, RunDummies};

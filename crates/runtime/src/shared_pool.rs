@@ -80,7 +80,7 @@ use fila_graph::fingerprint::labeled_fingerprint;
 use fila_graph::{Graph, NodeId};
 
 use crate::checkpoint::{
-    self, JobSnapshot, NodeSnapshot, RestoreError, SnapshotError, SwapToken, SNAPSHOT_VERSION,
+    self, JobSnapshot, NodeSnapshot, RestoreError, SnapshotError, SNAPSHOT_VERSION,
 };
 use crate::container::Batching;
 use crate::faults::{FaultArm, FaultPlan};
@@ -869,7 +869,11 @@ impl SharedPool {
     /// mode and trigger it is being resumed under; any drift (different
     /// labeled topology, different plan intervals, different trigger, or a
     /// foreign/corrupted blob) is a [`RestoreError`] — a snapshot is never
-    /// silently re-planned onto a different certification.
+    /// silently re-planned onto a different certification.  The one
+    /// sanctioned plan change, an adaptive hot swap, rebases a copy of the
+    /// snapshot onto the new plan first ([`JobSnapshot::rebase`], gated on a
+    /// [`SwapToken`](crate::SwapToken)) and comes through here like any
+    /// other restore.
     pub fn resume_full(
         &self,
         topology: &Topology,
@@ -896,34 +900,6 @@ impl SharedPool {
             resumed_from: Some(snapshot.steps),
             on_settle,
         }))
-    }
-
-    /// Restores a snapshot under a **different** avoidance plan than the
-    /// one it was captured under — the hot-swap path of the adaptive
-    /// runtime's response ladder.
-    ///
-    /// [`SharedPool::resume_full`] deliberately rejects any plan drift
-    /// ([`RestoreError::PlanMismatch`]); this is the one sanctioned
-    /// loophole, and it is gated on an explicit [`SwapToken`] naming both
-    /// the captured plan and the restore-side plan by digest.  The
-    /// snapshot is rebased first ([`JobSnapshot::rebase`]): dummy-gap
-    /// counters are clamped into the new plan's intervals (sound because a
-    /// wrapper with gap ≥ t′−1 behaves identically to one at t′−1 — see
-    /// the rebase docs) and the snapshot is re-stamped, after which the
-    /// full [`JobSnapshot::validate_for`] gauntlet — including the
-    /// gap-vs-interval check — runs as usual.
-    pub fn resume_swapped(
-        &self,
-        topology: &Topology,
-        mode: AvoidanceMode,
-        trigger: PropagationTrigger,
-        snapshot: &JobSnapshot,
-        token: SwapToken,
-        on_settle: Option<SettleHook>,
-    ) -> Result<JobHandle, RestoreError> {
-        let mut rebased = snapshot.clone();
-        rebased.rebase(topology, &mode, &token)?;
-        self.resume_full(topology, mode, trigger, &rebased, on_settle)
     }
 }
 

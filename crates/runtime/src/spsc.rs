@@ -63,26 +63,13 @@ use std::sync::Arc;
 /// The message weight of a ring value.
 ///
 /// Channel capacity is modelled in **messages**: a ring of capacity `c`
-/// admits values whose weights sum to at most `c`.  Scalar payloads
-/// (`UNIT = true`, weight 1 each) use the slot indices alone for the
-/// occupancy check — byte-for-byte the classic Lamport ring.  Weighted
-/// payloads (message containers) additionally maintain a consumed-message
-/// cursor so occupancy is accounted — and released — per message, never per
-/// slot; see [`crate::container`].
+/// admits values whose weights sum to at most `c`, and the consumer
+/// releases occupancy per consumed message through a message cursor
+/// (`msg_head`), never per slot — one accounting protocol for every
+/// payload; see [`crate::container`].
 pub trait Weigh {
-    /// True when every value of this type weighs exactly one message.
-    const UNIT: bool;
     /// The current message weight (≥ 1 on a ring).
     fn weight(&self) -> usize;
-    /// Splits off the first `n` messages (`0 < n <` weight).  Only invoked
-    /// on weighted types during partial delivery; unit types never split.
-    fn split_front(&mut self, n: usize) -> Self
-    where
-        Self: Sized,
-    {
-        let _ = n;
-        unreachable!("unit-weight values never split");
-    }
 }
 
 /// A channel capacity in **messages** — the unit of the paper's buffer
@@ -206,9 +193,8 @@ struct ProducerLine<T> {
 struct ConsumerLine<T> {
     /// Where the consumer pops.
     head: Cursor<T>,
-    /// Total messages fully consumed (monotonic); only used when `T` is
-    /// weighted (`!T::UNIT`: unit values release their one message by
-    /// advancing `head`).
+    /// Total messages fully consumed (monotonic): what bounds the
+    /// producer.
     msg_head: AtomicUsize,
     /// One-place mailbox for the block the consumer last left: only the
     /// consumer fills it (when empty), only the producer empties it, so
@@ -229,18 +215,6 @@ struct ConsumerLine<T> {
 // are pushed on one thread and popped or dropped on another.
 unsafe impl<T: Send> Sync for Ring<T> {}
 unsafe impl<T: Send> Send for Ring<T> {}
-
-impl<T: Weigh> Ring<T> {
-    /// The count of messages the consumer has released, which bounds what
-    /// the producer may push: `head` itself for unit payloads.
-    fn released(&self) -> &AtomicUsize {
-        if T::UNIT {
-            &self.rx.head.index
-        } else {
-            &self.rx.msg_head
-        }
-    }
-}
 
 impl<T> Ring<T> {
     /// Gives up the front slot, whose value the consumer moved out or
@@ -304,7 +278,7 @@ pub struct Producer<T> {
     ring: Arc<Ring<T>>,
     /// Total message weight pushed (monotonic); producer-local.
     pushed: Cell<usize>,
-    /// The consumer's released-message count (`Ring::released`) as of our
+    /// The consumer's released-message count (`msg_head`) as of our
     /// last refresh; only ever behind the truth, so a push based on it is
     /// conservative (may refresh, never corrupts).
     cached_released: Cell<usize>,
@@ -397,7 +371,7 @@ impl<T: Weigh> Producer<T> {
         let pushed = self.pushed.get() + w;
         if pushed > self.cached_released.get() + ring.tx.cap {
             self.cached_released
-                .set(ring.released().load(Ordering::Acquire));
+                .set(ring.rx.msg_head.load(Ordering::Acquire));
             if pushed > self.cached_released.get() + ring.tx.cap {
                 return Err(value);
             }
@@ -405,7 +379,7 @@ impl<T: Weigh> Producer<T> {
         self.pushed.set(pushed);
         let tail = ring.tx.tail.index.load(Ordering::Relaxed);
         debug_assert!(
-            pushed - ring.released().load(Ordering::Relaxed) <= ring.tx.cap
+            pushed - ring.rx.msg_head.load(Ordering::Relaxed) <= ring.tx.cap
                 && tail + 1 - ring.rx.head.index.load(Ordering::Acquire) <= ring.tx.cap,
             "more messages or values buffered than the channel capacity"
         );
@@ -462,7 +436,7 @@ impl<T: Weigh> Producer<T> {
         let mut used = self.pushed.get() - self.cached_released.get();
         if used >= ring.tx.cap {
             self.cached_released
-                .set(ring.released().load(Ordering::Acquire));
+                .set(ring.rx.msg_head.load(Ordering::Acquire));
             used = self.pushed.get() - self.cached_released.get();
         }
         ring.tx.cap - used.min(ring.tx.cap)
@@ -470,9 +444,8 @@ impl<T: Weigh> Producer<T> {
 
     /// Registers this endpoint as blocked-on-full.  The caller **must retry
     /// the push** after this call and may only park if the retry fails too
-    /// (the Dekker re-check that makes lost wakeups impossible);
-    /// [`crate::container::DeliverMsgs::deliver_or_register`] performs the
-    /// whole ritual.
+    /// (the Dekker re-check that makes lost wakeups impossible); the run
+    /// loops' `deliver_or_register` performs the whole ritual.
     pub fn begin_wait(&self) {
         self.ring.tx.producer_waiting.store(true, Ordering::SeqCst);
         fence(Ordering::SeqCst);
@@ -521,9 +494,7 @@ impl<T: Weigh> Consumer<T> {
         // owns; `advance` gives it up right after the value moved out.
         let value = unsafe { (*slot).assume_init_read() };
         self.ring.advance();
-        if !T::UNIT {
-            self.release_msgs(value.weight());
-        }
+        self.release_msgs(value.weight());
         Some(value)
     }
 
@@ -539,10 +510,8 @@ impl<T: Weigh> Consumer<T> {
     /// capacity account — per consumed message, so ring occupancy equals
     /// modelled channel occupancy at every instant — after dropping that
     /// value and freeing its slot if they were its last.  In that order:
-    /// released capacity is the producer's proof of a free slot.  Weighted
-    /// payloads only.
+    /// released capacity is the producer's proof of a free slot.
     pub(crate) fn release_msgs(&mut self, n: usize) {
-        debug_assert!(!T::UNIT);
         // Without refreshing `cached_tail`: the caller reached the value it
         // consumed from through `front_mut`, which left the cache past it,
         // and re-reading the producer's line whenever the ring drains is
@@ -563,8 +532,8 @@ impl<T: Weigh> Consumer<T> {
 
     /// Registers this endpoint as blocked-on-empty.  The caller **must
     /// re-peek** after this call and may only park if the ring is still
-    /// empty; [`crate::container::ConsumeMsgs::front_msg_or_register`]
-    /// performs the whole ritual.
+    /// empty; the run loops' `front_msg_or_register` performs the whole
+    /// ritual.
     pub fn begin_wait(&self) {
         self.ring.rx.consumer_waiting.store(true, Ordering::SeqCst);
         fence(Ordering::SeqCst);
@@ -628,7 +597,6 @@ mod tests {
     use std::thread;
 
     impl Weigh for u64 {
-        const UNIT: bool = true;
         fn weight(&self) -> usize {
             1
         }
@@ -702,7 +670,6 @@ mod tests {
             }
         }
         impl Weigh for Token {
-            const UNIT: bool = true;
             fn weight(&self) -> usize {
                 1
             }
@@ -733,18 +700,8 @@ mod tests {
         }
     }
     impl Weigh for Load {
-        const UNIT: bool = false;
         fn weight(&self) -> usize {
             self.weight
-        }
-    }
-    /// The same payload at weight 1 on the unit (index-only) accounting.
-    #[derive(Debug)]
-    struct Unit(Load);
-    impl Weigh for Unit {
-        const UNIT: bool = true;
-        fn weight(&self) -> usize {
-            1
         }
     }
 
@@ -773,31 +730,23 @@ mod tests {
     }
 
     /// Drives one ring with `steps` random operations against a `VecDeque`
-    /// of `(id, remaining weight)`; `wrap`/`load` convert between the ring's
-    /// payload and the drop-counting `Load` inside it.
-    fn model_run<T: Weigh>(
-        cap: usize,
-        block_slots: usize,
-        steps: usize,
-        seed: u64,
-        wrap: fn(Load) -> T,
-        load: fn(&mut T) -> &mut Load,
-    ) {
+    /// of `(id, remaining weight)`.
+    fn model_run(cap: usize, block_slots: usize, steps: usize, seed: u64) {
         let drops = Arc::new(Mutex::new(Vec::new()));
-        let (mut tx, mut rx) = ring_of_blocks::<T>(MsgCap::new(cap), block_slots);
+        let (mut tx, mut rx) = ring_of_blocks::<Load>(MsgCap::new(cap), block_slots);
         let mut model: VecDeque<(usize, usize)> = VecDeque::new();
         let mut rng = Rng(seed | 1);
         let used = |model: &VecDeque<(usize, usize)>| model.iter().map(|&(_, w)| w).sum::<usize>();
         for _ in 0..steps {
             match rng.below(8) {
                 0..=2 => {
-                    let weight = if T::UNIT { 1 } else { 1 + rng.below(cap.min(5)) };
+                    let weight = 1 + rng.below(cap.min(5));
                     let id = {
                         let mut drops = drops.lock().unwrap();
                         drops.push(0);
                         drops.len() - 1
                     };
-                    let value = wrap(Load { id, weight, drops: Arc::clone(&drops) });
+                    let value = Load { id, weight, drops: Arc::clone(&drops) };
                     let fits = used(&model) + weight <= cap;
                     assert_eq!(tx.push(value).is_ok(), fits, "push fails exactly when full");
                     if fits {
@@ -805,14 +754,14 @@ mod tests {
                     }
                 }
                 3 | 4 => {
-                    let popped = rx.pop().map(|mut v| (load(&mut v).id, load(&mut v).weight));
+                    let popped = rx.pop().map(|v| (v.id, v.weight));
                     assert_eq!(popped, model.pop_front());
                 }
                 5 | 6 => {
-                    let front = rx.front_mut().map(load);
+                    let front = rx.front_mut();
                     let seen = front.as_ref().map(|l| (l.id, l.weight));
                     assert_eq!(seen, model.front().copied());
-                    if let (Some(front), false) = (front, T::UNIT) {
+                    if let Some(front) = front {
                         // Partial consumption, as the run loops do it.
                         let weight = front.weight;
                         let n = 1 + rng.below(weight);
@@ -854,8 +803,7 @@ mod tests {
         for (i, &block_slots) in [1, 2, BLOCK].iter().enumerate() {
             for (j, &cap) in [1, 2, 3, 7, 8, 9, 40].iter().enumerate() {
                 let seed = (i * 16 + j) as u64 * 0x9e37_79b9;
-                model_run::<Load>(cap, block_slots, 6_000, seed, |l| l, |l| l);
-                model_run::<Unit>(cap, block_slots, 6_000, seed, Unit, |u| &mut u.0);
+                model_run(cap, block_slots, 6_000, seed);
             }
         }
     }

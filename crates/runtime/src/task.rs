@@ -50,7 +50,7 @@ use std::sync::Mutex;
 use fila_graph::NodeId;
 
 use crate::checkpoint::{JobSnapshot, NodeSnapshot, RestoreError};
-use crate::container::{Batch, Batching, ConsumeMsgs, Container, DeliverMsgs, Run};
+use crate::container::{Batch, Batching, Container, Run};
 use crate::message::{Message, Payload};
 use crate::node::{FireInput, NodeBehavior};
 use crate::report::{BlockedInfo, BlockedReason, ExecutionReport};
@@ -1029,7 +1029,7 @@ mod tests {
 
     use std::cell::{Cell, RefCell};
 
-    use fila_avoidance::{Algorithm, AvoidancePlan, DummyInterval, IntervalMap, Rounding};
+    use fila_avoidance::{Algorithm, AvoidancePlan, DummyInterval, IntervalMap};
     use fila_graph::{Graph, GraphBuilder};
 
     use super::*;
@@ -1108,7 +1108,7 @@ mod tests {
         for e in g.edge_ids() {
             m.set(e, DummyInterval::Finite(3));
         }
-        AvoidanceMode::plan(AvoidancePlan::new(g, algorithm, Rounding::Ceil, m))
+        AvoidanceMode::plan(AvoidancePlan::new(g, algorithm, m))
     }
 
     struct Case {

@@ -18,8 +18,7 @@
 //!
 //! Draining moves ring contents into a bounded `collected` buffer (again
 //! drop-and-count on overflow).  The service drains after every job
-//! settles; [`JobTimeline::build`] summarises one job's slice of the
-//! stream and [`chrome_trace`] renders the whole run for `chrome://tracing`
+//! settles; [`chrome_trace`] renders the whole run for `chrome://tracing`
 //! / Perfetto.  The JSON is emitted one event per line so downstream
 //! consumers (the `fila trace` summarizer) can parse it with string
 //! operations alone — no JSON library in the loop.
@@ -509,69 +508,6 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// A per-job summary of the flight-recorder stream: counts and accumulated
-/// span time for one job serial, plus the job's raw event slice.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct JobTimeline {
-    /// The pool job serial this timeline was built for.
-    pub job: u64,
-    /// Firing spans recorded (execution slices that made progress).
-    pub firings: u64,
-    /// Total nanoseconds inside firing spans.
-    pub firing_ns: u64,
-    /// Steal events attributed to this job's tasks.
-    pub steals: u64,
-    /// Blocked-on-empty-input stall instants.
-    pub blocked_input: u64,
-    /// Blocked-on-full-output stall instants.
-    pub blocked_space: u64,
-    /// Barrier-alignment contributions.
-    pub barrier_aligns: u64,
-    /// Caught node panics.
-    pub faults: u64,
-    /// Recovery-ladder rungs run on behalf of this job.
-    pub recovery_rungs: u64,
-    /// Pool-submission→settle span in nanoseconds (0 if no job span).
-    pub span_ns: u64,
-    /// The job's events, in the order given to [`JobTimeline::build`].
-    pub events: Vec<TraceEvent>,
-}
-
-impl JobTimeline {
-    /// Summarises `events` (any mix of jobs) into the timeline of job
-    /// serial `job`.
-    pub fn build(job: u64, events: &[TraceEvent]) -> Self {
-        let mut tl = JobTimeline {
-            job,
-            ..Default::default()
-        };
-        for &e in events.iter().filter(|e| e.job == job) {
-            match e.kind {
-                EventKind::Firing => {
-                    tl.firings += 1;
-                    tl.firing_ns += e.duration_ns();
-                }
-                EventKind::Steal => tl.steals += 1,
-                EventKind::Park => {}
-                EventKind::BlockedInput => tl.blocked_input += 1,
-                EventKind::BlockedSpace => tl.blocked_space += 1,
-                EventKind::BarrierAlign => tl.barrier_aligns += 1,
-                EventKind::Fault => tl.faults += 1,
-                EventKind::RecoveryRung => tl.recovery_rungs += 1,
-                EventKind::DriftSwap => {}
-                EventKind::Job => tl.span_ns = e.duration_ns(),
-            }
-            tl.events.push(e);
-        }
-        tl
-    }
-
-    /// Total blocked-stall instants (input + space).
-    pub fn blocked_stalls(&self) -> u64 {
-        self.blocked_input + self.blocked_space
-    }
-}
-
 /// Renders events as Chrome `trace_event` JSON (the `traceEvents` array
 /// form), suitable for `chrome://tracing` and Perfetto.
 ///
@@ -705,22 +641,6 @@ mod tests {
             }
             assert_eq!(seen + tele.dropped(), total);
         });
-    }
-
-    #[test]
-    fn timeline_attributes_events_to_one_job() {
-        let events = vec![
-            ev(EventKind::Firing, 1, 0, 100),
-            ev(EventKind::Firing, 2, 0, 50),
-            ev(EventKind::BlockedInput, 1, 120, 120),
-            ev(EventKind::Job, 1, 0, 500),
-        ];
-        let tl = JobTimeline::build(1, &events);
-        assert_eq!(tl.firings, 1);
-        assert_eq!(tl.firing_ns, 100);
-        assert_eq!(tl.blocked_stalls(), 1);
-        assert_eq!(tl.span_ns, 500);
-        assert_eq!(tl.events.len(), 3);
     }
 
     #[test]

@@ -83,11 +83,6 @@ impl LatencyHistogram {
         self.max_ns = self.max_ns.max(value_ns);
     }
 
-    /// Records a [`Duration`] sample (saturating at `u64::MAX` ns).
-    pub fn record_duration(&mut self, d: Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
     /// Folds `other` into `self` (bucket-wise addition; see the type docs
     /// for the exactness guarantee).
     pub fn merge(&mut self, other: &LatencyHistogram) {

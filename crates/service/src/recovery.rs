@@ -41,7 +41,7 @@ use fila_avoidance::observed_periods;
 use fila_graph::topo::reachable_from;
 use fila_graph::NodeId;
 use fila_runtime::telemetry::{EventKind, TelemetryHandle};
-use fila_runtime::{JobSnapshot, JobVerdict, SnapshotError};
+use fila_runtime::{JobSnapshot, JobVerdict, SnapshotError, SpliceDivergence};
 
 use crate::service::{JobOutcome, JobService, JobTicket, Origin, RejectReason};
 use crate::spec::{AvoidanceChoice, JobSpec};
@@ -75,8 +75,9 @@ pub enum RecoveryMode {
     /// only when its frontier divergence is zero (no message consumed
     /// past the cut was lost).
     Exact,
-    /// Accept a partial restart whose frontier data deficit is at most
-    /// `max_divergence` messages; the accepted bound is reported in
+    /// Accept partial restarts while the lineage's total frontier data
+    /// deficit — summed over every splice — stays at most `max_divergence`
+    /// messages; the accepted total is reported in
     /// [`RecoveryReport::divergence`].  Every per-edge data count and
     /// sink count of the recovered run then trails the uninterrupted
     /// reference by at most that many messages (a lost input suppresses
@@ -85,7 +86,8 @@ pub enum RecoveryMode {
     /// producers' preserved gap counters keep emitting future dummies on
     /// the certified cadence.
     Approximate {
-        /// Maximum tolerated frontier data deficit, in messages.
+        /// Maximum tolerated frontier data deficit of a lineage, in
+        /// messages.
         max_divergence: u64,
     },
 }
@@ -143,9 +145,10 @@ pub struct RecoveryReport {
     /// (the fault latched mid-snapshot) — the hardest timing the ladder
     /// handles.
     pub midbarrier_crash: bool,
-    /// Frontier data deficit accepted by an approximate partial restart
-    /// (0 for exact recoveries): the recovered run's per-edge data and
-    /// sink counts trail the uninterrupted reference by at most this.
+    /// Frontier data deficit accepted by the lineage's approximate partial
+    /// restarts, summed over every splice (0 for exact recoveries): the
+    /// recovered run's per-edge data and sink counts trail the
+    /// uninterrupted reference by at most this.
     pub divergence: u64,
     /// True if the ladder fell through to a from-scratch resubmission.
     pub genesis_restart: bool,
@@ -321,9 +324,11 @@ impl JobService {
                             report.genesis_restart = true;
                             // A genesis restart replays from the start:
                             // stored cuts of the dead lineage would
-                            // double-count against it.
+                            // double-count against it, and none of its
+                            // splices' deficits carries over.
                             stored.clear();
                             generation = 0;
+                            report.divergence = 0;
                         }
                         ticket = new_ticket;
                         continue 'incarnation;
@@ -451,18 +456,10 @@ impl JobService {
                 Ok(spliced) => spliced,
                 Err(_) => return Ok(None),
             };
-        match policy.mode {
-            RecoveryMode::Exact => {
-                if divergence.data != 0 || divergence.dummies != 0 {
-                    return Ok(None); // exact refuses any deficit
-                }
-            }
-            RecoveryMode::Approximate { max_divergence } => {
-                if divergence.data > max_divergence {
-                    return Ok(None);
-                }
-            }
-        }
+        let Some(lineage_divergence) = add_splice(report.divergence, divergence, policy.mode)
+        else {
+            return Ok(None);
+        };
 
         // Re-certify the spliced cut against the *observed* profile (the
         // wreck's counters — what the upstream actually filtered), not the
@@ -492,7 +489,7 @@ impl JobService {
         let Ok(ticket) = self.start(spec, certified.as_ref(), identity, origin, slot) else {
             return Ok(None);
         };
-        report.divergence = report.divergence.max(divergence.data);
+        report.divergence = lineage_divergence;
         Ok(Some(ticket))
     }
 
@@ -526,6 +523,20 @@ enum Rung {
     Genesis = 2,
 }
 
+/// The lineage's data deficit after one more splice, or `None` when `mode`
+/// refuses the splice.  Deficits add up: a lineage restarted twice trails
+/// its reference by both splices' losses, so an approximate recovery
+/// budgets the *sum* (saturating) against `max_divergence`.  Exact mode
+/// refuses any deficit, data or dummies.
+fn add_splice(lineage: u64, splice: SpliceDivergence, mode: RecoveryMode) -> Option<u64> {
+    match mode {
+        RecoveryMode::Exact => (splice == SpliceDivergence::default()).then_some(lineage),
+        RecoveryMode::Approximate { max_divergence } => {
+            Some(lineage.saturating_add(splice.data)).filter(|&sum| sum <= max_divergence)
+        }
+    }
+}
+
 /// The job's slowest-source emission count — the auto-checkpoint clock.
 fn source_progress(ticket: &JobTicket, sources: &[usize]) -> u64 {
     let obs = ticket.observe();
@@ -552,6 +563,22 @@ mod tests {
         let mut b = GraphBuilder::new().default_capacity(cap);
         b.chain(&refs).unwrap();
         b.build().unwrap()
+    }
+
+    #[test]
+    fn splice_deficits_add_up_against_the_budget() {
+        let splice = |data| SpliceDivergence { data, dummies: 3 };
+        let budget = |max_divergence| RecoveryMode::Approximate { max_divergence };
+        let first = add_splice(0, splice(20), budget(30));
+        assert_eq!(first, Some(20));
+        assert_eq!(add_splice(20, splice(15), budget(30)), None, "35 > 30");
+        assert_eq!(add_splice(20, splice(15), budget(256)), Some(35));
+        let saturated = add_splice(u64::MAX, splice(1), budget(u64::MAX));
+        assert_eq!(saturated, Some(u64::MAX));
+        // Exact mode refuses any deficit, a dummy-only one included.
+        let exact = |splice| add_splice(0, splice, RecoveryMode::Exact);
+        assert_eq!(exact(SpliceDivergence::default()), Some(0));
+        assert_eq!(exact(splice(0)), None);
     }
 
     #[test]

@@ -41,7 +41,8 @@ pub struct ServiceConfig {
     /// graphs; submissions whose planning exceeds it are rejected as
     /// unplannable.
     pub cycle_bound: usize,
-    /// Rounding mode for Non-Propagation interval ratios.
+    /// Read by nothing: `ledger/` sets it, which is the only reason it
+    /// exists.
     pub rounding: Rounding,
     /// Propagation-protocol dummy trigger.  Under the default
     /// (`OnFilterOnly`) every planned admission is certified against the
@@ -535,14 +536,18 @@ impl JobService {
                 (resumed, Some(snapshot.steps))
             }
             Origin::Swap(snapshot) => {
+                // A plan swap is the restore above, of a copy rebased onto
+                // the new plan.
                 let token = SwapToken {
                     from: snapshot.plan_digest,
                     to: checkpoint::plan_digest(&mode),
                 };
-                let hook = self.settle_hook(None, None, None);
-                let resumed =
+                let mut rebased = snapshot.clone();
+                let resumed = rebased.rebase(&topology, &mode, &token).and_then(|()| {
+                    let hook = self.settle_hook(None, None, None);
                     self.pool
-                        .resume_swapped(&topology, mode, trigger, snapshot, token, Some(hook));
+                        .resume_full(&topology, mode, trigger, &rebased, Some(hook))
+                });
                 (resumed, Some(snapshot.steps))
             }
         };
@@ -805,10 +810,14 @@ impl JobService {
         cycle_bound: usize,
         observed: &[u64],
     ) -> Result<CertifiedCached, CertifyError> {
-        let rounding = self.config.rounding;
-        let certified =
-            self.cache
-                .certify(&spec.graph, requested, rounding, cycle_bound, observed)?;
+        let identity = GraphIdentity::of(&spec.graph);
+        let certified = self.cache.certify_identified(
+            &spec.graph,
+            &identity,
+            requested,
+            cycle_bound,
+            observed,
+        )?;
         self.count_certified(&certified);
         Ok(certified)
     }
@@ -929,13 +938,12 @@ impl JobService {
         // One hash of the graph per admission: a resume already made it
         // for its identity gate, and the cache hashes nothing below.
         let identity = identity.unwrap_or_else(|| GraphIdentity::of(&spec.graph));
-        let (rounding, cycle_bound) = (self.config.rounding, self.config.cycle_bound);
+        let cycle_bound = self.config.cycle_bound;
         if self.config.trigger == PropagationTrigger::default() {
             match self.cache.certify_identified(
                 &spec.graph,
                 &identity,
                 algorithm,
-                rounding,
                 cycle_bound,
                 periods,
             ) {
@@ -955,7 +963,7 @@ impl JobService {
         } else {
             match self
                 .cache
-                .plan_identified(&spec.graph, &identity, algorithm, rounding, cycle_bound, None)
+                .plan_identified(&spec.graph, &identity, algorithm, cycle_bound, None)
             {
                 Ok(cached) => {
                     if algorithm == Algorithm::NonPropagation {

@@ -3,30 +3,21 @@
 //!
 //! Since the E17 filtering-robustness fix, the Non-Propagation intervals
 //! are the integer hop-count root of the opposite slack rather than the
-//! paper's rounded ratio — the Ceil and Floor tables below are therefore
-//! identical (the rounding ablation is closed; see DESIGN.md), and both
-//! are strictly tighter than the figure's printed `⌈8/3⌉ = 3` values.
+//! paper's rounded-up ratio, so they are strictly tighter than the figure's
+//! printed `⌈8/3⌉ = 3` values.
 //!
 //! ```sh
 //! cargo run --example interval_report
 //! ```
 
-use fila::avoidance::{verify_plan, Rounding};
+use fila::avoidance::verify_plan;
 use fila::prelude::*;
 
 fn main() {
     let g = fila::workloads::figures::fig3_cycle();
-    for (algorithm, rounding) in [
-        (Algorithm::Propagation, Rounding::Ceil),
-        (Algorithm::NonPropagation, Rounding::Ceil),
-        (Algorithm::NonPropagation, Rounding::Floor),
-    ] {
-        let plan = Planner::new(&g)
-            .algorithm(algorithm)
-            .rounding(rounding)
-            .plan()
-            .unwrap();
-        println!("--- {algorithm} ({rounding:?}) ---");
+    for algorithm in [Algorithm::Propagation, Algorithm::NonPropagation] {
+        let plan = Planner::new(&g).algorithm(algorithm).plan().unwrap();
+        println!("--- {algorithm} ---");
         println!("{}", plan.render(&g));
         let verification = verify_plan(&g, &plan).unwrap();
         println!("verified against exhaustive baseline: {}\n", verification.summary());

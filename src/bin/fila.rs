@@ -864,6 +864,7 @@ fn cmd_storm_chaos(
         telemetry: trace_path.is_some() || metrics,
         ..ServiceConfig::default()
     });
+    let cycle_bound = svc.config().cycle_bound;
     let started = Instant::now();
 
     let mut uninterrupted = 0u64;
@@ -925,7 +926,7 @@ fn cmd_storm_chaos(
                 }
                 Ok(RecoveryOutcome::Uninterrupted(outcome)) => {
                     uninterrupted += 1;
-                    if let Err(why) = chaos_matches_reference(shape, &outcome, 0) {
+                    if let Err(why) = chaos_matches_reference(shape, &outcome, 0, cycle_bound) {
                         mismatched += 1;
                         eprintln!(
                             "storm: {} uninterrupted run diverged from its reference: {why}",
@@ -955,7 +956,7 @@ fn cmd_storm_chaos(
                     if bound > 0 {
                         approx_divergent += 1;
                     }
-                    if let Err(why) = chaos_matches_reference(shape, &outcome, bound) {
+                    if let Err(why) = chaos_matches_reference(shape, &outcome, bound, cycle_bound) {
                         mismatched += 1;
                         eprintln!(
                             "storm: {} recovered run ({} crashes, divergence {}) \
@@ -1008,14 +1009,17 @@ fn cmd_storm_chaos(
 /// (0 for exact-mode and uninterrupted runs); the sink-firing deficit is
 /// allowed `bound` per sink, since one lost frontier message suppresses at
 /// most one firing at each downstream sink.  Dummy counts are *not*
-/// compared: they are a property of the protecting plan, and the service
-/// may certify a different fallback plan than the reference planner.
+/// compared: admission and the reference both walk the same certification
+/// chain (`walk_certification_chain`) against the declared profile, but a
+/// partial restart re-certifies against the *observed* profile and may
+/// land on another plan, whose dummies differ.
 fn chaos_matches_reference(
     shape: &JobShape,
     outcome: &fila_service::JobOutcome,
     bound: u64,
+    cycle_bound: usize,
 ) -> Result<(), String> {
-    let Some(reference) = chaos_reference(shape) else {
+    let Some(reference) = chaos_reference(shape, cycle_bound) else {
         // No certifiable reference plan (the service admitted via a path
         // the bare planner cannot reproduce): pin the verdict only.
         return if outcome.verdict == JobVerdict::Completed {
@@ -1050,32 +1054,23 @@ fn chaos_matches_reference(
 }
 
 /// An uninterrupted reference run for a chaos-storm shape: planned shapes
-/// simulate under the requested protocol's certified plan (falling back to
-/// the other protocol exactly like admission does), bare shapes simulate
-/// unprotected — deadlockers deterministically reach their unique blocked
-/// quiescent state, so even their counts are pinnable.
-fn chaos_reference(shape: &JobShape) -> Option<ExecutionReport> {
+/// simulate under the plan [`Planner::certify`] accepts for the requested
+/// protocol — its chain already falls back to the other protocol, exactly
+/// like admission, under the service's `cycle_bound` — and bare shapes
+/// simulate unprotected: deadlockers deterministically reach their unique
+/// blocked quiescent state, so even their counts are pinnable.
+fn chaos_reference(shape: &JobShape, cycle_bound: usize) -> Option<ExecutionReport> {
     let topology = shape.executed_topology();
-    match shape.avoidance {
-        None => Some(Simulator::new(&topology).run(shape.inputs)),
-        Some(requested) => {
-            let fallback = match requested {
-                Algorithm::Propagation => Algorithm::NonPropagation,
-                Algorithm::NonPropagation => Algorithm::Propagation,
-            };
-            [requested, fallback].into_iter().find_map(|alg| {
-                Planner::new(&shape.graph)
-                    .algorithm(alg)
-                    .certify(&shape.periods)
-                    .ok()
-                    .map(|c| {
-                        Simulator::new(&topology)
-                            .with_plan(&c.plan)
-                            .run(shape.inputs)
-                    })
-            })
-        }
-    }
+    let Some(requested) = shape.avoidance else {
+        return Some(Simulator::new(&topology).run(shape.inputs));
+    };
+    let certified = Planner::new(&shape.graph)
+        .algorithm(requested)
+        .cycle_bound(cycle_bound)
+        .certify(&shape.periods)
+        .ok()?;
+    let simulator = Simulator::new(&topology).with_plan(&certified.plan);
+    Some(simulator.run(shape.inputs))
 }
 
 /// splitmix64 finaliser — deterministic per-job kill selection.

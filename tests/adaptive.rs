@@ -53,7 +53,7 @@ fn tight_policy() -> DriftPolicy {
 /// topology under the declared-profile plan A, rebase the snapshot onto
 /// plan B (certified for the executed profile), and resume it twice — on
 /// the reference simulator and on a busy shared pool via
-/// [`SharedPool::resume_swapped`].  Both continuations must agree with
+/// [`SharedPool::resume_full`].  Both continuations must agree with
 /// each other on verdict, per-edge data counts and sink firings: the
 /// hot-swapped pool job *is* an uninterrupted run under the swapped plan
 /// from the barrier cut.
@@ -115,13 +115,23 @@ fn assert_swap_equivalent(seed: u64) -> Result<(), TestCaseError> {
         .resume(&rebased)
         .expect("rebased snapshot passes validation under plan B");
 
-    // Subject: the pool's one-call swapped resume of the *original*
+    // Subject: the pool's resume of another rebased copy of the *original*
     // snapshot, with a bystander keeping the workers busy.
     let pool = SharedPool::new(2);
     let bystander_g = fig2_triangle(4);
     let bystander = pool.submit(&Topology::from_graph(&bystander_g), 2_000);
+    let mut swapped_in = snapshot.clone();
+    swapped_in
+        .rebase(&topo, &mode_b, &token)
+        .expect("token names both digests");
     let swapped = pool
-        .resume_swapped(&topo, mode_b, PropagationTrigger::default(), &snapshot, token, None)
+        .resume_full(
+            &topo,
+            mode_b,
+            PropagationTrigger::default(),
+            &swapped_in,
+            None,
+        )
         .expect("authorised swap restores")
         .wait();
     prop_assert!(bystander.wait().completed);
@@ -183,8 +193,18 @@ fn unauthorised_or_mismatched_swaps_fail_closed() {
     ));
     // The well-formed token swaps fine.
     let token = SwapToken::authorise(&mode_a, &mode_b);
+    let mut swapped_in = snapshot.clone();
+    swapped_in
+        .rebase(&topo, &mode_b, &token)
+        .expect("authorised swap rebases");
     let handle = pool
-        .resume_swapped(&topo, mode_b, PropagationTrigger::default(), &snapshot, token, None)
+        .resume_full(
+            &topo,
+            mode_b,
+            PropagationTrigger::default(),
+            &swapped_in,
+            None,
+        )
         .expect("authorised swap restores");
     assert!(handle.wait().completed);
 }

@@ -139,7 +139,7 @@ proptest! {
             Planner::new(&g).algorithm(Algorithm::NonPropagation).plan().unwrap(),
             Planner::new(&g).algorithm(Algorithm::Propagation).plan().unwrap(),
             // All-infinite intervals model "avoidance disabled".
-            AvoidancePlan::new(&g, Algorithm::NonPropagation, Rounding::Ceil, IntervalMap::for_graph(&g)),
+            AvoidancePlan::new(&g, Algorithm::NonPropagation, IntervalMap::for_graph(&g)),
         ] {
             let cert = certify_plan_bounded(&g, &plan, &periods, INPUTS, STEP_BUDGET).unwrap();
             let report = SharedPool::new(2)
@@ -391,7 +391,7 @@ fn graph_of(family: u64, seed: u64) -> Graph {
 
 /// All-infinite intervals: the wrapper never sends a dummy.
 fn no_avoidance(g: &Graph) -> AvoidancePlan {
-    AvoidancePlan::new(g, Algorithm::NonPropagation, Rounding::Ceil, IntervalMap::for_graph(g))
+    AvoidancePlan::new(g, Algorithm::NonPropagation, IntervalMap::for_graph(g))
 }
 
 /// NonProp plan, Prop plan (where the planner has one for the shape), and

@@ -2,7 +2,7 @@
 //! safely tighter than) the exponential cycle-enumeration baseline on
 //! randomly generated topologies.
 
-use fila::avoidance::{verify_plan, Algorithm, GraphClass, Planner, Rounding};
+use fila::avoidance::{verify_plan, Algorithm, GraphClass, Planner};
 use fila::workloads::generators::{
     random_ladder, random_sp_dag, GeneratorConfig, LadderConfig,
 };
@@ -16,16 +16,13 @@ fn sp_dag_plans_are_exact_for_both_protocols() {
             ..Default::default()
         });
         for algorithm in [Algorithm::Propagation, Algorithm::NonPropagation] {
-            for rounding in [Rounding::Ceil, Rounding::Floor] {
-                let (class, plan) = Planner::new(&g)
-                    .algorithm(algorithm)
-                    .rounding(rounding)
-                    .plan_with_class()
-                    .unwrap();
-                assert_eq!(class, GraphClass::SeriesParallel, "seed {seed}");
-                let v = verify_plan(&g, &plan).unwrap();
-                assert!(v.exact, "seed {seed} {algorithm} {rounding:?}: {}", v.summary());
-            }
+            let (class, plan) = Planner::new(&g)
+                .algorithm(algorithm)
+                .plan_with_class()
+                .unwrap();
+            assert_eq!(class, GraphClass::SeriesParallel, "seed {seed}");
+            let v = verify_plan(&g, &plan).unwrap();
+            assert!(v.exact, "seed {seed} {algorithm}: {}", v.summary());
         }
     }
 }

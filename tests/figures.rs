@@ -1,7 +1,7 @@
 //! Integration tests regenerating the paper's worked figures end to end
 //! (experiments E1, E3, E4, E5 in DESIGN.md).
 
-use fila::avoidance::{classify, verify_plan, GraphClass, Rounding};
+use fila::avoidance::{classify, verify_plan, GraphClass};
 use fila::prelude::*;
 use fila::workloads::figures;
 
@@ -25,25 +25,22 @@ fn fig3_nonpropagation_intervals_are_the_robust_tightening_of_the_paper() {
     // nodes re-emit data; this reproduction's runtime counts dummy gaps per
     // accepted input, so the sound bound is the integer hop-count root of
     // the slack (E17 postmortem, DESIGN.md) — a strict tightening of the
-    // printed values, and rounding-independent.
+    // printed values.
     let g = figures::fig3_cycle();
     let e = |s: &str, t: &str| g.edge_by_names(s, t).unwrap();
-    for rounding in [Rounding::Ceil, Rounding::Floor] {
-        let plan = Planner::new(&g)
-            .algorithm(Algorithm::NonPropagation)
-            .rounding(rounding)
-            .plan()
-            .unwrap();
-        for (s, t, paper) in [("a", "b", 2), ("b", "e", 2), ("e", "f", 2)] {
-            assert_eq!(plan.interval(e(s, t)), DummyInterval::Finite(1), "[{s}{t}]");
-            assert!(plan.interval(e(s, t)) <= DummyInterval::Finite(paper));
-        }
-        for (s, t, paper) in [("a", "c", 3), ("c", "d", 3), ("d", "f", 3)] {
-            assert_eq!(plan.interval(e(s, t)), DummyInterval::Finite(2), "[{s}{t}]");
-            assert!(plan.interval(e(s, t)) <= DummyInterval::Finite(paper));
-        }
-        assert!(verify_plan(&g, &plan).unwrap().exact);
+    let plan = Planner::new(&g)
+        .algorithm(Algorithm::NonPropagation)
+        .plan()
+        .unwrap();
+    for (s, t, paper) in [("a", "b", 2), ("b", "e", 2), ("e", "f", 2)] {
+        assert_eq!(plan.interval(e(s, t)), DummyInterval::Finite(1), "[{s}{t}]");
+        assert!(plan.interval(e(s, t)) <= DummyInterval::Finite(paper));
     }
+    for (s, t, paper) in [("a", "c", 3), ("c", "d", 3), ("d", "f", 3)] {
+        assert_eq!(plan.interval(e(s, t)), DummyInterval::Finite(2), "[{s}{t}]");
+        assert!(plan.interval(e(s, t)) <= DummyInterval::Finite(paper));
+    }
+    assert!(verify_plan(&g, &plan).unwrap().exact);
 }
 
 #[test]

@@ -131,7 +131,7 @@ fn the_paper_division_bound_still_deadlocks_without_the_fix() {
     // on a case the fixed plan completes — demonstrating the deadlock was
     // a property of the loose intervals, and the fix is what removed it.
     use fila::avoidance::interval::IntervalMap;
-    use fila::avoidance::{AvoidancePlan, Rounding};
+    use fila::avoidance::AvoidancePlan;
     let (rungs, seed) = (24usize, 0u64);
     let g = ladder(rungs, seed);
     let fixed = Planner::new(&g)
@@ -146,7 +146,7 @@ fn the_paper_division_bound_still_deadlocks_without_the_fix() {
         };
         loose.set(e, widened);
     }
-    let loose_plan = AvoidancePlan::new(&g, Algorithm::NonPropagation, Rounding::Ceil, loose);
+    let loose_plan = AvoidancePlan::new(&g, Algorithm::NonPropagation, loose);
     let topo = interior_filtered(&g);
     let bad = Simulator::new(&topo).with_plan(&loose_plan).run(INPUTS);
     assert!(bad.deadlocked, "loosened intervals must still wedge: {bad:?}");

@@ -291,7 +291,7 @@ fn planning_and_certification_digest_is_unchanged() {
             cert_hits += 1;
 
             // A plain plan lookup serves the plan the walk left behind.
-            let plain = cache.plan(g, algorithm, Rounding::Ceil, CYCLE_BOUND);
+            let plain = cache.plan(g, algorithm, CYCLE_BOUND);
             match (&fresh, plain) {
                 (Ok((_, want)), Ok(got)) => {
                     assert_eq!(

@@ -3,7 +3,7 @@
 //! algorithms against the exponential baseline.
 
 use fila::avoidance::exhaustive::exhaustive_intervals;
-use fila::avoidance::{Algorithm, Rounding};
+use fila::avoidance::Algorithm;
 use fila::spdag::validate::validate_decomposition;
 use fila::spdag::{build_sp, recognize, reduce, SpSpec};
 use fila::workloads::figures;
@@ -57,7 +57,7 @@ proptest! {
         let (g, d) = build_sp(&spec);
         prop_assume!(g.edge_count() <= 40);
         let fast = fila::avoidance::prop_sp::setivals(&g, &d);
-        let exact = exhaustive_intervals(&g, Algorithm::Propagation, Rounding::Ceil).unwrap();
+        let exact = exhaustive_intervals(&g, Algorithm::Propagation).unwrap();
         prop_assert_eq!(fast, exact);
     }
 
@@ -65,11 +65,9 @@ proptest! {
     fn nonprop_matches_the_exhaustive_definition(spec in sp_spec(3)) {
         let (g, d) = build_sp(&spec);
         prop_assume!(g.edge_count() <= 40);
-        for rounding in [Rounding::Ceil, Rounding::Floor] {
-            let fast = fila::avoidance::nonprop_sp::nonprop_intervals(&g, &d, rounding);
-            let exact = exhaustive_intervals(&g, Algorithm::NonPropagation, rounding).unwrap();
-            prop_assert_eq!(fast, exact);
-        }
+        let fast = fila::avoidance::nonprop_sp::nonprop_intervals(&g, &d);
+        let exact = exhaustive_intervals(&g, Algorithm::NonPropagation).unwrap();
+        prop_assert_eq!(fast, exact);
     }
 
     #[test]

@@ -21,9 +21,9 @@ fn assert_cache_equivalence(
     for algorithm in [Algorithm::Propagation, Algorithm::NonPropagation] {
         let fresh = Planner::new(g).algorithm(algorithm).plan().unwrap();
         let cache = PlanCache::new(8);
-        let miss = cache.plan(g, algorithm, Rounding::Ceil, 4096).unwrap();
+        let miss = cache.plan(g, algorithm, 4096).unwrap();
         prop_assert!(!miss.hit, "{algorithm}: first lookup must miss");
-        let hit = cache.plan(g, algorithm, Rounding::Ceil, 4096).unwrap();
+        let hit = cache.plan(g, algorithm, 4096).unwrap();
         prop_assert!(hit.hit, "{algorithm}: second lookup must hit");
 
         // Byte-identical: the cached plan IS the fresh plan.

@@ -309,3 +309,48 @@ fn drifted_topology_is_rejected() {
         Err(RestoreError::PlanMismatch(_))
     ));
 }
+
+/// What a plan's shape may not move, recorded at the parent of E33 (which
+/// left a plan with a protocol and its intervals only): the digests of
+/// Fig. 3's two plans, an all-infinite plan and `Disabled`, and an FNV-1a
+/// hash over the FILASNAP bytes of a kill-point snapshot of a planned,
+/// filtered job — the digest is inside those bytes.
+#[test]
+fn plan_digests_and_snapshot_bytes_are_pinned() {
+    use fila::avoidance::{AvoidancePlan, IntervalMap};
+    use fila::runtime::checkpoint::plan_digest;
+    let g = fila::workloads::figures::fig3_cycle();
+    let planned = |algorithm| Planner::new(&g).algorithm(algorithm).plan().unwrap();
+    let prop = AvoidanceMode::plan(planned(Algorithm::Propagation));
+    let nonprop = AvoidanceMode::plan(planned(Algorithm::NonPropagation));
+    let infinite = AvoidancePlan::new(&g, Algorithm::Propagation, IntervalMap::for_graph(&g));
+    for (mode, pinned) in [
+        (prop, Some(0x9755_134e_30fb_bb9f)),
+        (nonprop, Some(0x95d7_f31f_fbf8_de72)),
+        (AvoidanceMode::plan(infinite), Some(0x42b3_be51_e9ec_1cf1)),
+        (AvoidanceMode::Disabled, None),
+    ] {
+        assert_eq!(plan_digest(&mode), pinned, "{mode:?}");
+    }
+
+    let (g, _) = random_sp_dag(&GeneratorConfig {
+        target_edges: 14,
+        max_fanout: 3,
+        capacity_range: (2, 5),
+        seed: 11,
+    });
+    let plan = Planner::new(&g)
+        .algorithm(Algorithm::NonPropagation)
+        .plan()
+        .unwrap();
+    let topo = with_filters(&g, 11);
+    let sim = Simulator::new(&topo).with_plan(&plan);
+    let CheckpointOutcome::Killed(snapshot) = sim.run_with_checkpoint(200, 25) else {
+        panic!("kill point 25 must interrupt a 200-input run");
+    };
+    let bytes = snapshot.to_bytes();
+    let fnv1a = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!((bytes.len(), fnv1a), (1016, 0x010d_7e62_300f_20fc));
+}

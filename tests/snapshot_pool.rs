@@ -287,12 +287,7 @@ fn slower_source_stops_at_the_barrier_at_every_batch_limit() {
     for e in g.edge_ids() {
         intervals.set(e, DummyInterval::Finite(2));
     }
-    let plan = Arc::new(AvoidancePlan::new(
-        &g,
-        Algorithm::NonPropagation,
-        Rounding::Ceil,
-        intervals,
-    ));
+    let plan = Arc::new(AvoidancePlan::new(&g, Algorithm::NonPropagation, intervals));
     let reference = Simulator::new(&topo)
         .with_shared_plan(Arc::clone(&plan))
         .run(inputs);
