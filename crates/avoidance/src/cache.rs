@@ -43,7 +43,7 @@ use crate::cs4::Structure;
 use crate::interval::Rounding;
 use crate::plan::{Algorithm, AvoidancePlan};
 use crate::planner::{walk_certification_chain, CertifyError, Planner};
-use crate::verify::filter_signature;
+use crate::verify::{filter_signature, Helpers};
 
 /// Default maximum number of cached plans.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
@@ -360,7 +360,8 @@ impl PlanCache {
     /// verdict.  The cycle budget is part of the key so a negative verdict
     /// reached by exhausting a small budget is never served to a caller
     /// asking under a larger one.  The third argument is inert: `ledger/`
-    /// passing it is the only reason it exists.
+    /// passing it is the only reason it exists.  A miss certifies on the
+    /// calling thread alone.
     pub fn certify(
         &self,
         g: &Graph,
@@ -369,11 +370,12 @@ impl PlanCache {
         cycle_bound: usize,
         periods: &[u64],
     ) -> std::result::Result<CertifiedCached, CertifyError> {
-        self.certify_identified(g, &GraphIdentity::of(g), algorithm, cycle_bound, periods)
+        self.certify_identified(g, &GraphIdentity::of(g), algorithm, cycle_bound, periods, None)
     }
 
     /// [`PlanCache::certify`] for a caller that already hashed `g` into
-    /// `identity` (which must be `GraphIdentity::of(g)`).
+    /// `identity` (which must be `GraphIdentity::of(g)`); a walk offers its
+    /// model-check runs to `helpers` (a service: its pool).
     pub fn certify_identified(
         &self,
         g: &Graph,
@@ -381,6 +383,7 @@ impl PlanCache {
         algorithm: Algorithm,
         cycle_bound: usize,
         periods: &[u64],
+        helpers: Option<&dyn Helpers>,
     ) -> std::result::Result<CertifiedCached, CertifyError> {
         let key = CertKey {
             plan: Key {
@@ -423,7 +426,7 @@ impl PlanCache {
                 .cycle_bound(cycle_bound);
             let walked = catch_unwind(AssertUnwindSafe(|| {
                 let structure = Structure::of(g).map_err(CertifyError::Unplannable)?;
-                walk_certification_chain(&planner, &structure, &canonical, |candidate| {
+                walk_certification_chain(&planner, &structure, &canonical, helpers, |candidate| {
                     let from = Some(&structure);
                     let cached = self.plan_identified(g, identity, candidate, cycle_bound, from)?;
                     Ok((cached.plan, cached.plan_time))

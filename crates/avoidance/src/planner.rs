@@ -34,7 +34,7 @@ use crate::ladder_prop::apply_ladder_propagation;
 use crate::nonprop_sp::nonprop_into;
 use crate::plan::{Algorithm, AvoidancePlan};
 use crate::prop_sp::setivals_into;
-use crate::verify::{certify_shared, Certification};
+use crate::verify::{certify_shared, Certification, Helpers};
 
 /// Builder-style planner for deadlock-avoidance plans.
 #[derive(Debug, Clone)]
@@ -174,7 +174,7 @@ impl<'g> Planner<'g> {
     /// exhaustive ones, so the chain collapses to two candidates.
     pub fn certify(&self, periods: &[u64]) -> std::result::Result<CertifiedPlan, CertifyError> {
         let structure = self.structure().map_err(CertifyError::Unplannable)?;
-        let accepted = walk_certification_chain(self, &structure, periods, |algorithm| {
+        let accepted = walk_certification_chain(self, &structure, periods, None, |algorithm| {
             let planning = Instant::now();
             let plan = self.clone().algorithm(algorithm).plan_as(&structure)?;
             Ok((Arc::new(plan), planning.elapsed()))
@@ -218,6 +218,7 @@ pub(crate) fn walk_certification_chain<F>(
     planner: &Planner<'_>,
     structure: &Structure,
     periods: &[u64],
+    helpers: Option<&dyn Helpers>,
     mut structural: F,
 ) -> std::result::Result<ChainAccepted, CertifyError>
 where
@@ -260,7 +261,7 @@ where
             }
         };
         let checking = Instant::now();
-        let certification = match certify_shared(g, &plan, periods) {
+        let certification = match certify_shared(g, &plan, periods, helpers) {
             Ok(c) => c,
             Err(e) => return Err(CertifyError::Unplannable(e)),
         };

@@ -42,8 +42,8 @@
 //!
 //! A plan is **certified** only if every run completes within the step
 //! budget.  The runs share nothing but read-only inputs: they are the rows of
-//! one table, claimed in order by the certifying thread and by a process-wide
-//! crew of helper threads, and folded in order (DESIGN.md, E32).
+//! one table, claimed in order by the certifying thread and by its idle
+//! [`Helpers`] (a service's pool workers), and folded in order (E32, E34).
 //! The check is bounded (default [`certification_inputs`]); a run that
 //! exhausts the budget without completing is conservatively *not*
 //! certified.  `Planner::certify` drives this pass with an automatic
@@ -52,7 +52,7 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use fila_graph::undirected::first_unreachable;
 use fila_graph::{EdgeId, Graph, NodeId, Result};
@@ -343,14 +343,15 @@ pub fn certification_inputs(g: &Graph) -> u64 {
 /// which never certifies whatever the runs do — so they are not made: every
 /// outcome is inconclusive at zero steps and `inputs` names the horizon.
 pub fn certify_plan(g: &Graph, plan: &AvoidancePlan, periods: &[u64]) -> Result<Certification> {
-    certify_shared(g, &Arc::new(plan.clone()), periods)
+    certify_shared(g, &Arc::new(plan.clone()), periods, None)
 }
 
-/// [`certify_plan`] on the caller's shared copy of the interval table.
+/// [`certify_plan`] on a shared interval table, its rows offered to `helpers`.
 pub(crate) fn certify_shared(
     g: &Graph,
     plan: &Arc<AvoidancePlan>,
     periods: &[u64],
+    helpers: Option<&dyn Helpers>,
 ) -> Result<Certification> {
     let required = certification_inputs(g);
     if required > MAX_CERTIFICATION_INPUTS {
@@ -365,7 +366,7 @@ pub(crate) fn certify_shared(
         });
     }
     let max_steps = default_step_budget(g, required);
-    certify_with_requirement(g, plan, periods, required, max_steps, required)
+    certify_with_requirement(g, plan, periods, required, max_steps, required, helpers)
 }
 
 /// The profile and the plan must be node- and edge-aligned with `g`.
@@ -396,7 +397,7 @@ pub fn certify_plan_bounded(
     max_steps: u64,
 ) -> Result<Certification> {
     let plan = Arc::new(plan.clone());
-    certify_with_requirement(g, &plan, periods, inputs, max_steps, certification_inputs(g))
+    certify_with_requirement(g, &plan, periods, inputs, max_steps, certification_inputs(g), None)
 }
 
 /// Shared body of [`certify_plan`] / [`certify_plan_bounded`]: `required`
@@ -409,11 +410,12 @@ fn certify_with_requirement(
     inputs: u64,
     max_steps: u64,
     required: u64,
+    helpers: Option<&dyn Helpers>,
 ) -> Result<Certification> {
     check_shapes(g, plan, periods)?;
     let truncated = inputs < required;
     let (declared, worst_case, failing_adversary) =
-        Arc::new(RunTable::new(g, plan, periods, (inputs, max_steps))).verdict();
+        Arc::new(RunTable::new(g, plan, periods, (inputs, max_steps))).verdict(helpers);
     Ok(Certification {
         certified: declared.completed && failing_adversary.is_none() && !truncated,
         declared,
@@ -425,23 +427,32 @@ fn certify_with_requirement(
 }
 
 static RUNS_BY_CALLER: AtomicU64 = AtomicU64::new(0);
-static RUNS_BY_CREW: AtomicU64 = AtomicU64::new(0);
+static RUNS_BY_POOL: AtomicU64 = AtomicU64::new(0);
 
 /// The model-check runs made so far in this process: `(by the threads that
-/// asked for a certification, by the crew)` — `fila_certify_runs_total`.
+/// asked for a certification, by pool workers)` — `fila_certify_runs_total`.
 pub fn certify_runs() -> (u64, u64) {
-    (RUNS_BY_CALLER.load(Ordering::Relaxed), RUNS_BY_CREW.load(Ordering::Relaxed))
+    (RUNS_BY_CALLER.load(Ordering::Relaxed), RUNS_BY_POOL.load(Ordering::Relaxed))
 }
 
-/// Every update under the locks below is one push, removal or slot store.
+/// Threads that may work a certification's rows beside the one that asked
+/// for it: the idle workers of a service's pool (`fila_runtime::SharedPool`).
+pub trait Helpers: Sync {
+    /// Lets idle threads [`RunTable::help`] with `table`.
+    fn offer(&self, table: &Arc<RunTable>);
+    /// Takes the offer back: its caller found no row left to claim.
+    fn withdraw(&self, table: &Arc<RunTable>);
+}
+
+/// Every update under the lock below is one slot store.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One certification as a table of independent runs under one `budget` of
 /// inputs and steps, claimed in order from `next` and folded in order: the
-/// result does not depend on who ran what.  It owns what a crew thread reads.
-struct RunTable {
+/// result does not depend on who ran what.  It owns what a helper reads.
+pub struct RunTable {
     graph: Graph,
     mode: AvoidanceMode,
     periods: Vec<u64>,
@@ -464,10 +475,6 @@ thread_local! {
     /// Ends this thread's tables in a row that panics.
     pub(crate) static PANICKING_ROW: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
-
-/// The tables whose certifying thread is claiming rows; the crew's wake-up.
-static POSTED: Mutex<Vec<Arc<RunTable>>> = Mutex::new(Vec::new());
-static WAKE: Condvar = Condvar::new();
 
 impl RunTable {
     fn new(g: &Graph, plan: &Arc<AvoidancePlan>, periods: &[u64], budget: (u64, u64)) -> Self {
@@ -527,9 +534,19 @@ impl RunTable {
         model_check(&self.graph, &self.mode, emits, rule, self.budget.0, self.budget.1)
     }
 
-    /// Claims rows in order and runs them until none is left to start.  A
-    /// panic is caught and stored as the row's outcome: it is the certifying
-    /// thread's to re-raise, and a crew thread survives it.
+    /// True while a row is left to start.
+    pub fn open(&self) -> bool {
+        self.next.load(Ordering::SeqCst) < self.stop.load(Ordering::SeqCst)
+    }
+
+    /// Works the table on a helper's thread: never unwinds.
+    pub fn help(&self) {
+        self.work(&RUNS_BY_POOL);
+    }
+
+    /// Claims rows in order and runs each to its end until none is left to
+    /// start.  A panic is caught and stored as the row's outcome: it is the
+    /// certifying thread's to re-raise, and a helper survives it.
     fn work(&self, runs: &AtomicU64) {
         loop {
             let row = self.next.fetch_add(1, Ordering::SeqCst);
@@ -546,17 +563,21 @@ impl RunTable {
         }
     }
 
-    /// Runs the table — this thread and whoever of the crew is free; a lone
-    /// row wakes nobody — and folds it in [`ADVERSARIES`] order as a sequential
-    /// loop would: `(declared, worst_case, failing_adversary)`.
-    fn verdict(self: Arc<Self>) -> (ModelOutcome, ModelOutcome, Option<&'static str>) {
-        lock(&POSTED).push(self.clone());
-        if self.rows.len() > 1 {
-            start_crew();
-            WAKE.notify_all();
+    /// Runs the table — this thread and whichever of `helpers` is idle; a
+    /// lone row is offered to nobody — and folds it in [`ADVERSARIES`] order
+    /// as a sequential loop would: `(declared, worst_case, failing_adversary)`.
+    fn verdict(
+        self: Arc<Self>,
+        helpers: Option<&dyn Helpers>,
+    ) -> (ModelOutcome, ModelOutcome, Option<&'static str>) {
+        let helpers = helpers.filter(|_| self.rows.len() > 1);
+        if let Some(helpers) = helpers {
+            helpers.offer(&self);
         }
         self.work(&RUNS_BY_CALLER);
-        lock(&POSTED).retain(|posted| !Arc::ptr_eq(posted, &self));
+        if let Some(helpers) = helpers {
+            helpers.withdraw(&self);
+        }
         // `stop` only falls and a row claimed below it is run: now that this
         // thread found none to claim, every row below `stop` has its runner.
         let mut done = lock(&self.outcomes);
@@ -572,36 +593,6 @@ impl RunTable {
         let raise = |run: std::thread::Result<_>| run.unwrap_or_else(|panic| resume_unwind(panic));
         let declared = raise(declared);
         (declared, worst_case.map_or(declared, raise), failing.map(|&(name, _)| name))
-    }
-}
-
-/// Starts the crew, once per process: `available_parallelism() − 1` helper
-/// threads, at most 5 (a table has at most six rows).  They **never exit**:
-/// CPU accounting over a process's live threads (the ledger's) loses an
-/// exited thread's share.  One that cannot be spawned is a smaller crew.
-fn start_crew() {
-    static STARTED: Once = Once::new();
-    STARTED.call_once(|| {
-        let spare = std::thread::available_parallelism().map_or(0, |n| n.get() - 1);
-        for helper in 0..spare.min(5) {
-            let name = format!("fila-certify-{helper}");
-            let _ = std::thread::Builder::new().name(name).spawn(help);
-        }
-    });
-}
-
-fn help() {
-    let open = |t: &&Arc<RunTable>| t.next.load(Ordering::SeqCst) < t.stop.load(Ordering::SeqCst);
-    let mut posted = lock(&POSTED);
-    loop {
-        posted = match posted.iter().find(open).cloned() {
-            Some(table) => {
-                drop(posted);
-                table.work(&RUNS_BY_CREW);
-                lock(&POSTED)
-            }
-            None => WAKE.wait(posted).unwrap_or_else(PoisonError::into_inner),
-        };
     }
 }
 
@@ -663,6 +654,7 @@ mod tests {
     use crate::planner::Planner;
     use fila_graph::GraphBuilder;
     use fila_spdag::{build_sp, SpSpec};
+    use std::sync::mpsc::{channel, Receiver, Sender};
 
     #[test]
     fn sp_plans_verify_exactly() {
@@ -953,36 +945,61 @@ mod tests {
         let rows: Vec<usize> = table.adversaries.iter().map(|&(_, row)| row).collect();
         assert_eq!((table.rows.len(), rows), (5, vec![1, 2, 2, 3, 4]));
         let table = Arc::new(table);
-        let verdict = table.clone().verdict();
+        let verdict = table.clone().verdict(None);
         // What the sequential loop found (recorded at E32's parent).
         let declared = ModelOutcome { completed: true, deadlocked: false, steps: 1033 };
         let worst_case = ModelOutcome { completed: false, deadlocked: true, steps: 27 };
         assert_eq!(verdict, (declared, worst_case, Some("even-nodes-relay")));
-        // Row 3 failed: the caller ran 0..=3 unless a helper took some, and
-        // each helper can have had at most one later row in flight.
-        while Arc::strong_count(&table) > 1 {
-            std::thread::yield_now();
-        }
-        let crew = std::thread::available_parallelism().map_or(0, |n| n.get() - 1).min(5);
+        // Row 3 failed: the caller, alone, ran rows 0..=3 and started no
+        // other; the fold took rows 0 and 3.
         let left = lock(&table.outcomes).iter().flatten().count();
-        assert!(2 + left <= (1 + 3 + crew).min(5), "{left} outcomes left beside the two read");
-        assert_eq!(table.stop.load(Ordering::SeqCst), 4);
+        assert_eq!((left, table.stop.load(Ordering::SeqCst)), (2, 4));
+    }
+
+    /// Stands in for an idle pool worker: `offer` hands the table to one
+    /// long-lived thread and returns once that thread has claimed every row,
+    /// so the caller runs none.
+    struct Worker(Mutex<(Sender<Arc<RunTable>>, Receiver<()>)>);
+
+    impl Helpers for Worker {
+        fn offer(&self, table: &Arc<RunTable>) {
+            let channels = lock(&self.0);
+            channels.0.send(table.clone()).unwrap();
+            channels.1.recv().unwrap();
+        }
+
+        fn withdraw(&self, _: &Arc<RunTable>) {}
     }
 
     #[test]
-    fn a_panicking_row_is_the_callers_panic_and_the_crew_survives_it() {
+    fn a_panicking_row_is_the_callers_panic_and_its_helper_survives_it() {
         let g = fig2();
-        let plan = Planner::new(&g).algorithm(Algorithm::NonPropagation).plan().unwrap();
-        let before = certify_plan(&g, &plan, &[8, 1, 1]).unwrap();
+        let plan = Arc::new(Planner::new(&g).algorithm(Algorithm::NonPropagation).plan().unwrap());
+        let (offers, offered) = channel::<Arc<RunTable>>();
+        let (worked, done) = channel();
+        let helper = std::thread::spawn(move || {
+            let mut tables = 0;
+            for table in offered {
+                table.help();
+                worked.send(()).unwrap();
+                tables += 1;
+            }
+            tables
+        });
+        let worker = Worker(Mutex::new((offers, done)));
+        let certify = || certify_shared(&g, &plan, &[8, 1, 1], Some(&worker));
+        let before = certify().unwrap();
         assert!(before.certified, "{}", before.summary());
         PANICKING_ROW.with(|on| on.set(true));
-        let panicked = catch_unwind(|| certify_plan(&g, &plan, &[8, 1, 1]));
+        let panicked = catch_unwind(AssertUnwindSafe(certify));
         PANICKING_ROW.with(|on| on.set(false));
-        let payload = panicked.expect_err("the last row panics, on whichever thread ran it");
+        let payload = panicked.expect_err("the helper ran the panicking row, the caller raises it");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"a row panics"));
         for _ in 0..8 {
-            assert_eq!(certify_plan(&g, &plan, &[8, 1, 1]).unwrap(), before);
+            assert_eq!(certify().unwrap(), before);
         }
+        drop(worker);
+        assert_eq!(helper.join().expect("the helper survives"), 10);
     }
 
     #[test]

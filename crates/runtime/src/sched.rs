@@ -31,12 +31,19 @@
 //! parked worker and no searcher and unparks one.  The slot needs none of
 //! this: only its owner fills it, and takes it before it looks anywhere
 //! else, let alone parks.
+//!
+//! **Certification rows** ([`RunTable`]) are offered like a task — pushed,
+//! then notify; the park-side re-check sees them — and taken only when
+//! everything above came up empty.  A worker runs each row it claims to its
+//! end, neither searching nor parked, so work pushed meanwhile unparks a peer.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
+
+use fila_avoidance::verify::RunTable;
 
 use crate::telemetry::{EventKind, SchedCounter, TelemetryHandle};
 
@@ -154,6 +161,8 @@ pub(crate) struct Scheduler<T> {
     sleepers: Mutex<Vec<usize>>,
     shutdown: AtomicBool,
     telemetry: Option<TelemetryHandle>,
+    /// Certification rows offered to idle workers (see the module docs).
+    offers: Mutex<Vec<Arc<RunTable>>>,
 }
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -179,6 +188,7 @@ impl<T: Send> Scheduler<T> {
             sleepers: Mutex::new(Vec::with_capacity(workers)),
             shutdown: AtomicBool::new(false),
             telemetry,
+            offers: Mutex::new(Vec::new()),
         }
     }
 
@@ -216,6 +226,17 @@ impl<T: Send> Scheduler<T> {
         if pushed > 0 {
             self.notify(self.workers());
         }
+    }
+
+    /// Offers `table`'s rows to the workers: a push, then at most one unpark.
+    pub(crate) fn offer(&self, table: &Arc<RunTable>) {
+        lock(&self.offers).push(Arc::clone(table));
+        self.notify(self.workers());
+    }
+
+    /// Takes an offer back (its caller found no row left to claim).
+    pub(crate) fn withdraw(&self, table: &Arc<RunTable>) {
+        lock(&self.offers).retain(|offered| !Arc::ptr_eq(offered, table));
     }
 
     /// A wake issued by the task `local`'s worker is running: the woken
@@ -275,12 +296,12 @@ impl<T: Send> Scheduler<T> {
         }
     }
 
-    /// Blocks until the worker has a task to run; `None` once the pool is
-    /// shutting down (whatever the worker still holds is dropped with its
-    /// [`Local`]; the pool settles those jobs as cancelled).  The second
-    /// value names the queue a task *not* from the worker's own slot or
-    /// deque was taken from: a peer's index, or [`Scheduler::workers`] for
-    /// the injector.
+    /// Blocks until the worker has a task to run (working offered rows
+    /// meanwhile); `None` once the pool is shutting down (whatever the worker
+    /// still holds is dropped with its [`Local`]; the pool settles those
+    /// jobs as cancelled).  The second value names the queue a task *not*
+    /// from the worker's own slot or deque was taken from: a peer's index,
+    /// or [`Scheduler::workers`] for the injector.
     pub(crate) fn next(&self, local: &mut Local<T>) -> Option<(T, Option<usize>)> {
         loop {
             if self.shutdown.load(Ordering::Acquire) {
@@ -290,7 +311,13 @@ impl<T: Send> Scheduler<T> {
             if found.is_some() {
                 return found;
             }
-            self.park(local);
+            let offered = lock(&self.offers).iter().find(|table| table.open()).cloned();
+            let Some(table) = offered else {
+                self.park(local);
+                continue;
+            };
+            self.stop_searching(local);
+            table.help();
         }
     }
 
@@ -328,14 +355,19 @@ impl<T: Send> Scheduler<T> {
             self.count(local.index, SchedCounter::Steal, 1);
         }
         let moved = self.remotes[local.index].deque.push(local.batch.drain(..)) > 0;
-        if local.searching {
-            local.searching = false;
-            self.searching.fetch_sub(1, Ordering::SeqCst);
-        }
+        self.stop_searching(local);
         if left_behind || moved {
             self.notify(local.index);
         }
         Some((first, Some(victim)))
+    }
+
+    /// The worker found something to do: it leaves the searching count.
+    fn stop_searching(&self, local: &mut Local<T>) {
+        if local.searching {
+            local.searching = false;
+            self.searching.fetch_sub(1, Ordering::SeqCst);
+        }
     }
 
     /// Looks for work beyond the worker's own queues — the injector, then
@@ -373,13 +405,14 @@ impl<T: Send> Scheduler<T> {
         }
     }
 
-    /// True if a queue this worker could take from holds a task (checked
-    /// under each queue's lock: this is the park-side re-check).
+    /// True if a queue this worker could take from holds a task or an offered
+    /// table a row (checked under each lock: this is the park-side re-check).
     fn stealable_work(&self, local: &Local<T>) -> bool {
         !lock(&self.injector.items).is_empty()
             || self.remotes.iter().enumerate().any(|(index, remote)| {
                 index != local.index && !lock(&remote.deque.items).is_empty()
             })
+            || lock(&self.offers).iter().any(|table| table.open())
     }
 
     /// Parks the worker until a pusher unparks it or the pool shuts down.

@@ -76,6 +76,7 @@ use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use fila_avoidance::verify::{Helpers, RunTable};
 use fila_graph::fingerprint::labeled_fingerprint;
 use fila_graph::{Graph, NodeId};
 
@@ -108,7 +109,8 @@ const JOB_DEADLOCKED: u8 = 2;
 const JOB_FAILED: u8 = 3;
 const JOB_CANCELLED: u8 = 4;
 
-/// How a job on a [`SharedPool`] ended.
+/// How a job on a [`SharedPool`] ended.  The declaration order is the code
+/// of a trace's job span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobVerdict {
     /// Every node of the job reached end-of-stream.
@@ -311,6 +313,25 @@ impl JobState {
         }
     }
 
+    /// Moves a running job to `verdict`; false if it had one already (the
+    /// first verdict stands).
+    fn settle_as(&self, verdict: u8) -> bool {
+        self.verdict
+            .compare_exchange(JOB_RUNNING, verdict, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+    }
+
+    /// The verdict, or `None` while the job runs.
+    fn settled(&self) -> Option<JobVerdict> {
+        match self.verdict.load(Ordering::SeqCst) {
+            JOB_COMPLETED => Some(JobVerdict::Completed),
+            JOB_DEADLOCKED => Some(JobVerdict::Deadlocked),
+            JOB_FAILED => Some(JobVerdict::Failed),
+            JOB_CANCELLED => Some(JobVerdict::Cancelled),
+            _ => None,
+        }
+    }
+
     /// Records one task's aligned state into the pending snapshot.  The
     /// caller holds the task mutex (lock order: task before snap); the
     /// final contribution assembles the [`JobSnapshot`] and wakes the
@@ -471,13 +492,7 @@ impl JobHandle {
 
     /// The job's verdict, or `None` while it is still in flight.
     pub fn verdict(&self) -> Option<JobVerdict> {
-        match self.job.verdict.load(Ordering::SeqCst) {
-            JOB_COMPLETED => Some(JobVerdict::Completed),
-            JOB_DEADLOCKED => Some(JobVerdict::Deadlocked),
-            JOB_FAILED => Some(JobVerdict::Failed),
-            JOB_CANCELLED => Some(JobVerdict::Cancelled),
-            _ => None,
-        }
+        self.job.settled()
     }
 
     /// True once the report is available ([`JobHandle::wait`] won't block).
@@ -659,17 +674,7 @@ impl JobHandle {
     /// its snapshot is taken, and a drift-cancelled job is cancelled
     /// outright.
     pub fn cancel(&self) -> bool {
-        if self
-            .job
-            .verdict
-            .compare_exchange(
-                JOB_RUNNING,
-                JOB_CANCELLED,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            )
-            .is_err()
-        {
+        if !self.job.settle_as(JOB_CANCELLED) {
             return false;
         }
         if let Some(core) = self.core.upgrade() {
@@ -776,13 +781,10 @@ impl SharedPool {
 
     /// Spawns a pool configured by `options`.
     pub fn with(options: PoolOptions) -> Self {
-        let workers = NonZeroUsize::new(options.workers)
-            .map(NonZeroUsize::get)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(NonZeroUsize::get)
-                    .unwrap_or(1)
-            });
+        let workers = match options.workers {
+            0 => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+            workers => workers,
+        };
         let telemetry = options.telemetry.then(|| TelemetryHandle::new(workers));
         let core = Arc::new(PoolCore {
             sched: Scheduler::new(workers, telemetry.clone()),
@@ -903,6 +905,16 @@ impl SharedPool {
     }
 }
 
+impl Helpers for SharedPool {
+    fn offer(&self, table: &Arc<RunTable>) {
+        self.core.sched.offer(table);
+    }
+
+    fn withdraw(&self, table: &Arc<RunTable>) {
+        self.core.sched.withdraw(table);
+    }
+}
+
 impl Drop for SharedPool {
     /// Stops the workers and settles every still-undelivered job with
     /// [`JobVerdict::Cancelled`], so no [`JobHandle::wait`] hangs.  Workers
@@ -914,12 +926,7 @@ impl Drop for SharedPool {
         }
         let live: Vec<Arc<JobState>> = lock(&self.core.live).drain(..).collect();
         for job in live {
-            let _ = job.verdict.compare_exchange(
-                JOB_RUNNING,
-                JOB_CANCELLED,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            );
+            job.settle_as(JOB_CANCELLED);
             self.core.deliver(&job);
         }
     }
@@ -1019,20 +1026,21 @@ impl PoolCore {
         let worker = local.index();
         let job = &tref.job;
         let node = tref.node as usize;
+        let slot = &job.tasks[node];
         if job.verdict.load(Ordering::SeqCst) != JOB_RUNNING {
             // The job settled (failed or was cancelled) while this task sat
             // in a queue: drop it and retire its activity.
-            job.tasks[node].state.store(IDLE, Ordering::Release);
+            slot.state.store(IDLE, Ordering::Release);
             self.deactivate(job);
             return;
         }
-        job.tasks[node].state.store(RUNNING, Ordering::Release);
+        slot.state.store(RUNNING, Ordering::Release);
         enum Exec {
             Normal(Outcome, bool),
             Panicked,
         }
         let exec = {
-            let mut task = lock(&job.tasks[node].task);
+            let mut task = lock(&slot.task);
             let was_done = task.done;
             let sink = JobSnapSink {
                 job: job.as_ref(),
@@ -1122,13 +1130,8 @@ impl PoolCore {
                 // the job wind down as they block (or get dropped from the
                 // queues by the verdict check above); every other job on the
                 // pool is untouched.
-                let _ = job.verdict.compare_exchange(
-                    JOB_RUNNING,
-                    JOB_FAILED,
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                );
-                job.tasks[node].state.store(IDLE, Ordering::Release);
+                job.settle_as(JOB_FAILED);
+                slot.state.store(IDLE, Ordering::Release);
                 self.deactivate(job);
             }
             Exec::Normal(outcome, newly_done) => {
@@ -1139,28 +1142,26 @@ impl PoolCore {
                     Outcome::Done => {
                         // Stale flag wakeups may still re-queue this task;
                         // it will no-op.
-                        job.tasks[node].state.store(IDLE, Ordering::Release);
+                        slot.state.store(IDLE, Ordering::Release);
                         self.deactivate(job);
                     }
                     Outcome::Yielded => {
-                        job.tasks[node].state.store(QUEUED, Ordering::Release);
+                        slot.state.store(QUEUED, Ordering::Release);
                         self.sched.defer(local, tref);
                     }
                     Outcome::Blocked => {
-                        if job.tasks[node].state
-                            .compare_exchange(
-                                RUNNING,
-                                IDLE,
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            )
-                            .is_err()
-                        {
+                        let idle = slot.state.compare_exchange(
+                            RUNNING,
+                            IDLE,
+                            Ordering::AcqRel,
+                            Ordering::Acquire,
+                        );
+                        if idle.is_err() {
                             // A wake arrived while we ran (state is
                             // NOTIFIED): the event may have landed before
                             // our final re-check, so the task must run
                             // again (it stays active).
-                            job.tasks[node].state.store(QUEUED, Ordering::Release);
+                            slot.state.store(QUEUED, Ordering::Release);
                             self.sched.schedule(local, tref);
                         } else {
                             self.deactivate(job);
@@ -1185,12 +1186,7 @@ impl PoolCore {
         };
         // A Failed/Cancelled verdict set earlier wins; Completed/Deadlocked
         // only fills in a still-running slot.
-        let _ = job.verdict.compare_exchange(
-            JOB_RUNNING,
-            verdict,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        );
+        job.settle_as(verdict);
         self.deliver(job);
     }
 
@@ -1199,12 +1195,7 @@ impl PoolCore {
         if job.delivered.swap(true, Ordering::SeqCst) {
             return;
         }
-        let verdict = match job.verdict.load(Ordering::SeqCst) {
-            JOB_COMPLETED => JobVerdict::Completed,
-            JOB_DEADLOCKED => JobVerdict::Deadlocked,
-            JOB_FAILED => JobVerdict::Failed,
-            _ => JobVerdict::Cancelled,
-        };
+        let verdict = job.settled().unwrap_or(JobVerdict::Cancelled);
         // A checkpoint still pending at settle time can never complete (no
         // task will ever contribute again); fulfil it with the verdict so
         // the checkpointer returns instead of hanging.
@@ -1219,20 +1210,8 @@ impl PoolCore {
         // (worker, canceller, pool drop), so it goes to the control lane.
         if let Some(tele) = &self.telemetry {
             if job.serial != u64::MAX {
-                let code = match verdict {
-                    JobVerdict::Completed => 0,
-                    JobVerdict::Deadlocked => 1,
-                    JobVerdict::Failed => 2,
-                    JobVerdict::Cancelled => 3,
-                };
-                tele.span(
-                    CONTROL_LANE,
-                    EventKind::Job,
-                    job.serial,
-                    u32::MAX,
-                    job.t_submit_ns,
-                    code,
-                );
+                let code = verdict as u64;
+                tele.span(CONTROL_LANE, EventKind::Job, job.serial, u32::MAX, job.t_submit_ns, code);
             }
         }
         let mut report = task::assemble_report(

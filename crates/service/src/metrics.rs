@@ -499,16 +499,16 @@ pub fn sched_prometheus(telemetry: &TelemetryHandle) -> String {
     out
 }
 
-/// Renders who ran certification's model-check runs (E32) as
+/// Renders who ran certification's model-check runs (E32, E34) as
 /// `fila_certify_runs_total`: `by="caller"` the threads that asked for a
-/// certification, `by="crew"` the process-wide helper threads.  The counters
-/// are the process's, not one service's.
+/// certification, `by="pool"` the idle pool workers that helped.  The
+/// counters are the process's, not one service's.
 pub fn certify_prometheus() -> String {
-    let (caller, crew) = fila_avoidance::verify::certify_runs();
+    let (caller, pool) = fila_avoidance::verify::certify_runs();
     format!(
         "# TYPE fila_certify_runs_total counter\n\
          fila_certify_runs_total{{by=\"caller\"}} {caller}\n\
-         fila_certify_runs_total{{by=\"crew\"}} {crew}\n"
+         fila_certify_runs_total{{by=\"pool\"}} {pool}\n"
     )
 }
 
@@ -689,7 +689,7 @@ mod tests {
         let text = certify_prometheus();
         assert!(text.starts_with("# TYPE fila_certify_runs_total counter\n"));
         assert!(text.contains("fila_certify_runs_total{by=\"caller\"} "));
-        assert!(text.contains("fila_certify_runs_total{by=\"crew\"} "));
+        assert!(text.contains("fila_certify_runs_total{by=\"pool\"} "));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use fila_runtime::{
 };
 
 use crate::drift::{DriftDetector, DriftOffender, DriftPolicy};
-use crate::metrics::ServiceMetrics;
+use crate::metrics::{ServiceMetrics, INTERVAL_NONE};
 use crate::spec::{AvoidanceChoice, JobSpec};
 use crate::stats::{Counters, ServiceStats};
 
@@ -508,20 +508,10 @@ impl JobService {
                 // (dense, aligned with edge ids; `INTERVAL_NONE` for
                 // never-dummied edges).  Unplanned jobs have no intervals to
                 // attribute traffic to.
-                let edge_intervals = match (&self.metrics, plan) {
-                    (Some(_), Some(c)) => Some(
-                        spec.graph
-                            .edge_ids()
-                            .map(|e| {
-                                c.plan
-                                    .interval(e)
-                                    .finite()
-                                    .unwrap_or(crate::metrics::INTERVAL_NONE)
-                            })
-                            .collect::<Vec<u64>>(),
-                    ),
-                    _ => None,
-                };
+                let edge_intervals = plan.filter(|_| self.metrics.is_some()).map(|c| {
+                    let interval = |e| c.plan.interval(e).finite().unwrap_or(INTERVAL_NONE);
+                    spec.graph.edge_ids().map(interval).collect()
+                });
                 let hook = self.settle_hook(spec.tenant.clone(), admitted_at, edge_intervals);
                 let handle =
                     self.pool
@@ -817,6 +807,7 @@ impl JobService {
             requested,
             cycle_bound,
             observed,
+            Some(&self.pool),
         )?;
         self.count_certified(&certified);
         Ok(certified)
@@ -946,6 +937,7 @@ impl JobService {
                 algorithm,
                 cycle_bound,
                 periods,
+                Some(&self.pool),
             ) {
                 Ok(certified) => {
                     self.count_certified(&certified);

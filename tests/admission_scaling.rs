@@ -12,9 +12,11 @@
 //! run.  Their assertions are counters in every profile; the wall bounds
 //! apply to optimised builds only and are tripwires as well.
 //!
-//! And a cold certification scales with the cores (E32): its model-check
-//! runs are rows of one table, each run once, by the submitting thread or by
-//! the process-wide crew.  Counters again, no stopwatch.
+//! And a cold certification scales with the service's workers (E32, E34):
+//! its model-check runs are rows of one table, each run once, by the
+//! submitting thread or by an idle worker of the service's pool — and a bare
+//! certification outside a service, by its caller alone.  Counters again, no
+//! stopwatch.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -22,6 +24,7 @@ use std::time::{Duration, Instant};
 use fila::avoidance::verify::{
     certification_inputs, certify_runs, ADVERSARIES, MAX_CERTIFICATION_INPUTS,
 };
+use fila::avoidance::certify_plan;
 use fila::avoidance::{classify, CertifyError};
 use fila::graph::fingerprint::fingerprint;
 use fila::prelude::*;
@@ -166,8 +169,11 @@ fn a_horizon_beyond_the_ceiling_is_rejected_before_the_first_step() {
     }
 }
 
-#[test]
-fn a_cold_certification_runs_each_row_once_and_shares_them_with_the_crew() {
+/// A 512-edge SP DAG whose forks filter, and the rows certifying it takes:
+/// the declared profile, then one per distinct thing an adversary says on
+/// the filtering nodes' output slots.  The forks sit on both node parities,
+/// so all five adversaries differ.
+fn six_row_shape() -> (Graph, Vec<u64>) {
     let (g, _) = random_sp_dag(&GeneratorConfig {
         target_edges: 512,
         max_fanout: 4,
@@ -179,9 +185,6 @@ fn a_cold_certification_runs_each_row_once_and_shares_them_with_the_crew() {
         .node_ids()
         .map(|n| if g.out_degree(n) > 1 { 3 } else { 1 })
         .collect();
-    // The table: the declared profile, then one row per distinct thing an
-    // adversary says on the filtering nodes' output slots.  The forks sit on
-    // both node parities, so all five adversaries differ.
     let mut said: Vec<Vec<bool>> = ADVERSARIES
         .iter()
         .map(|&(_, pattern)| {
@@ -196,9 +199,13 @@ fn a_cold_certification_runs_each_row_once_and_shares_them_with_the_crew() {
         .collect();
     said.sort();
     said.dedup();
-    let rows = 1 + said.len() as u64;
-    assert_eq!(rows, 6);
+    assert_eq!(said.len(), 5);
+    (g, periods)
+}
 
+#[test]
+fn a_cold_certification_runs_each_row_once_and_shares_them_with_the_pool() {
+    let (g, periods) = six_row_shape();
     let service = JobService::new(ServiceConfig {
         workers: 1,
         ..ServiceConfig::default()
@@ -208,18 +215,39 @@ fn a_cold_certification_runs_each_row_once_and_shares_them_with_the_crew() {
     let before = certify_runs();
     let ticket = service.submit(spec).expect("fork filtering certifies under Non-Propagation");
     let after = certify_runs();
-    drop(counted);
     assert_eq!((ticket.cache_hit, ticket.fell_back), (Some(false), false));
     assert_eq!(ticket.wait().verdict, JobVerdict::Completed);
 
-    let (caller, crew) = (after.0 - before.0, after.1 - before.1);
+    let (caller, pool) = (after.0 - before.0, after.1 - before.1);
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    eprintln!("{rows} rows: {caller} by the caller, {crew} by the crew ({threads} hardware threads)");
-    assert_eq!(caller + crew, rows, "every row is run exactly once");
+    eprintln!("6 rows: {caller} by the caller, {pool} by the pool ({threads} hardware threads)");
+    assert_eq!(caller + pool, 6, "every row is run exactly once");
     assert!(caller >= 1, "the caller always takes part");
     if threads >= 2 {
-        assert!(crew >= 1, "a free helper takes rows");
-    } else {
-        assert_eq!(crew, 0, "one hardware thread: a crew of zero");
+        assert!(pool >= 1, "the idle worker takes rows");
+    }
+    // Once a row is over, the worker is the pool's again.
+    let again = service.submit(JobSpec::new(pipeline_graph(8, 2, false), FilterSpec::Broadcast, 16));
+    drop(counted);
+    assert_eq!(again.expect("a pipeline certifies").wait().verdict, JobVerdict::Completed);
+}
+
+#[test]
+fn a_bare_certification_runs_on_its_caller_alone() {
+    let (g, periods) = six_row_shape();
+    let plan = Planner::new(&g).algorithm(Algorithm::NonPropagation).plan().unwrap();
+    let counted = COUNTED.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let before = certify_runs();
+    assert!(certify_plan(&g, &plan, &periods).unwrap().certified);
+    let after = certify_runs();
+    drop(counted);
+    assert_eq!((after.0 - before.0, after.1 - before.1), (6, 0), "(caller, pool) rows");
+    // No thread was started for it, named or not.
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return;
+    };
+    for task in tasks {
+        let comm = std::fs::read_to_string(task.unwrap().path().join("comm")).unwrap_or_default();
+        assert!(!comm.starts_with("fila-certify"), "a certification thread: {comm}");
     }
 }

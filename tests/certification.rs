@@ -11,8 +11,8 @@ use fila::avoidance::model::{
 };
 use fila::avoidance::verify::{certification_inputs, AdversaryPattern, ADVERSARIES};
 use fila::avoidance::{
-    certify_plan, certify_plan_bounded, Algorithm, AvoidancePlan, Certification, CertifyError,
-    IntervalMap, ModelOutcome, Rounding,
+    certify_plan, certify_plan_bounded, Algorithm, AvoidancePlan, Certification, CertifiedCached,
+    CertifyError, IntervalMap, ModelOutcome, Rounding,
 };
 use fila::prelude::*;
 use fila::runtime::filters::Predicate;
@@ -455,48 +455,34 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// E32: the crew is invisible.  A certification's runs are rows of one table,
-// claimed by the calling thread and by the process-wide crew; with four
-// callers at once the helpers are busy, rows of different tables interleave,
-// and racing submitters of one shape share one walk — and every answer must
-// be the one a lone caller gets.
+// E34: the pool is invisible.  A service's certification runs are rows of one
+// table, claimed by the submitting thread and by the idle workers of the
+// service's pool; with four submitters at once the workers are busy with
+// rows and with jobs, rows of different tables interleave, and racing
+// submitters of one shape share one walk — and every answer must be the one
+// a lone caller gets.
 // ---------------------------------------------------------------------------
 
-/// Everything the three ways into certification say about one corpus entry.
+/// Everything the two ways into certification say about one corpus entry.
 #[derive(Debug)]
 struct Answers {
-    /// `certify_plan` on each of `plans_of`.
+    /// `certify_plan` on each of `plans_of`: on the caller alone.
     bare: Vec<Certification>,
-    /// `Planner::certify`, per requested protocol: the decision and its
-    /// evidence, or the rejection and its last certification if it made one.
-    walked: Vec<(String, Option<Certification>)>,
-    /// `PlanCache::certify`, per requested protocol (no `hit`, no times:
-    /// those do depend on who got there first).
-    cached: Vec<String>,
+    /// The verdict certification stores, per requested protocol (no `hit`,
+    /// no times: those do depend on who got there first).
+    verdicts: Vec<String>,
 }
 
-fn answers(g: &Graph, periods: &[u64], cache: &PlanCache) -> Answers {
-    let protocols = [Algorithm::NonPropagation, Algorithm::Propagation];
+fn answers(
+    g: &Graph,
+    periods: &[u64],
+    verdict: impl Fn(Algorithm) -> Result<CertifiedCached, CertifyError>,
+) -> Answers {
     Answers {
         bare: plans_of(g).iter().map(|plan| certify_plan(g, plan, periods).unwrap()).collect(),
-        walked: protocols
-            .iter()
-            .map(|&algorithm| {
-                match Planner::new(g).algorithm(algorithm).cycle_bound(4096).certify(periods) {
-                    Ok(c) => (
-                        format!("{} {} {} {:?} {:?}", c.used, c.exhaustive, c.fell_back, c.attempts, c.plan),
-                        Some(c.certification),
-                    ),
-                    Err(CertifyError::Uncertifiable { attempts, last }) => {
-                        (format!("uncertifiable {attempts:?}"), Some(last))
-                    }
-                    Err(unplannable) => (unplannable.to_string(), None),
-                }
-            })
-            .collect(),
-        cached: protocols
-            .iter()
-            .map(|&algorithm| match cache.certify(g, algorithm, Rounding::Ceil, 4096, periods) {
+        verdicts: [Algorithm::NonPropagation, Algorithm::Propagation]
+            .into_iter()
+            .map(|algorithm| match verdict(algorithm) {
                 Ok(c) => format!("{} {} {} {:?}", c.used, c.exhaustive, c.fell_back, c.plan),
                 Err(rejected) => rejected.to_string(),
             })
@@ -515,7 +501,7 @@ fn assert_same_certification(got: &Certification, want: &Certification, context:
 }
 
 #[test]
-fn the_crew_is_invisible_under_contention() {
+fn the_pool_is_invisible_under_contention() {
     // The `fast_forward_is_invisible` corpus, at fixed draws.
     let cases = if cfg!(debug_assertions) { 24 } else { 96 };
     let corpus: Vec<(Graph, Vec<u64>)> = (0..cases)
@@ -527,13 +513,32 @@ fn the_crew_is_invisible_under_contention() {
         })
         .collect();
     let alone = PlanCache::new(4 * corpus.len());
-    let reference: Vec<Answers> = corpus.iter().map(|(g, p)| answers(g, p, &alone)).collect();
+    let reference: Vec<Answers> = corpus
+        .iter()
+        .map(|(g, p)| answers(g, p, |a| alone.certify(g, a, Rounding::Ceil, 4096, p)))
+        .collect();
 
-    let shared = PlanCache::new(4 * corpus.len());
+    let service = JobService::new(ServiceConfig {
+        workers: 2,
+        cycle_bound: 4096,
+        plan_cache_capacity: 4 * corpus.len(),
+        ..ServiceConfig::default()
+    });
+    // Admit the job (an admitted one must complete), then read the verdict
+    // its admission stored.
+    let served = |g: &Graph, periods: &[u64], algorithm| {
+        let spec = JobSpec::from_periods(g.clone(), periods.to_vec(), 8, Some(algorithm));
+        match service.submit(spec) {
+            Ok(ticket) => assert_eq!(ticket.wait().verdict, JobVerdict::Completed),
+            Err(RejectReason::Unplannable(_) | RejectReason::Uncertifiable(_)) => {}
+            Err(other) => panic!("{other}"),
+        }
+        service.plan_cache().certify(g, algorithm, Rounding::Ceil, 4096, periods)
+    };
     let start = std::sync::Barrier::new(4);
     std::thread::scope(|scope| {
         for caller in 0..4 {
-            let (corpus, reference, shared, start) = (&corpus, &reference, &shared, &start);
+            let (corpus, reference, served, start) = (&corpus, &reference, &served, &start);
             scope.spawn(move || {
                 start.wait();
                 // Two callers walk the corpus in step (racing for every
@@ -541,27 +546,22 @@ fn the_crew_is_invisible_under_contention() {
                 for at in 0..corpus.len() {
                     let at = (at + caller / 2 * corpus.len() / 3) % corpus.len();
                     let ((g, periods), want) = (&corpus[at], &reference[at]);
-                    let got = answers(g, periods, shared);
+                    let got = answers(g, periods, |algorithm| served(g, periods, algorithm));
                     let context = format!("caller {caller}, entry {at}, periods {periods:?}");
                     assert_eq!(got.bare.len(), want.bare.len(), "{context}");
                     for (got, want) in got.bare.iter().zip(&want.bare) {
                         assert_same_certification(got, want, &context);
                     }
-                    for (got, want) in got.walked.iter().zip(&want.walked) {
-                        assert_eq!(got.0, want.0, "{context}");
-                        assert_eq!(got.1.is_some(), want.1.is_some(), "{context}");
-                        if let (Some(got), Some(want)) = (&got.1, &want.1) {
-                            assert_same_certification(got, want, &context);
-                        }
-                    }
-                    assert_eq!(got.cached, want.cached, "{context}");
+                    assert_eq!(got.verdicts, want.verdicts, "{context}");
                 }
             });
         }
     });
-    // One walk per (shape, protocol), however many callers raced for it.
-    assert_eq!(shared.cert_misses(), alone.cert_misses());
-    assert_eq!(shared.cert_hits() + shared.cert_misses(), 4 * 2 * corpus.len() as u64);
+    // One walk per (shape, protocol), however many callers raced for it; the
+    // reads after each admission all hit.
+    let cache = service.plan_cache();
+    assert_eq!(cache.cert_misses(), alone.cert_misses());
+    assert_eq!(cache.cert_hits() + cache.cert_misses(), 2 * 4 * 2 * corpus.len() as u64);
 }
 
 #[test]

@@ -9,12 +9,14 @@
 //! a hang, not a wrong answer.
 
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use fila::avoidance::verify::certify_runs;
 use fila::prelude::*;
 use fila::runtime::filters::Predicate;
 use fila::runtime::{AvoidanceMode, JobHandle};
 use fila::workloads::figures::fig2_triangle;
+use fila::workloads::generators::{random_sp_dag, GeneratorConfig};
 
 /// Runs `body` on its own thread and fails the test if it has not finished
 /// within `limit`.
@@ -206,6 +208,56 @@ fn a_long_slice_does_not_hold_up_an_independent_job() {
             );
             assert!(slow.wait().completed);
         }
+    });
+}
+
+#[test]
+fn a_certification_row_does_not_hold_up_an_independent_job() {
+    // A cold certification on a 2-worker service offers its six rows: one
+    // parked worker is unparked and works rows, each to its end, while the
+    // other stays parked.  The row runner is neither searching nor parked,
+    // so a job submitted behind it unparks the other worker and settles in
+    // the time of its own work.  A row runner counted as a searcher would
+    // suppress that unpark, and the job would wait until the runner found no
+    // row left to claim — with five rows or more finished by then.  Rows
+    // finished, not a stopwatch, say which happened: a stalled host stalls
+    // the rows as well.
+    with_watchdog(Duration::from_secs(120), || {
+        let (g, _) = random_sp_dag(&GeneratorConfig {
+            target_edges: 1_024,
+            max_fanout: 4,
+            capacity_range: (2, 8),
+            seed: 33,
+        });
+        let periods: Vec<u64> =
+            g.node_ids().map(|n| if g.out_degree(n) > 1 { 3 } else { 1 }).collect();
+        let service = Arc::new(JobService::new(ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        }));
+        let spec = JobSpec::from_periods(g, periods, 8, Some(Algorithm::NonPropagation));
+        let rows = || {
+            let (caller, pool) = certify_runs();
+            (caller + pool, pool)
+        };
+        let before = rows();
+        let cold = {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || service.submit(spec).map(|ticket| ticket.wait().verdict))
+        };
+        // A worker that has finished a row is working the table.
+        while rows().1 == before.1 && !cold.is_finished() {
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        let t = Instant::now();
+        let small = JobSpec::new(pipeline(3, 2), FilterSpec::Broadcast, 10).unplanned();
+        assert!(service.submit(small).unwrap().wait().report.completed);
+        let (waited, finished) = (t.elapsed(), rows().0 - before.0);
+        assert_eq!(cold.join().unwrap(), Ok(JobVerdict::Completed));
+        assert_eq!(rows().0 - before.0, 6);
+        assert!(rows().1 > before.1, "a worker took rows");
+        eprintln!("the small job settled in {waited:?}, {finished} of six rows finished");
+        assert!(finished < 4, "the small job settled after {finished} of six rows");
     });
 }
 
