@@ -29,7 +29,7 @@ use std::collections::VecDeque;
 use fila_graph::{EdgeId, Graph, NodeId};
 
 use super::message::{Message, Payload};
-use super::wrapper::{AvoidanceMode, DummyWrapper, PropagationTrigger};
+use super::wrapper::{AvoidanceMode, DummyWrapper};
 
 /// The periodic filtering convention: output `out` of a node with filter
 /// period `period` carries sequence number `seq` iff `(seq + out) % period
@@ -104,9 +104,6 @@ pub struct Engine<'g> {
     emit: Vec<Option<Payload>>,
     /// Per-firing scratch: the wrapper's dummy decision per output channel.
     dummies: Vec<bool>,
-    /// Channels the current turn found full: a message for one of them
-    /// must queue behind the older one already pending.
-    blocked: Vec<EdgeId>,
     /// Channels the current step made non-empty (consumers may be unblocked).
     filled: Vec<EdgeId>,
     /// Channels the current step made non-full (producers may be unblocked).
@@ -120,12 +117,7 @@ pub struct Engine<'g> {
 
 impl<'g> Engine<'g> {
     /// A fresh run offering `inputs` sequence numbers at every source.
-    pub fn new(
-        graph: &'g Graph,
-        mode: &AvoidanceMode,
-        trigger: PropagationTrigger,
-        inputs: u64,
-    ) -> Self {
+    pub fn new(graph: &'g Graph, mode: &AvoidanceMode, inputs: u64) -> Self {
         let widest = |degree: fn(&Graph, NodeId) -> usize| {
             graph
                 .node_ids()
@@ -144,7 +136,7 @@ impl<'g> Engine<'g> {
             nodes: graph
                 .node_ids()
                 .map(|n| NodeState {
-                    wrapper: DummyWrapper::with_trigger(graph, n, mode, trigger),
+                    wrapper: DummyWrapper::new(graph, n, mode),
                     pending: VecDeque::new(),
                     next_source_seq: 0,
                     eos_queued: false,
@@ -160,7 +152,6 @@ impl<'g> Engine<'g> {
             data_in: vec![None; widest(Graph::in_degree)],
             emit: vec![None; widest(Graph::out_degree)],
             dummies: Vec::new(),
-            blocked: Vec::new(),
             filled: Vec::new(),
             drained: Vec::new(),
             ready: VecDeque::with_capacity(graph.node_count()),
@@ -286,7 +277,6 @@ impl<'g> Engine<'g> {
     where
         F: FnMut(NodeId, u64, &[Option<Payload>], &mut [Option<Payload>]),
     {
-        self.blocked.clear();
         let state = &mut self.nodes[node.index()];
         if !state.pending.is_empty() {
             return self.flush_pending(node);
@@ -376,9 +366,6 @@ impl<'g> Engine<'g> {
                 self.send(node, e, Message::Data { seq, payload });
             }
             if self.dummies[idx] {
-                // Under the heartbeat trigger a dummy may accompany a data
-                // message with the same sequence number; consumers tolerate
-                // this (the dummy simply carries no new information).
                 self.send(node, e, Message::Dummy { seq });
             }
         }
@@ -394,25 +381,29 @@ impl<'g> Engine<'g> {
     }
 
     /// Delivers `message` on `edge`, or leaves it pending at `node` when the
-    /// channel is full or an older message for it is already waiting
-    /// (`blocked`, reset at the start of every turn).  Returns whether it
-    /// was delivered.
+    /// channel is full.  Returns whether it was delivered.
     ///
     /// Delivery is FIFO *per channel* but channels do not block one another:
     /// a full channel must not delay a dummy message destined for a
     /// different, empty channel (the deadlock-avoidance guarantee relies on
     /// the dummy getting out), so each output channel behaves like an
-    /// independent blocking port.
+    /// independent blocking port.  A turn sends at most one message per
+    /// channel (a dummy goes only where no data does), so a pending message
+    /// never has an older one for the same channel to queue behind — which
+    /// the monotonicity monitor below checks in debug builds.
     fn send(&mut self, node: NodeId, edge: EdgeId, message: Message) -> bool {
         let channel = &mut self.channels[edge.index()];
-        let waiting = self.blocked.contains(&edge);
-        if waiting || channel.len() >= self.capacities[edge.index()] {
-            if !waiting {
-                self.blocked.push(edge);
-            }
+        if channel.len() >= self.capacities[edge.index()] {
             self.nodes[node.index()].pending.push_back((edge, message));
             return false;
         }
+        debug_assert!(
+            channel
+                .back()
+                .map_or(true, |last| last.seq() < message.seq()),
+            "sequence numbers on {edge:?} must strictly increase: {:?} then {message:?}",
+            channel.back(),
+        );
         if channel.is_empty() {
             self.filled.push(edge);
         }
@@ -445,5 +436,26 @@ impl<'g> Engine<'g> {
         if state.eos_queued && state.pending.is_empty() {
             state.done = true;
         }
+    }
+}
+
+/// The monotonicity monitor is a debug-build check.
+#[cfg(all(test, debug_assertions))]
+mod tests {
+    use fila_graph::GraphBuilder;
+
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "must strictly increase")]
+    fn a_dummy_sharing_its_data_messages_number_trips_the_monotonicity_monitor() {
+        let mut b = GraphBuilder::new().default_capacity(4);
+        b.edge("a", "b").unwrap();
+        let g = b.build().unwrap();
+        let mut engine = Engine::new(&g, &AvoidanceMode::Disabled, 1);
+        let a = g.node_by_name("a").unwrap();
+        let e = g.edge_by_names("a", "b").unwrap();
+        assert!(engine.send(a, e, Message::Data { seq: 5, payload: 0 }));
+        engine.send(a, e, Message::Dummy { seq: 5 });
     }
 }

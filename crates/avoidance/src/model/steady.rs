@@ -168,7 +168,7 @@ impl<'g> Engine<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{AvoidanceMode, Payload, PropagationTrigger};
+    use crate::model::{AvoidanceMode, Payload};
     use crate::plan::{Algorithm, AvoidancePlan};
     use crate::{DummyInterval, IntervalMap};
     use fila_graph::{EdgeId, GraphBuilder};
@@ -199,7 +199,7 @@ mod tests {
 
     /// The diamond stopped after `steps` steps, with `inputs` offered.
     fn stopped_at<'g>(g: &'g Graph, mode: &AvoidanceMode, steps: u64) -> Engine<'g> {
-        let mut engine = Engine::new(g, mode, PropagationTrigger::default(), 40);
+        let mut engine = Engine::new(g, mode, 40);
         engine.run_worklist(&mut first_output_only, steps, false);
         engine
     }

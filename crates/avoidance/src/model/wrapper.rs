@@ -14,28 +14,25 @@
 //!   without sending anything on it; received dummies are consumed silently
 //!   and never forwarded.
 //!
-//! ### Reproduction note: the Propagation trigger
+//! ### The Propagation trigger
 //!
-//! The paper summarises the Propagation trigger in one sentence: "a dummy is
+//! The paper states the Propagation trigger in one sentence: "a dummy is
 //! sent on a channel whenever its source has gone too long without sending a
 //! data message on the channel" (the protocol itself is defined in the
 //! authors' SPAA'10 paper, which this reproduction does not have access to).
-//! Two readings are implemented:
+//! That literal reading is the one trigger: data traffic resets the gap
+//! counter, so dummies appear only after the fork has filtered `[e]`
+//! consecutive inputs on `e`.  A node therefore sends at most one message per
+//! channel per accepted sequence number, and every channel's sequence
+//! numbers strictly increase.
 //!
-//! * [`PropagationTrigger::OnFilterOnly`] (default; the literal wording):
-//!   data traffic resets the gap counter, so dummies appear only after the
-//!   fork has filtered `[e]` consecutive inputs on `e`.  This provably
-//!   prevents the deadlocks caused by filtering *at fork nodes* — the
-//!   scenario of Figs. 1–3 — but a cycle can still deadlock when an interior
-//!   node of the would-be empty path does the filtering, because no dummy is
-//!   ever created for the propagation rule to propagate (experiment E12b
-//!   demonstrates this; the Non-Propagation protocol handles it).
-//! * [`PropagationTrigger::Heartbeat`]: the fork emits a dummy on `e`
-//!   whenever `[e]` sequence numbers elapse since the last dummy on `e`,
-//!   regardless of data traffic.  This covers interior filtering, but the
-//!   extra dummies occupy buffer slots that the interval computation assumed
-//!   were available for data, so with very tight buffers it can itself
-//!   deadlock; treat it as an experimental variant.
+//! The trigger provably prevents the deadlocks caused by filtering *at fork
+//! nodes* — the scenario of Figs. 1–3.  A cycle can still deadlock when an
+//! interior node of the would-be empty path does the filtering, because no
+//! dummy is ever created for the propagation rule to propagate (experiment
+//! E12b).  That case is Non-Propagation's job: certification rejects the
+//! Propagation plan for such a job and falls back to a certified
+//! Non-Propagation plan (E17).
 //!
 //! The intervals come from an [`AvoidancePlan`] computed by this crate's
 //! planner; [`AvoidanceMode::Disabled`] turns the wrapper off, which is how
@@ -78,18 +75,16 @@ impl AvoidanceMode {
     }
 }
 
-/// When a Propagation-protocol fork emits interval-triggered dummies.
-/// See the module documentation for the trade-off.
+/// A shell: the Propagation trigger has one reading, the paper's (see the
+/// module documentation).  No code reads this type; it exists only because
+/// `ledger/` names it (`PropagationTrigger::default()`,
+/// `ServiceConfig.trigger`, `SharedPool::{submit_full, resume_full}`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PropagationTrigger {
     /// Emit a dummy on `e` only after `[e]` sequence numbers without a data
-    /// message on `e` (the paper's literal wording; the default).
+    /// message on `e` (the paper's literal wording).
     #[default]
     OnFilterOnly,
-    /// Emit a dummy on `e` every `[e]` sequence numbers regardless of data
-    /// traffic (only a dummy resets the counter).  Covers interior-node
-    /// filtering but consumes buffer slack; see the module documentation.
-    Heartbeat,
 }
 
 /// What a run-level accept ([`DummyWrapper::on_accept_dummy_run`]) emits on
@@ -121,7 +116,6 @@ pub enum RunDummies {
 #[derive(Debug, Clone)]
 pub struct DummyWrapper {
     algorithm: Option<Algorithm>,
-    trigger: PropagationTrigger,
     /// Dummy-interval threshold per output channel (aligned with
     /// `graph.out_edges(node)`); `u64::MAX` encodes an infinite interval,
     /// which a gap counter can never reach.
@@ -133,19 +127,8 @@ pub struct DummyWrapper {
 }
 
 impl DummyWrapper {
-    /// Builds the wrapper state for one node under the given mode, using the
-    /// default Propagation trigger.
+    /// Builds the wrapper state for one node under the given mode.
     pub fn new(graph: &Graph, node: NodeId, mode: &AvoidanceMode) -> Self {
-        Self::with_trigger(graph, node, mode, PropagationTrigger::default())
-    }
-
-    /// Builds the wrapper state with an explicit Propagation trigger.
-    pub fn with_trigger(
-        graph: &Graph,
-        node: NodeId,
-        mode: &AvoidanceMode,
-        trigger: PropagationTrigger,
-    ) -> Self {
         let out = graph.out_edges(node);
         let to_threshold = |iv: DummyInterval| iv.finite().unwrap_or(u64::MAX);
         let (algorithm, threshold) = match mode {
@@ -157,7 +140,6 @@ impl DummyWrapper {
         };
         DummyWrapper {
             algorithm,
-            trigger,
             threshold,
             gap: vec![0; out.len()],
             dummies: vec![false; out.len()],
@@ -214,59 +196,33 @@ impl DummyWrapper {
         };
         for i in 0..self.gap.len() {
             let sent = sent_data(i);
-            self.dummies[i] = false;
-            match algorithm {
-                Algorithm::Propagation => {
-                    // Forward received dummies on every channel not carrying
-                    // data for this sequence number.
-                    if consumed_dummy && !sent {
-                        self.dummies[i] = true;
-                        self.gap[i] = 0;
-                        continue;
-                    }
-                    if sent && self.trigger == PropagationTrigger::OnFilterOnly {
-                        self.gap[i] = 0;
-                        continue;
-                    }
-                    self.gap[i] += 1;
-                    if self.gap[i] >= self.threshold[i] {
-                        self.dummies[i] = true;
-                        self.gap[i] = 0;
-                    }
-                }
-                Algorithm::NonPropagation => {
-                    if sent {
-                        self.gap[i] = 0;
-                        continue;
-                    }
-                    self.gap[i] += 1;
-                    if self.gap[i] >= self.threshold[i] {
-                        self.dummies[i] = true;
-                        self.gap[i] = 0;
-                    }
-                }
+            // Propagation forwards a received dummy on every channel not
+            // carrying data for this sequence number.
+            let forward = consumed_dummy && !sent && algorithm == Algorithm::Propagation;
+            self.dummies[i] = forward;
+            if sent || forward {
+                self.gap[i] = 0;
+                continue;
+            }
+            self.gap[i] += 1;
+            if self.gap[i] >= self.threshold[i] {
+                self.dummies[i] = true;
+                self.gap[i] = 0;
             }
         }
         &self.dummies
     }
 
     /// Processes a run of `n` consecutive accepted sequence numbers at which
-    /// the node consumed **no dummy and sent data on every output**, and
-    /// returns true; the result is exactly what `n` successive
-    /// [`DummyWrapper::on_accept`]`(false, |_| true)` calls would have
-    /// produced when none of them sends a dummy — every counter ends at
-    /// zero.  Under the [`PropagationTrigger::Heartbeat`] trigger data does
-    /// not reset the counters and a dummy can fall due beside it, so the
-    /// call touches nothing and returns false: the caller must step the run
-    /// through `on_accept`.
-    pub fn on_accept_data_run(&mut self, n: u64) -> bool {
+    /// the node consumed **no dummy and sent data on every output**: exactly
+    /// what `n` successive [`DummyWrapper::on_accept`]`(false, |_| true)`
+    /// calls would have done — data resets every counter, so none of them
+    /// sends a dummy and every counter ends at zero.
+    pub fn on_accept_data_run(&mut self, n: u64) {
         debug_assert!(n > 0);
-        match (self.algorithm, self.trigger) {
-            (None, _) => {}
-            (Some(Algorithm::Propagation), PropagationTrigger::Heartbeat) => return false,
-            (Some(_), _) => self.gap.fill(0),
+        if self.algorithm.is_some() {
+            self.gap.fill(0);
         }
-        true
     }
 
     /// Processes a run of `n` consecutive accepted sequence numbers at which
@@ -290,7 +246,7 @@ impl DummyWrapper {
                 Algorithm::Propagation => {
                     // Every acceptance consumed a dummy and carried no data,
                     // so the forwarding rule fires at each of the n numbers
-                    // (under either trigger) and leaves the counter reset.
+                    // and leaves the counter reset.
                     self.gap[i] = 0;
                     emit(i, RunDummies::All);
                 }
@@ -345,19 +301,14 @@ mod tests {
         let g = fig2();
         let a = g.node_by_name("A").unwrap();
         let plan = Planner::new(&g).algorithm(Algorithm::Propagation).plan().unwrap();
-        let mut w = DummyWrapper::with_trigger(
-            &g,
-            a,
-            &AvoidanceMode::plan(plan.clone()),
-            PropagationTrigger::OnFilterOnly,
-        );
+        let mut w = DummyWrapper::new(&g, a, &AvoidanceMode::plan(plan.clone()));
         let ac_interval = plan
             .interval(g.edge_by_names("A", "C").unwrap())
             .finite()
             .unwrap();
         // Keep sending data on A->B but filtering A->C; after `ac_interval`
-        // accepted inputs a dummy is due on A->C (out index 1) and under the
-        // literal trigger nothing ever fires on A->B.
+        // accepted inputs a dummy is due on A->C (out index 1) and nothing
+        // ever fires on A->B.
         let mut fired_at = None;
         for step in 1..=ac_interval + 1 {
             let dummies = w.on_accept(false, |i| i == 0);
@@ -371,32 +322,6 @@ mod tests {
         // The counter resets after the dummy.
         let dummies = w.on_accept(false, |i| i == 0);
         assert!(!dummies[1]);
-    }
-
-    #[test]
-    fn heartbeat_trigger_fires_even_on_data_carrying_channels() {
-        let g = fig2();
-        let a = g.node_by_name("A").unwrap();
-        let plan = Planner::new(&g).algorithm(Algorithm::Propagation).plan().unwrap();
-        let ab_interval = plan
-            .interval(g.edge_by_names("A", "B").unwrap())
-            .finite()
-            .unwrap();
-        let mut w = DummyWrapper::with_trigger(
-            &g,
-            a,
-            &AvoidanceMode::plan(plan),
-            PropagationTrigger::Heartbeat,
-        );
-        let mut fired_at = None;
-        for step in 1..=ab_interval + 1 {
-            let dummies = w.on_accept(false, |_| true);
-            if dummies[0] {
-                fired_at = Some(step);
-                break;
-            }
-        }
-        assert_eq!(fired_at, Some(ab_interval));
     }
 
     #[test]
@@ -517,51 +442,40 @@ mod tests {
     fn data_run_arithmetic_matches_scalar_calls() {
         // One run-level call must leave the counters exactly where n scalar
         // on_accept(no dummy, data everywhere) calls would, having sent what
-        // they send (nothing) — or refuse, untouched, where they would send.
+        // they send: nothing.
         let g = fig2();
         let a = g.node_by_name("A").unwrap();
-        let triggers = [PropagationTrigger::OnFilterOnly, PropagationTrigger::Heartbeat];
         for algorithm in [None, Some(Algorithm::NonPropagation), Some(Algorithm::Propagation)] {
-            for trigger in triggers {
-                for threshold in [Some(1u64), Some(2), Some(3), Some(7), None] {
-                    let mode = match algorithm {
-                        None => AvoidanceMode::Disabled,
-                        Some(algorithm) => {
-                            let mut m = IntervalMap::for_graph(&g);
-                            if let Some(t) = threshold {
-                                for e in g.out_edges(a) {
-                                    m.set(*e, DummyInterval::Finite(t));
-                                }
+            for threshold in [Some(1u64), Some(2), Some(3), Some(7), None] {
+                let mode = match algorithm {
+                    None => AvoidanceMode::Disabled,
+                    Some(algorithm) => {
+                        let mut m = IntervalMap::for_graph(&g);
+                        if let Some(t) = threshold {
+                            for e in g.out_edges(a) {
+                                m.set(*e, DummyInterval::Finite(t));
                             }
-                            AvoidanceMode::plan(AvoidancePlan::new(&g, algorithm, m))
                         }
-                    };
-                    for warmup in 0..threshold.unwrap_or(9) {
-                        for n in [1u64, 2, 5, 64] {
-                            let case = format!(
-                                "{algorithm:?}/{trigger:?}: threshold={threshold:?} warmup={warmup} n={n}"
-                            );
-                            let mut scalar = DummyWrapper::with_trigger(&g, a, &mode, trigger);
-                            // Build a non-zero starting gap (warmup <
-                            // threshold, so nothing fires yet).
-                            for _ in 0..warmup {
-                                assert!(scalar.on_accept(false, |_| false).iter().all(|&d| !d));
-                            }
-                            let mut run = scalar.clone();
-                            let before = run.gaps().to_vec();
-                            let stepped = algorithm == Some(Algorithm::Propagation)
-                                && trigger == PropagationTrigger::Heartbeat;
-                            assert_eq!(run.on_accept_data_run(n), !stepped, "{case}");
-                            if stepped {
-                                assert_eq!(run.gaps(), before, "{case}: a refusal touches nothing");
-                                continue;
-                            }
-                            for _ in 0..n {
-                                let sent = scalar.on_accept(false, |_| true);
-                                assert!(sent.iter().all(|&d| !d), "{case}: no dummy beside data");
-                            }
-                            assert_eq!(run.gaps(), scalar.gaps(), "{case}");
+                        AvoidanceMode::plan(AvoidancePlan::new(&g, algorithm, m))
+                    }
+                };
+                for warmup in 0..threshold.unwrap_or(9) {
+                    for n in [1u64, 2, 5, 64] {
+                        let case =
+                            format!("{algorithm:?}: threshold={threshold:?} warmup={warmup} n={n}");
+                        let mut scalar = DummyWrapper::new(&g, a, &mode);
+                        // Build a non-zero starting gap (warmup < threshold,
+                        // so nothing fires yet).
+                        for _ in 0..warmup {
+                            assert!(scalar.on_accept(false, |_| false).iter().all(|&d| !d));
                         }
+                        let mut run = scalar.clone();
+                        run.on_accept_data_run(n);
+                        for _ in 0..n {
+                            let sent = scalar.on_accept(false, |_| true);
+                            assert!(sent.iter().all(|&d| !d), "{case}: no dummy beside data");
+                        }
+                        assert_eq!(run.gaps(), scalar.gaps(), "{case}");
                     }
                 }
             }
@@ -583,7 +497,7 @@ mod tests {
         let b = g.node_by_name("B").unwrap();
         let plan = Planner::new(&g).algorithm(Algorithm::Propagation).plan().unwrap();
         // B -> C never lies first on a cycle branch out of a fork, so its
-        // interval is infinite and no heartbeat is emitted.
+        // interval is infinite and no dummy is emitted.
         let mut w = DummyWrapper::new(&g, b, &AvoidanceMode::plan(plan));
         for _ in 0..1000 {
             assert_eq!(w.on_accept(false, |_| true), &[false]);

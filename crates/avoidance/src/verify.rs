@@ -59,9 +59,7 @@ use fila_graph::{EdgeId, Graph, NodeId, Result};
 
 use crate::exhaustive::exhaustive_intervals_bounded;
 use crate::interval::DummyInterval;
-use crate::model::{
-    periodic_emits, AvoidanceMode, Engine, Halt, Payload, PropagationTrigger, SteadyState,
-};
+use crate::model::{periodic_emits, AvoidanceMode, Engine, Halt, Payload, SteadyState};
 use crate::plan::AvoidancePlan;
 
 /// The outcome of verifying a plan against the exhaustive baseline.
@@ -611,8 +609,7 @@ fn default_step_budget(g: &Graph, inputs: u64) -> u64 {
 }
 
 /// One bounded run of the scalar model ([`crate::model::Engine`], worklist
-/// scheduler, default `OnFilterOnly` Propagation trigger — exactly what
-/// `fila_runtime::Simulator` drives) with a declarative firing rule in
+/// scheduler — exactly what `fila_runtime::Simulator` drives) with a declarative firing rule in
 /// place of node behaviours: `emits(node, seq, output slot, out-degree)`
 /// says whether a data-bearing acceptance sends data on that slot, and
 /// every one of `emit_periods` is a period of it in `seq`.  The run is
@@ -627,7 +624,7 @@ fn model_check(
     inputs: u64,
     max_steps: u64,
 ) -> ModelOutcome {
-    let mut engine = Engine::new(g, mode, PropagationTrigger::default(), inputs);
+    let mut engine = Engine::new(g, mode, inputs);
     let mut fire = |node: NodeId, seq: u64, _: &[Option<Payload>], emit: &mut [Option<Payload>]| {
         let outs = emit.len();
         for (j, slot) in emit.iter_mut().enumerate() {

@@ -5,8 +5,8 @@
 //! gap counters, per-node input progress (source cursors, EOS flags, staged
 //! but undelivered outputs) and the cumulative delivery counters — plus the
 //! identity of the *certified plan* the job was running under (an exact
-//! labelled topology hash, a digest of the avoidance plan's interval table,
-//! and the Propagation trigger).  Restoring under anything else is a
+//! labelled topology hash and a digest of the avoidance plan's interval
+//! table).  Restoring under anything else is a
 //! [`RestoreError::PlanMismatch`], never a silent re-plan: the deadlock-
 //! freedom certificate attests to one specific `(topology, plan, filter)`
 //! triple, and a resumed job must provably still be the run it certifies.
@@ -37,7 +37,9 @@
 //! Snapshots serialise to a small, versioned, magic-tagged byte format
 //! ([`JobSnapshot::to_bytes`] / [`JobSnapshot::from_bytes`]; hand-rolled,
 //! no serde in this workspace); foreign or corrupted blobs are rejected,
-//! not misinterpreted.
+//! not misinterpreted.  The header keeps the byte that named the
+//! Propagation trigger when there were two: it is written as 0, and any
+//! other value is refused.
 //!
 //! [`DummyWrapper`]: crate::wrapper::DummyWrapper
 
@@ -47,7 +49,7 @@ use crate::message::Message;
 use crate::report::ExecutionReport;
 use crate::shared_pool::JobVerdict;
 use crate::topology::Topology;
-use crate::wrapper::{AvoidanceMode, PropagationTrigger};
+use crate::wrapper::AvoidanceMode;
 
 /// The snapshot format version this build writes and accepts.
 pub const SNAPSHOT_VERSION: u32 = 1;
@@ -98,8 +100,6 @@ pub struct JobSnapshot {
     /// Digest of the avoidance plan the job ran under (`None` = avoidance
     /// disabled); see [`plan_digest`].
     pub plan_digest: Option<u64>,
-    /// Propagation-trigger code the job ran under (see [`trigger_code`]).
-    pub trigger: u8,
     /// Input sequence numbers offered at every source.
     pub inputs: u64,
     /// Progress marker at capture time: scheduler steps (simulator) or
@@ -152,13 +152,14 @@ pub enum RestoreError {
         /// Version this build accepts.
         expected: u32,
     },
-    /// The restore-side topology, avoidance plan or trigger differs from
-    /// what the snapshot was certified under.  Resuming would silently run
+    /// The restore-side topology or avoidance plan differs from what the
+    /// snapshot was certified under.  Resuming would silently run
     /// the job under a plan its certificate does not attest to, so the
     /// restore is rejected instead of re-planned.
     PlanMismatch(String),
     /// The snapshot is structurally inconsistent (truncated blob, counts
-    /// that do not fit the topology, over-capacity channels, …).
+    /// that do not fit the topology, over-capacity channels, sequence
+    /// numbers out of order, …).
     Corrupted(String),
     /// A node's recorded dummy-gap counter is not strictly below the
     /// restore-side plan's finite interval on that channel.  Every legally
@@ -287,14 +288,6 @@ impl SwapToken {
     }
 }
 
-/// The stable wire code of a [`PropagationTrigger`].
-pub fn trigger_code(trigger: PropagationTrigger) -> u8 {
-    match trigger {
-        PropagationTrigger::OnFilterOnly => 0,
-        PropagationTrigger::Heartbeat => 1,
-    }
-}
-
 /// splitmix64-style mixing fold (same construction as the graph
 /// fingerprints, different stream constant).
 fn fold(h: u64, v: u64) -> u64 {
@@ -306,16 +299,16 @@ fn fold(h: u64, v: u64) -> u64 {
 
 impl JobSnapshot {
     /// Validates that this snapshot can be restored onto `topology` running
-    /// under `mode`/`trigger`: the format version is supported, the exact
-    /// labelled topology hash, plan digest and trigger all match what the
-    /// snapshot was taken under, and every recorded vector fits the graph
-    /// (channel contents within capacity, wrapper state per out-degree,
-    /// staged messages on real out-edges).
+    /// under `mode`: the format version is supported, the exact labelled
+    /// topology hash and plan digest match what the snapshot was taken
+    /// under, and every recorded vector fits the graph (channel contents
+    /// within capacity, wrapper state per out-degree, staged messages on
+    /// real out-edges).  Every channel's sequence numbers — in flight, then
+    /// staged by its producer — strictly increase, as a run produces them.
     pub fn validate_for(
         &self,
         topology: &Topology,
         mode: &AvoidanceMode,
-        trigger: PropagationTrigger,
     ) -> Result<(), RestoreError> {
         if self.version != SNAPSHOT_VERSION {
             return Err(RestoreError::VersionMismatch {
@@ -334,11 +327,6 @@ impl JobSnapshot {
                 "avoidance plan differs from the one the snapshot was certified under".into(),
             ));
         }
-        if self.trigger != trigger_code(trigger) {
-            return Err(RestoreError::PlanMismatch(
-                "propagation trigger differs from the snapshot's".into(),
-            ));
-        }
         let corrupted = |why: &str| Err(RestoreError::Corrupted(why.into()));
         if self.nodes.len() != g.node_count() {
             return corrupted("node count does not match the topology");
@@ -350,8 +338,21 @@ impl JobSnapshot {
             return corrupted("edge-indexed vectors do not match the topology");
         }
         for e in g.edge_ids() {
-            if self.channels[e.index()].len() > g.capacity(e) as usize {
+            let channel = &self.channels[e.index()];
+            if channel.len() > g.capacity(e) as usize {
                 return corrupted("channel contents exceed the channel capacity");
+            }
+            let producer = &self.nodes[g.tail(e).index()];
+            let staged = producer
+                .staged
+                .iter()
+                .filter(|&&(se, _)| se as usize == e.index());
+            let seqs = channel
+                .iter()
+                .chain(staged.map(|(_, m)| m))
+                .map(Message::seq);
+            if seqs.clone().zip(seqs.skip(1)).any(|(a, b)| a >= b) {
+                return corrupted("sequence numbers on a channel are out of order");
             }
         }
         for (idx, ns) in self.nodes.iter().enumerate() {
@@ -495,7 +496,6 @@ impl JobSnapshot {
         }
         if base.labeled_topology != wreck.labeled_topology
             || base.plan_digest != wreck.plan_digest
-            || base.trigger != wreck.trigger
             || base.inputs != wreck.inputs
         {
             return Err(RestoreError::PlanMismatch(
@@ -523,7 +523,6 @@ impl JobSnapshot {
             fingerprint: None,
             filter_signature: None,
             plan_digest: base.plan_digest,
-            trigger: base.trigger,
             inputs: base.inputs,
             steps: 0,
             sink_firings: 0,
@@ -602,7 +601,7 @@ impl JobSnapshot {
         put_opt(&mut out, self.fingerprint);
         put_opt(&mut out, self.filter_signature);
         put_opt(&mut out, self.plan_digest);
-        out.push(self.trigger);
+        out.push(0);
         put_u64(&mut out, self.inputs);
         put_u64(&mut out, self.steps);
         put_u64(&mut out, self.sink_firings);
@@ -650,7 +649,11 @@ impl JobSnapshot {
         let fingerprint = r.opt()?;
         let filter_signature = r.opt()?;
         let plan_digest = r.opt()?;
-        let trigger = r.u8()?;
+        if r.u8()? != 0 {
+            return Err(RestoreError::Corrupted(
+                "unknown propagation trigger".into(),
+            ));
+        }
         let inputs = r.u64()?;
         let steps = r.u64()?;
         let sink_firings = r.u64()?;
@@ -700,7 +703,6 @@ impl JobSnapshot {
             fingerprint,
             filter_signature,
             plan_digest,
-            trigger,
             inputs,
             steps,
             sink_firings,
@@ -819,7 +821,6 @@ mod tests {
             fingerprint: Some(42),
             filter_signature: None,
             plan_digest: Some(7),
-            trigger: 0,
             inputs: 100,
             steps: 12,
             sink_firings: 3,

@@ -63,9 +63,7 @@ impl Default for Batching {
 ///
 /// Invariants a container upholds (and [`Batch::try_push`] enforces):
 ///
-/// * sequence numbers are non-decreasing front to back, strictly increasing
-///   except that a dummy may immediately follow a data message with the
-///   *same* sequence number (the heartbeat trigger emits both);
+/// * sequence numbers strictly increase front to back;
 /// * a container on a ring is never empty;
 /// * nothing follows an EOS marker.
 pub trait Container {
@@ -253,7 +251,7 @@ impl Batch {
         let Some(&Seg::Data { seq: first, .. }) = run.first() else {
             return 0;
         };
-        if self.back_seq().is_some_and(|(last, _)| first <= last) {
+        if self.back_seq().is_some_and(|last| first <= last) {
             return 0;
         }
         self.segs.extend_from_slice(run);
@@ -275,13 +273,12 @@ impl Batch {
         self.advance_segs(n);
     }
 
-    /// The last sequence number in the batch and whether it belongs to a
-    /// data message; `None` when empty.
-    fn back_seq(&self) -> Option<(u64, bool)> {
+    /// The last sequence number in the batch; `None` when empty.
+    pub(crate) fn back_seq(&self) -> Option<u64> {
         self.segs.last().map(|seg| match *seg {
-            Seg::Data { seq, .. } => (seq, true),
-            Seg::Dummies { first, len } => (first + (len - 1), false),
-            Seg::Eos => (u64::MAX, false),
+            Seg::Data { seq, .. } => seq,
+            Seg::Dummies { first, len } => first + (len - 1),
+            Seg::Eos => u64::MAX,
         })
     }
 
@@ -341,12 +338,7 @@ impl Batch {
         if take == 0 {
             return 0;
         }
-        // `first == last`: under the heartbeat trigger a forwarded dummy
-        // shares the number of the data message (or dummy) it accompanied.
-        debug_assert!(match self.back_seq() {
-            Some((last, _)) => first >= last || last == u64::MAX - 1,
-            None => true,
-        });
+        debug_assert!(self.back_seq().map_or(true, |last| first > last));
         match self.segs.last_mut() {
             Some(Seg::Dummies { first: f, len: l }) if *f + *l == first => *l += take,
             _ => self.segs.push(Seg::Dummies { first, len: take }),
@@ -464,13 +456,8 @@ impl Container for Batch {
         if self.len >= limit {
             return Err(m);
         }
-        // Ordering: strictly increasing, except a dummy may share the
-        // sequence number of an immediately preceding data message.
-        if let Some((last, last_is_data)) = self.back_seq() {
-            let ok = m.seq() > last || (m.is_dummy() && m.seq() == last && last_is_data);
-            if !ok {
-                return Err(m);
-            }
+        if self.back_seq().is_some_and(|last| m.seq() <= last) {
+            return Err(m);
         }
         match m {
             Message::Data { seq, payload } => {
@@ -601,11 +588,9 @@ mod tests {
         b.try_push(64, Message::Dummy { seq: 1 }).unwrap();
         b.try_push(64, Message::Dummy { seq: 2 }).unwrap();
         b.try_push(64, Message::Data { seq: 3, payload: 9 }).unwrap();
-        // Heartbeat: a dummy may share a data message's sequence number.
-        b.try_push(64, Message::Dummy { seq: 3 }).unwrap();
         b.try_push(64, Message::Eos).unwrap();
-        assert_eq!(b.len(), 6);
-        assert_eq!(b.counts(), (2, 3));
+        assert_eq!(b.len(), 5);
+        assert_eq!(b.counts(), (2, 2));
         let mut popped = Vec::new();
         let mut c = b.clone();
         while let Some(m) = c.pop_front() {
@@ -619,7 +604,6 @@ mod tests {
                 Message::Dummy { seq: 1 },
                 Message::Dummy { seq: 2 },
                 Message::Data { seq: 3, payload: 9 },
-                Message::Dummy { seq: 3 },
                 Message::Eos,
             ]
         );
@@ -629,11 +613,14 @@ mod tests {
     fn batch_rejects_order_violations_and_limit() {
         let mut b = Batch::new();
         b.try_push(2, Message::Data { seq: 5, payload: 0 }).unwrap();
-        // Same seq data, regressions, and dummy-before-data are rejected.
+        // Every non-increasing number is rejected: a repeat, a regression,
+        // and a dummy sharing its data message's number.
         assert!(b.try_push(2, Message::Data { seq: 5, payload: 1 }).is_err());
         assert!(b.try_push(2, Message::Dummy { seq: 4 }).is_err());
-        b.try_push(2, Message::Dummy { seq: 5 }).unwrap();
-        assert!(b.try_push(2, Message::Dummy { seq: 6 }).is_err(), "limit");
+        assert!(b.try_push(2, Message::Dummy { seq: 5 }).is_err());
+        b.try_push(2, Message::Dummy { seq: 6 }).unwrap();
+        assert!(b.try_push(2, Message::Dummy { seq: 7 }).is_err(), "limit");
+        assert_eq!(b.len(), 2);
     }
 
     #[test]
@@ -669,7 +656,7 @@ mod tests {
     }
 
     /// A random mixed container (data, dummy runs, sequence gaps, sometimes
-    /// a heartbeat pair or a final EOS) starting at or above `from`.
+    /// a final EOS) starting at or above `from`.
     fn random_batch(rng: &mut rand::rngs::StdRng, from: u64) -> Batch {
         use rand::Rng;
         let mut b = Batch::new();
@@ -678,13 +665,10 @@ mod tests {
         let data_share = if rng.gen_bool(0.5) { 19 } else { 12 };
         for _ in 0..rng.gen_range(1..40usize) {
             seq += rng.gen_range(0..3u64);
-            let m = match rng.gen_range(0..20u32) {
-                kind if kind < data_share => Message::Data { seq, payload: seq * 3 + 1 },
-                kind if kind % 2 == 0 => Message::Dummy { seq },
-                _ => {
-                    b.try_push(usize::MAX, Message::Data { seq, payload: 5 }).unwrap();
-                    Message::Dummy { seq }
-                }
+            let m = if rng.gen_range(0..20u32) < data_share {
+                Message::Data { seq, payload: seq * 3 + 1 }
+            } else {
+                Message::Dummy { seq }
             };
             b.try_push(usize::MAX, m).unwrap();
             seq += 1;
@@ -756,7 +740,7 @@ mod tests {
             if took < n && dst.len() < limit {
                 // Refused whole: the destination's back is not below the prefix.
                 assert_eq!(took, 0, "case {case}");
-                assert!(dst.back_seq().unwrap().0 >= drain(&second)[0].seq(), "case {case}");
+                assert!(dst.back_seq().unwrap() >= drain(&second)[0].seq(), "case {case}");
                 refusals += 1;
             } else if 0 < took && took < n {
                 splits += 1;

@@ -39,9 +39,7 @@ impl NodeBehavior for Broadcast {
     /// On one input the decision is the same `(seq, payload)` on every
     /// output: the run is relayed whole.
     fn fire_run(&mut self, run: &mut DataRun<'_>) {
-        if !run.relay() {
-            run.step(|input, emit| self.fire_into(input, emit));
-        }
+        run.relay();
     }
 }
 

@@ -66,8 +66,8 @@
 //! verdict instead ([`crate::checkpoint::SnapshotError::Settled`]); it
 //! never hangs and never produces a torn snapshot.
 //! [`SharedPool::resume_full`] restores a snapshot as a new job that
-//! reports **cumulative** counts, after re-validating the exact topology,
-//! plan and trigger it was captured under.
+//! reports **cumulative** counts, after re-validating the exact topology
+//! and plan it was captured under.
 
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -210,15 +210,13 @@ struct JobState {
 struct SnapMeta {
     labeled_topology: u64,
     plan_digest: Option<u64>,
-    trigger: u8,
 }
 
 impl SnapMeta {
-    fn new(g: &Graph, mode: &AvoidanceMode, trigger: PropagationTrigger) -> Self {
+    fn new(g: &Graph, mode: &AvoidanceMode) -> Self {
         SnapMeta {
             labeled_topology: labeled_fingerprint(g),
             plan_digest: checkpoint::plan_digest(mode),
-            trigger: checkpoint::trigger_code(trigger),
         }
     }
 }
@@ -247,7 +245,6 @@ struct SnapState {
 struct NewJob<'a> {
     topology: &'a Topology,
     mode: &'a AvoidanceMode,
-    trigger: PropagationTrigger,
     /// One task per node, fresh or restored.
     tasks: Vec<Task>,
     inputs: u64,
@@ -297,7 +294,7 @@ impl JobState {
             }),
             done_cv: Condvar::new(),
             sources: g.sources(),
-            meta: SnapMeta::new(g, new.mode, new.trigger),
+            meta: SnapMeta::new(g, new.mode),
             resumed_from: new.resumed_from,
             snap_pending: AtomicU64::new(0),
             snap_barrier: AtomicU64::new(0),
@@ -349,7 +346,7 @@ impl JobState {
             // An EOS-queued producer with an empty staging queue has
             // delivered its EOS marker; consumers never pop EOS, so it is
             // part of the channel state and must survive the restore.
-            if task.eos_queued && port.queue.is_empty() {
+            if task.eos_queued && port.queue.is_none() {
                 snap.channels[port.edge as usize].push(Message::Eos);
             }
         }
@@ -389,7 +386,6 @@ impl JobState {
             fingerprint: None,
             filter_signature: None,
             plan_digest: self.meta.plan_digest,
-            trigger: self.meta.trigger,
             inputs: self.inputs,
             steps: nodes.iter().map(|n| n.firings).sum(),
             sink_firings: nodes.iter().map(|n| n.sink_firings).sum(),
@@ -836,23 +832,23 @@ impl SharedPool {
         self.submit_full(topology, mode, PropagationTrigger::default(), inputs, None)
     }
 
-    /// The full submission form: avoidance mode, Propagation trigger, and
-    /// an optional settle hook invoked exactly once (on a worker thread)
-    /// when the job reaches its verdict.
+    /// The full submission form: avoidance mode and an optional settle hook
+    /// invoked exactly once (on a worker thread) when the job reaches its
+    /// verdict.  `_trigger` is read by nothing: `ledger/` passes it, which
+    /// is the only reason it exists.
     pub fn submit_full(
         &self,
         topology: &Topology,
         mode: AvoidanceMode,
-        trigger: PropagationTrigger,
+        _trigger: PropagationTrigger,
         inputs: u64,
         on_settle: Option<SettleHook>,
     ) -> JobHandle {
         let started = Instant::now();
-        let tasks = task::build_tasks(topology, &mode, trigger, self.core.batching);
+        let tasks = task::build_tasks(topology, &mode, self.core.batching);
         self.core.launch(NewJob {
             topology,
             mode: &mode,
-            trigger,
             tasks,
             inputs,
             started,
@@ -867,26 +863,27 @@ impl SharedPool {
     /// killed-and-restored job's final report equals an uninterrupted
     /// run's.
     ///
-    /// The snapshot is first re-validated against the topology, avoidance
-    /// mode and trigger it is being resumed under; any drift (different
-    /// labeled topology, different plan intervals, different trigger, or a
-    /// foreign/corrupted blob) is a [`RestoreError`] — a snapshot is never
-    /// silently re-planned onto a different certification.  The one
-    /// sanctioned plan change, an adaptive hot swap, rebases a copy of the
-    /// snapshot onto the new plan first ([`JobSnapshot::rebase`], gated on a
+    /// The snapshot is first re-validated against the topology and
+    /// avoidance mode it is being resumed under; any drift (different
+    /// labeled topology, different plan intervals, or a foreign/corrupted
+    /// blob) is a [`RestoreError`] — a snapshot is never silently re-planned
+    /// onto a different certification.  The one sanctioned plan change, an
+    /// adaptive hot swap, rebases a copy of the snapshot onto the new plan
+    /// first ([`JobSnapshot::rebase`], gated on a
     /// [`SwapToken`](crate::SwapToken)) and comes through here like any
-    /// other restore.
+    /// other restore.  `_trigger` is read by nothing, as in
+    /// [`SharedPool::submit_full`].
     pub fn resume_full(
         &self,
         topology: &Topology,
         mode: AvoidanceMode,
-        trigger: PropagationTrigger,
+        _trigger: PropagationTrigger,
         snapshot: &JobSnapshot,
         on_settle: Option<SettleHook>,
     ) -> Result<JobHandle, RestoreError> {
-        snapshot.validate_for(topology, &mode, trigger)?;
+        snapshot.validate_for(topology, &mode)?;
         let started = Instant::now();
-        let mut tasks = task::build_tasks(topology, &mode, trigger, self.core.batching);
+        let mut tasks = task::build_tasks(topology, &mode, self.core.batching);
         for (task, node) in tasks.iter_mut().zip(&snapshot.nodes) {
             task.restore(node, snapshot)?;
         }
@@ -895,7 +892,6 @@ impl SharedPool {
         Ok(self.core.launch(NewJob {
             topology,
             mode: &mode,
-            trigger,
             tasks,
             inputs: snapshot.inputs,
             started,

@@ -39,7 +39,7 @@ use crate::checkpoint::{
 use crate::node::{FireInput, NodeBehavior};
 use crate::report::{BlockedInfo, BlockedReason, ExecutionReport};
 use crate::topology::Topology;
-use crate::wrapper::{AvoidanceMode, PropagationTrigger};
+use crate::wrapper::AvoidanceMode;
 
 /// Which scheduling strategy [`Simulator`] uses to pick the next node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -56,7 +56,6 @@ pub enum Scheduler {
 pub struct Simulator<'t> {
     topology: &'t Topology,
     mode: AvoidanceMode,
-    trigger: PropagationTrigger,
     scheduler: Scheduler,
     max_steps: u64,
 }
@@ -67,7 +66,6 @@ impl<'t> Simulator<'t> {
         Simulator {
             topology,
             mode: AvoidanceMode::Disabled,
-            trigger: PropagationTrigger::default(),
             scheduler: Scheduler::default(),
             max_steps: u64::MAX,
         }
@@ -89,13 +87,6 @@ impl<'t> Simulator<'t> {
     /// Sets the avoidance mode explicitly.
     pub fn avoidance(mut self, mode: AvoidanceMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Selects the Propagation-protocol trigger (see
-    /// [`PropagationTrigger`]); the default is the paper's literal trigger.
-    pub fn propagation_trigger(mut self, trigger: PropagationTrigger) -> Self {
-        self.trigger = trigger;
         self
     }
 
@@ -137,7 +128,6 @@ impl<'t> Simulator<'t> {
             return CheckpointOutcome::Killed(Box::new(run.capture(
                 labeled_fingerprint(self.topology.graph()),
                 checkpoint::plan_digest(&self.mode),
-                checkpoint::trigger_code(self.trigger),
             )));
         }
         CheckpointOutcome::Finished(run.report(halt, started))
@@ -146,16 +136,15 @@ impl<'t> Simulator<'t> {
     /// Resumes a killed run from its snapshot and drives it to a verdict.
     ///
     /// The snapshot must have been taken under *this* simulator's exact
-    /// topology, avoidance plan and trigger
-    /// ([`JobSnapshot::validate_for`]); anything else is a [`RestoreError`],
-    /// never a silent re-plan.  The returned report is **cumulative**: a
-    /// resumed run that completes reports exactly the counts the
-    /// uninterrupted run would have (and
+    /// topology and avoidance plan ([`JobSnapshot::validate_for`]); anything
+    /// else is a [`RestoreError`], never a silent re-plan.  The returned
+    /// report is **cumulative**: a resumed run that completes reports
+    /// exactly the counts the uninterrupted run would have (and
     /// [`ExecutionReport::resumed_from`] records the snapshot's progress
     /// marker).  Always uses the worklist scheduler.
     pub fn resume(&self, snapshot: &JobSnapshot) -> Result<ExecutionReport, RestoreError> {
         let started = std::time::Instant::now();
-        snapshot.validate_for(self.topology, &self.mode, self.trigger)?;
+        snapshot.validate_for(self.topology, &self.mode)?;
         let mut run = Run::new(self, snapshot.inputs);
         run.resumed_from = Some(snapshot.steps);
         let engine = &mut run.engine;
@@ -196,7 +185,7 @@ struct Run<'t> {
 impl<'t> Run<'t> {
     fn new(sim: &Simulator<'t>, inputs: u64) -> Self {
         Run {
-            engine: Engine::new(sim.topology.graph(), &sim.mode, sim.trigger, inputs),
+            engine: Engine::new(sim.topology.graph(), &sim.mode, inputs),
             behaviors: sim.topology.build_behaviors(),
             resumed_from: None,
         }
@@ -217,7 +206,7 @@ impl<'t> Run<'t> {
     /// Captures the run's entire state as a [`JobSnapshot`] (channels
     /// verbatim: the simulator stops between steps, where any cut is
     /// consistent).
-    fn capture(&self, labeled_topology: u64, plan_digest: Option<u64>, trigger: u8) -> JobSnapshot {
+    fn capture(&self, labeled_topology: u64, plan_digest: Option<u64>) -> JobSnapshot {
         let engine = &self.engine;
         JobSnapshot {
             version: SNAPSHOT_VERSION,
@@ -225,7 +214,6 @@ impl<'t> Run<'t> {
             fingerprint: None,
             filter_signature: None,
             plan_digest,
-            trigger,
             inputs: engine.inputs,
             steps: engine.steps,
             sink_firings: engine.sink_firings,
@@ -422,12 +410,11 @@ mod tests {
     }
 
     #[test]
-    fn interior_filtering_defeats_the_literal_propagation_trigger() {
+    fn interior_filtering_defeats_the_literal_trigger() {
         // Reproduction finding (see the wrapper module docs): when the
         // filtering happens at an interior node of the empty path, the
         // literal "only after filtering" trigger never creates a dummy and
-        // the deadlock persists; the heartbeat trigger prevents it.
-        use crate::wrapper::PropagationTrigger;
+        // the deadlock persists.
         let mut b = GraphBuilder::new();
         b.edge_with_capacity("split", "left", 4).unwrap();
         b.edge_with_capacity("split", "right", 4).unwrap();
@@ -440,10 +427,7 @@ mod tests {
             .with(split, || Broadcast::new(2))
             .with(right, || ModuloFilter::new(1, 64, 1));
         let plan = Planner::new(&g).algorithm(Algorithm::Propagation).plan().unwrap();
-        let literal = Simulator::new(&topo)
-            .with_plan(&plan)
-            .propagation_trigger(PropagationTrigger::OnFilterOnly)
-            .run(2000);
+        let literal = Simulator::new(&topo).with_plan(&plan).run(2000);
         assert!(literal.deadlocked, "{literal:?}");
         // The Non-Propagation protocol handles interior filtering by
         // construction.

@@ -2,7 +2,7 @@
 //!
 //! A [`Task`] is everything one compute node needs to run cooperatively on a
 //! worker pool: its behaviour, its dummy wrapper, the owned endpoints of its
-//! input and output rings, the two-slot output staging queues, and the
+//! input and output rings, one output staging container per port, and the
 //! per-node progress counters.  The run loops in this module are the one
 //! optimised implementation of the scalar model's step
 //! ([`fila_avoidance::model::engine`]): same acceptance rule, same
@@ -34,14 +34,16 @@
 //! [`crate::Broadcast`] relays it — the head container's segments are
 //! appended to each output's staging container, ordering checked once at
 //! the seam, the wrapper's counters moved by
-//! [`DummyWrapper::on_accept_data_run`] — unless the heartbeat trigger
-//! needs every sequence number, and then it steps as well.  Multi-input
-//! nodes align their heads one sequence number at a time.
+//! [`DummyWrapper::on_accept_data_run`].  Multi-input nodes align their
+//! heads one sequence number at a time.
 //!
 //! Batching never changes semantics: capacity is accounted in *messages*
 //! (see [`crate::spsc::MsgCap`]), staging is allowed only while everything
 //! already staged is deliverable — preserving the scalar model's exactly
-//! one-firing overshoot on a full channel — and the Kahn-network confluence
+//! one-firing overshoot on a full channel.  An acceptance stages at most one
+//! message per port (a dummy goes only where no data does), so a port's
+//! staged messages always fit one container and every channel's sequence
+//! numbers strictly increase.  The Kahn-network confluence
 //! of the model does the rest: verdicts, per-edge counts and checkpoint
 //! barriers are identical at every limit (`tests/engine_equivalence.rs`).
 
@@ -56,80 +58,7 @@ use crate::node::{FireInput, NodeBehavior};
 use crate::report::{BlockedInfo, BlockedReason, ExecutionReport};
 use crate::spsc::{self, MsgCap};
 use crate::topology::Topology;
-use crate::wrapper::{AvoidanceMode, DummyWrapper, PropagationTrigger, RunDummies};
-
-/// The two-slot output staging area of one port.
-///
-/// `first` is the older container; `second` exists only when a message could
-/// not extend `first` (container at its limit, or out of sequence order —
-/// the dummy accompanying a data message of the same firing).
-#[derive(Default)]
-pub(crate) struct Stage {
-    pub(crate) first: Option<Batch>,
-    pub(crate) second: Option<Batch>,
-}
-
-impl Stage {
-    /// Staged messages (not containers).
-    pub(crate) fn len(&self) -> usize {
-        self.first.as_ref().map_or(0, Batch::len) + self.second.as_ref().map_or(0, Batch::len)
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.first.is_none() && self.second.is_none()
-    }
-
-    /// Appends one message to the newest staged container, opening a second
-    /// container when the newest cannot take it.  The run loops bound
-    /// staging by `limit` *before* accepting, so the overflow chain never
-    /// exceeds two containers.
-    pub(crate) fn stage(&mut self, limit: usize, m: Message) {
-        if self.try_stage(limit, m).is_err() {
-            unreachable!("staging past the bounded overflow container");
-        }
-    }
-
-    /// [`Stage::stage`] for a caller that cannot vouch for the bound
-    /// ([`Task::restore`], fed from a blob): hands the message back when the
-    /// second container refuses it too.
-    #[inline]
-    fn try_stage(&mut self, limit: usize, m: Message) -> Result<(), Message> {
-        let m = if let Some(c) = &mut self.second {
-            return c.try_push(limit, m);
-        } else if let Some(c) = &mut self.first {
-            match c.try_push(limit, m) {
-                Ok(()) => return Ok(()),
-                Err(m) => m,
-            }
-        } else {
-            self.first = Some(Batch::from_message(m));
-            return Ok(());
-        };
-        self.second = Some(Batch::from_message(m));
-        Ok(())
-    }
-
-    /// The newest staged container (opened if nothing is staged): where a
-    /// run — already bounded by the queue room — is appended whole.
-    fn newest(&mut self) -> &mut Batch {
-        let slot = if self.second.is_some() {
-            &mut self.second
-        } else {
-            &mut self.first
-        };
-        slot.get_or_insert_with(Batch::new)
-    }
-
-    /// Visits every staged message front to back (checkpoint flattening).
-    pub(crate) fn for_each(&self, f: &mut dyn FnMut(Message)) {
-        if let Some(c) = &self.first {
-            c.for_each(f);
-        }
-        if let Some(c) = &self.second {
-            c.for_each(f);
-        }
-    }
-}
+use crate::wrapper::{AvoidanceMode, DummyWrapper, RunDummies};
 
 /// One input channel of a task.
 pub(crate) struct InPort {
@@ -144,7 +73,7 @@ pub(crate) struct InPort {
     touched: bool,
 }
 
-/// One output channel of a task, with its staging queue and the
+/// One output channel of a task, with its staging container and the
 /// producer-side delivery counters (each edge has exactly one producer, so
 /// the counters need no atomics).
 pub(crate) struct OutPort {
@@ -153,12 +82,69 @@ pub(crate) struct OutPort {
     /// Node index of the channel's consumer (the task to wake when a push
     /// makes the channel non-empty).
     pub(crate) consumer: u32,
-    pub(crate) queue: Stage,
+    /// Messages produced but not yet delivered.  One container suffices:
+    /// an acceptance stages at most one message per port, and the run loops
+    /// bound staging by `limit` *before* accepting ([`run_room`]).
+    pub(crate) queue: Option<Batch>,
     /// Messages a staged container may hold: the batching limit clamped to
     /// the edge capacity, so a full container always fits its ring.
     pub(crate) limit: usize,
     pub(crate) data: u64,
     pub(crate) dummies: u64,
+    /// The monotonicity monitor: the lowest sequence number the channel may
+    /// carry next, one past the last message delivered.
+    #[cfg(debug_assertions)]
+    floor: u64,
+}
+
+impl OutPort {
+    /// Staged messages (not containers).
+    pub(crate) fn staged(&self) -> usize {
+        self.queue.as_ref().map_or(0, Batch::len)
+    }
+
+    /// The staging container, opened if nothing is staged: where a run —
+    /// already bounded by the staging room — is appended whole.
+    fn staging(&mut self) -> &mut Batch {
+        self.queue.get_or_insert_with(Batch::new)
+    }
+
+    /// Appends one message to the staging container.  The run loops bound
+    /// staging by the limit before accepting, and a node's sequence numbers
+    /// increase, so the container never refuses.
+    fn stage(&mut self, m: Message) {
+        let limit = self.limit;
+        let refused = self.staging().try_push(limit, m).is_err();
+        assert!(
+            !refused,
+            "staging past the container limit or out of sequence order"
+        );
+    }
+
+    /// Delivers the staging container as far as the ring's space allows,
+    /// registering the waiting flag when some of it stays staged; returns
+    /// the messages delivered.  Debug builds check that the channel's
+    /// sequence numbers strictly increase from one container to the next
+    /// (within one, [`Batch`] enforces it).
+    fn deliver(&mut self) -> usize {
+        #[cfg(debug_assertions)]
+        let span = self.queue.as_ref().and_then(|c| Some((c.front().seq(), c.back_seq()?)));
+        let n = self.tx.deliver_or_register(&mut self.queue);
+        #[cfg(debug_assertions)]
+        if let Some((front, back)) = span.filter(|_| n > 0) {
+            assert!(
+                front >= self.floor,
+                "sequence numbers on edge {} must strictly increase: {front} below {}",
+                self.edge,
+                self.floor,
+            );
+            self.floor = self
+                .queue
+                .as_ref()
+                .map_or(back.saturating_add(1), |c| c.front().seq());
+        }
+        n
+    }
 }
 
 /// The per-node task state: everything the scalar model keeps per node,
@@ -192,7 +178,7 @@ impl Task {
     /// block everything else), mirroring the deadlock report's per-node
     /// diagnosis.  `None` if neither applies (e.g. the task is done).
     pub(crate) fn blocked_on(&self) -> Option<BlockedReason> {
-        if let Some(port) = self.outs.iter().find(|p| !p.queue.is_empty()) {
+        if let Some(port) = self.outs.iter().find(|p| p.queue.is_some()) {
             return Some(BlockedReason::WaitingForSpace(edge_id(port.edge)));
         }
         self.ins
@@ -242,7 +228,9 @@ impl Task {
         // so batched snapshots restore anywhere.
         let mut staged = Vec::new();
         for port in &self.outs {
-            port.queue.for_each(&mut |m| staged.push((port.edge, m)));
+            if let Some(c) = &port.queue {
+                c.for_each(&mut |m| staged.push((port.edge, m)));
+            }
         }
         NodeSnapshot {
             gaps: self.wrapper.gaps().to_vec(),
@@ -275,29 +263,24 @@ impl Task {
             port.dummies = cut.per_edge_dummies[port.edge as usize];
             // Re-pack the wire-form channel into containers as the run
             // loops would have staged it (grouping is unobservable: a
-            // capture flattens containers back to messages).
-            // `validate_for` bounds channel lengths by ring capacity,
-            // but a hostile/corrupted blob must degrade to a typed
-            // error, never a panic on the restore path.
+            // capture flattens containers back to messages).  Sequence
+            // order was validated, so a refusal means the container is
+            // full.  `validate_for` bounds channel lengths by ring
+            // capacity, but a hostile/corrupted blob must degrade to a
+            // typed error, never a panic on the restore path.
             let mut ship = |container: Batch| {
                 port.tx.push(container).map_err(|_| {
                     RestoreError::Corrupted("restored channel overflows ring capacity".into())
                 })
             };
-            let mut open: Option<Batch> = None;
+            let mut open = Batch::default();
             for &message in &cut.channels[port.edge as usize] {
-                let refused = match &mut open {
-                    Some(batch) => batch.try_push(port.limit, message).err(),
-                    None => Some(message),
-                };
-                if let Some(message) = refused {
-                    if let Some(full) = open.replace(Batch::from_message(message)) {
-                        ship(full)?;
-                    }
+                if let Err(message) = open.try_push(port.limit, message) {
+                    ship(std::mem::replace(&mut open, Batch::from_message(message)))?;
                 }
             }
-            if let Some(last) = open {
-                ship(last)?;
+            if open.len() > 0 {
+                ship(open)?;
             }
         }
         for &(edge, message) in &node.staged {
@@ -307,14 +290,10 @@ impl Task {
                 ));
             };
             // Re-pack the wire-form staged list (per-port, in order) into
-            // containers.  No limit here: a batched capture may have staged
-            // more messages than this engine's per-push limit, and delivery
-            // re-splits by ring space anyway.  A message out of sequence
-            // order within the open container: the capture engines never
-            // produce this mid-port, so at most one fresh container absorbs
-            // it (data-then-dummy boundaries); anything further is a
-            // corrupted blob.
-            port.queue.try_stage(usize::MAX, message).map_err(|_| {
+            // the port's one container.  No limit here: a batched capture
+            // may have staged more messages than this engine's per-push
+            // limit, and delivery re-splits by ring space anyway.
+            port.staging().try_push(usize::MAX, message).map_err(|_| {
                 RestoreError::Corrupted("staged messages out of sequence order".into())
             })?;
             self.staged += 1;
@@ -390,12 +369,11 @@ pub(crate) enum Outcome {
 /// Builds one [`Task`] per node of `topology`: an SPSC ring per edge with
 /// the endpoints moved into the unique producing / consuming task, a fresh
 /// behaviour instance per node, and the per-node dummy-wrapper state for
-/// `mode`/`trigger`.  `batching` sets the per-container message limit
+/// `mode`.  `batching` sets the per-container message limit
 /// (clamped per edge to the channel capacity).
 pub(crate) fn build_tasks(
     topology: &Topology,
     mode: &AvoidanceMode,
-    trigger: PropagationTrigger,
     batching: Batching,
 ) -> Vec<Task> {
     let g = topology.graph();
@@ -430,10 +408,12 @@ pub(crate) fn build_tasks(
                     tx: producers[e.index()].take().expect("one producer per edge"),
                     edge: e.index() as u32,
                     consumer: g.head(e).index() as u32,
-                    queue: Stage::default(),
+                    queue: None,
                     limit: limit.min(g.capacity(e) as usize),
                     data: 0,
                     dummies: 0,
+                    #[cfg(debug_assertions)]
+                    floor: 0,
                 })
                 .collect::<Vec<_>>();
             let data_in = vec![None; ins.len()];
@@ -445,7 +425,7 @@ pub(crate) fn build_tasks(
                 next_source_seq: 0,
                 staged: 0,
                 behavior,
-                wrapper: DummyWrapper::with_trigger(g, n, mode, trigger),
+                wrapper: DummyWrapper::new(g, n, mode),
                 ins,
                 outs,
                 data_in,
@@ -529,14 +509,14 @@ pub(crate) fn run_task(
 /// and everything already staged is deliverable right now.  The *first*
 /// acceptance after a flush always has it (the queue is empty), so a full
 /// channel still receives exactly one overshooting acceptance — the scalar
-/// engine's blocking shape.  A run of `n` acceptances stages at most `n`
-/// messages on a port ([`DataRun::step`] ends the run at an acceptance that
-/// stages two), so the rule holds before each of them in turn when `n` is
-/// within every port's `limit − staged` and `space − staged + 1`.
+/// engine's blocking shape.  An acceptance stages at most one message per
+/// port, so a run of `n` acceptances stages at most `n` — and the rule holds
+/// before each of them in turn when `n` is within every port's
+/// `limit − staged` and `space − staged + 1`.
 fn run_room(task: &Task, accepted: u32, batch: u32) -> u64 {
     let mut n = u64::from(batch - accepted);
     for out in &task.outs {
-        let qlen = out.queue.len();
+        let qlen = out.staged();
         let space = out.tx.space_msgs();
         if qlen > space {
             return 0;
@@ -605,7 +585,7 @@ fn interior_run(
                 }
             }
             for port in &mut task.outs {
-                port.queue.stage(port.limit, Message::Eos);
+                port.stage(Message::Eos);
                 task.staged += 1;
             }
             task.eos_queued = true;
@@ -646,14 +626,15 @@ fn interior_run(
                     match run {
                         RunDummies::None => {}
                         RunDummies::All => {
-                            let took = out.queue.newest().push_dummy_run(out.limit, first, n);
-                            assert_eq!(took, n, "dummy-run staging was bounded by queue room");
+                            let limit = out.limit;
+                            let took = out.staging().push_dummy_run(limit, first, n);
+                            assert_eq!(took, n, "dummy-run staging was bounded by its room");
                             *staged += n as usize;
                         }
                         RunDummies::Periodic { first: p0, period } => {
                             let mut p = p0;
                             while p < n {
-                                out.queue.stage(out.limit, Message::Dummy { seq: first + p });
+                                out.stage(Message::Dummy { seq: first + p });
                                 *staged += 1;
                                 p += period;
                             }
@@ -802,36 +783,36 @@ impl DataRun<'_> {
                 self.emit,
             );
             self.took += 1;
-            if stage_decision(self.wrapper, self.outs, self.staged, self.emit, seq, true, false) {
-                // The run was bounded for one message per port per
-                // acceptance; the outer loop re-reads the room.
-                break;
-            }
+            stage_decision(
+                self.wrapper,
+                self.outs,
+                self.staged,
+                self.emit,
+                seq,
+                true,
+                false,
+            );
         }
     }
 
     /// Forwards what is left of the run unchanged on every output — the
     /// input container's segments are appended to each staging container,
-    /// one copy per output, none for a sink — and returns true.  Returns
-    /// false, having consumed nothing, when the dummy wrapper must see each
-    /// sequence number ([`DummyWrapper::on_accept_data_run`]): the caller
-    /// then [steps](DataRun::step).
-    pub fn relay(&mut self) -> bool {
+    /// one copy per output, none for a sink — and moves the dummy wrapper's
+    /// counters by [`DummyWrapper::on_accept_data_run`].
+    pub fn relay(&mut self) {
         let n = self.src.data_prefix(self.max - self.took, self.barrier);
         if n == 0 {
-            return true;
+            return;
         }
-        if !self.wrapper.on_accept_data_run(n as u64) {
-            return false;
-        }
+        self.wrapper.on_accept_data_run(n as u64);
         for out in self.outs.iter_mut() {
-            let took = out.queue.newest().push_data_prefix(out.limit, self.src, n);
-            assert_eq!(took, n, "data-run staging was bounded by queue room");
+            let limit = out.limit;
+            let took = out.staging().push_data_prefix(limit, self.src, n);
+            assert_eq!(took, n, "data-run staging was bounded by its room");
         }
         *self.staged += n * self.outs.len();
         self.src.consume_data_prefix(n);
         self.took += n;
-        true
     }
 }
 
@@ -869,7 +850,7 @@ fn source_run(
     {
         task.eos_queued = true;
         for port in &mut task.outs {
-            port.queue.stage(port.limit, Message::Eos);
+            port.stage(Message::Eos);
             task.staged += 1;
         }
         progressed = true;
@@ -877,8 +858,8 @@ fn source_run(
     progressed
 }
 
-/// Delivers as many staged containers as ring capacities allow; FIFO per
-/// channel, channels independent.  Registers the producer waiting flag
+/// Delivers as much of every staging container as ring capacities allow;
+/// FIFO per channel, channels independent.  Registers the producer waiting flag
 /// (with the mandatory retry) on every channel that stays full, and wakes
 /// the consumer of every channel this delivery made non-empty.  The
 /// delivery counters advance by the *messages* that shipped (a container
@@ -889,32 +870,23 @@ fn flush(task: &mut Task, wake: &mut dyn FnMut(u32)) -> bool {
     }
     let mut delivered = false;
     for port in &mut task.outs {
-        loop {
-            if port.queue.first.is_none() {
-                port.queue.first = port.queue.second.take();
-                if port.queue.first.is_none() {
-                    break;
-                }
-            }
-            let (d0, u0) = port.queue.first.as_ref().map_or((0, 0), |c| c.counts());
-            let n = port.tx.deliver_or_register(&mut port.queue.first);
-            if n == 0 {
-                // Port still full; the registration stays active and the
-                // consumer's next pop wakes this task.
-                break;
-            }
-            task.staged -= n;
-            delivered = true;
-            let (d1, u1) = port.queue.first.as_ref().map_or((0, 0), |c| c.counts());
-            port.data += d0 - d1;
-            port.dummies += u0 - u1;
-            if port.tx.take_consumer_waiting() {
-                wake(port.consumer);
-            }
-            if port.queue.first.is_some() {
-                // Partial delivery: the remainder stays staged, registered.
-                break;
-            }
+        let Some((d0, u0)) = port.queue.as_ref().map(Batch::counts) else {
+            continue;
+        };
+        let n = port.deliver();
+        if n == 0 {
+            // Port still full; the registration stays active and the
+            // consumer's next pop wakes this task.
+            continue;
+        }
+        task.staged -= n;
+        delivered = true;
+        // A partial delivery leaves the remainder staged, registered.
+        let (d1, u1) = port.queue.as_ref().map_or((0, 0), Batch::counts);
+        port.data += d0 - d1;
+        port.dummies += u0 - u1;
+        if port.tx.take_consumer_waiting() {
+            wake(port.consumer);
         }
     }
     if delivered {
@@ -944,8 +916,7 @@ fn queue_outputs(task: &mut Task, seq: u64, fired: bool, consumed_dummy: bool) {
 }
 
 /// [`queue_outputs`] on split borrows, for callers already holding other
-/// task fields ([`DataRun::step`]).  Returns whether some port took two
-/// messages — a dummy beside its data message.
+/// task fields ([`DataRun::step`]).
 fn stage_decision(
     wrapper: &mut DummyWrapper,
     outs: &mut [OutPort],
@@ -954,24 +925,26 @@ fn stage_decision(
     seq: u64,
     fired: bool,
     consumed_dummy: bool,
-) -> bool {
+) {
     let dummies = wrapper.on_accept(consumed_dummy, |i| fired && emit[i].is_some());
-    let mut doubled = false;
     for (idx, port) in outs.iter_mut().enumerate() {
         let data = emit[idx].filter(|_| fired);
+        // The wrapper sends a dummy only where no data goes: one message
+        // per port per acceptance, the bound `run_room` stages by.
+        debug_assert!(
+            data.is_none() || !dummies[idx],
+            "two messages for edge {}",
+            port.edge
+        );
         if let Some(payload) = data {
-            port.queue.stage(port.limit, Message::Data { seq, payload });
+            port.stage(Message::Data { seq, payload });
             *staged += 1;
         }
         if dummies[idx] {
-            // Under the heartbeat trigger a dummy may accompany a data
-            // message carrying the same sequence number.
-            port.queue.stage(port.limit, Message::Dummy { seq });
+            port.stage(Message::Dummy { seq });
             *staged += 1;
-            doubled |= data.is_some();
         }
     }
-    doubled
 }
 
 /// Assembles the [`ExecutionReport`] of a finished (or deadlocked) task set:
@@ -1070,7 +1043,9 @@ mod tests {
         fn contribute(&self, task: &mut Task) {
             let mut staged = Vec::new();
             for port in &task.outs {
-                port.queue.for_each(&mut |m| staged.push((port.edge, m)));
+                if let Some(c) = &port.queue {
+                    c.for_each(&mut |m| staged.push((port.edge, m)));
+                }
             }
             self.contributions.borrow_mut().push((
                 task.ins.first().map(|p| p.edge),
@@ -1118,7 +1093,6 @@ mod tests {
         /// The source filters two inputs in seven, irregularly.
         filtered: bool,
         mode: Option<Algorithm>,
-        trigger: PropagationTrigger,
         batching: Batching,
         batch: u32,
         /// Publish a cut with this barrier once the source has run ahead.
@@ -1144,7 +1118,7 @@ mod tests {
             topo = topo.with(hub, move || Stepped(Broadcast::new(hub_outs)));
         }
         let mode = case.mode.map_or(AvoidanceMode::Disabled, |a| planned(&g, a));
-        let mut tasks = build_tasks(&topo, &mode, case.trigger, case.batching);
+        let mut tasks = build_tasks(&topo, &mode, case.batching);
         let cut = Cut {
             epoch: Cell::new(0),
             barrier: case.barrier.unwrap_or(0),
@@ -1194,27 +1168,20 @@ mod tests {
         // Containers [0, 64) and [64, 128) wait at the hub when the barrier
         // is published: every position inside either run, `first` (0, 64)
         // and `first + n` (64, 128), and one past what the source made.
-        let protocols = [
-            (None, PropagationTrigger::OnFilterOnly),
-            (Some(Algorithm::NonPropagation), PropagationTrigger::OnFilterOnly),
-            (Some(Algorithm::Propagation), PropagationTrigger::OnFilterOnly),
-            (Some(Algorithm::Propagation), PropagationTrigger::Heartbeat),
-        ];
         for fan in [0, 3] {
-            for (mode, trigger) in protocols {
+            for mode in [None, Some(Algorithm::NonPropagation), Some(Algorithm::Propagation)] {
                 let case = |batching, batch, barrier| Case {
                     fan,
                     relay: true,
                     filtered: false,
                     mode,
-                    trigger,
                     batching,
                     batch,
                     barrier,
                 };
                 let (_, uninterrupted) = run(&case(Batching::default(), 64, None));
                 for barrier in 0..=130 {
-                    let what = format!("fan {fan} {mode:?}/{trigger:?} barrier {barrier}");
+                    let what = format!("fan {fan} {mode:?} barrier {barrier}");
                     let (reference, _) = run(&case(Batching::Messages(1), 1, Some(barrier)));
                     assert_eq!(reference.len(), if fan == 0 { 4 } else { 5 }, "{what}");
                     for (input, node, delivered) in &reference[1..] {
@@ -1240,28 +1207,40 @@ mod tests {
         // between), with and without a cut through them.
         for fan in [0, 1, 3] {
             for mode in [None, Some(Algorithm::NonPropagation), Some(Algorithm::Propagation)] {
-                for trigger in [PropagationTrigger::OnFilterOnly, PropagationTrigger::Heartbeat] {
-                    for (batching, batch) in MODES.into_iter().zip([64, 3, 64, 64, 17]) {
-                        for barrier in [None, Some(0), Some(37), Some(64), Some(101)] {
-                            let case = |relay| Case {
-                                fan,
-                                relay,
-                                filtered: true,
-                                mode,
-                                trigger,
-                                batching,
-                                batch,
-                                barrier,
-                            };
-                            assert_eq!(
-                                run(&case(true)),
-                                run(&case(false)),
-                                "fan {fan} {mode:?}/{trigger:?} {batching:?} barrier {barrier:?}"
-                            );
-                        }
+                for (batching, batch) in MODES.into_iter().zip([64, 3, 64, 64, 17]) {
+                    for barrier in [None, Some(0), Some(37), Some(64), Some(101)] {
+                        let case = |relay| Case {
+                            fan,
+                            relay,
+                            filtered: true,
+                            mode,
+                            batching,
+                            batch,
+                            barrier,
+                        };
+                        assert_eq!(
+                            run(&case(true)),
+                            run(&case(false)),
+                            "fan {fan} {mode:?} {batching:?} barrier {barrier:?}"
+                        );
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "must strictly increase")]
+    fn a_container_behind_a_higher_one_trips_the_monotonicity_monitor() {
+        let g = shape(0);
+        let topo = Topology::from_graph(&g);
+        let mut tasks = build_tasks(&topo, &AvoidanceMode::Disabled, Batching::default());
+        let src = &mut tasks[g.node_by_name("src").unwrap().index()];
+        for seq in [5, 3] {
+            src.outs[0].stage(Message::Data { seq, payload: 0 });
+            src.staged += 1;
+            flush(src, &mut |_| {});
         }
     }
 }

@@ -44,16 +44,8 @@ pub struct ServiceConfig {
     /// Read by nothing: `ledger/` sets it, which is the only reason it
     /// exists.
     pub rounding: Rounding,
-    /// Propagation-protocol dummy trigger.  Under the default
-    /// (`OnFilterOnly`) every planned admission is certified against the
-    /// job's declared [`FilterSpec`](crate::FilterSpec) (bounded model
-    /// check + automatic fallback chain; verdicts cached per `(fingerprint,
-    /// filter signature)`) — the "admitted ⇒ deadlock-free" contract.
-    /// Certification models that trigger only: under the experimental
-    /// [`PropagationTrigger::Heartbeat`] the service plans without
-    /// certifying (a certificate must attest to the semantics the job
-    /// runs), and every such Non-Propagation admission is counted in
-    /// [`ServiceStats::uncertified_nonprop`].
+    /// Read by nothing: `ledger/` sets it, which is the only reason it
+    /// exists.  The Propagation trigger has one reading.
     pub trigger: PropagationTrigger,
     /// Deterministic fault-injection plan wired into the shared pool and
     /// the checkpoint codec (`None` — the default — compiles the hooks
@@ -178,8 +170,8 @@ pub struct JobTicket {
     pub fell_back: bool,
     /// Time spent planning this submission (zero on hits and unplanned).
     pub plan_time: Duration,
-    /// Time spent certifying this submission (zero on hits, unplanned and
-    /// uncertified admissions).
+    /// Time spent certifying this submission (zero on hits and unplanned
+    /// admissions).
     pub certify_time: Duration,
     /// Canonical signature of the job's declared filter profile; stamped
     /// into snapshots so resumes can verify the workload identity.
@@ -501,7 +493,7 @@ impl JobService {
         let mode = plan.map_or(AvoidanceMode::Disabled, |c| {
             AvoidanceMode::Plan(Arc::clone(&c.plan))
         });
-        let (topology, trigger) = (spec.topology(), self.config.trigger);
+        let (topology, trigger) = (spec.topology(), PropagationTrigger::default());
         let (started, resumed_from) = match origin {
             Origin::Fresh(admitted_at) => {
                 // Dummy-traffic profiler key: each edge's certified interval
@@ -902,19 +894,12 @@ impl JobService {
         })
     }
 
-    /// Step 4 of admission: planning — and, by default, **certification**:
-    /// the plan (with its automatic fallback chain) is model-checked
-    /// against the job's declared filter spec before admission, so an
-    /// admitted planned job is certified deadlock-free for what it
-    /// declared.  Plans and certification verdicts — rejections of either
-    /// kind included — are amortised through the structural cache.
-    ///
-    /// Certification models the default (`OnFilterOnly`) Propagation
-    /// trigger — the only one the service's reference semantics define.
-    /// Under the experimental heartbeat trigger a certificate would attest
-    /// to behaviour the job does not run, so a non-default trigger
-    /// downgrades planned admissions to the uncertified path (visible in
-    /// `uncertified_nonprop`) instead of issuing one.
+    /// Step 4 of admission: planning and **certification**: the plan (with
+    /// its automatic fallback chain) is model-checked against the job's
+    /// declared filter spec before admission, so an admitted planned job is
+    /// certified deadlock-free for what it declared.  Plans and
+    /// certification verdicts — rejections of either kind included — are
+    /// amortised through the structural cache.
     ///
     /// Bumps the planning/certification counters itself.
     fn plan_admission(
@@ -929,56 +914,25 @@ impl JobService {
         // One hash of the graph per admission: a resume already made it
         // for its identity gate, and the cache hashes nothing below.
         let identity = identity.unwrap_or_else(|| GraphIdentity::of(&spec.graph));
-        let cycle_bound = self.config.cycle_bound;
-        if self.config.trigger == PropagationTrigger::default() {
-            match self.cache.certify_identified(
-                &spec.graph,
-                &identity,
-                algorithm,
-                cycle_bound,
-                periods,
-                Some(&self.pool),
-            ) {
-                Ok(certified) => {
-                    self.count_certified(&certified);
-                    Ok(Some(certified))
-                }
-                Err(CertifyError::Unplannable(e)) => {
-                    Counters::bump(&self.counters.rejected_unplannable);
-                    Err(RejectReason::Unplannable(e.to_string()))
-                }
-                Err(e @ CertifyError::Uncertifiable { .. }) => {
-                    Counters::bump(&self.counters.rejected_uncertifiable);
-                    Err(RejectReason::Uncertifiable(e.to_string()))
-                }
+        match self.cache.certify_identified(
+            &spec.graph,
+            &identity,
+            algorithm,
+            self.config.cycle_bound,
+            periods,
+            Some(&self.pool),
+        ) {
+            Ok(certified) => {
+                self.count_certified(&certified);
+                Ok(Some(certified))
             }
-        } else {
-            match self
-                .cache
-                .plan_identified(&spec.graph, &identity, algorithm, cycle_bound, None)
-            {
-                Ok(cached) => {
-                    if algorithm == Algorithm::NonPropagation {
-                        Counters::bump(&self.counters.uncertified_nonprop);
-                    }
-                    // Planned as requested, nothing checked: the verdict
-                    // fields say so, and `certified` was not counted.
-                    Ok(Some(CertifiedCached {
-                        plan: cached.plan,
-                        used: algorithm,
-                        exhaustive: false,
-                        fell_back: false,
-                        fingerprint: cached.fingerprint,
-                        filter_signature: filter_signature(periods),
-                        hit: cached.hit,
-                        plan_time: cached.plan_time,
-                        certify_time: Duration::ZERO,
-                    }))
-                }
-                Err(e) => {
-                    Counters::bump(&self.counters.rejected_unplannable);
-                    Err(RejectReason::Unplannable(e.to_string()))
-                }
+            Err(CertifyError::Unplannable(e)) => {
+                Counters::bump(&self.counters.rejected_unplannable);
+                Err(RejectReason::Unplannable(e.to_string()))
+            }
+            Err(e @ CertifyError::Uncertifiable { .. }) => {
+                Counters::bump(&self.counters.rejected_uncertifiable);
+                Err(RejectReason::Uncertifiable(e.to_string()))
             }
         }
     }
@@ -1045,7 +999,6 @@ impl JobService {
             rejected_restore_mismatch: load(&c.rejected_restore_mismatch),
             certified: load(&c.certified),
             fell_back: load(&c.fell_back),
-            uncertified_nonprop: load(&c.uncertified_nonprop),
             completed: load(&c.completed),
             deadlocked: load(&c.deadlocked),
             failed: load(&c.failed),
@@ -1170,7 +1123,6 @@ mod tests {
         assert_eq!(stats.plan_cache_misses, 1);
         assert_eq!(stats.certified, 2);
         assert_eq!(stats.fell_back, 0);
-        assert_eq!(stats.uncertified_nonprop, 0);
         assert!((stats.cert_cache_hit_rate() - 0.5).abs() < 1e-9);
     }
 
@@ -1335,37 +1287,6 @@ mod tests {
         let stats = svc.stats();
         assert_eq!(stats.certified, 1);
         assert_eq!(stats.fell_back, 1);
-    }
-
-    #[test]
-    fn heartbeat_trigger_disables_certification_visibly() {
-        // Certification attests to the default OnFilterOnly semantics; a
-        // service configured with the experimental heartbeat trigger must
-        // not issue certificates for runs it executes differently — the
-        // admission downgrades to the uncertified path and the counter
-        // shows it.
-        let svc = JobService::new(ServiceConfig {
-            workers: 2,
-            trigger: PropagationTrigger::Heartbeat,
-            ..ServiceConfig::default()
-        });
-        let g = {
-            let mut b = GraphBuilder::new();
-            b.edge_with_capacity("a", "b", 2).unwrap();
-            b.edge_with_capacity("b", "c", 2).unwrap();
-            b.edge_with_capacity("a", "c", 2).unwrap();
-            b.build().unwrap()
-        };
-        let ticket = svc
-            .submit(JobSpec::new(g, FilterSpec::Fork(2), 100))
-            .unwrap();
-        assert!(!ticket.fell_back);
-        assert_eq!(ticket.certify_time, Duration::ZERO);
-        assert_eq!(ticket.wait().verdict, JobVerdict::Completed);
-        let stats = svc.stats();
-        assert_eq!(stats.certified, 0);
-        assert_eq!(stats.uncertified_nonprop, 1);
-        assert_eq!(stats.cert_cache_misses, 0);
     }
 
     #[test]

@@ -20,7 +20,6 @@ pub(crate) struct Counters {
     pub rejected_restore_mismatch: AtomicU64,
     pub certified: AtomicU64,
     pub fell_back: AtomicU64,
-    pub uncertified_nonprop: AtomicU64,
     pub completed: AtomicU64,
     pub deadlocked: AtomicU64,
     pub failed: AtomicU64,
@@ -75,10 +74,6 @@ pub struct ServiceStats {
     /// Certified admissions whose plan was a fallback (protocol switch
     /// and/or exhaustive escalation) from the requested one.
     pub fell_back: u64,
-    /// Non-Propagation-planned admissions executed *without*
-    /// certification (only possible under the `Heartbeat` trigger);
-    /// zero whenever the "admitted ⇒ deadlock-free" contract is in force.
-    pub uncertified_nonprop: u64,
     /// Settled jobs whose every node reached end-of-stream.
     pub completed: u64,
     /// Settled jobs with an exact runtime deadlock verdict.
@@ -234,6 +229,10 @@ impl ServiceStats {
     /// version 6 added the telemetry fields — the nested `"latency"`
     /// object (`settle`/`firing`/`blocked` percentile summaries) and the
     /// `"tenants"` array (all-zero/empty when telemetry is off).
+    ///
+    /// `uncertified_nonprop` — planned admissions executed without
+    /// certification — is a literal 0: every planned admission is certified
+    /// by construction.
     pub fn to_json(&self) -> String {
         let tenants = self
             .tenants
@@ -250,7 +249,7 @@ impl ServiceStats {
                 "\"rejected_uncertifiable\": {}, ",
                 "\"rejected_restore_mismatch\": {}, ",
                 "\"certified\": {}, \"fell_back\": {}, ",
-                "\"uncertified_nonprop\": {}, ",
+                "\"uncertified_nonprop\": 0, ",
                 "\"completed\": {}, \"deadlocked\": {}, \"failed\": {}, ",
                 "\"cancelled\": {}, \"in_flight\": {}, ",
                 "\"plan_cache_hits\": {}, \"plan_cache_misses\": {}, ",
@@ -278,7 +277,6 @@ impl ServiceStats {
             self.rejected_restore_mismatch,
             self.certified,
             self.fell_back,
-            self.uncertified_nonprop,
             self.completed,
             self.deadlocked,
             self.failed,
@@ -331,7 +329,6 @@ mod tests {
             rejected_restore_mismatch: 1,
             certified: 4,
             fell_back: 1,
-            uncertified_nonprop: 0,
             completed: 5,
             deadlocked: 1,
             failed: 0,

@@ -417,7 +417,7 @@ pub fn job_mix(seed: u64, count: usize) -> Vec<JobShape> {
 /// executed profile filters more heavily than the declared one:
 ///
 /// - Planned SP-DAG / ladder jobs keep their declaration but *execute*
-///   with every filtering period doubled — the hot-swap path: their
+///   with every filtering period twice as long — the hot-swap path: their
 ///   observed profile still certifies under Non-Propagation, so the
 ///   service's response ladder migrates them live onto a new plan.  Their
 ///   input counts are raised so detection reliably beats completion (a

@@ -752,10 +752,9 @@ fn cmd_storm(args: &[String]) -> ExitCode {
     eprintln!(
         "storm: {jobs} jobs in {wall:.2?} — {completed} completed, {deadlocked} deadlocked, \
          {rejected_unplannable} rejected unplannable, {rejected_other} rejected other, {other} other; \
-         {} certified ({fell_back} via fallback, {} uncertified Non-Prop); \
+         {} certified ({fell_back} via fallback); \
          cache {:.0}% hits ({} plans for {} planned jobs), cert cache {:.0}% hits",
         stats.certified,
-        stats.uncertified_nonprop,
         stats.cache_hit_rate() * 100.0,
         stats.plan_cache_misses,
         stats.plan_cache_hits + stats.plan_cache_misses,

@@ -7,7 +7,7 @@
 //! private planner behaviour hides behind `certify()`.
 
 use fila::avoidance::model::{
-    periodic_emits, AvoidanceMode, Engine, Halt, Payload, PropagationTrigger, Skip, SteadyState,
+    periodic_emits, AvoidanceMode, Engine, Halt, Payload, Skip, SteadyState,
 };
 use fila::avoidance::verify::{certification_inputs, AdversaryPattern, ADVERSARIES};
 use fila::avoidance::{
@@ -272,7 +272,7 @@ fn drive(
     observed: bool,
 ) -> (Run, Option<Skip>) {
     let mode = AvoidanceMode::plan(plan.clone());
-    let mut engine = Engine::new(g, &mode, PropagationTrigger::default(), inputs);
+    let mut engine = Engine::new(g, &mode, inputs);
     let mut fire = |n: NodeId, seq: u64, _: &[Option<Payload>], emit: &mut [Option<Payload>]| {
         let outs = emit.len();
         for (j, slot) in emit.iter_mut().enumerate() {
@@ -648,7 +648,7 @@ fn two_sources_recur_with_unequal_cursors() {
     let g = b.build().unwrap();
     let (ahead, behind) = (g.node_by_name("ahead").unwrap(), g.node_by_name("behind").unwrap());
     let mode = AvoidanceMode::plan(no_avoidance(&g));
-    let mut engine = Engine::new(&g, &mode, PropagationTrigger::default(), 100);
+    let mut engine = Engine::new(&g, &mode, 100);
     let mut fire = |_: NodeId, _: u64, _: &[Option<Payload>], emit: &mut [Option<Payload>]| {
         emit.fill(Some(0))
     };

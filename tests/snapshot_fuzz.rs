@@ -9,6 +9,8 @@
 use std::sync::OnceLock;
 
 use fila::prelude::*;
+use fila::runtime::filters::Predicate;
+use fila::runtime::{Message, PropagationTrigger};
 use fila::workloads::figures::fig2_triangle;
 use fila::workloads::generators::periodic_filtered_topology;
 use proptest::prelude::*;
@@ -135,4 +137,107 @@ proptest! {
         let decoded = JobSnapshot::from_bytes(bytes).expect("own bytes decode");
         prop_assert_eq!(&decoded.to_bytes(), bytes);
     }
+}
+
+/// The header byte that named the Propagation trigger when there were two
+/// is written as 0; any other value is refused as corrupted.
+#[test]
+fn a_nonzero_trigger_byte_is_refused_as_corrupted() {
+    for bytes in corpus() {
+        let snapshot = JobSnapshot::from_bytes(bytes).unwrap();
+        let opt_len = |v: Option<u64>| if v.is_some() { 9 } else { 1 };
+        // Magic, version and labelled topology, then the three optional ids.
+        let header = 8 + 4 + 8;
+        let at = header
+            + opt_len(snapshot.fingerprint)
+            + opt_len(snapshot.filter_signature)
+            + opt_len(snapshot.plan_digest);
+        assert_eq!(bytes[at], 0);
+        for value in [1, 2, 0xFF] {
+            let mut doctored = bytes.clone();
+            doctored[at] = value;
+            let decoded = JobSnapshot::from_bytes(&doctored);
+            assert!(
+                matches!(decoded, Err(RestoreError::Corrupted(_))),
+                "{value}: {decoded:?}"
+            );
+        }
+    }
+}
+
+/// A channel whose sequence numbers do not strictly increase — in flight,
+/// or staged by its producer — is refused as corrupted by both engines,
+/// though every count and edge in the cut fits the topology.
+#[test]
+fn out_of_order_sequence_numbers_are_refused_as_corrupted() {
+    let mut b = GraphBuilder::new().default_capacity(3);
+    b.chain(&["s", "m0", "m1", "sink"]).unwrap();
+    let pipeline = b.build().unwrap();
+    let triangle = fig2_triangle(3);
+    let plan = Planner::new(&triangle)
+        .algorithm(Algorithm::Propagation)
+        .plan()
+        .unwrap();
+    let fork = triangle.node_by_name("A").unwrap();
+    let pool = SharedPool::new(1);
+    let (mut channels, mut staged) = (0, 0);
+    for (topology, mode) in [
+        (
+            periodic_filtered_topology(&pipeline, |_| 1),
+            AvoidanceMode::Disabled,
+        ),
+        (
+            periodic_filtered_topology(&triangle, |n| if n == fork { 2 } else { 1 }),
+            AvoidanceMode::plan(plan.clone()),
+        ),
+        // Fig. 2's deadlock: full channels leave sends staged.
+        (
+            Topology::from_graph(&triangle).with(fork, || Predicate::new(2, |_, out| out == 0)),
+            AvoidanceMode::Disabled,
+        ),
+    ] {
+        let sim = Simulator::new(&topology).avoidance(mode.clone());
+        let refused = |cut: &JobSnapshot| {
+            let trigger = PropagationTrigger::default();
+            let pooled = pool.resume_full(&topology, mode.clone(), trigger, cut, None);
+            matches!(sim.resume(cut), Err(RestoreError::Corrupted(_)))
+                && matches!(pooled, Err(RestoreError::Corrupted(_)))
+        };
+        for kill_at in 1..80 {
+            let CheckpointOutcome::Killed(cut) = sim.run_with_checkpoint(120, kill_at) else {
+                continue;
+            };
+            assert!(
+                sim.resume(&cut).is_ok(),
+                "kill {kill_at}: the honest cut resumes"
+            );
+            // Two in-flight messages swapped.
+            if let Some(e) = cut.channels.iter().position(|c| c.len() >= 2) {
+                let mut swapped = (*cut).clone();
+                swapped.channels[e].swap(0, 1);
+                assert!(refused(&swapped), "kill {kill_at}: channel {e}");
+                channels += 1;
+            }
+            // A staged message followed by a lower-numbered one on its edge.
+            for (node, ns) in cut.nodes.iter().enumerate() {
+                let Some(&(edge, m)) = ns
+                    .staged
+                    .iter()
+                    .find(|(_, m)| (1..u64::MAX).contains(&m.seq()))
+                else {
+                    continue;
+                };
+                let mut behind = (*cut).clone();
+                behind.nodes[node]
+                    .staged
+                    .push((edge, Message::Dummy { seq: m.seq() - 1 }));
+                assert!(refused(&behind), "kill {kill_at}: node {node} edge {edge}");
+                staged += 1;
+            }
+        }
+    }
+    assert!(
+        channels > 0 && staged > 0,
+        "{channels} channel and {staged} staged cases"
+    );
 }
