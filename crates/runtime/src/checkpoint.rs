@@ -258,36 +258,6 @@ pub fn plan_digest(mode: &AvoidanceMode) -> Option<u64> {
     Some(h)
 }
 
-/// An intentional plan-swap authorisation: the exact pair of plan digests a
-/// hot-swap moves a snapshot between.
-///
-/// The "restored under the exact captured plan" rule
-/// ([`RestoreError::PlanMismatch`]) has one deliberate exception: an
-/// *adaptive* hot-swap, where the party that re-certified the job against
-/// its observed filter profile moves the snapshot onto the new certified
-/// plan.  The token names both digests, so a swap is admitted only when the
-/// caller can state what the snapshot ran under **and** what it certified
-/// next — a stale or mixed-up snapshot still fails closed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SwapToken {
-    /// Digest of the plan the snapshot was captured under (`None` =
-    /// avoidance was disabled).
-    pub from: Option<u64>,
-    /// Digest of the re-certified plan the job resumes under.
-    pub to: Option<u64>,
-}
-
-impl SwapToken {
-    /// Authorises a swap between two avoidance modes (typically: the mode
-    /// the snapshot was captured under and the freshly re-certified one).
-    pub fn authorise(from: &AvoidanceMode, to: &AvoidanceMode) -> SwapToken {
-        SwapToken {
-            from: plan_digest(from),
-            to: plan_digest(to),
-        }
-    }
-}
-
 /// splitmix64-style mixing fold (same construction as the graph
 /// fingerprints, different stream constant).
 fn fold(h: u64, v: u64) -> u64 {
@@ -304,7 +274,11 @@ impl JobSnapshot {
     /// under, and every recorded vector fits the graph (channel contents
     /// within capacity, wrapper state per out-degree, staged messages on
     /// real out-edges).  Every channel's sequence numbers — in flight, then
-    /// staged by its producer — strictly increase, as a run produces them.
+    /// staged by its producer — strictly increase, as a run produces them,
+    /// and at most one message per channel is staged: the model fires no
+    /// node with output pending, a barrier contribution needs empty
+    /// staging, and a settled pool task flushed last, which leaves at most
+    /// the one overshooting acceptance's message per port.
     pub fn validate_for(
         &self,
         topology: &Topology,
@@ -343,14 +317,16 @@ impl JobSnapshot {
                 return corrupted("channel contents exceed the channel capacity");
             }
             let producer = &self.nodes[g.tail(e).index()];
-            let staged = producer
+            let mut staged = producer
                 .staged
                 .iter()
-                .filter(|&&(se, _)| se as usize == e.index());
-            let seqs = channel
-                .iter()
-                .chain(staged.map(|(_, m)| m))
-                .map(Message::seq);
+                .filter(|&&(se, _)| se as usize == e.index())
+                .map(|(_, m)| m);
+            let staged_here = staged.next();
+            if staged.next().is_some() {
+                return corrupted("more than one staged message on a channel");
+            }
+            let seqs = channel.iter().chain(staged_here).map(Message::seq);
             if seqs.clone().zip(seqs.skip(1)).any(|(a, b)| a >= b) {
                 return corrupted("sequence numbers on a channel are out of order");
             }
@@ -361,16 +337,9 @@ impl JobSnapshot {
             if ns.gaps.len() != outs.len() {
                 return corrupted("wrapper state does not match the node's out-degree");
             }
-            if ns.staged.len() > 2 * outs.len() {
-                return corrupted("more staged messages than staging slots");
-            }
             for &(edge, _) in &ns.staged {
-                let e = fila_graph::EdgeId::from_raw(edge);
-                if !outs.contains(&e) {
+                if !outs.contains(&fila_graph::EdgeId::from_raw(edge)) {
                     return corrupted("staged message on an edge the node does not produce");
-                }
-                if ns.staged.iter().filter(|&&(se, _)| se == edge).count() > 2 {
-                    return corrupted("more than two staged messages on one edge");
                 }
             }
             // Dummy-gap counters must be strictly below the restore-side
@@ -397,11 +366,13 @@ impl JobSnapshot {
         Ok(())
     }
 
-    /// Rebases this snapshot onto a different avoidance plan — the one
-    /// deliberate exception to the exact-plan restore rule, authorised by a
-    /// [`SwapToken`] naming both digests.  `token.from` must equal the
-    /// digest the snapshot was captured under and `token.to` the digest of
-    /// `mode`; anything else is a [`RestoreError::PlanMismatch`].
+    /// Rebases this snapshot onto `mode`'s plan — the one deliberate
+    /// exception to the exact-plan restore rule
+    /// ([`RestoreError::PlanMismatch`]): an adaptive hot swap, where the
+    /// party that re-certified the job against its observed filter profile
+    /// moves the snapshot onto the new certified plan.  A resume that
+    /// skipped the rebase still fails closed, on the plan digest and on
+    /// out-of-range gaps ([`RestoreError::GapExceedsInterval`]).
     ///
     /// The only runtime state that depends on the interval table is the
     /// per-node dummy-gap counters, and rebasing them is behaviour-
@@ -416,18 +387,7 @@ impl JobSnapshot {
         &mut self,
         topology: &Topology,
         mode: &AvoidanceMode,
-        token: &SwapToken,
     ) -> Result<(), RestoreError> {
-        if token.from != self.plan_digest {
-            return Err(RestoreError::PlanMismatch(
-                "swap token does not name the plan the snapshot was captured under".into(),
-            ));
-        }
-        if token.to != plan_digest(mode) {
-            return Err(RestoreError::PlanMismatch(
-                "swap token does not name the restore-side plan".into(),
-            ));
-        }
         let g = topology.graph();
         if self.nodes.len() != g.node_count() {
             return Err(RestoreError::Corrupted(
@@ -450,7 +410,7 @@ impl JobSnapshot {
                 }
             }
         }
-        self.plan_digest = token.to;
+        self.plan_digest = plan_digest(mode);
         Ok(())
     }
 

@@ -5,8 +5,17 @@
 //! (one segment per data message, one per run-length-encoded dummy run)
 //! that travels through an SPSC ring as a single slot write, so the
 //! per-message cost of the atomics, the Dekker wake fences and the
-//! scheduler hand-offs is amortised across the run.  `Batching::Messages(1)`
-//! is scalar execution: one message per container.
+//! scheduler hand-offs is amortised across the run.
+//!
+//! ## One batch size
+//!
+//! A container carries at most the pool's slice budget
+//! ([`crate::PoolOptions::batch`]) of messages, clamped to its channel's
+//! capacity so a full container always fits its ring.  There is no second
+//! knob because none could bind: a slice accepts at most `batch` sequence
+//! numbers, an acceptance stages at most one message per port, and staging
+//! is flushed before the next slice — so no container could outgrow `batch`
+//! anyway.  `batch` = 1 is scalar execution: one message per container.
 //!
 //! [`Single`] is one message as a ring payload, and nothing more: no engine
 //! ships it (`ledger/` times a ring of them).
@@ -22,41 +31,12 @@
 //!
 //! The confluence argument of the Kahn-network model does the rest: a
 //! node's accepted-sequence stream is schedule-independent, so per-edge
-//! data/dummy counts and verdicts cannot depend on the batching mode.
+//! data/dummy counts and verdicts cannot depend on the batch size.
 
 use std::cell::RefCell;
 
 use crate::message::{Message, Payload};
 use crate::spsc::{self, Weigh};
-
-/// How an engine groups messages into containers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Batching {
-    /// Containers carry up to this many messages (clamped to ≥ 1 and to
-    /// each channel's capacity).  `Messages(1)` is scalar execution: one
-    /// message per container.
-    Messages(u32),
-    /// Containers grow without bound — in practice limited by channel
-    /// capacity, since a container must fit its ring in message units.
-    Unbounded,
-}
-
-impl Batching {
-    /// The per-container message limit this mode implies.
-    pub fn limit(self) -> usize {
-        match self {
-            Batching::Messages(n) => (n as usize).max(1),
-            Batching::Unbounded => usize::MAX,
-        }
-    }
-}
-
-impl Default for Batching {
-    /// Batching on, 64 messages per container — the pooled engines' default.
-    fn default() -> Self {
-        Batching::Messages(64)
-    }
-}
 
 /// An ordered run of messages travelling a channel as one ring slot: the
 /// two operations `ledger/` drives a [`Batch`] through.

@@ -271,12 +271,12 @@ mod tests {
         // Runs of up to 64 messages reach the middle node at once; the
         // default `fire_run` must still hand them over one by one, every
         // sequence number once, in increasing order.
-        use crate::{Batching, PoolOptions, SharedPool, Topology};
+        use crate::{PoolOptions, SharedPool, Topology};
         use std::sync::{Arc, Mutex};
         let mut b = fila_graph::GraphBuilder::new().default_capacity(128);
         b.chain(&["a", "b", "c", "d"]).unwrap();
         let g = b.build().unwrap();
-        for batching in [Batching::Messages(1), Batching::Messages(64), Batching::Unbounded] {
+        for batch in [1, 64] {
             let seen = Arc::new(Mutex::new(Vec::new()));
             let log = Arc::clone(&seen);
             let topo = Topology::from_graph(&g).with(g.node_by_name("c").unwrap(), move || {
@@ -290,13 +290,13 @@ mod tests {
             });
             let pool = SharedPool::with(PoolOptions {
                 workers: 2,
-                batching,
+                batch,
                 ..PoolOptions::default()
             });
             let report = pool.submit(&topo, 1_000).wait();
-            assert!(report.completed, "{batching:?}");
+            assert!(report.completed, "batch {batch}");
             let want: Vec<_> = (0..1_000).map(|s| (s + 1, s, vec![Some(s)])).collect();
-            assert_eq!(*seen.lock().unwrap(), want, "{batching:?}");
+            assert_eq!(*seen.lock().unwrap(), want, "batch {batch}");
         }
     }
 

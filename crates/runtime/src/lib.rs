@@ -51,9 +51,8 @@ pub use fila_avoidance::model::{message, wrapper};
 
 pub use checkpoint::{
     CheckpointOutcome, JobSnapshot, NodeSnapshot, RestoreError, SnapshotError, SpliceDivergence,
-    SwapToken,
 };
-pub use container::{Batch, Batching, Container, Run, Single};
+pub use container::{Batch, Container, Run, Single};
 pub use faults::{CrashSite, FaultArm, FaultPlan, SnapshotDamage};
 pub use filters::{Bernoulli, Broadcast, Collector, ModuloFilter, RouteRoundRobin};
 pub use message::{Message, Payload};

@@ -83,7 +83,6 @@ use fila_graph::{Graph, NodeId};
 use crate::checkpoint::{
     self, JobSnapshot, NodeSnapshot, RestoreError, SnapshotError, SNAPSHOT_VERSION,
 };
-use crate::container::Batching;
 use crate::faults::{FaultArm, FaultPlan};
 use crate::message::Message;
 use crate::report::{BlockedReason, ExecutionReport};
@@ -698,9 +697,6 @@ struct PoolCore {
     /// waiter is released with a `Cancelled` report.
     live: Mutex<Vec<Arc<JobState>>>,
     batch: u32,
-    /// Container batching mode stamped on every submitted job's rings
-    /// (default [`Batching::default`]).
-    batching: Batching,
     /// The pool-wide fault-injection schedule (`None` in production).
     faults: Option<Arc<FaultPlan>>,
     /// Monotonic job serial, the key [`FaultPlan::arm`] maps to a fault
@@ -717,8 +713,9 @@ struct PoolCore {
 pub struct PoolOptions {
     /// Worker threads (`0` = one per available hardware thread).
     pub workers: usize,
-    /// Firings a woken task may drain before it yields its worker (clamped
-    /// to ≥ 1).
+    /// Acceptances a woken task may drain before it yields its worker
+    /// (clamped to ≥ 1), and so also the most messages one container
+    /// carries (see [`crate::container`]).
     pub batch: u32,
     /// A deterministic fault-injection schedule (see [`crate::faults`]).
     /// `None` is the production configuration: jobs carry no arm and the
@@ -730,12 +727,6 @@ pub struct PoolOptions {
     /// it with [`SharedPool::telemetry_handle`]).  When false no recorder
     /// exists and every hook is a never-taken `None` branch.
     pub telemetry: bool,
-    /// Container [`Batching`] mode applied to every job submitted to the
-    /// pool.  Batching only changes how messages are packed into ring slots
-    /// — verdicts, per-edge counts and snapshot wire state are identical
-    /// across modes (the Kahn-network confluence argument; pinned by the
-    /// engine-equivalence property tests).
-    pub batching: Batching,
 }
 
 impl Default for PoolOptions {
@@ -745,7 +736,6 @@ impl Default for PoolOptions {
             batch: 64,
             faults: None,
             telemetry: false,
-            batching: Batching::default(),
         }
     }
 }
@@ -786,7 +776,6 @@ impl SharedPool {
             sched: Scheduler::new(workers, telemetry.clone()),
             live: Mutex::new(Vec::new()),
             batch: options.batch.max(1),
-            batching: options.batching,
             faults: options.faults,
             next_serial: AtomicU64::new(0),
             telemetry,
@@ -845,7 +834,7 @@ impl SharedPool {
         on_settle: Option<SettleHook>,
     ) -> JobHandle {
         let started = Instant::now();
-        let tasks = task::build_tasks(topology, &mode, self.core.batching);
+        let tasks = task::build_tasks(topology, &mode, self.core.batch);
         self.core.launch(NewJob {
             topology,
             mode: &mode,
@@ -869,8 +858,7 @@ impl SharedPool {
     /// blob) is a [`RestoreError`] — a snapshot is never silently re-planned
     /// onto a different certification.  The one sanctioned plan change, an
     /// adaptive hot swap, rebases a copy of the snapshot onto the new plan
-    /// first ([`JobSnapshot::rebase`], gated on a
-    /// [`SwapToken`](crate::SwapToken)) and comes through here like any
+    /// first ([`JobSnapshot::rebase`]) and comes through here like any
     /// other restore.  `_trigger` is read by nothing, as in
     /// [`SharedPool::submit_full`].
     pub fn resume_full(
@@ -883,7 +871,7 @@ impl SharedPool {
     ) -> Result<JobHandle, RestoreError> {
         snapshot.validate_for(topology, &mode)?;
         let started = Instant::now();
-        let mut tasks = task::build_tasks(topology, &mode, self.core.batching);
+        let mut tasks = task::build_tasks(topology, &mode, self.core.batch);
         for (task, node) in tasks.iter_mut().zip(&snapshot.nodes) {
             task.restore(node, snapshot)?;
         }

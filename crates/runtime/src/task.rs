@@ -20,8 +20,10 @@
 //! runs** between scheduler interactions: one acceptance scan per run, bulk
 //! consumption of RLE dummy runs with the wrapper's run arithmetic, one
 //! producer-wake check per input per run, and one ring push per staged
-//! container.  "Scalar" execution is a container limit of one message
-//! (`Batching::Messages(1)`), not a second code path.
+//! container.  The slice budget `batch` is also every output's container
+//! limit, clamped to the channel's capacity ([`crate::container`] says why
+//! no other limit could bind).  "Scalar" execution is `batch` = 1, not a
+//! second code path.
 //!
 //! A single-input node — any out-degree — is accepted a run at a time
 //! ([`interior_run`]).  The run is the dummy run or the data prefix at the
@@ -37,22 +39,22 @@
 //! [`DummyWrapper::on_accept_data_run`].  Multi-input nodes align their
 //! heads one sequence number at a time.
 //!
-//! Batching never changes semantics: capacity is accounted in *messages*
-//! (see [`crate::spsc::MsgCap`]), staging is allowed only while everything
-//! already staged is deliverable — preserving the scalar model's exactly
-//! one-firing overshoot on a full channel.  An acceptance stages at most one
-//! message per port (a dummy goes only where no data does), so a port's
-//! staged messages always fit one container and every channel's sequence
-//! numbers strictly increase.  The Kahn-network confluence
-//! of the model does the rest: verdicts, per-edge counts and checkpoint
-//! barriers are identical at every limit (`tests/engine_equivalence.rs`).
+//! The batch size never changes semantics: capacity is accounted in
+//! *messages* (see [`crate::spsc::MsgCap`]), staging is allowed only while
+//! everything already staged is deliverable — preserving the scalar model's
+//! exactly one-firing overshoot on a full channel.  An acceptance stages at
+//! most one message per port (a dummy goes only where no data does), so a
+//! port's staged messages always fit one container and every channel's
+//! sequence numbers strictly increase.  The Kahn-network confluence of the
+//! model does the rest: verdicts, per-edge counts and checkpoint barriers are
+//! identical at every batch size (`tests/engine_equivalence.rs`).
 
 use std::sync::Mutex;
 
 use fila_graph::NodeId;
 
 use crate::checkpoint::{JobSnapshot, NodeSnapshot, RestoreError};
-use crate::container::{Batch, Batching, Container, Run};
+use crate::container::{Batch, Container, Run};
 use crate::message::{Message, Payload};
 use crate::node::{FireInput, NodeBehavior};
 use crate::report::{BlockedInfo, BlockedReason, ExecutionReport};
@@ -86,7 +88,7 @@ pub(crate) struct OutPort {
     /// an acceptance stages at most one message per port, and the run loops
     /// bound staging by `limit` *before* accepting ([`run_room`]).
     pub(crate) queue: Option<Batch>,
-    /// Messages a staged container may hold: the batching limit clamped to
+    /// Messages a staged container may hold: the slice budget clamped to
     /// the edge capacity, so a full container always fits its ring.
     pub(crate) limit: usize,
     pub(crate) data: u64,
@@ -290,11 +292,11 @@ impl Task {
                 ));
             };
             // Re-pack the wire-form staged list (per-port, in order) into
-            // the port's one container.  No limit here: a batched capture
-            // may have staged more messages than this engine's per-push
-            // limit, and delivery re-splits by ring space anyway.
-            port.staging().try_push(usize::MAX, message).map_err(|_| {
-                RestoreError::Corrupted("staged messages out of sequence order".into())
+            // the port's one container, under the port's limit like the run
+            // loops stage: `validate_for` allows one staged message per edge.
+            let limit = port.limit;
+            port.staging().try_push(limit, message).map_err(|_| {
+                RestoreError::Corrupted("staged messages overflow the container".into())
             })?;
             self.staged += 1;
         }
@@ -369,16 +371,12 @@ pub(crate) enum Outcome {
 /// Builds one [`Task`] per node of `topology`: an SPSC ring per edge with
 /// the endpoints moved into the unique producing / consuming task, a fresh
 /// behaviour instance per node, and the per-node dummy-wrapper state for
-/// `mode`.  `batching` sets the per-container message limit
-/// (clamped per edge to the channel capacity).
-pub(crate) fn build_tasks(
-    topology: &Topology,
-    mode: &AvoidanceMode,
-    batching: Batching,
-) -> Vec<Task> {
+/// `mode`.  `batch`, the slice budget, is also the per-container message
+/// limit (clamped per edge to the channel capacity).
+pub(crate) fn build_tasks(topology: &Topology, mode: &AvoidanceMode, batch: u32) -> Vec<Task> {
     let g = topology.graph();
     let edge_count = g.edge_count();
-    let limit = batching.limit();
+    let limit = batch as usize;
     let mut producers: Vec<Option<spsc::Producer<Batch>>> = Vec::with_capacity(edge_count);
     let mut consumers: Vec<Option<spsc::Consumer<Batch>>> = Vec::with_capacity(edge_count);
     for e in g.edge_ids() {
@@ -1093,7 +1091,6 @@ mod tests {
         /// The source filters two inputs in seven, irregularly.
         filtered: bool,
         mode: Option<Algorithm>,
-        batching: Batching,
         batch: u32,
         /// Publish a cut with this barrier once the source has run ahead.
         barrier: Option<u64>,
@@ -1118,7 +1115,7 @@ mod tests {
             topo = topo.with(hub, move || Stepped(Broadcast::new(hub_outs)));
         }
         let mode = case.mode.map_or(AvoidanceMode::Disabled, |a| planned(&g, a));
-        let mut tasks = build_tasks(&topo, &mode, case.batching);
+        let mut tasks = build_tasks(&topo, &mode, case.batch);
         let cut = Cut {
             epoch: Cell::new(0),
             barrier: case.barrier.unwrap_or(0),
@@ -1155,13 +1152,9 @@ mod tests {
         (contributions, totals)
     }
 
-    const MODES: [Batching; 5] = [
-        Batching::Messages(1),
-        Batching::Messages(1),
-        Batching::Messages(4),
-        Batching::Messages(64),
-        Batching::Unbounded,
-    ];
+    /// Slice budgets, and with them container limits: scalar, odd and
+    /// short, a partial run, and whole 64-message containers.
+    const BATCHES: [u32; 5] = [1, 3, 4, 17, 64];
 
     #[test]
     fn a_barrier_at_every_position_of_a_run_splits_it_there() {
@@ -1170,19 +1163,18 @@ mod tests {
         // and `first + n` (64, 128), and one past what the source made.
         for fan in [0, 3] {
             for mode in [None, Some(Algorithm::NonPropagation), Some(Algorithm::Propagation)] {
-                let case = |batching, batch, barrier| Case {
+                let case = |batch, barrier| Case {
                     fan,
                     relay: true,
                     filtered: false,
                     mode,
-                    batching,
                     batch,
                     barrier,
                 };
-                let (_, uninterrupted) = run(&case(Batching::default(), 64, None));
+                let (_, uninterrupted) = run(&case(64, None));
                 for barrier in 0..=130 {
                     let what = format!("fan {fan} {mode:?} barrier {barrier}");
-                    let (reference, _) = run(&case(Batching::Messages(1), 1, Some(barrier)));
+                    let (reference, _) = run(&case(1, Some(barrier)));
                     assert_eq!(reference.len(), if fan == 0 { 4 } else { 5 }, "{what}");
                     for (input, node, delivered) in &reference[1..] {
                         // Exactly the pre-barrier prefix, fired and delivered.
@@ -1190,10 +1182,10 @@ mod tests {
                         assert!(node.staged.is_empty(), "{what} edge {input:?}");
                         assert!(delivered.iter().all(|d| d.0 == barrier), "{what} edge {input:?}");
                     }
-                    for (batching, batch) in MODES.into_iter().zip([64, 3, 64, 64, 17]) {
-                        let (cut, totals) = run(&case(batching, batch, Some(barrier)));
-                        assert_eq!(cut, reference, "{what} {batching:?}");
-                        assert_eq!(totals, uninterrupted, "{what} {batching:?}");
+                    for batch in BATCHES {
+                        let (cut, totals) = run(&case(batch, Some(barrier)));
+                        assert_eq!(cut, reference, "{what} batch {batch}");
+                        assert_eq!(totals, uninterrupted, "{what} batch {batch}");
                     }
                 }
             }
@@ -1207,21 +1199,20 @@ mod tests {
         // between), with and without a cut through them.
         for fan in [0, 1, 3] {
             for mode in [None, Some(Algorithm::NonPropagation), Some(Algorithm::Propagation)] {
-                for (batching, batch) in MODES.into_iter().zip([64, 3, 64, 64, 17]) {
+                for batch in BATCHES {
                     for barrier in [None, Some(0), Some(37), Some(64), Some(101)] {
                         let case = |relay| Case {
                             fan,
                             relay,
                             filtered: true,
                             mode,
-                            batching,
                             batch,
                             barrier,
                         };
                         assert_eq!(
                             run(&case(true)),
                             run(&case(false)),
-                            "fan {fan} {mode:?} {batching:?} barrier {barrier:?}"
+                            "fan {fan} {mode:?} batch {batch} barrier {barrier:?}"
                         );
                     }
                 }
@@ -1235,7 +1226,7 @@ mod tests {
     fn a_container_behind_a_higher_one_trips_the_monotonicity_monitor() {
         let g = shape(0);
         let topo = Topology::from_graph(&g);
-        let mut tasks = build_tasks(&topo, &AvoidanceMode::Disabled, Batching::default());
+        let mut tasks = build_tasks(&topo, &AvoidanceMode::Disabled, 64);
         let src = &mut tasks[g.node_by_name("src").unwrap().index()];
         for seq in [5, 3] {
             src.outs[0].stage(Message::Data { seq, payload: 0 });

@@ -13,9 +13,8 @@ use fila_avoidance::{
 use fila_graph::Fingerprint;
 use fila_runtime::telemetry::{EventKind, TelemetryHandle, CONTROL_LANE};
 use fila_runtime::{
-    checkpoint, AvoidanceMode, ExecutionReport, FaultPlan, JobHandle, JobSnapshot, JobVerdict,
-    PoolOptions, PropagationTrigger, RestoreError, SettleHook, SharedPool, SnapshotError,
-    SwapToken,
+    AvoidanceMode, ExecutionReport, FaultPlan, JobHandle, JobSnapshot, JobVerdict, PoolOptions,
+    PropagationTrigger, RestoreError, SettleHook, SharedPool, SnapshotError,
 };
 
 use crate::drift::{DriftDetector, DriftOffender, DriftPolicy};
@@ -28,8 +27,6 @@ use crate::stats::{Counters, ServiceStats};
 pub struct ServiceConfig {
     /// Worker threads of the shared pool (`0` = one per hardware thread).
     pub workers: usize,
-    /// Firings a woken task may drain before yielding its worker.
-    pub batch: u32,
     /// Maximum jobs admitted but not yet settled; submissions beyond it are
     /// rejected as saturated (clamped to ≥ 1).
     pub max_in_flight: usize,
@@ -67,7 +64,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             workers: 0,
-            batch: 64,
             max_in_flight: 256,
             max_graph_size: 1 << 16,
             plan_cache_capacity: 1024,
@@ -385,7 +381,6 @@ impl JobService {
     pub fn new(config: ServiceConfig) -> Self {
         let pool = SharedPool::with(PoolOptions {
             workers: config.workers,
-            batch: config.batch,
             faults: config.faults.clone(),
             telemetry: config.telemetry,
             ..PoolOptions::default()
@@ -520,12 +515,8 @@ impl JobService {
             Origin::Swap(snapshot) => {
                 // A plan swap is the restore above, of a copy rebased onto
                 // the new plan.
-                let token = SwapToken {
-                    from: snapshot.plan_digest,
-                    to: checkpoint::plan_digest(&mode),
-                };
                 let mut rebased = snapshot.clone();
-                let resumed = rebased.rebase(&topology, &mode, &token).and_then(|()| {
+                let resumed = rebased.rebase(&topology, &mode).and_then(|()| {
                     let hook = self.settle_hook(None, None, None);
                     self.pool
                         .resume_full(&topology, mode, trigger, &rebased, Some(hook))

@@ -204,7 +204,7 @@ pub fn fanout_tree(fanout: usize, levels: usize, capacity: u64) -> Graph {
 
 /// One graph of the deep-buffer family, by seed: a pipeline, a broadcast
 /// fan-out tree, a random SP DAG or a random ladder with capacities in
-/// 16..=256 — deep enough that containers fill to the batching limit and the
+/// 16..=256 — deep enough that containers fill to the batch size and the
 /// pooled engine's runs are dozens of messages long, cut by the slice budget
 /// and delivered in parts.  The flag says whether the graph has undirected
 /// cycles, i.e. needs an avoidance plan once a node filters.

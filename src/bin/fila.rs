@@ -774,34 +774,42 @@ fn cmd_storm(args: &[String]) -> ExitCode {
              {drift_settled} settled untouched"
         );
     }
-    let json = stats.to_json();
-    println!("{json}");
-    if let Some(path) = json_path {
-        if let Err(e) = std::fs::write(&path, format!("{json}\n")) {
-            return fail(&format!("cannot write {path}: {e}"));
-        }
-    }
-    if let Some(code) = export_telemetry(svc, trace_path.as_deref(), metrics) {
-        return code;
-    }
-    if rejected_other == 0 && other == 0 && mismatched == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    let healthy = rejected_other == 0 && other == 0 && mismatched == 0;
+    finish_storm(
+        svc,
+        &stats,
+        json_path.as_deref(),
+        trace_path.as_deref(),
+        metrics,
+        healthy,
+    )
     })
 }
 
-/// Flight-recorder export shared by the storm modes: write the Chrome
-/// trace to `trace_path` and/or print the Prometheus text metrics to
-/// stderr (stdout stays reserved for the stats JSON).  Returns an exit
-/// code only on I/O failure.
-fn export_telemetry(svc: &JobService, trace_path: Option<&str>, metrics: bool) -> Option<ExitCode> {
+/// The tail both storm modes end with: the stats JSON on stdout and in
+/// `json_path`, the Chrome trace in `trace_path`, the Prometheus text
+/// metrics on stderr (stdout stays reserved for the stats JSON), and the
+/// exit code — success only for a `healthy` run and no I/O failure.
+fn finish_storm(
+    svc: &JobService,
+    stats: &ServiceStats,
+    json_path: Option<&str>,
+    trace_path: Option<&str>,
+    metrics: bool,
+    healthy: bool,
+) -> ExitCode {
+    let json = stats.to_json();
+    println!("{json}");
+    if let Some(path) = json_path {
+        if let Err(e) = std::fs::write(path, format!("{json}\n")) {
+            return fail(&format!("cannot write {path}: {e}"));
+        }
+    }
     if let Some(path) = trace_path {
         let telemetry = svc.telemetry().expect("--trace switches the recorder on");
         let trace = telemetry.chrome_trace();
         if let Err(e) = std::fs::write(path, trace) {
-            return Some(fail(&format!("cannot write {path}: {e}")));
+            return fail(&format!("cannot write {path}: {e}"));
         }
         let dropped = telemetry.dropped();
         if dropped > 0 {
@@ -814,7 +822,11 @@ fn export_telemetry(svc: &JobService, trace_path: Option<&str>, metrics: bool) -
         m.ingest(&telemetry.drain_new());
         eprint!("{}{}{}", m.prometheus(), sched_prometheus(telemetry), certify_prometheus());
     }
-    None
+    if healthy {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
 // -------------------------------------------------------- chaos storm ----
@@ -986,21 +998,15 @@ fn cmd_storm_chaos(
          exhausted={exhausted} rejected_unplannable={rejected_unplannable} \
          rejected_other={rejected_other} mismatched={mismatched}"
     );
-    let json = stats.to_json();
-    println!("{json}");
-    if let Some(path) = json_path {
-        if let Err(e) = std::fs::write(&path, format!("{json}\n")) {
-            return fail(&format!("cannot write {path}: {e}"));
-        }
-    }
-    if let Some(code) = export_telemetry(&svc, trace_path.as_deref(), metrics) {
-        return code;
-    }
-    if rejected_other == 0 && exhausted == 0 && mismatched == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    let healthy = rejected_other == 0 && exhausted == 0 && mismatched == 0;
+    finish_storm(
+        &svc,
+        &stats,
+        json_path.as_deref(),
+        trace_path.as_deref(),
+        metrics,
+        healthy,
+    )
 }
 
 /// Pins a chaos-storm outcome to an uninterrupted [`Simulator`] reference

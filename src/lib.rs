@@ -47,9 +47,8 @@ pub mod prelude {
     };
     pub use fila_graph::{EdgeId, Fingerprint, Graph, GraphBuilder, NodeId};
     pub use fila_runtime::{
-        AvoidanceMode, Batching, CheckpointOutcome, ExecutionReport, JobSnapshot, JobVerdict,
-        PoolOptions, RestoreError, Scheduler, SharedPool, Simulator, SnapshotError, SwapToken,
-        Topology,
+        AvoidanceMode, CheckpointOutcome, ExecutionReport, JobSnapshot, JobVerdict, PoolOptions,
+        RestoreError, Scheduler, SharedPool, Simulator, SnapshotError, Topology,
     };
     pub use fila_service::{
         AdaptiveOutcome, AvoidanceChoice, DriftPolicy, FilterSpec, JobService, JobSpec,

@@ -5,7 +5,7 @@
 //!
 //! 1. **Rebase soundness** (proptest): a snapshot killed at a random step
 //!    under plan A, rebased onto plan B (certified for the *observed*
-//!    profile) with a [`SwapToken`], resumes on the shared pool to exactly
+//!    profile), resumes on the shared pool to exactly
 //!    the counts of an uninterrupted continuation under plan B from the
 //!    same barrier cut — the simulator's resume of the same rebased
 //!    snapshot is the reference schedule.
@@ -93,7 +93,6 @@ fn assert_swap_equivalent(seed: u64) -> Result<(), TestCaseError> {
         .certify(&executed)
         .expect("the drifted profile still certifies under Non-Propagation")
         .plan;
-    let mode_a = AvoidanceMode::Plan(Arc::clone(&plan_a));
     let mode_b = AvoidanceMode::Plan(Arc::clone(&plan_b));
 
     let sim = Simulator::new(&topo).with_shared_plan(Arc::clone(&plan_a));
@@ -101,14 +100,13 @@ fn assert_swap_equivalent(seed: u64) -> Result<(), TestCaseError> {
     let CheckpointOutcome::Killed(snapshot) = sim.run_with_checkpoint(inputs, kill_at) else {
         return Ok(()); // the run outran the kill point; nothing to swap
     };
-    let token = SwapToken::authorise(&mode_a, &mode_b);
 
     // Reference: the simulator's continuation of the rebased snapshot
     // under plan B.
     let mut rebased = snapshot.clone();
     rebased
-        .rebase(&topo, &mode_b, &token)
-        .expect("token names both digests");
+        .rebase(&topo, &mode_b)
+        .expect("the snapshot fits the topology");
     prop_assert_eq!(rebased.plan_digest, plan_digest(&mode_b));
     let reference = Simulator::new(&topo)
         .with_shared_plan(Arc::clone(&plan_b))
@@ -122,8 +120,8 @@ fn assert_swap_equivalent(seed: u64) -> Result<(), TestCaseError> {
     let bystander = pool.submit(&Topology::from_graph(&bystander_g), 2_000);
     let mut swapped_in = snapshot.clone();
     swapped_in
-        .rebase(&topo, &mode_b, &token)
-        .expect("token names both digests");
+        .rebase(&topo, &mode_b)
+        .expect("the snapshot fits the topology");
     let swapped = pool
         .resume_full(
             &topo,
@@ -132,7 +130,7 @@ fn assert_swap_equivalent(seed: u64) -> Result<(), TestCaseError> {
             &swapped_in,
             None,
         )
-        .expect("authorised swap restores")
+        .expect("rebased swap restores")
         .wait();
     prop_assert!(bystander.wait().completed);
 
@@ -164,39 +162,23 @@ fn unauthorised_or_mismatched_swaps_fail_closed() {
     };
     let plan_a = Arc::new(Planner::new(&g).algorithm(Algorithm::Propagation).plan().unwrap());
     let plan_b = Arc::new(Planner::new(&g).algorithm(Algorithm::NonPropagation).plan().unwrap());
-    let mode_a = AvoidanceMode::Plan(Arc::clone(&plan_a));
     let mode_b = AvoidanceMode::Plan(Arc::clone(&plan_b));
     let sim = Simulator::new(&topo).with_shared_plan(Arc::clone(&plan_a));
     let CheckpointOutcome::Killed(snapshot) = sim.run_with_checkpoint(300, 20) else {
         panic!("kill point 20 must interrupt a 300-input run");
     };
 
-    // Without a token, a plan change is still a PlanMismatch.
+    // Without a rebase, a plan change is still a PlanMismatch.
     let pool = SharedPool::new(1);
     assert!(matches!(
         pool.resume_full(&topo, mode_b.clone(), PropagationTrigger::default(), &snapshot, None),
         Err(RestoreError::PlanMismatch(_))
     ));
-    // A token naming the wrong source digest fails closed.
-    let stale = SwapToken::authorise(&mode_b, &mode_b);
-    let mut clone = snapshot.clone();
-    assert!(matches!(
-        clone.rebase(&topo, &mode_b, &stale),
-        Err(RestoreError::PlanMismatch(_))
-    ));
-    // A token whose target does not match the restore-side mode fails too.
-    let wrong_target = SwapToken::authorise(&mode_a, &mode_a);
-    let mut clone = snapshot.clone();
-    assert!(matches!(
-        clone.rebase(&topo, &mode_b, &wrong_target),
-        Err(RestoreError::PlanMismatch(_))
-    ));
-    // The well-formed token swaps fine.
-    let token = SwapToken::authorise(&mode_a, &mode_b);
+    // Rebased onto the new plan, the snapshot swaps fine.
     let mut swapped_in = snapshot.clone();
     swapped_in
-        .rebase(&topo, &mode_b, &token)
-        .expect("authorised swap rebases");
+        .rebase(&topo, &mode_b)
+        .expect("the snapshot fits the topology");
     let handle = pool
         .resume_full(
             &topo,
@@ -205,7 +187,7 @@ fn unauthorised_or_mismatched_swaps_fail_closed() {
             &swapped_in,
             None,
         )
-        .expect("authorised swap restores");
+        .expect("rebased swap restores");
     assert!(handle.wait().completed);
 }
 
@@ -250,8 +232,7 @@ fn resume_validates_gaps_against_the_plan_intervals() {
 
     // A rebase onto the same plan clamps the runaway gap back into range,
     // after which the restore passes.
-    let token = SwapToken::authorise(&mode, &mode);
-    snapshot.rebase(&topo, &mode, &token).unwrap();
+    snapshot.rebase(&topo, &mode).unwrap();
     assert_eq!(snapshot.nodes[a.index()].gaps[0], interval - 1);
     assert!(pool
         .resume_full(&topo, mode, PropagationTrigger::default(), &snapshot, None)

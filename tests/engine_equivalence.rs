@@ -30,7 +30,7 @@ enum Scenario {
     /// exact deadlock path of both engines is exercised too.
     Layered { seed: u64 },
     /// The deep-buffer family: capacities 16..=256 and a few hundred
-    /// inputs, so containers fill to the batching limit, data runs are up
+    /// inputs, so containers fill to the batch size, data runs are up
     /// to 64 long, are cut by the slice budget and are delivered in parts —
     /// none of which a capacity of 1..=6 ever produces.  Pipelines,
     /// broadcast fan-out trees, and planned SP DAGs and ladders whose
@@ -133,23 +133,16 @@ fn assert_equivalent(scenario: Scenario) -> Result<(), TestCaseError> {
         };
         s.run(inputs)
     };
-    // Exercise single-worker, multi-worker, and a tiny batch (maximal
-    // interleaving), swept across every container-batching mode — the
-    // verdict and counts must be identical in all.
+    // Exercise single-worker and multi-worker pools, swept across batch
+    // sizes — scalar (maximal interleaving), short, the default and a
+    // seed-derived one; each is the slice budget and the container limit
+    // both — the verdict and counts must be identical in all.
     let workers = 1 + (mix(seed ^ 4) % 4) as usize;
-    let batch = 1 + (mix(seed ^ 5) % 64) as u32;
-    let modes = [
-        Batching::Messages(1),
-        Batching::Messages(4),
-        Batching::Messages(64),
-        Batching::Unbounded,
-    ];
     let mode = plan.map_or(AvoidanceMode::Disabled, AvoidanceMode::plan);
-    for batching in modes {
+    for batch in [1, 4, 64, 1 + (mix(seed ^ 5) % 64) as u32] {
         let pool = SharedPool::with(PoolOptions {
             workers,
             batch,
-            batching,
             ..PoolOptions::default()
         });
         let pooled = pool.submit_with(&topo, mode.clone(), inputs).wait();

@@ -173,18 +173,11 @@ fn assert_restore_equivalent(scenario: Scenario) -> Result<(), TestCaseError> {
     prop_assert!(resumed.resumed_from.is_some());
     if deep {
         // The same cut resumed by the pooled engine, at a seed-derived
-        // worker count, slice budget and container limit.
-        let modes = [
-            Batching::Messages(1),
-            Batching::Messages(1),
-            Batching::Messages(4),
-            Batching::Messages(64),
-            Batching::Unbounded,
-        ];
+        // worker count and batch size (slice budget and container limit).
+        let batches = [1, 4, 64, 1 + (mix(seed ^ 5) % 64) as u32];
         let pool = SharedPool::with(PoolOptions {
             workers: 1 + (mix(seed ^ 4) % 4) as usize,
-            batch: 1 + (mix(seed ^ 5) % 64) as u32,
-            batching: modes[(mix(seed ^ 7) % 5) as usize],
+            batch: batches[(mix(seed ^ 7) % 4) as usize],
             ..PoolOptions::default()
         });
         let mode = plan.map_or(AvoidanceMode::Disabled, AvoidanceMode::plan);

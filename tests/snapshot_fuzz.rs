@@ -241,3 +241,57 @@ fn out_of_order_sequence_numbers_are_refused_as_corrupted() {
         "{channels} channel and {staged} staged cases"
     );
 }
+
+/// No engine's cut holds two staged messages on one channel, so a cut that
+/// does is refused as corrupted by both engines — even one made from an
+/// honest cut by moving the last in-flight message back into staging, where
+/// order and the channel's capacity still hold.
+#[test]
+fn a_second_staged_message_on_a_channel_is_refused_as_corrupted() {
+    let mut b = GraphBuilder::new().default_capacity(3);
+    b.chain(&["s", "m0", "m1", "sink"]).unwrap();
+    let pipeline = b.build().unwrap();
+    let triangle = fig2_triangle(3);
+    let fork = triangle.node_by_name("A").unwrap();
+    let pool = SharedPool::new(1);
+    let mut cases = 0;
+    for topology in [
+        periodic_filtered_topology(&pipeline, |_| 1),
+        // Fig. 2's deadlock: full channels leave sends staged.
+        Topology::from_graph(&triangle).with(fork, || Predicate::new(2, |_, out| out == 0)),
+    ] {
+        let sim = Simulator::new(&topology);
+        for kill_at in 1..80 {
+            let CheckpointOutcome::Killed(cut) = sim.run_with_checkpoint(120, kill_at) else {
+                continue;
+            };
+            for (node, ns) in cut.nodes.iter().enumerate() {
+                for (at, &(edge, _)) in ns.staged.iter().enumerate() {
+                    let mut doubled = (*cut).clone();
+                    let Some(moved) = doubled.channels[edge as usize].pop() else {
+                        continue;
+                    };
+                    doubled.nodes[node].staged.insert(at, (edge, moved));
+                    let trigger = PropagationTrigger::default();
+                    let pooled = pool.resume_full(
+                        &topology,
+                        AvoidanceMode::Disabled,
+                        trigger,
+                        &doubled,
+                        None,
+                    );
+                    assert!(
+                        matches!(sim.resume(&doubled), Err(RestoreError::Corrupted(_)))
+                            && matches!(pooled, Err(RestoreError::Corrupted(_))),
+                        "kill {kill_at}: node {node} edge {edge}"
+                    );
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        cases > 0,
+        "no cut had a staged message behind a non-empty channel"
+    );
+}

@@ -163,9 +163,9 @@ fn panic_after_checkpoint_recovers_from_last_snapshot() {
 
 #[test]
 fn snapshots_cross_container_batching_modes() {
-    // Container batching is invisible on the snapshot wire: a barrier cut
+    // The batch size is invisible on the snapshot wire: a barrier cut
     // taken on a run-batched pool flattens its containers to the exact
-    // `FILASNAP` per-message state, restores into a scalar-container pool,
+    // `FILASNAP` per-message state, restores into a scalar pool (batch 1),
     // and vice versa — cumulative counts land on the uninterrupted totals
     // either way.
     let inputs = 300;
@@ -182,13 +182,10 @@ fn snapshots_cross_container_batching_modes() {
         .run(inputs);
     assert!(reference.completed);
 
-    for (capture_mode, restore_mode) in [
-        (Batching::Unbounded, Batching::Messages(1)),
-        (Batching::Messages(1), Batching::Unbounded),
-    ] {
+    for (capture_batch, restore_batch) in [(64, 1), (1, 64)] {
         let capture_pool = SharedPool::with(PoolOptions {
             workers: 2,
-            batching: capture_mode,
+            batch: capture_batch,
             ..PoolOptions::default()
         });
         let handle =
@@ -207,7 +204,7 @@ fn snapshots_cross_container_batching_modes() {
         let snapshot = JobSnapshot::from_bytes(&snapshot.to_bytes()).expect("wire round-trip");
         let restore_pool = SharedPool::with(PoolOptions {
             workers: 2,
-            batching: restore_mode,
+            batch: restore_batch,
             ..PoolOptions::default()
         });
         let resumed = restore_pool
@@ -298,7 +295,6 @@ fn slower_source_stops_at_the_barrier_at_every_batch_limit() {
         let pool = SharedPool::with(PoolOptions {
             workers: 2,
             batch: limit,
-            batching: Batching::Messages(limit),
             ..PoolOptions::default()
         });
         pace.store(HELD, Ordering::SeqCst);
@@ -486,13 +482,13 @@ fn checkpoint_resume_checkpoint_chain_never_double_counts() {
 
 #[test]
 fn deep_buffer_cuts_are_aligned_and_restore_at_any_batch_limit() {
-    // Capacity-64 channels under the default 64-message containers: when a
-    // cut is requested, whole runs are in flight on every hop and the relay
-    // nodes (default `Broadcast`) are moving them a run at a time.  Wherever
-    // the barrier `k` falls relative to those runs, every node must
-    // contribute having fired exactly `0..k` — so the snapshot is a function
-    // of `k` alone — and the cut must restore, at any other container
-    // limit, to the uninterrupted totals.
+    // Capacity-64 channels under batches up to 64 messages: when a cut is
+    // requested, whole runs are in flight on every hop and the relay nodes
+    // (default `Broadcast`) are moving them a run at a time.  Wherever the
+    // barrier `k` falls relative to those runs, every node must contribute
+    // having fired exactly `0..k` — so the snapshot is a function of `k`
+    // alone — and the cut must restore, at any other batch size, to the
+    // uninterrupted totals.
     use fila::runtime::{FireDecision, FireInput};
     let inputs = 2_000;
     let pipeline = {
@@ -525,14 +521,17 @@ fn deep_buffer_cuts_are_aligned_and_restore_at_any_batch_limit() {
         }
         let reference = Simulator::new(&topo).run(inputs);
         assert!(reference.completed);
-        let limits = [Batching::Messages(1), Batching::Messages(4), Batching::Messages(64), Batching::Unbounded];
+        let limits = [1u32, 4, 17, 64];
         for (i, &capture) in limits.iter().enumerate() {
             for delay_ms in [1, 4, 8] {
                 let restore = limits[(i + 1 + delay_ms as usize % 3) % 4];
-                let what = format!("{} nodes, {capture:?} -> {restore:?}, {delay_ms} ms", g.node_count());
+                let what = format!(
+                    "{} nodes, batch {capture} -> {restore}, {delay_ms} ms",
+                    g.node_count()
+                );
                 let pool = SharedPool::with(PoolOptions {
                     workers: 2,
-                    batching: capture,
+                    batch: capture,
                     ..PoolOptions::default()
                 });
                 let handle = pool.submit(&topo, inputs);
@@ -559,7 +558,7 @@ fn deep_buffer_cuts_are_aligned_and_restore_at_any_batch_limit() {
 
                 let restore_pool = SharedPool::with(PoolOptions {
                     workers: 2,
-                    batching: restore,
+                    batch: restore,
                     ..PoolOptions::default()
                 });
                 let resumed = restore_pool

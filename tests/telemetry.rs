@@ -188,8 +188,8 @@ fn firing_spans_sum_to_delivered_messages() {
     // The `Firing` span arg is the number of messages the slice delivered
     // into its output rings (`messages_in_run`): data plus dummies, EOS
     // markers excluded.  Summed over a job's trace it must equal the
-    // report's total channel traffic — in every container batching mode,
-    // whether a slice ships one message or a whole run.
+    // report's total channel traffic — at every batch size, whether a
+    // slice ships one message or a whole run.
     use std::sync::Arc;
 
     use fila::runtime::filters::Predicate;
@@ -203,14 +203,13 @@ fn firing_spans_sum_to_delivered_messages() {
             .unwrap(),
     );
     let a = g.node_by_name("a").unwrap();
-    for batching in [Batching::Messages(1), Batching::Messages(16), Batching::Unbounded] {
+    for batch in [1, 8] {
         let topo = Topology::from_graph(&g)
             .with(a, || Predicate::new(2, |seq, out| out == 0 || seq % 64 == 0));
         let pool = fila::runtime::SharedPool::with(fila::runtime::PoolOptions {
             workers: 2,
-            batch: 8,
+            batch,
             telemetry: true,
-            batching,
             ..Default::default()
         });
         let report = pool
@@ -231,7 +230,7 @@ fn firing_spans_sum_to_delivered_messages() {
             + report.per_edge_dummies.iter().sum::<u64>();
         assert_eq!(
             span_sum, traffic,
-            "firing spans must sum to delivered messages under {batching:?}"
+            "firing spans must sum to delivered messages at batch {batch}"
         );
     }
 }
