@@ -40,6 +40,10 @@
 //! same "ready set empty" argument as the simulator's worklist scheduler,
 //! applied per job.
 //!
+//! A slice pays for this once: its wakes are published after it, the count
+//! moved by the net (tasks woken minus its own retirement) *before* any
+//! woken task is queued, so it cannot reach zero while a wake is in flight.
+//!
 //! ## Isolation
 //!
 //! A panicking node behaviour fails only its own job (verdict
@@ -71,6 +75,7 @@
 
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
@@ -88,7 +93,7 @@ use crate::message::Message;
 use crate::report::{BlockedReason, ExecutionReport};
 use crate::sched::{lock, Local, Scheduler};
 use crate::task::{self, Outcome, Task};
-use crate::telemetry::{EventKind, TelemetryHandle, CONTROL_LANE};
+use crate::telemetry::{EventKind, SchedCounter, TelemetryHandle, CONTROL_LANE};
 use crate::topology::Topology;
 use crate::wrapper::{AvoidanceMode, PropagationTrigger};
 
@@ -130,10 +135,24 @@ pub enum JobVerdict {
 /// discarded.
 pub type SettleHook = Box<dyn FnOnce(&ExecutionReport, JobVerdict) + Send>;
 
-/// One scheduler entry: a node-task of some job.
+/// One scheduler entry: a node-task of some job; it holds no reference count.
 struct TaskRef {
-    job: Arc<JobState>,
+    job: NonNull<JobState>,
     node: u32,
+}
+
+// SAFETY: a `TaskRef` exists only while its job's `active` counts it, and
+// while `active` is positive the job's activity reference keeps it in
+// `PoolCore::live`: `deactivate` takes it out at the transition to zero,
+// `SharedPool::drop` after joining every worker (the entries left in the
+// dropped queues are never read).  `JobState` is `Sync`; `node` is an index.
+unsafe impl Send for TaskRef {}
+
+impl TaskRef {
+    fn job(&self) -> &JobState {
+        // SAFETY: see `impl Send for TaskRef`.
+        unsafe { self.job.as_ref() }
+    }
 }
 
 /// One node-task of a job beside the scheduling state that guards it: the
@@ -147,15 +166,15 @@ struct TaskSlot {
 
 const _: () = assert!(std::mem::size_of::<TaskSlot>() >= 128, "a slot spans its own lines");
 
-/// The counters every slice of every task of a job writes, on a line of
-/// their own: the rest of [`JobState`] is read-mostly and read by every
-/// slice, on whichever worker it runs.  The alignment also keeps the
-/// `Arc<JobState>` reference counts, which every wake moves, off those
-/// lines (they get the line before the job's first).
+/// The counters the slices of a job write, on a line of their own: the rest
+/// of [`JobState`] is read-mostly and read by every slice, on whichever
+/// worker it runs.  (The `Arc<JobState>` reference counts, on the line
+/// before the job's first, move only at launch, handle clones and the end
+/// of the job's activity.)
 #[repr(align(64))]
 struct Quiescence {
-    /// Tasks currently queued, running or flagged (see the module docs);
-    /// reaching zero decides the verdict.
+    /// Live [`TaskRef`]s and the tasks running from one (see the module
+    /// docs); reaching zero decides the verdict.
     active: AtomicUsize,
     unfinished: AtomicUsize,
 }
@@ -693,8 +712,8 @@ impl std::fmt::Debug for JobHandle {
 struct PoolCore {
     /// Where queued tasks wait and idle workers park (see `sched.rs`).
     sched: Scheduler<TaskRef>,
-    /// Jobs submitted and not yet delivered; drained on shutdown so every
-    /// waiter is released with a `Cancelled` report.
+    /// Each job's activity reference, until its activity ends (see
+    /// [`TaskRef`]); drained on shutdown so every waiter gets a report.
     live: Mutex<Vec<Arc<JobState>>>,
     batch: u32,
     /// The pool-wide fault-injection schedule (`None` in production).
@@ -935,12 +954,11 @@ impl PoolCore {
     fn launch(self: &Arc<Self>, new: NewJob<'_>) -> JobHandle {
         let job = Arc::new(JobState::new(self, new));
         if job.verdict.load(Ordering::SeqCst) == JOB_RUNNING {
+            // The activity's reference, for `active`'s initial node count.
             lock(&self.live).push(Arc::clone(&job));
+            let ptr = NonNull::from(&*job);
             self.sched
-                .inject((0..job.tasks.len() as u32).map(|node| TaskRef {
-                    job: Arc::clone(&job),
-                    node,
-                }));
+                .inject((0..job.tasks.len() as u32).map(|node| TaskRef { job: ptr, node }));
         } else {
             self.deliver(&job);
         }
@@ -952,52 +970,38 @@ impl PoolCore {
 
     fn worker_loop(&self, worker: usize) {
         let mut local = self.sched.local(worker);
+        let mut woken = Vec::new();
         while let Some((tref, stolen_from)) = self.sched.next(&mut local) {
             if let (Some(tele), Some(victim)) = (&self.telemetry, stolen_from) {
                 tele.instant(
                     worker,
                     EventKind::Steal,
-                    tref.job.serial,
+                    tref.job().serial,
                     tref.node,
                     victim as u64,
                 );
             }
-            self.execute(&mut local, tref);
+            self.execute(&mut local, &mut woken, tref);
         }
     }
 
-    /// The channel-event wakeup for `job`'s node, issued by the task
-    /// `local`'s worker is running: an idle task is queued (into that
-    /// worker's run-next slot), a running one is flagged for re-queueing.
-    /// An `IDLE → QUEUED` transition also raises the job's active count —
-    /// the wake always happens *before* the waking task itself deactivates,
-    /// so a job's active count can never touch zero while a wakeup is still
-    /// in flight.
-    fn wake(&self, local: &mut Local<TaskRef>, job: &Arc<JobState>, node: u32) {
+    /// The channel-event wakeup for `job`'s node, issued by the running
+    /// task: an idle task is marked queued and collected in `woken` for
+    /// [`PoolCore::publish`], a running one is flagged for re-queueing.
+    fn wake(job: &JobState, node: u32, woken: &mut Vec<u32>) {
         let state = &job.tasks[node as usize].state;
         let mut current = state.load(Ordering::Acquire);
         loop {
-            let (target, enqueue) = match current {
-                IDLE => (QUEUED, true),
-                RUNNING => (NOTIFIED, false),
+            let target = match current {
+                IDLE => QUEUED,
+                RUNNING => NOTIFIED,
                 // Already queued or already flagged: nothing to do.
                 _ => return,
             };
             match state.compare_exchange(current, target, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => {
-                    if enqueue {
-                        if let Some(arm) = &job.fault {
-                            // Chaos: a bounded budget of delayed wakeups.
-                            arm.delay_wake();
-                        }
-                        job.quiescence.active.fetch_add(1, Ordering::SeqCst);
-                        self.sched.schedule(
-                            local,
-                            TaskRef {
-                                job: Arc::clone(job),
-                                node,
-                            },
-                        );
+                    if target == QUEUED {
+                        woken.push(node);
                     }
                     return;
                 }
@@ -1006,16 +1010,18 @@ impl PoolCore {
         }
     }
 
-    fn execute(&self, local: &mut Local<TaskRef>, tref: TaskRef) {
+    /// Runs one slice of `tref`'s task, publishes what it woke (into the
+    /// worker's reusable `woken`) and places the task by its outcome.
+    fn execute(&self, local: &mut Local<TaskRef>, woken: &mut Vec<u32>, tref: TaskRef) {
         let worker = local.index();
-        let job = &tref.job;
+        let job = tref.job();
         let node = tref.node as usize;
         let slot = &job.tasks[node];
         if job.verdict.load(Ordering::SeqCst) != JOB_RUNNING {
             // The job settled (failed or was cancelled) while this task sat
             // in a queue: drop it and retire its activity.
             slot.state.store(IDLE, Ordering::Release);
-            self.deactivate(job);
+            drop(self.deactivate(job));
             return;
         }
         slot.state.store(RUNNING, Ordering::Release);
@@ -1027,7 +1033,7 @@ impl PoolCore {
             let mut task = lock(&slot.task);
             let was_done = task.done;
             let sink = JobSnapSink {
-                job: job.as_ref(),
+                job,
                 node,
                 telemetry: self.telemetry.as_ref(),
                 worker,
@@ -1051,7 +1057,7 @@ impl PoolCore {
                     &mut task,
                     job.inputs,
                     self.batch,
-                    &mut |n| self.wake(local, job, n),
+                    &mut |n| Self::wake(job, n, woken),
                     Some(&sink),
                 )
             }));
@@ -1112,11 +1118,11 @@ impl PoolCore {
                 );
                 // The behaviour blew up: fail this job only.  Peer tasks of
                 // the job wind down as they block (or get dropped from the
-                // queues by the verdict check above); every other job on the
-                // pool is untouched.
+                // queues by the verdict check above, as are the tasks this
+                // slice woke); every other job on the pool is untouched.
                 job.settle_as(JOB_FAILED);
                 slot.state.store(IDLE, Ordering::Release);
-                self.deactivate(job);
+                drop(self.publish(local, job, woken, true));
             }
             Exec::Normal(outcome, newly_done) => {
                 if newly_done {
@@ -1127,10 +1133,11 @@ impl PoolCore {
                         // Stale flag wakeups may still re-queue this task;
                         // it will no-op.
                         slot.state.store(IDLE, Ordering::Release);
-                        self.deactivate(job);
+                        drop(self.publish(local, job, woken, true));
                     }
                     Outcome::Yielded => {
                         slot.state.store(QUEUED, Ordering::Release);
+                        self.publish(local, job, woken, false);
                         self.sched.defer(local, tref);
                     }
                     Outcome::Blocked => {
@@ -1146,9 +1153,10 @@ impl PoolCore {
                             // our final re-check, so the task must run
                             // again (it stays active).
                             slot.state.store(QUEUED, Ordering::Release);
+                            self.publish(local, job, woken, false);
                             self.sched.schedule(local, tref);
                         } else {
-                            self.deactivate(job);
+                            drop(self.publish(local, job, woken, true));
                         }
                     }
                 }
@@ -1156,13 +1164,58 @@ impl PoolCore {
         }
     }
 
-    /// Retires one unit of job activity; the task that drops the count to
-    /// zero decides the verdict (the job is quiescent forever — see the
-    /// module docs) and delivers the report.
-    fn deactivate(&self, job: &Arc<JobState>) {
-        if job.quiescence.active.fetch_sub(1, Ordering::SeqCst) != 1 {
-            return;
+    /// Moves `job`'s activity count by the net of the slice's wakes and its
+    /// runner's retirement — one write at most, none when one woken task
+    /// takes over a retiring runner's unit (a hand-off) — and only then
+    /// queues the woken tasks in wake order, the last into the run-next
+    /// slot.  Returns what [`PoolCore::deactivate`] returns.
+    fn publish(
+        &self,
+        local: &mut Local<TaskRef>,
+        job: &JobState,
+        woken: &mut Vec<u32>,
+        retiring: bool,
+    ) -> Option<Arc<JobState>> {
+        match (woken.len(), retiring) {
+            (0, true) => return self.deactivate(job),
+            (0, false) => return None,
+            (1, true) => {
+                if let Some(tele) = &self.telemetry {
+                    tele.count(local.index(), SchedCounter::Handoff, 1);
+                }
+            }
+            (woke, _) => {
+                let net = woke - usize::from(retiring);
+                let before = job.quiescence.active.fetch_add(net, Ordering::SeqCst);
+                debug_assert_ne!(before, 0, "a publication found no activity");
+            }
         }
+        let ptr = NonNull::from(job);
+        for node in woken.drain(..) {
+            if let Some(arm) = &job.fault {
+                // Chaos: a bounded budget of delayed wakeups.
+                arm.delay_wake();
+            }
+            self.sched.schedule(local, TaskRef { job: ptr, node });
+        }
+        None
+    }
+
+    /// Retires one unit of job activity; the task that drops the count to
+    /// zero decides the verdict (see the module docs), delivers the report
+    /// and returns the activity reference, to drop after its last use of `job`.
+    fn deactivate(&self, job: &JobState) -> Option<Arc<JobState>> {
+        let before = job.quiescence.active.fetch_sub(1, Ordering::SeqCst);
+        debug_assert_ne!(before, 0, "an activity count went below zero");
+        if before != 1 {
+            return None;
+        }
+        debug_assert!(
+            job.tasks
+                .iter()
+                .all(|slot| slot.state.load(Ordering::Acquire) == IDLE),
+            "a job's activity ended with a task not idle"
+        );
         let verdict = if job.quiescence.unfinished.load(Ordering::SeqCst) == 0 {
             JOB_COMPLETED
         } else {
@@ -1172,10 +1225,13 @@ impl PoolCore {
         // only fills in a still-running slot.
         job.settle_as(verdict);
         self.deliver(job);
+        let mut live = lock(&self.live);
+        let at = live.iter().position(|j| std::ptr::eq(Arc::as_ptr(j), job));
+        Some(live.swap_remove(at.expect("a job with activity is live")))
     }
 
     /// One-shot report assembly + waiter/hook notification.
-    fn deliver(&self, job: &Arc<JobState>) {
+    fn deliver(&self, job: &JobState) {
         if job.delivered.swap(true, Ordering::SeqCst) {
             return;
         }
@@ -1207,7 +1263,6 @@ impl PoolCore {
         report.completed = verdict == JobVerdict::Completed;
         report.wall = job.started.elapsed();
         report.resumed_from = job.resumed_from;
-        lock(&self.live).retain(|j| !Arc::ptr_eq(j, job));
         // The hook runs BEFORE the report is published, so a returning
         // `JobHandle::wait` implies the hook's effects (e.g. the service's
         // in-flight slot release) are visible — but a panicking hook is
@@ -1376,5 +1431,93 @@ mod tests {
         let r = handle.wait();
         assert_eq!(handle.verdict(), Some(JobVerdict::Cancelled));
         assert!(!r.completed && !r.deadlocked);
+    }
+
+    #[test]
+    fn a_jobs_memory_is_released_however_it_ends() {
+        // The activity's reference goes right after `deliver`, so poll a
+        // little past `wait`.
+        let released = |what: &str, handle: &JobHandle| {
+            let started = Instant::now();
+            while Arc::strong_count(&handle.job) != 1 {
+                assert!(
+                    started.elapsed() < std::time::Duration::from_secs(30),
+                    "{what}: the job still has {} owners",
+                    Arc::strong_count(&handle.job)
+                );
+                std::thread::yield_now();
+            }
+        };
+        let pool = SharedPool::new(2);
+
+        let completed = pool.submit(&crate::Topology::from_graph(&pipeline(4)), 50);
+        assert!(completed.wait().completed);
+        released("completed", &completed);
+
+        let g = fig2(1);
+        let a = g.node_by_name("A").unwrap();
+        let wedged =
+            crate::Topology::from_graph(&g).with(a, || Predicate::new(2, |_, out| out == 0));
+        let deadlocked = pool.submit(&wedged, 100);
+        assert!(deadlocked.wait().deadlocked);
+        released("deadlocked", &deadlocked);
+
+        let g = pipeline(3);
+        let m = g.node_by_name("n1").unwrap();
+        let bad = crate::Topology::from_graph(&g).with(m, || {
+            Predicate::new(1, |seq, _| seq < 5 || panic!("blew up at {seq}"))
+        });
+        let failed = pool.submit(&bad, 100);
+        failed.wait();
+        assert_eq!(failed.verdict(), Some(JobVerdict::Failed));
+        released("failed", &failed);
+
+        // Cancelled with every task still queued behind a slice that waits
+        // for the test to open the gate.
+        let pool = SharedPool::new(1);
+        let gate = Arc::new(Mutex::new(()));
+        let entered = Arc::new(AtomicBool::new(false));
+        let closed = lock(&gate);
+        let g = pipeline(2);
+        let source = g.single_source().unwrap();
+        let (gate_in, entered_in) = (Arc::clone(&gate), Arc::clone(&entered));
+        let slow = crate::Topology::from_graph(&g).with(source, move || {
+            let (gate, entered) = (Arc::clone(&gate_in), Arc::clone(&entered_in));
+            Predicate::new(1, move |_, _| {
+                entered.store(true, Ordering::SeqCst);
+                drop(lock(&gate));
+                true
+            })
+        });
+        let slow = pool.submit(&slow, 3);
+        while !entered.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        let cancelled = pool.submit(&crate::Topology::from_graph(&pipeline(4)), 50);
+        assert!(cancelled.cancel());
+        assert_eq!(
+            Arc::strong_count(&cancelled.job),
+            2,
+            "queued tasks keep the activity"
+        );
+        drop(closed);
+        assert!(slow.wait().completed);
+        released("cancelled", &cancelled);
+
+        // The pool dropped while a slow job is live: no wait, no poll.
+        let g = pipeline(2);
+        let source = g.single_source().unwrap();
+        let slow = crate::Topology::from_graph(&g).with(source, || {
+            Predicate::new(1, |_, _| {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                true
+            })
+        });
+        let live = {
+            let pool = SharedPool::new(1);
+            pool.submit(&slow, 10_000)
+        };
+        assert_eq!(live.verdict(), Some(JobVerdict::Cancelled));
+        assert_eq!(Arc::strong_count(&live.job), 1, "pool dropped");
     }
 }

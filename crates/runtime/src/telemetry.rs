@@ -124,11 +124,14 @@ pub enum SchedCounter {
     Park = 6,
     /// Searches that found work only after the first scan came up empty.
     SpinFound = 7,
+    /// Slices whose wakes were published with no write to the job's
+    /// activity count: one woken task took over the retiring task's unit.
+    Handoff = 8,
 }
 
 impl SchedCounter {
     /// Every counter, in discriminant order.
-    pub const ALL: [SchedCounter; 8] = [
+    pub const ALL: [SchedCounter; 9] = [
         SchedCounter::SlotHit,
         SchedCounter::DequePush,
         SchedCounter::InjectorPush,
@@ -137,6 +140,7 @@ impl SchedCounter {
         SchedCounter::UnparkSuppressed,
         SchedCounter::Park,
         SchedCounter::SpinFound,
+        SchedCounter::Handoff,
     ];
 
     /// Stable lowercase name: the `fila_sched_<name>_total` Prometheus
@@ -151,6 +155,7 @@ impl SchedCounter {
             SchedCounter::UnparkSuppressed => "unparks_suppressed",
             SchedCounter::Park => "parks",
             SchedCounter::SpinFound => "spins_found_work",
+            SchedCounter::Handoff => "handoffs",
         }
     }
 }

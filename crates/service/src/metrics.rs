@@ -676,7 +676,10 @@ mod tests {
         let telemetry = TelemetryHandle::with_capacity(2, 8);
         telemetry.count(1, SchedCounter::SlotHit, 5);
         telemetry.count(fila_runtime::telemetry::CONTROL_LANE, SchedCounter::InjectorPush, 3);
+        telemetry.count(0, SchedCounter::Handoff, 2);
         let text = sched_prometheus(&telemetry);
+        assert!(text.contains("# TYPE fila_sched_handoffs_total counter"));
+        assert!(text.contains("fila_sched_handoffs_total{worker=\"0\"} 2"));
         assert!(text.contains("# TYPE fila_sched_slot_hits_total counter"));
         assert!(text.contains("fila_sched_slot_hits_total{worker=\"1\"} 5"));
         assert!(text.contains("fila_sched_slot_hits_total{worker=\"0\"} 0"));

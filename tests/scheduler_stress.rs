@@ -97,6 +97,79 @@ fn five_thousand_tiny_jobs_never_lose_a_wakeup() {
 }
 
 #[test]
+fn jobs_cancelled_or_dropped_with_tasks_queued_release_every_waiter() {
+    // A cancelled job's tasks are dropped from the queues one by one, and a
+    // dropped pool strands whatever its queues hold: either way a job's
+    // activity must end or be released, every waiter must return, and the
+    // jobs left alone must not notice.
+    const JOBS: usize = 2_000;
+    const PER_POOL: usize = 200;
+    const WINDOW: usize = 16;
+    const INPUTS: u64 = 20;
+    with_watchdog(Duration::from_secs(120), || {
+        let (fig2_graph, wedged) = fig2_deadlocker(1);
+        let plan = Arc::new(
+            Planner::new(&fig2_graph)
+                .algorithm(Algorithm::NonPropagation)
+                .plan()
+                .unwrap(),
+        );
+        let (_, planned) = fig2_deadlocker(1);
+        let relay = Topology::from_graph(&pipeline(2, 1));
+        let kinds = [
+            (relay, AvoidanceMode::Disabled),
+            (wedged, AvoidanceMode::Disabled),
+            (planned, AvoidanceMode::Plan(plan)),
+        ];
+        let references: Vec<ExecutionReport> = kinds
+            .iter()
+            .map(|(topology, mode)| match mode {
+                AvoidanceMode::Plan(plan) => Simulator::new(topology)
+                    .with_shared_plan(Arc::clone(plan))
+                    .run(INPUTS),
+                _ => Simulator::new(topology).run(INPUTS),
+            })
+            .collect();
+        assert!(references[1].deadlocked && references[2].completed);
+
+        let mut jobs: Vec<(usize, bool, JobHandle)> = Vec::with_capacity(JOBS);
+        for _ in 0..JOBS / PER_POOL {
+            let pool = SharedPool::new(2);
+            for i in 0..PER_POOL {
+                let n = jobs.len();
+                if i >= WINDOW {
+                    jobs[n - WINDOW].2.wait();
+                }
+                let (topology, mode) = &kinds[n % kinds.len()];
+                let handle = pool.submit_with(topology, mode.clone(), INPUTS);
+                let cancelled = n % 3 == 0 && handle.cancel();
+                jobs.push((n, cancelled, handle));
+            }
+            // `pool` is dropped here, with up to `WINDOW` jobs still live.
+        }
+        let mut dropped = 0;
+        for (n, cancelled, handle) in &jobs {
+            let report = handle.wait();
+            let verdict = handle.verdict();
+            if *cancelled || verdict == Some(JobVerdict::Cancelled) {
+                assert_eq!(verdict, Some(JobVerdict::Cancelled), "job {n}");
+                dropped += usize::from(!*cancelled);
+                continue;
+            }
+            let reference = &references[n % kinds.len()];
+            assert_eq!(report.completed, reference.completed, "job {n}");
+            assert_eq!(report.deadlocked, reference.deadlocked, "job {n}");
+            assert_eq!(report.per_edge_data, reference.per_edge_data, "job {n}");
+            assert_eq!(
+                report.per_edge_dummies, reference.per_edge_dummies,
+                "job {n}"
+            );
+        }
+        eprintln!("{dropped} jobs were still live when their pool was dropped");
+    });
+}
+
+#[test]
 fn verdicts_stay_exact_with_deadlockers_among_healthy_jobs() {
     with_watchdog(Duration::from_secs(120), || {
         let (_, wedged) = fig2_deadlocker(2);
