@@ -505,15 +505,16 @@ impl spsc::Consumer<Batch> {
 impl spsc::Producer<Batch> {
     /// Attempts to deliver `staged`; returns the number of messages that
     /// made it onto the ring.  On partial (or zero) delivery the remainder
-    /// stays in `staged`.
+    /// stays in `staged`.  The consumer's count is re-read before a split,
+    /// so a container is not cut on a stale view of the space.
     pub(crate) fn deliver(&mut self, staged: &mut Option<Batch>) -> usize {
         let Some(c) = staged.take() else { return 0 };
-        let space = self.space_msgs();
+        let w = c.weight();
+        let space = self.space_for(w);
         if space == 0 {
             *staged = Some(c);
             return 0;
         }
-        let w = c.weight();
         if w <= space {
             match self.push(c) {
                 Ok(()) => w,
@@ -778,6 +779,30 @@ mod tests {
         for seq in 2..6 {
             assert_eq!(rx.pop_msg(), Some(Message::Dummy { seq }));
         }
+    }
+
+    #[test]
+    fn deliver_rereads_the_space_before_splitting() {
+        let (mut tx, mut rx) = spsc::ring::<Batch>(MsgCap::new(8));
+        let mut first = Batch::new();
+        for seq in 0..6 {
+            first.try_push(64, Message::Dummy { seq }).unwrap();
+        }
+        tx.push(first).unwrap();
+        for seq in 0..6 {
+            assert_eq!(rx.pop_msg(), Some(Message::Dummy { seq }));
+        }
+        // The producer's cached view still has 6 of 8 occupied; the ring is
+        // empty.
+        let mut b = Batch::new();
+        for seq in 6..10 {
+            b.try_push(64, Message::Dummy { seq }).unwrap();
+        }
+        let mut staged = Some(b);
+        assert_eq!(tx.deliver_or_register(&mut staged), 4);
+        assert!(staged.is_none());
+        assert!(!rx.take_producer_waiting(), "no registration");
+        assert_eq!(rx.front_mut().map(|c| c.len()), Some(4), "one push, no split");
     }
 
     #[test]

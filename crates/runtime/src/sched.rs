@@ -1,5 +1,5 @@
 //! The pool's scheduling core: one locality-first work-stealing scheduler
-//! (E23), stated once and driven by [`crate::SharedPool`].  DESIGN.md,
+//! (E23, E38), stated once and driven by [`crate::SharedPool`].  DESIGN.md,
 //! "Scheduling (E23)", has the measurements behind every constant here.
 //!
 //! * **Run-next slot** — worker-private, LIFO, one entry.  A wake issued
@@ -8,37 +8,63 @@
 //!   waker just produced are still in cache.  Every [`FAIR_INTERVAL`]-th
 //!   pick skips the slot, so a producer/consumer pair cannot starve the
 //!   other tasks queued on the worker.
-//! * **Deque** — per worker, stealable, FIFO: what the slot displaces,
-//!   yielded tasks, and batches moved over from the injector or a victim.
-//!   The owner pops the front, a thief takes the older half.
+//! * **Deque** — per worker, FIFO: what the slot displaces, yielded tasks,
+//!   batches moved over from the injector or a victim, and tasks a peer
+//!   sends this worker ([`Scheduler::send`]).  The owner pops the front.
+//!   On a pool of two or more workers every entry carries a time stamp:
+//!   its push, and for the front entry the owner's last pop if that came
+//!   later.  An entry is **due** once its stamp is [`SPIN_BUDGET`] — one
+//!   park/unpark round trip — old, and a thief takes only the due prefix
+//!   of the older half.  So a deque its owner keeps draining stays whole,
+//!   and one its owner has not touched for a round trip (a long slice, a
+//!   long run of slot picks) is shared.
 //! * **Injector** — one pool-wide FIFO for work arriving from outside the
 //!   workers.  Submission seeds a whole job in one batch; a worker takes up
 //!   to half a deque of it at a time, so a small job starts out whole on
-//!   one worker.
+//!   one worker.  Its entries carry no stamp and are taken at once.
 //!
-//! **Wake throttling.**  A parked worker is unparked only when work lands
-//! in a stealable queue (a deque or the injector) and no worker is already
-//! searching; a searcher that finds work and leaves more behind unparks the
-//! next.  A worker that runs dry searches for at most [`SPIN_BUDGET`] while
-//! some peer still runs tasks, then parks on its own thread token.
+//! The pool keeps a job on its *home*, the worker that ran its first slice:
+//! a wake issued there takes the slot, one issued by a task another worker
+//! took is sent home (see `shared_pool.rs`).  So a steal costs one migrated
+//! slice, not the rest of the job.
+//!
+//! **Wake throttling.**  A push onto the injector unparks a worker, unless
+//! one is already searching.  A push onto the pusher's own deque unparks no
+//! one; instead the owner unparks a sleeper at its next pick if its deque's
+//! front is due.  A push onto another worker's deque unparks that worker if
+//! it sleeps.  A searcher that takes work and leaves more behind that
+//! another could take at once unparks the next.  A worker that runs dry
+//! searches — its own deque, the injector, the peers' due entries — for at
+//! most [`SPIN_BUDGET`] while some peer still runs tasks, and if a busy
+//! peer's front entry is then not yet due, until that one entry comes due
+//! (at most one budget more); then it parks on its own thread token.  The
+//! bound that follows: an awake peer takes a job's queued task within
+//! `SPIN_BUDGET` of its owner's last pop, and a parked peer takes it at the
+//! owner's next pick after that; a new job never waits behind a slice.
 //!
 //! **No wakeup is lost**, without a global count of queued tasks: a worker
 //! about to park first publishes that it is idle (joins `sleepers`, leaves
-//! the searching count), *then* re-scans every stealable queue under its
-//! lock; a pusher first pushes under the queue's lock, *then* reads the
-//! searching and parked counts.  The two critical sections on a queue are
+//! the searching count), *then* re-scans its own deque, the injector and
+//! the peers' due deque fronts, each under its queue's lock; a pusher
+//! first pushes under the queue's lock, *then* reads the searching and
+//! parked counts (the injector) or the target's `sleeping` flag (a push
+//! onto another worker's deque).  The two critical sections on a queue are
 //! ordered, so either the re-scan sees the push, or the pusher sees the
-//! parked worker and no searcher and unparks one.  The slot needs none of
-//! this: only its owner fills it, and takes it before it looks anywhere
-//! else, let alone parks.
+//! parked worker and unparks it — which is why the re-scan includes the
+//! worker's own deque.  An entry on a peer's deque that is not yet due
+//! needs no re-scan: its owner is awake (a worker never parks on a deque of
+//! its own that holds a task) and runs it, or unparks a sleeper at a pick
+//! once it is due.  The slot needs none of this: only its owner fills it,
+//! and takes it before it looks anywhere else, let alone parks.
 //!
-//! **Certification rows** ([`RunTable`]) are offered like a task — pushed,
-//! then notify; the park-side re-check sees them — and taken only when
-//! everything above came up empty.  A worker runs each row it claims to its
-//! end, neither searching nor parked, so work pushed meanwhile unparks a peer.
+//! **Certification rows** ([`RunTable`]) are offered like an injected task
+//! — pushed, then notify; the park-side re-check sees them — and taken only
+//! when everything above came up empty.  A worker runs each row it claims
+//! to its end, neither searching nor parked, so work pushed meanwhile
+//! unparks a peer.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
@@ -59,21 +85,30 @@ const FAIR_INTERVAL: u32 = 16;
 /// victim moves.
 const DEQUE_CAPACITY: usize = 256;
 
-/// How long a worker that ran dry keeps searching before it parks, while
-/// some peer is still running tasks: about one park/unpark round trip.
+/// About one park/unpark round trip: how long a worker that ran dry keeps
+/// searching before it parks while some peer is still running tasks, and
+/// how long a deque entry waits before a thief may take it.
 const SPIN_BUDGET: Duration = Duration::from_micros(10);
+
+/// [`SPIN_BUDGET`] on the scheduler's clock ([`Scheduler::now`]).
+const BUDGET_NS: u64 = SPIN_BUDGET.as_nanos() as u64;
 
 /// `spin_loop` hints between two scans of a searching worker.
 const SPIN_PAUSES: u32 = 4;
 
-/// A FIFO other threads may take from.
+/// A FIFO other threads may take from; each entry carries its stamp (see
+/// the module docs; 0 where nobody reads it: the injector, a one-worker
+/// pool).
 struct Queue<T> {
-    items: Mutex<VecDeque<T>>,
+    items: Mutex<VecDeque<(T, u64)>>,
     /// `items.len()` as of the last operation under the lock: lets a poll
     /// skip the lock on an empty queue.  A hint only — the park-side
-    /// re-check takes the lock — except that a deque's owner, the only one
-    /// to push, may trust an empty reading.
+    /// re-check takes the lock.
     len: AtomicUsize,
+    /// The front entry's stamp as of the last operation under the lock
+    /// (meaningless while `len` reads 0): lets a thief skip the lock on a
+    /// deque with nothing due, and the owner check its front.
+    front: AtomicU64,
 }
 
 impl<T> Queue<T> {
@@ -81,41 +116,70 @@ impl<T> Queue<T> {
         Queue {
             items: Mutex::new(VecDeque::with_capacity(capacity)),
             len: AtomicUsize::new(0),
+            front: AtomicU64::new(0),
         }
     }
 
-    /// Appends `tasks`; returns how many there were.
-    fn push(&self, tasks: impl IntoIterator<Item = T>) -> usize {
-        let mut items = lock(&self.items);
-        let before = items.len();
-        items.extend(tasks);
+    fn publish(&self, items: &VecDeque<(T, u64)>) {
         self.len.store(items.len(), Ordering::Relaxed);
-        items.len() - before
+        if let Some(&(_, stamp)) = items.front() {
+            self.front.store(stamp, Ordering::Relaxed);
+        }
     }
 
-    fn pop(&self) -> Option<T> {
+    /// Appends `tasks`, stamped `stamp`; returns how many there were and
+    /// whether the queue was empty before.
+    fn push(&self, tasks: impl IntoIterator<Item = T>, stamp: u64) -> (usize, bool) {
+        let mut items = lock(&self.items);
+        let before = items.len();
+        items.extend(tasks.into_iter().map(|task| (task, stamp)));
+        self.publish(&items);
+        (items.len() - before, before == 0)
+    }
+
+    /// The owner's pop: the entry behind the taken one becomes the front,
+    /// stamped `now()` if it has waited longer.
+    fn pop(&self, now: impl FnOnce() -> u64) -> Option<T> {
         if self.len.load(Ordering::Relaxed) == 0 {
             return None;
         }
         let mut items = lock(&self.items);
         let task = items.pop_front();
-        self.len.store(items.len(), Ordering::Relaxed);
-        task
+        if let Some(front) = items.front_mut() {
+            front.1 = front.1.max(now());
+        }
+        self.publish(&items);
+        task.map(|(task, _)| task)
     }
 
-    /// Takes the oldest `share(len)` tasks (at most half a deque): the
-    /// first is returned, the rest go to `batch`.  The flag says whether
-    /// the grab left tasks behind.
-    fn grab(&self, share: impl Fn(usize) -> usize, batch: &mut Vec<T>) -> Option<(T, bool)> {
-        if self.len.load(Ordering::Relaxed) == 0 {
+    /// When the front entry comes due for a thief, as far as the hints know
+    /// (`None`: empty).
+    fn front_due(&self) -> Option<u64> {
+        (self.len.load(Ordering::Relaxed) != 0)
+            .then(|| self.front.load(Ordering::Relaxed) + BUDGET_NS)
+    }
+
+    /// Takes the oldest `share(len)` tasks (at most half a deque) that are
+    /// due by `now`: the first is returned, the rest go to `batch`.  The
+    /// flag says whether the new front is due as well.
+    fn grab(
+        &self,
+        share: impl Fn(usize) -> usize,
+        now: u64,
+        batch: &mut Vec<T>,
+    ) -> Option<(T, bool)> {
+        if self.front_due()? > now {
             return None;
         }
+        let due = |entry: &(T, u64)| entry.1 + BUDGET_NS <= now;
         let mut items = lock(&self.items);
         let share = share(items.len()).min(DEQUE_CAPACITY / 2);
-        let first = items.pop_front()?;
-        batch.extend(items.drain(..share - 1));
-        self.len.store(items.len(), Ordering::Relaxed);
-        Some((first, !items.is_empty()))
+        let taken = items.iter().take(share).take_while(|entry| due(entry)).count();
+        let mut grabbed = items.drain(..taken).map(|(task, _)| task);
+        let first = grabbed.next();
+        batch.extend(grabbed);
+        self.publish(&items);
+        Some((first?, items.front().is_some_and(due)))
     }
 }
 
@@ -156,6 +220,8 @@ pub(crate) struct Scheduler<T> {
     injector: Queue<T>,
     /// Workers looking for work right now (spinning, or just unparked).
     searching: AtomicUsize,
+    /// Parked workers on a watch (see [`Scheduler::park`]).
+    watching: AtomicUsize,
     /// `sleepers.len()`, readable without the lock.
     parked: AtomicUsize,
     sleepers: Mutex<Vec<usize>>,
@@ -163,6 +229,8 @@ pub(crate) struct Scheduler<T> {
     telemetry: Option<TelemetryHandle>,
     /// Certification rows offered to idle workers (see the module docs).
     offers: Mutex<Vec<Arc<RunTable>>>,
+    /// The origin of [`Scheduler::now`].
+    epoch: Instant,
 }
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -184,11 +252,13 @@ impl<T: Send> Scheduler<T> {
                 .collect(),
             injector: Queue::with_capacity(0),
             searching: AtomicUsize::new(0),
+            watching: AtomicUsize::new(0),
             parked: AtomicUsize::new(0),
             sleepers: Mutex::new(Vec::with_capacity(workers)),
             shutdown: AtomicBool::new(false),
             telemetry,
             offers: Mutex::new(Vec::new()),
+            epoch: Instant::now(),
         }
     }
 
@@ -199,8 +269,7 @@ impl<T: Send> Scheduler<T> {
     }
 
     /// Claims worker `index` for the calling thread (call once, from the
-    /// worker thread itself: its handle is what [`Scheduler::notify`]
-    /// unparks).
+    /// worker thread itself: its handle is what an unpark targets).
     pub(crate) fn local(&self, index: usize) -> Local<T> {
         let _ = self.remotes[index].thread.set(std::thread::current());
         Local {
@@ -218,10 +287,25 @@ impl<T: Send> Scheduler<T> {
         }
     }
 
+    /// Nanoseconds since the scheduler was created.
+    fn now(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// A deque entry's enqueue time: read only by thieves, so a one-worker
+    /// pool pays no clock read for it.
+    fn stamp(&self) -> u64 {
+        if self.workers() > 1 {
+            self.now()
+        } else {
+            0
+        }
+    }
+
     /// Queues work arriving from outside the workers: one lock, at most one
     /// unpark, however many tasks.
     pub(crate) fn inject(&self, tasks: impl IntoIterator<Item = T>) {
-        let pushed = self.injector.push(tasks);
+        let (pushed, _) = self.injector.push(tasks, 0);
         self.count(self.workers(), SchedCounter::InjectorPush, pushed as u64);
         if pushed > 0 {
             self.notify(self.workers());
@@ -251,12 +335,37 @@ impl<T: Send> Scheduler<T> {
     /// Queues a task behind everything else on this worker's deque: one
     /// that yielded with work left or was displaced from the slot.
     pub(crate) fn defer(&self, local: &Local<T>, task: T) {
-        self.remotes[local.index].deque.push([task]);
+        self.push_own(local, [task]);
         self.count(local.index, SchedCounter::DequePush, 1);
-        self.notify(local.index);
     }
 
-    /// Work just landed in a stealable queue: unpark one worker unless a
+    /// Pushes `tasks` onto `local`'s own deque, unparking nobody — unless
+    /// the deque was empty and no sleeper is on a watch, then one is
+    /// unparked to take one up (see [`Scheduler::park`]).
+    fn push_own(&self, local: &Local<T>, tasks: impl IntoIterator<Item = T>) -> usize {
+        let (pushed, was_empty) = self.remotes[local.index].deque.push(tasks, self.stamp());
+        if was_empty && pushed > 0 && self.watching.load(Ordering::SeqCst) == 0 {
+            self.notify(local.index);
+        }
+        pushed
+    }
+
+    /// Queues `tasks` on worker `home`'s deque (not `local`'s own) and
+    /// unparks `home` if it sleeps: after the push, so that either its
+    /// park-side re-check sees the tasks or this sees it asleep.
+    pub(crate) fn send(&self, local: &Local<T>, home: usize, tasks: impl IntoIterator<Item = T>) {
+        debug_assert_ne!(home, local.index, "a worker's own tasks are scheduled or deferred");
+        let (pushed, _) = self.remotes[home].deque.push(tasks, self.stamp());
+        self.count(local.index, SchedCounter::DequePush, pushed as u64);
+        if self.remotes[home].sleeping.load(Ordering::SeqCst) {
+            self.unpark(local.index, |sleepers| {
+                let at = sleepers.iter().position(|&worker| worker == home)?;
+                Some(sleepers.swap_remove(at))
+            });
+        }
+    }
+
+    /// Work any worker may take just appeared: unpark one unless a
     /// searcher is already out looking (it will find the work, or re-check
     /// before it parks — see the module docs).
     fn notify(&self, lane: usize) {
@@ -267,17 +376,25 @@ impl<T: Send> Scheduler<T> {
         if self.parked.load(Ordering::SeqCst) == 0 {
             return;
         }
+        // Two pushers may both have seen no searcher; the second one to get
+        // here finds the worker the first one promoted.
+        let woken = self.unpark(lane, |sleepers| match self.searching.load(Ordering::SeqCst) {
+            0 => sleepers.pop(),
+            _ => None,
+        });
+        if !woken {
+            self.count(lane, SchedCounter::UnparkSuppressed, 1);
+        }
+    }
+
+    /// Takes the sleeper `choose` picks out of `sleepers` and unparks it;
+    /// it starts out searching.  False if `choose` picked none.
+    fn unpark(&self, lane: usize, choose: impl FnOnce(&mut Vec<usize>) -> Option<usize>) -> bool {
         let woken = {
             let mut sleepers = lock(&self.sleepers);
-            // Two pushers may both have seen no searcher; the second one to
-            // get here finds the worker the first one promoted.
-            let woken = match self.searching.load(Ordering::SeqCst) {
-                0 => sleepers.pop(),
-                _ => None,
-            };
+            let woken = choose(&mut sleepers);
             if let Some(worker) = woken {
                 self.parked.store(sleepers.len(), Ordering::SeqCst);
-                // The woken worker starts out searching.
                 self.searching.fetch_add(1, Ordering::SeqCst);
                 self.remotes[worker]
                     .sleeping
@@ -285,15 +402,12 @@ impl<T: Send> Scheduler<T> {
             }
             woken
         };
-        match woken {
-            Some(worker) => {
-                self.count(lane, SchedCounter::UnparkIssued, 1);
-                if let Some(thread) = self.remotes[worker].thread.get() {
-                    thread.unpark();
-                }
-            }
-            None => self.count(lane, SchedCounter::UnparkSuppressed, 1),
+        let Some(worker) = woken else { return false };
+        self.count(lane, SchedCounter::UnparkIssued, 1);
+        if let Some(thread) = self.remotes[worker].thread.get() {
+            thread.unpark();
         }
+        true
     }
 
     /// Blocks until the worker has a task to run (working offered rows
@@ -309,6 +423,7 @@ impl<T: Send> Scheduler<T> {
             }
             let found = self.pick_local(local).or_else(|| self.search(local));
             if found.is_some() {
+                self.stop_searching(local);
                 return found;
             }
             let offered = lock(&self.offers).iter().find(|table| table.open()).cloned();
@@ -329,34 +444,46 @@ impl<T: Send> Scheduler<T> {
             if let Some(task) = local.slot.take() {
                 self.defer(local, task);
             }
-            if let Some(found) = self.take_from(local, self.workers()) {
+            if let Some(found) = self.take_from(local, self.workers(), u64::MAX) {
                 return Some(found);
             }
         } else if let Some(task) = local.slot.take() {
             self.count(local.index, SchedCounter::SlotHit, 1);
             return Some((task, None));
         }
-        if let Some(task) = self.remotes[local.index].deque.pop() {
+        if let Some(task) = self.remotes[local.index].deque.pop(|| self.stamp()) {
             return Some((task, None));
         }
-        self.take_from(local, self.workers())
+        self.take_from(local, self.workers(), u64::MAX)
     }
 
     /// Grabs a batch from the injector (`victim == workers()`: up to half
-    /// a deque) or from a peer's deque (its older half): one task to run,
-    /// the rest onto the worker's own deque.  The worker stops searching,
-    /// and unparks the next one if there is now work it could take.
-    fn take_from(&self, local: &mut Local<T>, victim: usize) -> Option<(T, Option<usize>)> {
+    /// a deque) or what is due by `now` of a peer's deque (its older half):
+    /// one task to run, the rest onto the worker's own deque.  The worker
+    /// stops searching, and unparks the next if it left work behind that
+    /// another could take at once, or moved injected work: a new job's
+    /// tasks wake a peer wherever they wait.
+    fn take_from(
+        &self,
+        local: &mut Local<T>,
+        victim: usize,
+        now: u64,
+    ) -> Option<(T, Option<usize>)> {
+        let injected = victim == self.workers();
         let (first, left_behind) = match self.remotes.get(victim) {
-            Some(peer) => peer.deque.grab(|len| len.div_ceil(2), &mut local.batch)?,
-            None => self.injector.grab(|len| len, &mut local.batch)?,
+            Some(peer) => peer
+                .deque
+                .grab(|len| len.div_ceil(2), now, &mut local.batch)?,
+            None => self.injector.grab(|len| len, u64::MAX, &mut local.batch)?,
         };
-        if victim < self.workers() {
+        if !injected {
             self.count(local.index, SchedCounter::Steal, 1);
         }
-        let moved = self.remotes[local.index].deque.push(local.batch.drain(..)) > 0;
+        let mut batch = std::mem::take(&mut local.batch);
+        let moved = !batch.is_empty() && self.push_own(local, batch.drain(..)) > 0;
+        local.batch = batch;
         self.stop_searching(local);
-        if left_behind || moved {
+        if left_behind || (injected && moved) {
             self.notify(local.index);
         }
         Some((first, Some(victim)))
@@ -370,22 +497,30 @@ impl<T: Send> Scheduler<T> {
         }
     }
 
-    /// Looks for work beyond the worker's own queues — the injector, then
-    /// the peers' deques — for at most [`SPIN_BUDGET`] and only while a peer
-    /// is running tasks (nothing else can make stealable work appear; an
-    /// injection unparks on its own).
+    /// Looks for work beyond the worker's slot — its own deque (a peer may
+    /// send tasks home), the injector, then the peers' due deque
+    /// entries — for at most [`SPIN_BUDGET`] and only while a peer is
+    /// running tasks (nothing else can make work appear; an injection
+    /// unparks on its own).  If a busy peer's front entry is then not yet
+    /// due, it searches on until that entry comes due, once.
     fn search(&self, local: &mut Local<T>) -> Option<(T, Option<usize>)> {
         if !local.searching {
             local.searching = true;
             self.searching.fetch_add(1, Ordering::SeqCst);
         }
         let workers = self.workers();
+        let index = local.index;
+        let peers = move || (1..workers).map(move |offset| (index + offset) % workers);
         let mut deadline = None;
+        let mut extended = false;
         loop {
-            let found = self.take_from(local, workers).or_else(|| {
-                (1..workers)
-                    .find_map(|offset| self.take_from(local, (local.index + offset) % workers))
-            });
+            if let Some(task) = self.remotes[local.index].deque.pop(|| self.stamp()) {
+                return Some((task, None));
+            }
+            let now = self.now();
+            let found = self
+                .take_from(local, workers, u64::MAX)
+                .or_else(|| peers().find_map(|victim| self.take_from(local, victim, now)));
             if found.is_some() {
                 if deadline.is_some() {
                     self.count(local.index, SchedCounter::SpinFound, 1);
@@ -394,10 +529,21 @@ impl<T: Send> Scheduler<T> {
             }
             let busy_peers = workers
                 > self.parked.load(Ordering::Relaxed) + self.searching.load(Ordering::Relaxed);
-            let now = Instant::now();
-            let deadline = *deadline.get_or_insert(now + SPIN_BUDGET);
-            if !busy_peers || now >= deadline || self.shutdown.load(Ordering::Acquire) {
+            let deadline = deadline.get_or_insert(now + BUDGET_NS);
+            if !busy_peers || self.shutdown.load(Ordering::Acquire) {
                 return None;
+            }
+            if now >= *deadline {
+                let next_due = peers()
+                    .filter_map(|victim| self.remotes[victim].deque.front_due())
+                    .min();
+                match next_due {
+                    Some(due) if !extended && due > now => {
+                        *deadline = due;
+                        extended = true;
+                    }
+                    _ => return None,
+                }
             }
             for _ in 0..SPIN_PAUSES {
                 std::hint::spin_loop();
@@ -405,18 +551,36 @@ impl<T: Send> Scheduler<T> {
         }
     }
 
-    /// True if a queue this worker could take from holds a task or an offered
-    /// table a row (checked under each lock: this is the park-side re-check).
-    fn stealable_work(&self, local: &Local<T>) -> bool {
+    /// True if the worker's own deque holds a task, or the injector, a
+    /// peer's deque front that is due, or an offered table a row (checked
+    /// under each lock: this is the park-side re-check).  False with
+    /// `watch` set if a peer's deque holds a task that is not yet due.
+    fn work_for(&self, local: &Local<T>, watch: &mut bool) -> bool {
+        let now = self.now();
+        *watch = false;
         !lock(&self.injector.items).is_empty()
             || self.remotes.iter().enumerate().any(|(index, remote)| {
-                index != local.index && !lock(&remote.deque.items).is_empty()
+                let items = lock(&remote.deque.items);
+                let Some(&(_, stamp)) = items.front() else {
+                    return false;
+                };
+                *watch = true;
+                index == local.index || stamp + BUDGET_NS <= now
             })
             || lock(&self.offers).iter().any(|table| table.open())
     }
 
-    /// Parks the worker until a pusher unparks it or the pool shuts down.
-    /// On return the worker is searching again (and counted as such).
+    /// Parks the worker until a pusher unparks it or the pool shuts down —
+    /// or, while a peer's deque holds a task that is not yet due, until the
+    /// re-check finds one due: a **watch**, which looks again after one
+    /// [`SPIN_BUDGET`], then after twice as long each time it finds nothing.
+    /// So a peer stuck in a long slice with tasks queued behind it loses
+    /// them to a sleeper within about the time the watch has run, while a
+    /// peer that keeps draining its deque costs the sleeper one wake-up per
+    /// doubling.  A push onto an empty deque unparks a sleeper when none is
+    /// on a watch, so a queued task always has one (or a searcher) once a
+    /// worker sleeps.  On return the worker is searching again (and counted
+    /// as such).
     fn park(&self, local: &mut Local<T>) {
         debug_assert!(local.slot.is_none(), "a worker never parks on a full slot");
         let remote = &self.remotes[local.index];
@@ -433,13 +597,27 @@ impl<T: Send> Scheduler<T> {
         local.searching = true;
         // Idle is published; only now is it safe to trust an empty scan.
         let mut parked = false;
-        if !self.shutdown.load(Ordering::SeqCst) && !self.stealable_work(local) {
+        let mut watch = false;
+        if !self.shutdown.load(Ordering::SeqCst) && !self.work_for(local, &mut watch) {
             parked = true;
             self.count(local.index, SchedCounter::Park, 1);
+            let mut timeout = SPIN_BUDGET;
             loop {
-                std::thread::park();
-                // A stale token or a spurious return leaves `sleeping` set.
-                if !remote.sleeping.load(Ordering::Acquire) || self.shutdown.load(Ordering::SeqCst)
+                if watch {
+                    self.watching.fetch_add(1, Ordering::SeqCst);
+                    std::thread::park_timeout(timeout);
+                    timeout = timeout.saturating_mul(2);
+                    // Off the watch before looking: a push onto an empty
+                    // deque after the look then sees no watcher and unparks.
+                    self.watching.fetch_sub(1, Ordering::SeqCst);
+                } else {
+                    std::thread::park();
+                }
+                // A stale token, a spurious return or a watch's look leaves
+                // `sleeping` set.
+                if !remote.sleeping.load(Ordering::Acquire)
+                    || self.shutdown.load(Ordering::SeqCst)
+                    || (watch && self.work_for(local, &mut watch))
                 {
                     break;
                 }
@@ -551,26 +729,147 @@ mod tests {
         assert!(seen.iter().all(|n| n.load(Ordering::Relaxed) == 1));
     }
 
+    /// Enrols worker `index` in `sleepers` the way `park` does, without a
+    /// thread behind it.
+    fn asleep<T: Send>(sched: &Scheduler<T>, index: usize) {
+        let mut sleepers = lock(&sched.sleepers);
+        sleepers.push(index);
+        sched.parked.store(sleepers.len(), Ordering::SeqCst);
+        sched.remotes[index].sleeping.store(true, Ordering::SeqCst);
+    }
+
+    fn is_asleep<T: Send>(sched: &Scheduler<T>, index: usize) -> bool {
+        sched.remotes[index].sleeping.load(Ordering::SeqCst)
+    }
+
     #[test]
-    fn the_slot_is_private_and_the_deque_is_shared_and_wakes_a_sleeper() {
+    fn a_thief_refuses_a_fresh_entry() {
         let sched = Scheduler::<u64>::new(2, None);
         let mut owner = sched.local(0);
         let mut thief = sched.local(1);
         // First wake in the slot: nothing a peer could take.
         sched.schedule(&mut owner, 1);
-        assert!(!sched.stealable_work(&thief));
-        // The second displaces it onto the deque, which unparks a sleeper.
-        lock(&sched.sleepers).push(1);
-        sched.parked.store(1, Ordering::SeqCst);
-        sched.remotes[1].sleeping.store(true, Ordering::SeqCst);
+        let mut watch = true;
+        assert!(!sched.work_for(&thief, &mut watch));
+        assert!(!watch, "a slot is nothing to watch");
+        // The second displaces it onto the deque, stamped with its enqueue
+        // time; until a spin budget has passed it is its owner's alone.
         sched.schedule(&mut owner, 2);
-        assert!(!sched.remotes[1].sleeping.load(Ordering::SeqCst));
-        assert_eq!(sched.searching.load(Ordering::SeqCst), 1);
-        thief.searching = true;
-        assert_eq!(sched.search(&mut thief), Some((1, Some(0))));
-        assert_eq!(sched.searching.load(Ordering::SeqCst), 0);
+        let pushed_at = sched.remotes[0].deque.front.load(Ordering::Relaxed);
+        assert_eq!(sched.take_from(&mut thief, 0, pushed_at), None);
+        assert_eq!(sched.take_from(&mut thief, 0, pushed_at + BUDGET_NS - 1), None);
+        // Its owner takes it without waiting.
         assert_eq!(sched.pick_local(&mut owner), Some((2, None)));
+        assert_eq!(sched.pick_local(&mut owner), Some((1, None)));
         assert_eq!(sched.pick_local(&mut owner), None);
+    }
+
+    #[test]
+    fn a_thief_takes_an_entry_older_than_the_spin_budget() {
+        let sched = Scheduler::<u64>::new(2, None);
+        let owner = sched.local(0);
+        let mut thief = sched.local(1);
+        for task in 1..=3 {
+            sched.defer(&owner, task);
+        }
+        let newest = lock(&sched.remotes[0].deque.items).back().map(|entry| entry.1);
+        // All due: the older half (two of three) moves, one to run, one
+        // onto the thief's own deque.
+        let now = newest.unwrap() + BUDGET_NS;
+        assert_eq!(sched.take_from(&mut thief, 0, now), Some((1, Some(0))));
+        assert_eq!(sched.remotes[1].deque.len.load(Ordering::Relaxed), 1);
+        assert_eq!(sched.remotes[0].deque.len.load(Ordering::Relaxed), 1);
+        // On the real clock: once the budget has passed, a search takes it.
+        std::thread::sleep(SPIN_BUDGET);
+        let mut late = sched.local(1);
+        assert_eq!(sched.remotes[1].deque.pop(|| 0), Some(2));
+        assert!(sched.work_for(&late, &mut false));
+        assert_eq!(sched.search(&mut late), Some((3, Some(0))));
+        assert_eq!(sched.searching.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn an_owners_own_push_unparks_no_one_but_an_injection_does() {
+        let sched = Scheduler::<u64>::new(2, None);
+        let mut owner = sched.local(0);
+        asleep(&sched, 1);
+        // Worker 1 is on a watch: it will look at the owner's deque itself.
+        sched.watching.store(1, Ordering::SeqCst);
+        sched.schedule(&mut owner, 1);
+        sched.schedule(&mut owner, 2);
+        sched.defer(&owner, 3);
+        assert!(is_asleep(&sched, 1), "a push onto the owner's deque unparked a sleeper");
+        sched.inject([4]);
+        assert!(!is_asleep(&sched, 1), "an injection left the sleeper parked");
+        assert_eq!(sched.searching.load(Ordering::SeqCst), 1);
+        assert_eq!(sched.parked.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_push_onto_an_empty_deque_finds_a_sleeper_a_watch() {
+        let sched = Scheduler::<u64>::new(2, None);
+        let owner = sched.local(0);
+        // No watch: the first task on the deque unparks the sleeper...
+        asleep(&sched, 1);
+        sched.defer(&owner, 1);
+        assert!(!is_asleep(&sched, 1));
+        // ... and a sleeper that parks now watches the deque (its entry
+        // restamped so that it cannot come due while the test runs).
+        lock(&sched.remotes[0].deque.items)[0].1 = sched.now() + 1_000_000_000;
+        let thief = sched.local(1);
+        let mut watch = false;
+        assert!(!sched.work_for(&thief, &mut watch));
+        assert!(watch, "a queued task that is not due is watched");
+        // A second task, on a deque that was not empty, unparks no one.
+        sched.searching.store(0, Ordering::SeqCst);
+        asleep(&sched, 1);
+        sched.defer(&owner, 2);
+        assert!(is_asleep(&sched, 1));
+    }
+
+    #[test]
+    fn a_task_left_behind_a_long_slice_is_taken_by_a_sleeper() {
+        // The owner queues a task and then runs "a long slice": it never
+        // picks again.  A peer that was parked must take the task (once it
+        // is due) without anyone else pushing anything; the slot's task
+        // stays the owner's.
+        let sched = Scheduler::<u64>::new(2, None);
+        let taken = AtomicU64::new(0);
+        drive(
+            &sched,
+            1..2,
+            |_, _, task| taken.store(task, Ordering::SeqCst),
+            || {
+                wait_for("the peer to park", || sched.parked.load(Ordering::SeqCst) == 1);
+                let mut owner = sched.local(0);
+                sched.schedule(&mut owner, 1);
+                sched.defer(&owner, 2);
+                wait_for("the peer to take the queued task", || {
+                    taken.load(Ordering::SeqCst) == 2
+                });
+                assert_eq!(sched.pick_local(&mut owner), Some((1, None)));
+            },
+        );
+    }
+
+    #[test]
+    fn a_push_onto_another_workers_deque_unparks_that_worker() {
+        let sched = Scheduler::<u64>::new(3, None);
+        let sender = sched.local(0);
+        asleep(&sched, 1);
+        asleep(&sched, 2);
+        // `notify` would pop worker 2; the task is worker 1's.
+        sched.send(&sender, 1, [7]);
+        assert!(!is_asleep(&sched, 1), "the home worker stayed parked");
+        assert!(is_asleep(&sched, 2), "a bystander was unparked");
+        assert_eq!(sched.parked.load(Ordering::SeqCst), 1);
+        assert_eq!(sched.searching.load(Ordering::SeqCst), 1);
+        // Unparked, the home worker finds the task on its own deque and
+        // stops searching.
+        let mut home = sched.local(1);
+        home.searching = true;
+        assert_eq!(sched.next(&mut home), Some((7, None)));
+        assert_eq!(sched.searching.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -20,7 +20,10 @@
 //! worker — run-next slot, deque or injector — and when an idle worker is
 //! unparked is the business of the private `sched` module (DESIGN.md,
 //! "Scheduling (E23)"); nothing below depends on it, as long as every
-//! queued task is eventually run.
+//! queued task is eventually run.  The pool only says *which* worker: a
+//! job's **home**, the first worker to run one of its tasks.  A wake, yield
+//! or re-queue issued on the home takes its slot or deque; one issued by a
+//! task another worker took is sent home.
 //!
 //! ## Per-job verdicts without global quiescence
 //!
@@ -106,6 +109,9 @@ const RUNNING: u8 = 2;
 /// Executing, and a wake arrived meanwhile: re-queue after the run.
 const NOTIFIED: u8 = 3;
 
+/// [`JobState::home`] before any of the job's tasks has run.
+const NO_HOME: usize = usize::MAX;
+
 /// Job verdict encoding (`JobState::verdict`).
 const JOB_RUNNING: u8 = 0;
 const JOB_COMPLETED: u8 = 1;
@@ -184,6 +190,9 @@ struct JobState {
     tasks: Vec<TaskSlot>,
     quiescence: Quiescence,
     verdict: AtomicU8,
+    /// The worker that ran the job's first slice ([`NO_HOME`] until then):
+    /// where its tasks are queued (see the module docs).
+    home: AtomicUsize,
     /// Guards one-shot report assembly.
     delivered: AtomicBool,
     inputs: u64,
@@ -302,6 +311,7 @@ impl JobState {
                 unfinished: AtomicUsize::new(unfinished),
             },
             verdict: AtomicU8::new(if runs { JOB_RUNNING } else { JOB_COMPLETED }),
+            home: AtomicUsize::new(NO_HOME),
             delivered: AtomicBool::new(false),
             inputs: new.inputs,
             edge_count: g.edge_count(),
@@ -334,6 +344,17 @@ impl JobState {
         self.verdict
             .compare_exchange(JOB_RUNNING, verdict, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
+    }
+
+    /// The job's home worker, claimed by `worker` if it runs the first slice.
+    fn home(&self, worker: usize) -> usize {
+        match self.home.load(Ordering::Relaxed) {
+            NO_HOME => self
+                .home
+                .compare_exchange(NO_HOME, worker, Ordering::Relaxed, Ordering::Relaxed)
+                .map_or_else(|home| home, |_| worker),
+            home => home,
+        }
     }
 
     /// The verdict, or `None` while the job runs.
@@ -1024,6 +1045,7 @@ impl PoolCore {
             drop(self.deactivate(job));
             return;
         }
+        let home = job.home(worker);
         slot.state.store(RUNNING, Ordering::Release);
         enum Exec {
             Normal(Outcome, bool),
@@ -1038,6 +1060,14 @@ impl PoolCore {
                 telemetry: self.telemetry.as_ref(),
                 worker,
             };
+            if let Some(tele) = &self.telemetry {
+                if task.last_worker != worker {
+                    if task.last_worker != usize::MAX {
+                        tele.count(worker, SchedCounter::Migration, 1);
+                    }
+                    task.last_worker = worker;
+                }
+            }
             // Ring-full probe doubles as the slice timestamp: when this
             // worker's lane has no room, every event below would be dropped
             // anyway, so the whole slice skips instrumentation for the
@@ -1122,7 +1152,7 @@ impl PoolCore {
                 // slice woke); every other job on the pool is untouched.
                 job.settle_as(JOB_FAILED);
                 slot.state.store(IDLE, Ordering::Release);
-                drop(self.publish(local, job, woken, true));
+                drop(self.publish(local, job, home, woken, true));
             }
             Exec::Normal(outcome, newly_done) => {
                 if newly_done {
@@ -1133,12 +1163,12 @@ impl PoolCore {
                         // Stale flag wakeups may still re-queue this task;
                         // it will no-op.
                         slot.state.store(IDLE, Ordering::Release);
-                        drop(self.publish(local, job, woken, true));
+                        drop(self.publish(local, job, home, woken, true));
                     }
                     Outcome::Yielded => {
                         slot.state.store(QUEUED, Ordering::Release);
-                        self.publish(local, job, woken, false);
-                        self.sched.defer(local, tref);
+                        self.publish(local, job, home, woken, false);
+                        self.requeue(local, home, tref, false);
                     }
                     Outcome::Blocked => {
                         let idle = slot.state.compare_exchange(
@@ -1153,10 +1183,10 @@ impl PoolCore {
                             // our final re-check, so the task must run
                             // again (it stays active).
                             slot.state.store(QUEUED, Ordering::Release);
-                            self.publish(local, job, woken, false);
-                            self.sched.schedule(local, tref);
+                            self.publish(local, job, home, woken, false);
+                            self.requeue(local, home, tref, true);
                         } else {
-                            drop(self.publish(local, job, woken, true));
+                            drop(self.publish(local, job, home, woken, true));
                         }
                     }
                 }
@@ -1164,15 +1194,30 @@ impl PoolCore {
         }
     }
 
+    /// Queues `tref`, which ran on `local`'s worker: on the job's `home`
+    /// into the run-next slot (`next`) or behind the deque, from any other
+    /// worker onto the home's deque.
+    fn requeue(&self, local: &mut Local<TaskRef>, home: usize, tref: TaskRef, next: bool) {
+        if home != local.index() {
+            self.sched.send(local, home, [tref]);
+        } else if next {
+            self.sched.schedule(local, tref);
+        } else {
+            self.sched.defer(local, tref);
+        }
+    }
+
     /// Moves `job`'s activity count by the net of the slice's wakes and its
     /// runner's retirement — one write at most, none when one woken task
     /// takes over a retiring runner's unit (a hand-off) — and only then
-    /// queues the woken tasks in wake order, the last into the run-next
-    /// slot.  Returns what [`PoolCore::deactivate`] returns.
+    /// queues the woken tasks in wake order: on the job's `home` the last
+    /// into the run-next slot, from any other worker all onto the home's
+    /// deque.  Returns what [`PoolCore::deactivate`] returns.
     fn publish(
         &self,
         local: &mut Local<TaskRef>,
         job: &JobState,
+        home: usize,
         woken: &mut Vec<u32>,
         retiring: bool,
     ) -> Option<Arc<JobState>> {
@@ -1190,13 +1235,16 @@ impl PoolCore {
                 debug_assert_ne!(before, 0, "a publication found no activity");
             }
         }
+        if let Some(arm) = &job.fault {
+            // Chaos: a bounded budget of delayed wakeups.
+            woken.iter().for_each(|_| arm.delay_wake());
+        }
         let ptr = NonNull::from(job);
-        for node in woken.drain(..) {
-            if let Some(arm) = &job.fault {
-                // Chaos: a bounded budget of delayed wakeups.
-                arm.delay_wake();
-            }
-            self.sched.schedule(local, TaskRef { job: ptr, node });
+        let tasks = woken.drain(..).map(|node| TaskRef { job: ptr, node });
+        if home == local.index() {
+            tasks.for_each(|tref| self.sched.schedule(local, tref));
+        } else {
+            self.sched.send(local, home, tasks);
         }
         None
     }

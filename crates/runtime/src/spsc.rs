@@ -432,14 +432,21 @@ impl<T: Weigh> Producer<T> {
     /// capacity.  Conservative (the cache refreshes only when the cached
     /// view says "no space"), never an over-estimate.
     pub(crate) fn space_msgs(&self) -> usize {
+        self.space_for(1)
+    }
+
+    /// [`Self::space_msgs`], refreshing the cached view whenever it holds
+    /// fewer than `want` messages of space.
+    pub(crate) fn space_for(&self, want: usize) -> usize {
         let ring = &*self.ring;
-        let mut used = self.pushed.get() - self.cached_released.get();
-        if used >= ring.tx.cap {
-            self.cached_released
-                .set(ring.rx.msg_head.load(Ordering::Acquire));
-            used = self.pushed.get() - self.cached_released.get();
+        let free = |released: usize| ring.tx.cap - (self.pushed.get() - released).min(ring.tx.cap);
+        let space = free(self.cached_released.get());
+        if space >= want {
+            return space;
         }
-        ring.tx.cap - used.min(ring.tx.cap)
+        self.cached_released
+            .set(ring.rx.msg_head.load(Ordering::Acquire));
+        free(self.cached_released.get())
     }
 
     /// Registers this endpoint as blocked-on-full.  The caller **must retry

@@ -172,6 +172,9 @@ pub(crate) struct Task {
     /// Epoch of the last barrier snapshot this task contributed to (0 =
     /// never); guarded by the task mutex like the rest of the state.
     pub(crate) snap_epoch: u64,
+    /// The pool worker that ran this task's previous slice (`usize::MAX`:
+    /// none yet); kept only while the pool records telemetry.
+    pub(crate) last_worker: usize,
 }
 
 impl Task {
@@ -431,6 +434,7 @@ pub(crate) fn build_tasks(topology: &Topology, mode: &AvoidanceMode, batch: u32)
                 firings: 0,
                 sink_firings: 0,
                 snap_epoch: 0,
+                last_worker: usize::MAX,
             }
         })
         .collect()

@@ -127,11 +127,14 @@ pub enum SchedCounter {
     /// Slices whose wakes were published with no write to the job's
     /// activity count: one woken task took over the retiring task's unit.
     Handoff = 8,
+    /// Slices that ran on a different worker than their task's previous
+    /// slice (counted by the worker the task moved to).
+    Migration = 9,
 }
 
 impl SchedCounter {
     /// Every counter, in discriminant order.
-    pub const ALL: [SchedCounter; 9] = [
+    pub const ALL: [SchedCounter; 10] = [
         SchedCounter::SlotHit,
         SchedCounter::DequePush,
         SchedCounter::InjectorPush,
@@ -141,6 +144,7 @@ impl SchedCounter {
         SchedCounter::Park,
         SchedCounter::SpinFound,
         SchedCounter::Handoff,
+        SchedCounter::Migration,
     ];
 
     /// Stable lowercase name: the `fila_sched_<name>_total` Prometheus
@@ -156,6 +160,7 @@ impl SchedCounter {
             SchedCounter::Park => "parks",
             SchedCounter::SpinFound => "spins_found_work",
             SchedCounter::Handoff => "handoffs",
+            SchedCounter::Migration => "migrations",
         }
     }
 }

@@ -677,7 +677,9 @@ mod tests {
         telemetry.count(1, SchedCounter::SlotHit, 5);
         telemetry.count(fila_runtime::telemetry::CONTROL_LANE, SchedCounter::InjectorPush, 3);
         telemetry.count(0, SchedCounter::Handoff, 2);
+        telemetry.count(1, SchedCounter::Migration, 4);
         let text = sched_prometheus(&telemetry);
+        assert!(text.contains("fila_sched_migrations_total{worker=\"1\"} 4"));
         assert!(text.contains("# TYPE fila_sched_handoffs_total counter"));
         assert!(text.contains("fila_sched_handoffs_total{worker=\"0\"} 2"));
         assert!(text.contains("# TYPE fila_sched_slot_hits_total counter"));

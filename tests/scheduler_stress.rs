@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use fila::avoidance::verify::certify_runs;
 use fila::prelude::*;
 use fila::runtime::filters::Predicate;
-use fila::runtime::{AvoidanceMode, JobHandle};
+use fila::runtime::{AvoidanceMode, EventKind, JobHandle, PoolOptions};
 use fila::workloads::figures::fig2_triangle;
 use fila::workloads::generators::{random_sp_dag, GeneratorConfig};
 
@@ -363,5 +363,64 @@ fn a_ping_pong_pair_cannot_starve_small_jobs_on_one_worker() {
             "the long pipeline finished before the small jobs got their turn"
         );
         long.cancel();
+    });
+}
+
+#[test]
+fn a_coarse_wide_job_runs_on_both_workers() {
+    // The sharing side of keeping a job on its home worker (E38): a job
+    // whose tasks fire for ≈ 200 µs each must still spread over both
+    // workers.  One source forks into eight three-node branches joined by
+    // one sink, and every middle node takes ≈ 200 µs per firing, so while
+    // the home worker runs one branch the others' tasks wait on its deque
+    // long past a spin budget.  The telemetry lanes, not a stopwatch, say
+    // who fired: each worker's firing spans must cover at least a third of
+    // the job's firing time.  The middle nodes sleep rather than spin: the
+    // scheduler cannot tell the two apart, and two spinning workers would
+    // starve this file's timing-sensitive tests, which run alongside.
+    const BRANCHES: usize = 8;
+    const FIRING: Duration = Duration::from_micros(200);
+    with_watchdog(Duration::from_secs(60), || {
+        let mut b = GraphBuilder::new().default_capacity(4);
+        for branch in 0..BRANCHES {
+            let names = [format!("a{branch}"), format!("m{branch}"), format!("b{branch}")];
+            b.chain(&["s", &names[0], &names[1], &names[2], "t"]).unwrap();
+        }
+        let g = b.build().unwrap();
+        let middles: Vec<_> = (0..BRANCHES)
+            .map(|branch| g.node_by_name(&format!("m{branch}")).unwrap())
+            .collect();
+        let topology = middles.iter().fold(Topology::from_graph(&g), |topology, &m| {
+            topology.with(m, || {
+                Predicate::new(1, |_seq, _out| {
+                    std::thread::sleep(FIRING);
+                    true
+                })
+            })
+        });
+        let pool = SharedPool::with(PoolOptions {
+            workers: 2,
+            telemetry: true,
+            ..PoolOptions::default()
+        });
+        let report = pool.submit(&topology, 40).wait();
+        assert!(report.completed, "{report:?}");
+        assert_eq!(report.sink_firings, 40);
+        let events = pool.telemetry_handle().unwrap().all_events();
+        let firings: Vec<_> = events.iter().filter(|e| e.kind == EventKind::Firing).collect();
+        let start = firings.iter().map(|e| e.t_start_ns).min().unwrap();
+        let end = firings.iter().map(|e| e.t_end_ns).max().unwrap();
+        let mut covered = [0u64; 2];
+        for e in &firings {
+            covered[usize::from(e.worker)] += e.duration_ns();
+        }
+        let window = end - start;
+        eprintln!("firing time {window} ns, covered per worker {covered:?}");
+        for (worker, &ns) in covered.iter().enumerate() {
+            assert!(
+                3 * ns >= window,
+                "worker {worker} fired {ns} ns of the job's {window} ns: {covered:?}"
+            );
+        }
     });
 }
