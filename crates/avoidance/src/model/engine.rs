@@ -1,4 +1,4 @@
-//! The scalar step of the model and its two deterministic schedulers.
+//! The scalar step of the model and its deterministic scheduler.
 //!
 //! [`Engine`] holds one run's state — a `VecDeque` per channel, and per node
 //! a [`DummyWrapper`], the pending (produced, undelivered) outputs and the
@@ -9,20 +9,15 @@
 //! difference between `fila_runtime::Simulator` (real node behaviours) and
 //! certification's model check (a periodic or adversarial emission rule).
 //!
-//! Two schedulers drive the step:
-//!
-//! * [`Engine::run_scan`] round-robins over *every* node and declares
-//!   deadlock after a full pass without progress.  `O(V)` per step, no
-//!   bookkeeping to get wrong: it is the executable specification.
-//! * [`Engine::run_worklist`] keeps a ready queue fed by channel events (a
-//!   step records the channels it made non-empty or non-full; their
-//!   consumers and producers are the only nodes it can have unblocked), so a
-//!   step costs `O(degree)` and deadlock is exactly "queue empty, some node
-//!   unfinished".  [`Engine::run_worklist_observed`] is the same loop with a
-//!   hook between turns.
-//!
-//! Deterministic firing makes the network confluent, so both reach the same
-//! terminal state; only `steps` depends on the schedule.
+//! [`Engine::run_worklist`] drives the step: a ready queue fed by channel
+//! events (a step records the channels it made non-empty or non-full; their
+//! consumers and producers are the only nodes it can have unblocked), so a
+//! step costs `O(degree)` and deadlock is exactly "queue empty, some node
+//! unfinished".  [`Engine::run_worklist_observed`] is the same loop with a
+//! hook between turns.  It is the workspace's reference schedule.
+//! Deterministic firing makes the network confluent, so every other fair
+//! schedule — the pooled engine's included — reaches the same terminal
+//! state; only `steps` depends on the schedule.
 
 use std::collections::VecDeque;
 
@@ -229,31 +224,6 @@ impl<'g> Engine<'g> {
         if !self.in_ready[n.index()] && !self.nodes[n.index()].done {
             self.in_ready[n.index()] = true;
             self.ready.push_back(n);
-        }
-    }
-
-    /// Reference scheduler: polls every node in id order, pass after pass.
-    pub fn run_scan<F>(&mut self, fire: &mut F, step_bound: u64) -> Halt
-    where
-        F: FnMut(NodeId, u64, &[Option<Payload>], &mut [Option<Payload>]),
-    {
-        loop {
-            let mut progressed = false;
-            for n in self.graph.node_ids() {
-                if self.steps >= step_bound {
-                    return Halt::StepBound;
-                }
-                if self.step(n, fire) {
-                    progressed = true;
-                    self.steps += 1;
-                }
-                // Polling needs no wake lists.
-                self.filled.clear();
-                self.drained.clear();
-            }
-            if !progressed || self.nodes.iter().all(|s| s.done) {
-                return self.verdict();
-            }
         }
     }
 

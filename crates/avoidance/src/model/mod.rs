@@ -9,8 +9,8 @@
 //!
 //! * [`message`] — what travels on a channel;
 //! * [`wrapper`] — the Propagation / Non-Propagation gap counters;
-//! * [`engine`] — the scalar step over `VecDeque` channels, with the
-//!   round-robin scan (the specification) and the worklist scheduler;
+//! * [`engine`] — the scalar step over `VecDeque` channels and the worklist
+//!   scheduler that drives it (the reference schedule);
 //! * [`steady`] — an observer of the worklist run that skips a recurring
 //!   steady state exactly (certification's; the Simulator runs unobserved).
 //!

@@ -61,7 +61,7 @@ pub use report::{BlockedInfo, BlockedReason, ExecutionReport};
 pub use shared_pool::{
     FilterObservation, JobHandle, JobVerdict, PoolOptions, SettleHook, SharedPool,
 };
-pub use simulator::{Scheduler, Simulator};
+pub use simulator::Simulator;
 pub use telemetry::{chrome_trace, EventKind, SchedCounter, TelemetryHandle, TraceEvent};
 pub use topology::{BehaviorFactory, Topology};
 pub use wrapper::{AvoidanceMode, DummyWrapper, PropagationTrigger, RunDummies};

@@ -1357,25 +1357,34 @@ mod tests {
     #[test]
     fn shared_pool_matches_simulator_counts() {
         let pool = SharedPool::new(3);
-        let g = fig2(4);
-        let a = g.node_by_name("A").unwrap();
-        let plan = Arc::new(
-            Planner::new(&g)
-                .algorithm(Algorithm::Propagation)
-                .plan()
-                .unwrap(),
-        );
-        let topo = crate::Topology::from_graph(&g)
-            .with(a, || Predicate::new(2, |seq, out| out == 0 || seq % 4 == 0));
-        let sim = Simulator::new(&topo)
-            .with_shared_plan(Arc::clone(&plan))
-            .run(400);
-        let h = pool.submit_with(&topo, AvoidanceMode::Plan(plan), 400);
-        let pooled = h.wait();
-        assert!(sim.completed && pooled.completed);
-        assert_eq!(sim.per_edge_data, pooled.per_edge_data);
-        assert_eq!(sim.per_edge_dummies, pooled.per_edge_dummies);
-        assert_eq!(sim.sink_firings, pooled.sink_firings);
+        // Fig. 2 with A filtering most of A->C, under both protocols, and an
+        // unfiltered 64-node chain of capacity-1 channels.
+        let mut cases = vec![(fig2(4), Some(Algorithm::Propagation), 4, 400)];
+        for algorithm in [Algorithm::Propagation, Algorithm::NonPropagation] {
+            cases.push((fig2(2), Some(algorithm), 5, 500));
+        }
+        let names: Vec<String> = (0..64).map(|i| format!("n{i}")).collect();
+        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut b = GraphBuilder::new();
+        b.chain(&refs).unwrap();
+        cases.push((b.build().unwrap(), None, 1, 10));
+        for (g, algorithm, period, inputs) in cases {
+            let mode = algorithm.map_or(AvoidanceMode::Disabled, |algorithm| {
+                AvoidanceMode::plan(Planner::new(&g).algorithm(algorithm).plan().unwrap())
+            });
+            let mut topo = crate::Topology::from_graph(&g);
+            if let Some(a) = g.node_by_name("A") {
+                topo = topo.with(a, move || {
+                    Predicate::new(2, move |seq, out| out == 0 || seq % period == 0)
+                });
+            }
+            let sim = Simulator::new(&topo).avoidance(mode.clone()).run(inputs);
+            let pooled = pool.submit_with(&topo, mode, inputs).wait();
+            assert!(sim.completed && pooled.completed, "{algorithm:?}: {sim:?}");
+            assert_eq!(sim.per_edge_data, pooled.per_edge_data, "{algorithm:?}");
+            assert_eq!(sim.per_edge_dummies, pooled.per_edge_dummies, "{algorithm:?}");
+            assert_eq!(sim.sink_firings, pooled.sink_firings, "{algorithm:?}");
+        }
     }
 
     #[test]

@@ -2,25 +2,19 @@
 //!
 //! The simulator is a driver of the scalar model
 //! ([`fila_avoidance::model::Engine`]): the model owns the firing rule — the
-//! per-node step, pending-output delivery and both schedulers — and this
-//! module adds what a *run of an application* needs around it: the node
-//! behaviours (the model's firing decision is [`NodeBehavior::fire_into`]),
-//! the [`ExecutionReport`] with its blocked-node diagnosis, and checkpoint
-//! capture/resume.
+//! per-node step, pending-output delivery and the worklist scheduler — and
+//! this module adds what a *run of an application* needs around it: the
+//! node behaviours (the model's firing decision is
+//! [`NodeBehavior::fire_into`]), the [`ExecutionReport`] with its
+//! blocked-node diagnosis, and checkpoint capture/resume.
 //!
-//! * [`Scheduler::Worklist`] (the default) — the model's event-driven ready
-//!   queue: per-step cost proportional to the fired node's degree, deadlock
-//!   detected exactly as "ready queue empty but not every node finished".
-//! * [`Scheduler::Scan`] — the model's round-robin scan: `O(V)` per step,
-//!   deadlock after a full unproductive pass.  It is the executable
-//!   specification; the worklist is property-tested against it, and every
-//!   other engine against the worklist.
-//!
-//! Both run the same step, so they produce identical message counts,
-//! completion and deadlock verdicts.  When no node can progress and not
-//! every node has reached end-of-stream, the run is *deadlocked* — exactly
-//! the condition the paper's avoidance machinery is designed to prevent —
-//! and the report records which node is blocked on which channel.
+//! A run is the model's event-driven ready queue
+//! ([`Engine::run_worklist`]): per-step cost proportional to the fired
+//! node's degree, deadlock detected exactly as "ready queue empty but not
+//! every node finished".  When no node can progress and not every node has
+//! reached end-of-stream, the run is *deadlocked* — exactly the condition
+//! the paper's avoidance machinery is designed to prevent — and the report
+//! records which node is blocked on which channel.
 //!
 //! Determinism makes the simulator the reference engine for the tests and
 //! benchmarks; the pooled engine ([`crate::SharedPool`]) runs the same rule
@@ -41,22 +35,11 @@ use crate::report::{BlockedInfo, BlockedReason, ExecutionReport};
 use crate::topology::Topology;
 use crate::wrapper::AvoidanceMode;
 
-/// Which scheduling strategy [`Simulator`] uses to pick the next node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// Event-driven worklist: `O(degree)` per step (the default).
-    #[default]
-    Worklist,
-    /// Full round-robin scan: `O(V)` per step; the reference semantics.
-    Scan,
-}
-
 /// Deterministic single-threaded execution engine.
 #[derive(Debug, Clone)]
 pub struct Simulator<'t> {
     topology: &'t Topology,
     mode: AvoidanceMode,
-    scheduler: Scheduler,
     max_steps: u64,
 }
 
@@ -66,7 +49,6 @@ impl<'t> Simulator<'t> {
         Simulator {
             topology,
             mode: AvoidanceMode::Disabled,
-            scheduler: Scheduler::default(),
             max_steps: u64::MAX,
         }
     }
@@ -90,13 +72,6 @@ impl<'t> Simulator<'t> {
         self
     }
 
-    /// Selects the scheduling strategy (the default is the event-driven
-    /// worklist; [`Scheduler::Scan`] is the reference implementation).
-    pub fn scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// Bounds the number of scheduler steps (a safety valve for exploratory
     /// runs; the default is effectively unbounded).
     pub fn max_steps(mut self, max_steps: u64) -> Self {
@@ -109,7 +84,7 @@ impl<'t> Simulator<'t> {
     pub fn run(&self, inputs: u64) -> ExecutionReport {
         let started = std::time::Instant::now();
         let mut run = Run::new(self, inputs);
-        let halt = run.drive(self.scheduler, self.max_steps, false);
+        let halt = run.drive(self.max_steps, false);
         run.report(halt, started)
     }
 
@@ -118,12 +93,11 @@ impl<'t> Simulator<'t> {
     /// exact point of death (all channel contents, node progress and
     /// wrapper state); if the run settles first, the finished report is
     /// returned instead.  Since the simulator stops *between* steps, any
-    /// cut is consistent — no barrier is needed.  Always uses the worklist
-    /// scheduler (the kill step indexes its step sequence).
+    /// cut is consistent — no barrier is needed.
     pub fn run_with_checkpoint(&self, inputs: u64, kill_at: u64) -> CheckpointOutcome {
         let started = std::time::Instant::now();
         let mut run = Run::new(self, inputs);
-        let halt = run.drive(Scheduler::Worklist, kill_at.min(self.max_steps), false);
+        let halt = run.drive(kill_at.min(self.max_steps), false);
         if halt == Halt::StepBound && run.engine.steps >= kill_at {
             return CheckpointOutcome::Killed(Box::new(run.capture(
                 labeled_fingerprint(self.topology.graph()),
@@ -141,7 +115,7 @@ impl<'t> Simulator<'t> {
     /// report is **cumulative**: a resumed run that completes reports
     /// exactly the counts the uninterrupted run would have (and
     /// [`ExecutionReport::resumed_from`] records the snapshot's progress
-    /// marker).  Always uses the worklist scheduler.
+    /// marker).
     pub fn resume(&self, snapshot: &JobSnapshot) -> Result<ExecutionReport, RestoreError> {
         let started = std::time::Instant::now();
         snapshot.validate_for(self.topology, &self.mode)?;
@@ -170,7 +144,7 @@ impl<'t> Simulator<'t> {
         }
         // Seed every unfinished node: unlike a fresh run, restored interior
         // nodes may already hold consumable channel contents.
-        let halt = run.drive(Scheduler::Worklist, self.max_steps, true);
+        let halt = run.drive(self.max_steps, true);
         Ok(run.report(halt, started))
     }
 }
@@ -192,15 +166,12 @@ impl<'t> Run<'t> {
     }
 
     /// Drives the model with the node behaviours as its firing decision.
-    fn drive(&mut self, scheduler: Scheduler, step_bound: u64, seed_all: bool) -> Halt {
+    fn drive(&mut self, step_bound: u64, seed_all: bool) -> Halt {
         let behaviors = &mut self.behaviors;
         let fire = &mut |node: NodeId, seq, data_in: &[_], emit: &mut [_]| {
             behaviors[node.index()].fire_into(&FireInput { seq, data_in }, emit)
         };
-        match scheduler {
-            Scheduler::Worklist => self.engine.run_worklist(fire, step_bound, seed_all),
-            Scheduler::Scan => self.engine.run_scan(fire, step_bound),
-        }
+        self.engine.run_worklist(fire, step_bound, seed_all)
     }
 
     /// Captures the run's entire state as a [`JobSnapshot`] (channels
@@ -324,18 +295,16 @@ mod tests {
     #[test]
     fn fig2_deadlocks_without_avoidance() {
         // A filters everything it sends to C; with finite buffers the
-        // application deadlocks exactly as in Fig. 2 — under both schedulers.
+        // application deadlocks exactly as in Fig. 2.
         let g = fig2(2);
         let a = g.node_by_name("A").unwrap();
         let topo = Topology::from_graph(&g)
             // A sends data to B always, to C never (out_edges(A) = [A->B, A->C]).
             .with(a, || Predicate::new(2, |_seq, out| out == 0));
-        for scheduler in [Scheduler::Worklist, Scheduler::Scan] {
-            let report = Simulator::new(&topo).scheduler(scheduler).run(1000);
-            assert!(report.deadlocked, "{scheduler:?}: {report:?}");
-            assert!(!report.completed);
-            assert!(!report.blocked.is_empty());
-        }
+        let report = Simulator::new(&topo).run(1000);
+        assert!(report.deadlocked, "{report:?}");
+        assert!(!report.completed);
+        assert!(!report.blocked.is_empty());
     }
 
     #[test]
@@ -460,13 +429,8 @@ mod tests {
     fn max_steps_yields_inconclusive_report() {
         let g = pipeline();
         let topo = Topology::from_graph(&g);
-        for scheduler in [Scheduler::Worklist, Scheduler::Scan] {
-            let report = Simulator::new(&topo)
-                .scheduler(scheduler)
-                .max_steps(5)
-                .run(1_000_000);
-            assert!(report.inconclusive(), "{scheduler:?}");
-        }
+        let report = Simulator::new(&topo).max_steps(5).run(1_000_000);
+        assert!(report.inconclusive(), "{report:?}");
     }
 
     #[test]
@@ -495,46 +459,6 @@ mod tests {
             report.per_edge_dummies.iter().sum::<u64>(),
             report.dummy_messages
         );
-    }
-
-    #[test]
-    fn worklist_and_scan_agree_on_fig2_with_plans() {
-        let g = fig2(2);
-        let a = g.node_by_name("A").unwrap();
-        for algorithm in [Algorithm::Propagation, Algorithm::NonPropagation] {
-            let plan = Planner::new(&g).algorithm(algorithm).plan().unwrap();
-            let topo = Topology::from_graph(&g)
-                .with(a, || Predicate::new(2, |seq, out| out == 0 || seq % 5 == 0));
-            let wl = Simulator::new(&topo).with_plan(&plan).run(500);
-            let scan = Simulator::new(&topo)
-                .with_plan(&plan)
-                .scheduler(Scheduler::Scan)
-                .run(500);
-            assert_eq!(wl.completed, scan.completed, "{algorithm}");
-            assert_eq!(wl.deadlocked, scan.deadlocked, "{algorithm}");
-            assert_eq!(wl.per_edge_data, scan.per_edge_data, "{algorithm}");
-            assert_eq!(wl.per_edge_dummies, scan.per_edge_dummies, "{algorithm}");
-            assert_eq!(wl.sink_firings, scan.sink_firings, "{algorithm}");
-        }
-    }
-
-    #[test]
-    fn worklist_matches_scan_on_a_deep_pipeline() {
-        // On an N-node pipeline the worklist only ever visits nodes that a
-        // channel event marked as possibly runnable, while the scan pays an
-        // O(N) sweep to find each runnable node; both must deliver exactly
-        // the same messages.
-        let names: Vec<String> = (0..64).map(|i| format!("n{i}")).collect();
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let mut b = GraphBuilder::new();
-        b.chain(&refs).unwrap();
-        let g = b.build().unwrap();
-        let topo = Topology::from_graph(&g);
-        let wl = Simulator::new(&topo).run(10);
-        let scan = Simulator::new(&topo).scheduler(Scheduler::Scan).run(10);
-        assert!(wl.completed && scan.completed);
-        assert_eq!(wl.per_edge_data, scan.per_edge_data);
-        assert_eq!(wl.sink_firings, scan.sink_firings);
     }
 
     #[test]

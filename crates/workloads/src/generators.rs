@@ -147,9 +147,8 @@ pub fn random_ladder(config: &LadderConfig) -> Graph {
 /// Generates a linear pipeline of `n` nodes with uniform channel
 /// `capacity`.  With `reversed = true` the nodes are *declared* against the
 /// flow direction, so node ids are anti-topological — the adversarial case
-/// for any scheduler that visits nodes in id order (the worklist scheduler
-/// and the pooled engine are insensitive to declaration order; the scan
-/// scheduler degrades to one hop per `O(n)` sweep).
+/// for any scheduler that visits nodes in id order (the Simulator's worklist
+/// and the pooled engine are insensitive to declaration order).
 ///
 /// This is the scaling workload of the engine benchmarks: it is trivially
 /// deadlock-free at any filter rate (no undirected cycles), so it isolates
@@ -271,10 +270,10 @@ pub fn layered_dag(layers: usize, width: usize, capacity: u64, seed: u64) -> Gra
 /// `(s + j) % period_of(node) == 0` (period 1 = broadcast, no filtering;
 /// periods are clamped to ≥ 1).
 ///
-/// This is the *shared* filtering convention of the scheduler-equivalence
-/// property test and the `throughput` benchmark, kept in one place so the
-/// workload the equivalence proof covers is exactly the workload the bench
-/// measures.
+/// This is the *shared* filtering convention of the engine-equivalence
+/// property test, the storm mix's [`crate::jobs::JobShape`]s and the
+/// `pooled_scale` example, kept in one place so the workload the
+/// equivalence proof covers is exactly the workload the others run.
 pub fn periodic_filtered_topology(g: &Graph, period_of: impl Fn(NodeId) -> u64) -> Topology {
     install_periodic(g, period_of, false)
 }

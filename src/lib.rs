@@ -48,7 +48,7 @@ pub mod prelude {
     pub use fila_graph::{EdgeId, Fingerprint, Graph, GraphBuilder, NodeId};
     pub use fila_runtime::{
         AvoidanceMode, CheckpointOutcome, ExecutionReport, JobSnapshot, JobVerdict, PoolOptions,
-        RestoreError, Scheduler, SharedPool, Simulator, SnapshotError, Topology,
+        RestoreError, SharedPool, Simulator, SnapshotError, Topology,
     };
     pub use fila_service::{
         AdaptiveOutcome, AvoidanceChoice, DriftPolicy, FilterSpec, JobService, JobSpec,

@@ -1,6 +1,6 @@
 //! Property-based equivalence of the deterministic simulator and the pooled
-//! work-stealing engine (the concurrent mirror of
-//! `tests/scheduler_equivalence.rs`).
+//! work-stealing engine: the pool is pinned to the model's worklist, the
+//! workspace's reference schedule.
 //!
 //! Both engines implement the same Kahn-style per-node semantics
 //! (acceptance rule, dummy wrappers, per-channel independent delivery) over
@@ -54,8 +54,7 @@ fn mix(mut x: u64) -> u64 {
 }
 
 /// The canonical periodic filter with a seed-derived period per node
-/// (period 1 = broadcast, larger periods filter most of the stream); shared
-/// with the scheduler-equivalence test and the `throughput` bench.
+/// (period 1 = broadcast, larger periods filter most of the stream).
 fn with_filters(g: &Graph, seed: u64) -> Topology {
     periodic_filtered_topology(g, |n| 1 + mix(seed ^ (0x9e37 + n.index() as u64)) % 5)
 }
