@@ -326,11 +326,15 @@ impl<'g> Engine<'g> {
         let out_edges = self.graph.out_edges(node);
         let emit = &self.emit[..out_edges.len()];
         let wrapper = &mut self.nodes[node.index()].wrapper;
-        // The answer borrows the wrapper; copy it out so `send` can borrow
-        // the node (out-degrees are tiny, and the buffer is reused).
-        self.dummies.clear();
-        self.dummies
-            .extend_from_slice(wrapper.on_accept(consumed_dummy, |i| fired && emit[i].is_some()));
+        // Collect the answer so `send` can borrow the node (out-degrees are
+        // tiny, and the buffer is reused).
+        let dummies = &mut self.dummies;
+        dummies.clear();
+        wrapper.on_accept_each(
+            consumed_dummy,
+            |i| fired && emit[i].is_some(),
+            |_, dummy| dummies.push(dummy),
+        );
         for (idx, &e) in out_edges.iter().enumerate() {
             if let (true, Some(payload)) = (fired, self.emit[idx]) {
                 self.send(node, e, Message::Data { seq, payload });

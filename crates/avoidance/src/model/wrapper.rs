@@ -38,11 +38,11 @@
 //! planner; [`AvoidanceMode::Disabled`] turns the wrapper off, which is how
 //! the deadlock of Fig. 2 is reproduced experimentally.
 
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use fila_graph::{Graph, NodeId};
 
-use crate::interval::DummyInterval;
 use crate::plan::{Algorithm, AvoidancePlan};
 
 /// How the runtime should avoid deadlock.
@@ -109,53 +109,107 @@ pub enum RunDummies {
 
 /// Per-node dummy-message state: one gap counter per output channel.
 ///
-/// All tables are resolved to dense, `out_edges`-aligned vectors at
-/// construction time, and the answer buffer is owned by the wrapper, so the
-/// per-firing path ([`DummyWrapper::on_accept`]) performs **no heap
-/// allocations and no map lookups**.
+/// All tables are resolved to one dense, `out_edges`-aligned table at
+/// construction time, so the per-firing path
+/// ([`DummyWrapper::on_accept_each`]) performs **no heap allocations and no
+/// map lookups**.
 #[derive(Debug, Clone)]
 pub struct DummyWrapper {
     algorithm: Option<Algorithm>,
-    /// Dummy-interval threshold per output channel (aligned with
-    /// `graph.out_edges(node)`); `u64::MAX` encodes an infinite interval,
-    /// which a gap counter can never reach.
-    threshold: Vec<u64>,
-    /// Sequence numbers since the counter was last reset, per output channel.
-    gap: Vec<u64>,
-    /// Reusable answer buffer for [`DummyWrapper::on_accept`].
+    outputs: usize,
+    /// Per output channel (aligned with `graph.out_edges(node)`), the
+    /// sequence numbers since its gap counter was last reset; then, under a
+    /// plan, its dummy-interval threshold — `u64::MAX` encodes an infinite
+    /// interval, which a gap counter can never reach.
+    table: Table,
+    /// Answer buffer for [`DummyWrapper::on_accept`], sized at its first
+    /// call.
     dummies: Vec<bool>,
+}
+
+/// A wrapper's table: two entries — a node with one output, or two outputs
+/// and no plan — held inline, more in a box, so the wrappers of a chain
+/// allocate nothing.
+#[derive(Debug, Clone)]
+enum Table {
+    Inline([u64; 2]),
+    Boxed(Box<[u64]>),
+}
+
+impl Table {
+    /// The table of `len` entries `entries` yields.
+    fn new(len: usize, entries: impl Iterator<Item = u64>) -> Self {
+        if len > 2 {
+            return Table::Boxed(entries.collect());
+        }
+        let mut inline = [0; 2];
+        inline.iter_mut().zip(entries).for_each(|(slot, entry)| *slot = entry);
+        Table::Inline(inline)
+    }
+
+    /// The first `outputs` entries — the gap counters — and the rest.
+    fn split(&mut self, outputs: usize) -> (&mut [u64], &[u64]) {
+        let (gap, threshold) = self.split_at_mut(outputs);
+        (gap, threshold)
+    }
+}
+
+impl Deref for Table {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        match self {
+            Table::Inline(inline) => inline,
+            Table::Boxed(boxed) => boxed,
+        }
+    }
+}
+
+impl DerefMut for Table {
+    fn deref_mut(&mut self) -> &mut [u64] {
+        match self {
+            Table::Inline(inline) => inline,
+            Table::Boxed(boxed) => boxed,
+        }
+    }
 }
 
 impl DummyWrapper {
     /// Builds the wrapper state for one node under the given mode.
     pub fn new(graph: &Graph, node: NodeId, mode: &AvoidanceMode) -> Self {
         let out = graph.out_edges(node);
-        let to_threshold = |iv: DummyInterval| iv.finite().unwrap_or(u64::MAX);
-        let (algorithm, threshold) = match mode {
-            AvoidanceMode::Disabled => (None, vec![u64::MAX; out.len()]),
-            AvoidanceMode::Plan(plan) => (
-                Some(plan.algorithm()),
-                out.iter().map(|&e| to_threshold(plan.interval(e))).collect(),
-            ),
+        let gaps = out.iter().map(|_| 0);
+        let (algorithm, table) = match mode {
+            AvoidanceMode::Disabled => (None, Table::new(out.len(), gaps)),
+            AvoidanceMode::Plan(plan) => {
+                let threshold = |&e| plan.interval(e).finite().unwrap_or(u64::MAX);
+                let entries = gaps.chain(out.iter().map(threshold));
+                (Some(plan.algorithm()), Table::new(2 * out.len(), entries))
+            }
         };
         DummyWrapper {
             algorithm,
-            threshold,
-            gap: vec![0; out.len()],
-            dummies: vec![false; out.len()],
+            outputs: out.len(),
+            table,
+            dummies: Vec::new(),
         }
     }
 
     /// Number of output channels tracked.
     pub fn outputs(&self) -> usize {
-        self.gap.len()
+        self.outputs
+    }
+
+    /// The gap counters and, under a plan, the thresholds.
+    fn split(&mut self) -> (&mut [u64], &[u64]) {
+        self.table.split(self.outputs)
     }
 
     /// The current gap counters (sequence numbers since each counter was
     /// last reset), aligned with `graph.out_edges(node)` — the wrapper's
     /// entire checkpointable state.
     pub fn gaps(&self) -> &[u64] {
-        &self.gap
+        &self.table[..self.outputs]
     }
 
     /// Overwrites the gap counters with values previously captured by
@@ -166,12 +220,13 @@ impl DummyWrapper {
     ///
     /// Panics if `gaps.len()` differs from the wrapper's output count.
     pub fn restore_gaps(&mut self, gaps: &[u64]) {
+        let (gap, _) = self.split();
         assert_eq!(
             gaps.len(),
-            self.gap.len(),
+            gap.len(),
             "restored gap counters must match the node's output count"
         );
-        self.gap.copy_from_slice(gaps);
+        gap.copy_from_slice(gaps);
     }
 
     /// Processes one accepted sequence number.
@@ -183,34 +238,44 @@ impl DummyWrapper {
     ///
     /// Returns, per output channel, whether a dummy message (with this
     /// sequence number) must also be sent.  The slice borrows the wrapper's
-    /// internal buffer, so the call allocates nothing; `sent_data` is a
-    /// closure so callers need not materialise a `Vec<bool>` either.
+    /// internal buffer, so the call allocates nothing after the first;
+    /// `sent_data` is a closure so callers need not materialise a
+    /// `Vec<bool>` either.  [`DummyWrapper::on_accept_each`] is the same
+    /// step with no buffer at all.
     pub fn on_accept(
         &mut self,
         consumed_dummy: bool,
         sent_data: impl Fn(usize) -> bool,
     ) -> &[bool] {
-        let Some(algorithm) = self.algorithm else {
-            self.dummies.fill(false);
-            return &self.dummies;
-        };
-        for i in 0..self.gap.len() {
-            let sent = sent_data(i);
-            // Propagation forwards a received dummy on every channel not
-            // carrying data for this sequence number.
-            let forward = consumed_dummy && !sent && algorithm == Algorithm::Propagation;
-            self.dummies[i] = forward;
-            if sent || forward {
-                self.gap[i] = 0;
-                continue;
-            }
-            self.gap[i] += 1;
-            if self.gap[i] >= self.threshold[i] {
-                self.dummies[i] = true;
-                self.gap[i] = 0;
-            }
+        let DummyWrapper {
+            algorithm,
+            outputs,
+            table,
+            dummies,
+        } = self;
+        if dummies.len() != *outputs {
+            *dummies = vec![false; *outputs];
         }
-        &self.dummies
+        if algorithm.is_none() {
+            dummies.fill(false);
+            return dummies;
+        }
+        accept(*algorithm, table.split(*outputs), consumed_dummy, sent_data, |i, dummy| {
+            dummies[i] = dummy;
+        });
+        dummies
+    }
+
+    /// [`DummyWrapper::on_accept`], handing each output channel's answer
+    /// to `each(i, dummy)`, in channel order, instead of to a buffer.
+    pub fn on_accept_each(
+        &mut self,
+        consumed_dummy: bool,
+        sent_data: impl Fn(usize) -> bool,
+        each: impl FnMut(usize, bool),
+    ) {
+        let split = self.table.split(self.outputs);
+        accept(self.algorithm, split, consumed_dummy, sent_data, each);
     }
 
     /// Processes a run of `n` consecutive accepted sequence numbers at which
@@ -221,7 +286,7 @@ impl DummyWrapper {
     pub fn on_accept_data_run(&mut self, n: u64) {
         debug_assert!(n > 0);
         if self.algorithm.is_some() {
-            self.gap.fill(0);
+            self.split().0.fill(0);
         }
     }
 
@@ -241,27 +306,28 @@ impl DummyWrapper {
             // Disabled mode touches no state and sends nothing.
             return;
         };
-        for i in 0..self.gap.len() {
+        let (gap, threshold) = self.split();
+        for i in 0..gap.len() {
             match algorithm {
                 Algorithm::Propagation => {
                     // Every acceptance consumed a dummy and carried no data,
                     // so the forwarding rule fires at each of the n numbers
                     // and leaves the counter reset.
-                    self.gap[i] = 0;
+                    gap[i] = 0;
                     emit(i, RunDummies::All);
                 }
                 Algorithm::NonPropagation => {
-                    let t = self.threshold[i];
-                    let g = self.gap[i];
+                    let t = threshold[i];
+                    let g = gap[i];
                     if t == u64::MAX || g + n < t {
-                        self.gap[i] = g + n;
+                        gap[i] = g + n;
                         emit(i, RunDummies::None);
                     } else {
                         // First crossing after t - g silent numbers, then
                         // every t; the final counter is what accumulated
                         // after the last crossing.
                         let first = t - g - 1;
-                        self.gap[i] = (n - 1 - first) % t;
+                        gap[i] = (n - 1 - first) % t;
                         emit(i, RunDummies::Periodic { first, period: t });
                     }
                 }
@@ -270,10 +336,43 @@ impl DummyWrapper {
     }
 }
 
+/// The gap-counter step of [`DummyWrapper::on_accept`] and
+/// [`DummyWrapper::on_accept_each`], over a wrapper's split table.
+fn accept(
+    algorithm: Option<Algorithm>,
+    (gap, threshold): (&mut [u64], &[u64]),
+    consumed_dummy: bool,
+    sent_data: impl Fn(usize) -> bool,
+    mut each: impl FnMut(usize, bool),
+) {
+    let Some(algorithm) = algorithm else {
+        (0..gap.len()).for_each(|i| each(i, false));
+        return;
+    };
+    for i in 0..gap.len() {
+        let sent = sent_data(i);
+        // Propagation forwards a received dummy on every channel not
+        // carrying data for this sequence number.
+        let forward = consumed_dummy && !sent && algorithm == Algorithm::Propagation;
+        let dummy = if sent || forward {
+            gap[i] = 0;
+            forward
+        } else {
+            gap[i] += 1;
+            let crossed = gap[i] >= threshold[i];
+            if crossed {
+                gap[i] = 0;
+            }
+            crossed
+        };
+        each(i, dummy);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interval::IntervalMap;
+    use crate::interval::{DummyInterval, IntervalMap};
     use crate::planner::Planner;
     use fila_graph::GraphBuilder;
 

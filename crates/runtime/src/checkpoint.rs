@@ -48,7 +48,7 @@ use fila_graph::fingerprint::labeled_fingerprint;
 use crate::message::Message;
 use crate::report::ExecutionReport;
 use crate::shared_pool::JobVerdict;
-use crate::topology::Topology;
+use crate::topology::Program;
 use crate::wrapper::AvoidanceMode;
 
 /// The snapshot format version this build writes and accepts.
@@ -281,7 +281,7 @@ impl JobSnapshot {
     /// the one overshooting acceptance's message per port.
     pub fn validate_for(
         &self,
-        topology: &Topology,
+        topology: &dyn Program,
         mode: &AvoidanceMode,
     ) -> Result<(), RestoreError> {
         if self.version != SNAPSHOT_VERSION {
@@ -385,7 +385,7 @@ impl JobSnapshot {
     /// path with full structural validation.
     pub fn rebase(
         &mut self,
-        topology: &Topology,
+        topology: &dyn Program,
         mode: &AvoidanceMode,
     ) -> Result<(), RestoreError> {
         let g = topology.graph();

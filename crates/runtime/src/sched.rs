@@ -19,9 +19,12 @@
 //!   and one its owner has not touched for a round trip (a long slice, a
 //!   long run of slot picks) is shared.
 //! * **Injector** — one pool-wide FIFO for work arriving from outside the
-//!   workers.  Submission seeds a whole job in one batch; a worker takes up
-//!   to half a deque of it at a time, so a small job starts out whole on
-//!   one worker.  Its entries carry no stamp and are taken at once.
+//!   workers.  Submission seeds a job in one batch: a fresh job's sources
+//!   (its other tasks start idle, each registered on its first input, and
+//!   are woken by their first message — E41), a resumed job's every task.
+//!   A worker takes up to half a deque of it at a time, so a small job
+//!   starts out whole on one worker.  Its entries carry no stamp and are
+//!   taken at once.
 //!
 //! **Slices** (E39).  A task runs until it blocks or finishes, in budgets
 //! of the pool's batch size: a task that spends one with work left is

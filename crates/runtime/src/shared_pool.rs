@@ -80,7 +80,7 @@ use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -97,7 +97,7 @@ use crate::report::{BlockedReason, ExecutionReport};
 use crate::sched::{lock, Local, Scheduler};
 use crate::task::{self, Outcome, Task};
 use crate::telemetry::{EventKind, SchedCounter, TelemetryHandle, CONTROL_LANE};
-use crate::topology::Topology;
+use crate::topology::{Program, Topology};
 use crate::wrapper::{AvoidanceMode, PropagationTrigger};
 
 /// Task scheduling states ([`TaskSlot::state`]).
@@ -267,13 +267,14 @@ struct SnapState {
     result: Option<Result<Box<JobSnapshot>, SnapshotError>>,
 }
 
-/// What [`SharedPool::submit_full`] and [`SharedPool::resume_full`] hand to
-/// [`JobState::new`].
+/// What [`SharedPool::submit_program`] and [`SharedPool::resume_full`]
+/// hand to [`JobState::new`].
 struct NewJob<'a> {
-    topology: &'a Topology,
+    program: &'a dyn Program,
     mode: &'a AvoidanceMode,
-    /// One task per node, fresh or restored.
-    tasks: Vec<Task>,
+    /// One idle task per node, fresh or restored, built in place
+    /// ([`TaskSlot::build`]).
+    tasks: Vec<TaskSlot>,
     inputs: u64,
     started: Instant,
     /// Progress marker of the snapshot the tasks were restored from.
@@ -281,33 +282,49 @@ struct NewJob<'a> {
     on_settle: Option<SettleHook>,
 }
 
+impl TaskSlot {
+    /// One idle slot per node of `program`, each task built in its slot
+    /// (see [`task::build_tasks`] for `fresh`).
+    fn build(program: &dyn Program, mode: &AvoidanceMode, batch: u32, fresh: bool) -> Vec<Self> {
+        task::build_tasks(program, mode, batch, fresh)
+            .map(|task| TaskSlot {
+                state: AtomicU8::new(IDLE),
+                task: Mutex::new(task),
+            })
+            .collect()
+    }
+}
+
 impl JobState {
     /// The one place a job's state is put together.  A job with nothing
     /// left to run — an empty topology, or a snapshot that caught every
     /// node done — is born `Completed` for [`PoolCore::launch`] to deliver
     /// on the spot, and never draws a serial or touches the scheduler; any
-    /// other starts with every task `QUEUED` and active, for it to inject.
-    fn new(core: &PoolCore, new: NewJob<'_>) -> JobState {
-        let g = new.topology.graph();
-        let node_count = new.tasks.len();
-        let unfinished = new.tasks.iter().filter(|task| !task.done).count();
+    /// other starts with its seeds ([`JobState::seeds`]) `QUEUED` and
+    /// active, for it to inject, and every other task idle.
+    fn new(core: &PoolCore, mut new: NewJob<'_>) -> JobState {
+        let g = new.program.graph();
+        let sources = g.sources();
+        // A fresh task is never done.
+        let unfinished = match new.resumed_from {
+            None => new.tasks.len(),
+            Some(_) => new
+                .tasks
+                .iter_mut()
+                .map(|slot| slot.task.get_mut().unwrap_or_else(PoisonError::into_inner))
+                .filter(|task| !task.done)
+                .count(),
+        };
         let runs = unfinished > 0;
         let (serial, fault) = if runs {
             core.arm_next()
         } else {
             (u64::MAX, None)
         };
-        JobState {
-            tasks: new
-                .tasks
-                .into_iter()
-                .map(|task| TaskSlot {
-                    state: AtomicU8::new(if runs { QUEUED } else { IDLE }),
-                    task: Mutex::new(task),
-                })
-                .collect(),
+        let mut job = JobState {
+            tasks: new.tasks,
             quiescence: Quiescence {
-                active: AtomicUsize::new(if runs { node_count } else { 0 }),
+                active: AtomicUsize::new(0),
                 unfinished: AtomicUsize::new(unfinished),
             },
             verdict: AtomicU8::new(if runs { JOB_RUNNING } else { JOB_COMPLETED }),
@@ -321,7 +338,7 @@ impl JobState {
                 on_settle: new.on_settle,
             }),
             done_cv: Condvar::new(),
-            sources: g.sources(),
+            sources,
             meta: SnapMeta::new(g, new.mode),
             resumed_from: new.resumed_from,
             snap_pending: AtomicU64::new(0),
@@ -335,7 +352,27 @@ impl JobState {
                 _ => 0,
             },
             failed_node: AtomicU32::new(u32::MAX),
+        };
+        if runs {
+            let mut active = 0;
+            for node in job.seeds() {
+                job.tasks[node as usize].state.store(QUEUED, Ordering::Relaxed);
+                active += 1;
+            }
+            *job.quiescence.active.get_mut() = active;
         }
+        job
+    }
+
+    /// The tasks a job's launch queues: a fresh job's sources — every other
+    /// task starts idle, waiting on its first input (see
+    /// [`task::build_tasks`]) — and every task of a resumed one.
+    fn seeds(&self) -> impl Iterator<Item = u32> + '_ {
+        let (sources, all) = match self.resumed_from {
+            None => (&self.sources[..], 0),
+            Some(_) => (&[][..], self.tasks.len() as u32),
+        };
+        sources.iter().map(|n| n.index() as u32).chain(0..all)
     }
 
     /// Moves a running job to `verdict`; false if it had one already (the
@@ -862,10 +899,8 @@ impl SharedPool {
         self.submit_full(topology, mode, PropagationTrigger::default(), inputs, None)
     }
 
-    /// The full submission form: avoidance mode and an optional settle hook
-    /// invoked exactly once (on a worker thread) when the job reaches its
-    /// verdict.  `_trigger` is read by nothing: `ledger/` passes it, which
-    /// is the only reason it exists.
+    /// [`SharedPool::submit_program`] of a [`Topology`].  `_trigger` is read
+    /// by nothing: `ledger/` passes it, which is the only reason it exists.
     pub fn submit_full(
         &self,
         topology: &Topology,
@@ -874,10 +909,23 @@ impl SharedPool {
         inputs: u64,
         on_settle: Option<SettleHook>,
     ) -> JobHandle {
+        self.submit_program(topology, mode, inputs, on_settle)
+    }
+
+    /// The full submission form: any [`Program`], read once here and not
+    /// kept, the avoidance mode and an optional settle hook invoked exactly
+    /// once (on a worker thread) when the job reaches its verdict.
+    pub fn submit_program(
+        &self,
+        program: &dyn Program,
+        mode: AvoidanceMode,
+        inputs: u64,
+        on_settle: Option<SettleHook>,
+    ) -> JobHandle {
         let started = Instant::now();
-        let tasks = task::build_tasks(topology, &mode, self.core.batch);
+        let tasks = TaskSlot::build(program, &mode, self.core.batch, true);
         self.core.launch(NewJob {
-            topology,
+            program,
             mode: &mode,
             tasks,
             inputs,
@@ -900,26 +948,27 @@ impl SharedPool {
     /// onto a different certification.  The one sanctioned plan change, an
     /// adaptive hot swap, rebases a copy of the snapshot onto the new plan
     /// first ([`JobSnapshot::rebase`]) and comes through here like any
-    /// other restore.  `_trigger` is read by nothing, as in
+    /// other restore.  The program is read here and not kept, as in
+    /// [`SharedPool::submit_program`]; `_trigger` is read by nothing, as in
     /// [`SharedPool::submit_full`].
     pub fn resume_full(
         &self,
-        topology: &Topology,
+        program: &dyn Program,
         mode: AvoidanceMode,
         _trigger: PropagationTrigger,
         snapshot: &JobSnapshot,
         on_settle: Option<SettleHook>,
     ) -> Result<JobHandle, RestoreError> {
-        snapshot.validate_for(topology, &mode)?;
+        snapshot.validate_for(program, &mode)?;
         let started = Instant::now();
-        let mut tasks = task::build_tasks(topology, &mode, self.core.batch);
-        for (task, node) in tasks.iter_mut().zip(&snapshot.nodes) {
-            task.restore(node, snapshot)?;
+        let mut tasks = TaskSlot::build(program, &mode, self.core.batch, false);
+        for (slot, node) in tasks.iter_mut().zip(&snapshot.nodes) {
+            lock(&slot.task).restore(node, snapshot)?;
         }
         // Done tasks retire themselves on their first run; a snapshot that
         // caught every node done settles synchronously.
         Ok(self.core.launch(NewJob {
-            topology,
+            program,
             mode: &mode,
             tasks,
             inputs: snapshot.inputs,
@@ -969,18 +1018,19 @@ impl PoolCore {
         (serial, arm)
     }
 
-    /// Builds the job and registers it and seeds every task once — one
-    /// injector batch, at most one unpark; from then on the job is
-    /// scheduled purely by channel events — unless it has nothing to run:
+    /// Builds the job, registers it and queues its seeds — a fresh job's
+    /// sources, a resumed job's every task ([`JobState::seeds`]) — in one
+    /// injector batch with at most one unpark; from then on the job is
+    /// scheduled purely by channel events.  Unless it has nothing to run:
     /// then it settles right here, synchronously, like any other job.
     fn launch(self: &Arc<Self>, new: NewJob<'_>) -> JobHandle {
         let job = Arc::new(JobState::new(self, new));
         if job.verdict.load(Ordering::SeqCst) == JOB_RUNNING {
-            // The activity's reference, for `active`'s initial node count.
+            // The activity's reference, for `active`'s initial seed count.
             lock(&self.live).push(Arc::clone(&job));
             let ptr = NonNull::from(&*job);
             self.sched
-                .inject((0..job.tasks.len() as u32).map(|node| TaskRef { job: ptr, node }));
+                .inject(job.seeds().map(|node| TaskRef { job: ptr, node }));
         } else {
             self.deliver(&job);
         }

@@ -22,6 +22,13 @@
 //! occupancy (E26)" has the argument).  A ring of `cap ≤ BLOCK` is the flat
 //! Lamport ring: one block of `cap` slots linked to itself, same code path.
 //!
+//! The ring's header and its first block are one allocation, freed by the
+//! last endpoint dropped (E41): a job builds a ring per edge, so a ring is
+//! one allocation, not three.  The first block is therefore never freed on
+//! its own: left behind by the consumer, it always goes to the mailbox,
+//! evicting (and freeing) whatever block waited there — so it is always in
+//! the chain or the mailbox, and the bounds above hold unchanged.
+//!
 //! ## The waiting-flag protocol
 //!
 //! The pooled executor schedules node *tasks*, not threads, so a task that
@@ -56,9 +63,9 @@
 use std::alloc::{self, Layout};
 use std::cell::Cell;
 use std::mem::MaybeUninit;
-use std::ptr;
+use std::ops::Deref;
+use std::ptr::{self, NonNull};
 use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// The message weight of a ring value.
 ///
@@ -122,12 +129,7 @@ impl<T> Block<T> {
 
     /// An unlinked block of `slots` uninitialised slots.
     fn alloc(slots: usize) -> *mut Self {
-        let layout = Self::layout(slots);
-        // SAFETY: the layout is never zero-sized (it starts with `next`).
-        let block = unsafe { alloc::alloc(layout) }.cast::<Self>();
-        if block.is_null() {
-            alloc::handle_alloc_error(layout);
-        }
+        let block = alloc_for(Self::layout(slots)).cast::<Self>();
         // SAFETY: freshly allocated for this layout, which starts with `next`.
         unsafe { ptr::addr_of_mut!((*block).next).write(AtomicPtr::new(ptr::null_mut())) };
         block
@@ -160,11 +162,24 @@ struct Cursor<T> {
     pos: Cell<usize>,
 }
 
+/// `layout`'s memory; aborts as the global allocator's users do when there
+/// is none.
+fn alloc_for(layout: Layout) -> *mut u8 {
+    // SAFETY: both callers' layouts start with a pointer: never zero-sized.
+    let memory = unsafe { alloc::alloc(layout) };
+    if memory.is_null() {
+        alloc::handle_alloc_error(layout);
+    }
+    memory
+}
+
 /// The shared state of a ring: a chain of blocks from the consumer's
 /// (`head.block`) to the producer's (`tail.block`), linked through
 /// [`Block::next`], so memory follows the number of buffered values and not
 /// `cap`.  A ring of `cap ≤ BLOCK` is the degenerate chain: one block of
 /// `cap` slots whose `next` is itself, which neither endpoint ever leaves.
+/// The first block follows the header in the ring's own allocation
+/// ([`Ring::first`]).
 struct Ring<T> {
     tx: ProducerLine<T>,
     rx: ConsumerLine<T>,
@@ -186,6 +201,8 @@ struct ProducerLine<T> {
     /// Set by the producer when it observed the ring full and intends to
     /// park; consumed by the consumer after a pop.
     producer_waiting: AtomicBool,
+    /// Endpoints not yet dropped; the last one frees the ring.
+    endpoints: AtomicUsize,
 }
 
 /// What the consumer writes, on its line.
@@ -217,10 +234,30 @@ unsafe impl<T: Send> Sync for Ring<T> {}
 unsafe impl<T: Send> Send for Ring<T> {}
 
 impl<T> Ring<T> {
+    /// The layout of a ring whose blocks have `slots` slots: the header,
+    /// then its first block, at the returned offset.
+    fn layout(slots: usize) -> (Layout, usize) {
+        let (layout, offset) = Layout::new::<Self>()
+            .extend(Block::<T>::layout(slots))
+            .expect("a block is at most BLOCK slots");
+        (layout.pad_to_align(), offset)
+    }
+
+    /// The block allocated with the header, which only the header's
+    /// deallocation frees.
+    fn first(&self) -> *mut Block<T> {
+        let offset = Self::layout(self.tx.slots).1;
+        // SAFETY: the header starts its allocation (`ring_of_blocks`), and
+        // the first block is `offset` bytes into it.
+        unsafe { (self as *const Self).cast::<u8>().add(offset).cast_mut().cast() }
+    }
+
     /// Gives up the front slot, whose value the consumer moved out or
     /// dropped.  Leaving a block, the consumer follows its link and offers
     /// the block as the producer's spare (or frees it when the mailbox is
-    /// taken), so a drained ring holds at most two blocks.
+    /// taken), so a drained ring holds at most two blocks.  The first block
+    /// always goes to the mailbox: it cannot be freed alone, so it takes the
+    /// place of whatever block waited there.
     #[inline]
     fn advance(&self) {
         let head = &self.rx.head;
@@ -236,7 +273,16 @@ impl<T> Ring<T> {
             let next = unsafe { (*block).next.load(Ordering::Relaxed) };
             if next != block {
                 head.block.set(next);
-                if self.rx.spare.load(Ordering::Relaxed).is_null() {
+                if block == self.first() {
+                    // Release as below; and the evicted block, if the
+                    // producer never took it, was last touched here.
+                    let evicted = self.rx.spare.swap(block, Ordering::AcqRel);
+                    if !evicted.is_null() {
+                        // SAFETY: the swap took it out of the producer's
+                        // reach; it is an empty, separately allocated block.
+                        unsafe { Block::free(evicted, self.tx.slots) };
+                    }
+                } else if self.rx.spare.load(Ordering::Relaxed).is_null() {
                     // Release: our accesses to the block's slots
                     // happen-before the producer's, see `next_block`.
                     self.rx.spare.store(block, Ordering::Release);
@@ -264,10 +310,49 @@ impl<T> Drop for Ring<T> {
             self.advance();
         }
         for block in [head.block.get(), self.rx.spare.load(Ordering::Relaxed)] {
-            if !block.is_null() {
-                // SAFETY: live, empty, and out of both endpoints' reach.
+            if !block.is_null() && block != self.first() {
+                // SAFETY: live, empty, out of both endpoints' reach, and
+                // allocated on its own.
                 unsafe { Block::free(block, self.tx.slots) };
             }
+        }
+    }
+}
+
+/// An endpoint's share of its ring: what an `Arc<Ring<T>>` would be, over
+/// the one allocation of the header and the first block.
+struct Share<T>(NonNull<Ring<T>>);
+
+// SAFETY: a share is an `Arc<Ring<T>>` with the count in the ring, and
+// `Ring<T>` is `Send + Sync` for `T: Send`.
+unsafe impl<T: Send> Send for Share<T> {}
+unsafe impl<T: Send> Sync for Share<T> {}
+
+impl<T> Deref for Share<T> {
+    type Target = Ring<T>;
+
+    fn deref(&self) -> &Ring<T> {
+        // SAFETY: the ring lives until its last share is dropped.
+        unsafe { self.0.as_ref() }
+    }
+}
+
+impl<T> Drop for Share<T> {
+    fn drop(&mut self) {
+        // Release, then Acquire, as `Arc` does: every use of the ring
+        // through the other share happens-before the drop below.
+        if self.tx.endpoints.fetch_sub(1, Ordering::Release) != 1 {
+            return;
+        }
+        fence(Ordering::Acquire);
+        let layout = Ring::<T>::layout(self.tx.slots).0;
+        let ring = self.0.as_ptr();
+        // SAFETY: this was the last share, so nothing else reaches the ring;
+        // `ring_of_blocks` initialised it at the start of an allocation of
+        // `layout`, which its drop leaves holding only the first block.
+        unsafe {
+            ptr::drop_in_place(ring);
+            alloc::dealloc(ring.cast(), layout);
         }
     }
 }
@@ -275,7 +360,7 @@ impl<T> Drop for Ring<T> {
 /// The producing endpoint of a [`ring`].  Not cloneable: exactly one task
 /// may push.
 pub struct Producer<T> {
-    ring: Arc<Ring<T>>,
+    ring: Share<T>,
     /// Total message weight pushed (monotonic); producer-local.
     pushed: Cell<usize>,
     /// The consumer's released-message count (`msg_head`) as of our
@@ -287,7 +372,7 @@ pub struct Producer<T> {
 /// The consuming endpoint of a [`ring`].  Not cloneable: exactly one task
 /// may pop.
 pub struct Consumer<T> {
-    ring: Arc<Ring<T>>,
+    ring: Share<T>,
     /// Producer index as of our last refresh; only ever behind the truth.
     cached_tail: Cell<usize>,
 }
@@ -314,42 +399,61 @@ pub fn ring<T: Weigh>(cap: MsgCap) -> (Producer<T>, Consumer<T>) {
 fn ring_of_blocks<T: Weigh>(cap: MsgCap, block_slots: usize) -> (Producer<T>, Consumer<T>) {
     let cap = cap.messages();
     let slots = block_slots.min(cap);
-    let first = Block::alloc(slots);
-    if cap <= block_slots {
-        // SAFETY: just allocated.  The whole ring fits one block, which is
-        // therefore its own successor (the flat Lamport ring).
-        unsafe { (*first).next.store(first, Ordering::Relaxed) };
-    }
+    let (layout, offset) = Ring::<T>::layout(slots);
+    let ring = alloc_for(layout).cast::<Ring<T>>();
+    // SAFETY: the first block is `offset` bytes into the allocation, and
+    // initialised by its `next` alone, like `Block::alloc`'s.  A ring that
+    // fits one block has it for its own successor (the flat Lamport ring).
+    let first = unsafe { ring.cast::<u8>().add(offset).cast::<Block<T>>() };
+    let link = if cap <= block_slots { first } else { ptr::null_mut() };
+    unsafe { ptr::addr_of_mut!((*first).next).write(AtomicPtr::new(link)) };
     let cursor = || Cursor {
         index: AtomicUsize::new(0),
         block: Cell::new(first),
         pos: Cell::new(0),
     };
-    let ring = Arc::new(Ring {
-        tx: ProducerLine {
-            cap,
-            slots,
-            tail: cursor(),
-            producer_waiting: AtomicBool::new(false),
-        },
-        rx: ConsumerLine {
-            head: cursor(),
-            msg_head: AtomicUsize::new(0),
-            spare: AtomicPtr::new(ptr::null_mut()),
-            consumer_waiting: AtomicBool::new(false),
-        },
-    });
+    // SAFETY: the header's place, at the start of the allocation.
+    unsafe {
+        ring.write(Ring {
+            tx: ProducerLine {
+                cap,
+                slots,
+                tail: cursor(),
+                producer_waiting: AtomicBool::new(false),
+                endpoints: AtomicUsize::new(2),
+            },
+            rx: ConsumerLine {
+                head: cursor(),
+                msg_head: AtomicUsize::new(0),
+                spare: AtomicPtr::new(ptr::null_mut()),
+                consumer_waiting: AtomicBool::new(false),
+            },
+        })
+    };
+    // SAFETY: not null (`alloc_for`); one share per endpoint, as counted.
+    let share = || Share(unsafe { NonNull::new_unchecked(ring) });
     (
         Producer {
-            ring: Arc::clone(&ring),
+            ring: share(),
             pushed: Cell::new(0),
             cached_released: Cell::new(0),
         },
         Consumer {
-            ring,
+            ring: share(),
             cached_tail: Cell::new(0),
         },
     )
+}
+
+/// [`ring`] with its consumer registered as waiting, as it is once it has
+/// found the ring empty: the first push wakes it.  A fresh job starts
+/// every task but its sources idle on a ring made this way.
+pub(crate) fn ring_awaited<T: Weigh>(cap: MsgCap) -> (Producer<T>, Consumer<T>) {
+    let (tx, rx) = ring(cap);
+    // Unshared yet: the endpoints reach other threads only through a
+    // synchronising hand-off.
+    rx.ring.rx.consumer_waiting.store(true, Ordering::Relaxed);
+    (tx, rx)
 }
 
 impl<T: Weigh> Producer<T> {
@@ -411,18 +515,21 @@ impl<T: Weigh> Producer<T> {
         if !linked.is_null() {
             return linked; // a one-block ring: the block itself
         }
-        // Acquire pairs with the Release store in `Ring::advance`: the
-        // consumer's last accesses to the spare happen-before our writes.
-        let mut next = ring.rx.spare.load(Ordering::Acquire);
-        if next.is_null() {
-            next = Block::alloc(ring.tx.slots);
+        // Once the mailbox holds a block only this side empties it: the
+        // consumer fills it only after reading null, or swaps the first
+        // block in for the one there.  So a swap after a non-null load
+        // takes a block, though perhaps not the one loaded.  Acquire pairs
+        // with the consumer's Release in `Ring::advance`: its last accesses
+        // to the block happen-before our writes.
+        let next = if ring.rx.spare.load(Ordering::Relaxed).is_null() {
+            Block::alloc(ring.tx.slots)
         } else {
-            // Emptying the mailbox publishes nothing, and the consumer only
-            // stores to it after reading null.
-            ring.rx.spare.store(ptr::null_mut(), Ordering::Relaxed);
-            // SAFETY: the spare is ours since the Acquire load.
+            let next = ring.rx.spare.swap(ptr::null_mut(), Ordering::Acquire);
+            debug_assert!(!next.is_null(), "a full mailbox stays full until emptied here");
+            // SAFETY: the spare is ours since the swap.
             unsafe { (*next).next.store(ptr::null_mut(), Ordering::Relaxed) };
-        }
+            next
+        };
         // SAFETY: as above.
         unsafe { (*block).next.store(next, Ordering::Relaxed) };
         next
@@ -600,7 +707,7 @@ impl<T: Copy + Weigh> Consumer<T> {
 mod tests {
     use super::*;
     use std::collections::VecDeque;
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
     use std::thread;
 
     impl Weigh for u64 {

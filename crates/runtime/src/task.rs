@@ -51,18 +51,99 @@
 //! model does the rest: verdicts, per-edge counts and checkpoint barriers are
 //! identical at every batch size (`tests/engine_equivalence.rs`).
 
+use std::ops::{Deref, DerefMut};
 use std::sync::Mutex;
 
 use fila_graph::NodeId;
 
 use crate::checkpoint::{JobSnapshot, NodeSnapshot, RestoreError};
 use crate::container::{Batch, Container, Run};
+use crate::filters::Broadcast;
 use crate::message::{Message, Payload};
 use crate::node::{FireInput, NodeBehavior};
 use crate::report::{BlockedInfo, BlockedReason, ExecutionReport};
 use crate::spsc::{self, MsgCap};
-use crate::topology::Topology;
+use crate::topology::Program;
 use crate::wrapper::{AvoidanceMode, DummyWrapper, RunDummies};
+
+/// A task's ports or per-firing scratch: one element — most nodes have one
+/// input and one output — held inline, any other number in a vector, so a
+/// task of a chain costs no allocation of its own (E41).
+pub(crate) enum Few<T> {
+    One(T),
+    Many(Vec<T>),
+}
+
+impl<T> Deref for Few<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match self {
+            Few::One(one) => std::slice::from_ref(one),
+            Few::Many(many) => many,
+        }
+    }
+}
+
+impl<T> DerefMut for Few<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match self {
+            Few::One(one) => std::slice::from_mut(one),
+            Few::Many(many) => many,
+        }
+    }
+}
+
+impl<T> FromIterator<T> for Few<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Self {
+        let mut items = items.into_iter();
+        match (items.next(), items.next()) {
+            (Some(one), None) => Few::One(one),
+            (first, second) => Few::Many(first.into_iter().chain(second).chain(items).collect()),
+        }
+    }
+}
+
+impl<'a, T> IntoIterator for &'a Few<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<'a, T> IntoIterator for &'a mut Few<T> {
+    type Item = &'a mut T;
+    type IntoIter = std::slice::IterMut<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter_mut()
+    }
+}
+
+/// A node's behaviour in its task: the default broadcast held inline, or
+/// one its program built.
+pub(crate) enum Behavior {
+    Broadcast(Broadcast),
+    Built(Box<dyn NodeBehavior>),
+}
+
+impl Behavior {
+    fn fire_into(&mut self, input: &FireInput<'_>, emit: &mut [Option<Payload>]) {
+        match self {
+            Behavior::Broadcast(broadcast) => broadcast.fire_into(input, emit),
+            Behavior::Built(built) => built.fire_into(input, emit),
+        }
+    }
+
+    fn fire_run(&mut self, run: &mut DataRun<'_>) {
+        match self {
+            Behavior::Broadcast(broadcast) => broadcast.fire_run(run),
+            Behavior::Built(built) => built.fire_run(run),
+        }
+    }
+}
 
 /// One input channel of a task.
 pub(crate) struct InPort {
@@ -160,15 +241,15 @@ pub(crate) struct Task {
     pub(crate) next_source_seq: u64,
     /// Messages currently staged across all output port queues.
     pub(crate) staged: usize,
-    pub(crate) behavior: Box<dyn NodeBehavior>,
+    pub(crate) behavior: Behavior,
     pub(crate) wrapper: DummyWrapper,
-    pub(crate) ins: Vec<InPort>,
-    pub(crate) outs: Vec<OutPort>,
+    pub(crate) ins: Few<InPort>,
+    pub(crate) outs: Few<OutPort>,
     /// Reusable per-firing scratch, aligned with `ins`.
-    pub(crate) data_in: Vec<Option<Payload>>,
+    pub(crate) data_in: Few<Option<Payload>>,
     /// Reusable per-firing decision scratch, aligned with `outs` (filled by
     /// [`NodeBehavior::fire_into`], read by the staging loop).
-    pub(crate) emit: Vec<Option<Payload>>,
+    pub(crate) emit: Few<Option<Payload>>,
     pub(crate) firings: u64,
     pub(crate) sink_firings: u64,
     /// Epoch of the last barrier snapshot this task contributed to (0 =
@@ -374,13 +455,24 @@ pub(crate) enum Outcome {
     Blocked,
 }
 
-/// Builds one [`Task`] per node of `topology`: an SPSC ring per edge with
-/// the endpoints moved into the unique producing / consuming task, a fresh
-/// behaviour instance per node, and the per-node dummy-wrapper state for
-/// `mode`.  `batch`, the budget, is also the per-container message
-/// limit (clamped per edge to the channel capacity).
-pub(crate) fn build_tasks(topology: &Topology, mode: &AvoidanceMode, batch: u32) -> Vec<Task> {
-    let g = topology.graph();
+/// Builds one [`Task`] per node of `program`, in node order: an SPSC ring
+/// per edge with the endpoints moved into the unique producing / consuming
+/// task, a fresh behaviour instance per node, and the per-node
+/// dummy-wrapper state for `mode`.  `batch`, the budget, is also the
+/// per-container message limit (clamped per edge to the channel capacity).
+///
+/// A `fresh` job's tasks start as its first slice would leave them: every
+/// task but the sources waits on its first input, whose ring is built with
+/// the consumer registered ([`spsc::ring_awaited`]) — so only the sources
+/// need seeding, and the first push onto that ring wakes the task.  A
+/// resumed job's rings start unregistered: every task is seeded.
+pub(crate) fn build_tasks<'a>(
+    program: &'a dyn Program,
+    mode: &'a AvoidanceMode,
+    batch: u32,
+    fresh: bool,
+) -> impl ExactSizeIterator<Item = Task> + 'a {
+    let g = program.graph();
     let edge_count = g.edge_count();
     let limit = batch as usize;
     let mut producers: Vec<Option<spsc::Producer<Batch>>> = Vec::with_capacity(edge_count);
@@ -388,59 +480,64 @@ pub(crate) fn build_tasks(topology: &Topology, mode: &AvoidanceMode, batch: u32)
     for e in g.edge_ids() {
         // Channel capacity is modelled in messages; `MsgCap` keeps the unit
         // explicit at every ring construction site.
-        let (tx, rx) = spsc::ring(MsgCap::new(g.capacity(e) as usize));
+        let cap = MsgCap::new(g.capacity(e) as usize);
+        let (tx, rx) = if fresh && g.in_edges(g.head(e))[0] == e {
+            spsc::ring_awaited(cap)
+        } else {
+            spsc::ring(cap)
+        };
         producers.push(Some(tx));
         consumers.push(Some(rx));
     }
-    g.node_ids()
-        .zip(topology.build_behaviors())
-        .map(|(n, behavior)| {
-            let ins = g
-                .in_edges(n)
-                .iter()
-                .map(|&e| InPort {
-                    rx: consumers[e.index()].take().expect("one consumer per edge"),
-                    edge: e.index() as u32,
-                    producer: g.tail(e).index() as u32,
-                    touched: false,
-                })
-                .collect::<Vec<_>>();
-            let outs = g
-                .out_edges(n)
-                .iter()
-                .map(|&e| OutPort {
-                    tx: producers[e.index()].take().expect("one producer per edge"),
-                    edge: e.index() as u32,
-                    consumer: g.head(e).index() as u32,
-                    queue: None,
-                    limit: limit.min(g.capacity(e) as usize),
-                    data: 0,
-                    dummies: 0,
-                    #[cfg(debug_assertions)]
-                    floor: 0,
-                })
-                .collect::<Vec<_>>();
-            let data_in = vec![None; ins.len()];
-            let emit = vec![None; outs.len()];
-            Task {
-                is_source: ins.is_empty(),
-                done: false,
-                eos_queued: false,
-                next_source_seq: 0,
-                staged: 0,
-                behavior,
-                wrapper: DummyWrapper::new(g, n, mode),
-                ins,
-                outs,
-                data_in,
-                emit,
-                firings: 0,
-                sink_firings: 0,
-                snap_epoch: 0,
-                last_worker: usize::MAX,
-            }
-        })
-        .collect()
+    (0..g.node_count()).map(move |n| {
+        let n = NodeId::from_raw(n as u32);
+        let ins: Few<InPort> = g
+            .in_edges(n)
+            .iter()
+            .map(|&e| InPort {
+                rx: consumers[e.index()].take().expect("one consumer per edge"),
+                edge: e.index() as u32,
+                producer: g.tail(e).index() as u32,
+                touched: false,
+            })
+            .collect();
+        let outs: Few<OutPort> = g
+            .out_edges(n)
+            .iter()
+            .map(|&e| OutPort {
+                tx: producers[e.index()].take().expect("one producer per edge"),
+                edge: e.index() as u32,
+                consumer: g.head(e).index() as u32,
+                queue: None,
+                limit: limit.min(g.capacity(e) as usize),
+                data: 0,
+                dummies: 0,
+                #[cfg(debug_assertions)]
+                floor: 0,
+            })
+            .collect();
+        let behavior = match program.behavior(n) {
+            Some(built) => Behavior::Built(built),
+            None => Behavior::Broadcast(Broadcast::new(outs.len())),
+        };
+        Task {
+            is_source: ins.is_empty(),
+            done: false,
+            eos_queued: false,
+            next_source_seq: 0,
+            staged: 0,
+            behavior,
+            wrapper: DummyWrapper::new(g, n, mode),
+            data_in: ins.iter().map(|_| None).collect(),
+            emit: outs.iter().map(|_| None).collect(),
+            ins,
+            outs,
+            firings: 0,
+            sink_firings: 0,
+            snap_epoch: 0,
+            last_worker: usize::MAX,
+        }
+    })
 }
 
 /// Runs one slice of a task: until it blocks or finishes, in budgets of
@@ -937,25 +1034,31 @@ fn stage_decision(
     fired: bool,
     consumed_dummy: bool,
 ) {
-    let dummies = wrapper.on_accept(consumed_dummy, |i| fired && emit[i].is_some());
-    for (idx, port) in outs.iter_mut().enumerate() {
-        let data = emit[idx].filter(|_| fired);
-        // The wrapper sends a dummy only where no data goes: one message
-        // per port per acceptance, the bound `run_room` stages by.
-        debug_assert!(
-            data.is_none() || !dummies[idx],
-            "two messages for edge {}",
-            port.edge
-        );
-        if let Some(payload) = data {
-            port.stage(Message::Data { seq, payload });
-            *staged += 1;
-        }
-        if dummies[idx] {
-            port.stage(Message::Dummy { seq });
-            *staged += 1;
-        }
-    }
+    let sent = |idx: usize| emit[idx].filter(|_| fired);
+    wrapper.on_accept_each(
+        consumed_dummy,
+        |idx| sent(idx).is_some(),
+        |idx, dummy| {
+            let port = &mut outs[idx];
+            let data = sent(idx);
+            // The wrapper sends a dummy only where no data goes: one
+            // message per port per acceptance, the bound `run_room` stages
+            // by.
+            debug_assert!(
+                data.is_none() || !dummy,
+                "two messages for edge {}",
+                port.edge
+            );
+            if let Some(payload) = data {
+                port.stage(Message::Data { seq, payload });
+                *staged += 1;
+            }
+            if dummy {
+                port.stage(Message::Dummy { seq });
+                *staged += 1;
+            }
+        },
+    );
 }
 
 /// Assembles the [`ExecutionReport`] of a finished (or deadlocked) task set:
@@ -1017,8 +1120,14 @@ mod tests {
     use fila_graph::{Graph, GraphBuilder};
 
     use super::*;
-    use crate::filters::{Broadcast, Predicate};
+    use crate::filters::Predicate;
     use crate::node::{FireDecision, FireInput};
+    use crate::Topology;
+
+    /// A fresh job's tasks, as the pool builds them.
+    fn tasks_of(topology: &Topology, mode: &AvoidanceMode, batch: u32) -> Vec<Task> {
+        build_tasks(topology, mode, batch, true).collect()
+    }
 
     /// `Broadcast` without its run override: the default, per-message
     /// `fire_run`.
@@ -1128,7 +1237,7 @@ mod tests {
             topo = topo.with(hub, move || Stepped(Broadcast::new(hub_outs)));
         }
         let mode = case.mode.map_or(AvoidanceMode::Disabled, |a| planned(&g, a));
-        let mut tasks = build_tasks(&topo, &mode, case.batch);
+        let mut tasks = tasks_of(&topo, &mode, case.batch);
         let cut = Cut {
             epoch: Cell::new(0),
             barrier: case.barrier.unwrap_or(0),
@@ -1245,7 +1354,7 @@ mod tests {
         b.edge_with_capacity("src", "sink", 256).unwrap();
         let g = b.build().unwrap();
         let (src, sink) = (g.node_by_name("src").unwrap(), g.node_by_name("sink").unwrap());
-        let mut tasks = build_tasks(&Topology::from_graph(&g), &AvoidanceMode::Disabled, 64);
+        let mut tasks = tasks_of(&Topology::from_graph(&g), &AvoidanceMode::Disabled, 64);
         let slice = |task: &mut Task, renew: &mut dyn FnMut() -> bool| {
             let mut woken = Vec::new();
             let outcome = run_task(task, 1_000, 64, &mut |n| woken.push(n), renew, None);
@@ -1281,7 +1390,7 @@ mod tests {
     fn a_container_behind_a_higher_one_trips_the_monotonicity_monitor() {
         let g = shape(0);
         let topo = Topology::from_graph(&g);
-        let mut tasks = build_tasks(&topo, &AvoidanceMode::Disabled, 64);
+        let mut tasks = tasks_of(&topo, &AvoidanceMode::Disabled, 64);
         let src = &mut tasks[g.node_by_name("src").unwrap().index()];
         for seq in [5, 3] {
             src.outs[0].stage(Message::Data { seq, payload: 0 });

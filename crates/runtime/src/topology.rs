@@ -12,12 +12,26 @@ use crate::node::NodeBehavior;
 /// produced behaviours only need `Send` (each lives on a single worker).
 pub type BehaviorFactory = Arc<dyn Fn() -> Box<dyn NodeBehavior> + Send + Sync>;
 
+/// What a job is built from: its graph and, per node, a fresh behaviour.
+/// The pool reads one at submission and keeps neither (E41), so a caller
+/// may lend a graph it owns instead of building a [`Topology`] around a
+/// copy of it.
+pub trait Program {
+    /// The application graph.
+    fn graph(&self) -> &Graph;
+
+    /// A fresh behaviour for `node`, or `None` for the default
+    /// [`Broadcast`] — which an engine may hold without an allocation.
+    fn behavior(&self, node: NodeId) -> Option<Box<dyn NodeBehavior>>;
+}
+
 /// The application graph together with per-node behaviours and the number of
 /// inputs each source node will offer.
 #[derive(Clone)]
 pub struct Topology {
     graph: Graph,
-    behaviors: Vec<BehaviorFactory>,
+    /// Installed factories; `None` is the default broadcast.
+    behaviors: Vec<Option<BehaviorFactory>>,
 }
 
 impl Topology {
@@ -25,17 +39,9 @@ impl Topology {
     /// (no filtering anywhere).  Use [`Topology::with_behavior`] to install
     /// application logic.
     pub fn from_graph(graph: &Graph) -> Self {
-        let behaviors = graph
-            .node_ids()
-            .map(|n| {
-                let outputs = graph.out_degree(n);
-                Arc::new(move || Box::new(Broadcast::new(outputs)) as Box<dyn NodeBehavior>)
-                    as BehaviorFactory
-            })
-            .collect();
         Topology {
             graph: graph.clone(),
-            behaviors,
+            behaviors: vec![None; graph.node_count()],
         }
     }
 
@@ -47,7 +53,7 @@ impl Topology {
 
     /// Replaces the behaviour factory of one node.
     pub fn set_behavior(&mut self, node: NodeId, factory: BehaviorFactory) {
-        self.behaviors[node.index()] = factory;
+        self.behaviors[node.index()] = Some(factory);
     }
 
     /// Convenience wrapper around [`Topology::with_behavior`] for closures
@@ -67,14 +73,24 @@ impl Topology {
 
     /// Builds a fresh behaviour instance for `node`.
     pub fn build_behavior(&self, node: NodeId) -> Box<dyn NodeBehavior> {
-        (self.behaviors[node.index()])()
+        self.behavior(node)
+            .unwrap_or_else(|| Box::new(Broadcast::new(self.graph.out_degree(node))))
     }
 
-    /// Builds one fresh behaviour instance per node, in node-id order — the
-    /// single construction point the execution engines share when they set
-    /// up a run.
+    /// Builds one fresh behaviour instance per node, in node-id order — what
+    /// the simulator sets a run up with.
     pub fn build_behaviors(&self) -> Vec<Box<dyn NodeBehavior>> {
-        self.behaviors.iter().map(|factory| factory()).collect()
+        self.graph.node_ids().map(|n| self.build_behavior(n)).collect()
+    }
+}
+
+impl Program for Topology {
+    fn graph(&self) -> &Graph {
+        &self.graph
+    }
+
+    fn behavior(&self, node: NodeId) -> Option<Box<dyn NodeBehavior>> {
+        self.behaviors[node.index()].as_ref().map(|factory| factory())
     }
 }
 

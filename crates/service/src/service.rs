@@ -488,7 +488,7 @@ impl JobService {
         let mode = plan.map_or(AvoidanceMode::Disabled, |c| {
             AvoidanceMode::Plan(Arc::clone(&c.plan))
         });
-        let (topology, trigger) = (spec.topology(), PropagationTrigger::default());
+        let (program, trigger) = (spec.program(), PropagationTrigger::default());
         let (started, resumed_from) = match origin {
             Origin::Fresh(admitted_at) => {
                 // Dummy-traffic profiler key: each edge's certified interval
@@ -500,26 +500,26 @@ impl JobService {
                     spec.graph.edge_ids().map(interval).collect()
                 });
                 let hook = self.settle_hook(spec.tenant.clone(), admitted_at, edge_intervals);
-                let handle =
-                    self.pool
-                        .submit_full(&topology, mode, trigger, spec.inputs, Some(hook));
+                let handle = self
+                    .pool
+                    .submit_program(&program, mode, spec.inputs, Some(hook));
                 (Ok(handle), None)
             }
             Origin::Restore(snapshot) => {
                 let hook = self.settle_hook(None, None, None);
                 let resumed = self
                     .pool
-                    .resume_full(&topology, mode, trigger, snapshot, Some(hook));
+                    .resume_full(&program, mode, trigger, snapshot, Some(hook));
                 (resumed, Some(snapshot.steps))
             }
             Origin::Swap(snapshot) => {
                 // A plan swap is the restore above, of a copy rebased onto
                 // the new plan.
                 let mut rebased = snapshot.clone();
-                let resumed = rebased.rebase(&topology, &mode).and_then(|()| {
+                let resumed = rebased.rebase(&program, &mode).and_then(|()| {
                     let hook = self.settle_hook(None, None, None);
                     self.pool
-                        .resume_full(&topology, mode, trigger, &rebased, Some(hook))
+                        .resume_full(&program, mode, trigger, &rebased, Some(hook))
                 });
                 (resumed, Some(snapshot.steps))
             }

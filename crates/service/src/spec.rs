@@ -3,9 +3,10 @@
 use fila_avoidance::model::periodic_emits;
 use fila_avoidance::Algorithm;
 use fila_graph::fingerprint::fingerprint_with;
-use fila_graph::{Fingerprint, Graph};
+use fila_graph::{Fingerprint, Graph, NodeId};
 use fila_runtime::filters::Predicate;
-use fila_runtime::Topology;
+use fila_runtime::topology::Program;
+use fila_runtime::{NodeBehavior, Topology};
 
 /// The filtering behaviour of a submitted job, expressed in the canonical
 /// periodic convention shared with the benchmarks and equivalence tests:
@@ -174,22 +175,24 @@ impl JobSpec {
     /// ([`JobSpec::actual`]) substitutes the executed profile here — and
     /// only here; identity and certification stay on the declared one.
     pub fn topology(&self) -> Topology {
-        let periods = self.actual.as_ref().unwrap_or(&self.filters).periods(&self.graph);
+        let program = self.program();
         let mut topo = Topology::from_graph(&self.graph);
         for n in self.graph.node_ids() {
-            let outs = self.graph.out_degree(n);
-            if outs == 0 {
-                continue;
+            if let Some(period) = program.period(n) {
+                let outs = self.graph.out_degree(n);
+                topo = topo.with(n, move || periodic(outs, period));
             }
-            let period = periods[n.index()];
-            if period <= 1 {
-                continue; // the default broadcast behaviour is identical
-            }
-            topo = topo.with(n, move || {
-                Predicate::new(outs, move |seq, out| periodic_emits(period, seq, out))
-            });
         }
         topo
+    }
+
+    /// What [`JobSpec::topology`] runs, lending the spec's graph instead
+    /// of copying it: what the service hands the pool (E41).
+    pub(crate) fn program(&self) -> JobProgram<'_> {
+        JobProgram {
+            graph: &self.graph,
+            periods: self.actual.as_ref().unwrap_or(&self.filters).periods(&self.graph),
+        }
     }
 
     /// The job's canonical identity: the structural graph fingerprint with
@@ -200,6 +203,38 @@ impl JobSpec {
         let periods = self.filters.periods(&self.graph);
         fingerprint_with(&self.graph, |n| periods[n.index()])
     }
+}
+
+/// A spec's graph, lent, with the per-node periods of its executed filter
+/// profile ([`JobSpec::program`]).
+pub(crate) struct JobProgram<'a> {
+    graph: &'a Graph,
+    periods: Vec<u64>,
+}
+
+impl JobProgram<'_> {
+    /// Node `n`'s filter period where it filters: a node without outputs,
+    /// or of period 1, behaves as the default broadcast.
+    fn period(&self, n: NodeId) -> Option<u64> {
+        let period = self.periods[n.index()];
+        (self.graph.out_degree(n) > 0 && period > 1).then_some(period)
+    }
+}
+
+impl Program for JobProgram<'_> {
+    fn graph(&self) -> &Graph {
+        self.graph
+    }
+
+    fn behavior(&self, node: NodeId) -> Option<Box<dyn NodeBehavior>> {
+        let period = self.period(node)?;
+        Some(Box::new(periodic(self.graph.out_degree(node), period)))
+    }
+}
+
+/// The canonical periodic filter over `outs` outputs.
+fn periodic(outs: usize, period: u64) -> impl NodeBehavior {
+    Predicate::new(outs, move |seq, out| periodic_emits(period, seq, out))
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
 //! `SharedPool` running one job at a time through its public surface:
-//! verdicts, plans, degenerate sizes, wall time.  (Many jobs at once:
+//! verdicts, plans, degenerate sizes, wall time, what a launch seeds.  (Many jobs at once:
 //! `scheduler_stress.rs`; agreement with the simulator:
 //! `engine_equivalence.rs`.)
 
 use fila::prelude::*;
 use fila::runtime::filters::{Broadcast, ModuloFilter, Predicate};
+use fila::runtime::{PropagationTrigger, SchedCounter};
 
 fn fig2(buffer: u64) -> Graph {
     let mut b = GraphBuilder::new();
@@ -155,4 +156,79 @@ fn wall_time_is_recorded() {
     assert!(report.completed);
     assert!(report.wall_time() > std::time::Duration::ZERO);
     assert!(report.messages_per_sec().expect("wall time recorded") > 0.0);
+}
+
+/// Tasks pushed onto the pool's injector so far, over every lane: the
+/// `fila_sched_injector_pushes_total` series.
+fn injector_pushes(pool: &SharedPool) -> u64 {
+    let telemetry = pool.telemetry_handle().expect("a traced pool");
+    let counters = telemetry.sched_counters();
+    counters
+        .iter()
+        .map(|lane| lane[SchedCounter::InjectorPush as usize])
+        .sum()
+}
+
+#[test]
+fn a_fresh_job_seeds_its_sources_and_a_resumed_job_every_task() {
+    // Two sources into a join, then a chain: six nodes, two sources.
+    let mut b = GraphBuilder::new().default_capacity(2);
+    b.edge("s1", "j").unwrap();
+    b.edge("s2", "j").unwrap();
+    b.chain(&["j", "m", "n", "t"]).unwrap();
+    let g = b.build().unwrap();
+    let topo = Topology::from_graph(&g);
+    let reference = Simulator::new(&topo).run(300);
+    let pool = SharedPool::with(PoolOptions {
+        workers: 2,
+        telemetry: true,
+        ..PoolOptions::default()
+    });
+    let fresh = pool.submit(&topo, 300).wait();
+    assert!(fresh.completed, "{fresh:?}");
+    assert_eq!(fresh.per_edge_data, reference.per_edge_data);
+    assert_eq!(injector_pushes(&pool), 2, "the sources, and only them");
+
+    let CheckpointOutcome::Killed(cut) = Simulator::new(&topo).run_with_checkpoint(300, 40)
+    else {
+        panic!("step 40 interrupts a 300-input run");
+    };
+    let resumed = pool
+        .resume_full(
+            &topo,
+            AvoidanceMode::Disabled,
+            PropagationTrigger::default(),
+            &cut,
+            None,
+        )
+        .unwrap()
+        .wait();
+    assert!(resumed.completed, "{resumed:?}");
+    assert_eq!(resumed.per_edge_data, reference.per_edge_data);
+    assert_eq!(injector_pushes(&pool), 2 + 6, "every task of the resumed job");
+}
+
+#[test]
+fn fig2_deadlocks_exactly_whichever_fork_output_is_filtered_out() {
+    // Unseeded tasks start waiting on their first input.  With A -> B
+    // filtered out completely, B never receives a message and C's first
+    // input stays empty: neither ever runs, and the verdict must still be
+    // the simulator's deadlock, with the same counts and blocked nodes.
+    let g = fig2(2);
+    let a = g.node_by_name("A").unwrap();
+    for silent in [0, 1] {
+        let topo = Topology::from_graph(&g)
+            .with(a, move || Predicate::new(2, move |_seq, out| out != silent));
+        let reference = Simulator::new(&topo).run(500);
+        assert!(reference.deadlocked);
+        for workers in [1, 2] {
+            let pool = SharedPool::new(workers);
+            let job = pool.submit(&topo, 500);
+            let report = job.wait();
+            assert_eq!(job.verdict(), Some(JobVerdict::Deadlocked), "{report:?}");
+            assert_eq!(report.per_edge_data, reference.per_edge_data);
+            assert_eq!(report.per_edge_dummies, reference.per_edge_dummies);
+            assert_eq!(report.blocked, reference.blocked, "output {silent} silent");
+        }
+    }
 }
