@@ -8,8 +8,8 @@
 //! intervals call for.  This module is that rule and nothing else:
 //!
 //! * [`message`] — what travels on a channel;
-//! * [`wrapper`] — the Propagation / Non-Propagation gap counters;
-//! * [`engine`] — the scalar step over `VecDeque` channels and the worklist
+//! * [`wrapper`] — the Propagation / Non-Propagation gap rule and counters;
+//! * [`engine`] — the scalar step over flat tables and the worklist
 //!   scheduler that drives it (the reference schedule);
 //! * [`steady`] — an observer of the worklist run that skips a recurring
 //!   steady state exactly (certification's; the Simulator runs unobserved).

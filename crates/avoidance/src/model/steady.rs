@@ -74,15 +74,18 @@ impl<'g> SteadyState<'g> {
         self.skip
     }
 
-    /// The hook: `node` is about to take its turn in a run bounded by
-    /// `step_bound` steps.
+    /// The hook: `node` is about to take its turn in a run bounded by `step_bound`.
+    #[inline]
     pub fn observe(&mut self, engine: &mut Engine<'g>, node: NodeId, step_bound: u64) {
-        if self.anchor != Some(node) {
-            return;
+        if self.anchor == Some(node) {
+            self.checkpoint(engine, node, step_bound);
         }
+    }
+
+    fn checkpoint(&mut self, engine: &mut Engine<'g>, node: NodeId, step_bound: u64) {
         let source = &engine.nodes[node.index()];
         let at = source.next_source_seq;
-        if !source.pending.is_empty() || at >= engine.inputs || at % self.period != 0 {
+        if source.pending > 0 || at >= engine.inputs || at % self.period != 0 {
             return;
         }
         self.checkpoints += 1;
@@ -110,19 +113,18 @@ impl<'g> Engine<'g> {
     /// nothing and are not compared; the per-turn scratch is dead between
     /// turns.
     fn is_shift_of(&self, earlier: &Engine<'g>, shift: u64) -> bool {
-        let g = self.graph();
         let later = |m: &Message| m.shifted(shift);
-        let mut nodes = g.node_ids().zip(self.nodes.iter().zip(&earlier.nodes));
+        let mut nodes = self.nodes.iter().zip(&earlier.nodes);
         let mut channels = self.channels.iter().zip(&earlier.channels);
+        let pending = earlier.pending.iter().map(|m| m.as_ref().map(later));
         self.ready == earlier.ready
-            && nodes.all(|(n, (now, then))| {
-                let advance = if g.in_degree(n) == 0 { shift } else { 0 };
-                let pending = then.pending.iter().map(|(e, m)| (*e, later(m)));
+            && self.gaps == earlier.gaps
+            && nodes.all(|(now, then)| {
+                let advance = if now.ins.0 == now.ins.1 { shift } else { 0 };
                 now.next_source_seq == then.next_source_seq + advance
                     && (now.eos_queued, now.done) == (then.eos_queued, then.done)
-                    && now.wrapper.gaps() == then.wrapper.gaps()
-                    && now.pending.iter().copied().eq(pending)
             })
+            && self.pending.iter().copied().eq(pending)
             && channels.all(|(now, then)| {
                 now.len() == then.len() && now.iter().copied().eq(then.iter().map(later))
             })
@@ -145,11 +147,9 @@ impl<'g> Engine<'g> {
             repeat(&mut now.next_source_seq, then.next_source_seq);
             repeat(&mut now.firings, then.firings);
             repeat(&mut now.sink_firings, then.sink_firings);
-            for (_, m) in now.pending.iter_mut() {
-                *m = m.shifted(k * shift);
-            }
         }
-        for m in self.channels.iter_mut().flatten() {
+        let in_flight = self.channels.iter_mut().flatten();
+        for m in in_flight.chain(self.pending.iter_mut().flatten()) {
             *m = m.shifted(k * shift);
         }
         let data = self.per_edge_data.iter_mut().zip(&earlier.per_edge_data);
@@ -171,7 +171,7 @@ mod tests {
     use crate::model::{AvoidanceMode, Payload};
     use crate::plan::{Algorithm, AvoidancePlan};
     use crate::{DummyInterval, IntervalMap};
-    use fila_graph::{EdgeId, GraphBuilder};
+    use fila_graph::GraphBuilder;
 
     /// A diamond whose fork sends data on its first output only, under a
     /// tight Non-Propagation plan: dummies, pending outputs and a ready
@@ -210,7 +210,7 @@ mod tests {
         // Find a cut with a pending output and two queued nodes.
         let base = (1..200)
             .map(|steps| stopped_at(&g, &mode, steps))
-            .find(|e| e.ready.len() >= 2 && e.nodes.iter().any(|n| !n.pending.is_empty()))
+            .find(|e| e.ready.len() >= 2 && e.nodes.iter().any(|n| n.pending > 0))
             .expect("some cut has pending output and a two-entry queue");
         assert!(base.is_shift_of(&base.clone(), 0));
 
@@ -219,21 +219,18 @@ mod tests {
         assert!(!queue_order.is_shift_of(&base, 0));
 
         let mut gap = base.clone();
-        let mut gaps = gap.nodes[0].wrapper.gaps().to_vec();
-        gaps[1] += 1;
-        gap.nodes[0].wrapper.restore_gaps(&gaps);
+        gap.gaps_mut(NodeId::from_raw(0))[1] += 1;
         assert!(!gap.is_shift_of(&base, 0));
 
+        // A pending message shifted, or pending on another channel.
         let mut pending = base.clone();
-        let holder = pending
-            .nodes
-            .iter()
-            .position(|n| !n.pending.is_empty())
-            .unwrap();
-        let (edge, message) = pending.nodes[holder].pending[0];
-        pending.nodes[holder].pending[0] = (edge, message.shifted(1));
+        let at = pending.pending.iter().position(Option::is_some).unwrap();
+        let message = pending.pending[at].unwrap();
+        pending.pending[at] = Some(message.shifted(1));
         assert!(!pending.is_shift_of(&base, 0));
-        pending.nodes[holder].pending[0] = (EdgeId::from_raw(edge.index() as u32 ^ 1), message);
+        let free = pending.pending.iter().position(Option::is_none).unwrap();
+        pending.pending[at] = None;
+        pending.pending[free] = Some(message);
         assert!(!pending.is_shift_of(&base, 0));
 
         let mut in_flight = base.clone();
@@ -267,7 +264,7 @@ mod tests {
             for m in later.channels.iter_mut().flatten() {
                 *m = m.shifted(by);
             }
-            for (_, m) in later.nodes.iter_mut().flat_map(|n| n.pending.iter_mut()) {
+            for m in later.pending.iter_mut().flatten() {
                 *m = m.shifted(by);
             }
             later

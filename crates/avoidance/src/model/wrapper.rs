@@ -350,23 +350,35 @@ fn accept(
         return;
     };
     for i in 0..gap.len() {
-        let sent = sent_data(i);
-        // Propagation forwards a received dummy on every channel not
-        // carrying data for this sequence number.
-        let forward = consumed_dummy && !sent && algorithm == Algorithm::Propagation;
-        let dummy = if sent || forward {
-            gap[i] = 0;
-            forward
-        } else {
-            gap[i] += 1;
-            let crossed = gap[i] >= threshold[i];
-            if crossed {
-                gap[i] = 0;
-            }
-            crossed
-        };
-        each(i, dummy);
+        each(i, gap_rule(algorithm, &mut gap[i], threshold[i], consumed_dummy, sent_data(i)));
     }
+}
+
+/// The per-channel gap rule, stated once for the wrapper and the model's
+/// engine: one accepted sequence number on a channel with gap counter `gap`
+/// and interval `threshold` (`u64::MAX`: infinite), at which the node
+/// consumed a dummy or not and `sent` data there or not.  Is a dummy due?
+#[inline]
+pub(crate) fn gap_rule(
+    algorithm: Algorithm,
+    gap: &mut u64,
+    threshold: u64,
+    consumed_dummy: bool,
+    sent: bool,
+) -> bool {
+    // Propagation forwards a received dummy on every channel not carrying
+    // data for this sequence number.
+    let forward = consumed_dummy && !sent && algorithm == Algorithm::Propagation;
+    if sent || forward {
+        *gap = 0;
+        return forward;
+    }
+    *gap += 1;
+    let crossed = *gap >= threshold;
+    if crossed {
+        *gap = 0;
+    }
+    crossed
 }
 
 #[cfg(test)]

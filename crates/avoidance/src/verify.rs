@@ -524,12 +524,19 @@ impl RunTable {
     /// run's rule does not read `seq` at all.
     fn run(&self, row: usize) -> ModelOutcome {
         let (periods, pattern) = (&self.periods[..], self.rows[row]);
-        let emits = |n: NodeId, seq: u64, j: usize, outs: usize| match pattern {
-            Some(pattern) if periods[n.index()] > 1 => pattern(n.index(), j, outs),
-            _ => periodic_emits(periods[n.index()], seq, j),
+        let fire = |n: NodeId, seq: u64, _: &[Option<Payload>], emit: &mut [Option<Payload>]| {
+            let (period, outs) = (periods[n.index()], emit.len());
+            for (j, slot) in emit.iter_mut().enumerate() {
+                let emits = match pattern {
+                    Some(pattern) if period > 1 => pattern(n.index(), j, outs),
+                    _ => periodic_emits(period, seq, j),
+                };
+                // The model only tracks *whether* data flows; payloads are inert.
+                *slot = emits.then_some(0);
+            }
         };
         let rule = if pattern.is_some() { &[] } else { periods };
-        model_check(&self.graph, &self.mode, emits, rule, self.budget.0, self.budget.1)
+        model_check(&self.graph, &self.mode, fire, rule, self.budget.0, self.budget.1)
     }
 
     /// True while a row is left to start.
@@ -610,28 +617,20 @@ fn default_step_budget(g: &Graph, inputs: u64) -> u64 {
 
 /// One bounded run of the scalar model ([`crate::model::Engine`], worklist
 /// scheduler — exactly what `fila_runtime::Simulator` drives) with a declarative firing rule in
-/// place of node behaviours: `emits(node, seq, output slot, out-degree)`
-/// says whether a data-bearing acceptance sends data on that slot, and
-/// every one of `emit_periods` is a period of it in `seq`.  The run is
-/// observed by a [`SteadyState`], so a recurring stretch is stepped once and
-/// repeated by arithmetic; `steps` and the verdict are those of the full
-/// replay (`tests/certification.rs::fast_forward_is_invisible`).
+/// place of node behaviours: `fire` fills a data-bearing acceptance's
+/// emission slots, and every one of `emit_periods` is a period of it in
+/// `seq`.  The run is observed by a [`SteadyState`], so a recurring stretch
+/// is stepped once and repeated by arithmetic; `steps` and the verdict are
+/// those of the full replay (`tests/certification.rs::fast_forward_is_invisible`).
 fn model_check(
     g: &Graph,
     mode: &AvoidanceMode,
-    emits: impl Fn(NodeId, u64, usize, usize) -> bool,
+    mut fire: impl FnMut(NodeId, u64, &[Option<Payload>], &mut [Option<Payload>]),
     emit_periods: &[u64],
     inputs: u64,
     max_steps: u64,
 ) -> ModelOutcome {
     let mut engine = Engine::new(g, mode, inputs);
-    let mut fire = |node: NodeId, seq: u64, _: &[Option<Payload>], emit: &mut [Option<Payload>]| {
-        let outs = emit.len();
-        for (j, slot) in emit.iter_mut().enumerate() {
-            // The model only tracks *whether* data flows; payloads are inert.
-            *slot = emits(node, seq, j, outs).then_some(0);
-        }
-    };
     let mut steady = SteadyState::new(g, emit_periods, inputs);
     let halt = engine.run_worklist_observed(&mut fire, max_steps, false, |engine, node| {
         steady.observe(engine, node, max_steps)

@@ -278,7 +278,9 @@ impl JobSnapshot {
     /// and at most one message per channel is staged: the model fires no
     /// node with output pending, a barrier contribution needs empty
     /// staging, and a settled pool task flushed last, which leaves at most
-    /// the one overshooting acceptance's message per port.
+    /// the one overshooting acceptance's message per port.  A node's staged
+    /// list is in out-edge order, the order both engines capture it in and
+    /// the model flushes it in.
     pub fn validate_for(
         &self,
         topology: &dyn Program,
@@ -337,10 +339,15 @@ impl JobSnapshot {
             if ns.gaps.len() != outs.len() {
                 return corrupted("wrapper state does not match the node's out-degree");
             }
+            let mut last = None;
             for &(edge, _) in &ns.staged {
-                if !outs.contains(&fila_graph::EdgeId::from_raw(edge)) {
+                let Some(at) = outs.iter().position(|e| e.index() == edge as usize) else {
                     return corrupted("staged message on an edge the node does not produce");
+                };
+                if last >= Some(at) {
+                    return corrupted("staged messages out of out-edge order");
                 }
+                last = Some(at);
             }
             // Dummy-gap counters must be strictly below the restore-side
             // plan's finite intervals: the wrapper resets a counter the

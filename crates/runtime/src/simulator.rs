@@ -129,18 +129,17 @@ impl<'t> Simulator<'t> {
         engine.sink_firings = snapshot.sink_firings;
         engine.per_edge_data.clone_from(&snapshot.per_edge_data);
         engine.per_edge_dummies.clone_from(&snapshot.per_edge_dummies);
-        for (state, ns) in engine.nodes.iter_mut().zip(&snapshot.nodes) {
+        for (node, ns) in self.topology.graph().node_ids().zip(&snapshot.nodes) {
+            let state = &mut engine.nodes[node.index()];
             state.next_source_seq = ns.next_source_seq;
             state.eos_queued = ns.eos_queued;
             state.done = ns.done;
             state.firings = ns.firings;
             state.sink_firings = ns.sink_firings;
-            state.wrapper.restore_gaps(&ns.gaps);
-            state.pending = ns
-                .staged
-                .iter()
-                .map(|&(e, m)| (EdgeId::from_raw(e), m))
-                .collect();
+            engine.gaps_mut(node).copy_from_slice(&ns.gaps);
+            for &(e, m) in &ns.staged {
+                engine.stage(node, EdgeId::from_raw(e), m);
+            }
         }
         // Seed every unfinished node: unlike a fresh run, restored interior
         // nodes may already hold consumable channel contents.
@@ -195,20 +194,16 @@ impl<'t> Run<'t> {
                 .iter()
                 .map(|c| c.iter().copied().collect())
                 .collect(),
-            nodes: engine
-                .nodes
-                .iter()
-                .map(|state| NodeSnapshot {
-                    gaps: state.wrapper.gaps().to_vec(),
+            nodes: (engine.graph().node_ids().zip(&engine.nodes))
+                .map(|(node, state)| NodeSnapshot {
+                    gaps: engine.gaps(node).to_vec(),
                     next_source_seq: state.next_source_seq,
                     eos_queued: state.eos_queued,
                     done: state.done,
                     firings: state.firings,
                     sink_firings: state.sink_firings,
-                    staged: state
-                        .pending
-                        .iter()
-                        .map(|&(e, m)| (e.index() as u32, m))
+                    staged: (engine.pending(node))
+                        .map(|(e, m)| (e.index() as u32, m))
                         .collect(),
                 })
                 .collect(),
@@ -226,7 +221,7 @@ impl<'t> Run<'t> {
                 if state.done {
                     continue;
                 }
-                let reason = if let Some(&(edge, _)) = state.pending.front() {
+                let reason = if let Some((edge, _)) = engine.pending(node).next() {
                     BlockedReason::WaitingForSpace(edge)
                 } else if let Some(&edge) = engine
                     .graph()

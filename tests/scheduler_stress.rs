@@ -9,12 +9,12 @@
 //! a hang, not a wrong answer.
 
 use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use fila::avoidance::verify::certify_runs;
 use fila::prelude::*;
 use fila::runtime::filters::Predicate;
-use fila::runtime::{AvoidanceMode, EventKind, JobHandle, PoolOptions};
+use fila::runtime::{AvoidanceMode, EventKind, JobHandle, PoolOptions, SchedCounter};
 use fila::workloads::figures::fig2_triangle;
 use fila::workloads::generators::{random_sp_dag, GeneratorConfig};
 
@@ -289,12 +289,15 @@ fn a_certification_row_does_not_hold_up_an_independent_job() {
     // A cold certification on a 2-worker service offers its six rows: one
     // parked worker is unparked and works rows, each to its end, while the
     // other stays parked.  The row runner is neither searching nor parked,
-    // so a job submitted behind it unparks the other worker and settles in
-    // the time of its own work.  A row runner counted as a searcher would
-    // suppress that unpark, and the job would wait until the runner found no
-    // row left to claim — with five rows or more finished by then.  Rows
-    // finished, not a stopwatch, say which happened: a stalled host stalls
-    // the rows as well.
+    // so a job submitted behind it unparks the other worker, which runs it.
+    // A row runner counted as a searcher would suppress that unpark: the
+    // parked worker would sleep on, and the job would wait for the runner to
+    // find no row left to claim and then run it on the runner's lane.  The
+    // telemetry lanes, not a stopwatch or a count of rows finished, say
+    // which happened: the worker parked when the job was submitted is woken
+    // while the job is in flight and fires every one of its tasks.  Both
+    // workers are asleep before the rows are offered, so the one the offer
+    // leaves asleep is there to be woken however the host schedules them.
     with_watchdog(Duration::from_secs(120), || {
         let (g, _) = random_sp_dag(&GeneratorConfig {
             target_edges: 1_024,
@@ -306,6 +309,7 @@ fn a_certification_row_does_not_hold_up_an_independent_job() {
             g.node_ids().map(|n| if g.out_degree(n) > 1 { 3 } else { 1 }).collect();
         let service = Arc::new(JobService::new(ServiceConfig {
             workers: 2,
+            telemetry: true,
             ..ServiceConfig::default()
         }));
         let spec = JobSpec::from_periods(g, periods, 8, Some(Algorithm::NonPropagation));
@@ -313,6 +317,15 @@ fn a_certification_row_does_not_hold_up_an_independent_job() {
             let (caller, pool) = certify_runs();
             (caller + pool, pool)
         };
+        // Both workers asleep before the rows are offered.
+        let telemetry = service.telemetry().unwrap().clone();
+        let parks = || {
+            let lanes = telemetry.sched_counters();
+            lanes[..2].iter().map(|lane| lane[SchedCounter::Park as usize]).min()
+        };
+        while parks() == Some(0) {
+            std::thread::sleep(Duration::from_micros(100));
+        }
         let before = rows();
         let cold = {
             let service = Arc::clone(&service);
@@ -322,15 +335,34 @@ fn a_certification_row_does_not_hold_up_an_independent_job() {
         while rows().1 == before.1 && !cold.is_finished() {
             std::thread::sleep(Duration::from_micros(100));
         }
-        let t = Instant::now();
         let small = JobSpec::new(pipeline(3, 2), FilterSpec::Broadcast, 10).unplanned();
         assert!(service.submit(small).unwrap().wait().report.completed);
-        let (waited, finished) = (t.elapsed(), rows().0 - before.0);
+        let finished = rows().0 - before.0;
         assert_eq!(cold.join().unwrap(), Ok(JobVerdict::Completed));
         assert_eq!(rows().0 - before.0, 6);
         assert!(rows().1 > before.1, "a worker took rows");
-        eprintln!("the small job settled in {waited:?}, {finished} of six rows finished");
-        assert!(finished < 4, "the small job settled after {finished} of six rows");
+
+        // The small job reached the pool first: the cold one waits for its
+        // certification.
+        let events = telemetry.all_events();
+        let jobs = events.iter().filter(|e| e.kind == EventKind::Job);
+        let job = jobs.min_by_key(|e| e.job).unwrap();
+        let parked: Vec<_> = (events.iter())
+            .filter(|e| e.kind == EventKind::Park)
+            .filter(|e| e.t_start_ns <= job.t_start_ns && job.t_start_ns < e.t_end_ns)
+            .collect();
+        assert_eq!(parked.len(), 1, "one worker sleeps, one runs rows: {parked:?}");
+        let (sleeper, woken) = (parked[0].worker, parked[0].t_end_ns);
+        let lanes: Vec<u16> = (events.iter())
+            .filter(|e| e.kind == EventKind::Firing && e.job == job.job)
+            .map(|e| e.worker)
+            .collect();
+        eprintln!("the small job fired on lanes {lanes:?}; {finished} of six rows finished");
+        assert!(woken <= job.t_end_ns, "the sleeper was not woken for the small job");
+        assert!(
+            !lanes.is_empty() && lanes.iter().all(|&lane| lane == sleeper),
+            "the small job ran on {lanes:?}, not on the woken lane {sleeper}"
+        );
     });
 }
 

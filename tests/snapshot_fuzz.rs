@@ -295,3 +295,42 @@ fn a_second_staged_message_on_a_channel_is_refused_as_corrupted() {
         "no cut had a staged message behind a non-empty channel"
     );
 }
+
+/// Both engines capture a node's staged messages in out-edge order, and the
+/// model flushes them in that order, so a staged list in another order is
+/// refused as corrupted by both engines, though each message on its own
+/// fits its channel.
+#[test]
+fn a_staged_list_out_of_out_edge_order_is_refused_as_corrupted() {
+    // A fork whose two capacity-1 outputs are both full after its second
+    // emission: it stages one message on each.
+    let mut b = GraphBuilder::new().default_capacity(1);
+    b.edge("s", "a").unwrap();
+    b.edge("s", "b").unwrap();
+    let fork = Topology::from_graph(&b.build().unwrap());
+    let sim = Simulator::new(&fork);
+    let pool = SharedPool::new(1);
+    let mut cases = 0;
+    for kill_at in 1..40 {
+        let CheckpointOutcome::Killed(cut) = sim.run_with_checkpoint(120, kill_at) else {
+            continue;
+        };
+        for (node, ns) in cut.nodes.iter().enumerate() {
+            if ns.staged.len() < 2 {
+                continue;
+            }
+            let mut reversed = (*cut).clone();
+            reversed.nodes[node].staged.reverse();
+            let trigger = PropagationTrigger::default();
+            let pooled = pool.resume_full(&fork, AvoidanceMode::Disabled, trigger, &reversed, None);
+            assert!(sim.resume(&cut).is_ok(), "kill {kill_at}: the honest cut resumes");
+            assert!(
+                matches!(sim.resume(&reversed), Err(RestoreError::Corrupted(_)))
+                    && matches!(pooled, Err(RestoreError::Corrupted(_))),
+                "kill {kill_at}: node {node}"
+            );
+            cases += 1;
+        }
+    }
+    assert!(cases > 0, "no cut staged two messages at one node");
+}
