@@ -70,8 +70,8 @@ pub(super) fn span((start, end): (u32, u32)) -> Range<usize> {
 
 /// One entry of the flat edge lists: a channel seen from one of its ends.
 #[derive(Debug, Clone, Copy)]
-struct Port {
-    edge: EdgeId,
+pub(super) struct Port {
+    pub(super) edge: EdgeId,
     /// The node at the other end: a step here that fills or drains the
     /// channel may unblock it.
     peer: u32,
@@ -109,11 +109,11 @@ pub struct Engine<'g> {
     /// Every node's in-edges, node by node, in `graph.in_edges` order.
     in_edges: Vec<Port>,
     /// Every node's out-edges, node by node, in `graph.out_edges` order.
-    out_edges: Vec<Port>,
+    pub(super) out_edges: Vec<Port>,
     /// Per out-list position: the channel's dummy-gap counter.
     pub(super) gaps: Vec<u64>,
     /// Per out-list position, under a plan: its interval (`u64::MAX`: none).
-    thresholds: Vec<u64>,
+    pub(super) thresholds: Vec<u64>,
     /// Per out-list position: the output produced but not yet delivered (a
     /// node with some only flushes, so they are one turn's, one a channel).
     pub(super) pending: Vec<Option<Message>>,

@@ -111,14 +111,24 @@ impl<'g> Engine<'g> {
     /// else that decides future turns equal: ready queue, gap counters,
     /// progress flags.  The tallies (`steps`, counts, firings) decide
     /// nothing and are not compared; the per-turn scratch is dead between
-    /// turns.
+    /// turns.  One gap counter may differ: on an infinite interval a counter
+    /// never fires, so it decides nothing either, and it may have risen
+    /// provided its channel carried no message in the stretch (equal data
+    /// and dummy tallies) — a reset always sends one, so it only counted.
     fn is_shift_of(&self, earlier: &Engine<'g>, shift: u64) -> bool {
         let later = |m: &Message| m.shifted(shift);
         let mut nodes = self.nodes.iter().zip(&earlier.nodes);
         let mut channels = self.channels.iter().zip(&earlier.channels);
         let pending = earlier.pending.iter().map(|m| m.as_ref().map(later));
+        let counted = |at: usize| {
+            let edge = self.out_edges[at].edge.index();
+            self.thresholds.get(at) == Some(&u64::MAX)
+                && self.per_edge_data[edge] == earlier.per_edge_data[edge]
+                && self.per_edge_dummies[edge] == earlier.per_edge_dummies[edge]
+        };
+        let mut gaps = self.gaps.iter().zip(&earlier.gaps).enumerate();
         self.ready == earlier.ready
-            && self.gaps == earlier.gaps
+            && gaps.all(|(at, (now, then))| now == then || now > then && counted(at))
             && nodes.all(|(now, then)| {
                 let advance = if now.ins.0 == now.ins.1 { shift } else { 0 };
                 now.next_source_seq == then.next_source_seq + advance
@@ -135,7 +145,7 @@ impl<'g> Engine<'g> {
     /// stretch `earlier → self` as keep every source within `inputs` and
     /// `steps` below `step_bound` (so the bound is still met by stepping),
     /// and returns `k`.  Sequence numbers advance by `k · shift`, every
-    /// tally by `k ×` what the stretch added.
+    /// tally and every gap counter by `k ×` what the stretch added.
     fn repeat_since(&mut self, earlier: &Engine<'g>, shift: u64, step_bound: u64) -> u64 {
         let by_steps = step_bound.saturating_sub(1).saturating_sub(self.steps)
             / (self.steps - earlier.steps).max(1);
@@ -159,6 +169,13 @@ impl<'g> Engine<'g> {
             .zip(&earlier.per_edge_dummies);
         data.chain(dummies)
             .for_each(|(now, &then)| repeat(now, then));
+        for (at, (now, &then)) in self.gaps.iter_mut().zip(&earlier.gaps).enumerate() {
+            debug_assert!(
+                *now == then || self.thresholds[at] == u64::MAX,
+                "a gap counter carried through a skip must be on an infinite interval"
+            );
+            repeat(now, then);
+        }
         repeat(&mut self.sink_firings, earlier.sink_firings);
         repeat(&mut self.steps, earlier.steps);
         k
@@ -168,7 +185,7 @@ impl<'g> Engine<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{AvoidanceMode, Payload};
+    use crate::model::{AvoidanceMode, Halt, Payload};
     use crate::plan::{Algorithm, AvoidancePlan};
     use crate::{DummyInterval, IntervalMap};
     use fila_graph::GraphBuilder;
@@ -218,9 +235,11 @@ mod tests {
         queue_order.ready.swap(0, 1);
         assert!(!queue_order.is_shift_of(&base, 0));
 
+        // A gap counter on a finite interval that rose, or one that fell.
         let mut gap = base.clone();
         gap.gaps_mut(NodeId::from_raw(0))[1] += 1;
         assert!(!gap.is_shift_of(&base, 0));
+        assert!(!base.is_shift_of(&gap, 0));
 
         // A pending message shifted, or pending on another channel.
         let mut pending = base.clone();
@@ -252,6 +271,107 @@ mod tests {
         tallies.per_edge_dummies[0] += 1;
         tallies.nodes[1].firings += 1;
         assert!(tallies.is_shift_of(&base, 0));
+    }
+
+    /// The diamond with a tap `r → x` on an infinite interval.  Under
+    /// `first_output_only` the branch through `r` is starved: `r` only ever
+    /// accepts dummies, so its counter towards the tap counts for ever.
+    fn tapped_diamond() -> (Graph, AvoidanceMode) {
+        let mut b = GraphBuilder::new().default_capacity(2);
+        for (from, to) in [("s", "l"), ("s", "r"), ("l", "t"), ("r", "t")] {
+            b.edge(from, to).unwrap();
+        }
+        let tap = b.edge("r", "x").unwrap();
+        let g = b.build().unwrap();
+        let mut intervals = IntervalMap::for_graph(&g);
+        for e in g.edge_ids().filter(|&e| e != tap) {
+            intervals.set(e, DummyInterval::Finite(1));
+        }
+        let plan = AvoidancePlan::new(&g, Algorithm::NonPropagation, intervals);
+        (g, AvoidanceMode::plan(plan))
+    }
+
+    /// Out-list positions: `r`'s counter towards `t`, and towards the tap.
+    const R_TO_T: usize = 3;
+    const TAP: usize = 4;
+
+    #[test]
+    fn a_starved_branch_on_an_infinite_interval_fast_forwards_exactly() {
+        let (g, mode) = tapped_diamond();
+        let run = |observed: bool| {
+            let mut engine = Engine::new(&g, &mode, 300);
+            let mut steady = SteadyState::new(&g, &[], 300);
+            let halt = engine.run_worklist_observed(
+                &mut first_output_only,
+                u64::MAX,
+                false,
+                |engine, node| {
+                    if observed {
+                        steady.observe(engine, node, u64::MAX)
+                    }
+                },
+            );
+            (halt, engine, steady.skip())
+        };
+        let (halt, replayed, none) = run(false);
+        let (observed_halt, observed, skip) = run(true);
+        assert_eq!((halt, none), (Halt::Completed, None));
+        let skip = skip.expect("the counter towards the tap no longer stops a recurrence");
+        assert!(skip.skipped * skip.shift > 200, "{skip:?}");
+        // The tap never carried a message and its counter counted every
+        // dummy `r` accepted, skipped stretches included.
+        assert_eq!(replayed.per_edge_dummies[4] + replayed.per_edge_data[4], 0);
+        assert_eq!(replayed.gaps[TAP], replayed.per_edge_dummies[1]);
+        assert_eq!(observed_halt, halt);
+        assert_eq!(observed.steps, replayed.steps);
+        assert_eq!(observed.gaps, replayed.gaps);
+        assert_eq!(observed.per_edge_data, replayed.per_edge_data);
+        assert_eq!(observed.per_edge_dummies, replayed.per_edge_dummies);
+        assert_eq!(observed.sink_firings, replayed.sink_firings);
+        let firings = |e: &Engine<'_>| e.nodes.iter().map(|n| n.firings).collect::<Vec<_>>();
+        assert_eq!(firings(&observed), firings(&replayed));
+    }
+
+    /// The tapped diamond at a cut where `r` has counted towards the tap.
+    fn tapped_cut<'g>(g: &'g Graph, mode: &AvoidanceMode) -> Engine<'g> {
+        let base = (1..200)
+            .map(|steps| {
+                let mut engine = Engine::new(g, mode, 40);
+                engine.run_worklist(&mut first_output_only, steps, false);
+                engine
+            })
+            .find(|e| e.gaps[TAP] > 0)
+            .expect("r accepts a dummy within 200 steps");
+        assert_eq!(base.thresholds[TAP], u64::MAX);
+        assert_eq!(base.thresholds[R_TO_T], 1);
+        base
+    }
+
+    #[test]
+    fn only_a_counter_on_an_infinite_interval_may_rise() {
+        let (g, mode) = tapped_diamond();
+        let base = tapped_cut(&g, &mode);
+        let mut tap = base.clone();
+        tap.gaps[TAP] += 5;
+        assert!(tap.is_shift_of(&base, 0));
+        assert!(!base.is_shift_of(&tap, 0), "a counter that fell");
+        let mut finite = base.clone();
+        finite.gaps[R_TO_T] += 1;
+        assert!(!finite.is_shift_of(&base, 0));
+    }
+
+    #[test]
+    fn a_counter_whose_channel_carried_a_message_may_not_rise() {
+        let (g, mode) = tapped_diamond();
+        let base = tapped_cut(&g, &mode);
+        let tap_edge = base.out_edges[TAP].edge.index();
+        for tally in [0, 1] {
+            let mut carried = base.clone();
+            carried.gaps[TAP] += 1;
+            let tallies = [&mut carried.per_edge_data, &mut carried.per_edge_dummies];
+            tallies.into_iter().nth(tally).unwrap()[tap_edge] += 1;
+            assert!(!carried.is_shift_of(&base, 0));
+        }
     }
 
     #[test]

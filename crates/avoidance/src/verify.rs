@@ -456,7 +456,7 @@ pub struct RunTable {
     periods: Vec<u64>,
     budget: (u64, u64),
     /// Row 0 is the declared profile (`None`), then one row per distinct
-    /// adversarial emission table, in [`ADVERSARIES`] order.
+    /// adversarial run, in [`ADVERSARIES`] order ([`certification_rows`]).
     rows: Vec<Option<AdversaryPattern>>,
     /// The adversaries the profile escalates to, each with its row.
     adversaries: Vec<(&'static str, usize)>,
@@ -474,37 +474,71 @@ thread_local! {
     pub(crate) static PANICKING_ROW: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-impl RunTable {
-    fn new(g: &Graph, plan: &Arc<AvoidancePlan>, periods: &[u64], budget: (u64, u64)) -> Self {
-        let mut rows = vec![None];
-        let mut adversaries = Vec::new();
-        // A profile with no filtering node has an empty escalation: every
-        // adversarial run would degenerate to the declared one.
-        if periods.iter().any(|&p| p > 1) {
-            // A run is determined by what its pattern says on the filtering
-            // nodes' slots; patterns that say the same there (one filtering
-            // node: `starve-all` is one of the parities) are one row.
-            let mut tables: Vec<Vec<bool>> = Vec::new();
-            for (name, pattern) in ADVERSARIES {
-                let slots = |n: NodeId| {
-                    let outs = g.out_edges(n).len();
-                    (0..outs).map(move |j| pattern(n.index(), j, outs))
-                };
-                let filtering = g.node_ids().filter(|n| periods[n.index()] > 1);
-                let table: Vec<bool> = filtering.flat_map(slots).collect();
-                let seen = tables.iter().position(|t| *t == table).unwrap_or_else(|| {
-                    tables.push(table);
-                    rows.push(Some(pattern));
-                    tables.len() - 1
-                });
-                adversaries.push((name, seen + 1));
+/// The rows of a certification of `g` under `periods`: row 0 is the
+/// declared profile (`None`), then one row per distinct adversarial run in
+/// [`ADVERSARIES`] order; and each adversary the profile escalates to, with
+/// its row.  A profile with no filtering node escalates to nothing: every
+/// adversarial run would be the declared one.
+///
+/// An adversary's decision is read only when a node fires on data, and data
+/// reaches only the nodes reachable from a source through slots that emit —
+/// every slot of a broadcasting node, the pattern's slots of a filtering
+/// one.  So a run is determined by the pattern's decisions on the filtering
+/// nodes it reaches, and patterns that agree there are one row: with one
+/// filtering node `starve-all` is one of the parities, and a filtering
+/// source at node 0 that forks starves everything below it under both
+/// `starve-all` and `odd-nodes-relay`.
+pub fn certification_rows(
+    g: &Graph,
+    periods: &[u64],
+) -> (Vec<Option<AdversaryPattern>>, Vec<(&'static str, usize)>) {
+    let (mut rows, mut keys, mut adversaries) = (vec![None], Vec::new(), Vec::new());
+    if periods.iter().all(|&p| p <= 1) {
+        return (rows, adversaries);
+    }
+    for (name, pattern) in ADVERSARIES {
+        let emits = |n: NodeId, j| {
+            periods[n.index()] <= 1 || pattern(n.index(), j, g.out_degree(n))
+        };
+        let mut reached = vec![false; g.node_count()];
+        let mut stack = g.sources();
+        while let Some(n) = stack.pop() {
+            if !std::mem::replace(&mut reached[n.index()], true) {
+                let outs = g.out_edges(n).iter().enumerate();
+                stack.extend(outs.filter(|&(j, _)| emits(n, j)).map(|(_, &e)| g.head(e)));
             }
         }
+        let slots = |n: NodeId| {
+            let reached = reached[n.index()];
+            (0..g.out_degree(n)).map(move |j| reached.then(|| emits(n, j)))
+        };
+        let filtering = g.node_ids().filter(|n| periods[n.index()] > 1);
+        let key: Vec<Option<bool>> = filtering.flat_map(slots).collect();
+        let row = keys.iter().position(|k| *k == key).map_or_else(
+            || {
+                keys.push(key);
+                rows.push(Some(pattern));
+                rows.len() - 1
+            },
+            |at| at + 1,
+        );
+        adversaries.push((name, row));
+    }
+    (rows, adversaries)
+}
+
+impl RunTable {
+    fn new(g: &Graph, plan: &Arc<AvoidancePlan>, periods: &[u64], budget: (u64, u64)) -> Self {
+        let (rows, adversaries) = certification_rows(g, periods);
         #[cfg(test)]
-        if PANICKING_ROW.with(std::cell::Cell::get) {
-            adversaries.push(("panics", rows.len()));
-            rows.push(Some(|_, _, _| panic!("a row panics")));
-        }
+        let (rows, adversaries) = {
+            let (mut rows, mut adversaries) = (rows, adversaries);
+            if PANICKING_ROW.with(std::cell::Cell::get) {
+                adversaries.push(("panics", rows.len()));
+                rows.push(Some(|_, _, _| panic!("a row panics")));
+            }
+            (rows, adversaries)
+        };
         RunTable {
             graph: g.clone(),
             mode: AvoidanceMode::Plan(plan.clone()),
@@ -1011,6 +1045,43 @@ mod tests {
         // No filtering node: the declared run alone.
         let broadcast = table(&[1, 1, 1]);
         assert_eq!((broadcast.rows.len(), rows(&broadcast)), (1, vec![]));
+    }
+
+    #[test]
+    fn patterns_that_differ_only_where_data_never_reaches_are_one_row() {
+        // A (node 0) and B (node 1) filter.  `starve-all` and
+        // `odd-nodes-relay` both starve A, so B is reached by neither and
+        // their tables differ only on B's slot: one row.
+        let g = fig2();
+        let periods = [8, 2, 1];
+        let (rows, adversaries) = certification_rows(&g, &periods);
+        let shared: Vec<usize> = adversaries.iter().map(|&(_, row)| row).collect();
+        assert_eq!((rows.len(), shared), (5, vec![1, 2, 3, 4, 1]));
+        // Each adversary's own run is its row's, and the fold names the
+        // adversary a run per adversary names, with the same outcomes.
+        let budget = (256, 100_000);
+        let unprotected = IntervalMap::for_graph(&g);
+        for (plan, fails) in [
+            (Planner::new(&g).algorithm(Algorithm::NonPropagation).plan().unwrap(), None),
+            (AvoidancePlan::new(&g, Algorithm::NonPropagation, unprotected), Some(1)),
+        ] {
+            let plan = Arc::new(plan);
+            let table = RunTable::new(&g, &plan, &periods, budget);
+            let declared = table.run(0);
+            let (mut worst, mut failing) = (declared, None);
+            for (at, &(name, row)) in table.adversaries.iter().enumerate() {
+                let mut alone = RunTable::new(&g, &plan, &periods, budget);
+                alone.rows = vec![None, Some(ADVERSARIES[at].1)];
+                worst = alone.run(1);
+                assert_eq!(worst, table.run(row), "{name}");
+                if !worst.completed {
+                    failing = Some(name);
+                    break;
+                }
+            }
+            assert_eq!(failing, fails.map(|at| ADVERSARIES[at].0));
+            assert_eq!(Arc::new(table).verdict(None), (declared, worst, failing));
+        }
     }
 
     #[test]

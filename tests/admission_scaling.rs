@@ -169,10 +169,12 @@ fn a_horizon_beyond_the_ceiling_is_rejected_before_the_first_step() {
     }
 }
 
-/// A 512-edge SP DAG whose forks filter, and the rows certifying it takes:
-/// the declared profile, then one per distinct thing an adversary says on
-/// the filtering nodes' output slots.  The forks sit on both node parities,
-/// so all five adversaries differ.
+/// A 512-edge SP DAG whose forks filter, all but its source, and the rows
+/// certifying it takes: the declared profile, then one per distinct set of
+/// decisions an adversary makes on the filtering nodes data reaches.  The
+/// broadcasting source feeds forks on both node parities, so all five
+/// adversaries differ.  (A filtering source at node 0 starves everything
+/// under both `starve-all` and `odd-nodes-relay`: one row between them.)
 fn six_row_shape() -> (Graph, Vec<u64>) {
     let (g, _) = random_sp_dag(&GeneratorConfig {
         target_edges: 512,
@@ -181,18 +183,30 @@ fn six_row_shape() -> (Graph, Vec<u64>) {
         seed: 32,
     });
     assert!(g.edge_count() >= 512);
+    let source = g.single_source().unwrap();
     let periods: Vec<u64> = g
         .node_ids()
-        .map(|n| if g.out_degree(n) > 1 { 3 } else { 1 })
+        .map(|n| if g.out_degree(n) > 1 && n != source { 3 } else { 1 })
         .collect();
-    let mut said: Vec<Vec<bool>> = ADVERSARIES
+    let mut said: Vec<Vec<Option<bool>>> = ADVERSARIES
         .iter()
         .map(|&(_, pattern)| {
+            let emits = |n: NodeId, j| {
+                periods[n.index()] == 1 || pattern(n.index(), j, g.out_degree(n))
+            };
+            let mut reached = vec![false; g.node_count()];
+            let mut stack = vec![source];
+            while let Some(n) = stack.pop() {
+                if !std::mem::replace(&mut reached[n.index()], true) {
+                    let outs = g.out_edges(n).iter().enumerate();
+                    stack.extend(outs.filter(|&(j, _)| emits(n, j)).map(|(_, &e)| g.head(e)));
+                }
+            }
             let forks = g.node_ids().filter(|n| periods[n.index()] > 1);
             forks
                 .flat_map(|n| {
-                    let outs = g.out_degree(n);
-                    (0..outs).map(move |j| pattern(n.index(), j, outs))
+                    let reached = reached[n.index()];
+                    (0..g.out_degree(n)).map(move |j| reached.then(|| emits(n, j)))
                 })
                 .collect()
         })

@@ -9,7 +9,9 @@
 use fila::avoidance::model::{
     periodic_emits, AvoidanceMode, Engine, Halt, Payload, Skip, SteadyState,
 };
-use fila::avoidance::verify::{certification_inputs, AdversaryPattern, ADVERSARIES};
+use fila::avoidance::verify::{
+    certification_inputs, certification_rows, AdversaryPattern, ADVERSARIES,
+};
 use fila::avoidance::{
     certify_plan, certify_plan_bounded, Algorithm, AvoidancePlan, Certification, CertifiedCached,
     CertifyError, IntervalMap, ModelOutcome, Rounding,
@@ -268,9 +270,22 @@ fn drive(
     plan: &AvoidancePlan,
     periods: &[u64],
     adversary: Option<AdversaryPattern>,
-    (inputs, max_steps): (u64, u64),
+    budget: (u64, u64),
     observed: bool,
 ) -> (Run, Option<Skip>) {
+    let (run, _, skip) = drive_to_gaps(g, plan, periods, adversary, budget, observed);
+    (run, skip)
+}
+
+/// [`drive`], with the final gap counters, node by node.
+fn drive_to_gaps(
+    g: &Graph,
+    plan: &AvoidancePlan,
+    periods: &[u64],
+    adversary: Option<AdversaryPattern>,
+    (inputs, max_steps): (u64, u64),
+    observed: bool,
+) -> (Run, Vec<u64>, Option<Skip>) {
     let mode = AvoidanceMode::plan(plan.clone());
     let mut engine = Engine::new(g, &mode, inputs);
     let mut fire = |n: NodeId, seq: u64, _: &[Option<Payload>], emit: &mut [Option<Payload>]| {
@@ -294,6 +309,7 @@ fn drive(
     } else {
         engine.run_worklist(&mut fire, max_steps, false)
     };
+    let gaps = g.node_ids().flat_map(|n| engine.gaps(n).to_vec()).collect();
     let run = Run {
         halt,
         steps: engine.steps,
@@ -302,7 +318,7 @@ fn drive(
         per_edge_data: engine.per_edge_data,
         per_edge_dummies: engine.per_edge_dummies,
     };
-    (run, steady.skip())
+    (run, gaps, steady.skip())
 }
 
 /// The `Certification` the full replay supports, assembled the way
@@ -450,6 +466,47 @@ proptest! {
                     replayed_certification(&g, &plan, &periods, (inputs, STEP_BUDGET));
                 prop_assert!(cert == replayed, "{context}: {cert:?} vs {replayed:?}");
             }
+        }
+    }
+}
+
+proptest! {
+    // Tier-1 runs this unoptimised; CI's release steps run 32 cases.
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 3 } else { 32 }))]
+
+    /// E43: on `admit_cold`'s SP shapes — fan-out 4, capacities 2..8,
+    /// period-3 forks, a Non-Propagation plan at the default budget — every
+    /// row certification runs ends where its full replay ends, final gap
+    /// counters included (a skip carries counters on infinite intervals),
+    /// and so does the run of every adversary the row stands for.
+    #[test]
+    fn every_row_of_a_cold_sp_admission_is_its_full_replay(draw in 0u64..1_000_000_000) {
+        let (g, _) = random_sp_dag(&GeneratorConfig {
+            target_edges: 64 + (draw % 193) as usize,
+            max_fanout: 4,
+            capacity_range: (2, 8),
+            seed: draw,
+        });
+        let periods: Vec<u64> =
+            g.node_ids().map(|n| if g.out_degree(n) > 1 { 3 } else { 1 }).collect();
+        let plan = Planner::new(&g).algorithm(Algorithm::NonPropagation).plan().unwrap();
+        let budget = (certification_inputs(&g), STEP_BUDGET);
+        let (rows, adversaries) = certification_rows(&g, &periods);
+        let runs: Vec<_> = rows
+            .iter()
+            .map(|&row| drive_to_gaps(&g, &plan, &periods, row, budget, true))
+            .collect();
+        // The declared run, then each adversary with the row it shares.
+        let named = adversaries.iter().zip(ADVERSARIES);
+        let replays = std::iter::once(("declared", None, 0))
+            .chain(named.map(|(&(name, row), (_, pattern))| (name, Some(pattern), row)));
+        for (name, pattern, row) in replays {
+            let (replayed, gaps, _) = drive_to_gaps(&g, &plan, &periods, pattern, budget, false);
+            let (run, run_gaps, skip) = &runs[row];
+            prop_assert!(
+                (&replayed, &gaps) == (run, run_gaps),
+                "draw {draw}, {name} on row {row} ({skip:?}): {replayed:?} vs {run:?}"
+            );
         }
     }
 }

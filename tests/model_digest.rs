@@ -42,7 +42,7 @@ use fila::workloads::generators::{
 
 const EXPECTED_OUTCOMES: u64 = 0x6cd2_ccb3_2cbf_31cc;
 
-const EXPECTED_SKIPS: u64 = 0xa92a_81a5_49cb_3a76;
+const EXPECTED_SKIPS: u64 = 0x3e91_d5a6_7575_eccc;
 
 /// Runs of the corpus the fast-forward skipped in at E42.
 const SKIPPING_RUNS_AT_E42: u64 = 1_898;
