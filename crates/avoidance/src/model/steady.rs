@@ -9,7 +9,11 @@
 //! from a shifted state *is* the shifted run until a source would pass
 //! `inputs`: [`SteadyState`] finds one such recurrence by full comparison
 //! (no hashing) and applies the remaining whole repetitions arithmetically.
-//! Nothing is approximated — a run that does not recur is stepped in full.
+//! One part of the state need not recur: the gap counter of a channel on an
+//! infinite interval never fires, so on a starved channel it counts for
+//! ever and decides nothing; it is carried through the skip like a tally
+//! (DESIGN.md E43).  Nothing is approximated — a run that does not recur is
+//! stepped in full.
 
 use fila_graph::{Graph, NodeId};
 

@@ -497,9 +497,8 @@ pub fn certification_rows(
         return (rows, adversaries);
     }
     for (name, pattern) in ADVERSARIES {
-        let emits = |n: NodeId, j| {
-            periods[n.index()] <= 1 || pattern(n.index(), j, g.out_degree(n))
-        };
+        let emits =
+            |n: NodeId, j| periods[n.index()] <= 1 || pattern(n.index(), j, g.out_degree(n));
         let mut reached = vec![false; g.node_count()];
         let mut stack = g.sources();
         while let Some(n) = stack.pop() {
@@ -1060,11 +1059,10 @@ mod tests {
         // Each adversary's own run is its row's, and the fold names the
         // adversary a run per adversary names, with the same outcomes.
         let budget = (256, 100_000);
-        let unprotected = IntervalMap::for_graph(&g);
-        for (plan, fails) in [
-            (Planner::new(&g).algorithm(Algorithm::NonPropagation).plan().unwrap(), None),
-            (AvoidancePlan::new(&g, Algorithm::NonPropagation, unprotected), Some(1)),
-        ] {
+        let planned = Planner::new(&g).algorithm(Algorithm::NonPropagation).plan();
+        let unprotected =
+            AvoidancePlan::new(&g, Algorithm::NonPropagation, IntervalMap::for_graph(&g));
+        for (plan, fails) in [(planned.unwrap(), None), (unprotected, Some(1))] {
             let plan = Arc::new(plan);
             let table = RunTable::new(&g, &plan, &periods, budget);
             let declared = table.run(0);

@@ -186,14 +186,19 @@ fn six_row_shape() -> (Graph, Vec<u64>) {
     let source = g.single_source().unwrap();
     let periods: Vec<u64> = g
         .node_ids()
-        .map(|n| if g.out_degree(n) > 1 && n != source { 3 } else { 1 })
+        .map(|n| {
+            if g.out_degree(n) > 1 && n != source {
+                3
+            } else {
+                1
+            }
+        })
         .collect();
     let mut said: Vec<Vec<Option<bool>>> = ADVERSARIES
         .iter()
         .map(|&(_, pattern)| {
-            let emits = |n: NodeId, j| {
-                periods[n.index()] == 1 || pattern(n.index(), j, g.out_degree(n))
-            };
+            let emits =
+                |n: NodeId, j| periods[n.index()] == 1 || pattern(n.index(), j, g.out_degree(n));
             let mut reached = vec![false; g.node_count()];
             let mut stack = vec![source];
             while let Some(n) = stack.pop() {

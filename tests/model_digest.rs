@@ -294,7 +294,18 @@ fn model_and_simulator_digest_is_unchanged() {
         }
     }
     assert!(runs >= 2000 && staged_two >= 100, "{runs} {staged_two}");
-    assert!(skips >= SKIPPING_RUNS_AT_E42, "{skips} of {runs} runs skipped");
-    assert_eq!(digest.0, EXPECTED_OUTCOMES, "outcome digest is {:#018x}", digest.0);
-    assert_eq!(skip_records.0, EXPECTED_SKIPS, "skip digest is {:#018x}", skip_records.0);
+    assert!(
+        skips >= SKIPPING_RUNS_AT_E42,
+        "{skips} of {runs} runs skipped"
+    );
+    assert_eq!(
+        digest.0, EXPECTED_OUTCOMES,
+        "outcome digest is {:#018x}",
+        digest.0
+    );
+    assert_eq!(
+        skip_records.0, EXPECTED_SKIPS,
+        "skip digest is {:#018x}",
+        skip_records.0
+    );
 }

@@ -310,7 +310,13 @@ fn a_certification_row_does_not_hold_up_an_independent_job() {
         let source = g.single_source().unwrap();
         let periods: Vec<u64> = g
             .node_ids()
-            .map(|n| if g.out_degree(n) > 1 && n != source { 3 } else { 1 })
+            .map(|n| {
+                if g.out_degree(n) > 1 && n != source {
+                    3
+                } else {
+                    1
+                }
+            })
             .collect();
         let service = Arc::new(JobService::new(ServiceConfig {
             workers: 2,
