@@ -63,5 +63,5 @@ pub use shared_pool::{
 };
 pub use simulator::Simulator;
 pub use telemetry::{chrome_trace, EventKind, SchedCounter, TelemetryHandle, TraceEvent};
-pub use topology::{BehaviorFactory, Topology};
+pub use topology::{Periodic, Program, Topology};
 pub use wrapper::{AvoidanceMode, DummyWrapper, PropagationTrigger, RunDummies};

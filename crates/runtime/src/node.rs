@@ -74,7 +74,7 @@ impl FireDecision {
 
 /// Application logic of one compute node.
 ///
-/// Behaviours are created per execution (via [`crate::topology::BehaviorFactory`]),
+/// Behaviours are created per execution (via [`crate::topology::Program::behavior`]),
 /// so they may carry mutable state such as RNGs, windows, or counters.
 pub trait NodeBehavior: Send {
     /// Called once per accepted sequence number, in increasing order.

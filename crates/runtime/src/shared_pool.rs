@@ -97,7 +97,7 @@ use crate::report::{BlockedReason, ExecutionReport};
 use crate::sched::{lock, Local, Scheduler};
 use crate::task::{self, Outcome, Task};
 use crate::telemetry::{EventKind, SchedCounter, TelemetryHandle, CONTROL_LANE};
-use crate::topology::{Program, Topology};
+use crate::topology::Program;
 use crate::wrapper::{AvoidanceMode, PropagationTrigger};
 
 /// Task scheduling states ([`TaskSlot::state`]).
@@ -885,31 +885,26 @@ impl SharedPool {
     }
 
     /// Submits a job with deadlock avoidance disabled.
-    pub fn submit(&self, topology: &Topology, inputs: u64) -> JobHandle {
-        self.submit_with(topology, AvoidanceMode::Disabled, inputs)
+    pub fn submit(&self, program: &dyn Program, inputs: u64) -> JobHandle {
+        self.submit_with(program, AvoidanceMode::Disabled, inputs)
     }
 
     /// Submits a job under the given avoidance mode.
-    pub fn submit_with(
-        &self,
-        topology: &Topology,
-        mode: AvoidanceMode,
-        inputs: u64,
-    ) -> JobHandle {
-        self.submit_full(topology, mode, PropagationTrigger::default(), inputs, None)
+    pub fn submit_with(&self, program: &dyn Program, mode: AvoidanceMode, inputs: u64) -> JobHandle {
+        self.submit_program(program, mode, inputs, None)
     }
 
-    /// [`SharedPool::submit_program`] of a [`Topology`].  `_trigger` is read
-    /// by nothing: `ledger/` passes it, which is the only reason it exists.
+    /// [`SharedPool::submit_program`].  `_trigger` is read by nothing:
+    /// `ledger/` passes it, which is the only reason it exists.
     pub fn submit_full(
         &self,
-        topology: &Topology,
+        program: &dyn Program,
         mode: AvoidanceMode,
         _trigger: PropagationTrigger,
         inputs: u64,
         on_settle: Option<SettleHook>,
     ) -> JobHandle {
-        self.submit_program(topology, mode, inputs, on_settle)
+        self.submit_program(program, mode, inputs, on_settle)
     }
 
     /// The full submission form: any [`Program`], read once here and not

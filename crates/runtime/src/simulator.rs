@@ -5,7 +5,7 @@
 //! per-node step, pending-output delivery and the worklist scheduler — and
 //! this module adds what a *run of an application* needs around it: the
 //! node behaviours (the model's firing decision is
-//! [`NodeBehavior::fire_into`]), the [`ExecutionReport`] with its
+//! [`crate::NodeBehavior::fire_into`]), the [`ExecutionReport`] with its
 //! blocked-node diagnosis, and checkpoint capture/resume.
 //!
 //! A run is the model's event-driven ready queue
@@ -30,24 +30,38 @@ use fila_graph::{EdgeId, NodeId};
 use crate::checkpoint::{
     self, CheckpointOutcome, JobSnapshot, NodeSnapshot, RestoreError, SNAPSHOT_VERSION,
 };
-use crate::node::{FireInput, NodeBehavior};
+use crate::node::FireInput;
 use crate::report::{BlockedInfo, BlockedReason, ExecutionReport};
-use crate::topology::Topology;
+use crate::task::Behavior;
+use crate::topology::Program;
 use crate::wrapper::AvoidanceMode;
 
 /// Deterministic single-threaded execution engine.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Simulator<'t> {
-    topology: &'t Topology,
+    program: &'t dyn Program,
     mode: AvoidanceMode,
     max_steps: u64,
 }
 
+impl std::fmt::Debug for Simulator<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Simulator")
+            .field("nodes", &self.program.graph().node_count())
+            .field("edges", &self.program.graph().edge_count())
+            .field("mode", &self.mode)
+            .field("max_steps", &self.max_steps)
+            .finish()
+    }
+}
+
 impl<'t> Simulator<'t> {
-    /// Creates a simulator with deadlock avoidance disabled.
-    pub fn new(topology: &'t Topology) -> Self {
+    /// Creates a simulator of `program` (a `&Topology` is one) with
+    /// deadlock avoidance disabled.  The program is read once per run, for
+    /// fresh behaviours.
+    pub fn new(program: &'t dyn Program) -> Self {
         Simulator {
-            topology,
+            program,
             mode: AvoidanceMode::Disabled,
             max_steps: u64::MAX,
         }
@@ -100,7 +114,7 @@ impl<'t> Simulator<'t> {
         let halt = run.drive(kill_at.min(self.max_steps), false);
         if halt == Halt::StepBound && run.engine.steps >= kill_at {
             return CheckpointOutcome::Killed(Box::new(run.capture(
-                labeled_fingerprint(self.topology.graph()),
+                labeled_fingerprint(self.program.graph()),
                 checkpoint::plan_digest(&self.mode),
             )));
         }
@@ -118,7 +132,7 @@ impl<'t> Simulator<'t> {
     /// marker).
     pub fn resume(&self, snapshot: &JobSnapshot) -> Result<ExecutionReport, RestoreError> {
         let started = std::time::Instant::now();
-        snapshot.validate_for(self.topology, &self.mode)?;
+        snapshot.validate_for(self.program, &self.mode)?;
         let mut run = Run::new(self, snapshot.inputs);
         run.resumed_from = Some(snapshot.steps);
         let engine = &mut run.engine;
@@ -129,7 +143,7 @@ impl<'t> Simulator<'t> {
         engine.sink_firings = snapshot.sink_firings;
         engine.per_edge_data.clone_from(&snapshot.per_edge_data);
         engine.per_edge_dummies.clone_from(&snapshot.per_edge_dummies);
-        for (node, ns) in self.topology.graph().node_ids().zip(&snapshot.nodes) {
+        for (node, ns) in self.program.graph().node_ids().zip(&snapshot.nodes) {
             let state = &mut engine.nodes[node.index()];
             state.next_source_seq = ns.next_source_seq;
             state.eos_queued = ns.eos_queued;
@@ -151,15 +165,16 @@ impl<'t> Simulator<'t> {
 /// One run: the model state plus what the application adds to it.
 struct Run<'t> {
     engine: Engine<'t>,
-    behaviors: Vec<Box<dyn NodeBehavior>>,
+    behaviors: Vec<Behavior>,
     resumed_from: Option<u64>,
 }
 
 impl<'t> Run<'t> {
     fn new(sim: &Simulator<'t>, inputs: u64) -> Self {
+        let g = sim.program.graph();
         Run {
-            engine: Engine::new(sim.topology.graph(), &sim.mode, inputs),
-            behaviors: sim.topology.build_behaviors(),
+            engine: Engine::new(g, &sim.mode, inputs),
+            behaviors: g.node_ids().map(|n| Behavior::of(sim.program, n)).collect(),
             resumed_from: None,
         }
     }
@@ -258,6 +273,7 @@ impl<'t> Run<'t> {
 mod tests {
     use super::*;
     use crate::filters::{Broadcast, ModuloFilter, Predicate};
+    use crate::topology::Topology;
     use fila_avoidance::{Algorithm, Planner};
     use fila_graph::{Graph, GraphBuilder};
 

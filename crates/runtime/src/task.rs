@@ -122,15 +122,24 @@ impl<'a, T> IntoIterator for &'a mut Few<T> {
     }
 }
 
-/// A node's behaviour in its task: the default broadcast held inline, or
-/// one its program built.
+/// A node's behaviour in either engine: the default broadcast held inline,
+/// or one its program built.
 pub(crate) enum Behavior {
     Broadcast(Broadcast),
     Built(Box<dyn NodeBehavior>),
 }
 
 impl Behavior {
-    fn fire_into(&mut self, input: &FireInput<'_>, emit: &mut [Option<Payload>]) {
+    /// `node`'s fresh behaviour in `program`: the one it builds, or else the
+    /// default broadcast, inline.
+    pub(crate) fn of(program: &dyn Program, node: NodeId) -> Self {
+        match program.behavior(node) {
+            Some(built) => Behavior::Built(built),
+            None => Behavior::Broadcast(Broadcast::new(program.graph().out_degree(node))),
+        }
+    }
+
+    pub(crate) fn fire_into(&mut self, input: &FireInput<'_>, emit: &mut [Option<Payload>]) {
         match self {
             Behavior::Broadcast(broadcast) => broadcast.fire_into(input, emit),
             Behavior::Built(built) => built.fire_into(input, emit),
@@ -516,17 +525,13 @@ pub(crate) fn build_tasks<'a>(
                 floor: 0,
             })
             .collect();
-        let behavior = match program.behavior(n) {
-            Some(built) => Behavior::Built(built),
-            None => Behavior::Broadcast(Broadcast::new(outs.len())),
-        };
         Task {
             is_source: ins.is_empty(),
             done: false,
             eos_queued: false,
             next_source_seq: 0,
             staged: 0,
-            behavior,
+            behavior: Behavior::of(program, n),
             wrapper: DummyWrapper::new(g, n, mode),
             data_in: ins.iter().map(|_| None).collect(),
             emit: outs.iter().map(|_| None).collect(),

@@ -1,32 +1,92 @@
-//! A runnable topology: the application graph plus one behaviour per node.
+//! What a job is built from: the [`Program`] both engines read, the
+//! canonical periodic filter as one ([`Periodic`]), and [`Topology`], a
+//! program with a behaviour installed per node.
 
 use std::sync::Arc;
 
+use fila_avoidance::model::periodic_emits;
 use fila_graph::{Graph, NodeId};
 
-use crate::filters::Broadcast;
+use crate::filters::Predicate;
 use crate::node::NodeBehavior;
 
 /// A factory producing a fresh behaviour instance for one node.  Factories
 /// are shared between runs and engines, so they must be `Send + Sync`; the
 /// produced behaviours only need `Send` (each lives on a single worker).
-pub type BehaviorFactory = Arc<dyn Fn() -> Box<dyn NodeBehavior> + Send + Sync>;
+type BehaviorFactory = Arc<dyn Fn() -> Box<dyn NodeBehavior> + Send + Sync>;
 
 /// What a job is built from: its graph and, per node, a fresh behaviour.
-/// The pool reads one at submission and keeps neither (E41), so a caller
-/// may lend a graph it owns instead of building a [`Topology`] around a
-/// copy of it.
+/// Both engines read one when a run starts and keep neither (E41), so a
+/// caller may lend a graph it owns instead of building a [`Topology`]
+/// around a copy of it.
 pub trait Program {
     /// The application graph.
     fn graph(&self) -> &Graph;
 
     /// A fresh behaviour for `node`, or `None` for the default
-    /// [`Broadcast`] — which an engine may hold without an allocation.
+    /// [`crate::Broadcast`] — which either engine holds without an
+    /// allocation.
     fn behavior(&self, node: NodeId) -> Option<Box<dyn NodeBehavior>>;
 }
 
-/// The application graph together with per-node behaviours and the number of
-/// inputs each source node will offer.
+/// The canonical deterministic periodic filter over a lent graph: output
+/// `j` of a node with period `p` carries sequence number `s` iff
+/// [`periodic_emits`]`(p, s, j)`.  A node without outputs, or of period
+/// ≤ 1, is the default broadcast — the same decisions, relayed whole by the
+/// pooled engine.
+///
+/// This is the one statement of the filtering convention that the service's
+/// jobs, the storm mix's shapes, the equivalence suites and the examples
+/// run, so the workload the equivalence proof covers is exactly the
+/// workload the others run.
+#[derive(Debug, Clone)]
+pub struct Periodic<'g> {
+    graph: &'g Graph,
+    periods: Vec<u64>,
+}
+
+impl<'g> Periodic<'g> {
+    /// `graph` with one period per node, aligned with node ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `periods` does not have one entry per node.
+    pub fn new(graph: &'g Graph, periods: Vec<u64>) -> Self {
+        assert_eq!(periods.len(), graph.node_count(), "one period per node");
+        Periodic { graph, periods }
+    }
+
+    /// `graph` with `period_of(node)` as each node's period.
+    pub fn from_fn(graph: &'g Graph, period_of: impl Fn(NodeId) -> u64) -> Self {
+        Periodic::new(graph, graph.node_ids().map(period_of).collect())
+    }
+
+    /// `node`'s period where it filters: `None` where it is the default
+    /// broadcast (no outputs, or a period ≤ 1).
+    pub fn period(&self, node: NodeId) -> Option<u64> {
+        let period = self.periods[node.index()];
+        (self.graph.out_degree(node) > 0 && period > 1).then_some(period)
+    }
+
+    /// The periodic filter of a node with `outputs` outputs and `period`.
+    pub fn filter(outputs: usize, period: u64) -> impl NodeBehavior {
+        Predicate::new(outputs, move |seq, out| periodic_emits(period, seq, out))
+    }
+}
+
+impl Program for Periodic<'_> {
+    fn graph(&self) -> &Graph {
+        self.graph
+    }
+
+    fn behavior(&self, node: NodeId) -> Option<Box<dyn NodeBehavior>> {
+        let period = self.period(node)?;
+        Some(Box::new(Periodic::filter(self.graph.out_degree(node), period)))
+    }
+}
+
+/// An owned application graph together with a behaviour per node: the
+/// program for behaviours that are not periodic filters.
 #[derive(Clone)]
 pub struct Topology {
     graph: Graph,
@@ -36,7 +96,7 @@ pub struct Topology {
 
 impl Topology {
     /// Creates a topology where every node broadcasts to all of its outputs
-    /// (no filtering anywhere).  Use [`Topology::with_behavior`] to install
+    /// (no filtering anywhere).  Use [`Topology::with`] to install
     /// application logic.
     pub fn from_graph(graph: &Graph) -> Self {
         Topology {
@@ -45,42 +105,20 @@ impl Topology {
         }
     }
 
-    /// Replaces the behaviour factory of one node (builder style).
-    pub fn with_behavior(mut self, node: NodeId, factory: BehaviorFactory) -> Self {
-        self.set_behavior(node, factory);
-        self
-    }
-
-    /// Replaces the behaviour factory of one node.
-    pub fn set_behavior(&mut self, node: NodeId, factory: BehaviorFactory) {
-        self.behaviors[node.index()] = Some(factory);
-    }
-
-    /// Convenience wrapper around [`Topology::with_behavior`] for closures
-    /// that build a behaviour.
-    pub fn with<F, B>(self, node: NodeId, build: F) -> Self
+    /// Installs `build`, called once per run for a fresh instance, as
+    /// `node`'s behaviour (builder style).
+    pub fn with<F, B>(mut self, node: NodeId, build: F) -> Self
     where
         F: Fn() -> B + Send + Sync + 'static,
         B: NodeBehavior + 'static,
     {
-        self.with_behavior(node, Arc::new(move || Box::new(build())))
+        self.behaviors[node.index()] = Some(Arc::new(move || Box::new(build())));
+        self
     }
 
     /// The underlying application graph.
     pub fn graph(&self) -> &Graph {
         &self.graph
-    }
-
-    /// Builds a fresh behaviour instance for `node`.
-    pub fn build_behavior(&self, node: NodeId) -> Box<dyn NodeBehavior> {
-        self.behavior(node)
-            .unwrap_or_else(|| Box::new(Broadcast::new(self.graph.out_degree(node))))
-    }
-
-    /// Builds one fresh behaviour instance per node, in node-id order — what
-    /// the simulator sets a run up with.
-    pub fn build_behaviors(&self) -> Vec<Box<dyn NodeBehavior>> {
-        self.graph.node_ids().map(|n| self.build_behavior(n)).collect()
     }
 }
 
@@ -123,10 +161,7 @@ mod tests {
     fn default_behaviour_is_broadcast() {
         let g = diamond();
         let topo = Topology::from_graph(&g);
-        let a = g.node_by_name("a").unwrap();
-        let mut b = topo.build_behavior(a);
-        let d = b.fire(&FireInput { seq: 3, data_in: &[] });
-        assert_eq!(d.emitted(), 2);
+        assert!(g.node_ids().all(|n| topo.behavior(n).is_none()));
     }
 
     #[test]
@@ -134,7 +169,7 @@ mod tests {
         let g = diamond();
         let a = g.node_by_name("a").unwrap();
         let topo = Topology::from_graph(&g).with(a, || ModuloFilter::new(2, 2, 0));
-        let mut b = topo.build_behavior(a);
+        let mut b = topo.behavior(a).unwrap();
         assert_eq!(b.fire(&FireInput { seq: 0, data_in: &[] }).emitted(), 2);
         assert_eq!(b.fire(&FireInput { seq: 1, data_in: &[] }).emitted(), 0);
     }
@@ -146,13 +181,30 @@ mod tests {
         let topo = Topology::from_graph(&g)
             .with(a, || crate::filters::Bernoulli::new(2, 0.5, 42));
         let run = |topo: &Topology| {
-            let mut b = topo.build_behavior(a);
+            let mut b = topo.behavior(a).unwrap();
             (0..20)
                 .map(|s| b.fire(&FireInput { seq: s, data_in: &[] }).emitted())
                 .collect::<Vec<_>>()
         };
         // Two instances from the same factory start from the same seed.
         assert_eq!(run(&topo), run(&topo));
+    }
+
+    #[test]
+    fn periodic_filter_period_one_broadcasts_and_period_two_halves() {
+        let mut b = GraphBuilder::new();
+        b.chain(&["s", "m", "t"]).unwrap();
+        let g = b.build().unwrap();
+        let [s, m, t] = ["s", "m", "t"].map(|name| g.node_by_name(name).unwrap());
+        let program = Periodic::from_fn(&g, |n| if n == s { 2 } else { 1 });
+        let mut src = program.behavior(s).unwrap();
+        assert_eq!(src.fire(&FireInput { seq: 0, data_in: &[] }).emitted(), 1);
+        assert_eq!(src.fire(&FireInput { seq: 1, data_in: &[] }).emitted(), 0);
+        // Period 1, and a node without outputs: the default broadcast.
+        assert!(program.behavior(m).is_none());
+        assert!(Periodic::from_fn(&g, |_| 3).behavior(t).is_none());
+        assert_eq!(program.period(s), Some(2));
+        assert_eq!(program.period(m), None);
     }
 
     #[test]

@@ -608,8 +608,7 @@ mod tests {
     fn injected_crashes_recover_to_reference_counts() {
         let reference = {
             let spec = JobSpec::new(pipeline(5, 4), FilterSpec::Broadcast, 600).unplanned();
-            let topo = spec.topology();
-            fila_runtime::Simulator::new(&topo).run(600)
+            fila_runtime::Simulator::new(&spec.program()).run(600)
         };
         // Seed 66 at kill-rate 0.3 deterministically arms the *first* job
         // serial with a Firing(47) crash while leaving the next several

@@ -1324,8 +1324,8 @@ mod tests {
         let svc = small_service(4);
         let spec = || JobSpec::new(pipeline(5, 4), FilterSpec::Broadcast, 200).unplanned();
         let probe = spec();
-        let topo = probe.topology();
-        let sim = Simulator::new(&topo);
+        let program = probe.program();
+        let sim = Simulator::new(&program);
         let reference = sim.run(200);
         let CheckpointOutcome::Killed(mut snapshot) = sim.run_with_checkpoint(200, 5) else {
             panic!("kill point 5 must interrupt a 200-input run");

@@ -1,12 +1,9 @@
 //! Job specifications: what a client submits to the service.
 
-use fila_avoidance::model::periodic_emits;
 use fila_avoidance::Algorithm;
 use fila_graph::fingerprint::fingerprint_with;
-use fila_graph::{Fingerprint, Graph, NodeId};
-use fila_runtime::filters::Predicate;
-use fila_runtime::topology::Program;
-use fila_runtime::{NodeBehavior, Topology};
+use fila_graph::{Fingerprint, Graph};
+use fila_runtime::{Periodic, Topology};
 
 /// The filtering behaviour of a submitted job, expressed in the canonical
 /// periodic convention shared with the benchmarks and equivalence tests:
@@ -170,29 +167,29 @@ impl JobSpec {
         self
     }
 
-    /// The runnable topology: the periodic filter of [`FilterSpec`]
-    /// installed on every node with outputs.  Drift injection
-    /// ([`JobSpec::actual`]) substitutes the executed profile here — and
-    /// only here; identity and certification stay on the declared one.
+    /// What the job runs: the spec's graph, lent, with the periodic filter
+    /// of [`FilterSpec`] on every node that filters — what the service
+    /// hands the pool (E41).  Drift injection ([`JobSpec::actual`])
+    /// substitutes the executed profile here — and only here; identity and
+    /// certification stay on the declared one.
+    pub fn program(&self) -> Periodic<'_> {
+        let executed = self.actual.as_ref().unwrap_or(&self.filters);
+        Periodic::new(&self.graph, executed.periods(&self.graph))
+    }
+
+    /// [`JobSpec::program`] as a [`Topology`], a copy of the graph with a
+    /// factory per filtering node.  It exists only because `ledger/`
+    /// calls it; everything else runs [`JobSpec::program`].
     pub fn topology(&self) -> Topology {
         let program = self.program();
         let mut topo = Topology::from_graph(&self.graph);
         for n in self.graph.node_ids() {
             if let Some(period) = program.period(n) {
                 let outs = self.graph.out_degree(n);
-                topo = topo.with(n, move || periodic(outs, period));
+                topo = topo.with(n, move || Periodic::filter(outs, period));
             }
         }
         topo
-    }
-
-    /// What [`JobSpec::topology`] runs, lending the spec's graph instead
-    /// of copying it: what the service hands the pool (E41).
-    pub(crate) fn program(&self) -> JobProgram<'_> {
-        JobProgram {
-            graph: &self.graph,
-            periods: self.actual.as_ref().unwrap_or(&self.filters).periods(&self.graph),
-        }
     }
 
     /// The job's canonical identity: the structural graph fingerprint with
@@ -205,43 +202,11 @@ impl JobSpec {
     }
 }
 
-/// A spec's graph, lent, with the per-node periods of its executed filter
-/// profile ([`JobSpec::program`]).
-pub(crate) struct JobProgram<'a> {
-    graph: &'a Graph,
-    periods: Vec<u64>,
-}
-
-impl JobProgram<'_> {
-    /// Node `n`'s filter period where it filters: a node without outputs,
-    /// or of period 1, behaves as the default broadcast.
-    fn period(&self, n: NodeId) -> Option<u64> {
-        let period = self.periods[n.index()];
-        (self.graph.out_degree(n) > 0 && period > 1).then_some(period)
-    }
-}
-
-impl Program for JobProgram<'_> {
-    fn graph(&self) -> &Graph {
-        self.graph
-    }
-
-    fn behavior(&self, node: NodeId) -> Option<Box<dyn NodeBehavior>> {
-        let period = self.period(node)?;
-        Some(Box::new(periodic(self.graph.out_degree(node), period)))
-    }
-}
-
-/// The canonical periodic filter over `outs` outputs.
-fn periodic(outs: usize, period: u64) -> impl NodeBehavior {
-    Predicate::new(outs, move |seq, out| periodic_emits(period, seq, out))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fila_graph::GraphBuilder;
-    use fila_runtime::Simulator;
+    use fila_runtime::{ExecutionReport, Simulator};
 
     fn diamond() -> Graph {
         let mut b = GraphBuilder::new().default_capacity(3);
@@ -274,15 +239,37 @@ mod tests {
         assert!(FilterSpec::Fork(2).check(&g).is_err());
     }
 
+    /// `ledger/` still runs `JobSpec::topology`: on every shape of a mix,
+    /// drifting ones included, it must run exactly what the service runs.
     #[test]
-    fn topology_matches_the_periodic_convention() {
-        let g = diamond();
-        let spec = JobSpec::new(g.clone(), FilterSpec::Fork(2), 100).unplanned();
-        // Fork period 2 on a diamond halves traffic per branch; the run must
-        // complete (round-robin routing, no starvation).
-        let report = Simulator::new(&spec.topology()).run(100);
-        assert!(report.completed, "{report:?}");
-        assert_eq!(report.sink_firings, 100);
+    fn the_topology_runs_what_the_program_runs() {
+        use fila_avoidance::Planner;
+        use fila_workloads::jobs::{job_mix_with_drift, JobKind};
+        let shapes = job_mix_with_drift(7, 36, 0.5);
+        assert!(shapes.iter().any(|s| s.kind == JobKind::Drifting));
+        for shape in shapes {
+            let mut spec = JobSpec::from_periods(
+                shape.graph.clone(),
+                shape.periods.clone(),
+                shape.inputs.min(512),
+                shape.avoidance,
+            );
+            if let Some(actual) = shape.actual_periods.clone() {
+                spec = spec.with_actual_filters(FilterSpec::PerNode(actual));
+            }
+            let plan = (shape.avoidance)
+                .and_then(|algorithm| Planner::new(&spec.graph).algorithm(algorithm).plan().ok());
+            let run = |program: &dyn fila_runtime::Program| {
+                let sim = Simulator::new(program);
+                let sim = match &plan {
+                    Some(plan) => sim.with_plan(plan),
+                    None => sim,
+                };
+                let report = sim.run(spec.inputs);
+                format!("{:?}", ExecutionReport { wall: Default::default(), ..report })
+            };
+            assert_eq!(run(&spec.topology()), run(&spec.program()), "{}", shape.label);
+        }
     }
 
     #[test]

@@ -4,10 +4,7 @@
 //! All generators are deterministic for a given seed so that benchmark
 //! sweeps and property tests are reproducible.
 
-use fila_avoidance::model::periodic_emits;
-use fila_graph::{Graph, GraphBuilder, NodeId};
-use fila_runtime::filters::Predicate;
-use fila_runtime::Topology;
+use fila_graph::{Graph, GraphBuilder};
 use fila_spdag::{build_sp, SpDecomposition, SpSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -265,46 +262,6 @@ pub fn layered_dag(layers: usize, width: usize, capacity: u64, seed: u64) -> Gra
     b.build().expect("layered DAG is valid")
 }
 
-/// Installs the canonical deterministic periodic filter on every node of `g`
-/// that has outputs: output `j` carries sequence number `s` iff
-/// `(s + j) % period_of(node) == 0` (period 1 = broadcast, no filtering;
-/// periods are clamped to ≥ 1).
-///
-/// This is the *shared* filtering convention of the engine-equivalence
-/// property test, the storm mix's [`crate::jobs::JobShape`]s and the
-/// `pooled_scale` example, kept in one place so the workload the
-/// equivalence proof covers is exactly the workload the others run.
-pub fn periodic_filtered_topology(g: &Graph, period_of: impl Fn(NodeId) -> u64) -> Topology {
-    install_periodic(g, period_of, false)
-}
-
-/// [`periodic_filtered_topology`] with every period-1 node left on the
-/// default [`fila_runtime::Broadcast`] — the same decisions, but through the
-/// built-in whose data runs the pooled engine relays whole (what
-/// `JobSpec::topology` builds for the service).
-pub fn relaying_periodic_topology(g: &Graph, period_of: impl Fn(NodeId) -> u64) -> Topology {
-    install_periodic(g, period_of, true)
-}
-
-fn install_periodic(
-    g: &Graph,
-    period_of: impl Fn(NodeId) -> u64,
-    keep_broadcast: bool,
-) -> Topology {
-    let mut topo = Topology::from_graph(g);
-    for n in g.node_ids() {
-        let outs = g.out_degree(n);
-        let period = period_of(n).max(1);
-        if outs == 0 || (keep_broadcast && period == 1) {
-            continue;
-        }
-        topo = topo.with(n, move || {
-            Predicate::new(outs, move |seq, out| periodic_emits(period, seq, out))
-        });
-    }
-    topo
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,23 +338,5 @@ mod tests {
         let g = layered_dag(4, 3, 2, 99);
         g.validate_two_terminal().unwrap();
         assert!(g.edge_count() >= 4 * 3);
-    }
-
-    #[test]
-    fn periodic_filter_period_one_broadcasts_and_period_two_halves() {
-        use fila_runtime::node::FireInput;
-        let mut b = GraphBuilder::new();
-        b.chain(&["s", "m", "t"]).unwrap();
-        let g = b.build().unwrap();
-        let s = g.node_by_name("s").unwrap();
-        let topo = periodic_filtered_topology(&g, |n| if n == s { 2 } else { 1 });
-        let mut src = topo.build_behavior(s);
-        assert_eq!(src.fire(&FireInput { seq: 0, data_in: &[] }).emitted(), 1);
-        assert_eq!(src.fire(&FireInput { seq: 1, data_in: &[] }).emitted(), 0);
-        let m = g.node_by_name("m").unwrap();
-        let mut mid = topo.build_behavior(m);
-        for seq in 0..4 {
-            assert_eq!(mid.fire(&FireInput { seq, data_in: &[Some(1)] }).emitted(), 1);
-        }
     }
 }

@@ -8,20 +8,19 @@
 //! under-provisioned topology.  [`job_mix`] generates exactly that traffic,
 //! deterministically per seed, as engine-agnostic [`JobShape`]s: a graph,
 //! per-node periodic-filter periods (the canonical filter convention of
-//! [`crate::generators::periodic_filtered_topology`]), an input count and
+//! [`fila_runtime::Periodic`]), an input count and
 //! an avoidance flag.  The service crate converts shapes into its `JobSpec`
 //! submissions; tests replay the same shapes through the reference
 //! [`fila_runtime::Simulator`] to pin per-job verdicts.
 
 use fila_avoidance::{Algorithm, Planner};
 use fila_graph::{Graph, GraphBuilder};
-use fila_runtime::Topology;
+use fila_runtime::Periodic;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::generators::{
-    periodic_filtered_topology, pipeline_graph, random_ladder, random_sp_dag, GeneratorConfig,
-    LadderConfig,
+    pipeline_graph, random_ladder, random_sp_dag, GeneratorConfig, LadderConfig,
 };
 
 /// What a generated job is expected to exercise in the service.
@@ -104,19 +103,18 @@ impl JobKind {
 }
 
 impl JobShape {
-    /// Builds the *declared* topology: the canonical periodic filter of
-    /// [`periodic_filtered_topology`] with this shape's per-node periods.
-    pub fn topology(&self) -> Topology {
-        let periods = self.periods.clone();
-        periodic_filtered_topology(&self.graph, move |n| periods[n.index()])
+    /// The *declared* program: the canonical periodic filter with this
+    /// shape's per-node periods.
+    pub fn program(&self) -> Periodic<'_> {
+        Periodic::new(&self.graph, self.periods.clone())
     }
 
-    /// Builds the topology the job actually executes: the declared one
-    /// unless this is a drifting shape, in which case
-    /// [`JobShape::actual_periods`] substitutes.
-    pub fn executed_topology(&self) -> Topology {
-        let periods = self.actual_periods.as_ref().unwrap_or(&self.periods).clone();
-        periodic_filtered_topology(&self.graph, move |n| periods[n.index()])
+    /// The program the job actually executes: the declared one unless this
+    /// is a drifting shape, in which case [`JobShape::actual_periods`]
+    /// substitutes.
+    pub fn executed_program(&self) -> Periodic<'_> {
+        let periods = self.actual_periods.as_ref().unwrap_or(&self.periods);
+        Periodic::new(&self.graph, periods.clone())
     }
 }
 
@@ -187,9 +185,8 @@ pub fn underprovisioned_sp(seed: u64, period: u64) -> (Graph, Vec<u64>) {
         if g.edge_count() < g.node_count() {
             continue;
         }
-        let topo = periodic_filtered_topology(&g, |_| period);
-        if fila_runtime::Simulator::new(&topo).run(256).deadlocked {
-            let periods = g.node_ids().map(|_| period).collect();
+        if fila_runtime::Simulator::new(&Periodic::from_fn(&g, |_| period)).run(256).deadlocked {
+            let periods = vec![period; g.node_count()];
             return (g, periods);
         }
     }
@@ -524,7 +521,7 @@ mod tests {
             assert!(certified.fell_back, "{}", shape.label);
             assert_eq!(certified.used, Algorithm::NonPropagation, "{}", shape.label);
             // And the fallback plan really completes the declared job.
-            let report = Simulator::new(&shape.topology())
+            let report = Simulator::new(&shape.program())
                 .with_plan(&certified.plan)
                 .run(shape.inputs);
             assert!(report.completed, "{}: {report:?}", shape.label);
@@ -554,13 +551,13 @@ mod tests {
                 continue;
             }
             seen += 1;
-            let report = Simulator::new(&shape.topology()).run(shape.inputs);
+            let report = Simulator::new(&shape.program()).run(shape.inputs);
             assert!(report.deadlocked, "{}: {report:?}", shape.label);
             let plan = Planner::new(&shape.graph)
                 .algorithm(Algorithm::NonPropagation)
                 .plan()
                 .unwrap();
-            let rescued = Simulator::new(&shape.topology())
+            let rescued = Simulator::new(&shape.program())
                 .with_plan(&plan)
                 .run(shape.inputs);
             assert!(rescued.completed, "{}: {rescued:?}", shape.label);
@@ -581,7 +578,7 @@ mod tests {
                 .algorithm(Algorithm::NonPropagation)
                 .plan()
                 .unwrap_or_else(|e| panic!("{}: {e}", shape.label));
-            let report = Simulator::new(&shape.topology())
+            let report = Simulator::new(&shape.program())
                 .with_plan(&plan)
                 .run(shape.inputs);
             assert!(report.completed, "{}: {report:?}", shape.label);
@@ -645,7 +642,7 @@ mod tests {
                 Some(algorithm) => {
                     planned += 1;
                     let plan = Planner::new(&shape.graph).algorithm(algorithm).plan().unwrap();
-                    let report = Simulator::new(&shape.executed_topology())
+                    let report = Simulator::new(&shape.executed_program())
                         .with_plan(&plan)
                         .run(512);
                     assert!(report.completed, "{}: {report:?}", shape.label);
@@ -655,7 +652,7 @@ mod tests {
                         continue; // every dense drifter clones one template
                     }
                     dense += 1;
-                    let report = Simulator::new(&shape.executed_topology()).run(shape.inputs);
+                    let report = Simulator::new(&shape.executed_program()).run(shape.inputs);
                     assert!(report.completed, "{}: {report:?}", shape.label);
                 }
             }
@@ -669,7 +666,7 @@ mod tests {
             if shape.kind != JobKind::Pipeline {
                 continue;
             }
-            let report = Simulator::new(&shape.topology()).run(shape.inputs);
+            let report = Simulator::new(&shape.program()).run(shape.inputs);
             assert!(report.completed, "{}: {report:?}", shape.label);
         }
     }

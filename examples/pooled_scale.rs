@@ -12,7 +12,7 @@
 use std::time::Instant;
 
 use fila::prelude::*;
-use fila::workloads::generators::{periodic_filtered_topology, pipeline_graph};
+use fila::workloads::generators::pipeline_graph;
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -30,7 +30,7 @@ fn main() {
     // passes only every 4th sequence number, so ~1/4 of the traffic
     // survives past the first hop.
     let g = pipeline_graph(nodes, 4, true);
-    let topo = periodic_filtered_topology(&g, |_| 4);
+    let topo = Periodic::from_fn(&g, |_| 4);
 
     let pool = SharedPool::new(workers);
     let start = Instant::now();

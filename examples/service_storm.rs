@@ -85,7 +85,7 @@ fn main() {
     let mut deadlocked = 0usize;
     let mut fell_back = 0usize;
     for (shape, outcome) in &outcomes {
-        let topo = shape.topology();
+        let program = shape.program();
         let reference = if let Some(algorithm) = shape.avoidance {
             let certified = Planner::new(&shape.graph)
                 .algorithm(algorithm)
@@ -102,9 +102,9 @@ fn main() {
             if outcome.fell_back {
                 fell_back += 1;
             }
-            Simulator::new(&topo).with_plan(&certified.plan).run(shape.inputs)
+            Simulator::new(&program).with_plan(&certified.plan).run(shape.inputs)
         } else {
-            Simulator::new(&topo).run(shape.inputs)
+            Simulator::new(&program).run(shape.inputs)
         };
         assert_eq!(
             outcome.report.completed, reference.completed,

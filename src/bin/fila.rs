@@ -692,7 +692,7 @@ fn cmd_storm(args: &[String]) -> ExitCode {
                 .certify(&swap.observed_periods)
                 .ok()
                 .map(|c| {
-                    Simulator::new(&shape.executed_topology())
+                    Simulator::new(&shape.executed_program())
                         .with_plan(&c.plan)
                         .run(shape.inputs)
                 });
@@ -1065,16 +1065,16 @@ fn chaos_matches_reference(
 /// simulate unprotected: deadlockers deterministically reach their unique
 /// blocked quiescent state, so even their counts are pinnable.
 fn chaos_reference(shape: &JobShape, cycle_bound: usize) -> Option<ExecutionReport> {
-    let topology = shape.executed_topology();
+    let program = shape.executed_program();
     let Some(requested) = shape.avoidance else {
-        return Some(Simulator::new(&topology).run(shape.inputs));
+        return Some(Simulator::new(&program).run(shape.inputs));
     };
     let certified = Planner::new(&shape.graph)
         .algorithm(requested)
         .cycle_bound(cycle_bound)
         .certify(&shape.periods)
         .ok()?;
-    let simulator = Simulator::new(&topology).with_plan(&certified.plan);
+    let simulator = Simulator::new(&program).with_plan(&certified.plan);
     Some(simulator.run(shape.inputs))
 }
 

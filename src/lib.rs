@@ -47,8 +47,8 @@ pub mod prelude {
     };
     pub use fila_graph::{EdgeId, Fingerprint, Graph, GraphBuilder, NodeId};
     pub use fila_runtime::{
-        AvoidanceMode, CheckpointOutcome, ExecutionReport, JobSnapshot, JobVerdict, PoolOptions,
-        RestoreError, SharedPool, Simulator, SnapshotError, Topology,
+        AvoidanceMode, CheckpointOutcome, ExecutionReport, JobSnapshot, JobVerdict, Periodic,
+        PoolOptions, Program, RestoreError, SharedPool, Simulator, SnapshotError, Topology,
     };
     pub use fila_service::{
         AdaptiveOutcome, AvoidanceChoice, DriftPolicy, FilterSpec, JobService, JobSpec,

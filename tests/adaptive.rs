@@ -26,7 +26,7 @@ use fila::runtime::checkpoint::plan_digest;
 use fila::runtime::{AvoidanceMode, PropagationTrigger};
 use fila::service::drift::DriftOffender;
 use fila::workloads::figures::fig2_triangle;
-use fila::workloads::generators::{periodic_filtered_topology, random_sp_dag, GeneratorConfig};
+use fila::workloads::generators::{random_sp_dag, GeneratorConfig};
 use fila::workloads::jobs::dense_drifter;
 use proptest::prelude::*;
 
@@ -72,10 +72,7 @@ fn assert_swap_equivalent(seed: u64) -> Result<(), TestCaseError> {
         .map(|n| if n == source { 2 + mix(seed ^ 1) % 3 } else { 1 })
         .collect();
     let executed: Vec<u64> = declared.iter().map(|&p| if p > 1 { p * 2 } else { 1 }).collect();
-    let topo = {
-        let executed = executed.clone();
-        periodic_filtered_topology(&g, move |n| executed[n.index()])
-    };
+    let topo = Periodic::new(&g, executed.clone());
     let inputs = 60 + mix(seed ^ 2) % 80;
 
     // Captured under a Propagation plan (safe for pure fork filtering),
@@ -156,10 +153,7 @@ proptest! {
 fn unauthorised_or_mismatched_swaps_fail_closed() {
     let g = fig2_triangle(4);
     let executed = vec![4u64, 1, 1];
-    let topo = {
-        let executed = executed.clone();
-        periodic_filtered_topology(&g, move |n| executed[n.index()])
-    };
+    let topo = Periodic::new(&g, executed.clone());
     let plan_a = Arc::new(Planner::new(&g).algorithm(Algorithm::Propagation).plan().unwrap());
     let plan_b = Arc::new(Planner::new(&g).algorithm(Algorithm::NonPropagation).plan().unwrap());
     let mode_b = AvoidanceMode::Plan(Arc::clone(&plan_b));
@@ -195,10 +189,7 @@ fn unauthorised_or_mismatched_swaps_fail_closed() {
 fn resume_validates_gaps_against_the_plan_intervals() {
     let g = fig2_triangle(4);
     let declared = vec![2, 1, 1];
-    let topo = {
-        let declared = declared.clone();
-        periodic_filtered_topology(&g, move |n| declared[n.index()])
-    };
+    let topo = Periodic::new(&g, declared.clone());
     let plan = Arc::new(
         Planner::new(&g)
             .algorithm(Algorithm::NonPropagation)
@@ -281,7 +272,7 @@ fn drifting_planned_job_is_hot_swapped_live() {
     // Equivalence: cumulative counts equal an uninterrupted run of the
     // executed profile (data counts are a property of the Kahn network,
     // not of the protecting plan).
-    let executed_topo = spec.topology();
+    let executed_topo = spec.program();
     let plan = Planner::new(&g)
         .algorithm(Algorithm::NonPropagation)
         .certify(&swap.observed_periods)

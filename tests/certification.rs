@@ -18,9 +18,7 @@ use fila::avoidance::{
 };
 use fila::prelude::*;
 use fila::runtime::filters::Predicate;
-use fila::workloads::generators::{
-    periodic_filtered_topology, random_ladder, random_sp_dag, GeneratorConfig, LadderConfig,
-};
+use fila::workloads::generators::{random_ladder, random_sp_dag, GeneratorConfig, LadderConfig};
 use proptest::prelude::*;
 
 const INPUTS: u64 = 384;
@@ -104,7 +102,7 @@ proptest! {
             .algorithm(Algorithm::NonPropagation)
             .certify(&periods)
             .expect("robust Non-Propagation plans certify SP/ladder shapes");
-        let declared = Simulator::new(&periodic_filtered_topology(&g, |_| period))
+        let declared = Simulator::new(&Periodic::from_fn(&g, |_| period))
             .with_plan(&certified.plan)
             .run(INPUTS);
         prop_assert!(declared.completed, "declared run: {declared:?}");
@@ -136,7 +134,7 @@ proptest! {
             .node_ids()
             .map(|n| 1 + (seed ^ n.index() as u64) % period.max(1))
             .collect();
-        let topo = periodic_filtered_topology(&g, |n| periods[n.index()]);
+        let topo = Periodic::from_fn(&g, |n| periods[n.index()]);
         for plan in [
             Planner::new(&g).algorithm(Algorithm::NonPropagation).plan().unwrap(),
             Planner::new(&g).algorithm(Algorithm::Propagation).plan().unwrap(),
@@ -650,6 +648,26 @@ fn a_three_node_pipeline_recurs_where_expected() {
     assert_eq!(run.halt, Halt::Completed);
     assert_eq!(run.per_edge_data, vec![64, 64]);
     assert_eq!(run, drive(&g, &no_avoidance(&g), &[1, 1, 1], None, budget, false).0);
+}
+
+#[test]
+fn a_counter_reset_in_the_stretch_is_not_carried() {
+    // a → b → c on infinite intervals, `a` filtering at period 2 and `b`
+    // at 4: `a` sends 0, 2, 4, … and `b` passes on 0, 4, 8, ….  At `a`'s
+    // first two checkpoints (cursors 0 and 4) the channels and the ready
+    // queue are a shift of each other, but the gap counters are not: each
+    // was reset by a send in between and still rose, 0 → 1.  A counter
+    // that rose is carried through a skip only where its channel carried
+    // no message (E43); carried here, both would end ≈ 30 instead of 1.
+    let mut b = GraphBuilder::new().default_capacity(2);
+    b.chain(&["a", "b", "c"]).unwrap();
+    let g = b.build().unwrap();
+    let (plan, periods, budget) = (no_avoidance(&g), [2, 4, 1], (120, STEP_BUDGET));
+    let (run, gaps, skip) = drive_to_gaps(&g, &plan, &periods, None, budget, true);
+    let skip = skip.expect("the chain recurs");
+    let (replayed, replayed_gaps, _) = drive_to_gaps(&g, &plan, &periods, None, budget, false);
+    assert_eq!(replayed_gaps, [1, 1]);
+    assert_eq!((run, gaps), (replayed, replayed_gaps), "{skip:?}");
 }
 
 #[test]

@@ -14,8 +14,7 @@
 
 use fila::prelude::*;
 use fila::workloads::generators::{
-    deep_buffer_graph, layered_dag, periodic_filtered_topology, random_ladder, random_sp_dag,
-    relaying_periodic_topology, GeneratorConfig, LadderConfig,
+    deep_buffer_graph, layered_dag, random_ladder, random_sp_dag, GeneratorConfig, LadderConfig,
 };
 use proptest::prelude::*;
 
@@ -55,14 +54,14 @@ fn mix(mut x: u64) -> u64 {
 
 /// The canonical periodic filter with a seed-derived period per node
 /// (period 1 = broadcast, larger periods filter most of the stream).
-fn with_filters(g: &Graph, seed: u64) -> Topology {
-    periodic_filtered_topology(g, |n| 1 + mix(seed ^ (0x9e37 + n.index() as u64)) % 5)
+fn with_filters(g: &Graph, seed: u64) -> Periodic<'_> {
+    Periodic::from_fn(g, |n| 1 + mix(seed ^ (0x9e37 + n.index() as u64)) % 5)
 }
 
 /// The same periodic filter on two nodes in five; the other three keep the
 /// default `Broadcast`, whose runs the pooled engine relays whole.
-fn with_sparse_filters(g: &Graph, seed: u64) -> Topology {
-    relaying_periodic_topology(g, |n| {
+fn with_sparse_filters(g: &Graph, seed: u64) -> Periodic<'_> {
+    Periodic::from_fn(g, |n| {
         [1, 1, 1, 2, 3][(mix(seed ^ (0x9e37 + n.index() as u64)) % 5) as usize]
     })
 }

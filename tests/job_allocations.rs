@@ -1,8 +1,9 @@
 //! Experiment E41: a job costs its messages, not its nodes.  Submitting a
 //! job builds one task per node and one ring per edge, and what that costs
 //! is counted here with a counting allocator, so the bounds are
-//! deterministic: allocations per node of a submission, allocations of a
-//! small warm job, and every byte of a job handed back however it ends.
+//! deterministic: allocations per node of a submission and of a simulated
+//! run, allocations of a small warm job, and every byte of a job handed
+//! back however it ends.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -115,6 +116,30 @@ fn a_submission_costs_few_allocations_per_node() {
     let per_node = (large - small) as f64 / 3072.0;
     println!("submit: {small} allocations at 1024 nodes, {large} at 4096: {per_node:.2} a node");
     assert!(per_node <= 4.0, "{per_node:.2} allocations a node");
+}
+
+/// The calling thread's allocations for one `run(0)` of an unfiltered
+/// `nodes`-node pipeline in the simulator.
+fn simulator_allocations(nodes: usize) -> usize {
+    let g = pipeline_graph(nodes, 4, false);
+    let program = Periodic::new(&g, vec![1; nodes]);
+    let (report, allocations) =
+        THREAD.with(|t| t.allocations_of(|| Simulator::new(&program).run(0)));
+    assert!(report.completed);
+    allocations
+}
+
+/// The simulator holds a default broadcast inline, as the pool does: what a
+/// run allocates per node is the model's, one queue per channel (each
+/// channel carries its end-of-stream marker), and no behaviour.
+#[test]
+fn a_simulated_run_allocates_no_behaviour_per_default_node() {
+    let _alone = alone();
+    let small = simulator_allocations(64);
+    let large = simulator_allocations(1024);
+    let per_node = (large - small) as f64 / 960.0;
+    println!("run(0): {small} allocations at 64 nodes, {large} at 1024: {per_node:.2} a node");
+    assert!(per_node <= 1.0, "{per_node:.2} allocations a node");
 }
 
 /// A 9-node, 10-edge series-parallel DAG, two diamonds in series, whose

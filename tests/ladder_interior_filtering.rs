@@ -18,7 +18,7 @@
 
 use fila::avoidance::verify_plan;
 use fila::prelude::*;
-use fila::workloads::generators::{periodic_filtered_topology, random_ladder, LadderConfig};
+use fila::workloads::generators::{random_ladder, LadderConfig};
 
 const INTERIOR_RATE: u64 = 16;
 const INPUTS: u64 = 500;
@@ -34,16 +34,16 @@ fn ladder(rungs: usize, seed: u64) -> Graph {
 
 /// Every node filters 15/16 of its traffic — the aggressive interior
 /// filtering that used to defeat the ladder Non-Propagation intervals.
-fn interior_filtered(g: &Graph) -> Topology {
-    periodic_filtered_topology(g, |_| INTERIOR_RATE)
+fn interior_filtered(g: &Graph) -> Periodic<'_> {
+    Periodic::from_fn(g, |_| INTERIOR_RATE)
 }
 
 /// Only the fork (single source) filters; interior nodes broadcast.  This
 /// is the scenario of the paper's Figs. 1–3, which every planner algorithm
 /// protected even before the fix.
-fn fork_filtered(g: &Graph) -> Topology {
+fn fork_filtered(g: &Graph) -> Periodic<'_> {
     let source = g.single_source().unwrap();
-    periodic_filtered_topology(g, |n| if n == source { INTERIOR_RATE } else { 1 })
+    Periodic::from_fn(g, |n| if n == source { INTERIOR_RATE } else { 1 })
 }
 
 #[test]
@@ -113,7 +113,7 @@ fn nonprop_survives_mixed_interior_rates() {
             .unwrap();
         let rates = [1u64, 3, 16, 7, 32, 2];
         let topo =
-            periodic_filtered_topology(&g, |n| rates[n.index() % rates.len()]);
+            Periodic::from_fn(&g, |n| rates[n.index() % rates.len()]);
         let report = Simulator::new(&topo).with_plan(&plan).run(INPUTS);
         assert!(report.completed, "rungs={rungs} seed={seed}: {report:?}");
     }

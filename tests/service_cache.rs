@@ -3,9 +3,7 @@
 //! freshly computed plan, over random SP DAGs and CS4 ladders.
 
 use fila::prelude::*;
-use fila::workloads::generators::{
-    periodic_filtered_topology, random_ladder, random_sp_dag, GeneratorConfig, LadderConfig,
-};
+use fila::workloads::generators::{random_ladder, random_sp_dag, GeneratorConfig, LadderConfig};
 use proptest::prelude::*;
 
 /// Plans `g` three ways — directly via [`Planner`], as a cache miss, and as
@@ -17,7 +15,7 @@ fn assert_cache_equivalence(
     period_of: impl Fn(NodeId) -> u64,
     inputs: u64,
 ) -> Result<(), TestCaseError> {
-    let topo = periodic_filtered_topology(g, period_of);
+    let topo = Periodic::from_fn(g, period_of);
     for algorithm in [Algorithm::Propagation, Algorithm::NonPropagation] {
         let fresh = Planner::new(g).algorithm(algorithm).plan().unwrap();
         let cache = PlanCache::new(8);

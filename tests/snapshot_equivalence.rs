@@ -17,8 +17,7 @@
 use fila::prelude::*;
 use fila::runtime::{AvoidanceMode, PropagationTrigger};
 use fila::workloads::generators::{
-    deep_buffer_graph, layered_dag, periodic_filtered_topology, random_ladder, random_sp_dag,
-    relaying_periodic_topology, GeneratorConfig, LadderConfig,
+    deep_buffer_graph, layered_dag, random_ladder, random_sp_dag, GeneratorConfig, LadderConfig,
 };
 use proptest::prelude::*;
 
@@ -56,8 +55,8 @@ fn mix(mut x: u64) -> u64 {
 
 /// The canonical periodic filter with a seed-derived period per node;
 /// shared with the engine-equivalence tests.
-fn with_filters(g: &Graph, seed: u64) -> Topology {
-    periodic_filtered_topology(g, |n| 1 + mix(seed ^ (0x9e37 + n.index() as u64)) % 5)
+fn with_filters(g: &Graph, seed: u64) -> Periodic<'_> {
+    Periodic::from_fn(g, |n| 1 + mix(seed ^ (0x9e37 + n.index() as u64)) % 5)
 }
 
 fn build(scenario: Scenario) -> (Graph, Option<fila::avoidance::AvoidancePlan>, u64) {
@@ -125,7 +124,7 @@ fn assert_restore_equivalent(scenario: Scenario) -> Result<(), TestCaseError> {
     | Scenario::Deep { seed }) = scenario;
     let deep = matches!(scenario, Scenario::Deep { .. });
     let topo = if deep {
-        relaying_periodic_topology(&g, |n| {
+        Periodic::from_fn(&g, |n| {
             [1, 1, 1, 2, 3][(mix(seed ^ (0x9e37 + n.index() as u64)) % 5) as usize]
         })
     } else {

@@ -12,7 +12,6 @@ use fila::prelude::*;
 use fila::runtime::filters::Predicate;
 use fila::runtime::{Message, PropagationTrigger};
 use fila::workloads::figures::fig2_triangle;
-use fila::workloads::generators::periodic_filtered_topology;
 use proptest::prelude::*;
 
 /// Real snapshot buffers killed at several depths: a bare pipeline (data
@@ -26,14 +25,14 @@ fn corpus() -> &'static Vec<Vec<u8>> {
         let mut b = GraphBuilder::new().default_capacity(3);
         b.chain(&["s", "m0", "m1", "sink"]).unwrap();
         let pipeline = b.build().unwrap();
-        let bare = periodic_filtered_topology(&pipeline, |_| 1);
+        let bare = Periodic::from_fn(&pipeline, |_| 1);
         let triangle = fig2_triangle(3);
         let plan = Planner::new(&triangle)
             .algorithm(Algorithm::Propagation)
             .plan()
             .unwrap();
         let fork = triangle.node_by_name("A").unwrap();
-        let filtered = periodic_filtered_topology(&triangle, |n| if n == fork { 2 } else { 1 });
+        let filtered = Periodic::from_fn(&triangle, |n| if n == fork { 2 } else { 1 });
         for kill_at in [1, 7, 40, 200] {
             for (topology, plan) in [(&bare, None), (&filtered, Some(&plan))] {
                 let sim = match plan {
@@ -181,25 +180,31 @@ fn out_of_order_sequence_numbers_are_refused_as_corrupted() {
     let fork = triangle.node_by_name("A").unwrap();
     let pool = SharedPool::new(1);
     let (mut channels, mut staged) = (0, 0);
-    for (topology, mode) in [
+    let programs: [(Box<dyn Program>, _); 3] = [
         (
-            periodic_filtered_topology(&pipeline, |_| 1),
+            Box::new(Periodic::from_fn(&pipeline, |_| 1)),
             AvoidanceMode::Disabled,
         ),
         (
-            periodic_filtered_topology(&triangle, |n| if n == fork { 2 } else { 1 }),
+            Box::new(Periodic::from_fn(
+                &triangle,
+                |n| if n == fork { 2 } else { 1 },
+            )),
             AvoidanceMode::plan(plan.clone()),
         ),
         // Fig. 2's deadlock: full channels leave sends staged.
         (
-            Topology::from_graph(&triangle).with(fork, || Predicate::new(2, |_, out| out == 0)),
+            Box::new(
+                Topology::from_graph(&triangle).with(fork, || Predicate::new(2, |_, out| out == 0)),
+            ),
             AvoidanceMode::Disabled,
         ),
-    ] {
-        let sim = Simulator::new(&topology).avoidance(mode.clone());
+    ];
+    for (topology, mode) in &programs {
+        let sim = Simulator::new(&**topology).avoidance(mode.clone());
         let refused = |cut: &JobSnapshot| {
             let trigger = PropagationTrigger::default();
-            let pooled = pool.resume_full(&topology, mode.clone(), trigger, cut, None);
+            let pooled = pool.resume_full(&**topology, mode.clone(), trigger, cut, None);
             matches!(sim.resume(cut), Err(RestoreError::Corrupted(_)))
                 && matches!(pooled, Err(RestoreError::Corrupted(_)))
         };
@@ -255,12 +260,15 @@ fn a_second_staged_message_on_a_channel_is_refused_as_corrupted() {
     let fork = triangle.node_by_name("A").unwrap();
     let pool = SharedPool::new(1);
     let mut cases = 0;
-    for topology in [
-        periodic_filtered_topology(&pipeline, |_| 1),
+    let programs: [Box<dyn Program>; 2] = [
+        Box::new(Periodic::from_fn(&pipeline, |_| 1)),
         // Fig. 2's deadlock: full channels leave sends staged.
-        Topology::from_graph(&triangle).with(fork, || Predicate::new(2, |_, out| out == 0)),
-    ] {
-        let sim = Simulator::new(&topology);
+        Box::new(
+            Topology::from_graph(&triangle).with(fork, || Predicate::new(2, |_, out| out == 0)),
+        ),
+    ];
+    for topology in &programs {
+        let sim = Simulator::new(&**topology);
         for kill_at in 1..80 {
             let CheckpointOutcome::Killed(cut) = sim.run_with_checkpoint(120, kill_at) else {
                 continue;
@@ -274,7 +282,7 @@ fn a_second_staged_message_on_a_channel_is_refused_as_corrupted() {
                     doubled.nodes[node].staged.insert(at, (edge, moved));
                     let trigger = PropagationTrigger::default();
                     let pooled = pool.resume_full(
-                        &topology,
+                        &**topology,
                         AvoidanceMode::Disabled,
                         trigger,
                         &doubled,
