@@ -17,7 +17,7 @@ fn print_overhead_table() {
             let g = fig2_triangle(buffer);
             let a = g.node_by_name("A").unwrap();
             let topo = Topology::from_graph(&g)
-                .with(a, move || Predicate::new(2, move |seq, out| out == 0 || seq % period == 0));
+                .with(a, move || Predicate::new(move |seq, out| out == 0 || seq % period == 0));
             let mut cells = Vec::new();
             for algorithm in [Algorithm::Propagation, Algorithm::NonPropagation] {
                 let plan = Planner::new(&g).algorithm(algorithm).plan().unwrap();
@@ -38,7 +38,7 @@ fn bench(c: &mut Criterion) {
         let g = fig2_triangle(8);
         let a = g.node_by_name("A").unwrap();
         let topo = Topology::from_graph(&g)
-            .with(a, move || Predicate::new(2, move |seq, out| out == 0 || seq % period == 0));
+            .with(a, move || Predicate::new(move |seq, out| out == 0 || seq % period == 0));
         let plan = Planner::new(&g).algorithm(Algorithm::NonPropagation).plan().unwrap();
         group.bench_with_input(BenchmarkId::new("nonprop_20k", period), &period, |b, _| {
             b.iter(|| black_box(Simulator::new(&topo).with_plan(&plan).run(20_000)))

@@ -15,7 +15,7 @@ fn bench(c: &mut Criterion) {
         let g = fig2_triangle(buffer);
         let a = g.node_by_name("A").unwrap();
         let topo = Topology::from_graph(&g)
-            .with(a, || Predicate::new(2, |seq, out| out == 0 || seq % 97 == 0));
+            .with(a, || Predicate::new(|seq, out| out == 0 || seq % 97 == 0));
         for algorithm in [Algorithm::Propagation, Algorithm::NonPropagation] {
             let plan = Planner::new(&g).algorithm(algorithm).plan().unwrap();
             let name = format!("{algorithm}/buffer{buffer}");

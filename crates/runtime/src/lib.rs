@@ -54,9 +54,9 @@ pub use checkpoint::{
 };
 pub use container::{Batch, Container, Run, Single};
 pub use faults::{CrashSite, FaultArm, FaultPlan, SnapshotDamage};
-pub use filters::{Bernoulli, Broadcast, Collector, ModuloFilter, RouteRoundRobin};
+pub use filters::{Bernoulli, Broadcast, ModuloFilter};
 pub use message::{Message, Payload};
-pub use node::{DataRun, FireDecision, FireInput, NodeBehavior};
+pub use node::{DataRun, FireInput, NodeBehavior};
 pub use report::{BlockedInfo, BlockedReason, ExecutionReport};
 pub use shared_pool::{
     FilterObservation, JobHandle, JobVerdict, PoolOptions, SettleHook, SharedPool,

@@ -1420,7 +1420,7 @@ mod tests {
             let mut topo = crate::Topology::from_graph(&g);
             if let Some(a) = g.node_by_name("A") {
                 topo = topo.with(a, move || {
-                    Predicate::new(2, move |seq, out| out == 0 || seq % period == 0)
+                    Predicate::new(move |seq, out| out == 0 || seq % period == 0)
                 });
             }
             let sim = Simulator::new(&topo).avoidance(mode.clone()).run(inputs);
@@ -1440,7 +1440,7 @@ mod tests {
         let g = b.build().unwrap();
         let m = g.node_by_name("m").unwrap();
         let bad = crate::Topology::from_graph(&g).with(m, || {
-            Predicate::new(1, |seq, _out| {
+            Predicate::new(|seq, _out| {
                 assert!(seq < 5, "behaviour blew up at seq {seq}");
                 true
             })
@@ -1518,7 +1518,7 @@ mod tests {
         // A slow source: each firing sleeps, so the job cannot finish
         // before the pool is dropped.
         let topo = crate::Topology::from_graph(&g).with(src, || {
-            Predicate::new(1, |_seq, _out| {
+            Predicate::new(|_seq, _out| {
                 std::thread::sleep(std::time::Duration::from_millis(2));
                 true
             })
@@ -1562,7 +1562,7 @@ mod tests {
         let g = fig2(1);
         let a = g.node_by_name("A").unwrap();
         let wedged =
-            crate::Topology::from_graph(&g).with(a, || Predicate::new(2, |_, out| out == 0));
+            crate::Topology::from_graph(&g).with(a, || Predicate::new(|_, out| out == 0));
         let deadlocked = pool.submit(&wedged, 100);
         assert!(deadlocked.wait().deadlocked);
         released("deadlocked", &deadlocked);
@@ -1570,7 +1570,7 @@ mod tests {
         let g = pipeline(3);
         let m = g.node_by_name("n1").unwrap();
         let bad = crate::Topology::from_graph(&g).with(m, || {
-            Predicate::new(1, |seq, _| seq < 5 || panic!("blew up at {seq}"))
+            Predicate::new(|seq, _| seq < 5 || panic!("blew up at {seq}"))
         });
         let failed = pool.submit(&bad, 100);
         failed.wait();
@@ -1588,7 +1588,7 @@ mod tests {
         let (gate_in, entered_in) = (Arc::clone(&gate), Arc::clone(&entered));
         let slow = crate::Topology::from_graph(&g).with(source, move || {
             let (gate, entered) = (Arc::clone(&gate_in), Arc::clone(&entered_in));
-            Predicate::new(1, move |_, _| {
+            Predicate::new(move |_, _| {
                 entered.store(true, Ordering::SeqCst);
                 drop(lock(&gate));
                 true
@@ -1613,7 +1613,7 @@ mod tests {
         let g = pipeline(2);
         let source = g.single_source().unwrap();
         let slow = crate::Topology::from_graph(&g).with(source, || {
-            Predicate::new(1, |_, _| {
+            Predicate::new(|_, _| {
                 std::thread::sleep(std::time::Duration::from_millis(1));
                 true
             })

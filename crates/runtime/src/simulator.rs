@@ -5,7 +5,7 @@
 //! per-node step, pending-output delivery and the worklist scheduler — and
 //! this module adds what a *run of an application* needs around it: the
 //! node behaviours (the model's firing decision is
-//! [`crate::NodeBehavior::fire_into`]), the [`ExecutionReport`] with its
+//! [`crate::NodeBehavior::fire`]), the [`ExecutionReport`] with its
 //! blocked-node diagnosis, and checkpoint capture/resume.
 //!
 //! A run is the model's event-driven ready queue
@@ -183,7 +183,7 @@ impl<'t> Run<'t> {
     fn drive(&mut self, step_bound: u64, seed_all: bool) -> Halt {
         let behaviors = &mut self.behaviors;
         let fire = &mut |node: NodeId, seq, data_in: &[_], emit: &mut [_]| {
-            behaviors[node.index()].fire_into(&FireInput { seq, data_in }, emit)
+            behaviors[node.index()].fire(&FireInput { seq, data_in }, emit)
         };
         self.engine.run_worklist(fire, step_bound, seed_all)
     }
@@ -311,7 +311,7 @@ mod tests {
         let a = g.node_by_name("A").unwrap();
         let topo = Topology::from_graph(&g)
             // A sends data to B always, to C never (out_edges(A) = [A->B, A->C]).
-            .with(a, || Predicate::new(2, |_seq, out| out == 0));
+            .with(a, || Predicate::new(|_seq, out| out == 0));
         let report = Simulator::new(&topo).run(1000);
         assert!(report.deadlocked, "{report:?}");
         assert!(!report.completed);
@@ -324,7 +324,7 @@ mod tests {
         let a = g.node_by_name("A").unwrap();
         let plan = Planner::new(&g).algorithm(Algorithm::Propagation).plan().unwrap();
         let topo = Topology::from_graph(&g)
-            .with(a, || Predicate::new(2, |_seq, out| out == 0));
+            .with(a, || Predicate::new(|_seq, out| out == 0));
         let report = Simulator::new(&topo).with_plan(&plan).run(1000);
         assert!(report.completed, "avoidance must prevent deadlock: {report:?}");
         assert!(!report.deadlocked);
@@ -340,7 +340,7 @@ mod tests {
             .plan()
             .unwrap();
         let topo = Topology::from_graph(&g)
-            .with(a, || Predicate::new(2, |_seq, out| out == 0));
+            .with(a, || Predicate::new(|_seq, out| out == 0));
         let report = Simulator::new(&topo).with_plan(&plan).run(1000);
         assert!(report.completed, "{report:?}");
         assert!(report.dummy_messages > 0);
@@ -353,7 +353,7 @@ mod tests {
         for algorithm in [Algorithm::Propagation, Algorithm::NonPropagation] {
             let plan = Planner::new(&g).algorithm(algorithm).plan().unwrap();
             let topo = Topology::from_graph(&g)
-                .with(a, || Predicate::new(2, |seq, out| out == 0 || seq % 7 == 0));
+                .with(a, || Predicate::new(|seq, out| out == 0 || seq % 7 == 0));
             let report = Simulator::new(&topo).with_plan(&plan).run(500);
             assert!(report.completed, "{algorithm}: {report:?}");
         }
@@ -373,9 +373,9 @@ mod tests {
         let left = g.node_by_name("left").unwrap();
         let right = g.node_by_name("right").unwrap();
         let topo = Topology::from_graph(&g)
-            .with(split, || Broadcast::new(2))
-            .with(left, || ModuloFilter::new(1, 5, 0))
-            .with(right, || ModuloFilter::new(1, 50, 3));
+            .with(split, || Broadcast)
+            .with(left, || ModuloFilter::new(5, 0))
+            .with(right, || ModuloFilter::new(50, 3));
         // Without a plan the application deadlocks.
         let without = Simulator::new(&topo).run(2000);
         assert!(without.deadlocked, "{without:?}");
@@ -404,8 +404,8 @@ mod tests {
         let split = g.node_by_name("split").unwrap();
         let right = g.node_by_name("right").unwrap();
         let topo = Topology::from_graph(&g)
-            .with(split, || Broadcast::new(2))
-            .with(right, || ModuloFilter::new(1, 64, 1));
+            .with(split, || Broadcast)
+            .with(right, || ModuloFilter::new(64, 1));
         let plan = Planner::new(&g).algorithm(Algorithm::Propagation).plan().unwrap();
         let literal = Simulator::new(&topo).with_plan(&plan).run(2000);
         assert!(literal.deadlocked, "{literal:?}");
@@ -427,7 +427,7 @@ mod tests {
         let a = g.node_by_name("A").unwrap();
         let plan = Planner::new(&g).algorithm(Algorithm::Propagation).plan().unwrap();
         let topo = Topology::from_graph(&g)
-            .with(a, || Predicate::new(2, |_seq, out| out == 0));
+            .with(a, || Predicate::new(|_seq, out| out == 0));
         let report = Simulator::new(&topo).with_plan(&plan).run(1000);
         assert!(report.completed);
         // Interval on A->C is 32 (two hops of 16), so at most ~1000/32 + 1
@@ -459,7 +459,7 @@ mod tests {
         let a = g.node_by_name("A").unwrap();
         let plan = Planner::new(&g).algorithm(Algorithm::Propagation).plan().unwrap();
         let topo = Topology::from_graph(&g)
-            .with(a, || Predicate::new(2, |seq, out| out == 0 || seq % 3 == 0));
+            .with(a, || Predicate::new(|seq, out| out == 0 || seq % 3 == 0));
         let report = Simulator::new(&topo).with_plan(&plan).run(300);
         assert!(report.completed);
         assert_eq!(
@@ -479,7 +479,7 @@ mod tests {
         let plan = Planner::new(&g).algorithm(Algorithm::Propagation).plan().unwrap();
         let shared = std::sync::Arc::new(plan.clone());
         let topo = Topology::from_graph(&g)
-            .with(a, || Predicate::new(2, |_seq, out| out == 0));
+            .with(a, || Predicate::new(|_seq, out| out == 0));
         let owned = Simulator::new(&topo).with_plan(&plan).run(400);
         let arced = Simulator::new(&topo).with_shared_plan(shared).run(400);
         assert_eq!(owned.completed, arced.completed);

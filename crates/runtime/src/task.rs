@@ -34,7 +34,7 @@
 //! container limit, every output's deliverable space plus the one
 //! overshooting acceptance ([`run_room`]), and a pending snapshot barrier.
 //! A data run is *fired* as a run too ([`NodeBehavior::fire_run`] on a
-//! [`DataRun`]): the default steps through it, one `fire_into` per message;
+//! [`DataRun`]): the default steps through it, one `fire` per message;
 //! [`crate::Broadcast`] relays it — the head container's segments are
 //! appended to each output's staging container, ordering checked once at
 //! the seam, the wrapper's counters moved by
@@ -125,7 +125,7 @@ impl<'a, T> IntoIterator for &'a mut Few<T> {
 /// A node's behaviour in either engine: the default broadcast held inline,
 /// or one its program built.
 pub(crate) enum Behavior {
-    Broadcast(Broadcast),
+    Broadcast,
     Built(Box<dyn NodeBehavior>),
 }
 
@@ -133,22 +133,25 @@ impl Behavior {
     /// `node`'s fresh behaviour in `program`: the one it builds, or else the
     /// default broadcast, inline.
     pub(crate) fn of(program: &dyn Program, node: NodeId) -> Self {
-        match program.behavior(node) {
-            Some(built) => Behavior::Built(built),
-            None => Behavior::Broadcast(Broadcast::new(program.graph().out_degree(node))),
-        }
+        program.behavior(node).map_or(Behavior::Broadcast, Behavior::Built)
     }
 
-    pub(crate) fn fire_into(&mut self, input: &FireInput<'_>, emit: &mut [Option<Payload>]) {
+    /// Fires the behaviour on `input`.  A built one is handed `emit`
+    /// cleared, so a slot it leaves unwritten is filtered; the broadcast
+    /// writes every slot.
+    pub(crate) fn fire(&mut self, input: &FireInput<'_>, emit: &mut [Option<Payload>]) {
         match self {
-            Behavior::Broadcast(broadcast) => broadcast.fire_into(input, emit),
-            Behavior::Built(built) => built.fire_into(input, emit),
+            Behavior::Broadcast => Broadcast.fire(input, emit),
+            Behavior::Built(built) => {
+                emit.fill(None);
+                built.fire(input, emit);
+            }
         }
     }
 
     fn fire_run(&mut self, run: &mut DataRun<'_>) {
         match self {
-            Behavior::Broadcast(broadcast) => broadcast.fire_run(run),
+            Behavior::Broadcast => Broadcast.fire_run(run),
             Behavior::Built(built) => built.fire_run(run),
         }
     }
@@ -257,7 +260,7 @@ pub(crate) struct Task {
     /// Reusable per-firing scratch, aligned with `ins`.
     pub(crate) data_in: Few<Option<Payload>>,
     /// Reusable per-firing decision scratch, aligned with `outs` (filled by
-    /// [`NodeBehavior::fire_into`], read by the staging loop).
+    /// [`NodeBehavior::fire`], read by the staging loop).
     pub(crate) emit: Few<Option<Payload>>,
     pub(crate) firings: u64,
     pub(crate) sink_firings: u64,
@@ -789,7 +792,7 @@ fn interior_run(
                 emit,
                 ..
             } = task;
-            behavior.fire_into(
+            behavior.fire(
                 &FireInput {
                     seq: accept_seq,
                     data_in,
@@ -873,9 +876,9 @@ pub struct DataRun<'a> {
 
 impl DataRun<'_> {
     /// Fires what is left of the run one message at a time, in increasing
-    /// sequence order: `fire` is [`NodeBehavior::fire_into`] — it sees the
-    /// message and writes the decision, which is staged before the next
-    /// call.
+    /// sequence order: `fire` is [`NodeBehavior::fire`] — it sees the
+    /// message and writes the decision into a cleared slice, which is
+    /// staged before the next call.
     pub fn step(&mut self, mut fire: impl FnMut(&FireInput<'_>, &mut [Option<Payload>])) {
         while self.took < self.max {
             let Some(Run::Data { seq, payload }) = self.src.front_run() else {
@@ -888,6 +891,7 @@ impl DataRun<'_> {
             }
             self.src.consume_data();
             self.data_in[0] = Some(payload);
+            self.emit.fill(None);
             fire(
                 &FireInput {
                     seq,
@@ -950,7 +954,7 @@ fn source_run(
         task.next_source_seq += 1;
         task.firings += 1;
         task.behavior
-            .fire_into(&FireInput { seq, data_in: &[] }, &mut task.emit);
+            .fire(&FireInput { seq, data_in: &[] }, &mut task.emit);
         queue_outputs(task, seq, true, false);
         *accepted += 1;
         progressed = true;
@@ -1126,7 +1130,7 @@ mod tests {
 
     use super::*;
     use crate::filters::Predicate;
-    use crate::node::{FireDecision, FireInput};
+    use crate::node::FireInput;
     use crate::Topology;
 
     /// A fresh job's tasks, as the pool builds them.
@@ -1139,11 +1143,8 @@ mod tests {
     struct Stepped(Broadcast);
 
     impl NodeBehavior for Stepped {
-        fn fire(&mut self, input: &FireInput<'_>) -> FireDecision {
-            self.0.fire(input)
-        }
-        fn fire_into(&mut self, input: &FireInput<'_>, emit: &mut [Option<Payload>]) {
-            self.0.fire_into(input, emit);
+        fn fire(&mut self, input: &FireInput<'_>, emit: &mut [Option<Payload>]) {
+            self.0.fire(input, emit);
         }
     }
 
@@ -1233,13 +1234,12 @@ mod tests {
     fn run(case: &Case) -> (Vec<Contribution>, Totals) {
         let g = shape(case.fan);
         let (src, hub) = (g.node_by_name("src").unwrap(), g.node_by_name("hub").unwrap());
-        let hub_outs = g.out_degree(hub);
         let mut topo = Topology::from_graph(&g);
         if case.filtered {
-            topo = topo.with(src, || Predicate::new(1, |seq, _| seq.wrapping_mul(0x9e37) % 7 > 1));
+            topo = topo.with(src, || Predicate::new(|seq, _| seq.wrapping_mul(0x9e37) % 7 > 1));
         }
         if !case.relay {
-            topo = topo.with(hub, move || Stepped(Broadcast::new(hub_outs)));
+            topo = topo.with(hub, || Stepped(Broadcast));
         }
         let mode = case.mode.map_or(AvoidanceMode::Disabled, |a| planned(&g, a));
         let mut tasks = tasks_of(&topo, &mode, case.batch);
@@ -1324,7 +1324,7 @@ mod tests {
     #[test]
     fn relaying_a_run_is_stepping_it() {
         // `Broadcast::fire_run` against the default per-message loop around
-        // the same `fire_into`, on irregular runs (sequence gaps, dummies in
+        // the same `fire`, on irregular runs (sequence gaps, dummies in
         // between), with and without a cut through them.
         for fan in [0, 1, 3] {
             for mode in [None, Some(Algorithm::NonPropagation), Some(Algorithm::Propagation)] {

@@ -68,9 +68,9 @@ impl<'g> Periodic<'g> {
         (self.graph.out_degree(node) > 0 && period > 1).then_some(period)
     }
 
-    /// The periodic filter of a node with `outputs` outputs and `period`.
-    pub fn filter(outputs: usize, period: u64) -> impl NodeBehavior {
-        Predicate::new(outputs, move |seq, out| periodic_emits(period, seq, out))
+    /// The periodic filter of a node with `period`.
+    pub fn filter(period: u64) -> impl NodeBehavior {
+        Predicate::new(move |seq, out| periodic_emits(period, seq, out))
     }
 }
 
@@ -81,7 +81,7 @@ impl Program for Periodic<'_> {
 
     fn behavior(&self, node: NodeId) -> Option<Box<dyn NodeBehavior>> {
         let period = self.period(node)?;
-        Some(Box::new(Periodic::filter(self.graph.out_degree(node), period)))
+        Some(Box::new(Periodic::filter(period)))
     }
 }
 
@@ -148,6 +148,13 @@ mod tests {
     use crate::node::FireInput;
     use fila_graph::GraphBuilder;
 
+    /// How many of its `outputs` outputs `b` forwards source input `seq` on.
+    fn emitted(b: &mut dyn NodeBehavior, outputs: usize, seq: u64) -> usize {
+        let mut emit = vec![None; outputs];
+        b.fire(&FireInput { seq, data_in: &[] }, &mut emit);
+        emit.iter().flatten().count()
+    }
+
     fn diamond() -> Graph {
         let mut b = GraphBuilder::new();
         b.edge("a", "b").unwrap();
@@ -168,10 +175,10 @@ mod tests {
     fn behaviours_can_be_replaced() {
         let g = diamond();
         let a = g.node_by_name("a").unwrap();
-        let topo = Topology::from_graph(&g).with(a, || ModuloFilter::new(2, 2, 0));
+        let topo = Topology::from_graph(&g).with(a, || ModuloFilter::new(2, 0));
         let mut b = topo.behavior(a).unwrap();
-        assert_eq!(b.fire(&FireInput { seq: 0, data_in: &[] }).emitted(), 2);
-        assert_eq!(b.fire(&FireInput { seq: 1, data_in: &[] }).emitted(), 0);
+        assert_eq!(emitted(&mut *b, 2, 0), 2);
+        assert_eq!(emitted(&mut *b, 2, 1), 0);
     }
 
     #[test]
@@ -179,12 +186,10 @@ mod tests {
         let g = diamond();
         let a = g.node_by_name("a").unwrap();
         let topo = Topology::from_graph(&g)
-            .with(a, || crate::filters::Bernoulli::new(2, 0.5, 42));
+            .with(a, || crate::filters::Bernoulli::new(0.5, 42));
         let run = |topo: &Topology| {
             let mut b = topo.behavior(a).unwrap();
-            (0..20)
-                .map(|s| b.fire(&FireInput { seq: s, data_in: &[] }).emitted())
-                .collect::<Vec<_>>()
+            (0..20).map(|s| emitted(&mut *b, 2, s)).collect::<Vec<_>>()
         };
         // Two instances from the same factory start from the same seed.
         assert_eq!(run(&topo), run(&topo));
@@ -198,8 +203,8 @@ mod tests {
         let [s, m, t] = ["s", "m", "t"].map(|name| g.node_by_name(name).unwrap());
         let program = Periodic::from_fn(&g, |n| if n == s { 2 } else { 1 });
         let mut src = program.behavior(s).unwrap();
-        assert_eq!(src.fire(&FireInput { seq: 0, data_in: &[] }).emitted(), 1);
-        assert_eq!(src.fire(&FireInput { seq: 1, data_in: &[] }).emitted(), 0);
+        assert_eq!(emitted(&mut *src, 1, 0), 1);
+        assert_eq!(emitted(&mut *src, 1, 1), 0);
         // Period 1, and a node without outputs: the default broadcast.
         assert!(program.behavior(m).is_none());
         assert!(Periodic::from_fn(&g, |_| 3).behavior(t).is_none());

@@ -441,7 +441,7 @@ impl ServiceMetrics {
         }
         out.push_str("# TYPE fila_tenant_settle_latency_ns summary\n");
         for (tenant, stat) in &inner.tenants {
-            let tenant = escape(tenant);
+            let tenant = label_value(tenant);
             for (label, q) in [("0.5", 0.5), ("0.99", 0.99)] {
                 out.push_str(&format!(
                     "fila_tenant_settle_latency_ns{{tenant=\"{tenant}\",quantile=\"{label}\"}} {}\n",
@@ -512,7 +512,16 @@ pub fn certify_prometheus() -> String {
     )
 }
 
-/// Minimal escaping for JSON strings / Prometheus label values.
+/// Escapes a Prometheus label value.  The text format defines three
+/// escapes — `\\`, `\"` and `\n` — and its parser rejects any other, so
+/// every other character is written as it is.
+fn label_value(s: &str) -> String {
+    s.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
+}
+
+/// Minimal escaping for JSON strings.
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -713,5 +722,22 @@ mod tests {
         assert!(text.contains("fila_settle_latency_ns{quantile=\"0.99\"}"));
         assert!(text.contains("tenant=\"a\\\"b\""));
         assert!(text.contains("fila_edge_messages_total"));
+    }
+
+    #[test]
+    fn a_tenant_is_escaped_for_json_and_for_prometheus_each_by_its_rules() {
+        let m = ServiceMetrics::new();
+        let report = ExecutionReport {
+            completed: true,
+            ..Default::default()
+        };
+        m.record_job(Some("a\tb\"c\\d\ne"), Duration::from_micros(10), &report, None);
+        let json = m.tenant_summaries()[0].to_json();
+        assert!(json.starts_with(r#"{"tenant": "a\u0009b\"c\\d\ne", "jobs": 1"#), "{json}");
+        // Prometheus: the tab stays a tab; only `\`, `"` and newline are escaped.
+        let text = m.prometheus();
+        let series = "fila_tenant_messages_total{tenant=\"a\tb\\\"c\\\\d\\ne\"} 0\n";
+        assert!(text.contains(series), "{text}");
+        assert!(!text.contains("\\u0009"), "{text}");
     }
 }

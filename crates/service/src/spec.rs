@@ -185,8 +185,7 @@ impl JobSpec {
         let mut topo = Topology::from_graph(&self.graph);
         for n in self.graph.node_ids() {
             if let Some(period) = program.period(n) {
-                let outs = self.graph.out_degree(n);
-                topo = topo.with(n, move || Periodic::filter(outs, period));
+                topo = topo.with(n, move || Periodic::filter(period));
             }
         }
         topo

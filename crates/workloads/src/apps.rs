@@ -3,7 +3,7 @@
 
 use fila_graph::Graph;
 use fila_runtime::filters::Predicate;
-use fila_runtime::{Bernoulli, Broadcast, ModuloFilter, Topology};
+use fila_runtime::{Bernoulli, ModuloFilter, Topology};
 
 use crate::figures;
 
@@ -18,13 +18,12 @@ use crate::figures;
 /// * `seed` — RNG seed for the recognisers.
 pub fn object_recognition(buffer: u64, keep_left: f64, keep_right: f64, seed: u64) -> (Graph, Topology) {
     let g = figures::fig1_split_join(buffer);
-    let split = g.node_by_name("A").expect("split node");
     let left = g.node_by_name("B").expect("left recogniser");
     let right = g.node_by_name("C").expect("right recogniser");
+    // The split node runs the default broadcast.
     let topo = Topology::from_graph(&g)
-        .with(split, || Broadcast::new(2))
-        .with(left, move || Bernoulli::new(1, keep_left, seed))
-        .with(right, move || Bernoulli::new(1, keep_right, seed.wrapping_add(1)));
+        .with(left, move || Bernoulli::new(keep_left, seed))
+        .with(right, move || Bernoulli::new(keep_right, seed.wrapping_add(1)));
     (g, topo)
 }
 
@@ -38,15 +37,13 @@ pub fn object_recognition(buffer: u64, keep_left: f64, keep_right: f64, seed: u6
 pub fn biosequence_pipeline(buffer: u64, hit_period: u64) -> (Graph, Topology) {
     let g = figures::fig2_triangle(buffer);
     let frontend = g.node_by_name("A").expect("front end");
-    let aligner = g.node_by_name("B").expect("aligner");
     let period = hit_period.max(1);
     let topo = Topology::from_graph(&g)
         // out_edges(A) = [A->B, A->C]: every read goes to the aligner, only
         // flagged reads go straight to the aggregator.
         .with(frontend, move || {
-            Predicate::new(2, move |seq, out| out == 0 || seq % period == 0)
-        })
-        .with(aligner, || Broadcast::new(1));
+            Predicate::new(move |seq, out| out == 0 || seq % period == 0)
+        });
     (g, topo)
 }
 
@@ -56,19 +53,17 @@ pub fn biosequence_pipeline(buffer: u64, hit_period: u64) -> (Graph, Topology) {
 /// reports only its alarms.
 pub fn crosslinked_monitor(buffer: u64, alarm_period: u64) -> (Graph, Topology) {
     let g = figures::fig4_crosslink(buffer);
-    let src = g.node_by_name("X").expect("source");
     let primary = g.node_by_name("a").expect("primary");
     let secondary = g.node_by_name("b").expect("secondary");
     let period = alarm_period.max(1);
     let topo = Topology::from_graph(&g)
-        .with(src, || Broadcast::new(2))
         // out_edges(a) = [a->Y, a->b]: always report downstream, escalate to
         // the secondary path once per `period`.
         .with(primary, move || {
-            Predicate::new(2, move |seq, out| out == 0 || seq % period == 0)
+            Predicate::new(move |seq, out| out == 0 || seq % period == 0)
         })
         // The secondary path reports only every fourth escalation.
-        .with(secondary, || ModuloFilter::new(1, 4, 0));
+        .with(secondary, || ModuloFilter::new(4, 0));
     (g, topo)
 }
 

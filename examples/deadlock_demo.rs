@@ -15,7 +15,7 @@ fn main() {
         let g = fila::workloads::figures::fig2_triangle(buffer);
         let a = g.node_by_name("A").unwrap();
         let topo =
-            Topology::from_graph(&g).with(a, || Predicate::new(2, |seq, out| out == 0 || seq % 97 == 0));
+            Topology::from_graph(&g).with(a, || Predicate::new(|seq, out| out == 0 || seq % 97 == 0));
         let inputs = 20_000;
         let unprotected = Simulator::new(&topo).run(inputs);
         let prop_plan = Planner::new(&g).algorithm(Algorithm::Propagation).plan().unwrap();

@@ -13,7 +13,7 @@ fn main() {
     // of two messages each.  A filters aggressively towards C.
     let g = fila::workloads::figures::fig2_triangle(2);
     let a = g.node_by_name("A").unwrap();
-    let topo = Topology::from_graph(&g).with(a, || Predicate::new(2, |seq, out| out == 0 || seq % 64 == 0));
+    let topo = Topology::from_graph(&g).with(a, || Predicate::new(|seq, out| out == 0 || seq % 64 == 0));
 
     // Without avoidance the application deadlocks.
     let unprotected = Simulator::new(&topo).run(10_000);

@@ -44,11 +44,11 @@ fn adversarial_topology(
         let idx = n.index();
         if period > 1 {
             topo = topo.with(n, move || {
-                Predicate::new(outs, move |_seq, out| pattern(idx, out, outs))
+                Predicate::new(move |_seq, out| pattern(idx, out, outs))
             });
         } else {
             topo = topo.with(n, move || {
-                Predicate::new(outs, move |seq, out| periodic_emits(period, seq, out))
+                Predicate::new(move |seq, out| periodic_emits(period, seq, out))
             });
         }
     }

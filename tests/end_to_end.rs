@@ -11,7 +11,7 @@ fn fork_filtering_topology(buffer: u64, period: u64) -> (fila::graph::Graph, Top
     let g = figures::fig2_triangle(buffer);
     let a = g.node_by_name("A").unwrap();
     let topo = Topology::from_graph(&g)
-        .with(a, move || Predicate::new(2, move |seq, out| out == 0 || seq % period == 0));
+        .with(a, move || Predicate::new(move |seq, out| out == 0 || seq % period == 0));
     (g, topo)
 }
 
@@ -60,8 +60,8 @@ fn randomised_split_join_workloads_are_safe_with_nonpropagation() {
         let b = g.node_by_name("B").unwrap();
         let c = g.node_by_name("C").unwrap();
         let topo = Topology::from_graph(&g)
-            .with(b, move || Bernoulli::new(1, 0.05, seed))
-            .with(c, move || Bernoulli::new(1, 0.08, seed + 100));
+            .with(b, move || Bernoulli::new(0.05, seed))
+            .with(c, move || Bernoulli::new(0.08, seed + 100));
         let plan = Planner::new(&g).algorithm(Algorithm::NonPropagation).plan().unwrap();
         let report = Simulator::new(&topo).with_plan(&plan).run(20_000);
         assert!(report.completed, "seed {seed}: {report:?}");

@@ -50,8 +50,8 @@ fn fig1_split_join_runs_with_filtering() {
     let b = g.node_by_name("B").unwrap();
     let c = g.node_by_name("C").unwrap();
     let topo = Topology::from_graph(&g)
-        .with(b, || Bernoulli::new(1, 0.1, 3))
-        .with(c, || Bernoulli::new(1, 0.2, 4));
+        .with(b, || Bernoulli::new(0.1, 3))
+        .with(c, || Bernoulli::new(0.2, 4));
     let plan = Planner::new(&g).algorithm(Algorithm::NonPropagation).plan().unwrap();
     let report = Simulator::new(&topo).with_plan(&plan).run(20_000);
     assert!(report.completed);

@@ -230,7 +230,7 @@ fn a_jobs_bytes_are_handed_back_however_it_ends() {
     // completely: C waits on A -> C forever, behind it B and A block.
     let g = fig2(2);
     let a = g.node_by_name("A").unwrap();
-    let wedged = Topology::from_graph(&g).with(a, || Predicate::new(2, |_, out| out == 0));
+    let wedged = Topology::from_graph(&g).with(a, || Predicate::new(|_, out| out == 0));
     hands_back("deadlocked", 2, |pool| {
         let job = pool.submit(&wedged, 100);
         assert!(job.wait().deadlocked);
@@ -240,7 +240,7 @@ fn a_jobs_bytes_are_handed_back_however_it_ends() {
     let g = pipeline_graph(64, 4, false);
     let n1 = g.node_by_name("n1").unwrap();
     let bad = Topology::from_graph(&g).with(n1, || {
-        Predicate::new(1, |seq, _| seq < 40 || panic!("blew up at {seq}"))
+        Predicate::new(|seq, _| seq < 40 || panic!("blew up at {seq}"))
     });
     // Quietly: the default hook's backtrace caches symbols for good.
     let hook = std::panic::take_hook();
@@ -261,7 +261,7 @@ fn a_jobs_bytes_are_handed_back_however_it_ends() {
     let (gate_in, entered_in) = (Arc::clone(&gate), Arc::clone(&entered));
     let gated = Topology::from_graph(&g).with(source, move || {
         let (gate, entered) = (Arc::clone(&gate_in), Arc::clone(&entered_in));
-        Predicate::new(1, move |_, _| {
+        Predicate::new(move |_, _| {
             entered.store(true, Ordering::SeqCst);
             drop(gate.lock().unwrap_or_else(|e| e.into_inner()));
             true
@@ -284,7 +284,7 @@ fn a_jobs_bytes_are_handed_back_however_it_ends() {
     // The pool dropped under a live job: cancelled, and its bytes freed
     // when the handle goes.
     let slow = Topology::from_graph(&g).with(source, || {
-        Predicate::new(1, |_, _| {
+        Predicate::new(|_, _| {
             std::thread::sleep(Duration::from_millis(1));
             true
         })

@@ -237,7 +237,7 @@ fn fold_simulator(
         let (periods, outs) = (periods.to_vec(), g.out_degree(n));
         topology = topology.with(n, move || {
             let periods = periods.clone();
-            Predicate::new(outs, move |seq, j| {
+            Predicate::new(move |seq, j| {
                 emits(&periods, adversary, n, seq, j, outs)
             })
         });

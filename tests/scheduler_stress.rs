@@ -50,7 +50,7 @@ fn pipeline(nodes: usize, capacity: u64) -> Graph {
 fn fig2_deadlocker(buffer: u64) -> (Graph, Topology) {
     let g = fig2_triangle(buffer);
     let a = g.single_source().unwrap();
-    let topology = Topology::from_graph(&g).with(a, || Predicate::new(2, |_seq, out| out == 0));
+    let topology = Topology::from_graph(&g).with(a, || Predicate::new(|_seq, out| out == 0));
     (g, topology)
 }
 
@@ -195,7 +195,7 @@ fn verdicts_stay_exact_with_deadlockers_among_healthy_jobs() {
         let slow_graph = pipeline(6, 4);
         let first = slow_graph.single_source().unwrap();
         let slow = Topology::from_graph(&slow_graph).with(first, || {
-            Predicate::new(1, |_seq, _out| {
+            Predicate::new(|_seq, _out| {
                 std::thread::sleep(Duration::from_micros(50));
                 true
             })
@@ -257,7 +257,7 @@ fn a_long_slice_does_not_hold_up_an_independent_job() {
         let slow_graph = pipeline(3, 2);
         let source = slow_graph.single_source().unwrap();
         let slow_topology = Topology::from_graph(&slow_graph).with(source, || {
-            Predicate::new(1, |_seq, _out| {
+            Predicate::new(|_seq, _out| {
                 std::thread::sleep(Duration::from_millis(100));
                 true
             })
@@ -465,7 +465,7 @@ fn a_coarse_wide_job_runs_on_both_workers() {
             .collect();
         let topology = middles.iter().fold(Topology::from_graph(&g), |topology, &m| {
             topology.with(m, || {
-                Predicate::new(1, |_seq, _out| {
+                Predicate::new(|_seq, _out| {
                     std::thread::sleep(FIRING);
                     true
                 })

@@ -5,7 +5,7 @@
 
 use fila::prelude::*;
 use fila::runtime::filters::{Broadcast, ModuloFilter, Predicate};
-use fila::runtime::{PropagationTrigger, SchedCounter};
+use fila::runtime::{FireInput, Payload, PropagationTrigger, SchedCounter};
 
 fn fig2(buffer: u64) -> Graph {
     let mut b = GraphBuilder::new();
@@ -36,7 +36,7 @@ fn fig2_deadlock_verdict_is_exact() {
     let g = fig2(2);
     let a = g.node_by_name("A").unwrap();
     let topo = Topology::from_graph(&g)
-        .with(a, || Predicate::new(2, |_seq, out| out == 0));
+        .with(a, || Predicate::new(|_seq, out| out == 0));
     for workers in [1, 3] {
         let report = SharedPool::new(workers).submit(&topo, 500).wait();
         assert!(report.deadlocked, "workers={workers}: {report:?}");
@@ -52,7 +52,7 @@ fn fig2_completes_pooled_with_plan() {
     for algorithm in [Algorithm::Propagation, Algorithm::NonPropagation] {
         let plan = Planner::new(&g).algorithm(algorithm).plan().unwrap();
         let topo = Topology::from_graph(&g)
-            .with(a, || Predicate::new(2, |_seq, out| out == 0));
+            .with(a, || Predicate::new(|_seq, out| out == 0));
         let report = SharedPool::new(2)
             .submit_with(&topo, AvoidanceMode::plan(plan), 500)
             .wait();
@@ -68,7 +68,7 @@ fn capacity_one_channels_work() {
     b.edge_with_capacity("m", "t", 1).unwrap();
     let g = b.build().unwrap();
     let m = g.node_by_name("m").unwrap();
-    let topo = Topology::from_graph(&g).with(m, || ModuloFilter::new(1, 2, 0));
+    let topo = Topology::from_graph(&g).with(m, || ModuloFilter::new(2, 0));
     let report = SharedPool::new(2).submit(&topo, 100).wait();
     assert!(report.completed, "{report:?}");
     assert_eq!(report.sink_firings, 50);
@@ -86,9 +86,9 @@ fn split_join_deadlocks_and_plan_rescues_it() {
     let left = g.node_by_name("left").unwrap();
     let right = g.node_by_name("right").unwrap();
     let topo = Topology::from_graph(&g)
-        .with(split, || Broadcast::new(2))
-        .with(left, || ModuloFilter::new(1, 5, 0))
-        .with(right, || ModuloFilter::new(1, 50, 3));
+        .with(split, || Broadcast)
+        .with(left, || ModuloFilter::new(5, 0))
+        .with(right, || ModuloFilter::new(50, 3));
     let pool = SharedPool::new(2);
     let without = pool.submit(&topo, 2000).wait();
     assert!(without.deadlocked, "{without:?}");
@@ -124,7 +124,7 @@ fn tiny_batch_still_completes() {
     let a = g.node_by_name("A").unwrap();
     let plan = Planner::new(&g).algorithm(Algorithm::Propagation).plan().unwrap();
     let topo = Topology::from_graph(&g)
-        .with(a, || Predicate::new(2, |_seq, out| out == 0));
+        .with(a, || Predicate::new(|_seq, out| out == 0));
     let pool = SharedPool::with(PoolOptions {
         workers: 3,
         batch: 1,
@@ -218,7 +218,7 @@ fn fig2_deadlocks_exactly_whichever_fork_output_is_filtered_out() {
     let a = g.node_by_name("A").unwrap();
     for silent in [0, 1] {
         let topo = Topology::from_graph(&g)
-            .with(a, move || Predicate::new(2, move |_seq, out| out != silent));
+            .with(a, move || Predicate::new(move |_seq, out| out != silent));
         let reference = Simulator::new(&topo).run(500);
         assert!(reference.deadlocked);
         for workers in [1, 2] {
@@ -229,6 +229,47 @@ fn fig2_deadlocks_exactly_whichever_fork_output_is_filtered_out() {
             assert_eq!(report.per_edge_data, reference.per_edge_data);
             assert_eq!(report.per_edge_dummies, reference.per_edge_dummies);
             assert_eq!(report.blocked, reference.blocked, "output {silent} silent");
+        }
+    }
+}
+
+#[test]
+fn a_slot_the_behaviour_leaves_unwritten_is_filtered_in_both_engines() {
+    // `a` writes its first output's slot on every firing and, with
+    // `every = Some(k)`, its second one only when `k` divides the sequence
+    // number.  An unwritten slot must carry no data in either engine,
+    // although the source broadcasts to two outputs before `a` fires, the
+    // simulator's model shares one scratch slice across nodes, and the pool
+    // reuses a task's slice from one firing to the next.
+    let mut b = GraphBuilder::new().default_capacity(4);
+    for (from, to) in [("s", "a"), ("s", "b"), ("a", "x"), ("a", "y"), ("b", "z")] {
+        b.edge(from, to).unwrap();
+    }
+    let g = b.build().unwrap();
+    let a = g.node_by_name("a").unwrap();
+    for (every, a_to_y) in [(None, 0), (Some(2), 25)] {
+        let topo = Topology::from_graph(&g).with(a, move || {
+            move |input: &FireInput<'_>, emit: &mut [Option<Payload>]| {
+                emit[0] = Some(input.seq);
+                if every.is_some_and(|k| input.seq % k == 0) {
+                    emit[1] = Some(input.seq);
+                }
+            }
+        });
+        let reference = Simulator::new(&topo).run(50);
+        assert!(reference.completed, "{reference:?}");
+        assert_eq!(reference.per_edge_data, [50, 50, 50, a_to_y, 50], "every {every:?}");
+        for batch in [1, 64] {
+            let pool = SharedPool::with(PoolOptions {
+                workers: 2,
+                batch,
+                ..PoolOptions::default()
+            });
+            let report = pool.submit(&topo, 50).wait();
+            assert_eq!(
+                report.per_edge_data, reference.per_edge_data,
+                "every {every:?} batch {batch}"
+            );
         }
     }
 }

@@ -214,7 +214,7 @@ fn deadlocked_run_restores_to_same_deadlock() {
     use fila::runtime::filters::Predicate;
     let g = fila::workloads::figures::fig2_triangle(2);
     let a = g.node_by_name("A").unwrap();
-    let topo = Topology::from_graph(&g).with(a, || Predicate::new(2, |_seq, out| out == 0));
+    let topo = Topology::from_graph(&g).with(a, || Predicate::new(|_seq, out| out == 0));
     let sim = Simulator::new(&topo);
     let reference = sim.run(600);
     assert!(reference.deadlocked, "{reference:?}");

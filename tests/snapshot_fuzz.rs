@@ -195,7 +195,7 @@ fn out_of_order_sequence_numbers_are_refused_as_corrupted() {
         // Fig. 2's deadlock: full channels leave sends staged.
         (
             Box::new(
-                Topology::from_graph(&triangle).with(fork, || Predicate::new(2, |_, out| out == 0)),
+                Topology::from_graph(&triangle).with(fork, || Predicate::new(|_, out| out == 0)),
             ),
             AvoidanceMode::Disabled,
         ),
@@ -264,7 +264,7 @@ fn a_second_staged_message_on_a_channel_is_refused_as_corrupted() {
         Box::new(Periodic::from_fn(&pipeline, |_| 1)),
         // Fig. 2's deadlock: full channels leave sends staged.
         Box::new(
-            Topology::from_graph(&triangle).with(fork, || Predicate::new(2, |_, out| out == 0)),
+            Topology::from_graph(&triangle).with(fork, || Predicate::new(|_, out| out == 0)),
         ),
     ];
     for topology in &programs {

@@ -20,7 +20,7 @@ use fila::workloads::figures::fig2_triangle;
 fn slow_filtered_topology(g: &Graph, pause: Duration) -> Topology {
     let a = g.node_by_name("A").unwrap();
     Topology::from_graph(g).with(a, move || {
-        Predicate::new(2, move |seq, out| {
+        Predicate::new(move |seq, out| {
             std::thread::sleep(pause);
             out == 0 || seq % 4 == 0
         })
@@ -116,7 +116,7 @@ fn panic_after_checkpoint_recovers_from_last_snapshot() {
         let bomb = Arc::clone(&bomb);
         Topology::from_graph(&g).with(a, move || {
             let bomb = Arc::clone(&bomb);
-            Predicate::new(2, move |seq, out| {
+            Predicate::new(move |seq, out| {
                 std::thread::sleep(Duration::from_micros(100));
                 assert!(!bomb.load(Ordering::SeqCst), "injected crash at seq {seq}");
                 out == 0 || seq % 4 == 0
@@ -261,14 +261,14 @@ fn slower_source_stops_at_the_barrier_at_every_batch_limit() {
     let topo = Topology::from_graph(&g)
         .with(fast, move || {
             let at = Arc::clone(&fast_progress);
-            Predicate::new(2, move |seq, out| {
+            Predicate::new(move |seq, out| {
                 at.fetch_max(seq, Ordering::SeqCst);
                 out == 0 || seq % 4 == 0
             })
         })
         .with(slow, move || {
             let pace = Arc::clone(&slow_pace);
-            Predicate::new(1, move |seq, _| {
+            Predicate::new(move |seq, _| {
                 while seq >= HOLD && pace.load(Ordering::SeqCst) == HELD {
                     std::thread::sleep(Duration::from_micros(100));
                 }
@@ -489,7 +489,7 @@ fn deep_buffer_cuts_are_aligned_and_restore_at_any_batch_limit() {
     // having fired exactly `0..k` — so the snapshot is a function of `k`
     // alone — and the cut must restore, at any other batch size, to the
     // uninterrupted totals.
-    use fila::runtime::{FireDecision, FireInput};
+    use fila::runtime::{FireInput, Payload};
     let inputs = 2_000;
     let pipeline = {
         let mut b = GraphBuilder::new().default_capacity(64);
@@ -511,11 +511,10 @@ fn deep_buffer_cuts_are_aligned_and_restore_at_any_batch_limit() {
         let mut topo = Topology::from_graph(g);
         for n in g.node_ids().filter(|&n| g.out_degree(n) == 0) {
             topo = topo.with(n, || {
-                |input: &FireInput<'_>| {
+                |input: &FireInput<'_>, _: &mut [Option<Payload>]| {
                     if input.seq % 16 == 0 {
                         std::thread::sleep(Duration::from_micros(100));
                     }
-                    FireDecision::silence(0)
                 }
             });
         }

@@ -205,7 +205,7 @@ fn firing_spans_sum_to_delivered_messages() {
     let a = g.node_by_name("a").unwrap();
     for batch in [1, 8] {
         let topo = Topology::from_graph(&g)
-            .with(a, || Predicate::new(2, |seq, out| out == 0 || seq % 64 == 0));
+            .with(a, || Predicate::new(|seq, out| out == 0 || seq % 64 == 0));
         let pool = fila::runtime::SharedPool::with(fila::runtime::PoolOptions {
             workers: 2,
             batch,
