@@ -212,11 +212,6 @@ impl IntervalMap {
         self.intervals.iter().filter(|iv| iv.is_finite()).count()
     }
 
-    /// Smallest finite interval in the map, if any.
-    pub fn min_finite(&self) -> Option<u64> {
-        self.intervals.iter().filter_map(|iv| iv.finite()).min()
-    }
-
     /// True if `other` is at least as conservative as `self` on every edge
     /// (every interval in `other` is ≤ the corresponding one here).  Used to
     /// check that an efficient algorithm's plan is *safe* with respect to the
@@ -324,7 +319,6 @@ mod tests {
         assert_eq!(m.get(e0), DummyInterval::Finite(6));
         m.set(e1, DummyInterval::Finite(2));
         assert_eq!(m.finite_count(), 2);
-        assert_eq!(m.min_finite(), Some(2));
         assert_eq!(m.len(), 3);
         assert_eq!(m.iter().count(), 3);
     }

@@ -86,16 +86,11 @@ pub struct LadderDecomposition {
     pub right: Vec<NodeId>,
     /// All rail segments (both sides), ordered top-down per side.
     pub rails: Vec<Rail>,
-    /// All cross-links.
+    /// All cross-links; the paper's `k` is their number.
     pub rungs: Vec<Rung>,
 }
 
 impl LadderDecomposition {
-    /// Number of cross-links (the paper's `k`).
-    pub fn cross_link_count(&self) -> usize {
-        self.rungs.len()
-    }
-
     /// The side an internal vertex lies on, or `None` for `X`, `Y`, and
     /// vertices not in this block.
     pub fn side_of(&self, v: NodeId) -> Option<Side> {
@@ -124,15 +119,6 @@ impl LadderDecomposition {
             }
         }
         None
-    }
-
-    /// The components of every constituent (rails and rungs).
-    pub fn constituent_components(&self) -> Vec<CompId> {
-        self.rails
-            .iter()
-            .map(|r| r.comp)
-            .chain(self.rungs.iter().map(|r| r.comp))
-            .collect()
     }
 }
 
@@ -463,7 +449,7 @@ mod tests {
         let lad = decompose_ladder(&pos, &skel).unwrap();
         assert_eq!(lad.source, g.node_by_name("x").unwrap());
         assert_eq!(lad.sink, g.node_by_name("y").unwrap());
-        assert_eq!(lad.cross_link_count(), 1);
+        assert_eq!(lad.rungs.len(), 1);
         assert_eq!(lad.rails.len(), 4);
         let a = g.node_by_name("a").unwrap();
         let bb = g.node_by_name("b").unwrap();
@@ -485,7 +471,7 @@ mod tests {
         let g = b.build().unwrap();
         let (pos, skel) = skeleton_of(&g);
         let lad = decompose_ladder(&pos, &skel).unwrap();
-        assert_eq!(lad.cross_link_count(), 2);
+        assert_eq!(lad.rungs.len(), 2);
         assert_eq!(lad.left.len(), 4);
         assert_eq!(lad.right.len(), 4);
         // All rung tails are on one side (u side).
@@ -503,7 +489,7 @@ mod tests {
         let g = b.build().unwrap();
         let (pos, skel) = skeleton_of(&g);
         let lad = decompose_ladder(&pos, &skel).unwrap();
-        assert_eq!(lad.cross_link_count(), 2);
+        assert_eq!(lad.rungs.len(), 2);
         let sides: Vec<_> = lad.rungs.iter().map(|r| r.tail_side).collect();
         assert_ne!(sides[0], sides[1]);
     }
@@ -547,7 +533,7 @@ mod tests {
         let g = b.build().unwrap();
         let (pos, skel) = skeleton_of(&g);
         let lad = decompose_ladder(&pos, &skel).unwrap();
-        assert_eq!(lad.cross_link_count(), 2);
+        assert_eq!(lad.rungs.len(), 2);
         let u1 = g.node_by_name("u1").unwrap();
         assert!(lad.rungs.iter().all(|r| r.tail == u1));
     }
@@ -563,7 +549,7 @@ mod tests {
         let lad = decompose_ladder(&pos, &skel).unwrap();
         assert_eq!(lad.side_of(lad.source), None);
         assert_eq!(lad.side_of(lad.sink), None);
-        assert_eq!(lad.constituent_components().len(), 5);
+        assert_eq!(lad.rails.len() + lad.rungs.len(), 5);
         let a = g.node_by_name("a").unwrap();
         let (side, idx) = lad.position(a).unwrap();
         assert_eq!(idx, 1);

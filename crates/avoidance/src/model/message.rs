@@ -46,21 +46,6 @@ impl Message {
             Message::Eos => Message::Eos,
         }
     }
-
-    /// True for data messages.
-    pub fn is_data(&self) -> bool {
-        matches!(self, Message::Data { .. })
-    }
-
-    /// True for dummy messages.
-    pub fn is_dummy(&self) -> bool {
-        matches!(self, Message::Dummy { .. })
-    }
-
-    /// True for the end-of-stream marker.
-    pub fn is_eos(&self) -> bool {
-        matches!(self, Message::Eos)
-    }
 }
 
 #[cfg(test)]
@@ -72,15 +57,6 @@ mod tests {
         assert_eq!(Message::Data { seq: 3, payload: 9 }.seq(), 3);
         assert_eq!(Message::Dummy { seq: 5 }.seq(), 5);
         assert_eq!(Message::Eos.seq(), u64::MAX);
-    }
-
-    #[test]
-    fn kind_predicates() {
-        assert!(Message::Data { seq: 0, payload: 0 }.is_data());
-        assert!(!Message::Data { seq: 0, payload: 0 }.is_dummy());
-        assert!(Message::Dummy { seq: 0 }.is_dummy());
-        assert!(Message::Eos.is_eos());
-        assert!(!Message::Eos.is_data());
     }
 
     #[test]

@@ -50,16 +50,6 @@ impl UndirectedCycle {
         self.edges.is_empty()
     }
 
-    /// Whether the given edge participates in this cycle.
-    pub fn contains_edge(&self, e: EdgeId) -> bool {
-        self.edges.contains(&e)
-    }
-
-    /// Whether the given node participates in this cycle.
-    pub fn contains_node(&self, n: NodeId) -> bool {
-        self.nodes.contains(&n)
-    }
-
     /// The cycle's **sources**: nodes whose two incident cycle edges are both
     /// directed out of the node.
     pub fn sources(&self, g: &Graph) -> Vec<NodeId> {
@@ -163,16 +153,8 @@ impl UndirectedCycle {
     }
 }
 
-/// Enumerates every undirected simple cycle of the graph.
-///
-/// Worst-case exponential in the size of the graph; prefer
-/// [`enumerate_cycles_bounded`] when the input is not known to be small.
-pub fn enumerate_cycles(g: &Graph) -> Vec<UndirectedCycle> {
-    enumerate_cycles_bounded(g, usize::MAX).expect("unbounded enumeration cannot overflow")
-}
-
 /// Enumerates undirected simple cycles, aborting once more than `max_cycles`
-/// have been produced.
+/// have been produced (worst-case exponential in the size of the graph).
 ///
 /// # Errors
 ///
@@ -326,7 +308,7 @@ mod tests {
     #[test]
     fn diamond_has_one_cycle() {
         let g = diamond();
-        let cycles = enumerate_cycles(&g);
+        let cycles = enumerate_cycles_bounded(&g, usize::MAX).unwrap();
         assert_eq!(cycles.len(), 1);
         let c = &cycles[0];
         assert_eq!(c.len(), 4);
@@ -354,7 +336,7 @@ mod tests {
         b.edge_with_capacity("B", "C", 5).unwrap();
         b.edge_with_capacity("A", "C", 6).unwrap();
         let g = b.build().unwrap();
-        let cycles = enumerate_cycles(&g);
+        let cycles = enumerate_cycles_bounded(&g, usize::MAX).unwrap();
         assert_eq!(cycles.len(), 1);
         let c = &cycles[0];
         assert!(c.has_single_source_and_sink(&g));
@@ -386,7 +368,8 @@ mod tests {
         }
         let g = b.build().unwrap();
         assert!(!all_cycles_single_source_sink(&g));
-        let bad: Vec<_> = enumerate_cycles(&g)
+        let bad: Vec<_> = enumerate_cycles_bounded(&g, usize::MAX)
+            .unwrap()
             .into_iter()
             .filter(|c| !c.has_single_source_and_sink(&g))
             .collect();
@@ -398,10 +381,10 @@ mod tests {
         let d = g.node_by_name("d").unwrap();
         assert!(bad.iter().any(|cy| {
             cy.len() == 4
-                && cy.contains_node(a)
-                && cy.contains_node(bb)
-                && cy.contains_node(c)
-                && cy.contains_node(d)
+                && cy.nodes.contains(&a)
+                && cy.nodes.contains(&bb)
+                && cy.nodes.contains(&c)
+                && cy.nodes.contains(&d)
         }));
     }
 
@@ -446,7 +429,7 @@ mod tests {
         }
         let butterfly = b.build().unwrap();
         for g in [diamond(), butterfly] {
-            let cycles = enumerate_cycles(&g);
+            let cycles = enumerate_cycles_bounded(&g, usize::MAX).unwrap();
             assert_eq!(count_cycles(&g), cycles.len());
             assert_eq!(
                 all_cycles_single_source_sink(&g),
@@ -479,7 +462,7 @@ mod tests {
             b.edge(s, t).unwrap();
         }
         let g = b.build().unwrap();
-        for c in enumerate_cycles(&g) {
+        for c in enumerate_cycles_bounded(&g, usize::MAX).unwrap() {
             let mut nodes = c.nodes.clone();
             nodes.sort();
             nodes.dedup();

@@ -129,16 +129,6 @@ impl Graph {
         &self.edges[id.index()]
     }
 
-    /// Checked lookup of a node.
-    pub fn try_node(&self, id: NodeId) -> Result<&Node> {
-        self.nodes.get(id.index()).ok_or(GraphError::UnknownNode(id))
-    }
-
-    /// Checked lookup of an edge.
-    pub fn try_edge(&self, id: EdgeId) -> Result<&Edge> {
-        self.edges.get(id.index()).ok_or(GraphError::UnknownEdge(id))
-    }
-
     /// The `(src, dst)` endpoints of an edge.
     #[inline]
     pub fn endpoints(&self, id: EdgeId) -> (NodeId, NodeId) {
@@ -284,18 +274,6 @@ impl Graph {
         let s = self.node_by_name(src)?;
         let d = self.node_by_name(dst)?;
         self.parallel_edges(s, d).first().copied()
-    }
-
-    /// Returns true if `node` belongs to an undirected simple cycle, i.e. it
-    /// lies in some biconnected component with at least two edges.
-    pub fn on_some_cycle(&self, node: NodeId) -> bool {
-        crate::undirected::UndirectedView::new(self)
-            .biconnected_components()
-            .iter()
-            .any(|c| c.edges.len() >= 2 && c.edges.iter().any(|&e| {
-                let (s, d) = self.endpoints(e);
-                s == node || d == node
-            }))
     }
 
     /// Validates the global structural invariants of the streaming model:
@@ -468,26 +446,5 @@ mod tests {
             g.validate(),
             Err(GraphError::Disconnected { .. })
         ));
-    }
-
-    #[test]
-    fn checked_lookups() {
-        let (g, [a, ..]) = diamond();
-        assert!(g.try_node(a).is_ok());
-        assert!(g.try_node(NodeId::from_raw(100)).is_err());
-        assert!(g.try_edge(EdgeId::from_raw(0)).is_ok());
-        assert!(g.try_edge(EdgeId::from_raw(100)).is_err());
-    }
-
-    #[test]
-    fn on_some_cycle_distinguishes_tree_edges() {
-        let (mut g, [_, _, _, d]) = diamond();
-        let tail = g.add_node("tail");
-        g.add_edge(d, tail, 1).unwrap();
-        // Diamond nodes lie on the undirected cycle a-b-d-c-a.
-        assert!(g.on_some_cycle(g.node_by_name("a").unwrap()));
-        assert!(g.on_some_cycle(d));
-        // The appended tail node does not.
-        assert!(!g.on_some_cycle(tail));
     }
 }

@@ -1,7 +1,7 @@
-//! Topological ordering, acyclicity checking, and reachability queries.
+//! Topological ordering and reachability.
 
 use crate::error::{GraphError, Result};
-use crate::ids::{EdgeId, NodeId};
+use crate::ids::NodeId;
 use crate::multigraph::Graph;
 
 /// Computes a topological order of all nodes using Kahn's algorithm.
@@ -40,11 +40,6 @@ pub fn topological_order(g: &Graph) -> Result<Vec<NodeId>> {
     Ok(order)
 }
 
-/// Returns `true` if the graph has no directed cycle.
-pub fn is_acyclic(g: &Graph) -> bool {
-    topological_order(g).is_ok()
-}
-
 /// Position of each node in a given topological order (inverse permutation).
 pub fn topo_positions(g: &Graph, order: &[NodeId]) -> Vec<usize> {
     let mut pos = vec![usize::MAX; g.node_count()];
@@ -69,43 +64,6 @@ pub fn reachable_from(g: &Graph, start: NodeId) -> Vec<bool> {
         }
     }
     seen
-}
-
-/// Set of nodes that can reach `target` by directed paths (including it).
-pub fn reaching(g: &Graph, target: NodeId) -> Vec<bool> {
-    let mut seen = vec![false; g.node_count()];
-    let mut stack = vec![target];
-    seen[target.index()] = true;
-    while let Some(v) = stack.pop() {
-        for &e in g.in_edges(v) {
-            let w = g.tail(e);
-            if !seen[w.index()] {
-                seen[w.index()] = true;
-                stack.push(w);
-            }
-        }
-    }
-    seen
-}
-
-/// `true` if there is a directed path from `from` to `to` (or they are equal).
-pub fn has_path(g: &Graph, from: NodeId, to: NodeId) -> bool {
-    reachable_from(g, from)[to.index()]
-}
-
-/// The edges that lie on at least one directed path from `from` to `to`.
-///
-/// An edge `(u, v)` qualifies iff `u` is reachable from `from` and `to` is
-/// reachable from `v`.
-pub fn edges_on_paths(g: &Graph, from: NodeId, to: NodeId) -> Vec<EdgeId> {
-    let fwd = reachable_from(g, from);
-    let bwd = reaching(g, to);
-    g.edge_ids()
-        .filter(|&e| {
-            let (u, v) = g.endpoints(e);
-            fwd[u.index()] && bwd[v.index()]
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -150,7 +108,6 @@ mod tests {
         b.edge("b", "c").unwrap();
         b.edge("c", "a").unwrap();
         let g = b.build_unchecked();
-        assert!(!is_acyclic(&g));
         assert!(matches!(
             topological_order(&g),
             Err(GraphError::NotAcyclic { .. })
@@ -158,40 +115,18 @@ mod tests {
     }
 
     #[test]
-    fn reachability_forward_and_backward() {
+    fn reachability_follows_edge_direction() {
         let g = diamond();
         let a = g.node_by_name("a").unwrap();
         let b = g.node_by_name("b").unwrap();
         let c = g.node_by_name("c").unwrap();
         let d = g.node_by_name("d").unwrap();
-        assert!(has_path(&g, a, d));
-        assert!(has_path(&g, a, a));
-        assert!(!has_path(&g, b, c));
-        assert!(!has_path(&g, d, a));
-        let r = reaching(&g, d);
+        let r = reachable_from(&g, a);
         assert!(g.node_ids().all(|v| r[v.index()]));
-        let r = reaching(&g, b);
-        assert!(r[a.index()] && r[b.index()] && !r[c.index()] && !r[d.index()]);
-    }
-
-    #[test]
-    fn edges_on_paths_excludes_side_branches() {
-        let mut b = GraphBuilder::new();
-        b.edge("a", "b").unwrap();
-        b.edge("b", "c").unwrap();
-        let side = b.edge("b", "x").unwrap();
-        b.edge("x", "c").unwrap();
-        b.edge("c", "d").unwrap();
-        let g = b.build().unwrap();
-        let a = g.node_by_name("a").unwrap();
-        let c = g.node_by_name("c").unwrap();
-        let on = edges_on_paths(&g, a, c);
-        // a->b, b->c, b->x, x->c all lie on some a..c path.
-        assert_eq!(on.len(), 4);
-        assert!(on.contains(&side));
-        // but c->d does not.
-        let cd = g.edge_by_names("c", "d").unwrap();
-        assert!(!on.contains(&cd));
+        let r = reachable_from(&g, b);
+        assert!(!r[a.index()] && r[b.index()] && !r[c.index()] && r[d.index()]);
+        let r = reachable_from(&g, d);
+        assert!(!r[a.index()] && !r[b.index()] && !r[c.index()] && r[d.index()]);
     }
 
     #[test]

@@ -64,18 +64,6 @@ impl<'g> UndirectedView<'g> {
         self.adj[v.index()].len()
     }
 
-    /// Returns whether the undirected graph is connected.  The empty graph
-    /// is considered connected.
-    pub fn is_connected(&self) -> bool {
-        first_unreachable(self.graph).is_none()
-    }
-
-    /// Articulation points (cut vertices) of the undirected graph.
-    pub fn articulation_points(&self) -> Vec<NodeId> {
-        let (aps, _) = self.articulation_and_components();
-        aps
-    }
-
     /// Biconnected components of the undirected graph.
     pub fn biconnected_components(&self) -> Vec<BiconnectedComponent> {
         let (_, comps) = self.articulation_and_components();
@@ -240,14 +228,12 @@ mod tests {
         b.edge("a", "b").unwrap();
         b.edge("b", "c").unwrap();
         let g = b.build().unwrap();
-        assert!(UndirectedView::new(&g).is_connected());
         assert_eq!(first_unreachable(&g), None);
 
         let mut b = GraphBuilder::new();
         b.edge("a", "b").unwrap();
         let stranded = b.node("x");
         let g = b.build_unchecked();
-        assert!(!UndirectedView::new(&g).is_connected());
         assert_eq!(first_unreachable(&g), Some(stranded));
     }
 
@@ -257,7 +243,7 @@ mod tests {
         b.chain(&["a", "b", "c", "d"]).unwrap();
         let g = b.build().unwrap();
         let view = UndirectedView::new(&g);
-        let mut aps = view.articulation_points();
+        let mut aps = view.articulation_and_components().0;
         aps.sort();
         let mut expect = vec![g.node_by_name("b").unwrap(), g.node_by_name("c").unwrap()];
         expect.sort();
@@ -275,7 +261,7 @@ mod tests {
         b.edge("c", "d").unwrap();
         let g = b.build().unwrap();
         let view = UndirectedView::new(&g);
-        assert!(view.articulation_points().is_empty());
+        assert!(view.articulation_and_components().0.is_empty());
         let comps = view.biconnected_components();
         assert_eq!(comps.len(), 1);
         assert_eq!(comps[0].edges.len(), 4);
@@ -294,7 +280,7 @@ mod tests {
         }
         let g = b.build().unwrap();
         let view = UndirectedView::new(&g);
-        let aps = view.articulation_points();
+        let aps = view.articulation_and_components().0;
         assert_eq!(aps, vec![g.node_by_name("d").unwrap()]);
         let comps = view.biconnected_components();
         assert_eq!(comps.len(), 2);
@@ -318,7 +304,7 @@ mod tests {
         };
         assert_eq!(sizes, vec![1, 2]);
         assert_eq!(
-            view.articulation_points(),
+            view.articulation_and_components().0,
             vec![g.node_by_name("b").unwrap()]
         );
     }
@@ -329,7 +315,7 @@ mod tests {
         b.edge("a", "b").unwrap();
         let g = b.build().unwrap();
         let view = UndirectedView::new(&g);
-        assert!(view.articulation_points().is_empty());
+        assert!(view.articulation_and_components().0.is_empty());
         assert_eq!(view.biconnected_components().len(), 1);
         assert_eq!(view.degree(g.node_by_name("a").unwrap()), 1);
     }

@@ -84,11 +84,6 @@ pub struct FaultArm {
 }
 
 impl FaultArm {
-    /// The crash site this arm will (or would) fire, if any.
-    pub fn crash_site(&self) -> Option<CrashSite> {
-        self.crash
-    }
-
     /// True once the injected crash actually fired.
     pub fn crashed(&self) -> bool {
         self.crash_fired.load(Ordering::SeqCst)
@@ -271,8 +266,8 @@ mod tests {
             let b = again.arm(serial);
             assert_eq!(a.is_some(), b.is_some(), "serial {serial}");
             if let (Some(a), Some(b)) = (a, b) {
-                assert_eq!(a.crash_site(), b.crash_site(), "serial {serial}");
-                if a.crash_site().is_some() {
+                assert_eq!(a.crash, b.crash, "serial {serial}");
+                if a.crash.is_some() {
                     crashes += 1;
                 }
             }
@@ -292,9 +287,9 @@ mod tests {
         let plan = FaultPlan::seeded(1).kill_rate(1.0);
         let arm = (0..64)
             .filter_map(|s| plan.arm(s))
-            .find(|a| matches!(a.crash_site(), Some(CrashSite::Firing(_))))
+            .find(|a| matches!(a.crash, Some(CrashSite::Firing(_))))
             .expect("some serial draws a firing crash at kill-rate 1");
-        let Some(CrashSite::Firing(n)) = arm.crash_site() else {
+        let Some(CrashSite::Firing(n)) = arm.crash else {
             unreachable!()
         };
         for _ in 1..n {
@@ -312,7 +307,7 @@ mod tests {
         let plan = FaultPlan::seeded(2).kill_rate(1.0);
         let arm = (0..64)
             .filter_map(|s| plan.arm(s))
-            .find(|a| a.crash_site() == Some(CrashSite::Alignment))
+            .find(|a| a.crash == Some(CrashSite::Alignment))
             .expect("some serial draws an alignment crash at kill-rate 1");
         arm.trip_alignment(1); // epoch 1 spared
         assert!(!arm.crashed());

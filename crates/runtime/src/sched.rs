@@ -245,9 +245,10 @@ pub(crate) struct Scheduler<T> {
 }
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // Every update under the pool's locks leaves the data valid, so a
-    // poisoned lock (a panic elsewhere on that thread) carries no
-    // information: a panicked behaviour's counters are still meaningful.
+    // Every update under the pool's (and the recorder's) locks leaves the
+    // data valid, so a poisoned lock (a panic elsewhere on that thread)
+    // carries no information: a panicked behaviour's counters are still
+    // meaningful.
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 

@@ -28,6 +28,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::sched::lock;
+
 /// Lane index that routes [`TelemetryHandle::record`] to the control lane
 /// (mutex-guarded, for threads that are not pool workers).
 pub const CONTROL_LANE: usize = usize::MAX;
@@ -517,10 +519,6 @@ fn lane_worker(lane: usize, workers: usize) -> u16 {
     } else {
         NO_WORKER
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Renders events as Chrome `trace_event` JSON (the `traceEvents` array

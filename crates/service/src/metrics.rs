@@ -124,11 +124,6 @@ impl LatencyHistogram {
         self.sum_ns
     }
 
-    /// Mean sample (0 when empty).
-    pub fn mean_ns(&self) -> u64 {
-        self.sum_ns.checked_div(self.count).unwrap_or(0)
-    }
-
     /// The `q`-quantile (`0.0 ..= 1.0`) as the upper bound of the bucket
     /// containing that rank — within 2× above the true sample, never
     /// below it.  0 when empty.
@@ -557,7 +552,7 @@ mod tests {
         assert_eq!(h.quantile(1.0), 1000);
         assert_eq!(h.max_ns(), 1000);
         assert_eq!(h.min_ns(), 3);
-        assert_eq!(h.mean_ns(), (3 + 5 + 9 + 17 + 100 + 1000) / 6);
+        assert_eq!(h.sum_ns(), 3 + 5 + 9 + 17 + 100 + 1000);
     }
 
     #[test]

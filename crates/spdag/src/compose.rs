@@ -32,11 +32,6 @@ impl SpSpec {
         SpSpec::Series(capacities.iter().map(|&c| SpSpec::Edge(c)).collect())
     }
 
-    /// Convenience constructor for a split/join over single-edge branches.
-    pub fn split_join(branch_capacities: &[u64]) -> SpSpec {
-        SpSpec::Parallel(branch_capacities.iter().map(|&c| SpSpec::Edge(c)).collect())
-    }
-
     /// Number of edges the realised graph will have.
     pub fn edge_count(&self) -> usize {
         match self {
@@ -168,7 +163,11 @@ mod tests {
 
     #[test]
     fn split_join_spec_builds_parallel_edges() {
-        let (g, d) = build_sp(&SpSpec::split_join(&[5, 6, 7]));
+        let (g, d) = build_sp(&SpSpec::Parallel(vec![
+            SpSpec::Edge(5),
+            SpSpec::Edge(6),
+            SpSpec::Edge(7),
+        ]));
         assert_eq!(g.edge_count(), 3);
         assert_eq!(g.node_count(), 2);
         let m = SpMetrics::compute(&g, &d.forest);

@@ -51,11 +51,6 @@ pub fn recognize(g: &Graph) -> Result<Recognition> {
     }
 }
 
-/// Convenience predicate: is this two-terminal DAG series-parallel?
-pub fn is_sp_dag(g: &Graph) -> bool {
-    matches!(recognize(g), Ok(Recognition::SeriesParallel(_)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,7 +64,6 @@ mod tests {
             SpSpec::MultiEdge(vec![1, 1, 1]),
         ]);
         let (g, _) = build_sp(&spec);
-        assert!(is_sp_dag(&g));
         let rec = recognize(&g).unwrap();
         let d = rec.decomposition().unwrap();
         assert_eq!(d.edges().len(), g.edge_count());
@@ -82,7 +76,6 @@ mod tests {
             b.edge(s, t).unwrap();
         }
         let g = b.build().unwrap();
-        assert!(!is_sp_dag(&g));
         match recognize(&g).unwrap() {
             Recognition::NotSeriesParallel(r) => assert_eq!(r.skeleton.len(), 5),
             Recognition::SeriesParallel(_) => panic!("must not be SP"),
@@ -96,6 +89,5 @@ mod tests {
         b.edge("b", "c").unwrap();
         let g = b.build().unwrap();
         assert!(recognize(&g).is_err());
-        assert!(!is_sp_dag(&g));
     }
 }

@@ -7,7 +7,7 @@
 //! to describe, and that the cycle-structure lemmas the algorithms rely on
 //! hold for it.
 
-use fila_graph::{cycles, GraphError, Graph, Result};
+use fila_graph::{GraphError, Graph, Result};
 
 use crate::forest::{SpDecomposition, SpKind};
 
@@ -86,19 +86,13 @@ pub fn validate_decomposition(g: &Graph, d: &SpDecomposition) -> Result<()> {
     Ok(())
 }
 
-/// Checks Lemma III.4 by brute force: every undirected simple cycle of an
-/// SP-DAG has exactly one source and one sink.  Exponential in the worst
-/// case — intended for test-sized graphs only.
-pub fn check_cycles_single_source_sink(g: &Graph) -> bool {
-    cycles::all_cycles_single_source_sink(g)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compose::{build_sp, SpSpec};
     use crate::forest::SpForest;
     use crate::reduce::reduce;
+    use fila_graph::cycles::all_cycles_single_source_sink;
     use fila_graph::GraphBuilder;
 
     #[test]
@@ -146,7 +140,7 @@ mod tests {
             SpSpec::Parallel(vec![SpSpec::Edge(1), SpSpec::Edge(2)]),
         ]);
         let (g, _) = build_sp(&spec);
-        assert!(check_cycles_single_source_sink(&g));
+        assert!(all_cycles_single_source_sink(&g));
     }
 
     #[test]
@@ -160,6 +154,6 @@ mod tests {
             b.edge(s, t).unwrap();
         }
         let g = b.build().unwrap();
-        assert!(!check_cycles_single_source_sink(&g));
+        assert!(!all_cycles_single_source_sink(&g));
     }
 }

@@ -6,6 +6,8 @@
 //!            [--drift-rate F] [--chaos SEED] [--json PATH]
 //!            [--trace PATH] [--metrics]
 //!                                       submit a generated mixed workload,
+//!                                       check every admitted job against
+//!                                       its Simulator reference, and
 //!                                       optionally checkpoint/kill/restore
 //!                                       a fraction of it and/or inject
 //!                                       filter-drifting tenants that the
@@ -39,30 +41,33 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
 use fila::prelude::*;
 use fila::runtime::FaultPlan;
 use fila::workloads::jobs::{job_mix_with_drift, JobKind, JobShape};
 use fila_service::metrics::{certify_prometheus, sched_prometheus};
-use fila_service::{CheckpointPolicy, JobTicket, RecoveryMode, RecoveryOutcome, RecoveryPolicy};
+use fila_service::{
+    CheckpointPolicy, JobOutcome, JobTicket, RecoveryMode, RecoveryOutcome, RecoveryPolicy,
+};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter().map(String::as_str);
-    match it.next() {
+    let result = match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
         Some("storm") => cmd_storm(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
             print!("{}", HELP);
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Some(other) => {
-            eprintln!("fila: unknown command `{other}` (try `fila help`)");
-            ExitCode::FAILURE
-        }
-    }
+        Some(other) => Err(format!("unknown command `{other}` (try `fila help`)")),
+    };
+    result.unwrap_or_else(|e| {
+        eprintln!("fila: {e}");
+        ExitCode::FAILURE
+    })
 }
 
 const HELP: &str = "\
@@ -82,30 +87,30 @@ prints a per-job verdict table and the aggregate service stats as JSON.
 `storm` generates a mixed workload (pipelines, SP DAGs, CS4 ladders, plus
 deliberately unplannable and deadlocking shapes), submits all of it
 concurrently, and reports the same stats; `--json PATH` also writes them to
-a file (used by CI as a service smoke test).  `--kill-rate F` (0.0..=1.0)
-additionally takes a live barrier snapshot of a deterministic fraction F of
-the admitted jobs, lets the originals run to their verdicts as references,
-then resumes every snapshot and checks the resumed runs settle with the
-exact same verdicts and per-edge message counts — a crash-recovery
-fault-injection smoke on the real service.  `--drift-rate F` (0.0..=1.0)
-converts a deterministic fraction F of the workload into filter-drifting
-tenants: jobs that declare (and get certified for) one filter profile but
-execute a strictly heavier one.  Each drifting job runs under the adaptive
-supervisor, which detects the drift and walks the response ladder —
-certified plan hot-swap, quarantine + escalated replan, or cancellation
-with the offending nodes — while every hot-swapped job's final counts are
-checked against an uninterrupted reference run of its observed profile.
+a file (used by CI as a service smoke test).  Every admitted job is checked
+against its Simulator reference — its executed program under the plan
+`Planner::certify` picks for it — and any violation fails the storm, naming
+the job.  `--kill-rate F` (0.0..=1.0) additionally takes a live barrier
+snapshot of a deterministic fraction F of the admitted jobs and resumes each
+once the originals have settled; original and resumed run must both equal
+the reference exactly — a crash-recovery fault-injection smoke on the real
+service.  `--drift-rate F` (0.0..=1.0) converts a deterministic fraction F
+of the workload into filter-drifting tenants: jobs that declare (and get
+certified for) one filter profile but execute a strictly heavier one.  Each
+drifting job runs under the adaptive supervisor, which detects the drift
+and walks the response ladder — certified plan hot-swap, quarantine +
+escalated replan, or cancellation with the offending nodes — and every
+swapped job's data counts must equal a reference of its observed profile.
 `--chaos SEED` turns the storm into a self-healing smoke: the pool itself
 is armed with a deterministic seeded fault plan (worker panics mid-firing
 and mid-barrier, delayed wakeups, snapshot corruption on encode and on
 restore; `--kill-rate F` is reused as the per-job arming probability,
-default 0.25), every job runs under the supervised auto-checkpoint +
+default 0.25), and every job runs under the supervised auto-checkpoint +
 recovery ladder (full restore -> partial subgraph restart -> genesis,
-alternating exact and approximate recovery modes per job), and every
-outcome — recovered or not — is cross-checked against an uninterrupted
-Simulator reference run.  Exact-mode recoveries must reproduce the
-reference verdict, per-edge data counts, and sink firings bit-exactly;
-approximate recoveries may trail by at most the reported divergence.
+alternating exact and approximate recovery modes per job).  Exact-mode
+recoveries must reproduce the reference verdict, per-edge data counts, and
+sink firings; approximate recoveries may trail by at most the reported
+divergence.
 
 `--trace PATH` and/or `--metrics` switch on the pool's flight recorder:
 per-worker lock-free event rings capture firing spans, steals,
@@ -133,17 +138,13 @@ JOB FILE GRAMMAR (line oriented, `#` starts a comment):
 ";
 
 fn parse_flag(args: &[String], flag: &str) -> Result<Option<String>, String> {
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == flag {
-            return match args.get(i + 1) {
-                Some(v) => Ok(Some(v.clone())),
-                None => Err(format!("{flag} needs a value")),
-            };
-        }
-        i += 1;
-    }
-    Ok(None)
+    let Some(at) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let value = args
+        .get(at + 1)
+        .ok_or_else(|| format!("{flag} needs a value"))?;
+    Ok(Some(value.clone()))
 }
 
 fn parse_num<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
@@ -159,13 +160,12 @@ fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-fn service(workers: usize, max_in_flight: usize, telemetry: bool) -> JobService {
-    JobService::new(ServiceConfig {
-        workers,
-        max_in_flight,
-        telemetry,
-        ..ServiceConfig::default()
-    })
+/// A `0.0..=1.0` rate flag, `0.0` when absent.
+fn parse_rate(args: &[String], flag: &str) -> Result<f64, String> {
+    match parse_num(args, flag, 0.0f64)? {
+        rate if (0.0..=1.0).contains(&rate) => Ok(rate),
+        rate => Err(format!("{flag}: {rate} is not within 0.0..=1.0")),
+    }
 }
 
 /// Storm worker-count resolution: an explicit `--workers N` is used as
@@ -176,7 +176,9 @@ fn storm_workers(requested: usize) -> usize {
     if requested > 0 {
         requested
     } else {
-        std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get).max(2)
+        std::thread::available_parallelism()
+            .map_or(2, std::num::NonZeroUsize::get)
+            .max(2)
     }
 }
 
@@ -188,43 +190,41 @@ struct FileJob {
     spec: JobSpec,
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
+fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     let file = match args.first() {
-        Some(f) if !f.starts_with("--") => f.clone(),
-        _ => {
-            eprintln!("fila run: missing <jobfile> (try `fila help`)");
-            return ExitCode::FAILURE;
-        }
+        Some(f) if !f.starts_with("--") => f,
+        _ => return Err("run: missing <jobfile> (try `fila help`)".into()),
     };
-    let workers = match parse_num(args, "--workers", 0usize) {
-        Ok(w) => w,
-        Err(e) => return fail(&e),
-    };
-    let text = match std::fs::read_to_string(&file) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("cannot read {file}: {e}")),
-    };
-    let jobs = match parse_job_file(&text) {
-        Ok(jobs) => jobs,
-        Err(e) => return fail(&format!("{file}: {e}")),
-    };
+    let workers = parse_num(args, "--workers", 0usize)?;
+    let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+    let jobs = parse_job_file(&text).map_err(|e| format!("{file}: {e}"))?;
     if jobs.is_empty() {
-        return fail(&format!("{file}: no jobs defined"));
+        return Err(format!("{file}: no jobs defined"));
     }
 
-    let svc = service(workers, jobs.len().max(16), false);
+    let svc = JobService::new(ServiceConfig {
+        workers,
+        max_in_flight: jobs.len().max(16),
+        ..ServiceConfig::default()
+    });
     let mut tickets: Vec<(String, Result<JobTicket, RejectReason>)> = Vec::new();
     for job in jobs {
         let ticket = svc.submit(job.spec);
         tickets.push((job.name, ticket));
     }
     let mut failures = 0;
-    println!("{:<20} {:<12} {:>10} {:>12} {:>10}  plan", "job", "verdict", "msgs", "msgs/sec", "wall");
+    println!(
+        "{:<20} {:<12} {:>10} {:>12} {:>10}  plan",
+        "job", "verdict", "msgs", "msgs/sec", "wall"
+    );
     for (name, ticket) in tickets {
         match ticket {
             Err(reason) => {
                 failures += 1;
-                println!("{name:<20} {:<12} {:>10} {:>12} {:>10}  {reason}", "rejected", "-", "-", "-");
+                println!(
+                    "{name:<20} {:<12} {:>10} {:>12} {:>10}  {reason}",
+                    "rejected", "-", "-", "-"
+                );
             }
             Ok(ticket) => {
                 let outcome = ticket.wait();
@@ -259,11 +259,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
     }
     println!("\n{}", svc.stats().to_json());
-    if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(ExitCode::from(u8::from(failures > 0)))
 }
 
 fn parse_job_file(text: &str) -> Result<Vec<FileJob>, String> {
@@ -368,9 +364,7 @@ impl JobDraft {
             }
             .map_err(|e| format!("job {}: {e}", self.name))?;
         }
-        let graph = b
-            .build()
-            .map_err(|e| format!("job {}: {e}", self.name))?;
+        let graph = b.build().map_err(|e| format!("job {}: {e}", self.name))?;
         let mut periods = vec![1u64; graph.node_count()];
         for (name, period) in &self.filters {
             let node = graph
@@ -393,18 +387,12 @@ impl JobDraft {
 /// `fila storm --trace`.  The exporter writes exactly one event per line,
 /// so this stays a line scanner — no JSON parser needed (or available:
 /// this workspace is serde-free by design).
-fn cmd_trace(args: &[String]) -> ExitCode {
+fn cmd_trace(args: &[String]) -> Result<ExitCode, String> {
     let file = match args.first() {
-        Some(f) if !f.starts_with("--") => f.clone(),
-        _ => {
-            eprintln!("fila trace: missing <file> (try `fila help`)");
-            return ExitCode::FAILURE;
-        }
+        Some(f) if !f.starts_with("--") => f,
+        _ => return Err("trace: missing <file> (try `fila help`)".into()),
     };
-    let text = match std::fs::read_to_string(&file) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("cannot read {file}: {e}")),
-    };
+    let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
     // One (count, total span µs) accumulator per event name, and one total
     // per scheduler counter (`ph:"C"` samples, one per worker lane).
     let mut kinds: Vec<(String, u64, f64)> = Vec::new();
@@ -435,8 +423,12 @@ fn cmd_trace(args: &[String]) -> ExitCode {
             continue;
         }
         events += 1;
-        let ts: f64 = field(line, "\"ts\":").and_then(|v| v.parse().ok()).unwrap_or(0.0);
-        let dur: f64 = field(line, "\"dur\":").and_then(|v| v.parse().ok()).unwrap_or(0.0);
+        let ts: f64 = field(line, "\"ts\":")
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0.0);
+        let dur: f64 = field(line, "\"dur\":")
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0.0);
         first_ts = first_ts.min(ts);
         last_ts = last_ts.max(ts + dur);
         if let Some(pid) = field(line, "\"pid\":") {
@@ -454,7 +446,7 @@ fn cmd_trace(args: &[String]) -> ExitCode {
         }
     }
     if events == 0 {
-        return fail(&format!("{file}: no trace events found"));
+        return Err(format!("{file}: no trace events found"));
     }
     kinds.sort_by_key(|k| std::cmp::Reverse(k.1));
     println!(
@@ -473,7 +465,7 @@ fn cmd_trace(args: &[String]) -> ExitCode {
             println!("{name:<24} {total:>10}");
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 // -------------------------------------------------------------- storm ----
@@ -491,302 +483,324 @@ fn spec_of(shape: &JobShape) -> JobSpec {
     .with_tenant(shape.tenant)
 }
 
-fn cmd_storm(args: &[String]) -> ExitCode {
-    let jobs = match parse_num(args, "--jobs", 256usize) {
-        Ok(j) => j.max(1),
-        Err(e) => return fail(&e),
-    };
-    let seed = match parse_num(args, "--seed", 0xF11A_u64) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
-    let workers = match parse_num(args, "--workers", 0usize) {
-        Ok(w) => w,
-        Err(e) => return fail(&e),
-    };
-    let json_path = match parse_flag(args, "--json") {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
-    let kill_rate = match parse_num(args, "--kill-rate", 0.0f64) {
-        Ok(k) if (0.0..=1.0).contains(&k) => k,
-        Ok(k) => return fail(&format!("--kill-rate: {k} is not within 0.0..=1.0")),
-        Err(e) => return fail(&e),
-    };
-    let drift_rate = match parse_num(args, "--drift-rate", 0.0f64) {
-        Ok(d) if (0.0..=1.0).contains(&d) => d,
-        Ok(d) => return fail(&format!("--drift-rate: {d} is not within 0.0..=1.0")),
-        Err(e) => return fail(&e),
-    };
-    let chaos = match parse_flag(args, "--chaos") {
-        Ok(None) => None,
-        Ok(Some(v)) => match v.parse::<u64>() {
-            Ok(s) => Some(s),
-            Err(_) => return fail(&format!("--chaos: invalid seed `{v}`")),
-        },
-        Err(e) => return fail(&e),
-    };
-    let trace_path = match parse_flag(args, "--trace") {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
+/// How one storm job runs, from admission until it settles.
+enum Run<'s> {
+    Rejected(RejectReason),
+    Submitted(JobTicket),
+    /// A drifting tenant under the adaptive supervisor.
+    Supervised(ScopedJoinHandle<'s, AdaptiveOutcome>),
+    /// Chaos mode: the job under the recovery ladder, in this mode.
+    Chaos(
+        RecoveryMode,
+        ScopedJoinHandle<'s, Result<RecoveryOutcome, RejectReason>>,
+    ),
+}
+
+fn cmd_storm(args: &[String]) -> Result<ExitCode, String> {
+    let jobs = parse_num(args, "--jobs", 256usize)?.max(1);
+    let seed = parse_num(args, "--seed", 0xF11A_u64)?;
+    let workers = storm_workers(parse_num(args, "--workers", 0usize)?);
+    let json_path = parse_flag(args, "--json")?;
+    let kill_rate = parse_rate(args, "--kill-rate")?;
+    let drift_rate = parse_rate(args, "--drift-rate")?;
+    let chaos = parse_flag(args, "--chaos")?
+        .map(|v| {
+            v.parse::<u64>()
+                .map_err(|_| format!("--chaos: invalid seed `{v}`"))
+        })
+        .transpose()?;
+    let trace_path = parse_flag(args, "--trace")?;
     let metrics = has_flag(args, "--metrics");
-    let telemetry = trace_path.is_some() || metrics;
-    let workers = storm_workers(workers);
-    if let Some(chaos_seed) = chaos {
-        if drift_rate > 0.0 {
-            return fail("--chaos and --drift-rate are separate smokes; pick one");
-        }
-        // In chaos mode --kill-rate is the fault-plan arming probability.
-        let arm_rate = if kill_rate > 0.0 { kill_rate } else { 0.25 };
-        return cmd_storm_chaos(
-            jobs, seed, chaos_seed, arm_rate, workers, json_path, trace_path, metrics,
-        );
+    if chaos.is_some() && drift_rate > 0.0 {
+        return Err("--chaos and --drift-rate are separate smokes; pick one".into());
+    }
+    // In chaos mode --kill-rate is the fault-plan arming probability.
+    let arm_rate = if kill_rate > 0.0 { kill_rate } else { 0.25 };
+    if chaos.is_some() {
+        // Injected fault panics are part of the experiment: silence their
+        // default-hook stack traces, but keep the hook for any real panic.
+        let previous_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let payload = info.payload().downcast_ref::<String>();
+            if !payload.is_some_and(|s| s.starts_with("injected:")) {
+                previous_hook(info);
+            }
+        }));
     }
 
     let shapes = job_mix_with_drift(seed, jobs, drift_rate);
-    let svc = service(workers, jobs, telemetry);
-    let policy = DriftPolicy::default();
+    let svc = JobService::new(ServiceConfig {
+        workers,
+        max_in_flight: jobs,
+        faults: chaos.map(|s| Arc::new(FaultPlan::seeded(s).kill_rate(arm_rate))),
+        telemetry: trace_path.is_some() || metrics,
+        ..ServiceConfig::default()
+    });
+    let cycle_bound = svc.config().cycle_bound;
+    let drift_policy = DriftPolicy::default();
     let started = Instant::now();
-    // Drifting tenants block their supervisor until they settle, so each
-    // one runs under a scoped supervision thread while the main thread
-    // drives the rest of the storm.
-    std::thread::scope(|scope| {
-    let svc = &svc;
-    let policy = &policy;
-    let mut tickets = Vec::new();
-    let mut supervisions = Vec::new();
-    let mut rejected_unplannable = 0u64;
-    let mut rejected_other = 0u64;
-    // Fault injection: a deterministic fraction of the admitted jobs gets
-    // a live barrier snapshot taken right after admission, *while the pool
-    // churns through the rest of the storm*.  The originals are not
-    // actually torn down — they run to their verdicts and serve as the
-    // uninterrupted references the resumed runs are checked against.
+    // Every violation, named by its job: any one fails the storm.
+    let mut failures = Vec::new();
+    // Every settled run: its job, which run, outcome, reference and bound.
+    let mut settled = Vec::new();
     let mut snapshots = Vec::new();
-    let mut killed = 0u64;
     let mut outran = 0u64;
-    let mut mismatched = 0u64;
-    for shape in &shapes {
-        if shape.kind == JobKind::Drifting {
-            let actual = shape
-                .actual_periods
-                .clone()
-                .expect("drifting shapes carry an executed profile");
-            let spec = spec_of(shape).with_actual_filters(FilterSpec::PerNode(actual));
-            match svc.submit(spec.clone()) {
-                Ok(ticket) => {
-                    let handle = scope.spawn(move || svc.supervise(&spec, ticket, policy));
-                    supervisions.push((shape, handle));
+    let (mut hot_swapped, mut replanned) = (0u64, 0u64);
+    let (mut drift_cancelled, mut drift_settled) = (0u64, 0u64);
+    let (mut uninterrupted, mut recovered, mut crashes, mut exhausted) = (0u64, 0u64, 0u64, 0u64);
+    let (mut partial_restarts, mut midbarrier_partial_restarts) = (0u64, 0u64);
+    let (mut genesis_restarts, mut approx_divergent) = (0u64, 0u64);
+
+    std::thread::scope(|scope| {
+        let (svc, drift_policy) = (&svc, &drift_policy);
+        // A drifting tenant blocks its supervisor, and a chaos job its
+        // recovery ladder, until it settles: each runs on a scoped thread
+        // while this one drives the rest of the storm.
+        let mut runs = Vec::new();
+        let mut admitted = 0u64;
+        for (i, shape) in shapes.iter().enumerate() {
+            let spec = spec_of(shape);
+            let run = if chaos.is_some() {
+                // Alternate what recovery may give up, so one storm runs both
+                // ladder orders: exact (full restore first, partial only at
+                // zero divergence) and approximate (partial subgraph restart
+                // first, bounded divergence accepted).
+                let mode = if i % 2 == 0 {
+                    RecoveryMode::Exact
+                } else {
+                    RecoveryMode::Approximate {
+                        max_divergence: 256,
+                    }
+                };
+                let checkpoints = CheckpointPolicy {
+                    every_n_inputs: (shape.inputs / 6).max(16),
+                    max_snapshots: 4,
+                };
+                let policy = RecoveryPolicy {
+                    max_attempts: 12,
+                    initial_backoff: Duration::from_millis(1),
+                    max_backoff: Duration::from_millis(20),
+                    mode,
+                    ..RecoveryPolicy::default()
+                };
+                let ladder = move || svc.run_recoverable(&spec, &checkpoints, &policy);
+                Run::Chaos(mode, scope.spawn(ladder))
+            } else if let Some(actual) = &shape.actual_periods {
+                let spec = spec.with_actual_filters(FilterSpec::PerNode(actual.clone()));
+                match svc.submit(spec.clone()) {
+                    Ok(t) => {
+                        Run::Supervised(scope.spawn(move || svc.supervise(&spec, t, drift_policy)))
+                    }
+                    Err(reason) => Run::Rejected(reason),
                 }
-                Err(reason) => {
-                    rejected_other += 1;
-                    eprintln!("storm: {} rejected: {reason}", shape.label);
-                }
-            }
-            continue;
-        }
-        match svc.submit(spec_of(shape)) {
-            Ok(t) => {
-                let i = tickets.len();
-                if kill_rate > 0.0
-                    && (mix(seed ^ 0xD1E ^ i as u64) as f64) < kill_rate * u64::MAX as f64
-                {
-                    match svc.checkpoint_job(&t) {
-                        Ok(snapshot) => {
-                            killed += 1;
-                            snapshots.push((i, snapshot));
+            } else {
+                match svc.submit(spec) {
+                    Ok(ticket) => {
+                        // Kill mode: a deterministic fraction of the admitted
+                        // jobs is snapshotted live right after admission,
+                        // while the pool churns through the rest of the
+                        // storm.  The originals run on to their verdicts.
+                        let pick = mix(seed ^ 0xD1E ^ admitted) as f64;
+                        admitted += 1;
+                        if kill_rate > 0.0 && pick < kill_rate * u64::MAX as f64 {
+                            match svc.checkpoint_job(&ticket) {
+                                Ok(snapshot) => snapshots.push((shape, snapshot)),
+                                Err(SnapshotError::Settled(_)) => outran += 1,
+                                Err(e) => {
+                                    failures.push(format!("{}: checkpoint: {e}", shape.label))
+                                }
+                            }
                         }
-                        Err(fila::runtime::SnapshotError::Settled(_)) => outran += 1,
-                        Err(e) => {
-                            mismatched += 1;
-                            eprintln!("storm: {} checkpoint failed: {e}", shape.label);
+                        Run::Submitted(ticket)
+                    }
+                    Err(reason) => Run::Rejected(reason),
+                }
+            };
+            runs.push((shape, run));
+        }
+
+        // Settle every job.  A plain job and a resumed snapshot must be their
+        // reference exactly (a consistent cut loses nothing); a swapped
+        // drifter its reference's data under a plan for the profile the
+        // detector observed (quarantine certifies at four times the
+        // budget); a chaos recovery its reference within the divergence it
+        // reported.
+        for (shape, run) in runs {
+            let declared = || reference(shape, shape.avoidance, &shape.periods, cycle_bound);
+            let observed = |swap: &SwapReport, budget| {
+                reference(shape, Some(swap.algorithm), &swap.observed_periods, budget)
+            };
+            let unplannable = shape.kind == JobKind::Unplannable;
+            match run {
+                Run::Rejected(RejectReason::Unplannable(_)) if unplannable => {}
+                Run::Rejected(reason) => {
+                    failures.push(format!("{}: rejected: {reason}", shape.label))
+                }
+                Run::Submitted(ticket) => {
+                    settled.push((shape, "original", ticket.wait(), declared(), Bound::Exact));
+                }
+                Run::Supervised(handle) => match handle.join().expect("supervisors do not panic") {
+                    AdaptiveOutcome::Settled(outcome) => {
+                        drift_settled += 1;
+                        settled.push((shape, "unswapped", outcome, declared(), Bound::Exact));
+                    }
+                    AdaptiveOutcome::HotSwapped { outcome, swap } => {
+                        hot_swapped += 1;
+                        let reference = observed(&swap, cycle_bound);
+                        settled.push((shape, "hot-swapped", outcome, reference, Bound::Data(0)));
+                    }
+                    AdaptiveOutcome::Replanned { outcome, swap } => {
+                        replanned += 1;
+                        let reference = observed(&swap, cycle_bound.saturating_mul(4));
+                        settled.push((shape, "replanned", outcome, reference, Bound::Data(0)));
+                    }
+                    AdaptiveOutcome::DriftCancelled { offenders, .. } => {
+                        drift_cancelled += 1;
+                        if offenders.is_empty() {
+                            failures.push(format!("{}: cancelled without offenders", shape.label));
                         }
                     }
-                }
-                tickets.push((shape, t));
-            }
-            Err(RejectReason::Unplannable(_)) => {
-                rejected_unplannable += 1;
-                assert!(
-                    shape.kind == JobKind::Unplannable,
-                    "only Unplannable shapes may be rejected as unplannable, got {}",
-                    shape.label
-                );
-            }
-            Err(other) => {
-                rejected_other += 1;
-                eprintln!("storm: {} rejected: {other}", shape.label);
-            }
-        }
-    }
-    let mut completed = 0u64;
-    let mut deadlocked = 0u64;
-    let mut fell_back = 0u64;
-    let mut other = 0u64;
-    let mut outcomes = Vec::with_capacity(tickets.len());
-    for (shape, ticket) in &tickets {
-        let outcome = ticket.wait();
-        if outcome.fell_back {
-            fell_back += 1;
-        }
-        match outcome.verdict {
-            JobVerdict::Completed => completed += 1,
-            JobVerdict::Deadlocked => {
-                deadlocked += 1;
-                assert!(
-                    shape.kind == JobKind::Deadlocker,
-                    "only Deadlocker shapes may deadlock, got {}",
-                    shape.label
-                );
-            }
-            _ => other += 1,
-        }
-        outcomes.push(outcome);
-    }
-    // Restore every snapshot and pin the resumed run to its reference:
-    // same verdict, same cumulative per-edge counts, same sink firings.
-    let mut restored = 0u64;
-    for (i, snapshot) in &snapshots {
-        let (shape, _) = &tickets[*i];
-        let original = &outcomes[*i];
-        match svc.resume_job(spec_of(shape), snapshot) {
-            Ok(ticket) => {
-                let resumed = ticket.wait();
-                if resumed.verdict == original.verdict
-                    && resumed.report.per_edge_data == original.report.per_edge_data
-                    && resumed.report.per_edge_dummies == original.report.per_edge_dummies
-                    && resumed.report.sink_firings == original.report.sink_firings
-                {
-                    restored += 1;
-                } else {
-                    mismatched += 1;
-                    eprintln!(
-                        "storm: {} resumed run diverged from its reference \
-                         ({:?} vs {:?})",
-                        shape.label, resumed.verdict, original.verdict
-                    );
-                }
-            }
-            Err(e) => {
-                mismatched += 1;
-                eprintln!("storm: {} resume rejected: {e}", shape.label);
+                },
+                Run::Chaos(mode, ladder) => match ladder.join().expect("ladders do not panic") {
+                    Err(RejectReason::Unplannable(_)) if unplannable => {}
+                    Err(reason) => failures.push(format!("{}: rejected: {reason}", shape.label)),
+                    Ok(RecoveryOutcome::Uninterrupted(outcome)) => {
+                        uninterrupted += 1;
+                        settled.push((shape, "uninterrupted", outcome, declared(), Bound::Exact));
+                    }
+                    Ok(RecoveryOutcome::Recovered { outcome, report }) => {
+                        recovered += 1;
+                        crashes += u64::from(report.crashes);
+                        partial_restarts += u64::from(report.partial_restart);
+                        midbarrier_partial_restarts +=
+                            u64::from(report.partial_restart && report.midbarrier_crash);
+                        genesis_restarts += u64::from(report.genesis_restart);
+                        // An exact-mode ladder (and any zero-divergence
+                        // recovery) loses nothing; an approximate splice may
+                        // trail the reference by what it reported losing.
+                        let bound = match mode {
+                            RecoveryMode::Exact => 0,
+                            RecoveryMode::Approximate { .. } => report.divergence,
+                        };
+                        approx_divergent += u64::from(bound > 0);
+                        let bound = Bound::Data(bound);
+                        settled.push((shape, "recovered", outcome, declared(), bound));
+                    }
+                    Ok(RecoveryOutcome::Exhausted { report, last_error }) => {
+                        exhausted += 1;
+                        failures.push(format!(
+                            "{}: recovery exhausted after {} attempts: {last_error}",
+                            shape.label, report.attempts
+                        ));
+                    }
+                },
             }
         }
-    }
-    // Join the supervisors and pin every swapped job to its reference: a
-    // hot-swapped (or replanned) run must complete with exactly the
-    // per-edge data counts and sink firings of an uninterrupted run of
-    // its *observed* profile under the swapped-in plan — data counts are
-    // a property of the Kahn network, not of the protecting plan or of
-    // where the migration cut fell.
-    let mut drifting = 0u64;
-    let mut hot_swapped = 0u64;
-    let mut replanned = 0u64;
-    let mut drift_cancelled = 0u64;
-    let mut drift_settled = 0u64;
-    let swap_matches_reference =
-        |shape: &JobShape, outcome: &fila_service::JobOutcome, swap: &SwapReport| -> bool {
-            let reference = Planner::new(&shape.graph)
-                .algorithm(swap.algorithm)
-                .certify(&swap.observed_periods)
-                .ok()
-                .map(|c| {
-                    Simulator::new(&shape.executed_program())
-                        .with_plan(&c.plan)
-                        .run(shape.inputs)
-                });
-            outcome.verdict == JobVerdict::Completed
-                && reference.as_ref().is_some_and(|r| {
-                    r.completed
-                        && r.per_edge_data == outcome.report.per_edge_data
-                        && r.sink_firings == outcome.report.sink_firings
-                })
-        };
-    for (shape, handle) in supervisions {
-        drifting += 1;
-        match handle.join().expect("supervisor threads do not panic") {
-            AdaptiveOutcome::Settled(outcome) => {
-                drift_settled += 1;
-                if outcome.verdict != JobVerdict::Completed {
-                    other += 1;
-                    eprintln!(
-                        "storm: {} settled {:?} before the ladder could act",
-                        shape.label, outcome.verdict
-                    );
+        // Resume every snapshot, now that the originals have settled.
+        for (shape, snapshot) in &snapshots {
+            match svc.resume_job(spec_of(shape), snapshot) {
+                Ok(ticket) => {
+                    let declared = reference(shape, shape.avoidance, &shape.periods, cycle_bound);
+                    settled.push((*shape, "resumed", ticket.wait(), declared, Bound::Exact));
                 }
-            }
-            AdaptiveOutcome::HotSwapped { outcome, swap } => {
-                hot_swapped += 1;
-                if !swap_matches_reference(shape, &outcome, &swap) {
-                    mismatched += 1;
-                    eprintln!(
-                        "storm: {} hot-swapped run diverged from its \
-                         observed-profile reference ({:?})",
-                        shape.label, outcome.verdict
-                    );
-                }
-            }
-            AdaptiveOutcome::Replanned { outcome, swap } => {
-                replanned += 1;
-                if !swap_matches_reference(shape, &outcome, &swap) {
-                    mismatched += 1;
-                    eprintln!(
-                        "storm: {} replanned run diverged from its \
-                         observed-profile reference ({:?})",
-                        shape.label, outcome.verdict
-                    );
-                }
-            }
-            AdaptiveOutcome::DriftCancelled { offenders, .. } => {
-                drift_cancelled += 1;
-                if offenders.is_empty() {
-                    mismatched += 1;
-                    eprintln!("storm: {} drift-cancelled without offenders", shape.label);
-                }
+                Err(e) => failures.push(format!("{}: resume: {e}", shape.label)),
             }
         }
-    }
+    });
     let wall = started.elapsed();
     let stats = svc.stats();
+
+    // Admissions of the declared profile that ran planned, and that fell back.
+    let (mut planned, mut fell_back) = (0u64, 0u64);
+    let (runs, captured) = (settled.len(), snapshots.len());
+    for (shape, run, outcome, reference, bound) in settled {
+        if matches!(bound, Bound::Exact) && shape.avoidance.is_some() {
+            planned += 1;
+            fell_back += u64::from(outcome.fell_back);
+        }
+        if let Err(why) = check(shape, &outcome, reference, bound) {
+            failures.push(format!("{} {run}: {why}", shape.label));
+        }
+    }
+    if chaos.is_none() {
+        // The mix exercises every admission path: its unplannable shapes
+        // are rejected, its deadlockers deadlock, its interior-filtered
+        // shapes fall back.
+        let has = |kind| shapes.iter().any(|s| s.kind == kind);
+        let totals = [
+            (JobKind::Unplannable, "rejected", stats.rejected_unplannable),
+            (JobKind::Deadlocker, "deadlocked", stats.deadlocked),
+            (JobKind::InteriorFiltered, "fell back", stats.fell_back),
+        ];
+        for (kind, what, total) in totals {
+            if has(kind) && total == 0 {
+                failures.push(format!("storm: no job {what}"));
+            }
+        }
+    }
+    if chaos.is_none()
+        && drift_rate == 0.0
+        && (stats.certified, stats.fell_back) != (planned, fell_back)
+    {
+        failures.push(format!(
+            "storm: {} certified ({} fell back), {planned} ran planned ({fell_back} fell back)",
+            stats.certified, stats.fell_back
+        ));
+    }
+
     eprintln!(
-        "storm: {jobs} jobs in {wall:.2?} — {completed} completed, {deadlocked} deadlocked, \
-         {rejected_unplannable} rejected unplannable, {rejected_other} rejected other, {other} other; \
-         {} certified ({fell_back} via fallback); \
-         cache {:.0}% hits ({} plans for {} planned jobs), cert cache {:.0}% hits",
+        "storm: {jobs} jobs in {wall:.2?} — {} completed, {} deadlocked, {} rejected unplannable; \
+         {} certified ({} via fallback); cert cache {:.0}% hits; \
+         {} runs checked against their Simulator reference, {} failures",
+        stats.completed,
+        stats.deadlocked,
+        stats.rejected_unplannable,
         stats.certified,
-        stats.cache_hit_rate() * 100.0,
-        stats.plan_cache_misses,
-        stats.plan_cache_hits + stats.plan_cache_misses,
+        stats.fell_back,
         stats.cert_cache_hit_rate() * 100.0,
+        runs,
+        failures.len(),
     );
-    if kill_rate > 0.0 {
+    if kill_rate > 0.0 && chaos.is_none() {
         eprintln!(
-            "storm kill/restore: {killed} snapshots captured, {outran} settled before \
-             their checkpoint, {restored} restored with identical outcomes, \
-             {mismatched} mismatched"
+            "storm kill/restore: {captured} snapshots captured and resumed, {outran} settled \
+             before their checkpoint"
         );
     }
     if drift_rate > 0.0 {
         eprintln!(
-            "storm drift: {drifting} drifting tenants — {hot_swapped} hot-swapped, \
+            "storm drift: {} drifting tenants — {hot_swapped} hot-swapped, \
              {replanned} replanned, {drift_cancelled} drift-cancelled, \
-             {drift_settled} settled untouched"
+             {drift_settled} settled untouched",
+            hot_swapped + replanned + drift_cancelled + drift_settled
         );
     }
-    let healthy = rejected_other == 0 && other == 0 && mismatched == 0;
+    if let Some(chaos_seed) = chaos {
+        eprintln!(
+            "storm chaos: seed={chaos_seed} arm-rate={arm_rate} — {jobs} jobs in {wall:.2?}: \
+             uninterrupted={uninterrupted} recovered={recovered} crashes={crashes} \
+             partial_restarts={partial_restarts} \
+             midbarrier_partial_restarts={midbarrier_partial_restarts} \
+             genesis_restarts={genesis_restarts} approx_divergent={approx_divergent} \
+             exhausted={exhausted} rejected_unplannable={} mismatched={}",
+            stats.rejected_unplannable,
+            failures.len() as u64 - exhausted,
+        );
+    }
+    for failure in &failures {
+        eprintln!("storm: FAILED {failure}");
+    }
     finish_storm(
-        svc,
+        &svc,
         &stats,
         json_path.as_deref(),
         trace_path.as_deref(),
         metrics,
-        healthy,
+        failures.is_empty(),
     )
-    })
 }
 
-/// The tail both storm modes end with: the stats JSON on stdout and in
+/// The tail of every storm: the stats JSON on stdout and in
 /// `json_path`, the Chrome trace in `trace_path`, the Prometheus text
 /// metrics on stderr (stdout stays reserved for the stats JSON), and the
 /// exit code — success only for a `healthy` run and no I/O failure.
@@ -797,20 +811,17 @@ fn finish_storm(
     trace_path: Option<&str>,
     metrics: bool,
     healthy: bool,
-) -> ExitCode {
+) -> Result<ExitCode, String> {
     let json = stats.to_json();
     println!("{json}");
     if let Some(path) = json_path {
-        if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-            return fail(&format!("cannot write {path}: {e}"));
-        }
+        std::fs::write(path, format!("{json}\n"))
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
     }
     if let Some(path) = trace_path {
         let telemetry = svc.telemetry().expect("--trace switches the recorder on");
         let trace = telemetry.chrome_trace();
-        if let Err(e) = std::fs::write(path, trace) {
-            return fail(&format!("cannot write {path}: {e}"));
-        }
+        std::fs::write(path, trace).map_err(|e| format!("cannot write {path}: {e}"))?;
         let dropped = telemetry.dropped();
         if dropped > 0 {
             eprintln!("storm: flight recorder dropped {dropped} events (full rings)");
@@ -820,262 +831,127 @@ fn finish_storm(
         let m = svc.metrics().expect("--metrics switches the recorder on");
         let telemetry = svc.telemetry().expect("--metrics switches the recorder on");
         m.ingest(&telemetry.drain_new());
-        eprint!("{}{}{}", m.prometheus(), sched_prometheus(telemetry), certify_prometheus());
+        eprint!(
+            "{}{}{}",
+            m.prometheus(),
+            sched_prometheus(telemetry),
+            certify_prometheus()
+        );
     }
-    if healthy {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(ExitCode::from(u8::from(!healthy)))
 }
 
-// -------------------------------------------------------- chaos storm ----
+/// A storm run's reference report, and the protocol and fallback decision
+/// of the plan it ran under (`None`: bare).
+type Reference = (ExecutionReport, Option<(Algorithm, bool)>);
 
-/// `fila storm --chaos SEED`: the same mixed workload, but the pool itself
-/// is armed with a deterministic seeded [`FaultPlan`] and every job runs
-/// under the supervised recovery ladder of
-/// [`JobService::run_recoverable`].  Every outcome — uninterrupted or
-/// recovered — is cross-checked against an uninterrupted [`Simulator`]
-/// reference run of the same shape: exact-mode recoveries must reproduce
-/// the reference verdict, per-edge data counts, and sink firings
-/// bit-exactly; approximate recoveries may trail each count by at most
-/// the divergence the splice accepted.
-#[allow(clippy::too_many_arguments)]
-fn cmd_storm_chaos(
-    jobs: usize,
-    seed: u64,
-    chaos_seed: u64,
-    arm_rate: f64,
-    workers: usize,
-    json_path: Option<String>,
-    trace_path: Option<String>,
-    metrics: bool,
-) -> ExitCode {
-    // Injected fault panics are part of the experiment: silence their
-    // default-hook stack traces so the storm output stays readable, but
-    // keep the hook for any *real* panic.
-    let previous_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .map(|s| s.starts_with("injected:"))
-            .unwrap_or(false);
-        if !injected {
-            previous_hook(info);
-        }
-    }));
-
-    let shapes = job_mix_with_drift(seed, jobs, 0.0);
-    let faults = Arc::new(FaultPlan::seeded(chaos_seed).kill_rate(arm_rate));
-    let svc = JobService::new(ServiceConfig {
-        workers,
-        max_in_flight: jobs,
-        faults: Some(faults),
-        telemetry: trace_path.is_some() || metrics,
-        ..ServiceConfig::default()
-    });
-    let cycle_bound = svc.config().cycle_bound;
-    let started = Instant::now();
-
-    let mut uninterrupted = 0u64;
-    let mut recovered_jobs = 0u64;
-    let mut crashes = 0u64;
-    let mut partial_restarts = 0u64;
-    let mut midbarrier_partial_restarts = 0u64;
-    let mut genesis_restarts = 0u64;
-    let mut approx_divergent = 0u64;
-    let mut exhausted = 0u64;
-    let mut rejected_unplannable = 0u64;
-    let mut rejected_other = 0u64;
-    let mut mismatched = 0u64;
-
-    std::thread::scope(|scope| {
-        let svc = &svc;
-        let mut handles = Vec::new();
-        for (i, shape) in shapes.iter().enumerate() {
-            let spec = spec_of(shape);
-            // Alternate what recovery is allowed to give up, so one storm
-            // exercises both ladder orders: exact (full restore first,
-            // partial only at zero divergence) and approximate (partial
-            // subgraph restart first, bounded divergence accepted).
-            let mode = if i % 2 == 0 {
-                RecoveryMode::Exact
-            } else {
-                RecoveryMode::Approximate { max_divergence: 256 }
-            };
-            let checkpoints = CheckpointPolicy {
-                every_n_inputs: (shape.inputs / 6).max(16),
-                max_snapshots: 4,
-            };
-            let policy = RecoveryPolicy {
-                max_attempts: 12,
-                initial_backoff: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(20),
-                mode,
-                ..RecoveryPolicy::default()
-            };
-            handles.push((
-                shape,
-                mode,
-                scope.spawn(move || svc.run_recoverable(&spec, &checkpoints, &policy)),
-            ));
-        }
-        for (shape, mode, handle) in handles {
-            match handle.join().expect("recovery supervisors do not panic") {
-                Err(RejectReason::Unplannable(_)) => {
-                    rejected_unplannable += 1;
-                    assert!(
-                        shape.kind == JobKind::Unplannable,
-                        "only Unplannable shapes may be rejected as unplannable, got {}",
-                        shape.label
-                    );
-                }
-                Err(other) => {
-                    rejected_other += 1;
-                    eprintln!("storm: {} rejected: {other}", shape.label);
-                }
-                Ok(RecoveryOutcome::Uninterrupted(outcome)) => {
-                    uninterrupted += 1;
-                    if let Err(why) = chaos_matches_reference(shape, &outcome, 0, cycle_bound) {
-                        mismatched += 1;
-                        eprintln!(
-                            "storm: {} uninterrupted run diverged from its reference: {why}",
-                            shape.label
-                        );
-                    }
-                }
-                Ok(RecoveryOutcome::Recovered { outcome, report }) => {
-                    recovered_jobs += 1;
-                    crashes += u64::from(report.crashes);
-                    if report.partial_restart {
-                        partial_restarts += 1;
-                        if report.midbarrier_crash {
-                            midbarrier_partial_restarts += 1;
-                        }
-                    }
-                    if report.genesis_restart {
-                        genesis_restarts += 1;
-                    }
-                    // An exact-mode ladder (and any zero-divergence
-                    // recovery) must be bit-exact; an approximate splice
-                    // may trail the reference by what it reported losing.
-                    let bound = match mode {
-                        RecoveryMode::Exact => 0,
-                        RecoveryMode::Approximate { .. } => report.divergence,
-                    };
-                    if bound > 0 {
-                        approx_divergent += 1;
-                    }
-                    if let Err(why) = chaos_matches_reference(shape, &outcome, bound, cycle_bound) {
-                        mismatched += 1;
-                        eprintln!(
-                            "storm: {} recovered run ({} crashes, divergence {}) \
-                             diverged from its reference: {why}",
-                            shape.label, report.crashes, report.divergence
-                        );
-                    }
-                }
-                Ok(RecoveryOutcome::Exhausted { report, last_error }) => {
-                    exhausted += 1;
-                    eprintln!(
-                        "storm: {} recovery exhausted after {} attempts: {last_error}",
-                        shape.label, report.attempts
-                    );
-                }
-            }
-        }
-    });
-
-    let wall = started.elapsed();
-    let stats = svc.stats();
-    eprintln!(
-        "storm chaos: seed={chaos_seed} arm-rate={arm_rate} — {jobs} jobs in {wall:.2?}: \
-         uninterrupted={uninterrupted} recovered={recovered_jobs} crashes={crashes} \
-         partial_restarts={partial_restarts} \
-         midbarrier_partial_restarts={midbarrier_partial_restarts} \
-         genesis_restarts={genesis_restarts} approx_divergent={approx_divergent} \
-         exhausted={exhausted} rejected_unplannable={rejected_unplannable} \
-         rejected_other={rejected_other} mismatched={mismatched}"
-    );
-    let healthy = rejected_other == 0 && exhausted == 0 && mismatched == 0;
-    finish_storm(
-        &svc,
-        &stats,
-        json_path.as_deref(),
-        trace_path.as_deref(),
-        metrics,
-        healthy,
-    )
-}
-
-/// Pins a chaos-storm outcome to an uninterrupted [`Simulator`] reference
-/// run of the same shape.  `bound` is the tolerated per-edge data deficit
-/// (0 for exact-mode and uninterrupted runs); the sink-firing deficit is
-/// allowed `bound` per sink, since one lost frontier message suppresses at
-/// most one firing at each downstream sink.  Dummy counts are *not*
-/// compared: admission and the reference both walk the same certification
-/// chain (`walk_certification_chain`) against the declared profile, but a
-/// partial restart re-certifies against the *observed* profile and may
-/// land on another plan, whose dummies differ.
-fn chaos_matches_reference(
+/// A storm job's reference: its executed program on the [`Simulator`],
+/// under the plan [`Planner::certify`] picks for `periods` — the chain
+/// admission walks, fallback included, at the service's `cycle_bound` — or
+/// bare when `algorithm` is `None`.  Channels are bounded and blocking, so
+/// a job is a deterministic (Kahn) network and the pool must reproduce it.
+fn reference(
     shape: &JobShape,
-    outcome: &fila_service::JobOutcome,
-    bound: u64,
+    algorithm: Option<Algorithm>,
+    periods: &[u64],
     cycle_bound: usize,
-) -> Result<(), String> {
-    let Some(reference) = chaos_reference(shape, cycle_bound) else {
-        // No certifiable reference plan (the service admitted via a path
-        // the bare planner cannot reproduce): pin the verdict only.
-        return if outcome.verdict == JobVerdict::Completed {
-            Ok(())
-        } else {
-            Err(format!("no reference plan and verdict {:?}", outcome.verdict))
-        };
+) -> Result<Reference, String> {
+    let program = shape.executed_program();
+    let simulator = Simulator::new(&program);
+    let Some(algorithm) = algorithm else {
+        return Ok((simulator.run(shape.inputs), None));
     };
-    let expected = if reference.completed {
+    let certified = Planner::new(&shape.graph)
+        .algorithm(algorithm)
+        .cycle_bound(cycle_bound)
+        .certify(periods)
+        .map_err(|e| format!("no reference plan: {e}"))?;
+    let report = simulator.with_plan(&certified.plan).run(shape.inputs);
+    Ok((report, Some((certified.used, certified.fell_back))))
+}
+
+/// How closely a storm run must reproduce its [`reference`].
+#[derive(Clone, Copy)]
+enum Bound {
+    /// Verdict, protocol, fallback decision, sink firings and every
+    /// per-edge data and dummy count.
+    Exact,
+    /// The verdict; per-edge data may trail by this many messages, and sink
+    /// firings by as many per sink (a lost frontier message suppresses at
+    /// most one firing at each sink).  The run may have finished under a
+    /// plan certified for an observed profile, so neither its protocol nor
+    /// its dummies are compared.
+    Data(u64),
+}
+
+/// Checks a settled storm run against its reference within `bound`.  Only a
+/// [`JobKind::Deadlocker`] may deadlock, and an exactly checked
+/// [`JobKind::InteriorFiltered`] job must have fallen back to
+/// Non-Propagation.
+fn check(
+    shape: &JobShape,
+    outcome: &JobOutcome,
+    reference: Result<Reference, String>,
+    bound: Bound,
+) -> Result<(), String> {
+    let (want, protocol) = reference?;
+    let got = &outcome.report;
+    let flags = |r: &ExecutionReport| (r.completed, r.deadlocked);
+    let expected = if want.completed {
         JobVerdict::Completed
     } else {
         JobVerdict::Deadlocked
     };
-    if outcome.verdict != expected {
-        return Err(format!("verdict {:?}, reference {expected:?}", outcome.verdict));
+    if outcome.verdict != expected || flags(got) != flags(&want) {
+        return Err(format!(
+            "verdict {:?} {:?}, reference {expected:?} {:?} (completed, deadlocked)",
+            outcome.verdict,
+            flags(got),
+            flags(&want)
+        ));
     }
-    let got = &outcome.report.per_edge_data;
-    if got.len() != reference.per_edge_data.len() {
+    if outcome.verdict == JobVerdict::Deadlocked && shape.kind != JobKind::Deadlocker {
+        return Err("deadlocked, and only Deadlocker shapes may".into());
+    }
+    let (exact, slack) = match bound {
+        Bound::Exact => (true, 0),
+        Bound::Data(slack) => (false, slack),
+    };
+    let ran = outcome.algorithm.map(|a| (a, outcome.fell_back));
+    if exact && ran != protocol {
+        return Err(format!(
+            "ran under {ran:?}, the certification chain picks {protocol:?}"
+        ));
+    }
+    let fallback = Some((Algorithm::NonPropagation, true));
+    if exact && shape.kind == JobKind::InteriorFiltered && ran != fallback {
+        return Err(format!(
+            "ran under {ran:?}, not the Non-Propagation fallback"
+        ));
+    }
+    let edges = want.per_edge_data.len();
+    let dummies = want.per_edge_dummies.len();
+    if (got.per_edge_data.len(), got.per_edge_dummies.len()) != (edges, dummies) {
         return Err("per-edge count shapes disagree".into());
     }
-    for (e, (g, r)) in got.iter().zip(&reference.per_edge_data).enumerate() {
-        if g > r || r - g > bound {
-            return Err(format!("edge {e}: data {g} vs reference {r} (bound {bound})"));
+    for e in 0..edges {
+        let (g, r) = (got.per_edge_data[e], want.per_edge_data[e]);
+        if g > r || r - g > slack {
+            return Err(format!("edge {e}: data {g}, reference {r} (bound {slack})"));
+        }
+        let (g, r) = (got.per_edge_dummies[e], want.per_edge_dummies[e]);
+        if exact && g != r {
+            return Err(format!("edge {e}: dummies {g}, reference {r}"));
         }
     }
-    let sink_bound = bound.saturating_mul(shape.graph.sinks().len() as u64);
-    let (s, r) = (outcome.report.sink_firings, reference.sink_firings);
-    if s > r || r - s > sink_bound {
-        return Err(format!("sink firings {s} vs reference {r} (bound {sink_bound})"));
+    let sink_slack = slack.saturating_mul(shape.graph.sinks().len() as u64);
+    let (s, r) = (got.sink_firings, want.sink_firings);
+    if s > r || r - s > sink_slack {
+        return Err(format!(
+            "sink firings {s}, reference {r} (bound {sink_slack})"
+        ));
     }
     Ok(())
-}
-
-/// An uninterrupted reference run for a chaos-storm shape: planned shapes
-/// simulate under the plan [`Planner::certify`] accepts for the requested
-/// protocol — its chain already falls back to the other protocol, exactly
-/// like admission, under the service's `cycle_bound` — and bare shapes
-/// simulate unprotected: deadlockers deterministically reach their unique
-/// blocked quiescent state, so even their counts are pinnable.
-fn chaos_reference(shape: &JobShape, cycle_bound: usize) -> Option<ExecutionReport> {
-    let program = shape.executed_program();
-    let Some(requested) = shape.avoidance else {
-        return Some(Simulator::new(&program).run(shape.inputs));
-    };
-    let certified = Planner::new(&shape.graph)
-        .algorithm(requested)
-        .cycle_bound(cycle_bound)
-        .certify(&shape.periods)
-        .ok()?;
-    let simulator = Simulator::new(&program).with_plan(&certified.plan);
-    Some(simulator.run(shape.inputs))
 }
 
 /// splitmix64 finaliser — deterministic per-job kill selection.
@@ -1085,7 +961,103 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("fila: {msg}");
-    ExitCode::FAILURE
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_job_file_parses() {
+        let text = "# two jobs\njob a\n  inputs 8  # per source\n  algorithm none\n  \
+                    edge s t 2\n  filter s 3\nend\njob b\n  edge x y\nend\n";
+        let jobs = parse_job_file(text).unwrap();
+        let names: Vec<&str> = jobs.iter().map(|j| j.name.as_str()).collect();
+        assert_eq!(names, ["a", "b"]);
+    }
+
+    #[test]
+    fn every_error_names_its_line() {
+        let cases = [
+            ("job a\njob b\n", "line 2: nested `job`"),
+            ("edge a b\n", "line 1: directive outside a job block"),
+            (
+                "job a\n  speed 3\nend\n",
+                "line 2: unknown directive `speed`",
+            ),
+            (
+                "job a\n  algorithm fast\nend\n",
+                "line 2: unknown algorithm `fast`",
+            ),
+            (
+                "job a\n  inputs many\nend\n",
+                "line 2: invalid number `many`",
+            ),
+            ("job a\n  edge a b -1\nend\n", "line 2: invalid number `-1`"),
+            (
+                "job a\n  edge a\nend\n",
+                "line 2: edge needs <src> <dst> [capacity]",
+            ),
+            (
+                "job a\n  edge a b\n  filter a\nend\n",
+                "line 3: filter needs <node> <period>",
+            ),
+            ("job a\n\n  # none\nend\n", "line 4: job a: no edges"),
+            (
+                "job a\n  edge a b\n  filter c 2\nend\n",
+                "line 4: job a: filter on unknown node `c`",
+            ),
+            ("job a\n  edge a b\n", "unterminated job block"),
+        ];
+        for (text, expected) in cases {
+            match parse_job_file(text) {
+                Ok(_) => panic!("{text:?} parsed"),
+                Err(e) => assert!(e.starts_with(expected), "{text:?}: {e}"),
+            }
+        }
+    }
+
+    /// Seeded random files over the grammar's keywords, its arguments and
+    /// junk: the parser never panics, and every error starts with the line
+    /// it is about or names the unterminated block.
+    #[test]
+    fn random_job_files_never_panic() {
+        let keywords: Vec<&str> = "end end inputs algorithm capacity edge edge filter x job"
+            .split(' ')
+            .collect();
+        let words: Vec<&str> = "a b c a b 0 1 3 none propagation nonpropagation -2 1.5 # é job \
+                                18446744073709551615 18446744073709551616"
+            .split_whitespace()
+            .collect();
+        fn pick<'a>(r: u64, from: &[&'a str]) -> &'a str {
+            from[(r % from.len() as u64) as usize]
+        }
+        let mut jobs = 0;
+        for case in 0..20_000u64 {
+            let mut text = String::new();
+            for line in 0..mix(case) % 10 {
+                let r = mix(case << 16 ^ line);
+                // Most files open a block, so the directives are reached.
+                let opens = line == 0 && case % 8 != 0;
+                text += if opens { "job a" } else { pick(r, &keywords) };
+                for w in 0..(r >> 8) % 4 {
+                    text += " ";
+                    text += pick(mix(r ^ w), &words);
+                }
+                text += "\n";
+            }
+            match parse_job_file(&text) {
+                Ok(parsed) => jobs += parsed.len(),
+                Err(e) => {
+                    let line = e
+                        .strip_prefix("line ")
+                        .and_then(|rest| rest.split_once(':'));
+                    let names_line = line.is_some_and(|(n, _)| n.parse::<usize>().is_ok());
+                    assert!(
+                        names_line || e.starts_with("unterminated job block"),
+                        "{text:?}: {e}"
+                    );
+                }
+            }
+        }
+        assert!(jobs > 0, "no random file held a job");
+    }
 }
