@@ -11,9 +11,11 @@
 
 use std::collections::HashSet;
 
+use fila::avoidance::cs4::decompose_cs4;
+use fila::avoidance::ladder::Side;
 use fila::avoidance::{
-    Algorithm, Certification, CertifyError, GraphClass, GraphIdentity, ModelOutcome, PlanCache,
-    Planner, Rounding,
+    Algorithm, Certification, CertifyError, Cs4Segment, GraphClass, GraphIdentity,
+    LadderDecomposition, ModelOutcome, PlanCache, Planner, Rounding,
 };
 use fila::graph::{Graph, GraphBuilder};
 use fila::workloads::figures::{
@@ -33,6 +35,12 @@ const EXPECTED_DIGEST_BEFORE_DEEP: u64 = 0xebbd_a870_2c06_448b;
 
 /// The whole fold, `deep`'s truncated rejection included (since E31).
 const EXPECTED_DIGEST: u64 = 0xad2e_ac03_8308_54d8;
+
+/// The ladder witness: every ladder block's decomposition (or the error
+/// text) and both protocols' interval tables over [`ladder_corpus`].
+/// Recorded at the parent of E47, which replaced the ladder Non-Propagation
+/// loops and the decomposition's linear scans, before either was edited.
+const EXPECTED_LADDER_TABLES: u64 = 0x46b3_2594_2fe5_4f98;
 
 /// Small enough that an exhaustive fallback on a 40-edge SP DAG gives up
 /// (and is folded as the error it is) instead of enumerating for seconds.
@@ -71,6 +79,36 @@ impl Fnv {
         self.u64(u64::from(o.completed));
         self.u64(u64::from(o.deadlocked));
         self.u64(o.steps);
+    }
+
+    fn side(&mut self, side: Side) {
+        self.u64(match side {
+            Side::Left => 1,
+            Side::Right => 2,
+        });
+    }
+
+    fn ladder(&mut self, l: &LadderDecomposition) {
+        for path in [&l.left, &l.right] {
+            self.u64(path.len() as u64);
+            for v in path {
+                self.u64(v.index() as u64);
+            }
+        }
+        self.u64(l.rails.len() as u64);
+        for r in &l.rails {
+            self.u64(r.from.index() as u64);
+            self.u64(r.to.index() as u64);
+            self.side(r.side);
+            self.u64(r.comp.index() as u64);
+        }
+        self.u64(l.rungs.len() as u64);
+        for r in &l.rungs {
+            self.u64(r.tail.index() as u64);
+            self.u64(r.head.index() as u64);
+            self.side(r.tail_side);
+            self.u64(r.comp.index() as u64);
+        }
     }
 
     fn certification(&mut self, c: &Certification) {
@@ -319,4 +357,109 @@ fn planning_and_certification_digest_is_unchanged() {
         (plan_hits, plan_misses, cert_hits, cert_misses)
     );
     assert_eq!(digest.0, EXPECTED_DIGEST, "digest is {:#018x}", digest.0);
+}
+
+/// `random_ladder` at every third rung count from 9 to 63, rotating through
+/// three reverse probabilities and four capacity ranges (up to 2^44, so that
+/// intervals stay above 1 over many hops), each also with a diagonal
+/// cross-link `u_i -> v_{i+1}` at every other rung (a fork with three
+/// outgoing constituents); plus hand-built graphs whose ladder blocks the
+/// decomposition rejects.
+fn ladder_corpus() -> Vec<Graph> {
+    const CAPACITIES: [(u64, u64); 4] =
+        [(1, 8), (1, 1 << 20), (1 << 20, 1 << 21), (1 << 40, 1 << 44)];
+    const REVERSE: [f64; 3] = [0.0, 0.3, 0.5];
+    let mut graphs = Vec::new();
+    for (i, rungs) in (9..=64usize).step_by(3).enumerate() {
+        let g = random_ladder(&LadderConfig {
+            rungs,
+            capacity_range: CAPACITIES[i % CAPACITIES.len()],
+            reverse_probability: REVERSE[i % REVERSE.len()],
+            seed: i as u64,
+        });
+        graphs.push(g.clone());
+        if rungs > 36 {
+            continue;
+        }
+        // The same ladder with capacities spread over 2^0..2^59, so that
+        // near and far escapes bound different edges.
+        let spread = |e| 1 << (g.capacity(e) % 60);
+        let mut b = GraphBuilder::new();
+        let name = |n| g.node(n).name.as_str();
+        for (e, _) in g.edges() {
+            b.edge_with_capacity(name(g.tail(e)), name(g.head(e)), spread(e))
+                .unwrap();
+        }
+        for k in (1..rungs).step_by(2) {
+            let rail = g.edge_by_names(&format!("u{k}"), &format!("u{}", k + 1)).unwrap();
+            b.edge_with_capacity(&format!("u{k}"), &format!("v{}", k + 1), spread(rail))
+                .unwrap();
+        }
+        graphs.push(b.build().unwrap());
+    }
+    let hand_built: [&[(&str, &str)]; 4] = [
+        // Crossing cross-links.
+        &[
+            ("x", "u1"), ("u1", "u2"), ("u2", "y"),
+            ("x", "v1"), ("v1", "v2"), ("v2", "y"),
+            ("u1", "v2"), ("u2", "v1"),
+        ],
+        // A chord spanning a fork vertex on one side.
+        &[
+            ("x", "u1"), ("u1", "u2"), ("u2", "u3"), ("u3", "y"),
+            ("x", "v1"), ("v1", "y"),
+            ("u2", "v1"), ("u1", "u3"),
+        ],
+        // Three rails out of the source.
+        &[
+            ("x", "a"), ("x", "b"), ("x", "c"),
+            ("a", "y"), ("b", "y"), ("c", "y"),
+            ("a", "b"), ("b", "c"),
+        ],
+        // A chord into the sink spanning a fork vertex.
+        &[
+            ("x", "u1"), ("u1", "u2"), ("u2", "y"),
+            ("x", "v1"), ("v1", "v2"), ("v2", "y"),
+            ("u1", "v1"), ("u2", "v2"), ("u1", "y"),
+        ],
+    ];
+    for edges in hand_built {
+        let mut b = GraphBuilder::new();
+        for (i, &(s, t)) in edges.iter().enumerate() {
+            b.edge_with_capacity(s, t, 1 + i as u64 % 3).unwrap();
+        }
+        graphs.push(b.build().unwrap());
+    }
+    graphs.push(fig4_butterfly(2));
+    graphs
+}
+
+#[test]
+fn ladder_tables_and_decompositions_are_unchanged() {
+    let mut digest = Fnv::new();
+    for g in ladder_corpus() {
+        match decompose_cs4(&g) {
+            Ok(d) => {
+                digest.u64(d.segments.len() as u64);
+                for segment in &d.segments {
+                    if let Cs4Segment::Ladder(l) = segment {
+                        digest.ladder(l);
+                    }
+                }
+            }
+            Err(e) => digest.str(&e.to_string()),
+        }
+        for algorithm in ALGORITHMS {
+            digest.algorithm(algorithm);
+            match Planner::new(&g).algorithm(algorithm).cycle_bound(CYCLE_BOUND).plan() {
+                Ok(plan) => {
+                    for (_, interval) in plan.intervals().iter() {
+                        digest.u64(interval.finite().unwrap_or(u64::MAX));
+                    }
+                }
+                Err(e) => digest.str(&e.to_string()),
+            }
+        }
+    }
+    assert_eq!(digest.0, EXPECTED_LADDER_TABLES, "digest is {:#018x}", digest.0);
 }
