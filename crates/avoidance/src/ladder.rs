@@ -23,8 +23,6 @@
 //! side).  Rejected graphs fall back to the exhaustive general-DAG
 //! algorithm, which is conservative but always available.
 
-use std::collections::HashMap;
-
 use fila_graph::{GraphError, NodeId, Result};
 use fila_spdag::{CompId, VirtualEdge};
 
@@ -105,21 +103,6 @@ impl LadderDecomposition {
             None
         }
     }
-
-    /// Position of a vertex along its outer path (0 = the source `X`).
-    pub fn position(&self, v: NodeId) -> Option<(Side, usize)> {
-        if let Some(i) = self.left.iter().position(|&x| x == v) {
-            if v != self.source && v != self.sink {
-                return Some((Side::Left, i));
-            }
-        }
-        if let Some(i) = self.right.iter().position(|&x| x == v) {
-            if v != self.source && v != self.sink {
-                return Some((Side::Right, i));
-            }
-        }
-        None
-    }
 }
 
 /// Maximum number of backtracking steps the side-assignment search may take
@@ -142,22 +125,29 @@ pub fn decompose_ladder(topo_pos: &[usize], block: &[VirtualEdge]) -> Result<Lad
             "a ladder block needs at least three skeleton edges".into(),
         ));
     }
-    // Collect vertices and their block-local degrees.
-    let mut verts: Vec<NodeId> = Vec::new();
-    let add = |v: NodeId, verts: &mut Vec<NodeId>| {
-        if !verts.contains(&v) {
-            verts.push(v);
-        }
-    };
+    // Block-local ids (a vertex's rank in `verts`), out-degrees and
+    // in-neighbour lists in block order.
+    let mut verts: Vec<NodeId> = block.iter().flat_map(|ve| [ve.src, ve.dst]).collect();
+    verts.sort_unstable();
+    verts.dedup();
+    let id = |v: NodeId| local_id(&verts, v);
+    let mut out_deg = vec![0usize; verts.len()];
+    let mut preds: Vec<Vec<NodeId>> = vec![Vec::new(); verts.len()];
     for ve in block {
-        add(ve.src, &mut verts);
-        add(ve.dst, &mut verts);
+        out_deg[id(ve.src)] += 1;
+        preds[id(ve.dst)].push(ve.src);
     }
-    let in_deg = |v: NodeId| block.iter().filter(|ve| ve.dst == v).count();
-    let out_deg = |v: NodeId| block.iter().filter(|ve| ve.src == v).count();
 
-    let sources: Vec<NodeId> = verts.iter().copied().filter(|&v| in_deg(v) == 0).collect();
-    let sinks: Vec<NodeId> = verts.iter().copied().filter(|&v| out_deg(v) == 0).collect();
+    let sources: Vec<NodeId> = verts
+        .iter()
+        .copied()
+        .filter(|&v| preds[id(v)].is_empty())
+        .collect();
+    let sinks: Vec<NodeId> = verts
+        .iter()
+        .copied()
+        .filter(|&v| out_deg[id(v)] == 0)
+        .collect();
     let [source] = sources.as_slice() else {
         return Err(GraphError::Structure(format!(
             "ladder block must have one source, found {}",
@@ -171,12 +161,12 @@ pub fn decompose_ladder(topo_pos: &[usize], block: &[VirtualEdge]) -> Result<Lad
         )));
     };
     let (source, sink) = (*source, *sink);
-    if out_deg(source) != 2 {
+    if out_deg[id(source)] != 2 {
         return Err(GraphError::Structure(
             "ladder source must have exactly two outgoing skeleton edges".into(),
         ));
     }
-    if in_deg(sink) != 2 {
+    if preds[id(sink)].len() != 2 {
         return Err(GraphError::Structure(
             "ladder sink must have exactly two incoming skeleton edges".into(),
         ));
@@ -195,20 +185,14 @@ pub fn decompose_ladder(topo_pos: &[usize], block: &[VirtualEdge]) -> Result<Lad
         ));
     }
 
-    // In-neighbour lists within the block.
-    let mut preds: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    for ve in block {
-        preds.entry(ve.dst).or_default().push(ve.src);
-    }
-
     let mut search = Search {
-        block,
+        verts: &verts,
         preds: &preds,
         source,
         sink,
         internal: &internal,
         steps: 0,
-        sides: HashMap::new(),
+        sides: vec![None; verts.len()],
     };
     if !search.assign(0, source, source) {
         return Err(GraphError::Structure(
@@ -217,32 +201,43 @@ pub fn decompose_ladder(topo_pos: &[usize], block: &[VirtualEdge]) -> Result<Lad
     }
     let sides = search.sides;
 
-    // Build the ordered outer paths.
-    let mut left: Vec<NodeId> = vec![source];
-    let mut right: Vec<NodeId> = vec![source];
+    // Build the ordered outer paths, and each vertex's position along each
+    // (the source and the sink lie on both).
+    let mut paths = [vec![source], vec![source]];
+    let mut pos = [vec![None; verts.len()], vec![None; verts.len()]];
     for &v in &internal {
-        match sides[&v] {
-            Side::Left => left.push(v),
-            Side::Right => right.push(v),
-        }
+        let side = sides[id(v)].expect("every internal vertex has a side") as usize;
+        pos[side][id(v)] = Some(paths[side].len());
+        paths[side].push(v);
     }
-    left.push(sink);
-    right.push(sink);
+    for (path, pos) in paths.iter_mut().zip(&mut pos) {
+        pos[id(source)] = Some(0);
+        pos[id(sink)] = Some(path.len());
+        path.push(sink);
+    }
 
-    // Classify edges into rails and rungs.
-    let on_path = |path: &[NodeId], a: NodeId, b: NodeId| {
-        path.windows(2).any(|w| w[0] == a && w[1] == b)
-    };
+    // Classify edges into rails and rungs, counting the rails of each
+    // segment of each path.
+    let mut covered = paths.clone().map(|path| vec![0usize; path.len() - 1]);
     let mut rails = Vec::new();
     let mut rungs = Vec::new();
     for ve in block {
-        if on_path(&left, ve.src, ve.dst) {
-            rails.push(Rail { from: ve.src, to: ve.dst, side: Side::Left, comp: ve.comp });
-        } else if on_path(&right, ve.src, ve.dst) {
-            rails.push(Rail { from: ve.src, to: ve.dst, side: Side::Right, comp: ve.comp });
+        let (s, t) = (id(ve.src), id(ve.dst));
+        let rail = [Side::Left, Side::Right].into_iter().find_map(|side| {
+            let p = &pos[side as usize];
+            p[s].filter(|&i| p[t] == Some(i + 1)).map(|i| (side, i))
+        });
+        if let Some((side, segment)) = rail {
+            covered[side as usize][segment] += 1;
+            rails.push(Rail {
+                from: ve.src,
+                to: ve.dst,
+                side,
+                comp: ve.comp,
+            });
         } else {
             // Must be a cross-link between internal vertices of opposite sides.
-            let (Some(&ts), Some(&hs)) = (sides.get(&ve.src), sides.get(&ve.dst)) else {
+            let (Some(ts), Some(hs)) = (sides[s], sides[t]) else {
                 return Err(GraphError::Structure(
                     "chord graph attached to the ladder source or sink is not supported".into(),
                 ));
@@ -252,7 +247,12 @@ pub fn decompose_ladder(topo_pos: &[usize], block: &[VirtualEdge]) -> Result<Lad
                     "chord graph spanning fork vertices on one side is not supported".into(),
                 ));
             }
-            rungs.push(Rung { tail: ve.src, head: ve.dst, tail_side: ts, comp: ve.comp });
+            rungs.push(Rung {
+                tail: ve.src,
+                head: ve.dst,
+                tail_side: ts,
+                comp: ve.comp,
+            });
         }
     }
     if rungs.is_empty() {
@@ -263,65 +263,68 @@ pub fn decompose_ladder(topo_pos: &[usize], block: &[VirtualEdge]) -> Result<Lad
 
     // Verify the rails really form the two paths (every consecutive pair is
     // connected by exactly one rail).
-    for path in [&left, &right] {
-        for w in path.windows(2) {
-            let count = rails
-                .iter()
-                .filter(|r| r.from == w[0] && r.to == w[1])
-                .count();
-            if count != 1 {
-                return Err(GraphError::Structure(
-                    "outer path is not covered by exactly one rail per segment".into(),
-                ));
-            }
+    if covered.iter().flatten().any(|&count| count != 1) {
+        return Err(GraphError::Structure(
+            "outer path is not covered by exactly one rail per segment".into(),
+        ));
+    }
+
+    // Non-crossing check (crossing chords imply a K4 subdivision, i.e. the
+    // graph is not CS4; Lemma V.6): sorted by their left endpoints, no rung
+    // may land on the right above a rung that leaves strictly higher left.
+    let mut ends: Vec<(usize, usize)> = rungs
+        .iter()
+        .map(|r| {
+            let (left, right) = match r.tail_side {
+                Side::Left => (r.tail, r.head),
+                Side::Right => (r.head, r.tail),
+            };
+            let ends = pos[0][id(left)].zip(pos[1][id(right)]);
+            ends.expect("a rung joins internal vertices of opposite sides")
+        })
+        .collect();
+    ends.sort_unstable();
+    let mut higher = 0;
+    for (i, &(l, r)) in ends.iter().enumerate() {
+        if i > 0 && ends[i - 1].0 < l {
+            higher = higher.max(ends[i - 1].1);
+        }
+        if r < higher {
+            return Err(GraphError::Structure(
+                "cross-links cross; the graph is not CS4".into(),
+            ));
         }
     }
 
-    let decomposition = LadderDecomposition {
+    let [left, right] = paths;
+    Ok(LadderDecomposition {
         source,
         sink,
         left,
         right,
         rails,
         rungs,
-    };
-
-    // Non-crossing check (crossing chords imply a K4 subdivision, i.e. the
-    // graph is not CS4; Lemma V.6).
-    let pos = |v: NodeId| decomposition.position(v).expect("rung endpoints are internal");
-    for (i, a) in decomposition.rungs.iter().enumerate() {
-        let (la, ra) = oriented_positions(a, &pos);
-        for b in decomposition.rungs.iter().skip(i + 1) {
-            let (lb, rb) = oriented_positions(b, &pos);
-            if (la < lb && ra > rb) || (la > lb && ra < rb) {
-                return Err(GraphError::Structure(
-                    "cross-links cross; the graph is not CS4".into(),
-                ));
-            }
-        }
-    }
-
-    Ok(decomposition)
+    })
 }
 
-/// Returns the (left-position, right-position) pair of a rung's endpoints.
-fn oriented_positions(r: &Rung, pos: &impl Fn(NodeId) -> (Side, usize)) -> (usize, usize) {
-    let (tail_side, tail_pos) = pos(r.tail);
-    let (_, head_pos) = pos(r.head);
-    match tail_side {
-        Side::Left => (tail_pos, head_pos),
-        Side::Right => (head_pos, tail_pos),
-    }
+/// The block-local id of `v`: its rank among the block's sorted vertices.
+fn local_id(verts: &[NodeId], v: NodeId) -> usize {
+    verts
+        .binary_search(&v)
+        .expect("vertex belongs to the block")
 }
 
 struct Search<'a> {
-    block: &'a [VirtualEdge],
-    preds: &'a HashMap<NodeId, Vec<NodeId>>,
+    /// The block's vertices, sorted (see [`local_id`]).
+    verts: &'a [NodeId],
+    /// Per local id: the tails of the block edges entering it, in block order.
+    preds: &'a [Vec<NodeId>],
     source: NodeId,
     sink: NodeId,
     internal: &'a [NodeId],
     steps: usize,
-    sides: HashMap<NodeId, Side>,
+    /// Per local id: the side assigned so far.
+    sides: Vec<Option<Side>>,
 }
 
 impl Search<'_> {
@@ -335,24 +338,17 @@ impl Search<'_> {
         }
         if idx == self.internal.len() {
             // Finalise: the sink must be fed by exactly the two bottoms.
-            let empty = Vec::new();
-            let sink_preds = self.preds.get(&self.sink).unwrap_or(&empty);
-            let ok = sink_preds.len() == 2
+            // Every internal vertex then feeds exactly one rail edge
+            // downwards (the bottoms-chain construction implies it).
+            let sink_preds = &self.preds[local_id(self.verts, self.sink)];
+            return sink_preds.len() == 2
                 && sink_preds.contains(&left_bottom)
                 && sink_preds.contains(&right_bottom)
                 && left_bottom != right_bottom;
-            if !ok {
-                return false;
-            }
-            // Every internal vertex must feed exactly one rail edge
-            // downwards, i.e. appear as the path-in provider of exactly one
-            // later vertex; this is implied by the bottoms-chain
-            // construction, so nothing further to check here.
-            return true;
         }
         let w = self.internal[idx];
-        let empty = Vec::new();
-        let wpreds = self.preds.get(&w).unwrap_or(&empty);
+        let w_l = local_id(self.verts, w);
+        let wpreds = &self.preds[w_l];
 
         let mut candidates: Vec<Side> = Vec::new();
         if wpreds.contains(&left_bottom) {
@@ -375,7 +371,7 @@ impl Search<'_> {
             if !self.rung_edges_valid(w, side, left_bottom, right_bottom) {
                 continue;
             }
-            self.sides.insert(w, side);
+            self.sides[w_l] = Some(side);
             let (lb, rb) = match side {
                 Side::Left => (w, right_bottom),
                 Side::Right => (left_bottom, w),
@@ -383,7 +379,7 @@ impl Search<'_> {
             if self.assign(idx + 1, lb, rb) {
                 return true;
             }
-            self.sides.remove(&w);
+            self.sides[w_l] = None;
         }
         false
     }
@@ -401,8 +397,7 @@ impl Search<'_> {
             Side::Left => left_bottom,
             Side::Right => right_bottom,
         };
-        for ve in self.block.iter().filter(|ve| ve.dst == w) {
-            let t = ve.src;
+        for &t in &self.preds[local_id(self.verts, w)] {
             if t == rail_pred {
                 continue;
             }
@@ -412,9 +407,8 @@ impl Search<'_> {
                 // excludes.
                 return false;
             }
-            match self.sides.get(&t) {
-                Some(&s) if s == side.other() => {}
-                _ => return false,
+            if self.sides[local_id(self.verts, t)] != Some(side.other()) {
+                return false;
             }
         }
         true
@@ -503,22 +497,35 @@ mod tests {
         b.edge("u2", "v1").unwrap();
         let g = b.build().unwrap();
         let (pos, skel) = skeleton_of(&g);
-        assert!(decompose_ladder(&pos, &skel).is_err());
+        let err = decompose_ladder(&pos, &skel).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "structural requirement violated: cross-links cross; the graph is not CS4"
+        );
     }
 
     #[test]
     fn butterfly_is_rejected() {
         let mut b = GraphBuilder::new();
         for (s, t) in [
-            ("x", "a"), ("x", "b"),
-            ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
-            ("c", "y"), ("d", "y"),
+            ("x", "a"),
+            ("x", "b"),
+            ("a", "c"),
+            ("a", "d"),
+            ("b", "c"),
+            ("b", "d"),
+            ("c", "y"),
+            ("d", "y"),
         ] {
             b.edge(s, t).unwrap();
         }
         let g = b.build().unwrap();
         let (pos, skel) = skeleton_of(&g);
-        assert!(decompose_ladder(&pos, &skel).is_err());
+        let err = decompose_ladder(&pos, &skel).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "structural requirement violated: cross-links cross; the graph is not CS4"
+        );
     }
 
     #[test]
@@ -551,8 +558,7 @@ mod tests {
         assert_eq!(lad.side_of(lad.sink), None);
         assert_eq!(lad.rails.len() + lad.rungs.len(), 5);
         let a = g.node_by_name("a").unwrap();
-        let (side, idx) = lad.position(a).unwrap();
-        assert_eq!(idx, 1);
-        assert_eq!(lad.side_of(a), Some(side));
+        assert_eq!(lad.left[1], a);
+        assert_eq!(lad.side_of(a), Some(Side::Left));
     }
 }

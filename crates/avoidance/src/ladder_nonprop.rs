@@ -1,7 +1,5 @@
 //! Non-Propagation-algorithm intervals on SP-ladders (§VI.B of the paper),
-//! `O(|G|³)`, with the **filtering-robust** escape bound of the E17
-//! postmortem.  (Still cubic after E25: the `fork × sink × constituent`
-//! loops remain; only the per-visit subtree walk and root search went.)
+//! with the **filtering-robust** escape bound of the E17 postmortem.
 //!
 //! As with the Propagation case, cycles internal to each contracted
 //! constituent are handled by the SP algorithm on that constituent's
@@ -22,22 +20,26 @@
 //! skeleton using the per-constituent `L(H)` / `h(H)` metrics).
 //!
 //! The paper divides `L_o` by the hop count instead of taking its root.
-//! That recurrence assumed data re-emission along the run: with per-node
-//! *interior* filtering the inter-message gap along a run multiplies per
-//! hop (a Non-Propagation node relays at most one message per `[e]`
-//! messages reaching it, because its gap counter ticks per accepted input),
-//! so the product — not the sum — of the run's intervals must fit in the
-//! opposite slack.  The division demonstrably deadlocked 16+-rung random
-//! ladders under aggressive interior filtering
-//! (`tests/ladder_interior_filtering.rs`, formerly a pinned failing-case
-//! harness); the root bound restores "admitted ⇒ deadlock-free".  For
-//! every actual `w → t` path `p` through `e`, the denominator is at least
-//! `|p|` (the skeleton tables substitute the hop-longest path), so the
-//! per-edge root keeps `∏_{e' ∈ p} [e'] ≤ L_o` — conservative whenever `H`
-//! does not lie on the hop-longest path, exactly as the paper's division
-//! was.
+//! Under per-node *interior* filtering the inter-message gap along a run
+//! multiplies per hop, so the product of the run's intervals must fit in
+//! the opposite slack; the division deadlocked 16+-rung random ladders
+//! (`tests/ladder_interior_filtering.rs`).  The denominator is at least the
+//! hop count of every actual `w → t` path through `e`, so the root keeps
+//! `∏_{e' ∈ p} [e'] ≤ L_o` on each of them.
+//!
+//! **Cost** (E47): `O(forks × (V + E) × keys)` over the skeleton, where
+//! `keys` counts the distinct `(h(H), h(H, e))` pairs (one when every
+//! constituent is a single edge), and the tables are exactly those of the
+//! `c_o × t × H` loops above:
+//!
+//! * `tighten` keeps a minimum and `⌊L^(1/h)⌋` is non-decreasing in `L`, so
+//!   the `c_o` loop is one candidate at `L(t) = min_{c_o ≠ c_e} L_o(w, t)`;
+//! * a candidate depends on `t` only through `(L(t), h_e(w, t))` and on `e`
+//!   only through its key, so one reverse-topological min-DP per `(w, c_e)`
+//!   gives each vertex the best candidate over the sinks it reaches, and
+//!   `H` reads it at its head: the sinks a path through `H` can end at.
 
-use fila_graph::{EdgeId, Graph, NodeId};
+use fila_graph::{EdgeId, Graph};
 use fila_spdag::{CompId, SpForest, SpMetrics};
 
 use crate::interval::{DummyInterval, IntervalMap};
@@ -103,21 +105,11 @@ impl Skeleton {
                 }
             }
         }
-        Skeleton { edges, out_adj, order }
-    }
-
-    /// Dense table of the local vertices that can reach `t_l` following
-    /// skeleton edges (computed in one reverse-topological sweep).
-    fn reaches_to(&self, t_l: usize) -> Vec<bool> {
-        let mut reach = vec![false; self.out_adj.len()];
-        reach[t_l] = true;
-        for &v in self.order.iter().rev() {
-            if reach[v] {
-                continue;
-            }
-            reach[v] = self.out_adj[v].iter().any(|&ei| reach[self.edges[ei].to_l]);
+        Skeleton {
+            edges,
+            out_adj,
+            order,
         }
-        reach
     }
 }
 
@@ -133,30 +125,32 @@ pub fn apply_ladder_nonpropagation(
     let index = LadderIndex::new(ladder);
     let skeleton = Skeleton::new(ladder, &index);
     let local = index.local();
+    let n = local.len();
 
-    // Potential sinks: the ladder sink plus every cross-link head, each with
-    // its precomputed can-reach table.
-    let mut sinks: Vec<NodeId> = vec![ladder.sink];
+    // Potential sinks: the ladder sink plus every cross-link head.
+    let mut is_sink = vec![false; n];
+    is_sink[local.of(ladder.sink)] = true;
     for r in &ladder.rungs {
-        if !sinks.contains(&r.head) {
-            sinks.push(r.head);
-        }
+        is_sink[local.of(r.head)] = true;
     }
-    let sink_reach: Vec<(NodeId, usize, Vec<bool>)> = sinks
-        .iter()
-        .map(|&t| {
-            let t_l = local.of(t);
-            (t, t_l, skeleton.reaches_to(t_l))
-        })
-        .collect();
 
-    // Per constituent `H`: `h(H)` and every edge's `h(H, e)`, walked once —
-    // the loops below visit each constituent `O(forks × sinks)` times.
+    // Per constituent `H`: `h(H)` and every edge's `h(H, e)`; and the
+    // distinct keys `(h(H), h(H, e))`, each a slot of the DP rows.
     let hops: Vec<(u64, Vec<(EdgeId, u64)>)> = skeleton
         .edges
         .iter()
         .map(|edge| (metrics.h(edge.comp), metrics.h_per_edge(forest, edge.comp)))
         .collect();
+    let mut keys: Vec<(u64, u64)> = hops
+        .iter()
+        .flat_map(|(h, per_edge)| per_edge.iter().map(move |&(_, h_e)| (*h, h_e)))
+        .collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let k = keys.len();
+    // `best[v * k + slot]`: the tightest candidate over the potential sinks
+    // reachable from `v` (`Infinite` = none).
+    let mut best = vec![DummyInterval::Infinite; n * k];
 
     for &w in index.forks() {
         let outgoing = index.outgoing_constituents(ladder, w);
@@ -166,39 +160,54 @@ pub fn apply_ladder_nonpropagation(
         // For each outgoing constituent, the skeleton-level DP tables of
         // shortest buffer length and longest hop count to every vertex,
         // where the path is forced to start through that constituent.
-        let tables: Vec<(CompId, Dp)> = outgoing
+        let tables: Vec<Dp> = outgoing
             .iter()
-            .map(|&(comp, next)| (comp, Dp::from_start(metrics, &skeleton, comp, local.of(next))))
+            .map(|&(comp, next)| Dp::from_start(metrics, &skeleton, comp, local.of(next)))
             .collect();
 
-        for (i, (comp_e, dp_e)) in tables.iter().enumerate() {
-            for (j, (_, dp_o)) in tables.iter().enumerate() {
-                if i == j {
+        for (i, dp_e) in tables.iter().enumerate() {
+            // One reverse-topological sweep over the vertices `c_e` reaches.
+            for &v in skeleton.order.iter().rev() {
+                let Some(h_e) = dp_e.longest_hops(v) else {
+                    continue;
+                };
+                let row = v * k;
+                best[row..row + k].fill(DummyInterval::Infinite);
+                // A potential sink `t` other than `w` (`w` is never reached:
+                // the skeleton is acyclic).  Its one candidate per key uses
+                // `L(t)`, the shortest `w -> t` escape through any other
+                // constituent: the root is non-decreasing in the length it is
+                // taken of, so this is the minimum over every `c_o`.
+                let l_o = tables
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, _)| j != i && is_sink[v])
+                    .filter_map(|(_, dp_o)| dp_o.shortest_buffer(v))
+                    .min();
+                if let Some(l_o) = l_o {
+                    for (slot, &(h_comp, h_e_edge)) in keys.iter().enumerate() {
+                        let denom = h_e.saturating_sub(h_comp).saturating_add(h_e_edge).max(1);
+                        best[row + slot] = DummyInterval::from_run_budget(l_o, denom);
+                    }
+                }
+                for &ei in &skeleton.out_adj[v] {
+                    let next = skeleton.edges[ei].to_l * k;
+                    for slot in 0..k {
+                        best[row + slot] = best[row + slot].min(best[next + slot]);
+                    }
+                }
+            }
+            // Every constituent H on some w -> t path that starts through
+            // c_e: H itself, plus any constituent whose tail c_e reaches.
+            for (edge, (h_comp, per_edge)) in skeleton.edges.iter().zip(&hops) {
+                if edge.comp != outgoing[i].0 && !dp_e.reached[edge.from_l] {
                     continue;
                 }
-                for (t, t_l, reach_t) in &sink_reach {
-                    if *t == w {
-                        continue;
-                    }
-                    let (Some(h_e), Some(l_o)) =
-                        (dp_e.longest_hops(*t_l), dp_o.shortest_buffer(*t_l))
-                    else {
-                        continue;
-                    };
-                    // Every constituent H on some w -> t path that starts
-                    // through c_e: H itself, plus any constituent reachable
-                    // from c_e's head that can still reach t.
-                    for (edge, (h_comp, per_edge)) in skeleton.edges.iter().zip(&hops) {
-                        let on_path = edge.comp == *comp_e
-                            || (dp_e.reaches(edge.from_l) && reach_t[edge.to_l]);
-                        if !on_path {
-                            continue;
-                        }
-                        for &(e, h_e_edge) in per_edge {
-                            let denom = h_e.saturating_sub(*h_comp).saturating_add(h_e_edge).max(1);
-                            intervals.tighten(e, DummyInterval::from_run_budget(l_o, denom));
-                        }
-                    }
+                for &(e, h_e_edge) in per_edge {
+                    let slot = keys
+                        .binary_search(&(*h_comp, h_e_edge))
+                        .expect("a collected key");
+                    intervals.tighten(e, best[edge.to_l * k + slot]);
                 }
             }
         }
@@ -208,8 +217,7 @@ pub fn apply_ladder_nonpropagation(
 /// Per-start DP tables over the ladder skeleton, dense over the block-local
 /// vertex ids.  Reachability is tracked separately from the values so that
 /// a path whose buffer length saturates at `u64::MAX` (edges with
-/// effectively unbounded capacity) is still treated as reachable, exactly
-/// like the `HashMap`-based tables this replaced.
+/// effectively unbounded capacity) is still treated as reachable.
 struct Dp {
     reached: Vec<bool>,
     shortest: Vec<u64>,
@@ -265,10 +273,6 @@ impl Dp {
 
     fn longest_hops(&self, t_l: usize) -> Option<u64> {
         self.reached[t_l].then_some(self.longest[t_l])
-    }
-
-    fn reaches(&self, v_l: usize) -> bool {
-        self.reached[v_l]
     }
 }
 

@@ -14,8 +14,10 @@
 //!   (§IV.B);
 //! * [`cs4`] / [`ladder`] — recognition and decomposition of CS4 DAGs into a
 //!   serial chain of SP-DAGs and SP-ladders (§V);
-//! * [`ladder_prop`] / [`ladder_nonprop`] — the `O(|G|)` and `O(|G|³)`
-//!   interval computations on SP-ladders (§VI);
+//! * [`ladder_prop`] / [`ladder_nonprop`] — the interval computations on
+//!   SP-ladders (§VI): Propagation in `O(|G|)`, Non-Propagation in
+//!   `O(forks × |G|)` per distinct hop key, by one reverse min-DP per fork
+//!   branch that is exact because a root is non-decreasing in its length;
 //! * [`exhaustive`] — the exponential cycle-enumeration baseline that works
 //!   on arbitrary DAGs (§II.B), used both as the only option for general
 //!   topologies and as the ground truth the efficient algorithms are

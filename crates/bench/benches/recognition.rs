@@ -27,9 +27,10 @@ fn bench(c: &mut Criterion) {
             b.iter(|| black_box(fingerprint(&g)))
         });
     }
-    // ROADMAP item 5's acceptance row: the two structural passes of
-    // admission on the `pipe_hop` shape (a deep chain, ids against the
-    // flow) must cost the same per edge at every length.
+    // The acceptance row of ROADMAP's "Structure and planning in linear
+    // time, block by block": the two structural passes of admission on the
+    // `pipe_hop` shape (a deep chain, ids against the flow) must cost the
+    // same per edge at every length.
     for &nodes in CHAIN_NODES {
         let g = pipeline_graph(nodes, 256, true);
         group.bench_with_input(BenchmarkId::new("sp_recognition_chain", nodes), &nodes, |b, _| {

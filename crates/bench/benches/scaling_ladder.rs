@@ -1,5 +1,7 @@
 //! E9/E10: compile-time scaling of the CS4 / SP-ladder interval algorithms
-//! (Propagation linear, Non-Propagation cubic in the rung count).
+//! on the full sweep, under both protocols.  Non-Propagation is one reverse
+//! min-DP per fork branch (E47): quadratic in the rung count, with the
+//! decomposition below it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fila_avoidance::{Algorithm, Planner};
@@ -22,10 +24,9 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
-    // The cubic Non-Propagation computation is only run on the smaller
-    // sweep points, plus the 341-rung (1 025-edge) ladder a cold admission
-    // of that size has to afford.
-    for rungs in [8usize, 32, 128, 341] {
+    // The sweep points plus the 341-rung (1 025-edge) ladder a cold
+    // admission of that size has to afford.
+    for rungs in [8usize, 32, 128, 341, 512] {
         let g = ladder_of_size(rungs);
         group.bench_with_input(BenchmarkId::new("ladder_nonprop", rungs), &rungs, |b, _| {
             b.iter(|| {

@@ -27,26 +27,6 @@ pub fn object_recognition(buffer: u64, keep_left: f64, keep_right: f64, seed: u6
     (g, topo)
 }
 
-/// A biosequence-search style pipeline in the Fig. 2 shape: the front end
-/// streams every read to the alignment stage (`A -> B -> C`) but forwards a
-/// read's metadata directly to the aggregator (`A -> C`) only for the rare
-/// reads flagged by its cheap pre-filter — exactly the filtering-at-the-fork
-/// pattern that deadlocks without avoidance.
-///
-/// * `hit_period` — one read in `hit_period` is flagged by the pre-filter.
-pub fn biosequence_pipeline(buffer: u64, hit_period: u64) -> (Graph, Topology) {
-    let g = figures::fig2_triangle(buffer);
-    let frontend = g.node_by_name("A").expect("front end");
-    let period = hit_period.max(1);
-    let topo = Topology::from_graph(&g)
-        // out_edges(A) = [A->B, A->C]: every read goes to the aligner, only
-        // flagged reads go straight to the aggregator.
-        .with(frontend, move || {
-            Predicate::new(move |seq, out| out == 0 || seq % period == 0)
-        });
-    (g, topo)
-}
-
 /// A cross-coupled monitoring pipeline on the Fig. 4 (left) CS4 topology:
 /// the primary analysis path `X -> a -> Y` occasionally hands work to the
 /// secondary path via the cross channel `a -> b`, and the secondary path
@@ -89,18 +69,6 @@ mod tests {
         let (_, topo) = object_recognition(4, 0.05, 0.05, 11);
         let report = Simulator::new(&topo).run(5_000);
         assert!(report.deadlocked, "{report:?}");
-    }
-
-    #[test]
-    fn biosequence_pipeline_completes_with_either_protocol() {
-        let (g, topo) = biosequence_pipeline(8, 100);
-        for algorithm in [Algorithm::Propagation, Algorithm::NonPropagation] {
-            let plan = Planner::new(&g).algorithm(algorithm).plan().unwrap();
-            let report = Simulator::new(&topo).with_plan(&plan).run(10_000);
-            assert!(report.completed, "{algorithm}: {report:?}");
-        }
-        let unprotected = Simulator::new(&topo).run(10_000);
-        assert!(unprotected.deadlocked);
     }
 
     #[test]

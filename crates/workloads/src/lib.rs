@@ -10,8 +10,8 @@
 //!   general DAGs);
 //! * [`apps`] — runnable application topologies modelled on the paper's
 //!   motivating examples (an object-recognition split/join with data
-//!   dependent recognisers and a biosequence filtering pipeline), expressed
-//!   as [`fila_runtime::Topology`] values ready to execute;
+//!   dependent recognisers and a cross-coupled monitor on a CS4 ladder),
+//!   expressed as [`fila_runtime::Topology`] values ready to execute;
 //! * [`jobs`] — mixed job-service workloads: streams of heterogeneous
 //!   submissions (pipelines, SP DAGs, ladders, unplannable and
 //!   deliberately deadlocking shapes) for exercising the multi-tenant

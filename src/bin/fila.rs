@@ -276,12 +276,17 @@ fn parse_job_file(text: &str) -> Result<Vec<FileJob>, String> {
         let at = |msg: &str| format!("line {}: {msg}", lineno + 1);
         match (keyword, current.as_mut()) {
             ("job", None) => {
-                let name = rest.first().ok_or_else(|| at("job needs a name"))?;
+                let [name] = rest[..] else {
+                    return Err(at("job needs <name>"));
+                };
                 current = Some(JobDraft::new(name));
             }
             ("job", Some(_)) => return Err(at("nested `job` (missing `end`?)")),
             (_, None) => return Err(at("directive outside a job block")),
             ("end", Some(_)) => {
+                if !rest.is_empty() {
+                    return Err(at("end takes no arguments"));
+                }
                 let draft = current.take().expect("matched Some");
                 jobs.push(draft.finish().map_err(|e| at(&e))?);
             }
@@ -316,38 +321,33 @@ impl JobDraft {
     }
 
     fn directive(&mut self, keyword: &str, rest: &[&str]) -> Result<(), String> {
-        let num = |s: &&str| -> Result<u64, String> {
+        let num = |s: &str| -> Result<u64, String> {
             s.parse().map_err(|_| format!("invalid number `{s}`"))
         };
-        match keyword {
-            "inputs" => {
-                self.inputs = num(rest.first().ok_or("inputs needs a count")?)?;
-            }
-            "algorithm" => {
-                self.avoidance = match *rest.first().ok_or("algorithm needs a value")? {
+        match (keyword, rest) {
+            ("inputs", &[count]) => self.inputs = num(count)?,
+            ("inputs", _) => return Err("inputs needs <count>".into()),
+            ("algorithm", &[value]) => {
+                self.avoidance = match value {
                     "propagation" => AvoidanceChoice::Planned(Algorithm::Propagation),
                     "nonpropagation" => AvoidanceChoice::Planned(Algorithm::NonPropagation),
                     "none" => AvoidanceChoice::Disabled,
                     other => return Err(format!("unknown algorithm `{other}`")),
                 };
             }
-            "capacity" => {
-                self.default_capacity = num(rest.first().ok_or("capacity needs a value")?)?;
+            ("algorithm", _) => return Err("algorithm needs <value>".into()),
+            ("capacity", &[value]) => self.default_capacity = num(value)?,
+            ("capacity", _) => return Err("capacity needs <value>".into()),
+            ("edge", &[src, dst]) => self.edges.push((src.into(), dst.into(), None)),
+            ("edge", &[src, dst, cap]) => {
+                self.edges.push((src.into(), dst.into(), Some(num(cap)?)));
             }
-            "edge" => {
-                let [src, dst, cap @ ..] = rest else {
-                    return Err("edge needs <src> <dst> [capacity]".into());
-                };
-                let cap = cap.first().map(num).transpose()?;
-                self.edges.push((src.to_string(), dst.to_string(), cap));
-            }
-            "filter" => {
-                let [node, period] = rest else {
-                    return Err("filter needs <node> <period>".into());
-                };
+            ("edge", _) => return Err("edge needs <src> <dst> [capacity]".into()),
+            ("filter", &[node, period]) => {
                 self.filters.insert(node.to_string(), num(period)?);
             }
-            other => return Err(format!("unknown directive `{other}`")),
+            ("filter", _) => return Err("filter needs <node> <period>".into()),
+            (other, _) => return Err(format!("unknown directive `{other}`")),
         }
         Ok(())
     }
@@ -1006,6 +1006,23 @@ mod tests {
                 "line 4: job a: filter on unknown node `c`",
             ),
             ("job a\n  edge a b\n", "unterminated job block"),
+            // Surplus words, one case per directive.
+            ("job a b\n", "line 1: job needs <name>"),
+            ("job a\n  edge a b\nend now\n", "line 3: end takes no arguments"),
+            ("job a\n  inputs 8 9\nend\n", "line 2: inputs needs <count>"),
+            (
+                "job a\n  algorithm none none\nend\n",
+                "line 2: algorithm needs <value>",
+            ),
+            ("job a\n  capacity 4 4\nend\n", "line 2: capacity needs <value>"),
+            (
+                "job a\n  edge a b 4 junk\nend\n",
+                "line 2: edge needs <src> <dst> [capacity]",
+            ),
+            (
+                "job a\n  edge a b\n  filter a 2 2\nend\n",
+                "line 3: filter needs <node> <period>",
+            ),
         ];
         for (text, expected) in cases {
             match parse_job_file(text) {
@@ -1016,8 +1033,11 @@ mod tests {
     }
 
     /// Seeded random files over the grammar's keywords, its arguments and
-    /// junk: the parser never panics, and every error starts with the line
-    /// it is about or names the unterminated block.
+    /// junk, with up to five words after a keyword (so every directive also
+    /// appears with surplus words): the parser never panics, every error
+    /// starts with the line it is about or names the unterminated block, and
+    /// a file that parses has no line with more or fewer words than its
+    /// directive takes.
     #[test]
     fn random_job_files_never_panic() {
         let keywords: Vec<&str> = "end end inputs algorithm capacity edge edge filter x job"
@@ -1038,14 +1058,29 @@ mod tests {
                 // Most files open a block, so the directives are reached.
                 let opens = line == 0 && case % 8 != 0;
                 text += if opens { "job a" } else { pick(r, &keywords) };
-                for w in 0..(r >> 8) % 4 {
+                // Up to three words, and two more on one line in four.
+                let surplus = if (r >> 12) % 4 == 0 { 2 } else { 0 };
+                for w in 0..(r >> 8) % 4 + surplus {
                     text += " ";
                     text += pick(mix(r ^ w), &words);
                 }
                 text += "\n";
             }
             match parse_job_file(&text) {
-                Ok(parsed) => jobs += parsed.len(),
+                Ok(parsed) => {
+                    for line in text.lines().map(|l| l.split('#').next().unwrap_or("")) {
+                        let mut words = line.split_whitespace();
+                        let Some(keyword) = words.next() else { continue };
+                        let arity = match keyword {
+                            "end" => 0..=0,
+                            "edge" => 2..=3,
+                            "filter" => 2..=2,
+                            _ => 1..=1,
+                        };
+                        assert!(arity.contains(&words.count()), "{text:?} parsed");
+                    }
+                    jobs += parsed.len();
+                }
                 Err(e) => {
                     let line = e
                         .strip_prefix("line ")
