@@ -218,7 +218,7 @@ pub fn decompose_ladder(topo_pos: &[usize], block: &[VirtualEdge]) -> Result<Lad
 
     // Classify edges into rails and rungs, counting the rails of each
     // segment of each path.
-    let mut covered = paths.clone().map(|path| vec![0usize; path.len() - 1]);
+    let mut covered = [0, 1].map(|side| vec![0usize; paths[side].len() - 1]);
     let mut rails = Vec::new();
     let mut rungs = Vec::new();
     for ve in block {

@@ -173,9 +173,9 @@ pub fn apply_ladder_nonpropagation(
                 };
                 let row = v * k;
                 best[row..row + k].fill(DummyInterval::Infinite);
-                // A potential sink `t` other than `w` (`w` is never reached:
-                // the skeleton is acyclic).  Its one candidate per key uses
-                // `L(t)`, the shortest `w -> t` escape through any other
+                // `v` as a potential sink `t` (never `w`: the sweep starts
+                // past it in an acyclic skeleton).  Its one candidate per key
+                // uses `L(t)`, the shortest `w -> t` escape through any other
                 // constituent: the root is non-decreasing in the length it is
                 // taken of, so this is the minimum over every `c_o`.
                 let l_o = tables
