@@ -20,7 +20,7 @@
 //! definition is also provided ([`is_cs4_by_cycle_enumeration`]) so tests
 //! can cross-check the structural recogniser.
 
-use fila_graph::undirected::UndirectedView;
+use fila_graph::undirected::biconnected_blocks;
 use fila_graph::{cycles, Graph, GraphError, NodeId, Result};
 use fila_spdag::{reduce, CompId, SpForest, SpMetrics, VirtualEdge};
 
@@ -81,7 +81,6 @@ impl Cs4Decomposition {
             .filter(|s| matches!(s, Cs4Segment::Ladder(_)))
             .count()
     }
-
 }
 
 /// What the planner knows about a topology's shape: everything the
@@ -141,34 +140,20 @@ pub fn decompose_cs4(g: &Graph) -> Result<Cs4Decomposition> {
     let forest = reduction.forest;
     let skeleton = reduction.skeleton;
 
-    // Build a graph whose edges are the skeleton's virtual edges so we can
-    // reuse the biconnected-components machinery; skeleton edge `i`
-    // corresponds to `skeleton[i]`.
-    let mut sk_graph = Graph::with_capacity(g.node_count(), skeleton.len());
-    for (id, node) in g.nodes() {
-        let new_id = sk_graph.add_node(node.name.clone());
-        debug_assert_eq!(new_id, id);
-    }
-    for ve in &skeleton {
-        sk_graph.add_edge(ve.src, ve.dst, 1)?;
-    }
-
+    // Split the skeleton at its articulation points; block edge `i` is
+    // `skeleton[i]`.
+    let ends: Vec<(NodeId, NodeId)> = skeleton.iter().map(|ve| (ve.src, ve.dst)).collect();
     let mut segments = Vec::new();
-    let view = UndirectedView::new(&sk_graph);
-    for block in view.biconnected_components() {
-        if block.edges.len() == 1 {
-            let ve = skeleton[block.edges[0].index()];
+    for block in biconnected_blocks(g.node_count(), &ends) {
+        if let [i] = block[..] {
+            let ve = skeleton[i];
             segments.push(Cs4Segment::Sp {
                 comp: ve.comp,
                 source: ve.src,
                 sink: ve.dst,
             });
         } else {
-            let block_edges: Vec<VirtualEdge> = block
-                .edges
-                .iter()
-                .map(|e| skeleton[e.index()])
-                .collect();
+            let block_edges: Vec<VirtualEdge> = block.iter().map(|&i| skeleton[i]).collect();
             let ladder = decompose_ladder(&topo_pos, &block_edges)?;
             segments.push(Cs4Segment::Ladder(ladder));
         }
@@ -218,9 +203,14 @@ mod tests {
     fn butterfly() -> Graph {
         let mut b = GraphBuilder::new();
         for (s, t) in [
-            ("x", "a"), ("x", "b"),
-            ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
-            ("c", "y"), ("d", "y"),
+            ("x", "a"),
+            ("x", "b"),
+            ("a", "c"),
+            ("a", "d"),
+            ("b", "c"),
+            ("b", "d"),
+            ("c", "y"),
+            ("d", "y"),
         ] {
             b.edge(s, t).unwrap();
         }

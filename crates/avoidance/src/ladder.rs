@@ -16,12 +16,15 @@
 //! and right outer paths and which virtual edges are rails versus rungs.
 //!
 //! The paper (§VI.A step 1) identifies the outer cycle "using DFS in linear
-//! time" without further detail; as discussed in `DESIGN.md`, we implement
-//! the side assignment as a topological sweep with bounded backtracking on
-//! the (rare) locally ambiguous vertices, and reject skeletons that are not
-//! simple two-rail ladders (e.g. chord graphs that span fork vertices on one
-//! side).  Rejected graphs fall back to the exhaustive general-DAG
-//! algorithm, which is conservative but always available.
+//! time" without further detail.  We assign the sides in one walk over the
+//! internal vertices in topological order, in which each vertex continues
+//! the one rail the block's shape allows (`DESIGN.md`, "Ladder outer-cycle
+//! identification"), and reject skeletons that are not simple two-rail
+//! ladders (e.g. chord graphs that span fork vertices on one side).
+//! Rejected graphs fall back to the exhaustive general-DAG algorithm, which
+//! is conservative but always available.  The decomposition also keeps the
+//! block's vertices in topological order with the constituents leaving each,
+//! which is all the ladder planners read.
 
 use fila_graph::{GraphError, NodeId, Result};
 use fila_spdag::{CompId, VirtualEdge};
@@ -86,28 +89,62 @@ pub struct LadderDecomposition {
     pub rails: Vec<Rail>,
     /// All cross-links; the paper's `k` is their number.
     pub rungs: Vec<Rung>,
+    /// The block's vertices in topological order; a vertex's index here is
+    /// its local id (`X` is 0, `Y` the last).
+    pub(crate) vertices: Vec<BlockVertex>,
+    /// `(vertex, local id)` for every vertex of the block, sorted.
+    by_node: Vec<(NodeId, usize)>,
+}
+
+/// One vertex of a ladder block as the ladder planners read it.
+#[derive(Debug, Clone)]
+pub(crate) struct BlockVertex {
+    /// The vertex.
+    pub(crate) node: NodeId,
+    /// The side it lies on; `None` for `X` and `Y`.
+    pub(crate) side: Option<Side>,
+    /// The constituents leaving it, as `(head's local id, component)`: its
+    /// rails first (two at `X`, one at an internal vertex, none at `Y`),
+    /// then its rungs in [`LadderDecomposition::rungs`] order.
+    pub(crate) out: Vec<(usize, CompId)>,
+    /// The number of rungs arriving at it.
+    pub(crate) rung_heads: usize,
+}
+
+impl BlockVertex {
+    /// How many entries of `out` are rails: no rung touches `X` or `Y`.
+    fn rail_count(&self) -> usize {
+        if self.side.is_some() {
+            1
+        } else {
+            self.out.len()
+        }
+    }
+
+    /// The rails leaving the vertex.
+    pub(crate) fn rails(&self) -> &[(usize, CompId)] {
+        &self.out[..self.rail_count()]
+    }
+
+    /// The rungs leaving the vertex.
+    pub(crate) fn rungs(&self) -> &[(usize, CompId)] {
+        &self.out[self.rail_count()..]
+    }
 }
 
 impl LadderDecomposition {
     /// The side an internal vertex lies on, or `None` for `X`, `Y`, and
     /// vertices not in this block.
     pub fn side_of(&self, v: NodeId) -> Option<Side> {
-        if v == self.source || v == self.sink {
-            return None;
-        }
-        if self.left.contains(&v) {
-            Some(Side::Left)
-        } else if self.right.contains(&v) {
-            Some(Side::Right)
-        } else {
-            None
-        }
+        self.vertices[local_id(&self.by_node, v)?].side
+    }
+
+    /// The local ids of the block's forks — `X` and every rung tail — in
+    /// topological order.
+    pub(crate) fn forks(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.vertices.len()).filter(|&v| v == 0 || !self.vertices[v].rungs().is_empty())
     }
 }
-
-/// Maximum number of backtracking steps the side-assignment search may take
-/// before the skeleton is declared unsupported.
-const MAX_SEARCH_STEPS: usize = 200_000;
 
 /// Attempts to decompose one biconnected skeleton block as an SP-ladder.
 ///
@@ -125,110 +162,136 @@ pub fn decompose_ladder(topo_pos: &[usize], block: &[VirtualEdge]) -> Result<Lad
             "a ladder block needs at least three skeleton edges".into(),
         ));
     }
-    // Block-local ids (a vertex's rank in `verts`), out-degrees and
-    // in-neighbour lists in block order.
-    let mut verts: Vec<NodeId> = block.iter().flat_map(|ve| [ve.src, ve.dst]).collect();
-    verts.sort_unstable();
-    verts.dedup();
-    let id = |v: NodeId| local_id(&verts, v);
-    let mut out_deg = vec![0usize; verts.len()];
-    let mut preds: Vec<Vec<NodeId>> = vec![Vec::new(); verts.len()];
-    for ve in block {
-        out_deg[id(ve.src)] += 1;
-        preds[id(ve.dst)].push(ve.src);
+    // Block-local ids are ranks in topological order, so a unique source is
+    // 0 and a unique sink the last (every other vertex lies below the one and
+    // above the other).  Edge endpoints, out-degrees and in-neighbour lists
+    // (in block order) are kept by local id.
+    let mut order: Vec<NodeId> = block.iter().flat_map(|ve| [ve.src, ve.dst]).collect();
+    order.sort_unstable_by_key(|v| topo_pos[v.index()]);
+    order.dedup();
+    let n = order.len();
+    let mut by_node: Vec<(NodeId, usize)> =
+        order.iter().enumerate().map(|(l, &v)| (v, l)).collect();
+    by_node.sort_unstable();
+    let id = |v: NodeId| local_id(&by_node, v).expect("vertex belongs to the block");
+    let ends: Vec<(usize, usize)> = block.iter().map(|ve| (id(ve.src), id(ve.dst))).collect();
+    let mut out_deg = vec![0usize; n];
+    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for &(s, t) in &ends {
+        out_deg[s] += 1;
+        preds[t].push(s);
     }
 
-    let sources: Vec<NodeId> = verts
-        .iter()
-        .copied()
-        .filter(|&v| preds[id(v)].is_empty())
-        .collect();
-    let sinks: Vec<NodeId> = verts
-        .iter()
-        .copied()
-        .filter(|&v| out_deg[id(v)] == 0)
-        .collect();
-    let [source] = sources.as_slice() else {
+    let sources = preds.iter().filter(|p| p.is_empty()).count();
+    if sources != 1 {
         return Err(GraphError::Structure(format!(
-            "ladder block must have one source, found {}",
-            sources.len()
+            "ladder block must have one source, found {sources}"
         )));
-    };
-    let [sink] = sinks.as_slice() else {
+    }
+    let sinks = out_deg.iter().filter(|&&d| d == 0).count();
+    if sinks != 1 {
         return Err(GraphError::Structure(format!(
-            "ladder block must have one sink, found {}",
-            sinks.len()
+            "ladder block must have one sink, found {sinks}"
         )));
-    };
-    let (source, sink) = (*source, *sink);
-    if out_deg[id(source)] != 2 {
+    }
+    let (source, sink) = (0, n - 1);
+    debug_assert!(preds[source].is_empty() && out_deg[sink] == 0);
+    if out_deg[source] != 2 {
         return Err(GraphError::Structure(
             "ladder source must have exactly two outgoing skeleton edges".into(),
         ));
     }
-    if preds[id(sink)].len() != 2 {
+    if preds[sink].len() != 2 {
         return Err(GraphError::Structure(
             "ladder sink must have exactly two incoming skeleton edges".into(),
         ));
     }
 
-    // Internal vertices in topological order.
-    let mut internal: Vec<NodeId> = verts
-        .iter()
-        .copied()
-        .filter(|&v| v != source && v != sink)
-        .collect();
-    internal.sort_by_key(|v| topo_pos[v.index()]);
-    if internal.is_empty() {
-        return Err(GraphError::Structure(
-            "ladder block has no internal vertices".into(),
-        ));
-    }
-
-    let mut search = Search {
-        verts: &verts,
-        preds: &preds,
-        source,
-        sink,
-        internal: &internal,
-        steps: 0,
-        sides: vec![None; verts.len()],
-    };
-    if !search.assign(0, source, source) {
-        return Err(GraphError::Structure(
+    // Side assignment: each internal vertex, in topological order, continues
+    // the rail of a bottom (the lowest vertex of a side so far) that feeds
+    // it.  When both do, it continues the one whose only unplaced successor
+    // it is: the other bottom's edge into it is a rung, and an unplaced
+    // successor of the continued bottom would be a rung crossing that one.
+    // The first vertex goes left, and so does one whose bottoms both or
+    // neither qualify, which only a block that is no ladder has.
+    let assignment_failed = || {
+        GraphError::Structure(
             "skeleton block is not a simple two-rail ladder (side assignment failed)".into(),
-        ));
+        )
+    };
+    let mut unplaced = out_deg;
+    let mut sides: Vec<Option<Side>> = vec![None; n];
+    let mut bottoms = [source, source];
+    for w in 1..sink {
+        let feeds = |b: usize| preds[w].contains(&b);
+        let [left, right] = bottoms;
+        let side = match (feeds(left), feeds(right)) {
+            (true, true) if left != right && unplaced[left] != 1 && unplaced[right] == 1 => {
+                Side::Right
+            }
+            (true, _) => Side::Left,
+            (false, true) => Side::Right,
+            (false, false) => return Err(assignment_failed()),
+        };
+        // Every other in-edge is a rung from the opposite side.
+        let rail_pred = bottoms[side as usize];
+        if !preds[w]
+            .iter()
+            .all(|&t| t == rail_pred || sides[t] == Some(side.other()))
+        {
+            return Err(assignment_failed());
+        }
+        sides[w] = Some(side);
+        bottoms[side as usize] = w;
+        for &t in &preds[w] {
+            unplaced[t] -= 1;
+        }
     }
-    let sides = search.sides;
+    // The sink must be fed by exactly the two bottoms.
+    let [left, right] = bottoms;
+    if left == right || !preds[sink].contains(&left) || !preds[sink].contains(&right) {
+        return Err(assignment_failed());
+    }
 
     // Build the ordered outer paths, and each vertex's position along each
     // (the source and the sink lie on both).
-    let mut paths = [vec![source], vec![source]];
-    let mut pos = [vec![None; verts.len()], vec![None; verts.len()]];
-    for &v in &internal {
-        let side = sides[id(v)].expect("every internal vertex has a side") as usize;
-        pos[side][id(v)] = Some(paths[side].len());
-        paths[side].push(v);
+    let mut paths = [vec![order[source]], vec![order[source]]];
+    let mut pos = [vec![None; n], vec![None; n]];
+    for w in 1..sink {
+        let side = sides[w].expect("every internal vertex has a side") as usize;
+        pos[side][w] = Some(paths[side].len());
+        paths[side].push(order[w]);
     }
     for (path, pos) in paths.iter_mut().zip(&mut pos) {
-        pos[id(source)] = Some(0);
-        pos[id(sink)] = Some(path.len());
-        path.push(sink);
+        pos[source] = Some(0);
+        pos[sink] = Some(path.len());
+        path.push(order[sink]);
     }
 
     // Classify edges into rails and rungs, counting the rails of each
-    // segment of each path.
+    // segment of each path; each rail joins its tail's constituents.
+    let mut vertices: Vec<BlockVertex> = order
+        .iter()
+        .zip(&sides)
+        .map(|(&node, &side)| BlockVertex {
+            node,
+            side,
+            out: Vec::new(),
+            rung_heads: 0,
+        })
+        .collect();
     let mut covered = [0, 1].map(|side| vec![0usize; paths[side].len() - 1]);
     let mut rails = Vec::new();
     let mut rungs = Vec::new();
-    for ve in block {
-        let (s, t) = (id(ve.src), id(ve.dst));
+    let mut rung_ends = Vec::new();
+    for (ve, &(s, t)) in block.iter().zip(&ends) {
         let rail = [Side::Left, Side::Right].into_iter().find_map(|side| {
             let p = &pos[side as usize];
             p[s].filter(|&i| p[t] == Some(i + 1)).map(|i| (side, i))
         });
         if let Some((side, segment)) = rail {
             covered[side as usize][segment] += 1;
+            vertices[s].out.push((t, ve.comp));
             rails.push(Rail {
                 from: ve.src,
                 to: ve.dst,
@@ -247,6 +310,7 @@ pub fn decompose_ladder(topo_pos: &[usize], block: &[VirtualEdge]) -> Result<Lad
                     "chord graph spanning fork vertices on one side is not supported".into(),
                 ));
             }
+            rung_ends.push((s, t));
             rungs.push(Rung {
                 tail: ve.src,
                 head: ve.dst,
@@ -272,22 +336,22 @@ pub fn decompose_ladder(topo_pos: &[usize], block: &[VirtualEdge]) -> Result<Lad
     // Non-crossing check (crossing chords imply a K4 subdivision, i.e. the
     // graph is not CS4; Lemma V.6): sorted by their left endpoints, no rung
     // may land on the right above a rung that leaves strictly higher left.
-    let mut ends: Vec<(usize, usize)> = rungs
+    let mut landings: Vec<(usize, usize)> = rung_ends
         .iter()
-        .map(|r| {
-            let (left, right) = match r.tail_side {
-                Side::Left => (r.tail, r.head),
-                Side::Right => (r.head, r.tail),
+        .map(|&(tail, head)| {
+            let (left, right) = match sides[tail] {
+                Some(Side::Left) => (tail, head),
+                _ => (head, tail),
             };
-            let ends = pos[0][id(left)].zip(pos[1][id(right)]);
+            let ends = pos[0][left].zip(pos[1][right]);
             ends.expect("a rung joins internal vertices of opposite sides")
         })
         .collect();
-    ends.sort_unstable();
+    landings.sort_unstable();
     let mut higher = 0;
-    for (i, &(l, r)) in ends.iter().enumerate() {
-        if i > 0 && ends[i - 1].0 < l {
-            higher = higher.max(ends[i - 1].1);
+    for (i, &(l, r)) in landings.iter().enumerate() {
+        if i > 0 && landings[i - 1].0 < l {
+            higher = higher.max(landings[i - 1].1);
         }
         if r < higher {
             return Err(GraphError::Structure(
@@ -296,123 +360,28 @@ pub fn decompose_ladder(topo_pos: &[usize], block: &[VirtualEdge]) -> Result<Lad
         }
     }
 
+    for (&(tail, head), rung) in rung_ends.iter().zip(&rungs) {
+        vertices[tail].out.push((head, rung.comp));
+        vertices[head].rung_heads += 1;
+    }
     let [left, right] = paths;
     Ok(LadderDecomposition {
-        source,
-        sink,
+        source: order[source],
+        sink: order[sink],
         left,
         right,
         rails,
         rungs,
+        vertices,
+        by_node,
     })
 }
 
-/// The block-local id of `v`: its rank among the block's sorted vertices.
-fn local_id(verts: &[NodeId], v: NodeId) -> usize {
-    verts
-        .binary_search(&v)
-        .expect("vertex belongs to the block")
-}
-
-struct Search<'a> {
-    /// The block's vertices, sorted (see [`local_id`]).
-    verts: &'a [NodeId],
-    /// Per local id: the tails of the block edges entering it, in block order.
-    preds: &'a [Vec<NodeId>],
-    source: NodeId,
-    sink: NodeId,
-    internal: &'a [NodeId],
-    steps: usize,
-    /// Per local id: the side assigned so far.
-    sides: Vec<Option<Side>>,
-}
-
-impl Search<'_> {
-    /// Recursive side assignment over the topologically sorted internal
-    /// vertices.  `left_bottom` / `right_bottom` are the current lowest
-    /// vertices of each path (`source` until the path has left it).
-    fn assign(&mut self, idx: usize, left_bottom: NodeId, right_bottom: NodeId) -> bool {
-        self.steps += 1;
-        if self.steps > MAX_SEARCH_STEPS {
-            return false;
-        }
-        if idx == self.internal.len() {
-            // Finalise: the sink must be fed by exactly the two bottoms.
-            // Every internal vertex then feeds exactly one rail edge
-            // downwards (the bottoms-chain construction implies it).
-            let sink_preds = &self.preds[local_id(self.verts, self.sink)];
-            return sink_preds.len() == 2
-                && sink_preds.contains(&left_bottom)
-                && sink_preds.contains(&right_bottom)
-                && left_bottom != right_bottom;
-        }
-        let w = self.internal[idx];
-        let w_l = local_id(self.verts, w);
-        let wpreds = &self.preds[w_l];
-
-        let mut candidates: Vec<Side> = Vec::new();
-        if wpreds.contains(&left_bottom) {
-            candidates.push(Side::Left);
-        }
-        if right_bottom != left_bottom && wpreds.contains(&right_bottom) {
-            candidates.push(Side::Right);
-        }
-        // Symmetry breaking: while both bottoms are still the source the two
-        // sides are interchangeable, so force the first vertex to the left.
-        if left_bottom == self.source && right_bottom == self.source {
-            candidates = if wpreds.contains(&self.source) {
-                vec![Side::Left]
-            } else {
-                vec![]
-            };
-        }
-
-        for side in candidates {
-            if !self.rung_edges_valid(w, side, left_bottom, right_bottom) {
-                continue;
-            }
-            self.sides[w_l] = Some(side);
-            let (lb, rb) = match side {
-                Side::Left => (w, right_bottom),
-                Side::Right => (left_bottom, w),
-            };
-            if self.assign(idx + 1, lb, rb) {
-                return true;
-            }
-            self.sides[w_l] = None;
-        }
-        false
-    }
-
-    /// Checks that every in-edge of `w` other than its rail-in is a valid
-    /// rung: its tail is an already assigned vertex on the opposite side.
-    fn rung_edges_valid(
-        &self,
-        w: NodeId,
-        side: Side,
-        left_bottom: NodeId,
-        right_bottom: NodeId,
-    ) -> bool {
-        let rail_pred = match side {
-            Side::Left => left_bottom,
-            Side::Right => right_bottom,
-        };
-        for &t in &self.preds[local_id(self.verts, w)] {
-            if t == rail_pred {
-                continue;
-            }
-            if t == self.source {
-                // A second edge from the source into an internal vertex is a
-                // chord attached at X, which the simple-ladder shape
-                // excludes.
-                return false;
-            }
-            if self.sides[local_id(self.verts, t)] != Some(side.other()) {
-                return false;
-            }
-        }
-        true
-    }
+/// The block-local id of `v`, looked up in the block's sorted
+/// `(vertex, local id)` pairs; `None` if `v` is not in the block.
+fn local_id(by_node: &[(NodeId, usize)], v: NodeId) -> Option<usize> {
+    let i = by_node.binary_search_by_key(&v, |&(n, _)| n).ok()?;
+    Some(by_node[i].1)
 }
 
 #[cfg(test)]
@@ -471,6 +440,28 @@ mod tests {
         // All rung tails are on one side (u side).
         let tails: Vec<_> = lad.rungs.iter().map(|r| r.tail_side).collect();
         assert!(tails.iter().all(|&s| s == tails[0]));
+    }
+
+    #[test]
+    fn a_vertex_both_bottoms_feed_continues_the_one_it_is_the_last_successor_of() {
+        // When v2 is placed the bottoms are u2 (left) and v1 (right), and
+        // both feed it.  Continuing the left rail passes every check at v2
+        // and fails only at the sink; the walk continues v1, whose only
+        // unplaced successor v2 is, while u2 still feeds the sink.
+        let mut b = GraphBuilder::new();
+        b.chain(&["x", "u1", "u2", "y"]).unwrap();
+        b.chain(&["x", "v1", "v2", "y"]).unwrap();
+        b.edge("u1", "v1").unwrap();
+        b.edge("u2", "v2").unwrap();
+        let g = b.build().unwrap();
+        let (pos, skel) = skeleton_of(&g);
+        let lad = decompose_ladder(&pos, &skel).unwrap();
+        let nodes = |names: [&str; 4]| names.map(|name| g.node_by_name(name).unwrap());
+        assert_eq!(lad.left, nodes(["x", "u1", "u2", "y"]));
+        assert_eq!(lad.right, nodes(["x", "v1", "v2", "y"]));
+        let u2 = g.node_by_name("u2").unwrap();
+        let v2 = g.node_by_name("v2").unwrap();
+        assert!(lad.rungs.iter().any(|r| (r.tail, r.head) == (u2, v2)));
     }
 
     #[test]

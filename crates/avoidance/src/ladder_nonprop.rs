@@ -44,74 +44,6 @@ use fila_spdag::{CompId, SpForest, SpMetrics};
 
 use crate::interval::{DummyInterval, IntervalMap};
 use crate::ladder::LadderDecomposition;
-use crate::ladder_prop::LadderIndex;
-
-/// One directed constituent of the ladder skeleton, with its endpoints
-/// pre-resolved to block-local vertex ids so the DP tables below are plain
-/// vector lookups.
-#[derive(Debug, Clone, Copy)]
-struct SkelEdge {
-    comp: CompId,
-    from_l: usize,
-    to_l: usize,
-}
-
-/// The contracted ladder skeleton: dense adjacency over the block-local
-/// vertex numbering plus a topological order of the local ids.
-struct Skeleton {
-    edges: Vec<SkelEdge>,
-    /// Per local vertex: indices into `edges` of the constituents leaving it.
-    out_adj: Vec<Vec<usize>>,
-    /// Topological order of the local vertex ids (the block is small, so a
-    /// simple Kahn pass suffices).
-    order: Vec<usize>,
-}
-
-impl Skeleton {
-    fn new(ladder: &LadderDecomposition, index: &LadderIndex) -> Self {
-        let local = index.local();
-        let n = local.len();
-        let edges: Vec<SkelEdge> = ladder
-            .rails
-            .iter()
-            .map(|r| SkelEdge {
-                comp: r.comp,
-                from_l: local.of(r.from),
-                to_l: local.of(r.to),
-            })
-            .chain(ladder.rungs.iter().map(|r| SkelEdge {
-                comp: r.comp,
-                from_l: local.of(r.tail),
-                to_l: local.of(r.head),
-            }))
-            .collect();
-        let mut out_adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, e) in edges.iter().enumerate() {
-            out_adj[e.from_l].push(i);
-        }
-        let mut indeg = vec![0usize; n];
-        for e in &edges {
-            indeg[e.to_l] += 1;
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(v) = queue.pop() {
-            order.push(v);
-            for &ei in &out_adj[v] {
-                let t = edges[ei].to_l;
-                indeg[t] -= 1;
-                if indeg[t] == 0 {
-                    queue.push(t);
-                }
-            }
-        }
-        Skeleton {
-            edges,
-            out_adj,
-            order,
-        }
-    }
-}
 
 /// Applies the external-cycle Non-Propagation constraints of one SP-ladder
 /// block to `intervals`.
@@ -122,24 +54,23 @@ pub fn apply_ladder_nonpropagation(
     ladder: &LadderDecomposition,
     intervals: &mut IntervalMap,
 ) {
-    let index = LadderIndex::new(ladder);
-    let skeleton = Skeleton::new(ladder, &index);
-    let local = index.local();
-    let n = local.len();
-
+    // The skeleton over the block's local ids, which are in topological
+    // order: every constituent `H` as `(tail, head, comp)`.
+    let vertices = &ladder.vertices;
+    let n = vertices.len();
+    let edges: Vec<(usize, usize, CompId)> = vertices
+        .iter()
+        .enumerate()
+        .flat_map(|(v, here)| here.out.iter().map(move |&(to, comp)| (v, to, comp)))
+        .collect();
     // Potential sinks: the ladder sink plus every cross-link head.
-    let mut is_sink = vec![false; n];
-    is_sink[local.of(ladder.sink)] = true;
-    for r in &ladder.rungs {
-        is_sink[local.of(r.head)] = true;
-    }
+    let is_sink = |v: usize| v == n - 1 || vertices[v].rung_heads > 0;
 
     // Per constituent `H`: `h(H)` and every edge's `h(H, e)`; and the
     // distinct keys `(h(H), h(H, e))`, each a slot of the DP rows.
-    let hops: Vec<(u64, Vec<(EdgeId, u64)>)> = skeleton
-        .edges
+    let hops: Vec<(u64, Vec<(EdgeId, u64)>)> = edges
         .iter()
-        .map(|edge| (metrics.h(edge.comp), metrics.h_per_edge(forest, edge.comp)))
+        .map(|&(_, _, comp)| (metrics.h(comp), metrics.h_per_edge(forest, comp)))
         .collect();
     let mut keys: Vec<(u64, u64)> = hops
         .iter()
@@ -152,8 +83,8 @@ pub fn apply_ladder_nonpropagation(
     // reachable from `v` (`Infinite` = none).
     let mut best = vec![DummyInterval::Infinite; n * k];
 
-    for &w in index.forks() {
-        let outgoing = index.outgoing_constituents(ladder, w);
+    for w in ladder.forks() {
+        let outgoing = &vertices[w].out;
         if outgoing.len() < 2 {
             continue;
         }
@@ -162,12 +93,12 @@ pub fn apply_ladder_nonpropagation(
         // where the path is forced to start through that constituent.
         let tables: Vec<Dp> = outgoing
             .iter()
-            .map(|&(comp, next)| Dp::from_start(metrics, &skeleton, comp, local.of(next)))
+            .map(|&(next, comp)| Dp::from_start(metrics, ladder, comp, next))
             .collect();
 
         for (i, dp_e) in tables.iter().enumerate() {
             // One reverse-topological sweep over the vertices `c_e` reaches.
-            for &v in skeleton.order.iter().rev() {
+            for v in (0..n).rev() {
                 let Some(h_e) = dp_e.longest_hops(v) else {
                     continue;
                 };
@@ -181,7 +112,7 @@ pub fn apply_ladder_nonpropagation(
                 let l_o = tables
                     .iter()
                     .enumerate()
-                    .filter(|&(j, _)| j != i && is_sink[v])
+                    .filter(|&(j, _)| j != i && is_sink(v))
                     .filter_map(|(_, dp_o)| dp_o.shortest_buffer(v))
                     .min();
                 if let Some(l_o) = l_o {
@@ -190,8 +121,8 @@ pub fn apply_ladder_nonpropagation(
                         best[row + slot] = DummyInterval::from_run_budget(l_o, denom);
                     }
                 }
-                for &ei in &skeleton.out_adj[v] {
-                    let next = skeleton.edges[ei].to_l * k;
+                for &(to, _) in &vertices[v].out {
+                    let next = to * k;
                     for slot in 0..k {
                         best[row + slot] = best[row + slot].min(best[next + slot]);
                     }
@@ -199,23 +130,23 @@ pub fn apply_ladder_nonpropagation(
             }
             // Every constituent H on some w -> t path that starts through
             // c_e: H itself, plus any constituent whose tail c_e reaches.
-            for (edge, (h_comp, per_edge)) in skeleton.edges.iter().zip(&hops) {
-                if edge.comp != outgoing[i].0 && !dp_e.reached[edge.from_l] {
+            for (&(tail, head, comp), (h_comp, per_edge)) in edges.iter().zip(&hops) {
+                if comp != outgoing[i].1 && !dp_e.reached[tail] {
                     continue;
                 }
                 for &(e, h_e_edge) in per_edge {
                     let slot = keys
                         .binary_search(&(*h_comp, h_e_edge))
                         .expect("a collected key");
-                    intervals.tighten(e, best[edge.to_l * k + slot]);
+                    intervals.tighten(e, best[head * k + slot]);
                 }
             }
         }
     }
 }
 
-/// Per-start DP tables over the ladder skeleton, dense over the block-local
-/// vertex ids.  Reachability is tracked separately from the values so that
+/// Per-start DP tables over the ladder skeleton, dense over the block's
+/// local ids.  Reachability is tracked separately from the values so that
 /// a path whose buffer length saturates at `u64::MAX` (edges with
 /// effectively unbounded capacity) is still treated as reachable.
 struct Dp {
@@ -226,37 +157,36 @@ struct Dp {
 
 impl Dp {
     /// Builds the tables for paths that start at the fork, traverse
-    /// `first_comp` to the vertex with local id `first_next_l`, and then
+    /// `first_comp` to the vertex with local id `first_next`, and then
     /// continue freely.
     fn from_start(
         metrics: &SpMetrics,
-        skeleton: &Skeleton,
+        ladder: &LadderDecomposition,
         first_comp: CompId,
-        first_next_l: usize,
+        first_next: usize,
     ) -> Dp {
-        let n = skeleton.out_adj.len();
+        let n = ladder.vertices.len();
         let mut reached = vec![false; n];
         let mut shortest = vec![u64::MAX; n];
         let mut longest = vec![0u64; n];
-        reached[first_next_l] = true;
-        shortest[first_next_l] = metrics.l(first_comp);
-        longest[first_next_l] = metrics.h(first_comp);
-        for &v in &skeleton.order {
+        reached[first_next] = true;
+        shortest[first_next] = metrics.l(first_comp);
+        longest[first_next] = metrics.h(first_comp);
+        for (v, here) in ladder.vertices.iter().enumerate() {
             if !reached[v] {
                 continue;
             }
             let (sv, lv) = (shortest[v], longest[v]);
-            for &ei in &skeleton.out_adj[v] {
-                let edge = skeleton.edges[ei];
-                let cand_s = sv.saturating_add(metrics.l(edge.comp));
-                let cand_l = lv.saturating_add(metrics.h(edge.comp));
-                if reached[edge.to_l] {
-                    shortest[edge.to_l] = shortest[edge.to_l].min(cand_s);
-                    longest[edge.to_l] = longest[edge.to_l].max(cand_l);
+            for &(to, comp) in &here.out {
+                let cand_s = sv.saturating_add(metrics.l(comp));
+                let cand_l = lv.saturating_add(metrics.h(comp));
+                if reached[to] {
+                    shortest[to] = shortest[to].min(cand_s);
+                    longest[to] = longest[to].max(cand_l);
                 } else {
-                    reached[edge.to_l] = true;
-                    shortest[edge.to_l] = cand_s;
-                    longest[edge.to_l] = cand_l;
+                    reached[to] = true;
+                    shortest[to] = cand_s;
+                    longest[to] = cand_l;
                 }
             }
         }

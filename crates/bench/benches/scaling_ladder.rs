@@ -1,10 +1,11 @@
 //! E9/E10: compile-time scaling of the CS4 / SP-ladder interval algorithms
-//! on the full sweep, under both protocols.  Non-Propagation is one reverse
-//! min-DP per fork branch (E47): quadratic in the rung count, with the
-//! decomposition below it.
+//! on the full sweep, under both protocols, and of the structure pass they
+//! start from.  `Structure::of` (reduction, biconnected split, ladder side
+//! walk) is linear in the rung count (E48); Non-Propagation is one reverse
+//! min-DP per fork branch (E47), quadratic in it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fila_avoidance::{Algorithm, Planner};
+use fila_avoidance::{Algorithm, Planner, Structure};
 use fila_bench::{ladder_of_size, LADDER_RUNGS};
 use std::hint::black_box;
 
@@ -37,6 +38,12 @@ fn bench(c: &mut Criterion) {
                         .unwrap(),
                 )
             })
+        });
+    }
+    for rungs in [128usize, 512, 2048] {
+        let g = ladder_of_size(rungs);
+        group.bench_with_input(BenchmarkId::new("structure", rungs), &rungs, |b, _| {
+            b.iter(|| black_box(Structure::of(&g).unwrap()))
         });
     }
     group.finish();

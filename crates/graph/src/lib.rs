@@ -13,8 +13,8 @@
 //!   successor queries ([`topo`]),
 //! * DAG shortest paths by buffer weight and longest paths by hop count
 //!   ([`paths`]),
-//! * an undirected view with articulation points and biconnected
-//!   components ([`undirected`]) — used by the CS4 decomposition of §V,
+//! * undirected connectivity and the biconnected blocks of an edge list
+//!   ([`undirected`]) — used by the CS4 decomposition of §V,
 //! * undirected simple-cycle enumeration with source/sink classification
 //!   ([`cycles`]) — the exponential baseline of §II.B,
 //! * canonical structural fingerprints for shape-level caching

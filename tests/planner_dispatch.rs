@@ -3,13 +3,16 @@
 //! SP-DAGs to the linear/quadratic SP algorithms, CS4 SP-ladders to the
 //! ladder algorithms, and everything else to the exponential baseline.
 
-use fila::avoidance::cs4::decompose_cs4;
+use fila::avoidance::cs4::{decompose_cs4, is_cs4_by_cycle_enumeration};
 use fila::avoidance::Cs4Segment;
+use fila::graph::topo::topological_order;
 use fila::prelude::*;
 use fila::workloads::figures::{
     butterfly_rewritten, fig2_triangle, fig3_cycle, fig4_butterfly, fig5_ladder,
 };
-use fila::workloads::generators::{layered_dag, random_sp_dag, GeneratorConfig};
+use fila::workloads::generators::{
+    layered_dag, random_ladder, random_sp_dag, GeneratorConfig, LadderConfig,
+};
 
 #[test]
 fn sp_dag_dispatches_to_series_parallel_algorithms() {
@@ -92,7 +95,10 @@ fn an_sp_dag_decomposes_to_one_skeleton_edge_and_no_ladder() {
         })
         .0
     });
-    for g in [fig2_triangle(2), fig3_cycle()].into_iter().chain(generated) {
+    for g in [fig2_triangle(2), fig3_cycle()]
+        .into_iter()
+        .chain(generated)
+    {
         let d = decompose_cs4(&g).unwrap();
         let [only] = d.skeleton.as_slice() else {
             panic!("{} skeleton edges", d.skeleton.len());
@@ -104,6 +110,79 @@ fn an_sp_dag_decomposes_to_one_skeleton_edge_and_no_ladder() {
         );
         assert_eq!(d.forest.edge_count_in(only.comp), g.edge_count());
         assert_eq!(d.ladder_count(), 0);
-        assert!(matches!(d.segments.as_slice(), [Cs4Segment::Sp { comp, .. }] if *comp == only.comp));
+        assert!(
+            matches!(d.segments.as_slice(), [Cs4Segment::Sp { comp, .. }] if *comp == only.comp)
+        );
     }
+}
+
+#[test]
+fn a_long_ladder_is_one_cs4_block_whatever_its_length() {
+    // The side walk has no step budget: a 2 048-rung ladder is one ladder
+    // block with every rung, like a short one.
+    let g = random_ladder(&LadderConfig {
+        rungs: 2048,
+        seed: 2048,
+        ..LadderConfig::default()
+    });
+    let d = decompose_cs4(&g).unwrap();
+    let [Cs4Segment::Ladder(ladder)] = d.segments.as_slice() else {
+        panic!(
+            "{} segments, {} ladders",
+            d.segments.len(),
+            d.ladder_count()
+        );
+    };
+    assert_eq!(ladder.rungs.len(), 2048);
+    assert_eq!((ladder.left.len(), ladder.right.len()), (2050, 2050));
+    assert_eq!(classify(&g).unwrap(), GraphClass::Cs4);
+}
+
+/// A SplitMix64 step: the seeded choices of the perturbed-ladder corpus.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+#[test]
+fn perturbed_ladders_are_structural_only_when_the_cycle_definition_agrees() {
+    // Ladders of 2-5 rungs with one or two chords between random vertices
+    // in topological order, about half of which stay CS4.  A structural class
+    // must be one the cycle-level definition confirms, and the planner must
+    // plan every graph under both protocols, whichever path it takes.
+    let mut state = 0x5eed_1adde2u64;
+    let mut structural = 0;
+    for seed in 0..600u64 {
+        let mut g = random_ladder(&LadderConfig {
+            rungs: 2 + (seed % 4) as usize,
+            seed,
+            reverse_probability: 0.5,
+            ..LadderConfig::default()
+        });
+        let order = topological_order(&g).unwrap();
+        for _ in 0..1 + splitmix(&mut state) % 2 {
+            let a = (splitmix(&mut state) % order.len() as u64) as usize;
+            let b = (splitmix(&mut state) % order.len() as u64) as usize;
+            if a != b {
+                let capacity = 1 + splitmix(&mut state) % 8;
+                g.add_edge(order[a.min(b)], order[a.max(b)], capacity)
+                    .unwrap();
+            }
+        }
+        let class = classify(&g).unwrap();
+        if class != GraphClass::General {
+            structural += 1;
+            assert!(is_cs4_by_cycle_enumeration(&g), "seed {seed}: {class:?}");
+        }
+        for algorithm in [Algorithm::Propagation, Algorithm::NonPropagation] {
+            Planner::new(&g).algorithm(algorithm).plan().unwrap();
+        }
+    }
+    assert!(
+        (1..600).contains(&structural),
+        "{structural} of 600 structural: the corpus must hold both kinds"
+    );
 }
