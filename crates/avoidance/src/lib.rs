@@ -28,10 +28,10 @@
 //!   dummy-message wrapper and the scalar step with its two deterministic
 //!   schedulers; certification runs plans on it and `fila-runtime`'s
 //!   `Simulator` is a driver of it;
-//! * [`cache`] — a structural plan cache keyed by canonical topology
-//!   fingerprints, sharing `Arc`-wrapped plans across repeat submissions
-//!   of the same shape (the service layer's planning amortisation), plus a
-//!   certification-verdict cache keyed by `(fingerprint, filter signature)`;
+//! * [`cache`] — a certification-verdict cache keyed by canonical topology
+//!   fingerprint, protocol, filter signature and cycle budget, sharing
+//!   `Arc`-wrapped plans across repeat submissions of the same shape (the
+//!   service layer's planning amortisation);
 //! * [`verify`] — safety/optimality cross-checks of a computed plan against
 //!   the cycle-level definition, and the **filtering-aware certification**
 //!   pass ([`verify::certify_plan`]): a bounded model check of a plan
@@ -58,7 +58,7 @@ pub mod planner;
 pub mod prop_sp;
 pub mod verify;
 
-pub use cache::{CachedPlan, CertifiedCached, GraphIdentity, PlanCache};
+pub use cache::{GraphIdentity, PlanCache};
 pub use cs4::{classify, Cs4Decomposition, Cs4Segment, GraphClass, Structure};
 pub use interval::{DummyInterval, IntervalMap, Rounding};
 pub use ladder::LadderDecomposition;

@@ -173,136 +173,100 @@ impl<'g> Planner<'g> {
     /// On a `General`-class topology the structural steps *are* the
     /// exhaustive ones, so the chain collapses to two candidates.
     pub fn certify(&self, periods: &[u64]) -> std::result::Result<CertifiedPlan, CertifyError> {
+        self.walk(periods, None)
+    }
+
+    /// Walks the certification fallback chain — THE single implementation
+    /// of the candidate order, attempt bookkeeping and error
+    /// classification, run by [`Planner::certify`] and on a miss of the
+    /// verdict-caching
+    /// [`PlanCache::certify`](crate::cache::PlanCache::certify), which only
+    /// adds `helpers` to run the model checks with.  The graph is
+    /// decomposed once, and structural candidates are planned from that
+    /// one `Structure`; exhaustive candidates enumerate the cycles **once
+    /// per walk** for all of them, and a budget overrun is as final.
+    pub(crate) fn walk(
+        &self,
+        periods: &[u64],
+        helpers: Option<&dyn Helpers>,
+    ) -> std::result::Result<CertifiedPlan, CertifyError> {
+        let g = self.graph;
         let structure = self.structure().map_err(CertifyError::Unplannable)?;
-        let accepted = walk_certification_chain(self, &structure, periods, None, |algorithm| {
+        let mut attempts = Vec::new();
+        let mut last_certification = None;
+        let mut first_plan_error = None;
+        let mut plan_time = Duration::ZERO;
+        let mut certify_time = Duration::ZERO;
+        let mut cycles = None;
+        let general = matches!(structure, Structure::General);
+        for (index, (algorithm, exhaustive)) in certification_candidates(self.algorithm, general)
+            .into_iter()
+            .enumerate()
+        {
             let planning = Instant::now();
-            let plan = self.clone().algorithm(algorithm).plan_as(&structure)?;
-            Ok((Arc::new(plan), planning.elapsed()))
-        })?;
-        Ok(CertifiedPlan {
-            plan: accepted.plan,
-            requested: self.algorithm,
-            used: accepted.used,
-            exhaustive: accepted.exhaustive,
-            fell_back: accepted.fell_back,
-            certification: accepted.certification,
-            attempts: accepted.attempts,
-        })
-    }
-}
-
-/// The accepted candidate of one certification-chain walk, with the time
-/// spent planning and model-checking on this call.
-pub(crate) struct ChainAccepted {
-    pub plan: Arc<AvoidancePlan>,
-    pub used: Algorithm,
-    pub exhaustive: bool,
-    pub fell_back: bool,
-    pub certification: Certification,
-    pub attempts: Vec<CertifyAttempt>,
-    pub plan_time: Duration,
-    pub certify_time: Duration,
-}
-
-/// Walks the certification fallback chain — THE single implementation of
-/// the candidate order, attempt bookkeeping and error classification,
-/// shared by [`Planner::certify`] and the verdict-caching
-/// [`PlanCache::certify`](crate::cache::PlanCache::certify) so the two can
-/// never select differently.  `planner` carries the graph, the requested
-/// protocol and the cycle budget; `structural` produces an algorithm's
-/// candidate plan from `structure`, the graph's one decomposition, plus the
-/// planning time spent (zero when served from a cache).  Exhaustive
-/// candidates are the walk's own: the cycles are enumerated **once per
-/// walk** for all of them, and a budget overrun is as final.
-pub(crate) fn walk_certification_chain<F>(
-    planner: &Planner<'_>,
-    structure: &Structure,
-    periods: &[u64],
-    helpers: Option<&dyn Helpers>,
-    mut structural: F,
-) -> std::result::Result<ChainAccepted, CertifyError>
-where
-    F: FnMut(Algorithm) -> Result<(Arc<AvoidancePlan>, Duration)>,
-{
-    let g = planner.graph;
-    let mut attempts = Vec::new();
-    let mut last_certification = None;
-    let mut first_plan_error = None;
-    let mut plan_time = Duration::ZERO;
-    let mut certify_time = Duration::ZERO;
-    let mut cycles = None;
-    let general = matches!(structure, Structure::General);
-    for (index, (algorithm, exhaustive)) in certification_candidates(planner.algorithm, general)
-        .into_iter()
-        .enumerate()
-    {
-        let provided = if exhaustive {
-            let planning = Instant::now();
-            cycles
-                .get_or_insert_with(|| exhaustive::enumerate(g, planner.cycle_bound))
-                .as_ref()
-                .map_err(GraphError::clone)
-                .and_then(|cycles| exhaustive::intervals_from_cycles(g, algorithm, cycles))
-                .map(|intervals| {
-                    let plan = AvoidancePlan::new(g, algorithm, intervals);
-                    (Arc::new(plan), planning.elapsed())
-                })
-        } else {
-            structural(algorithm)
-        };
-        let plan = match provided {
-            Ok((plan, spent)) => {
-                plan_time += spent;
-                plan
-            }
-            Err(e) => {
-                first_plan_error.get_or_insert(e);
-                continue;
-            }
-        };
-        let checking = Instant::now();
-        let certification = match certify_shared(g, &plan, periods, helpers) {
-            Ok(c) => c,
-            Err(e) => return Err(CertifyError::Unplannable(e)),
-        };
-        certify_time += checking.elapsed();
-        attempts.push(CertifyAttempt {
-            algorithm,
-            exhaustive,
-            certified: certification.certified,
-        });
-        last_certification = Some(certification);
-        if certification.certified {
-            return Ok(ChainAccepted {
-                plan,
-                used: algorithm,
+            let planned = if exhaustive {
+                cycles
+                    .get_or_insert_with(|| exhaustive::enumerate(g, self.cycle_bound))
+                    .as_ref()
+                    .map_err(GraphError::clone)
+                    .and_then(|cycles| exhaustive::intervals_from_cycles(g, algorithm, cycles))
+                    .map(|intervals| AvoidancePlan::new(g, algorithm, intervals))
+            } else {
+                self.clone().algorithm(algorithm).plan_as(&structure)
+            };
+            let plan = match planned {
+                Ok(plan) => {
+                    plan_time += planning.elapsed();
+                    Arc::new(plan)
+                }
+                Err(e) => {
+                    first_plan_error.get_or_insert(e);
+                    continue;
+                }
+            };
+            let checking = Instant::now();
+            let certification = match certify_shared(g, &plan, periods, helpers) {
+                Ok(c) => c,
+                Err(e) => return Err(CertifyError::Unplannable(e)),
+            };
+            certify_time += checking.elapsed();
+            attempts.push(CertifyAttempt {
+                algorithm,
                 exhaustive,
-                fell_back: index > 0,
-                certification,
-                attempts,
-                plan_time,
-                certify_time,
+                certified: certification.certified,
             });
+            last_certification = Some(certification);
+            if certification.certified {
+                return Ok(CertifiedPlan {
+                    plan,
+                    requested: self.algorithm,
+                    used: algorithm,
+                    exhaustive,
+                    fell_back: index > 0,
+                    certification,
+                    attempts,
+                    hit: false,
+                    plan_time,
+                    certify_time,
+                });
+            }
+            // A horizon beyond the ceiling is a fact about the graph: no other
+            // candidate could be checked either.
+            if certification.truncated {
+                break;
+            }
         }
-        // A horizon beyond the ceiling is a fact about the graph: no other
-        // candidate could be checked either.
-        if certification.truncated {
-            break;
+        match last_certification {
+            None => Err(CertifyError::Unplannable(first_plan_error.unwrap_or_else(
+                || GraphError::Structure("no candidate plan could be computed".into()),
+            ))),
+            Some(last) => Err(CertifyError::Uncertifiable { attempts, last }),
         }
-    }
-    match last_certification {
-        None => Err(CertifyError::Unplannable(first_plan_error.unwrap_or_else(|| {
-            GraphError::Structure("no candidate plan could be computed".into())
-        }))),
-        Some(last) => Err(CertifyError::Uncertifiable { attempts, last }),
     }
 }
 
 /// The certification fallback chain for a requested protocol: `(algorithm,
-/// force_exhaustive)` candidates in the order they are tried.  Shared by
-/// [`Planner::certify`] and the verdict-caching
-/// [`PlanCache::certify`](crate::cache::PlanCache::certify) so the two can
-/// never select differently.
+/// force_exhaustive)` candidates in the order [`Planner::walk`] tries them.
 pub(crate) fn certification_candidates(
     requested: Algorithm,
     general: bool,
@@ -315,7 +279,12 @@ pub(crate) fn certification_candidates(
         // Structural dispatch on a general graph is already exhaustive.
         vec![(requested, true), (other, true)]
     } else {
-        vec![(requested, false), (other, false), (requested, true), (other, true)]
+        vec![
+            (requested, false),
+            (other, false),
+            (requested, true),
+            (other, true),
+        ]
     }
 }
 
@@ -350,6 +319,13 @@ pub struct CertifiedPlan {
     pub certification: Certification,
     /// Every candidate tried, in order, with its verdict.
     pub attempts: Vec<CertifyAttempt>,
+    /// True if the verdict was served from a
+    /// [`PlanCache`](crate::cache::PlanCache) (never from the planner).
+    pub hit: bool,
+    /// Time spent planning candidates on this call (zero on a hit).
+    pub plan_time: Duration,
+    /// Time spent model-checking candidates on this call (zero on a hit).
+    pub certify_time: Duration,
 }
 
 /// Why [`Planner::certify`] could not produce a certified plan.
@@ -413,9 +389,14 @@ mod tests {
     fn butterfly() -> Graph {
         let mut b = GraphBuilder::new();
         for (s, t) in [
-            ("x", "a"), ("x", "b"),
-            ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
-            ("c", "y"), ("d", "y"),
+            ("x", "a"),
+            ("x", "b"),
+            ("a", "c"),
+            ("a", "d"),
+            ("b", "c"),
+            ("b", "d"),
+            ("c", "y"),
+            ("d", "y"),
         ] {
             b.edge_with_capacity(s, t, 2).unwrap();
         }
@@ -576,7 +557,10 @@ mod tests {
         let g = butterfly();
         let periods = vec![1u64; g.node_count()];
         let rejected = enumerations(|| {
-            let err = Planner::new(&g).cycle_bound(3).certify(&periods).unwrap_err();
+            let err = Planner::new(&g)
+                .cycle_bound(3)
+                .certify(&periods)
+                .unwrap_err();
             assert!(matches!(err, CertifyError::Unplannable(_)), "{err}");
         });
         assert_eq!(rejected, 1);
@@ -617,7 +601,10 @@ mod tests {
         assert_eq!((last.declared.steps, last.worst_case.steps), (0, 0));
         assert_eq!(last.inputs, crate::verify::certification_inputs(&g));
         let text = err.to_string();
-        assert!(text.contains(&format!("requires {} inputs", last.inputs)), "{text}");
+        assert!(
+            text.contains(&format!("requires {} inputs", last.inputs)),
+            "{text}"
+        );
         assert!(text.contains("MAX_CERTIFICATION_INPUTS is 65536"), "{text}");
     }
 
@@ -632,7 +619,10 @@ mod tests {
     fn general_class_chain_collapses_to_exhaustive_candidates() {
         assert_eq!(
             certification_candidates(Algorithm::NonPropagation, true),
-            vec![(Algorithm::NonPropagation, true), (Algorithm::Propagation, true)]
+            vec![
+                (Algorithm::NonPropagation, true),
+                (Algorithm::Propagation, true)
+            ]
         );
         assert_eq!(
             certification_candidates(Algorithm::Propagation, false),

@@ -12,7 +12,6 @@ use std::fmt;
 /// Node ids are dense indices assigned in insertion order; they are valid
 /// only for the graph that created them.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub(crate) u32);
 
 /// Identifier of a directed channel (edge) in a [`Graph`](crate::Graph).
@@ -20,7 +19,6 @@ pub struct NodeId(pub(crate) u32);
 /// Because the graph is a *multigraph*, several edges may connect the same
 /// ordered pair of nodes; each has its own id and its own buffer capacity.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EdgeId(pub(crate) u32);
 
 impl NodeId {

@@ -18,7 +18,7 @@
 //! * undirected simple-cycle enumeration with source/sink classification
 //!   ([`cycles`]) — the exponential baseline of §II.B,
 //! * canonical structural fingerprints for shape-level caching
-//!   ([`fingerprint`]) — the key of the service layer's plan cache.
+//!   ([`fingerprint`]) — the key of the service layer's verdict cache.
 //!
 //! The crate is deliberately free of any deadlock-avoidance logic; it is the
 //! substrate that `fila-spdag`, `fila-avoidance` and `fila-runtime` share.

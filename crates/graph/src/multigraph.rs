@@ -12,7 +12,6 @@ use crate::ids::{EdgeId, NodeId};
 
 /// A compute node of the streaming application.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Node {
     /// Human-readable name used in reports and DOT output.
     pub name: String,
@@ -20,7 +19,6 @@ pub struct Node {
 
 /// A directed FIFO channel with a finite buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Edge {
     /// The producing node (tail of the edge).
     pub src: NodeId,
@@ -37,7 +35,6 @@ pub struct Edge {
 /// need to "remove" parts of a graph (series/parallel reduction, ladder
 /// decomposition, ...) work on their own overlay structures instead.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Graph {
     nodes: Vec<Node>,
     edges: Vec<Edge>,
@@ -225,12 +222,16 @@ impl Graph {
 
     /// All nodes with no incoming edges (stream sources).
     pub fn sources(&self) -> Vec<NodeId> {
-        self.node_ids().filter(|&n| self.in_degree(n) == 0).collect()
+        self.node_ids()
+            .filter(|&n| self.in_degree(n) == 0)
+            .collect()
     }
 
     /// All nodes with no outgoing edges (stream sinks).
     pub fn sinks(&self) -> Vec<NodeId> {
-        self.node_ids().filter(|&n| self.out_degree(n) == 0).collect()
+        self.node_ids()
+            .filter(|&n| self.out_degree(n) == 0)
+            .collect()
     }
 
     /// The unique source node, if the graph has exactly one.
@@ -263,9 +264,7 @@ impl Graph {
     /// Looks up a node id by its name.  `O(|V|)`; intended for tests and
     /// examples, not hot paths.
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.nodes()
-            .find(|(_, n)| n.name == name)
-            .map(|(id, _)| id)
+        self.nodes().find(|(_, n)| n.name == name).map(|(id, _)| id)
     }
 
     /// Finds the first edge from the node named `src` to the node named
@@ -442,9 +441,6 @@ mod tests {
         let b = g.add_node("b");
         g.add_edge(a, b, 1).unwrap();
         let _lonely = g.add_node("lonely");
-        assert!(matches!(
-            g.validate(),
-            Err(GraphError::Disconnected { .. })
-        ));
+        assert!(matches!(g.validate(), Err(GraphError::Disconnected { .. })));
     }
 }

@@ -15,19 +15,19 @@
 //!    bounded in-flight window ([`RejectReason::Saturated`]) protect the
 //!    pool *and* the planner: a saturated service sheds load before
 //!    spending any planning CPU on it.
-//! 3. **Plan and certify, amortised** — deadlock-avoidance intervals come
-//!    from a structural [`PlanCache`](fila_avoidance::PlanCache) keyed by
-//!    the canonical topology fingerprint of `fila-graph`, so a million
-//!    submissions of the same shape plan exactly once and share one
-//!    `Arc`-wrapped plan.  By default every planned admission is also
+//! 3. **Plan and certify, amortised** — every planned admission is
 //!    **certified**: the plan is model-checked against the job's declared
 //!    [`FilterSpec`] and its worst-case interior-filtering escalations,
 //!    falling back automatically (requested protocol → the other →
 //!    forced-exhaustive) when a candidate fails — so *admitted ⇒
 //!    deadlock-free* for what the client declared, and a plan's safety can
 //!    never silently depend on the filter pattern (the E17 postmortem).
-//!    Certification verdicts are cached per `(fingerprint, filter
-//!    signature)`, making the fallback a once-per-shape decision.  Graphs
+//!    The verdict of that walk is cached in a
+//!    [`PlanCache`](fila_avoidance::PlanCache) keyed by the canonical
+//!    topology fingerprint of `fila-graph`, the protocol, the filter
+//!    signature and the cycle budget, so a million submissions of the same
+//!    shape and profile plan and certify exactly once and share one
+//!    `Arc`-wrapped plan: the fallback is a once-per-shape decision.  Graphs
 //!    whose planning exceeds the service's cycle budget reject with
 //!    [`RejectReason::Unplannable`]; plannable graphs no candidate
 //!    certifies reject with [`RejectReason::Uncertifiable`].  Both are

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fila_avoidance::{
-    filter_signature, observed_periods, Algorithm, CertifiedCached, CertifyError, GraphIdentity,
+    filter_signature, observed_periods, Algorithm, CertifiedPlan, CertifyError, GraphIdentity,
     PlanCache, Rounding,
 };
 use fila_graph::Fingerprint;
@@ -32,7 +32,8 @@ pub struct ServiceConfig {
     pub max_in_flight: usize,
     /// Maximum graph size (`nodes + edges`) accepted.
     pub max_graph_size: usize,
-    /// Plans kept in the structural plan cache.
+    /// Certification verdicts (certified plans and rejections) kept in
+    /// the service's [`PlanCache`], oldest evicted first.
     pub plan_cache_capacity: usize,
     /// Undirected-cycle budget for the exhaustive planner on general
     /// graphs; submissions whose planning exceeds it are rejected as
@@ -152,7 +153,7 @@ pub struct JobOutcome {
 pub struct JobTicket {
     pub(crate) handle: JobHandle,
     /// The canonical *structural* fingerprint of the submitted graph (the
-    /// plan-cache key; the filter spec is not folded in — use
+    /// verdict cache's bucket; the filter spec is not folded in — use
     /// [`JobSpec::fingerprint`] for the filter-salted job identity).
     pub fingerprint: Fingerprint,
     /// Plan provenance: `Some(true)` cache hit, `Some(false)` fresh plan,
@@ -419,7 +420,7 @@ impl JobService {
         &self.config
     }
 
-    /// The structural plan cache (hit/miss counters, current size).
+    /// The certification verdict cache (hit/miss counters, current size).
     pub fn plan_cache(&self) -> &PlanCache {
         &self.cache
     }
@@ -455,9 +456,17 @@ impl JobService {
         // never by the client, so abandoned tickets cannot leak slots.
         let slot = self.reserve_slot()?;
 
-        // 4. Planning — and, by default, certification.
-        let structural = hashed.as_ref().map(|identity| identity.fingerprint);
-        let planned = self.plan_admission(spec, periods, hashed)?;
+        // 4. Planning — and, by default, certification — of a planned job,
+        // on one hash of the graph: a resume already made it for its
+        // identity gate.
+        let (planned, structural) = match spec.avoidance {
+            AvoidanceChoice::Planned(algorithm) => {
+                let identity = hashed.unwrap_or_else(|| GraphIdentity::of(&spec.graph));
+                let planned = self.plan_admission(spec, periods, algorithm, &identity)?;
+                (Some(planned), Some(identity.fingerprint))
+            }
+            AvoidanceChoice::Disabled => (None, hashed.map(|identity| identity.fingerprint)),
+        };
 
         // 5. Execute on the shared pool.
         let identity = (structural, filter_signature(periods));
@@ -480,7 +489,7 @@ impl JobService {
     pub(crate) fn start(
         &self,
         spec: &JobSpec,
-        plan: Option<&CertifiedCached>,
+        plan: Option<&CertifiedPlan>,
         (hashed, filter_signature): (Option<Fingerprint>, u64),
         origin: Origin<'_>,
         slot: Slot<'_>,
@@ -533,13 +542,11 @@ impl JobService {
         if resumed_from.is_some() {
             Counters::bump(&self.counters.restores);
         }
-        // Planned jobs reuse the structural fingerprint the cache already
-        // computed; only unplanned jobs nobody hashed yet hash here — off
-        // the job's critical path: it is already running.
-        let fingerprint = plan
-            .map(|c| c.fingerprint)
-            .or(hashed)
-            .unwrap_or_else(|| fila_graph::fingerprint::fingerprint(&spec.graph));
+        // Planned jobs were hashed for their certification; only unplanned
+        // jobs nobody hashed yet hash here — off the job's critical path:
+        // it is already running.
+        let fingerprint =
+            hashed.unwrap_or_else(|| fila_graph::fingerprint::fingerprint(&spec.graph));
         Ok(JobTicket {
             handle,
             fingerprint,
@@ -782,7 +789,7 @@ impl JobService {
         requested: Algorithm,
         cycle_bound: usize,
         observed: &[u64],
-    ) -> Result<CertifiedCached, CertifyError> {
+    ) -> Result<CertifiedPlan, CertifyError> {
         let identity = GraphIdentity::of(&spec.graph);
         let certified = self.cache.certify_identified(
             &spec.graph,
@@ -796,7 +803,7 @@ impl JobService {
         Ok(certified)
     }
 
-    fn count_certified(&self, certified: &CertifiedCached) {
+    fn count_certified(&self, certified: &CertifiedPlan) {
         Counters::bump(&self.counters.certified);
         if certified.fell_back {
             Counters::bump(&self.counters.fell_back);
@@ -851,7 +858,9 @@ impl JobService {
         if let Some(actual) = &spec.actual {
             if let Err(why) = actual.check(&spec.graph) {
                 Counters::bump(&self.counters.rejected_invalid);
-                return Err(RejectReason::Invalid(format!("actual filter profile: {why}")));
+                return Err(RejectReason::Invalid(format!(
+                    "actual filter profile: {why}"
+                )));
             }
         }
         let size = spec.graph.size();
@@ -888,26 +897,21 @@ impl JobService {
     /// Step 4 of admission: planning and **certification**: the plan (with
     /// its automatic fallback chain) is model-checked against the job's
     /// declared filter spec before admission, so an admitted planned job is
-    /// certified deadlock-free for what it declared.  Plans and
-    /// certification verdicts — rejections of either kind included — are
-    /// amortised through the structural cache.
+    /// certified deadlock-free for what it declared.  Certification
+    /// verdicts — rejections of either kind included — are amortised
+    /// through the verdict cache.
     ///
     /// Bumps the planning/certification counters itself.
     fn plan_admission(
         &self,
         spec: &JobSpec,
         periods: &[u64],
-        identity: Option<GraphIdentity>,
-    ) -> Result<Option<CertifiedCached>, RejectReason> {
-        let AvoidanceChoice::Planned(algorithm) = spec.avoidance else {
-            return Ok(None);
-        };
-        // One hash of the graph per admission: a resume already made it
-        // for its identity gate, and the cache hashes nothing below.
-        let identity = identity.unwrap_or_else(|| GraphIdentity::of(&spec.graph));
+        algorithm: Algorithm,
+        identity: &GraphIdentity,
+    ) -> Result<CertifiedPlan, RejectReason> {
         match self.cache.certify_identified(
             &spec.graph,
-            &identity,
+            identity,
             algorithm,
             self.config.cycle_bound,
             periods,
@@ -915,7 +919,7 @@ impl JobService {
         ) {
             Ok(certified) => {
                 self.count_certified(&certified);
-                Ok(Some(certified))
+                Ok(certified)
             }
             Err(CertifyError::Unplannable(e)) => {
                 Counters::bump(&self.counters.rejected_unplannable);
@@ -995,9 +999,6 @@ impl JobService {
             failed: load(&c.failed),
             cancelled: load(&c.cancelled),
             in_flight: self.in_flight.load(Ordering::SeqCst),
-            plan_cache_hits: self.cache.hits(),
-            plan_cache_misses: self.cache.misses(),
-            plan_cache_len: self.cache.len() as u64,
             cert_cache_hits: self.cache.cert_hits(),
             cert_cache_misses: self.cache.cert_misses(),
             messages: load(&c.messages),
@@ -1102,16 +1103,16 @@ mod tests {
         assert_eq!(t2.plan_time, Duration::ZERO);
         assert_eq!(t2.certify_time, Duration::ZERO);
         assert_eq!(t1.fingerprint, t2.fingerprint);
+        assert_eq!(t1.fingerprint, fila_graph::fingerprint::fingerprint(&g));
         for t in [t1, t2] {
             let o = t.wait();
             assert_eq!(o.verdict, JobVerdict::Completed, "{o:?}");
         }
         let stats = svc.stats();
         // The repeat submission hits the certification-verdict cache, so
-        // the underlying plan map is consulted exactly once.
+        // the fallback chain is walked exactly once.
         assert_eq!(stats.cert_cache_hits, 1);
         assert_eq!(stats.cert_cache_misses, 1);
-        assert_eq!(stats.plan_cache_misses, 1);
         assert_eq!(stats.certified, 2);
         assert_eq!(stats.fell_back, 0);
         assert!((stats.cert_cache_hit_rate() - 0.5).abs() < 1e-9);
@@ -1232,7 +1233,7 @@ mod tests {
             .unwrap();
         let _ = t.wait();
         let json = svc.stats().to_json();
-        assert!(json.contains("\"schema_version\": 6"));
+        assert!(json.contains("\"schema_version\": 7"));
         assert!(json.contains("\"completed\": 1"));
         // Telemetry off: v6 fields present but empty.
         assert!(json.contains("\"latency\": {\"settle\": {\"count\": 0"));
@@ -1336,10 +1337,8 @@ mod tests {
         let r = svc.resume_job(spec(), &snapshot);
         assert!(matches!(r, Err(RejectReason::RestoreMismatch(_))), "{r:?}");
 
-        snapshot.fingerprint =
-            Some(fila_graph::fingerprint::fingerprint(&probe.graph).0);
-        snapshot.filter_signature =
-            Some(filter_signature(&probe.filters.periods(&probe.graph)));
+        snapshot.fingerprint = Some(fila_graph::fingerprint::fingerprint(&probe.graph).0);
+        snapshot.filter_signature = Some(filter_signature(&probe.filters.periods(&probe.graph)));
 
         // Filter drift: same graph shape, different declared filter
         // profile.

@@ -84,12 +84,6 @@ pub struct ServiceStats {
     pub cancelled: u64,
     /// Jobs admitted but not yet settled.
     pub in_flight: u64,
-    /// Plan-cache lookups served without planning.
-    pub plan_cache_hits: u64,
-    /// Plan-cache lookups that ran the planner.
-    pub plan_cache_misses: u64,
-    /// Plans currently cached.
-    pub plan_cache_len: u64,
     /// Certification lookups served from the verdict cache (repeat
     /// submissions of a known shape + filter signature skip the whole
     /// model check and fallback chain).
@@ -174,16 +168,6 @@ impl ServiceStats {
             + self.rejected_restore_mismatch
     }
 
-    /// Fraction of plan lookups served from the cache (0.0 before any).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.plan_cache_hits + self.plan_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.plan_cache_hits as f64 / total as f64
-        }
-    }
-
     /// Fraction of certification lookups served from the verdict cache
     /// (0.0 before any).
     pub fn cert_cache_hit_rate(&self) -> f64 {
@@ -228,7 +212,10 @@ impl ServiceStats {
     /// `recovery_exhausted`, `snapshots_corrupted`, `approx_recovered`);
     /// version 6 added the telemetry fields — the nested `"latency"`
     /// object (`settle`/`firing`/`blocked` percentile summaries) and the
-    /// `"tenants"` array (all-zero/empty when telemetry is off).
+    /// `"tenants"` array (all-zero/empty when telemetry is off); version 7
+    /// removed the four plan-table fields (its hit, miss and entry counts
+    /// and its hit rate) with the table: the cache holds certification
+    /// verdicts only.
     ///
     /// `uncertified_nonprop` — planned admissions executed without
     /// certification — is a literal 0: every planned admission is certified
@@ -242,7 +229,7 @@ impl ServiceStats {
             .join(", ");
         format!(
             concat!(
-                "{{\"schema_version\": 6, ",
+                "{{\"schema_version\": 7, ",
                 "\"submitted\": {}, \"admitted\": {}, ",
                 "\"rejected_invalid\": {}, \"rejected_too_large\": {}, ",
                 "\"rejected_saturated\": {}, \"rejected_unplannable\": {}, ",
@@ -252,8 +239,6 @@ impl ServiceStats {
                 "\"uncertified_nonprop\": 0, ",
                 "\"completed\": {}, \"deadlocked\": {}, \"failed\": {}, ",
                 "\"cancelled\": {}, \"in_flight\": {}, ",
-                "\"plan_cache_hits\": {}, \"plan_cache_misses\": {}, ",
-                "\"plan_cache_len\": {}, \"cache_hit_rate\": {:.4}, ",
                 "\"cert_cache_hits\": {}, \"cert_cache_misses\": {}, ",
                 "\"cert_cache_hit_rate\": {:.4}, ",
                 "\"messages\": {}, \"snapshots\": {}, \"restores\": {}, ",
@@ -282,10 +267,6 @@ impl ServiceStats {
             self.failed,
             self.cancelled,
             self.in_flight,
-            self.plan_cache_hits,
-            self.plan_cache_misses,
-            self.plan_cache_len,
-            self.cache_hit_rate(),
             self.cert_cache_hits,
             self.cert_cache_misses,
             self.cert_cache_hit_rate(),
@@ -334,9 +315,6 @@ mod tests {
             failed: 0,
             cancelled: 0,
             in_flight: 1,
-            plan_cache_hits: 4,
-            plan_cache_misses: 2,
-            plan_cache_len: 2,
             cert_cache_hits: 3,
             cert_cache_misses: 1,
             messages: 1000,
@@ -383,7 +361,6 @@ mod tests {
     fn derived_rates() {
         let s = sample();
         assert_eq!(s.rejected(), 4);
-        assert!((s.cache_hit_rate() - 4.0 / 6.0).abs() < 1e-9);
         assert!((s.cert_cache_hit_rate() - 0.75).abs() < 1e-9);
         assert!((s.msgs_per_sec() - 2000.0).abs() < 1e-6);
         assert!((s.jobs_per_sec() - 12.0).abs() < 1e-6);
@@ -392,7 +369,7 @@ mod tests {
     #[test]
     fn json_is_parsable_shape() {
         let json = sample().to_json();
-        assert!(json.starts_with("{\"schema_version\": 6, "));
+        assert!(json.starts_with("{\"schema_version\": 7, "));
         assert!(json.ends_with('}'));
         assert!(json.contains("\"admitted\": 7"));
         assert!(json.contains("\"certified\": 4"));
@@ -412,7 +389,8 @@ mod tests {
         assert!(json.contains("\"recovery_exhausted\": 1"));
         assert!(json.contains("\"snapshots_corrupted\": 1"));
         assert!(json.contains("\"approx_recovered\": 1"));
-        assert!(json.contains("\"cache_hit_rate\": 0.6667"));
+        assert!(json.contains("\"cert_cache_hit_rate\": 0.7500"));
+        assert!(!json.contains("plan_cache"));
         assert!(json.contains("\"msgs_per_sec\": 2000.0"));
         // Schema v6 nested telemetry objects.
         assert!(json.contains("\"latency\": {\"settle\": {\"count\": 6, \"p50_ns\": 1023"));

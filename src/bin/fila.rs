@@ -122,7 +122,7 @@ as Chrome `trace_event` JSON for chrome://tracing / Perfetto (and the
 metrics — per-tenant settle-latency percentiles, firing/blocked-time
 histograms, and per-interval dummy-vs-data traffic — to stderr.  Storm's
 human-readable summary always goes to stderr; stdout carries only the
-stats JSON (schema v6, with the nested latency/tenant summaries).
+stats JSON (schema v7, with the nested latency/tenant summaries).
 
 `fila trace <file>` summarizes an exported trace: event counts per kind,
 total firing time, steal/stall counts, and per-job span statistics.
@@ -1008,13 +1008,19 @@ mod tests {
             ("job a\n  edge a b\n", "unterminated job block"),
             // Surplus words, one case per directive.
             ("job a b\n", "line 1: job needs <name>"),
-            ("job a\n  edge a b\nend now\n", "line 3: end takes no arguments"),
+            (
+                "job a\n  edge a b\nend now\n",
+                "line 3: end takes no arguments",
+            ),
             ("job a\n  inputs 8 9\nend\n", "line 2: inputs needs <count>"),
             (
                 "job a\n  algorithm none none\nend\n",
                 "line 2: algorithm needs <value>",
             ),
-            ("job a\n  capacity 4 4\nend\n", "line 2: capacity needs <value>"),
+            (
+                "job a\n  capacity 4 4\nend\n",
+                "line 2: capacity needs <value>",
+            ),
             (
                 "job a\n  edge a b 4 junk\nend\n",
                 "line 2: edge needs <src> <dst> [capacity]",
@@ -1070,7 +1076,9 @@ mod tests {
                 Ok(parsed) => {
                     for line in text.lines().map(|l| l.split('#').next().unwrap_or("")) {
                         let mut words = line.split_whitespace();
-                        let Some(keyword) = words.next() else { continue };
+                        let Some(keyword) = words.next() else {
+                            continue;
+                        };
                         let arity = match keyword {
                             "end" => 0..=0,
                             "edge" => 2..=3,

@@ -13,7 +13,7 @@
 //!   general DAGs ([`avoidance`]),
 //! * a streaming runtime with data-dependent filtering, bounded channels,
 //!   dummy-message wrappers and deadlock detection ([`runtime`]),
-//! * a multi-tenant job service — plan cache, admission control and
+//! * a multi-tenant job service — verdict cache, admission control and
 //!   shared-pool execution of many concurrent dataflows ([`service`]), and
 //! * workload generators and the exact graphs of the paper's figures
 //!   ([`workloads`]).

@@ -13,7 +13,7 @@ use fila::avoidance::verify::{
     certification_inputs, certification_rows, AdversaryPattern, ADVERSARIES,
 };
 use fila::avoidance::{
-    certify_plan, certify_plan_bounded, Algorithm, AvoidancePlan, Certification, CertifiedCached,
+    certify_plan, certify_plan_bounded, Algorithm, AvoidancePlan, Certification, CertifiedPlan,
     CertifyError, IntervalMap, ModelOutcome, Rounding,
 };
 use fila::prelude::*;
@@ -29,11 +29,7 @@ const STEP_BUDGET: u64 = 50_000_000;
 /// (period > 1) follows the pattern, everything else keeps the declared
 /// periodic filter.  Used to re-run certification's claims on the real
 /// engine.
-fn adversarial_topology(
-    g: &Graph,
-    periods: &[u64],
-    pattern: AdversaryPattern,
-) -> Topology {
+fn adversarial_topology(g: &Graph, periods: &[u64], pattern: AdversaryPattern) -> Topology {
     let mut topo = Topology::from_graph(g);
     for n in g.node_ids() {
         let outs = g.out_degree(n);
@@ -327,7 +323,11 @@ fn replayed_certification(
     periods: &[u64],
     budget: (u64, u64),
 ) -> Certification {
-    let replay = |adversary| drive(g, plan, periods, adversary, budget, false).0.outcome();
+    let replay = |adversary| {
+        drive(g, plan, periods, adversary, budget, false)
+            .0
+            .outcome()
+    };
     let declared = replay(None);
     let (mut worst_case, mut failing_adversary) = (declared, None);
     if periods.iter().any(|&p| p > 1) {
@@ -365,7 +365,10 @@ fn six_runs_agree(
         .map(|(run, adversary)| {
             let (replayed, _) = drive(g, plan, periods, adversary, budget, false);
             let (skipped, skip) = drive(g, plan, periods, adversary, budget, true);
-            assert_eq!(replayed, skipped, "{context}, run {run}, budget {budget:?}, {skip:?}");
+            assert_eq!(
+                replayed, skipped,
+                "{context}, run {run}, budget {budget:?}, {skip:?}"
+            );
             skip
         })
         .collect()
@@ -384,12 +387,14 @@ fn multi_source_layers(seed: u64) -> Graph {
         for w in 0..width {
             let from = format!("n{l}_{w}");
             if l + 1 == layers {
-                b.edge_with_capacity(&from, "T", 1 + pick(l * 7 + w, 5)).unwrap();
+                b.edge_with_capacity(&from, "T", 1 + pick(l * 7 + w, 5))
+                    .unwrap();
                 continue;
             }
             for k in 0..1 + pick(l * 11 + w, 2) {
                 let to = format!("n{}_{}", l + 1, (w + k + pick(l + w, width)) % width);
-                b.edge_with_capacity(&from, &to, 1 + pick(l * 13 + w * 3 + k, 5)).unwrap();
+                b.edge_with_capacity(&from, &to, 1 + pick(l * 13 + w * 3 + k, 5))
+                    .unwrap();
             }
         }
     }
@@ -413,7 +418,13 @@ fn no_avoidance(g: &Graph) -> AvoidancePlan {
 fn plans_of(g: &Graph) -> Vec<AvoidancePlan> {
     [Algorithm::NonPropagation, Algorithm::Propagation]
         .into_iter()
-        .filter_map(|algorithm| Planner::new(g).algorithm(algorithm).cycle_bound(4096).plan().ok())
+        .filter_map(|algorithm| {
+            Planner::new(g)
+                .algorithm(algorithm)
+                .cycle_bound(4096)
+                .plan()
+                .ok()
+        })
         .chain([no_avoidance(g)])
         .collect()
 }
@@ -531,10 +542,13 @@ struct Answers {
 fn answers(
     g: &Graph,
     periods: &[u64],
-    verdict: impl Fn(Algorithm) -> Result<CertifiedCached, CertifyError>,
+    verdict: impl Fn(Algorithm) -> Result<CertifiedPlan, CertifyError>,
 ) -> Answers {
     Answers {
-        bare: plans_of(g).iter().map(|plan| certify_plan(g, plan, periods).unwrap()).collect(),
+        bare: plans_of(g)
+            .iter()
+            .map(|plan| certify_plan(g, plan, periods).unwrap())
+            .collect(),
         verdicts: [Algorithm::NonPropagation, Algorithm::Propagation]
             .into_iter()
             .map(|algorithm| match verdict(algorithm) {
@@ -550,7 +564,10 @@ fn assert_same_certification(got: &Certification, want: &Certification, context:
     assert_eq!(got.certified, want.certified, "{context}: certified");
     assert_eq!(got.declared, want.declared, "{context}: declared");
     assert_eq!(got.worst_case, want.worst_case, "{context}: worst_case");
-    assert_eq!(got.failing_adversary, want.failing_adversary, "{context}: failing_adversary");
+    assert_eq!(
+        got.failing_adversary, want.failing_adversary,
+        "{context}: failing_adversary"
+    );
     assert_eq!(got.inputs, want.inputs, "{context}: inputs");
     assert_eq!(got.truncated, want.truncated, "{context}: truncated");
 }
@@ -588,7 +605,9 @@ fn the_pool_is_invisible_under_contention() {
             Err(RejectReason::Unplannable(_) | RejectReason::Uncertifiable(_)) => {}
             Err(other) => panic!("{other}"),
         }
-        service.plan_cache().certify(g, algorithm, Rounding::Ceil, 4096, periods)
+        service
+            .plan_cache()
+            .certify(g, algorithm, Rounding::Ceil, 4096, periods)
     };
     let start = std::sync::Barrier::new(4);
     std::thread::scope(|scope| {
@@ -616,7 +635,10 @@ fn the_pool_is_invisible_under_contention() {
     // reads after each admission all hit.
     let cache = service.plan_cache();
     assert_eq!(cache.cert_misses(), alone.cert_misses());
-    assert_eq!(cache.cert_hits() + cache.cert_misses(), 2 * 4 * 2 * corpus.len() as u64);
+    assert_eq!(
+        cache.cert_hits() + cache.cert_misses(),
+        2 * 4 * 2 * corpus.len() as u64
+    );
 }
 
 #[test]
@@ -624,10 +646,22 @@ fn a_run_that_deadlocks_before_any_recurrence_is_stepped_in_full() {
     // Fig. 2 unprotected: first-output-only fills A→B→C while A→C
     // starves, and the run is dead within a dozen steps.
     let g = fila::workloads::figures::fig2_triangle(2);
-    let skips = six_runs_agree(&g, &no_avoidance(&g), &[8, 1, 1], (256, STEP_BUDGET), "fig2");
+    let skips = six_runs_agree(
+        &g,
+        &no_avoidance(&g),
+        &[8, 1, 1],
+        (256, STEP_BUDGET),
+        "fig2",
+    );
     let first_output_only = Some(ADVERSARIES[1].1);
-    let (run, skip) =
-        drive(&g, &no_avoidance(&g), &[8, 1, 1], first_output_only, (256, STEP_BUDGET), true);
+    let (run, skip) = drive(
+        &g,
+        &no_avoidance(&g),
+        &[8, 1, 1],
+        first_output_only,
+        (256, STEP_BUDGET),
+        true,
+    );
     assert_eq!(run.halt, Halt::Deadlocked);
     assert_eq!((skip, skips[2]), (None, None));
 }
@@ -644,10 +678,20 @@ fn a_three_node_pipeline_recurs_where_expected() {
     let g = b.build().unwrap();
     let budget = (64, STEP_BUDGET);
     let (run, skip) = drive(&g, &no_avoidance(&g), &[1, 1, 1], None, budget, true);
-    assert_eq!(skip, Some(Skip { at: 4, shift: 1, skipped: 60 }));
+    assert_eq!(
+        skip,
+        Some(Skip {
+            at: 4,
+            shift: 1,
+            skipped: 60
+        })
+    );
     assert_eq!(run.halt, Halt::Completed);
     assert_eq!(run.per_edge_data, vec![64, 64]);
-    assert_eq!(run, drive(&g, &no_avoidance(&g), &[1, 1, 1], None, budget, false).0);
+    assert_eq!(
+        run,
+        drive(&g, &no_avoidance(&g), &[1, 1, 1], None, budget, false).0
+    );
 }
 
 #[test]
@@ -678,13 +722,21 @@ fn a_step_budget_inside_the_skipped_region_is_met_by_stepping() {
         reverse_probability: 0.3,
         seed: 5,
     });
-    let periods: Vec<u64> =
-        g.node_ids().map(|n| if g.in_degree(n) == 0 { 3 } else { 1 }).collect();
-    let plan = Planner::new(&g).algorithm(Algorithm::NonPropagation).plan().unwrap();
+    let periods: Vec<u64> = g
+        .node_ids()
+        .map(|n| if g.in_degree(n) == 0 { 3 } else { 1 })
+        .collect();
+    let plan = Planner::new(&g)
+        .algorithm(Algorithm::NonPropagation)
+        .plan()
+        .unwrap();
     let inputs = certification_inputs(&g);
     let (full, skip) = drive(&g, &plan, &periods, None, (inputs, STEP_BUDGET), true);
     let skip = skip.expect("the declared ladder run recurs");
-    assert!(skip.skipped * skip.shift > inputs / 2, "{skip:?} of {inputs}");
+    assert!(
+        skip.skipped * skip.shift > inputs / 2,
+        "{skip:?} of {inputs}"
+    );
     // Half the run's steps: far past the recurrence, far from the end.
     let budget = (inputs, full.steps / 2);
     six_runs_agree(&g, &plan, &periods, budget, "ladder, budget mid-skip");
@@ -699,7 +751,10 @@ fn a_declared_period_beyond_the_inputs_disables_only_the_declared_run() {
     // lcm(7, 11, 13) = 1001 > 256 inputs: no two checkpoints of the
     // declared run can be a period apart; the adversaries ignore `seq`.
     let g = fila::workloads::figures::fig2_triangle(4);
-    let plan = Planner::new(&g).algorithm(Algorithm::NonPropagation).plan().unwrap();
+    let plan = Planner::new(&g)
+        .algorithm(Algorithm::NonPropagation)
+        .plan()
+        .unwrap();
     let periods = [7, 11, 13];
     let skips = six_runs_agree(&g, &plan, &periods, (256, STEP_BUDGET), "lcm > inputs");
     assert_eq!(skips[0], None);
@@ -721,12 +776,14 @@ fn two_sources_recur_with_unequal_cursors() {
     b.edge_with_capacity("behind", "join", 1).unwrap();
     b.edge_with_capacity("join", "sink", 2).unwrap();
     let g = b.build().unwrap();
-    let (ahead, behind) = (g.node_by_name("ahead").unwrap(), g.node_by_name("behind").unwrap());
+    let (ahead, behind) = (
+        g.node_by_name("ahead").unwrap(),
+        g.node_by_name("behind").unwrap(),
+    );
     let mode = AvoidanceMode::plan(no_avoidance(&g));
     let mut engine = Engine::new(&g, &mode, 100);
-    let mut fire = |_: NodeId, _: u64, _: &[Option<Payload>], emit: &mut [Option<Payload>]| {
-        emit.fill(Some(0))
-    };
+    let mut fire =
+        |_: NodeId, _: u64, _: &[Option<Payload>], emit: &mut [Option<Payload>]| emit.fill(Some(0));
     let mut steady = SteadyState::new(&g, &[], 100);
     let mut cursors_at_skip = None;
     let halt = engine.run_worklist_observed(&mut fire, STEP_BUDGET, false, |engine, node| {
@@ -746,5 +803,11 @@ fn two_sources_recur_with_unequal_cursors() {
     // `ahead` is the anchor and the further along: it bounds the skip.
     assert_eq!((skip.at, skip.skipped), (a, (100 - a) / skip.shift));
     assert_eq!(engine.per_edge_data, vec![100; 4]);
-    six_runs_agree(&g, &no_avoidance(&g), &[1; 5], (100, STEP_BUDGET), "two sources");
+    six_runs_agree(
+        &g,
+        &no_avoidance(&g),
+        &[1; 5],
+        (100, STEP_BUDGET),
+        "two sources",
+    );
 }

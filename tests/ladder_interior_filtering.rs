@@ -24,12 +24,20 @@ const INTERIOR_RATE: u64 = 16;
 const INPUTS: u64 = 500;
 
 fn ladder(rungs: usize, seed: u64) -> Graph {
-    random_ladder(&LadderConfig {
+    let g = random_ladder(&LadderConfig {
         rungs,
         capacity_range: (2, 8),
         reverse_probability: 0.3,
         seed,
-    })
+    });
+    // Fail fast: a ladder misclassified General would be planned by the
+    // exhaustive enumeration, for minutes, before any assertion is reached.
+    assert_eq!(
+        classify(&g).unwrap(),
+        GraphClass::Cs4,
+        "{rungs} rungs, seed {seed}"
+    );
+    g
 }
 
 /// Every node filters 15/16 of its traffic — the aggressive interior
@@ -112,8 +120,7 @@ fn nonprop_survives_mixed_interior_rates() {
             .plan()
             .unwrap();
         let rates = [1u64, 3, 16, 7, 32, 2];
-        let topo =
-            Periodic::from_fn(&g, |n| rates[n.index() % rates.len()]);
+        let topo = Periodic::from_fn(&g, |n| rates[n.index() % rates.len()]);
         let report = Simulator::new(&topo).with_plan(&plan).run(INPUTS);
         assert!(report.completed, "rungs={rungs} seed={seed}: {report:?}");
     }
@@ -149,8 +156,14 @@ fn the_paper_division_bound_still_deadlocks_without_the_fix() {
     let loose_plan = AvoidancePlan::new(&g, Algorithm::NonPropagation, loose);
     let topo = interior_filtered(&g);
     let bad = Simulator::new(&topo).with_plan(&loose_plan).run(INPUTS);
-    assert!(bad.deadlocked, "loosened intervals must still wedge: {bad:?}");
-    assert!(!bad.blocked.is_empty(), "deadlock report names blocked nodes");
+    assert!(
+        bad.deadlocked,
+        "loosened intervals must still wedge: {bad:?}"
+    );
+    assert!(
+        !bad.blocked.is_empty(),
+        "deadlock report names blocked nodes"
+    );
     let good = Simulator::new(&topo).with_plan(&fixed).run(INPUTS);
     assert!(good.completed, "{good:?}");
 }

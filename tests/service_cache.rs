@@ -1,37 +1,63 @@
-//! Plan-cache correctness: a cache-hit plan must be byte-identical — and
-//! identical *in effect* (verdicts + per-edge data/dummy counts) — to a
-//! freshly computed plan, over random SP DAGs and CS4 ladders.
+//! Verdict-cache correctness: a cache hit must be byte-identical — and
+//! identical *in effect* (verdicts + per-edge data/dummy counts) — to the
+//! verdict `Planner::certify` reaches, over random SP DAGs and CS4 ladders.
+
+use std::sync::Arc;
 
 use fila::prelude::*;
 use fila::workloads::generators::{random_ladder, random_sp_dag, GeneratorConfig, LadderConfig};
 use proptest::prelude::*;
 
-/// Plans `g` three ways — directly via [`Planner`], as a cache miss, and as
-/// a cache hit — and asserts all three are the same plan with the same
-/// observable execution (completion/deadlock verdict and per-edge counts)
-/// under the given per-node filter periods.
+/// Certifies `g` under the given per-node filter periods three ways —
+/// directly via [`Planner::certify`], as a cache miss, and as a cache hit —
+/// and asserts all three reach the same verdict, the same plan and the same
+/// observable execution (completion/deadlock verdict and per-edge counts).
 fn assert_cache_equivalence(
     g: &fila::graph::Graph,
     period_of: impl Fn(NodeId) -> u64,
     inputs: u64,
 ) -> Result<(), TestCaseError> {
+    let periods: Vec<u64> = g.node_ids().map(&period_of).collect();
     let topo = Periodic::from_fn(g, period_of);
     for algorithm in [Algorithm::Propagation, Algorithm::NonPropagation] {
-        let fresh = Planner::new(g).algorithm(algorithm).plan().unwrap();
+        let fresh = Planner::new(g)
+            .algorithm(algorithm)
+            .cycle_bound(4096)
+            .certify(&periods);
         let cache = PlanCache::new(8);
-        let miss = cache.plan(g, algorithm, 4096).unwrap();
-        prop_assert!(!miss.hit, "{algorithm}: first lookup must miss");
-        let hit = cache.plan(g, algorithm, 4096).unwrap();
-        prop_assert!(hit.hit, "{algorithm}: second lookup must hit");
+        let certify = || cache.certify(g, algorithm, Rounding::Ceil, 4096, &periods);
+        let (miss, hit) = (certify(), certify());
+        prop_assert_eq!((cache.cert_misses(), cache.cert_hits()), (1, 1));
+        let (fresh, miss, hit) = match (fresh, miss, hit) {
+            (Ok(fresh), Ok(miss), Ok(hit)) => (fresh, miss, hit),
+            (Err(fresh), Err(miss), Err(hit)) => {
+                // A rejection is a verdict too, and the same one.
+                prop_assert_eq!(miss.to_string(), fresh.to_string());
+                prop_assert_eq!(hit.to_string(), fresh.to_string());
+                continue;
+            }
+            (fresh, miss, hit) => {
+                return Err(TestCaseError::fail(format!(
+                    "{algorithm}: planner {fresh:?}, miss {miss:?}, hit {hit:?}"
+                )))
+            }
+        };
+        prop_assert!(!miss.hit && hit.hit, "{}: a miss, then a hit", algorithm);
+        prop_assert!(Arc::ptr_eq(&miss.plan, &hit.plan));
 
-        // Byte-identical: the cached plan IS the fresh plan.
-        prop_assert_eq!(&*hit.plan, &fresh);
+        // Byte-identical: the cached plan IS the planner's plan.
+        prop_assert_eq!(&*hit.plan, &*fresh.plan);
+        prop_assert_eq!(
+            (hit.used, hit.exhaustive, hit.fell_back),
+            (fresh.used, fresh.exhaustive, fresh.fell_back)
+        );
+        prop_assert_eq!(&hit.attempts, &fresh.attempts);
 
         // Identical in effect: same verdict, same per-edge traffic.
-        let with_fresh = Simulator::new(&topo).with_plan(&fresh).run(inputs);
-        let with_hit = Simulator::new(&topo)
-            .with_shared_plan(std::sync::Arc::clone(&hit.plan))
+        let with_fresh = Simulator::new(&topo)
+            .with_shared_plan(fresh.plan)
             .run(inputs);
+        let with_hit = Simulator::new(&topo).with_shared_plan(hit.plan).run(inputs);
         prop_assert_eq!(with_fresh.completed, with_hit.completed);
         prop_assert_eq!(with_fresh.deadlocked, with_hit.deadlocked);
         prop_assert_eq!(with_fresh.per_edge_data, with_hit.per_edge_data);
@@ -54,8 +80,9 @@ proptest! {
             capacity_range: (1, 6),
             seed,
         });
-        // Interior filtering everywhere: the harshest workload (some runs
-        // deadlock — the two plans must then agree on *that* too).
+        // Interior filtering everywhere: the harshest workload (the chain
+        // falls back or rejects on some — the cache must then agree on
+        // *that* too).
         assert_cache_equivalence(&g, |_| period, 96)?;
     }
 
@@ -157,7 +184,11 @@ fn isomorphic_submissions_share_a_bucket_and_plan_once_per_ordering() {
     let (cold_first, cold_second) = (submit(&first), submit(&second));
     assert_eq!(cold_first.fingerprint, cold_second.fingerprint);
     assert_eq!(cold_first.cache_hit, Some(false));
-    assert_eq!(cold_second.cache_hit, Some(false), "a reordered arena must plan afresh");
+    assert_eq!(
+        cold_second.cache_hit,
+        Some(false),
+        "a reordered arena must plan afresh"
+    );
     assert_eq!(submit(&first).cache_hit, Some(true));
     assert_eq!(submit(&second).cache_hit, Some(true));
 }

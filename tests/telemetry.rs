@@ -148,7 +148,7 @@ fn service_telemetry_end_to_end() {
         assert_eq!(outcome.verdict, JobVerdict::Completed);
     }
 
-    // Stats schema v6: non-zero settle percentiles, both tenants keyed.
+    // Stats schema v7: non-zero settle percentiles, both tenants keyed.
     let stats = svc.stats();
     assert_eq!(stats.latency_settle.count, 3);
     assert!(stats.latency_settle.p99_ns > 0);
@@ -158,13 +158,16 @@ fn service_telemetry_end_to_end() {
     assert_eq!(stats.tenants[0].jobs, 2);
     assert!(stats.tenants[0].latency.p50_ns > 0);
     let json = stats.to_json();
-    assert!(json.contains("\"schema_version\": 6"));
+    assert!(json.contains("\"schema_version\": 7"));
     assert!(json.contains("\"tenant\": \"acme\""));
 
     // The dummy-traffic profiler attributed messages to plan intervals.
     let metrics = svc.metrics().expect("telemetry on");
     let traffic = metrics.interval_traffic();
-    assert!(!traffic.is_empty(), "planned fork job must yield interval traffic");
+    assert!(
+        !traffic.is_empty(),
+        "planned fork job must yield interval traffic"
+    );
     assert!(traffic.iter().any(|(_, t)| t.data > 0));
 
     // Prometheus text: tenant series and summary quantiles render.
@@ -177,10 +180,19 @@ fn service_telemetry_end_to_end() {
     let telemetry = svc.telemetry().expect("telemetry on");
     let events = telemetry.all_events();
     assert!(events.iter().any(|e| e.kind == EventKind::Firing));
-    assert_eq!(events.iter().filter(|e| e.kind == EventKind::Job).count(), 3);
+    assert_eq!(
+        events.iter().filter(|e| e.kind == EventKind::Job).count(),
+        3
+    );
     let trace = chrome_trace(&events);
     assert!(trace.starts_with("{\"traceEvents\":[\n"));
-    assert!(trace.lines().filter(|l| l.contains("\"name\":\"firing\"")).count() > 0);
+    assert!(
+        trace
+            .lines()
+            .filter(|l| l.contains("\"name\":\"firing\""))
+            .count()
+            > 0
+    );
 }
 
 #[test]
@@ -216,7 +228,10 @@ fn firing_spans_sum_to_delivered_messages() {
             .submit_with(&topo, AvoidanceMode::Plan(Arc::clone(&plan)), 500)
             .wait();
         assert!(report.completed, "{report:?}");
-        assert!(report.dummy_messages > 0, "plan must generate dummy traffic");
+        assert!(
+            report.dummy_messages > 0,
+            "plan must generate dummy traffic"
+        );
 
         let telemetry = pool.telemetry_handle().expect("telemetry on");
         let events = telemetry.all_events();
@@ -226,8 +241,8 @@ fn firing_spans_sum_to_delivered_messages() {
             .filter(|e| e.kind == EventKind::Firing)
             .map(|e| e.arg)
             .sum();
-        let traffic: u64 = report.per_edge_data.iter().sum::<u64>()
-            + report.per_edge_dummies.iter().sum::<u64>();
+        let traffic: u64 =
+            report.per_edge_data.iter().sum::<u64>() + report.per_edge_dummies.iter().sum::<u64>();
         assert_eq!(
             span_sum, traffic,
             "firing spans must sum to delivered messages at batch {batch}"
